@@ -20,9 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.stats import rankdata, t as t_dist
 
 from .errors import DegenerateSampleError, UndefinedMetricError
 from .netbuild import LayerGraph
@@ -186,6 +183,9 @@ def _eigenvector_centrality(g: LayerGraph, order: list, index: dict) -> np.ndarr
     spectrum) still converge; the shift cancels out of the reported
     eigenvector and is removed from the eigenvalue estimate.
     """
+    import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
+    from scipy.sparse.csgraph import connected_components
+
     n = len(order)
     rows, cols, vals = [], [], []
     for (u, v), data in g.edges.items():
@@ -233,6 +233,8 @@ def _eigenvector_centrality(g: LayerGraph, order: list, index: dict) -> np.ndarr
 
 def _pagerank(g: LayerGraph, order: list, index: dict, damping: float) -> np.ndarray:
     """Weighted PageRank with uniform teleport, L1 stopping rule."""
+    import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
+
     n = len(order)
     rows, cols, vals = [], [], []
     for (u, v), data in g.edges.items():
@@ -338,6 +340,20 @@ def pca_project(vectors, dims: int = 2) -> tuple[np.ndarray, np.ndarray]:
     return coords, ratios
 
 
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, tied values sharing the mean of their
+    ranks (scipy.stats.rankdata's 'average' method). A tie block holding
+    sorted positions start..end-1 gets (start + 1 + end) / 2, an exact half.
+    """
+    order = np.argsort(a)
+    s = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], a.size)
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def brunner_munzel(x, y) -> TestResult:
     """Two-sided rank test for P(X < Y) + 0.5 P(X = Y) = 0.5 with
     Satterthwaite degrees of freedom; midranks handle ties.
@@ -352,11 +368,13 @@ def brunner_munzel(x, y) -> TestResult:
         raise ValueError(f"each sample needs >= 2 values, got {nx} and {ny}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("samples must be finite")
-    rank_all = rankdata(np.concatenate((x, y)))
+    from scipy.special import stdtr  # imported where used, to keep CLI start-up cheap
+
+    rank_all = _midranks(np.concatenate((x, y)))
     rx, ry = rank_all[:nx], rank_all[nx:]
     rx_mean, ry_mean = rx.mean(), ry.mean()
-    rx_within = rankdata(x)
-    ry_within = rankdata(y)
+    rx_within = _midranks(x)
+    ry_within = _midranks(y)
     sx = np.square(rx - rx_within - rx_mean + rx_within.mean()).sum() / (nx - 1)
     sy = np.square(ry - ry_within - ry_mean + ry_within.mean()).sum() / (ny - 1)
     pooled = nx * sx + ny * sy
@@ -364,7 +382,7 @@ def brunner_munzel(x, y) -> TestResult:
         raise DegenerateSampleError("zero rank variance (fully separated or constant samples)")
     statistic = nx * ny * (ry_mean - rx_mean) / ((nx + ny) * math.sqrt(pooled))
     df = pooled ** 2 / ((nx * sx) ** 2 / (nx - 1) + (ny * sy) ** 2 / (ny - 1))
-    p_value = 2.0 * float(t_dist.sf(abs(statistic), df))
+    p_value = 2.0 * float(stdtr(df, -abs(statistic)))  # two-sided t tail
     return TestResult(statistic=float(statistic), p_value=min(1.0, p_value),
                       df=float(df), n_x=nx, n_y=ny)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -34,6 +35,10 @@ ACTIONS: tuple[str, ...] = (RTW, RPL, MEN, HST, URL)
 _ACTION_SET = frozenset(ACTIONS)
 
 EVENT_SCHEMAS = ("jsonl", "tsv")
+
+# C0/C1 control characters: a tab or newline inside an id would break the
+# tab-separated artifacts it is written to
+_CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
 @dataclass(frozen=True)
@@ -195,12 +200,16 @@ def _build_event(user, action, item, ts) -> ActionEvent:
     user = str(user).strip()
     if not user:
         raise ValueError("empty user id")
+    if _CONTROL_CHARS.search(user):
+        raise ValueError(f"control character in user id {user!r}")
     action = str(action).strip().lower()
     if action not in _ACTION_SET:
         raise ValueError(f"unknown action token {action!r}")
     item = _normalize_item(action, str(item).strip())
     if not item:
         raise ValueError("empty item id")
+    if _CONTROL_CHARS.search(item):
+        raise ValueError(f"control character in item id {item!r}")
     return ActionEvent(user, action, item, _parse_timestamp(ts))
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvariantError
 from .ingest import ACTIONS, ActorSet, EventLog
@@ -247,6 +246,8 @@ def layer_window_graph(vectors: list[UserVector]) -> LayerGraph:
     by_user = {v.user_id: v for v in vectors}
     if len(by_user) != len(vectors):
         raise ValueError("duplicate user in vector list")
+    import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
+
     users = sorted(by_user)
     items = sorted({i for v in vectors for i in v.entries})
     item_col = {i: c for c, i in enumerate(items)}

@@ -66,31 +66,45 @@ def write_edges_tsv(path: str, g: LayerGraph, version: str = "0",
             fh.write(f"{u}\t{v}\t{_fmt(d.weight)}\t{d.co_actions}\t{d.window_count}\n")
 
 
-def read_edges_tsv(path: str) -> LayerGraph:
-    layer = None
-    edges: dict = {}
+def _tsv_rows(path: str, what: str, n_cols: int, directives: dict):
+    """Yield the fields of every data row of a written table.
+
+    Before the column header, lines starting with '#' are comments; a
+    `# key value` comment is stored as directives[key] = value. From the
+    header on, every non-blank line is a row, so ids that start with '#'
+    read back intact.
+    """
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"cannot read edge list {path}: {exc}") from exc
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
     with fh:
         header_seen = False
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if line.startswith("# layer "):
-                layer = line[len("# layer "):].strip()
-                continue
-            if line.startswith("#") or not line.strip():
+            if not line.strip():
                 continue
             if not header_seen:
-                header_seen = True  # column header row
+                if line.startswith("#"):
+                    key, _, value = line[1:].strip().partition(" ")
+                    directives[key] = value.strip()
+                else:
+                    header_seen = True  # column header row
                 continue
             parts = line.split("\t")
-            if len(parts) != 5:
-                raise DataError(f"{path}:{line_no}: expected 5 columns, got {len(parts)}")
-            u, v, w, co, wc = parts
-            edges[(u, v) if u <= v else (v, u)] = EdgeData(
-                weight=float(w), co_actions=int(co), window_count=int(wc))
+            if len(parts) != n_cols:
+                raise DataError(f"{path}:{line_no}: expected {n_cols} columns, "
+                                f"got {len(parts)}")
+            yield parts
+
+
+def read_edges_tsv(path: str) -> LayerGraph:
+    directives: dict = {}
+    edges: dict = {}
+    for u, v, w, co, wc in _tsv_rows(path, "edge list", 5, directives):
+        edges[(u, v) if u <= v else (v, u)] = EdgeData(
+            weight=float(w), co_actions=int(co), window_count=int(wc))
+    layer = directives.get("layer")
     if layer is None:
         raise DataError(f"{path}: missing '# layer' line")
     nodes = {u for key in edges for u in key}
@@ -109,37 +123,16 @@ def write_partition_tsv(path: str, p: Partition, version: str = "0",
 
 
 def read_partition_tsv(path: str) -> Partition:
-    scope = None
-    gamma = 1.0
-    assignment: dict = {}
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read partition {path}: {exc}") from exc
-    with fh:
-        header_seen = False
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.startswith("# scope "):
-                scope = line[len("# scope "):].strip()
-                continue
-            if line.startswith("# gamma "):
-                gamma = float(line[len("# gamma "):])
-                continue
-            if line.startswith("#") or not line.strip():
-                continue
-            if not header_seen:
-                header_seen = True
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{line_no}: expected 2 columns, got {len(parts)}")
-            assignment[parts[0]] = int(parts[1])
+    directives: dict = {}
+    assignment = {user: int(comm) for user, comm
+                  in _tsv_rows(path, "partition", 2, directives)}
+    scope = directives.get("scope")
     if scope is None:
         raise DataError(f"{path}: missing '# scope' line")
     if not assignment:
         raise DataError(f"{path}: empty partition")
-    return Partition(scope=scope, assignment=assignment, gamma=gamma)
+    return Partition(scope=scope, assignment=assignment,
+                     gamma=float(directives.get("gamma", 1.0)))
 
 
 def write_multiplex_partition_tsv(path: str, p: MultiplexPartition, version: str = "0",
@@ -154,34 +147,14 @@ def write_multiplex_partition_tsv(path: str, p: MultiplexPartition, version: str
 
 
 def read_multiplex_partition_tsv(path: str) -> MultiplexPartition:
-    gamma, omega = 1.0, 0.1
-    assignment: dict = {}
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read multiplex partition {path}: {exc}") from exc
-    with fh:
-        header_seen = False
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.startswith("# gamma "):
-                gamma = float(line[len("# gamma "):])
-                continue
-            if line.startswith("# omega "):
-                omega = float(line[len("# omega "):])
-                continue
-            if line.startswith("#") or not line.strip():
-                continue
-            if not header_seen:
-                header_seen = True
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{line_no}: expected 3 columns, got {len(parts)}")
-            assignment[(parts[0], parts[1])] = int(parts[2])
+    directives: dict = {}
+    assignment = {(user, layer): int(comm) for user, layer, comm
+                  in _tsv_rows(path, "multiplex partition", 3, directives)}
     if not assignment:
         raise DataError(f"{path}: empty multiplex partition")
-    return MultiplexPartition(assignment=assignment, gamma=gamma, omega=omega)
+    return MultiplexPartition(assignment=assignment,
+                              gamma=float(directives.get("gamma", 1.0)),
+                              omega=float(directives.get("omega", 0.1)))
 
 
 def write_overlap_tsv(path: str, O, version: str = "0", cfg_hash: str = UNHASHED) -> None:
@@ -233,25 +206,7 @@ def write_ground_truth(path: str, truth, version: str = "0",
 
 
 def read_ground_truth(path: str) -> dict:
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read ground truth {path}: {exc}") from exc
-    with fh:
-        assignment: dict = {}
-        header_seen = False
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.startswith("#") or not line.strip():
-                continue
-            if not header_seen:
-                header_seen = True
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{line_no}: expected 2 columns, got {len(parts)}")
-            assignment[parts[0]] = int(parts[1])
-        return assignment
+    return {user: int(comm) for user, comm in _tsv_rows(path, "ground truth", 2, {})}
 
 
 def write_events_tsv(path: str, log, version: str = "0",

@@ -14,7 +14,7 @@ import pytest
 from conftest import clique, random_layer
 from multicoord.characterize import (COMMUNITY_METRIC_NAMES,
                                      NODE_METRIC_NAMES, CommunityMetrics,
-                                     brunner_munzel, community_metrics,
+                                     _midranks, brunner_munzel, community_metrics,
                                      metric_cosine, node_metrics,
                                      pca_project, significance_band)
 from multicoord.errors import DegenerateSampleError, UndefinedMetricError
@@ -363,8 +363,33 @@ def test_brunner_munzel_matches_reference(rng):
         got = brunner_munzel(x, y)
         assert got.statistic == pytest.approx(float(want.statistic), abs=1e-6)
         assert got.p_value == pytest.approx(float(want.pvalue), abs=1e-6)
+        # the tail is the Student t survival function itself, bit for bit
+        assert got.p_value == min(1.0, 2.0 * float(stats.t.sf(abs(got.statistic), got.df)))
         checked += 1
     assert checked >= 15
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 2.0, 2.0, 5.0, 1.0, 2.0],   # ties of two and three
+    [4.0, 4.0, 4.0, 4.0],                   # all equal
+    [2.0, 1.0],                             # n = 2
+    [1.0, 1.0],                             # n = 2, tied
+    [0.1, -0.0, 0.0, 0.3, 0.1, 0.2],        # signed zeros tie
+])
+def test_midranks_match_rankdata(values):
+    stats = pytest.importorskip("scipy.stats")
+    a = np.array(values)
+    got = _midranks(a)
+    want = stats.rankdata(a)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+def test_midranks_match_rankdata_random(rng):
+    stats = pytest.importorskip("scipy.stats")
+    for _ in range(50):
+        a = rng.integers(0, 6, size=int(rng.integers(2, 40))).astype(float)
+        assert _midranks(a).tolist() == stats.rankdata(a).tolist()
 
 
 def test_brunner_munzel_degenerate_raises():

@@ -1,0 +1,73 @@
+"""Import budget: scipy is imported only inside the functions that use it.
+
+Every CLI subcommand runs in its own process, so whatever the package
+imports at module level is paid once per invocation. `detect` and
+`compare` need no scipy at all; `characterize` needs `scipy.sparse` and
+`scipy.special`, but never `scipy.stats` (about 0.9 s on its own). The
+checks run in a fresh interpreter because this one has imported scipy
+already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import multicoord
+from multicoord.cli import main
+from readme_recipe import COMPARISONS, write_configs
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(multicoord.__file__)))
+
+CHILD = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import multicoord.cli
+seen = {"import": scipy_modules()}
+
+from multicoord.pipeline import (DETECT_MODES, RunConfig, run_characterize,
+                                 run_compare, run_detect)
+cfg = RunConfig.from_file(sys.argv[1])
+for mode in DETECT_MODES:
+    run_detect(cfg, mode, layer="hst" if mode == "mono" else None)
+for ref, other in json.loads(sys.argv[2]):
+    run_compare(cfg, ref, other)
+seen["detect+compare"] = scipy_modules()
+for ref, other in json.loads(sys.argv[2]):
+    run_characterize(cfg, ref, other)
+seen["characterize"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+@pytest.fixture(scope="module")
+def seen(tmp_path_factory):
+    """scipy modules loaded in a fresh process after each stage."""
+    synth_cfg, run_cfg = write_configs(tmp_path_factory.mktemp("imports"))
+    assert main(["synth", "--config", synth_cfg]) == 0
+    assert main(["build", "--config", run_cfg]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, run_cfg, json.dumps(COMPARISONS)],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy(seen):
+    assert seen["import"] == []
+
+
+def test_detect_and_compare_load_no_scipy(seen):
+    assert seen["detect+compare"] == []
+
+
+def test_characterize_skips_scipy_stats(seen):
+    assert "scipy.sparse" in seen["characterize"]  # the stage did run
+    assert not [m for m in seen["characterize"]
+                if m == "scipy.stats" or m.startswith("scipy.stats.")]

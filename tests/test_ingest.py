@@ -83,6 +83,22 @@ def test_parse_tsv_and_rejects(tmp_path):
     assert [r.line_no for r in log.rejects] == [4, 5, 6]
 
 
+def test_parse_rejects_control_characters_in_ids(tmp_path):
+    p = tmp_path / "e.jsonl"
+    _write_jsonl(p, [
+        {"user": "al\tice", "action": "rtw", "item": "t1", "ts": 1.0},
+        {"user": "bob", "action": "rtw", "item": "t\n1", "ts": 2.0},
+        {"user": "car\x7fol", "action": "rtw", "item": "t1", "ts": 3.0},
+        {"user": "dave", "action": "men", "item": "@x\x85y", "ts": 4.0},
+        {"user": "#erin", "action": "rtw", "item": "t1", "ts": 5.0},
+        {"user": "fr\u00e9d", "action": "rtw", "item": "t1", "ts": 6.0},
+    ])
+    log = parse_events(p, schema="jsonl")
+    assert [e.user_id for e in log.events] == ["#erin", "fr\u00e9d"]
+    assert [r.line_no for r in log.rejects] == [1, 2, 3, 4]
+    assert all("control character" in r.reason for r in log.rejects)
+
+
 def test_parse_iso_timestamps(tmp_path):
     p = tmp_path / "e.jsonl"
     _write_jsonl(p, [

@@ -141,6 +141,34 @@ def test_overlap_tsv_layout(tmp_path):
     assert len(lines) == 2 + len(O.b_ids)
 
 
+def test_hash_prefixed_ids_round_trip(tmp_path):
+    # '#' marks a comment only above the column header
+    g = LayerGraph.from_pairs("rtw", [("#alice", "bob", 0.5), ("bob", "carol", 0.25)])
+    write_edges_tsv(str(tmp_path / "e.tsv"), g)
+    got = read_edges_tsv(str(tmp_path / "e.tsv"))
+    assert got.layer == "rtw"
+    assert got.edges == g.edges and got.nodes == {"#alice", "bob", "carol"}
+
+    p = Partition(scope="rtw", assignment={"#alice": 0, "bob": 0, "carol": 1},
+                  gamma=0.75)
+    write_partition_tsv(str(tmp_path / "p.tsv"), p)
+    got_p = read_partition_tsv(str(tmp_path / "p.tsv"))
+    assert got_p.assignment == p.assignment
+    assert got_p.scope == "rtw" and got_p.gamma == 0.75
+
+    mp = MultiplexPartition(assignment={("#alice", "rtw"): 0, ("bob", "hst"): 1},
+                            gamma=1.5, omega=0.25)
+    write_multiplex_partition_tsv(str(tmp_path / "m.tsv"), mp)
+    got_mp = read_multiplex_partition_tsv(str(tmp_path / "m.tsv"))
+    assert got_mp.assignment == mp.assignment
+    assert (got_mp.gamma, got_mp.omega) == (1.5, 0.25)
+
+    class Truth:
+        assignment = {"#alice": 0, "bob": 1}
+    write_ground_truth(str(tmp_path / "t.tsv"), Truth)
+    assert read_ground_truth(str(tmp_path / "t.tsv")) == Truth.assignment
+
+
 # ---------------------------------------------------------------------------
 # error handling
 
