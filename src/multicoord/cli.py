@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-    multicoord build        --config run.json [--out DIR] [--jobs N]
-    multicoord detect       --config run.json --mode MODE [--layer L] [--seed N]
+    multicoord build        --config run.json [--out DIR]
+    multicoord detect       --config run.json --mode MODE [--layer L] [--seed N] [--jobs N]
     multicoord compare      --config run.json --ref B --other A
     multicoord characterize --config run.json --ref B --other A
     multicoord synth        --config run.json [--seed N]
@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker cap for independent tasks")
         p.add_argument("--out", default=None,
                        help="override the configured output directory")
 
@@ -63,6 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--mode", required=True, choices=DETECT_MODES)
     p_detect.add_argument("--layer", default=None,
                           help="layer for --mode mono")
+    p_detect.add_argument("--jobs", type=int, default=1,
+                          help="threads for the layers of --mode indi")
     p_compare = sub.add_parser("compare", help="overlap, matching, labels, NMI")
     common(p_compare)
     p_compare.add_argument("--ref", required=True,
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
             return 0
         cfg = _load_config(args)
         if args.command == "build":
-            run_build(cfg, jobs=args.jobs)
+            run_build(cfg)
         elif args.command == "detect":
             for summary in run_detect(cfg, args.mode, layer=args.layer,
                                       jobs=args.jobs):

@@ -218,8 +218,10 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
 
     Supported schemas: "jsonl" (one JSON object per line with keys user,
     action, item, ts) and "tsv" (4 tab-separated columns in that order).
-    Malformed lines become RecordError entries on the returned log instead
-    of being silently dropped.
+    Blank lines and lines starting with '#' are skipped, except that a TSV
+    line containing a tab is always a row. Malformed lines become
+    RecordError entries on the returned log instead of being silently
+    dropped.
     """
     if schema not in EVENT_SCHEMAS:
         raise ValueError(f"unknown event schema {schema!r}; expected one of {EVENT_SCHEMAS}")
@@ -232,7 +234,9 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
     with fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
+            # a TSV line with a tab is a row, so user ids may start with '#'
+            if not line.strip() or (line.startswith("#")
+                                    and (schema == "jsonl" or "\t" not in line)):
                 continue
             try:
                 if schema == "jsonl":

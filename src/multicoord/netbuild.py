@@ -226,16 +226,15 @@ def build_user_vectors(log: EventLog, actors: ActorSet, layer: str,
     return _vectors_from_counts(counts, layer, window.index)
 
 
-def layer_window_graph(vectors: list[UserVector]) -> LayerGraph:
-    """Cosine-similarity graph over one layer-window's user vectors.
+def _window_pairs(vectors: list[UserVector]):
+    """Cosine pairs of one layer-window as arrays.
 
-    Every user pair sharing at least one non-zero item gets an edge with
-    weight = cosine similarity and co_actions = number of shared items;
-    zero-similarity pairs are omitted. Permuting the input list does not
-    change the result (users are sorted internally).
+    Returns (users, i, j, weight, co_actions): ``users`` sorted, and for
+    every pair sharing at least one item, local indices i < j into
+    ``users`` in row-major order, weight = cosine similarity (capped at 1)
+    and co_actions = number of shared items. Zero-similarity pairs are
+    omitted.
     """
-    if not vectors:
-        return LayerGraph(layer="", nodes=set(), edges={})
     layer = vectors[0].layer
     widx = vectors[0].window_index
     for v in vectors:
@@ -272,16 +271,77 @@ def layer_window_graph(vectors: list[UserVector]) -> LayerGraph:
         # shared support iff positive cosine (all weights are positive)
         raise InvariantError("similarity and co-action supports diverge")
 
-    g = LayerGraph(layer=layer)
     Scoo = S.tocoo()
-    for i, j, w, co in zip(Scoo.row, Scoo.col, Scoo.data, C.tocoo().data):
-        if w <= 0.0:
-            continue
-        u, v = users[i], users[j]
-        g.edges[_ekey(u, v)] = EdgeData(min(float(w), 1.0), int(co), 1)
-        g.nodes.add(u)
-        g.nodes.add(v)
-    return g
+    keep = Scoo.data > 0.0
+    return (users, Scoo.row[keep], Scoo.col[keep], np.minimum(Scoo.data[keep], 1.0),
+            C.data[keep].astype(np.int64))
+
+
+def _graph_pairs(g: LayerGraph):
+    """A LayerGraph's edges in the (users, i, j, weight, co_actions,
+    window_count) form that _merged_layer takes.
+    """
+    users = sorted(g.nodes.union(*g.edges))
+    index = {u: k for k, u in enumerate(users)}
+    data = list(g.edges.values())
+    return (users,
+            np.array([index[u] for u, _ in g.edges], dtype=np.int64),
+            np.array([index[v] for _, v in g.edges], dtype=np.int64),
+            np.array([d.weight for d in data], dtype=np.float64),
+            np.array([d.co_actions for d in data], dtype=np.int64),
+            np.array([d.window_count for d in data], dtype=np.int64))
+
+
+def _merged_layer(layer: str, parts: list, nodes: set[str] | None = None) -> LayerGraph:
+    """Merge per-window pair arrays into one LayerGraph.
+
+    Each part is (users, i, j, weight, co_actions, window_count) with i < j
+    local indices into its sorted ``users``; window_count is an array or a
+    scalar for the whole part. Parts are merged in list order: the weight is
+    sum(weight * window_count) / sum(window_count) per pair, co_actions and
+    window_count are sums. ``nodes`` defaults to the edge endpoints.
+    """
+    if not any(len(p[1]) for p in parts):
+        return LayerGraph(layer=layer, nodes=set(nodes or ()))
+    users = sorted(set().union(*(p[0] for p in parts)))
+    index = {u: k for k, u in enumerate(users)}
+    to_global = [np.array([index[u] for u in p[0]], dtype=np.int64) for p in parts]
+    n = len(users)
+    key = np.concatenate([g[p[1]] * n + g[p[2]] for g, p in zip(to_global, parts)])
+    weight = np.concatenate([p[3] for p in parts])
+    co = np.concatenate([p[4] for p in parts])
+    wc = np.concatenate([np.broadcast_to(p[5], p[1].shape) for p in parts])
+
+    # a stable sort keeps each pair's windows in list order, and bincount
+    # adds strictly left to right: the sums equal sequential float addition
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.r_[True, key[1:] != key[:-1]]
+    starts = np.flatnonzero(first)
+    weight_sum = np.bincount(np.cumsum(first) - 1, weights=(weight * wc)[order])
+    co_sum = np.add.reduceat(co[order], starts)
+    wc_sum = np.add.reduceat(wc[order], starts)
+
+    names = np.array(users, dtype=object)
+    i, j = np.divmod(key[starts], n)
+    us, vs = names[i].tolist(), names[j].tolist()
+    edges = dict(zip(zip(us, vs), map(EdgeData._make, zip(
+        (weight_sum / wc_sum).tolist(), co_sum.tolist(), wc_sum.tolist()))))
+    return LayerGraph(layer=layer, nodes=set(us).union(vs) if nodes is None else set(nodes),
+                      edges=edges)
+
+
+def layer_window_graph(vectors: list[UserVector]) -> LayerGraph:
+    """Cosine-similarity graph over one layer-window's user vectors.
+
+    Every user pair sharing at least one non-zero item gets an edge with
+    weight = cosine similarity and co_actions = number of shared items;
+    zero-similarity pairs are omitted. Permuting the input list does not
+    change the result (users are sorted internally).
+    """
+    if not vectors:
+        return LayerGraph(layer="", nodes=set(), edges={})
+    return _merged_layer(vectors[0].layer, [(*_window_pairs(vectors), 1)])
 
 
 def merge_windows(graphs: list[LayerGraph], layer: str | None = None) -> LayerGraph:
@@ -296,21 +356,8 @@ def merge_windows(graphs: list[LayerGraph], layer: str | None = None) -> LayerGr
         raise ValueError(f"cannot merge graphs from different layers: {sorted(layers)}")
     if layer is None:
         layer = layers.pop() if layers else ""
-    weight_sum: dict[tuple[str, str], float] = defaultdict(float)
-    co_sum: dict[tuple[str, str], int] = defaultdict(int)
-    appearances: dict[tuple[str, str], int] = defaultdict(int)
-    nodes: set[str] = set()
-    for g in graphs:
-        nodes |= g.nodes
-        for key, data in g.edges.items():
-            weight_sum[key] += data.weight * data.window_count
-            co_sum[key] += data.co_actions
-            appearances[key] += data.window_count
-    merged = LayerGraph(layer=layer, nodes=nodes)
-    for key in sorted(weight_sum):
-        wc = appearances[key]
-        merged.edges[key] = EdgeData(weight_sum[key] / wc, co_sum[key], wc)
-    return merged
+    return _merged_layer(layer, [_graph_pairs(g) for g in graphs],
+                         nodes=set().union(*(g.nodes for g in graphs)))
 
 
 def build_multiplex(log: EventLog, actors: ActorSet, width: float,
@@ -334,17 +381,17 @@ def build_multiplex(log: EventLog, actors: ActorSet, width: float,
         for k in _window_index_range(e.timestamp, t_min, width, shift, len(windows)):
             buckets[(e.action, k)][e.user_id][e.item_id] += 1
     for a in ACTIONS:
-        window_graphs = []
+        parts = []
         for w in windows:
             counts = buckets.get((a, w.index))
             if not counts:
                 continue
             vectors = _vectors_from_counts(counts, a, w.index)
             if vectors:
-                wg = layer_window_graph(vectors)
-                if wg.edges:
-                    window_graphs.append(wg)
-        layers[a] = merge_windows(window_graphs, layer=a)
+                pairs = _window_pairs(vectors)
+                if len(pairs[1]):
+                    parts.append((*pairs, 1))
+        layers[a] = _merged_layer(a, parts)
         logger.info("build_multiplex: layer %s -> %d nodes, %d edges from %d window graphs",
-                    a, layers[a].n_nodes, layers[a].n_edges, len(window_graphs))
+                    a, layers[a].n_nodes, layers[a].n_edges, len(parts))
     return MultiplexNetwork(actors=actors, layers=layers)

@@ -289,7 +289,7 @@ def run_synth(cfg: RunConfig) -> dict:
 
 # ---------------------------------------------------------------- build
 
-def run_build(cfg: RunConfig, jobs: int = 1) -> dict:
+def run_build(cfg: RunConfig) -> dict:
     """Ingest, select actors, build the multiplex network, filter it, and
     write per-layer edge lists plus the filter / stats / coverage reports.
     """

@@ -219,22 +219,18 @@ def write_events_tsv(path: str, log, version: str = "0",
 
 
 def _n_components(g: LayerGraph) -> int:
-    seen: set = set()
-    adj = g.adjacency()
-    count = 0
-    for start in g.nodes:
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, {}):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    return count
+    """Number of connected components; 0 for a graph without nodes."""
+    if not g.nodes:
+        return 0
+    # imported where used: only build calls this, and it has loaded scipy.sparse
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    index = {u: k for k, u in enumerate(g.nodes)}
+    rows = [index[u] for u, _ in g.edges]
+    cols = [index[v] for _, v in g.edges]
+    adj = sp.coo_matrix(([1] * len(rows), (rows, cols)), shape=(len(index), len(index)))
+    return int(connected_components(adj, directed=False)[0])
 
 
 def layer_stats(g: LayerGraph) -> dict:

@@ -9,6 +9,7 @@ from multicoord.errors import DataError
 from multicoord.ingest import (ACTIONS, ActionEvent, EventLog, StopLists,
                                apply_stoplists, extract_domain, load_stoplist,
                                parse_events, select_users)
+from multicoord.reports import write_events_tsv
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,31 @@ def test_parse_tsv_and_rejects(tmp_path):
     log = parse_events(p, schema="tsv")
     assert [e.user_id for e in log.events] == ["u1", "u5"]
     assert [r.line_no for r in log.rejects] == [4, 5, 6]
+
+
+def test_parse_tsv_hash_prefixed_user_is_a_row(tmp_path):
+    # a '#' line is a comment only when it has no tab; one with a tab is a
+    # row, and a malformed one is rejected, not skipped
+    p = tmp_path / "events.tsv"
+    p.write_text("#erin\trtw\tA\t1.0\nbob\trtw\tA\t2.0\n", encoding="utf-8")
+    log = parse_events(p, schema="tsv")
+    assert [e.user_id for e in log.events] == ["#erin", "bob"]
+    assert log.rejects == ()
+    p.write_text("# comment\n#erin\trtw\nbob\trtw\tA\t2.0\n", encoding="utf-8")
+    log = parse_events(p, schema="tsv")
+    assert [e.user_id for e in log.events] == ["bob"]
+    assert [r.line_no for r in log.rejects] == [2]
+
+
+def test_events_tsv_round_trip_keeps_hash_prefixed_ids(tmp_path):
+    log = EventLog((ActionEvent("#erin", "rtw", "t1", 1.0),
+                    ActionEvent("bob", "hst", "tag", 2.5),
+                    ActionEvent("#", "men", "x", 3.0)), time_span=(1.0, 3.0))
+    p = tmp_path / "events.tsv"
+    write_events_tsv(str(p), log, cfg_hash="abc")
+    back = parse_events(p, schema="tsv")
+    assert back.events == log.events
+    assert back.rejects == ()
 
 
 def test_parse_rejects_control_characters_in_ids(tmp_path):

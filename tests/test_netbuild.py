@@ -184,6 +184,18 @@ def test_merge_windows_mean_weight_and_sums():
     assert m.nodes == {"a", "b", "c", "d"}
 
 
+def test_merge_windows_weights_by_window_count():
+    # inputs that are themselves merges: the weight is the window-weighted
+    # mean, added up in input order
+    g0 = LayerGraph.from_pairs("rtw", [("a", "b", 0.3, 4, 3), ("b", "c", 0.9, 1, 1)])
+    g1 = LayerGraph.from_pairs("rtw", [("a", "b", 0.7, 2, 2)])
+    g2 = LayerGraph.from_pairs("rtw", [("a", "b", 0.1, 5, 4), ("b", "c", 0.2, 3, 5)])
+    m = merge_windows([g0, g1, g2])
+    assert m.edges[("a", "b")] == ((0.3 * 3 + 0.7 * 2 + 0.1 * 4) / 9, 11, 9)
+    assert m.edges[("b", "c")] == ((0.9 * 1 + 0.2 * 5) / 6, 4, 6)
+    assert list(m.edges) == [("a", "b"), ("b", "c")]
+
+
 def test_merge_windows_rejects_mixed_layers():
     with pytest.raises(ValueError):
         merge_windows([LayerGraph.from_pairs("rtw", [("a", "b", 1.0)]),
@@ -196,25 +208,36 @@ def test_merge_windows_rejects_mixed_layers():
 # full construction
 
 
+# (users, items, events, span, windows); in the second log pairs co-act in
+# up to 13 windows, where a merge that sums the weights pairwise instead of
+# left to right moves the last digits
+COMPOSITION_LOGS = [(8, 5, 300, 30.0, 6), (10, 12, 1400, 60.0, 13)]
+
+
 def test_build_multiplex_matches_manual_composition(rng):
+    for n_users, n_items, n_events, span, n_windows in COMPOSITION_LOGS:
+        _check_manual_composition(rng, n_users, n_items, n_events, span, n_windows)
+
+
+def _check_manual_composition(rng, n_users, n_items, n_events, span, n_windows):
     # random small log; the one-shot builder must equal the window-by-window
-    # composition of the tested pieces
-    users = [f"u{i}" for i in range(8)]
-    items = [f"i{i}" for i in range(5)]
+    # composition of the tested pieces, merged by a sequential loop
+    users = [f"u{i}" for i in range(n_users)]
+    items = [f"i{i}" for i in range(n_items)]
     rows = []
-    for _ in range(300):
+    for _ in range(n_events):
         rows.append(ActionEvent(users[rng.integers(len(users))],
                                 ("rtw", "rpl")[rng.integers(2)],
                                 items[rng.integers(len(items))],
-                                float(rng.random() * 30.0)))
+                                float(rng.random() * span)))
     log = EventLog(tuple(sorted(rows, key=lambda e: e.timestamp)),
-                   time_span=(0.0, 30.0))
+                   time_span=(0.0, span))
     acts = ActorSet(actors=frozenset(users),
                     per_action_top={"rtw": frozenset(users)})
     net = build_multiplex(log, acts, width=10.0, shift=4.0)
 
-    windows = window_slices((0.0, 30.0), 10.0, 4.0)
-    assert len(windows) == 6
+    windows = window_slices((0.0, span), 10.0, 4.0)
+    assert len(windows) == n_windows
     for layer in ("rtw", "rpl"):
         per_window = []
         for w in windows:
@@ -223,14 +246,18 @@ def test_build_multiplex_matches_manual_composition(rng):
                 wg = layer_window_graph(vecs)
                 if wg.edges:
                     per_window.append(wg)
-        manual = merge_windows(per_window, layer=layer)
+        sums = {}
+        for wg in per_window:
+            for key, d in wg.edges.items():
+                w, co, wc = sums.get(key, (0.0, 0, 0))
+                sums[key] = (w + d.weight, co + d.co_actions, wc + 1)
         got = net.layers[layer]
-        assert got.nodes == manual.nodes
-        assert set(got.edges) == set(manual.edges)
-        for key, data in manual.edges.items():
-            assert got.edges[key].weight == pytest.approx(data.weight, abs=1e-12)
-            assert got.edges[key].co_actions == data.co_actions
-            assert got.edges[key].window_count == data.window_count
+        assert got.edges == {k: (w / wc, co, wc) for k, (w, co, wc) in sums.items()}
+        assert list(got.edges) == sorted(got.edges)
+        assert got.nodes == {u for key in sums for u in key}
+        manual = merge_windows(per_window, layer=layer)
+        assert manual.edges == got.edges and manual.nodes == got.nodes
+        assert max(d.window_count for d in got.edges.values()) >= min(n_windows, 9)
     # untouched layers exist and are empty
     for layer in ("men", "hst", "url"):
         assert net.layers[layer].n_edges == 0

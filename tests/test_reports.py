@@ -217,6 +217,9 @@ def test_layer_stats_components():
     assert rec["n_nodes"] == 5 and rec["n_edges"] == 3
     assert rec["n_components"] == 2
     assert rec["total_weight"] == pytest.approx(3.5)
+    g.nodes.add("z")  # an isolated node is a component of its own
+    assert layer_stats(g)["n_components"] == 3
+    assert layer_stats(LayerGraph("rtw"))["n_components"] == 0
 
 
 def test_report_context_stamps_hash(tmp_path):
