@@ -175,25 +175,18 @@ def _degree_assortativity(adj: dict) -> tuple[float, bool]:
     return r, True
 
 
-def _eigenvector_centrality(g: LayerGraph, order: list, index: dict) -> np.ndarray:
-    """Power iteration per connected component, keep the one with the
-    largest eigenvalue, zero elsewhere, unit Euclidean norm overall.
+def _eigenvector_centrality(A) -> np.ndarray:
+    """Power iteration on the weighted CSR adjacency A, per connected
+    component; keep the one with the largest eigenvalue, zero elsewhere,
+    unit Euclidean norm overall.
 
     The iteration runs on A + I so bipartite components (paired +/- lambda
     spectrum) still converge; the shift cancels out of the reported
     eigenvector and is removed from the eigenvalue estimate.
     """
-    import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
     from scipy.sparse.csgraph import connected_components
 
-    n = len(order)
-    rows, cols, vals = [], [], []
-    for (u, v), data in g.edges.items():
-        i, j = index[u], index[v]
-        rows += [i, j]
-        cols += [j, i]
-        vals += [data.weight, data.weight]
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    n = A.shape[0]
     n_comp, labels = connected_components(A, directed=False)
     best_val = -np.inf
     best_vec = None
@@ -231,18 +224,12 @@ def _eigenvector_centrality(g: LayerGraph, order: list, index: dict) -> np.ndarr
     return out
 
 
-def _pagerank(g: LayerGraph, order: list, index: dict, damping: float) -> np.ndarray:
-    """Weighted PageRank with uniform teleport, L1 stopping rule."""
+def _pagerank(A, damping: float) -> np.ndarray:
+    """Weighted PageRank on the CSR adjacency A, uniform teleport, L1
+    stopping rule."""
     import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
 
-    n = len(order)
-    rows, cols, vals = [], [], []
-    for (u, v), data in g.edges.items():
-        i, j = index[u], index[v]
-        rows += [i, j]
-        cols += [j, i]
-        vals += [data.weight, data.weight]
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    n = A.shape[0]
     out_strength = np.asarray(A.sum(axis=1)).ravel()
     dangling = out_strength == 0.0
     inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, out_strength))
@@ -271,9 +258,21 @@ def node_metrics(g: LayerGraph, damping: float = 0.85) -> dict:
     adj = _adjacency_sets(g)
     degc = {u: (len(adj[u]) / (n - 1) if n > 1 else 0.0) for u in order}
     clus = {u: _local_clustering(adj, u) for u in order}
-    eig = _eigenvector_centrality(g, order, index) if g.edges else (
-        np.ones(n) / math.sqrt(n))
-    pr = _pagerank(g, order, index, damping) if g.edges else np.full(n, 1.0 / n)
+    if g.edges:
+        import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
+
+        rows, cols, vals = [], [], []
+        for (u, v), data in g.edges.items():
+            i, j = index[u], index[v]
+            rows += [i, j]
+            cols += [j, i]
+            vals += [data.weight, data.weight]
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))  # weighted, symmetric
+        eig = _eigenvector_centrality(A)
+        pr = _pagerank(A, damping)
+    else:
+        eig = np.ones(n) / math.sqrt(n)
+        pr = np.full(n, 1.0 / n)
     return {u: NodeMetrics(degree_centrality=degc[u],
                            eigenvector_centrality=float(eig[i]),
                            local_clustering=clus[u],

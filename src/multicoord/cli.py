@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     multicoord build        --config run.json [--out DIR]
-    multicoord detect       --config run.json --mode MODE [--layer L] [--seed N] [--jobs N]
+    multicoord detect       --config run.json --mode MODE [--layer L] [--seed N]
     multicoord compare      --config run.json --ref B --other A
     multicoord characterize --config run.json --ref B --other A
     multicoord synth        --config run.json [--seed N]
@@ -61,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--mode", required=True, choices=DETECT_MODES)
     p_detect.add_argument("--layer", default=None,
                           help="layer for --mode mono")
-    p_detect.add_argument("--jobs", type=int, default=1,
-                          help="threads for the layers of --mode indi")
     p_compare = sub.add_parser("compare", help="overlap, matching, labels, NMI")
     common(p_compare)
     p_compare.add_argument("--ref", required=True,
@@ -107,8 +105,7 @@ def main(argv=None) -> int:
         if args.command == "build":
             run_build(cfg)
         elif args.command == "detect":
-            for summary in run_detect(cfg, args.mode, layer=args.layer,
-                                      jobs=args.jobs):
+            for summary in run_detect(cfg, args.mode, layer=args.layer):
                 scope = summary.get("scope")
                 ncom = summary.get("n_communities")
                 print(f"detect {scope}: {ncom} communities")

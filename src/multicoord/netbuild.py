@@ -77,14 +77,6 @@ class LayerGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> dict[str, dict[str, float]]:
-        """Weight-valued adjacency dict (both directions materialized)."""
-        adj: dict[str, dict[str, float]] = {u: {} for u in self.nodes}
-        for (u, v), data in self.edges.items():
-            adj[u][v] = data.weight
-            adj[v][u] = data.weight
-        return adj
-
     def degrees(self) -> dict[str, int]:
         """Unweighted degree per node."""
         deg = dict.fromkeys(self.nodes, 0)

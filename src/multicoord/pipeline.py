@@ -25,8 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -55,12 +54,6 @@ logger = logging.getLogger(__name__)
 DETECT_MODES = ("mono", "indi", "unfl-nw", "unfl-ec", "unfl-sum", "multi", "intfl")
 FLAT_SCOPES = tuple(f"unfl-{s}" for s in UNION_STRATEGIES) + ("intfl",)
 
-_STOP_KEYS = ("hashtags", "mentions", "url_domains")
-_FILTER_KEYS = ("th_a", "max_nodes", "weight_rule", "weight_value")
-_DETECT_KEYS = ("gamma", "omega", "seed", "theta", "min_size")
-_SYNTH_KEYS = ("n_users", "community_sizes", "strengths", "seed", "noise_rate",
-               "community_pool_size", "noise_pool_size", "span_hours",
-               "width_hours", "shift_hours")
 _TOP_KEYS = ("input", "schema", "stoplists", "fraction", "width_hours",
              "shift_hours", "filter", "detection", "comparisons", "out", "synth")
 
@@ -69,6 +62,25 @@ def _check_keys(d: dict, allowed, where: str) -> None:
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+
+
+def _init_fields(cls) -> tuple:
+    return tuple(f.name for f in fields(cls) if f.init)
+
+
+def _section(doc: dict, key: str, cls, default: dict):
+    """Build the dataclass `cls` from the object doc[key], laid over the
+    keyword defaults `default`. The allowed keys are the fields cls takes;
+    wrong value types and failed checks become a ConfigError.
+    """
+    sec = doc.get(key, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{key} must be an object")
+    _check_keys(sec, _init_fields(cls), key)
+    try:
+        return cls(**{**default, **sec})
+    except (TypeError, ValueError, DataError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 @dataclass
@@ -131,28 +143,13 @@ class RunConfig:
         stop_doc = doc.get("stoplists", {})
         if not isinstance(stop_doc, dict):
             raise ConfigError("stoplists must be an object")
-        _check_keys(stop_doc, _STOP_KEYS, "stoplists")
+        _check_keys(stop_doc, _init_fields(StopLists), "stoplists")
         stop_paths = {}
         for key, p in stop_doc.items():
             p = respath(str(p))
             if not os.path.exists(p):
                 raise ConfigError(f"stoplist file does not exist: {p}")
             stop_paths[key] = p
-
-        filt_doc = dict(doc.get("filter", {}))
-        if not isinstance(filt_doc, dict):
-            raise ConfigError("filter must be an object")
-        _check_keys(filt_doc, _FILTER_KEYS, "filter")
-        try:
-            filt = FilterConfig(**filt_doc)
-        except ValueError as exc:
-            raise ConfigError(f"filter: {exc}") from exc
-
-        det_doc = dict(doc.get("detection", {}))
-        if not isinstance(det_doc, dict):
-            raise ConfigError("detection must be an object")
-        _check_keys(det_doc, _DETECT_KEYS, "detection")
-        det = DetectionSettings(**det_doc)
 
         comp_doc = doc.get("comparisons", [])
         if not isinstance(comp_doc, list):
@@ -163,20 +160,6 @@ class RunConfig:
                 raise ConfigError(f"comparison entries are [ref, other] pairs, got {entry!r}")
             comparisons.append((str(entry[0]), str(entry[1])))
 
-        synth_doc = doc.get("synth")
-        synth_cfg = None
-        if synth_doc is not None:
-            if not isinstance(synth_doc, dict):
-                raise ConfigError("synth must be an object")
-            _check_keys(synth_doc, _SYNTH_KEYS, "synth")
-            kwargs = dict(synth_doc)
-            kwargs["community_sizes"] = tuple(kwargs.get("community_sizes", ()))
-            kwargs["strengths"] = tuple(kwargs.get("strengths", ()))
-            try:
-                synth_cfg = SynthConfig(**kwargs)
-            except (TypeError, ValueError, DataError) as exc:
-                raise ConfigError(f"synth: {exc}") from exc
-
         try:
             return cls(
                 input=input_path,
@@ -185,11 +168,13 @@ class RunConfig:
                 fraction=float(doc.get("fraction", 1.0)),
                 width_hours=float(doc.get("width_hours", 6.0)),
                 shift_hours=float(doc.get("shift_hours", 5.0)),
-                filter=filt,
-                detection=det,
+                filter=_section(doc, "filter", FilterConfig, {}),
+                detection=_section(doc, "detection", DetectionSettings, {}),
                 comparisons=tuple(comparisons),
                 out=respath(str(doc.get("out", "out"))),
-                synth=synth_cfg,
+                # a synth section without communities plants none
+                synth=None if doc.get("synth") is None else _section(
+                    doc, "synth", SynthConfig, {"community_sizes": (), "strengths": ()}),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -206,34 +191,14 @@ class RunConfig:
         return cls.from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
     def to_dict(self) -> dict:
-        """Effective config for hashing; overrides already applied."""
-        synth = None
-        if self.synth is not None:
-            s = self.synth
-            synth = {"n_users": s.n_users, "community_sizes": list(s.community_sizes),
-                     "strengths": [dict(m) for m in s.strengths], "seed": s.seed,
-                     "noise_rate": s.noise_rate,
-                     "community_pool_size": s.community_pool_size,
-                     "noise_pool_size": s.noise_pool_size,
-                     "span_hours": s.span_hours, "width_hours": s.width_hours,
-                     "shift_hours": s.shift_hours}
-        return {
-            "input": self.input,
-            "schema": self.schema,
-            "stoplists": dict(self.stoplist_paths),
-            "fraction": self.fraction,
-            "width_hours": self.width_hours,
-            "shift_hours": self.shift_hours,
-            "filter": {"th_a": self.filter.th_a, "max_nodes": self.filter.max_nodes,
-                       "weight_rule": self.filter.weight_rule,
-                       "weight_value": self.filter.weight_value},
-            "detection": {"gamma": self.detection.gamma, "omega": self.detection.omega,
-                          "seed": self.detection.seed, "theta": self.detection.theta,
-                          "min_size": self.detection.min_size},
-            "comparisons": [list(c) for c in self.comparisons],
-            "out": self.out,
-            "synth": synth,
-        }
+        """Effective config for hashing; overrides already applied. Keys
+        follow the config document: `stoplists`, and no derived synth state.
+        """
+        d = asdict(self)
+        d["stoplists"] = d.pop("stoplist_paths")
+        if d["synth"] is not None:
+            del d["synth"]["_noise_pools"]
+        return d
 
     def context(self) -> ReportContext:
         return ReportContext(version=__version__,
@@ -298,14 +263,8 @@ def run_build(cfg: RunConfig) -> dict:
     ctx = cfg.context()
     log = parse_events(cfg.input, schema=cfg.schema)
     if cfg.stoplist_paths:
-        stop = StopLists.from_sets(
-            hashtags=load_stoplist(cfg.stoplist_paths["hashtags"])
-            if "hashtags" in cfg.stoplist_paths else (),
-            mentions=load_stoplist(cfg.stoplist_paths["mentions"])
-            if "mentions" in cfg.stoplist_paths else (),
-            url_domains=load_stoplist(cfg.stoplist_paths["url_domains"])
-            if "url_domains" in cfg.stoplist_paths else (),
-        )
+        stop = StopLists.from_sets(**{key: load_stoplist(path)
+                                      for key, path in cfg.stoplist_paths.items()})
         log = apply_stoplists(log, stop)
 
     records = []
@@ -360,7 +319,7 @@ def run_build(cfg: RunConfig) -> dict:
 
     if actors is not None:
         with reports._open_out(os.path.join(cfg.out, "actors.tsv")) as fh:
-            fh.write(f"# multicoord {ctx.version} config {ctx.cfg_hash}\n")
+            fh.write(reports._meta_line(ctx.version, ctx.cfg_hash))
             fh.write("user_id\n")
             for u in sorted(actors.actors):
                 fh.write(f"{u}\n")
@@ -372,37 +331,20 @@ def run_build(cfg: RunConfig) -> dict:
 
 # ---------------------------------------------------------------- detect
 
-def _detect_one_layer(cfg: RunConfig, ctx: ReportContext, layer: str) -> dict:
-    g = _load_layer_graph(cfg.out, layer)
+def _detect_graph(cfg: RunConfig, ctx: ReportContext, g: LayerGraph) -> dict:
+    """Louvain on one layer or flattened graph; its scope is g.layer."""
+    scope = g.layer
     if not g.nodes:
-        logger.warning("detect: layer %s is empty; writing no partition", layer)
-        return {"record": "partition_summary", "scope": layer, "empty": True,
-                "n_nodes": 0, "n_communities": 0, "modularity": None}
-    p = louvain(g, gamma=cfg.detection.gamma, seed=cfg.detection.seed)
-    ctx.partition(_partition_path(cfg.out, layer), p)
-    return {"record": "partition_summary", "scope": layer, "empty": False,
-            "n_nodes": len(p.assignment), "n_communities": p.n_communities(),
-            "modularity": modularity(g, p, gamma=cfg.detection.gamma),
-            "gamma": cfg.detection.gamma, "seed": cfg.detection.seed}
-
-
-def _detect_flat(cfg: RunConfig, ctx: ReportContext, scope: str) -> dict:
-    net = _load_network(cfg.out)
-    if scope == "intfl":
-        flat = flatten_intersection(net)
-    else:
-        flat = flatten_union(net, strategy=scope.split("-", 1)[1])
-    ctx.edges(_edges_path(cfg.out, scope), flat.graph)
-    if not flat.graph.nodes:
-        logger.warning("detect: flattened scope %s is empty", scope)
+        logger.warning("detect: scope %s is empty; writing no partition", scope)
         return {"record": "partition_summary", "scope": scope, "empty": True,
                 "n_nodes": 0, "n_communities": 0, "modularity": None}
-    p = louvain(flat, gamma=cfg.detection.gamma, seed=cfg.detection.seed)
+    det = cfg.detection
+    p = louvain(g, gamma=det.gamma, seed=det.seed)
     ctx.partition(_partition_path(cfg.out, scope), p)
     return {"record": "partition_summary", "scope": scope, "empty": False,
             "n_nodes": len(p.assignment), "n_communities": p.n_communities(),
-            "modularity": modularity(flat.graph, p, gamma=cfg.detection.gamma),
-            "gamma": cfg.detection.gamma, "seed": cfg.detection.seed}
+            "modularity": modularity(g, p, gamma=det.gamma),
+            "gamma": det.gamma, "seed": det.seed}
 
 
 def _detect_multi(cfg: RunConfig, ctx: ReportContext) -> dict:
@@ -416,8 +358,7 @@ def _detect_multi(cfg: RunConfig, ctx: ReportContext) -> dict:
             "gamma": det.gamma, "omega": det.omega, "seed": det.seed}
 
 
-def run_detect(cfg: RunConfig, mode: str, layer: str | None = None,
-               jobs: int = 1) -> list:
+def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
     """Detect communities under one operationalization; write partitions
     plus a summary record per produced scope.
     """
@@ -429,15 +370,17 @@ def run_detect(cfg: RunConfig, mode: str, layer: str | None = None,
             raise ConfigError("mode 'mono' needs --layer")
         if layer not in ACTIONS:
             raise ConfigError(f"unknown layer {layer!r}; expected one of {ACTIONS}")
-        summaries = [_detect_one_layer(cfg, ctx, layer)]
-    elif mode == "indi":
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=min(jobs, len(ACTIONS))) as pool:
-                summaries = list(pool.map(lambda l: _detect_one_layer(cfg, ctx, l), ACTIONS))
-        else:
-            summaries = [_detect_one_layer(cfg, ctx, l) for l in ACTIONS]
+    if mode in ("mono", "indi"):
+        summaries = [_detect_graph(cfg, ctx, _load_layer_graph(cfg.out, l))
+                     for l in ((layer,) if mode == "mono" else ACTIONS)]
     elif mode in FLAT_SCOPES:
-        summaries = [_detect_flat(cfg, ctx, mode)]
+        net = _load_network(cfg.out)
+        if mode == "intfl":
+            flat = flatten_intersection(net)
+        else:
+            flat = flatten_union(net, strategy=mode.split("-", 1)[1])
+        ctx.edges(_edges_path(cfg.out, mode), flat.graph)
+        summaries = [_detect_graph(cfg, ctx, flat.graph)]
     else:  # multi
         summaries = [_detect_multi(cfg, ctx)]
     ctx.records(os.path.join(cfg.out, f"detect_{mode}.jsonl"), summaries)
@@ -500,24 +443,50 @@ def comparison_id(ref: str, other: str) -> str:
     return f"{ref}_vs_{other}".replace(":", "-")
 
 
+@dataclass
+class _Comparison:
+    """Both sides of one comparison and its overlap -> match -> labels chain.
+    Side A is the baseline (other), side B the reference (ref); a scope is
+    the graph a side's metrics are read from, None for a whole multiplex.
+    """
+
+    A: object
+    B: object
+    a_token: str
+    b_token: str
+    a_scope: str | None
+    b_scope: str | None
+    O: object
+    M: object
+    comm_labels: object
+    node_labels: object
+
+
+def _compare(cfg: RunConfig, ref: str, other: str) -> _Comparison:
+    det = cfg.detection
+    (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
+    B, b_token, b_scope = _load_approach(cfg.out, rb, rl)
+    A, a_token, a_scope = _load_approach(cfg.out, ob, ol)
+    O = overlap_matrix(A, B, min_size=det.min_size)
+    M = hungarian_match(O)
+    comm_labels = label_communities(O, M, theta=det.theta)
+    node_labels = label_nodes(dict(zip(O.a_ids, O.a_members)),
+                              dict(zip(O.b_ids, O.b_members)), M)
+    return _Comparison(A, B, a_token, b_token, a_scope, b_scope, O, M,
+                       comm_labels, node_labels)
+
+
 def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
     """Overlap matrix, optimal matching, labels, and NMI for one pair.
 
     ref is the reference approach (side B); other is the baseline (side A).
     """
     det = cfg.detection
-    (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
-    B, b_token, _ = _load_approach(cfg.out, rb, rl)
-    A, a_token, _ = _load_approach(cfg.out, ob, ol)
+    c = _compare(cfg, ref, other)
+    O, M, comm_labels, node_labels = c.O, c.M, c.comm_labels, c.node_labels
     cid = comparison_id(ref, other)
     ctx = cfg.context()
-
-    O = overlap_matrix(A, B, min_size=det.min_size)
-    M = hungarian_match(O)
-    comm_labels = label_communities(O, M, theta=det.theta)
-    node_labels = label_nodes(dict(zip(O.a_ids, O.a_members)),
-                              dict(zip(O.b_ids, O.b_members)), M)
-    nmi_value = nmi(A, B, min_size=det.min_size)
+    nmi_value = nmi(c.A, c.B, min_size=det.min_size)
 
     ctx.overlap(os.path.join(cfg.out, f"overlap_{cid}.tsv"), O)
 
@@ -526,7 +495,7 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
 
     records = [{
         "record": "comparison_summary",
-        "ref": ref, "other": other, "a": a_token, "b": b_token,
+        "ref": ref, "other": other, "a": c.a_token, "b": c.b_token,
         "theta": det.theta, "min_size": det.min_size,
         "k_a": O.k_a, "k_b": O.k_b,
         "n_matched": len(M.pairs), "total_overlap": M.total,
@@ -577,26 +546,18 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     PCA coordinates, node metric records, and Brunner-Munzel tests between
     lost / common / gained node groups.
     """
-    det = cfg.detection
     cid = comparison_id(ref, other)
     labels_path = os.path.join(cfg.out, f"labels_{cid}.jsonl")
     if not os.path.exists(labels_path):
         raise DataError(f"missing comparison output {labels_path}; run compare first")
-    (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
-    B, b_token, b_scope = _load_approach(cfg.out, rb, rl)
-    A, a_token, a_scope = _load_approach(cfg.out, ob, ol)
-    if a_scope is None or b_scope is None:
+    c = _compare(cfg, ref, other)
+    O, M, comm_labels, node_labels = c.O, c.M, c.comm_labels, c.node_labels
+    if c.a_scope is None or c.b_scope is None:
         raise DataError("characterize needs a concrete graph per side; "
                         "restrict multiplex partitions to a layer (multi:<layer>)")
-    g_a = _load_layer_graph(cfg.out, a_scope)
-    g_b = _load_layer_graph(cfg.out, b_scope)
+    g_a = _load_layer_graph(cfg.out, c.a_scope)
+    g_b = _load_layer_graph(cfg.out, c.b_scope)
     ctx = cfg.context()
-
-    O = overlap_matrix(A, B, min_size=det.min_size)
-    M = hungarian_match(O)
-    comm_labels = label_communities(O, M, theta=det.theta)
-    node_labels = label_nodes(dict(zip(O.a_ids, O.a_members)),
-                              dict(zip(O.b_ids, O.b_members)), M)
 
     comm_rows = []       # (side, community id, label, CommunityMetrics)
     for idx, comm_id in enumerate(O.a_ids):
@@ -632,7 +593,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
         cosine_rows.append((str(O.a_ids[a_idx]), str(O.b_ids[b_idx]),
                             O.overlap(a_idx, b_idx), cos))
     with reports._open_out(os.path.join(cfg.out, f"cosine_{cid}.tsv")) as fh:
-        fh.write(f"# multicoord {ctx.version} config {ctx.cfg_hash}\n")
+        fh.write(reports._meta_line(ctx.version, ctx.cfg_hash))
         fh.write("a_community\tb_community\toverlap\tcosine\n")
         for a_id, b_id, ov, cos in cosine_rows:
             fh.write(f"{a_id}\t{b_id}\t{ov!r}\t{'NA' if cos is None else repr(cos)}\n")

@@ -12,8 +12,11 @@ import os
 import pytest
 
 from multicoord.cli import main
+from multicoord.filternet import FilterConfig
 from multicoord.ingest import ACTIONS
-from multicoord.reports import read_partition_tsv, read_records
+from multicoord.pipeline import DetectionSettings, RunConfig
+from multicoord.reports import config_hash, read_partition_tsv, read_records
+from multicoord.synth import SynthConfig
 
 SYNTH = {
     "n_users": 40,
@@ -136,6 +139,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["detect", "--mode", "nope", "--config", "x.json"])
     assert exc.value.code == 1
+    # detect takes no --jobs
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--mode", "indi", "--jobs", "2", "--config", "x.json"])
+    assert exc.value.code == 1
     capsys.readouterr()
 
 
@@ -157,6 +164,15 @@ def test_config_errors_exit_1(workdir, tmp_path, capsys):
     gone = write_cfg(tmp_path / "gone.json",
                      {"input": str(tmp_path / "nope.tsv"), "out": "o"})
     assert main(["build", "--config", gone]) == 1
+    # malformed config sections, wrong value types included
+    for doc in ({"filter": 5}, {"filter": [["th_a", 2]]},
+                {"filter": {"max_nodes": "5"}}, {"detection": "ab"},
+                {"detection": {"gamma": "x"}}, {"detection": {"seed": "abc"}},
+                {"detection": {"theta": None}}):
+        path = write_cfg(tmp_path / "section.json", {"out": "o", **doc})
+        assert main(["build", "--config", path]) == 1, doc
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and next(iter(doc)) in err, err
     capsys.readouterr()
 
 
@@ -182,3 +198,33 @@ def test_explicit_restriction_token(workdir, capsys):
     assert "multi:rpl vs rpl" in out
     assert os.path.exists(os.path.join(workdir["out"],
                                        "overlap_multi-rpl_vs_rpl.tsv"))
+
+
+def test_config_hash_is_pinned():
+    # every section set; artifacts carry this hash in their meta lines, so a
+    # change to to_dict that moves it changes every artifact's first line
+    cfg = RunConfig(
+        input="data/events.jsonl", schema="jsonl",
+        stoplist_paths={"hashtags": "stop/hashtags.txt",
+                        "url_domains": "stop/domains.txt"},
+        fraction=0.5, width_hours=4.0, shift_hours=3.0,
+        filter=FilterConfig(th_a=2, max_nodes=600, weight_rule="fixed",
+                            weight_value=0.25),
+        detection=DetectionSettings(gamma=1.5, omega=0.2, seed=7, theta=0.4,
+                                    min_size=3),
+        comparisons=(("multi", "rtw"), ("unfl-sum", "hst")),
+        out="runs/out",
+        synth=SynthConfig(n_users=40, community_sizes=(15, 10),
+                          strengths=({"rtw": 3.0, "hst": 1.5}, {"rpl": 2.0}),
+                          seed=11, noise_rate=0.1, community_pool_size=8,
+                          noise_pool_size={"rtw": 300, "hst": 200, "rpl": 100,
+                                           "men": 50, "url": 25},
+                          span_hours=24.0, width_hours=4.0, shift_hours=3.0))
+    assert config_hash(cfg.to_dict()) == (
+        "21399d6acb11738dfd605bb191af4dd3d8545e1b147715fba478a4d5fe2ca6ea")
+
+
+def test_synth_section_defaults_to_no_planted_communities(tmp_path):
+    cfg = RunConfig.from_dict({"synth": {"n_users": 10, "seed": 1}},
+                              base_dir=str(tmp_path))
+    assert cfg.synth.n_communities == 0 and cfg.synth.strengths == ()
