@@ -10,6 +10,10 @@ node groups.
 Undefined structural values (assortativity with zero degree variance,
 conductance when the member set is the whole graph) are reported as 0.0
 with an explicit defined flag, so downstream vectors keep a fixed length.
+
+Both descriptor sets work on one GraphCSR per graph: a community is a
+slice of its adjacency matrix, clustering comes from integer triangle
+counts, and eigenvector centrality from ARPACK's Lanczos solver (eigsh).
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ COMMUNITY_METRIC_NAMES = ("size", "density", "avg_degree", "avg_weight",
 NODE_METRIC_NAMES = ("degree_centrality", "eigenvector_centrality",
                      "local_clustering", "pagerank")
 
-_POWER_TOL = 1e-13
-_POWER_MAX_ITER = 100000
 _PAGERANK_TOL = 1e-12
 _PAGERANK_MAX_ITER = 100000
 
@@ -82,33 +84,53 @@ class TestResult:
     n_y: int
 
 
-def _adjacency_sets(g: LayerGraph) -> dict:
-    adj: dict = {u: set() for u in g.nodes}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+@dataclass(frozen=True)
+class GraphCSR:
+    """One graph as arrays: node ids in sorted order, the symmetric weighted
+    CSR adjacency A (sorted indices, so each row lists its neighbours in id
+    order), its 0/1 pattern B and the unweighted degrees."""
+
+    order: list
+    index: dict
+    A: object
+    B: object
+    degree: np.ndarray
+
+    @classmethod
+    def of(cls, g: LayerGraph) -> "GraphCSR":
+        import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
+
+        order = sorted(g.nodes)
+        index = {u: i for i, u in enumerate(order)}
+        n = len(order)
+        rows = [index[u] for u, _ in g.edges]
+        cols = [index[v] for _, v in g.edges]
+        w = [d.weight for d in g.edges.values()]
+        A = sp.csr_matrix((w + w, (rows + cols, cols + rows)), shape=(n, n))
+        A.sort_indices()
+        B = sp.csr_matrix((np.ones(A.nnz, dtype=np.int64), A.indices, A.indptr), shape=(n, n))
+        return cls(order, index, A, B, np.diff(A.indptr))
 
 
-def _local_clustering(adj: dict, node) -> float:
-    neigh = adj[node]
-    d = len(neigh)
-    if d < 2:
-        return 0.0
-    links = 0
-    for w in neigh:
-        links += len(adj[w] & neigh)
-    # each triangle edge counted twice in the loop above
-    return links / (d * (d - 1))
+def _local_clustering(B) -> np.ndarray:
+    """Unweighted local clustering per row of the 0/1 pattern B: twice the
+    triangles through a node (row sums of B^2 o B) over d(d - 1)."""
+    d = np.diff(B.indptr)
+    links = np.asarray((B @ B).multiply(B).sum(axis=1)).ravel()
+    out = np.zeros(d.size)
+    wedge = d >= 2
+    out[wedge] = links[wedge] / (d[wedge] * (d[wedge] - 1))
+    return out
 
 
-def community_metrics(g: LayerGraph, members) -> CommunityMetrics:
+def community_metrics(g: LayerGraph, members, csr: GraphCSR | None = None) -> CommunityMetrics:
     """Structural descriptor of the member set within graph g.
 
     Density, mean degree, weight, and clustering are computed on the
     induced subgraph; conductance uses unweighted volumes on the full
     graph; assortativity is the degree assortativity of the induced
-    subgraph. Weights enter only through avg_weight.
+    subgraph. Weights enter only through avg_weight. ``csr`` is g's
+    GraphCSR when the caller already built it.
     """
     members = frozenset(members)
     if not members:
@@ -116,37 +138,28 @@ def community_metrics(g: LayerGraph, members) -> CommunityMetrics:
     missing = members - g.nodes
     if missing:
         raise ValueError(f"{len(missing)} members not in graph, e.g. {sorted(missing)[:3]}")
+    if csr is None:
+        csr = GraphCSR.of(g)
     n = len(members)
-    internal = [(u, v, data) for (u, v), data in g.edges.items()
-                if u in members and v in members]
-    e_in = len(internal)
+    idx = np.array(sorted(csr.index[u] for u in members))
+    sub = csr.B[idx][:, idx]  # induced subgraph, rows and columns in id order
+    e_in = sub.nnz // 2
     density = 2.0 * e_in / (n * (n - 1)) if n >= 2 else 0.0
     avg_degree = 2.0 * e_in / n
-    avg_weight = math.fsum(d.weight for _, _, d in internal) / e_in if e_in else 0.0
-
-    sub_adj: dict = {u: set() for u in members}
-    for u, v, _ in internal:
-        sub_adj[u].add(v)
-        sub_adj[v].add(u)
-    avg_clustering = math.fsum(_local_clustering(sub_adj, u) for u in members) / n
+    # fsum is exact, so summing each edge twice and halving is the same float
+    avg_weight = math.fsum(csr.A[idx][:, idx].data.tolist()) / (2 * e_in) if e_in else 0.0
+    avg_clustering = math.fsum(_local_clustering(sub).tolist()) / n
 
     # conductance: unweighted cut over the smaller unweighted volume
-    cut = 0
-    vol_in = 0
-    vol_total = 0
-    for (u, v) in g.edges:
-        u_in, v_in = u in members, v in members
-        vol_total += 2
-        vol_in += int(u_in) + int(v_in)
-        if u_in != v_in:
-            cut += 1
-    vol_out = vol_total - vol_in
+    vol_in = int(csr.degree[idx].sum())
+    cut = vol_in - 2 * e_in
+    vol_out = csr.A.nnz - vol_in
     if min(vol_in, vol_out) == 0:
         conductance, conductance_defined = 0.0, False
     else:
         conductance, conductance_defined = cut / min(vol_in, vol_out), True
 
-    assortativity, assortativity_defined = _degree_assortativity(sub_adj)
+    assortativity, assortativity_defined = _degree_assortativity(sub)
     return CommunityMetrics(size=n, density=density, avg_degree=avg_degree,
                             avg_weight=avg_weight, avg_clustering=avg_clustering,
                             conductance=conductance, assortativity=assortativity,
@@ -154,19 +167,15 @@ def community_metrics(g: LayerGraph, members) -> CommunityMetrics:
                             assortativity_defined=assortativity_defined)
 
 
-def _degree_assortativity(adj: dict) -> tuple[float, bool]:
-    """Pearson correlation of endpoint degrees over edges, symmetrized."""
-    deg = {u: len(vs) for u, vs in adj.items()}
-    xs = []
-    ys = []
-    for u in sorted(adj):  # fixed order so the numpy reductions are reproducible
-        for v in sorted(adj[u]):
-            xs.append(deg[u])
-            ys.append(deg[v])
-    if not xs:
+def _degree_assortativity(sub) -> tuple[float, bool]:
+    """Pearson correlation of endpoint degrees over the edges of the CSR
+    subgraph, symmetrized; edges in row-major order, so the numpy
+    reductions see a fixed array."""
+    deg = np.diff(sub.indptr)
+    if not sub.nnz:
         return 0.0, False
-    x = np.array(xs, dtype=float)
-    y = np.array(ys, dtype=float)
+    x = np.repeat(deg, deg).astype(float)
+    y = deg[sub.indices].astype(float)
     vx = x.var()
     vy = y.var()
     if vx == 0.0 or vy == 0.0:
@@ -176,42 +185,28 @@ def _degree_assortativity(adj: dict) -> tuple[float, bool]:
 
 
 def _eigenvector_centrality(A) -> np.ndarray:
-    """Power iteration on the weighted CSR adjacency A, per connected
-    component; keep the one with the largest eigenvalue, zero elsewhere,
-    unit Euclidean norm overall.
+    """Dominant adjacency eigenvector of the weighted CSR A, per connected
+    component (Lanczos, ARPACK's eigsh); keep the component with the
+    largest eigenvalue, zero elsewhere, unit Euclidean norm overall.
 
-    The iteration runs on A + I so bipartite components (paired +/- lambda
-    spectrum) still converge; the shift cancels out of the reported
-    eigenvector and is removed from the eigenvalue estimate.
+    "LA" asks for the largest algebraic eigenvalue, so the paired -lambda of
+    a bipartite component is never taken. Components within 1e-12 of the
+    best eigenvalue do not replace it: the first one wins.
     """
     from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import eigsh
 
     n = A.shape[0]
     n_comp, labels = connected_components(A, directed=False)
     best_val = -np.inf
     best_vec = None
     for c in range(n_comp):
-        mask = labels == c
-        idx = np.flatnonzero(mask)
+        idx = np.flatnonzero(labels == c)
         if idx.size == 1:
-            lam = 0.0
-            vec = np.ones(1)
+            lam, vec = 0.0, np.ones(1)
         else:
-            sub = A[idx][:, idx]
-            x = np.full(idx.size, 1.0 / math.sqrt(idx.size))
-            lam = 0.0
-            for _ in range(_POWER_MAX_ITER):
-                y = sub @ x + x
-                norm = np.linalg.norm(y)
-                if norm == 0.0:
-                    break
-                y /= norm
-                if np.max(np.abs(y - x)) < _POWER_TOL:
-                    x = y
-                    break
-                x = y
-            lam = float(x @ (sub @ x)) / float(x @ x)
-            vec = x
+            vals, vecs = eigsh(A[idx][:, idx], k=1, which="LA", v0=np.ones(idx.size))
+            lam, vec = float(vals[0]), vecs[:, 0]
         if lam > best_val + 1e-12 or best_vec is None:
             best_val = lam
             best_idx = idx
@@ -233,11 +228,11 @@ def _pagerank(A, damping: float) -> np.ndarray:
     out_strength = np.asarray(A.sum(axis=1)).ravel()
     dangling = out_strength == 0.0
     inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, out_strength))
-    P = sp.diags(inv) @ A  # row-stochastic on non-dangling rows
+    PT = (sp.diags(inv) @ A).T  # transpose of the row-stochastic matrix, built once
     x = np.full(n, 1.0 / n)
     teleport = (1.0 - damping) / n
     for _ in range(_PAGERANK_MAX_ITER):
-        x_new = damping * (P.T @ x) + teleport
+        x_new = damping * (PT @ x) + teleport
         x_new += damping * x[dangling].sum() / n
         err = np.abs(x_new - x).sum()
         x = x_new
@@ -246,38 +241,30 @@ def _pagerank(A, damping: float) -> np.ndarray:
     return x / x.sum()
 
 
-def node_metrics(g: LayerGraph, damping: float = 0.85) -> dict:
-    """All four node descriptors for every node of g."""
+def node_metrics(g: LayerGraph, damping: float = 0.85,
+                 csr: GraphCSR | None = None) -> dict:
+    """All four node descriptors for every node of g; ``csr`` is g's
+    GraphCSR when the caller already built it."""
     if not g.nodes:
         raise ValueError("empty graph")
     if not (0.0 < damping < 1.0):
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    order = sorted(g.nodes)
-    index = {u: i for i, u in enumerate(order)}
-    n = len(order)
-    adj = _adjacency_sets(g)
-    degc = {u: (len(adj[u]) / (n - 1) if n > 1 else 0.0) for u in order}
-    clus = {u: _local_clustering(adj, u) for u in order}
+    if csr is None:
+        csr = GraphCSR.of(g)
+    n = len(csr.order)
+    degc = (csr.degree / (n - 1)).tolist() if n > 1 else [0.0] * n
+    clus = _local_clustering(csr.B).tolist()
     if g.edges:
-        import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
-
-        rows, cols, vals = [], [], []
-        for (u, v), data in g.edges.items():
-            i, j = index[u], index[v]
-            rows += [i, j]
-            cols += [j, i]
-            vals += [data.weight, data.weight]
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))  # weighted, symmetric
-        eig = _eigenvector_centrality(A)
-        pr = _pagerank(A, damping)
+        eig = _eigenvector_centrality(csr.A)
+        pr = _pagerank(csr.A, damping)
     else:
         eig = np.ones(n) / math.sqrt(n)
         pr = np.full(n, 1.0 / n)
-    return {u: NodeMetrics(degree_centrality=degc[u],
+    return {u: NodeMetrics(degree_centrality=degc[i],
                            eigenvector_centrality=float(eig[i]),
-                           local_clustering=clus[u],
+                           local_clustering=clus[i],
                            pagerank=float(pr[i]))
-            for i, u in enumerate(order)}
+            for i, u in enumerate(csr.order)}
 
 
 def metric_cosine(v1, v2) -> float:

@@ -195,7 +195,7 @@ class _Problem:
     excluded from the null model by construction).
     """
 
-    __slots__ = ("n", "adj", "loops", "strength", "scaled", "n_layers")
+    __slots__ = ("n", "adj", "loops", "strength", "scaled", "slot", "n_layers")
 
     def __init__(self, n: int, n_layers: int):
         self.n = n
@@ -204,11 +204,16 @@ class _Problem:
         self.loops: list[float] = [0.0] * n
         self.strength: list[list[float]] = [[0.0] * n_layers for _ in range(n)]
         self.scaled: list[list[float]] = []
+        self.slot: list[int] = []
 
     def finalize_scaled(self, inv_two_m: list[float]):
         self.scaled = [
             [k * inv for k, inv in zip(vec, inv_two_m)] for vec in self.strength
         ]
+        # the one layer a node has strength in, or -1: every node when L = 1
+        # and every level-0 supra-node, whose null term is then one product
+        nonzero = ([s for s, k in enumerate(vec) if k != 0.0] for vec in self.strength)
+        self.slot = [nz[0] if len(nz) == 1 else -1 for nz in nonzero]
 
 
 def _null_term(scaled_u: list[float], comm_k: list[float]) -> float:
@@ -217,17 +222,19 @@ def _null_term(scaled_u: list[float], comm_k: list[float]) -> float:
 
 def _local_moving(prob: _Problem, comm: list[int], comm_k: list[list[float]],
                   comm_size: list[int], gamma: float, two_mu: float,
-                  rng: random.Random) -> bool:
+                  rng: random.Random) -> tuple[bool, float]:
     """Greedy node moves until a full sweep gains < GAIN_TOLERANCE.
 
-    Returns whether any node moved. comm/comm_k/comm_size are updated in
-    place; emptied community slots are recycled for nodes moving to fresh
-    solitude.
+    Returns whether any node moved and the summed gain of the accepted
+    moves (Q rises by twice that over 2mu). comm/comm_k/comm_size are
+    updated in place; emptied community slots are recycled for nodes
+    moving to fresh solitude.
     """
     order = list(range(prob.n))
     rng.shuffle(order)
     free_ids: list[int] = []
     moved_any = False
+    total_gain = 0.0
     nl = prob.n_layers
     while True:
         sweep_gain = 0.0
@@ -238,17 +245,23 @@ def _local_moving(prob: _Problem, comm: list[int], comm_k: list[list[float]],
                 links[comm[v]] += w
             ku = prob.strength[u]
             su = prob.scaled[u]
+            # with one non-zero slot t the other products are exact zeros,
+            # so the scalar null term is the same float as _null_term
+            t = prob.slot[u]
+            slots = (t,) if t >= 0 else range(nl)
             # take u out of its community
             kc = comm_k[c_old]
-            for s in range(nl):
+            for s in slots:
                 kc[s] -= ku[s]
             comm_size[c_old] -= 1
-            gain_old = links.get(c_old, 0.0) - gamma * _null_term(su, kc)
+            null = su[t] * kc[t] if t >= 0 else _null_term(su, kc)
+            gain_old = links.get(c_old, 0.0) - gamma * null
             best_c, best_gain = c_old, gain_old
             for c in sorted(links):
                 if c == c_old:
                     continue
-                gain = links[c] - gamma * _null_term(su, comm_k[c])
+                null = su[t] * comm_k[c][t] if t >= 0 else _null_term(su, comm_k[c])
+                gain = links[c] - gamma * null
                 if gain > best_gain:
                     best_c, best_gain = c, gain
             if comm_size[c_old] > 0 and 0.0 > best_gain:
@@ -261,7 +274,7 @@ def _local_moving(prob: _Problem, comm: list[int], comm_k: list[list[float]],
                     comm_size.append(0)
                 best_gain = 0.0
             kc = comm_k[best_c]
-            for s in range(nl):
+            for s in slots:
                 kc[s] += ku[s]
             comm_size[best_c] += 1
             if best_c != c_old:
@@ -270,9 +283,10 @@ def _local_moving(prob: _Problem, comm: list[int], comm_k: list[list[float]],
                 comm[u] = best_c
                 moved_any = True
                 sweep_gain += best_gain - gain_old
+        total_gain += sweep_gain
         if sweep_gain / two_mu < GAIN_TOLERANCE:
             break
-    return moved_any
+    return moved_any, total_gain
 
 
 def _aggregate(prob: _Problem, comm: list[int]) -> tuple[_Problem, dict[int, int]]:
@@ -297,13 +311,16 @@ def _aggregate(prob: _Problem, comm: list[int]) -> tuple[_Problem, dict[int, int
 
 
 def _optimize(prob: _Problem, gamma: float, inv_two_m: list[float], two_mu: float,
-              rng: random.Random, quality) -> tuple[list[int], list[float]]:
+              rng: random.Random) -> tuple[list[int], list[float]]:
     """Run local moving + aggregation passes until no node moves.
 
-    quality(assignment: list[int] over original nodes) supplies the
-    reported per-pass quality; returns (assignment, trace).
+    The trace holds the quality after each pass, kept from the move gains:
+    it starts at the all-singletons Q, each pass adds 2 * (its gains) / 2mu,
+    and aggregation leaves Q unchanged. Returns (assignment, trace).
     """
     prob.finalize_scaled(inv_two_m)
+    q = -gamma * math.fsum(k * s for vec, svec in zip(prob.strength, prob.scaled)
+                           for k, s in zip(vec, svec)) / two_mu
     node_of = [[i] for i in range(prob.n)]  # level node -> original nodes
     global_comm = list(range(prob.n))
     trace: list[float] = []
@@ -311,11 +328,12 @@ def _optimize(prob: _Problem, gamma: float, inv_two_m: list[float], two_mu: floa
         comm = list(range(prob.n))
         comm_k = [list(vec) for vec in prob.strength]
         comm_size = [1] * prob.n
-        moved = _local_moving(prob, comm, comm_k, comm_size, gamma, two_mu, rng)
+        moved, gain = _local_moving(prob, comm, comm_k, comm_size, gamma, two_mu, rng)
         for level_node, originals in zip(range(prob.n), node_of):
             for o in originals:
                 global_comm[o] = comm[level_node]
-        trace.append(quality(global_comm))
+        q += 2.0 * gain / two_mu
+        trace.append(q)
         if not moved:
             break
         prob, remap = _aggregate(prob, comm)
@@ -360,14 +378,8 @@ def louvain(g, gamma: float = 1.0, seed: int = 42) -> Partition:
         prob.strength[iu][0] += data.weight
         prob.strength[iv][0] += data.weight
     two_m = 2.0 * lg.total_weight()
-
-    def quality(assignment: list[int]) -> float:
-        p = Partition(scope=lg.layer,
-                      assignment={u: assignment[index[u]] for u in names}, gamma=gamma)
-        return modularity(lg, p, gamma)
-
     rng = random.Random(seed)
-    comm, trace = _optimize(prob, gamma, [1.0 / two_m], two_m, rng, quality)
+    comm, trace = _optimize(prob, gamma, [1.0 / two_m], two_m, rng)
     assignment = _canonical_ids({u: comm[index[u]] for u in names})
     logger.info("louvain[%s]: %d nodes -> %d communities, Q=%.6f (%d passes)",
                 lg.layer, len(names), len(set(assignment.values())), trace[-1], len(trace))
@@ -420,15 +432,8 @@ def generalized_louvain(net: MultiplexNetwork, gamma: float = 1.0,
         assignment = _canonical_ids({node: i for i, node in enumerate(names)})
         return MultiplexPartition(assignment=assignment, gamma=gamma, omega=omega, trace=(0.0,))
     inv_two_m = [1.0 / m if m > 0.0 else 0.0 for m in two_m]
-
-    def quality(assignment: list[int]) -> float:
-        p = MultiplexPartition(
-            assignment={node: assignment[index[node]] for node in names},
-            gamma=gamma, omega=omega)
-        return multislice_modularity(net, p, gamma, omega)
-
     rng = random.Random(seed)
-    comm, trace = _optimize(prob, gamma, inv_two_m, two_mu, rng, quality)
+    comm, trace = _optimize(prob, gamma, inv_two_m, two_mu, rng)
     assignment = _canonical_ids({node: comm[index[node]] for node in names})
     logger.info("generalized_louvain: %d supra-nodes over %d layers -> %d communities, "
                 "Q=%.6f (%d passes)", len(names), len(layer_order),

@@ -41,7 +41,7 @@ from .community import (UNION_STRATEGIES, flatten_intersection, flatten_union,
 from .compare import (hungarian_match, label_communities, label_nodes, nmi,
                       overlap_matrix, actor_coverage, edge_coverage,
                       pearson_degree_correlation, COMMON, GAINED, LOST)
-from .characterize import (COMMUNITY_METRIC_NAMES, NODE_METRIC_NAMES,
+from .characterize import (COMMUNITY_METRIC_NAMES, NODE_METRIC_NAMES, GraphCSR,
                            brunner_munzel, community_metrics, metric_cosine,
                            node_metrics, pca_project, significance_band)
 from .errors import DegenerateSampleError, UndefinedMetricError
@@ -77,6 +77,11 @@ def _section(doc: dict, key: str, cls, default: dict):
     if not isinstance(sec, dict):
         raise ConfigError(f"{key} must be an object")
     _check_keys(sec, _init_fields(cls), key)
+    for f in fields(cls):  # JSON has one number type: refuse 1.5 and true for an int
+        v = sec.get(f.name, 0)
+        if f.type in ("int", "int | None") and type(v) is not int \
+                and (v is not None or f.type == "int"):
+            raise ConfigError(f"{key}: {f.name} must be an integer, got {v!r}")
     try:
         return cls(**{**default, **sec})
     except (TypeError, ValueError, DataError) as exc:
@@ -98,7 +103,6 @@ class DetectionSettings:
             raise ConfigError("gamma and omega must be >= 0")
         if self.min_size < 0:
             raise ConfigError(f"min_size must be >= 0, got {self.min_size}")
-        self.seed = int(self.seed)
 
 
 @dataclass
@@ -557,14 +561,15 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
                         "restrict multiplex partitions to a layer (multi:<layer>)")
     g_a = _load_layer_graph(cfg.out, c.a_scope)
     g_b = _load_layer_graph(cfg.out, c.b_scope)
+    csr_a, csr_b = GraphCSR.of(g_a), GraphCSR.of(g_b)
     ctx = cfg.context()
 
     comm_rows = []       # (side, community id, label, CommunityMetrics)
     for idx, comm_id in enumerate(O.a_ids):
-        m = community_metrics(g_a, O.a_members[idx])
+        m = community_metrics(g_a, O.a_members[idx], csr_a)
         comm_rows.append(("a", comm_id, comm_labels.community_labels_a[comm_id], m))
     for idx, comm_id in enumerate(O.b_ids):
-        m = community_metrics(g_b, O.b_members[idx])
+        m = community_metrics(g_b, O.b_members[idx], csr_b)
         comm_rows.append(("b", comm_id, comm_labels.community_labels_b[comm_id], m))
 
     vectors = [m.vector() for _, _, _, m in comm_rows]
@@ -616,8 +621,8 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
 
     # node metrics: lost and common nodes live in the baseline graph A,
     # gained nodes only exist in the reference graph B
-    nm_a = node_metrics(g_a) if g_a.nodes else {}
-    nm_b = node_metrics(g_b) if g_b.nodes else {}
+    nm_a = node_metrics(g_a, csr=csr_a) if g_a.nodes else {}
+    nm_b = node_metrics(g_b, csr=csr_b) if g_b.nodes else {}
     node_records = []
     groups: dict = {LOST: {n: [] for n in NODE_METRIC_NAMES},
                     COMMON: {n: [] for n in NODE_METRIC_NAMES},

@@ -168,7 +168,10 @@ def test_config_errors_exit_1(workdir, tmp_path, capsys):
     for doc in ({"filter": 5}, {"filter": [["th_a", 2]]},
                 {"filter": {"max_nodes": "5"}}, {"detection": "ab"},
                 {"detection": {"gamma": "x"}}, {"detection": {"seed": "abc"}},
-                {"detection": {"theta": None}}):
+                {"detection": {"theta": None}}, {"detection": {"seed": 1.5}},
+                {"detection": {"min_size": True}}, {"filter": {"th_a": 1.5}},
+                {"synth": {"n_users": 10.5, "community_sizes": [], "strengths": [],
+                           "seed": 1}}):
         path = write_cfg(tmp_path / "section.json", {"out": "o", **doc})
         assert main(["build", "--config", path]) == 1, doc
         err = capsys.readouterr().err
