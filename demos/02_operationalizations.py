@@ -82,7 +82,7 @@ for strategy in ("nw", "ec", "sum"):
 
 print("\nflattened intersection run (intfl)")
 flat = flatten_intersection(net)
-if flat.graph.n_edges:
+if flat.n_edges:
     p = louvain(flat, gamma=1.0, seed=42)
     print(f"  intfl     {describe(p.assignment)}")
 else:

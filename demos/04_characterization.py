@@ -45,7 +45,7 @@ p_b = louvain(flat, gamma=1.0, seed=42)
 print("community descriptors")
 print(f"{'scope':12s}" + "".join(f"{n:>15s}" for n in COMMUNITY_METRIC_NAMES))
 rows, row_names = [], []
-for scope, g, p in (("rtw", net.layers["rtw"], p_a), ("unfl-sum", flat.graph, p_b)):
+for scope, g, p in (("rtw", net.layers["rtw"], p_a), ("unfl-sum", flat, p_b)):
     for cid, members in sorted(communities(p.assignment).items()):
         m = community_metrics(g, members)
         rows.append(m.vector())
@@ -65,7 +65,7 @@ for name, (x, y) in zip(row_names, coords):
 O = overlap_matrix(p_a, p_b)
 M = hungarian_match(O)
 labels = label_nodes(p_a, p_b, M).node_labels
-nm = node_metrics(flat.graph)
+nm = node_metrics(flat)
 groups = {lab: [nm[u].pagerank for u in labels if labels[u] == lab and u in nm]
           for lab in ("lost", "common", "gained")}
 print("\npagerank by node label (on the flattened graph):")

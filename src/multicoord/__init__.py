@@ -17,14 +17,14 @@ from .errors import (ConfigError, DataError, DegenerateSampleError,
 from .ingest import (ACTIONS, HST, MEN, RPL, RTW, URL, ActionEvent, ActorSet,
                      EventLog, StopLists, apply_stoplists, extract_domain,
                      load_stoplist, parse_events, select_users)
-from .netbuild import (EdgeData, LayerGraph, MultiplexNetwork, UserVector,
+from .netbuild import (EdgeRowError, LayerGraph, MultiplexNetwork, UserVector,
                        Window, build_multiplex, build_user_vectors,
                        layer_window_graph, merge_windows, window_slices)
 from .filternet import (FilterConfig, FilterReport, auto_threshold,
                         filter_by_actions, filter_by_weight, filter_layer,
                         filter_multiplex)
-from .community import (FlattenedGraph, MultiplexPartition, Partition,
-                        communities, flatten_intersection, flatten_union,
+from .community import (MultiplexPartition, Partition, communities,
+                        flatten_intersection, flatten_union,
                         generalized_louvain, louvain, modularity,
                         multislice_modularity, restrict_to_layer)
 from .compare import (COMMON, GAINED, LOST, LabelReport, MatchResult,
@@ -48,12 +48,12 @@ __all__ = [
     "ActionEvent", "EventLog", "StopLists", "ActorSet",
     "parse_events", "apply_stoplists", "load_stoplist", "select_users",
     "extract_domain",
-    "Window", "UserVector", "EdgeData", "LayerGraph", "MultiplexNetwork",
+    "Window", "UserVector", "EdgeRowError", "LayerGraph", "MultiplexNetwork",
     "window_slices", "build_user_vectors", "layer_window_graph",
     "merge_windows", "build_multiplex",
     "FilterConfig", "FilterReport", "filter_by_actions", "auto_threshold",
     "filter_by_weight", "filter_layer", "filter_multiplex",
-    "Partition", "MultiplexPartition", "FlattenedGraph", "communities",
+    "Partition", "MultiplexPartition", "communities",
     "louvain", "modularity", "multislice_modularity", "generalized_louvain",
     "flatten_union", "flatten_intersection", "restrict_to_layer",
     "OverlapMatrix", "MatchResult", "LabelReport", "COMMON", "LOST", "GAINED",

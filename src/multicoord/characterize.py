@@ -100,13 +100,12 @@ class GraphCSR:
     def of(cls, g: LayerGraph) -> "GraphCSR":
         import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
 
-        order = sorted(g.nodes)
+        order = list(g.nodes)
         index = {u: i for i, u in enumerate(order)}
         n = len(order)
-        rows = [index[u] for u, _ in g.edges]
-        cols = [index[v] for _, v in g.edges]
-        w = [d.weight for d in g.edges.values()]
-        A = sp.csr_matrix((w + w, (rows + cols, cols + rows)), shape=(n, n))
+        A = sp.csr_matrix((np.concatenate((g.weight, g.weight)),
+                           (np.concatenate((g.u, g.v)), np.concatenate((g.v, g.u)))),
+                          shape=(n, n))
         A.sort_indices()
         B = sp.csr_matrix((np.ones(A.nnz, dtype=np.int64), A.indices, A.indptr), shape=(n, n))
         return cls(order, index, A, B, np.diff(A.indptr))
@@ -135,7 +134,7 @@ def community_metrics(g: LayerGraph, members, csr: GraphCSR | None = None) -> Co
     members = frozenset(members)
     if not members:
         raise ValueError("empty member set")
-    missing = members - g.nodes
+    missing = members.difference(g.nodes)
     if missing:
         raise ValueError(f"{len(missing)} members not in graph, e.g. {sorted(missing)[:3]}")
     if csr is None:
@@ -254,7 +253,7 @@ def node_metrics(g: LayerGraph, damping: float = 0.85,
     n = len(csr.order)
     degc = (csr.degree / (n - 1)).tolist() if n > 1 else [0.0] * n
     clus = _local_clustering(csr.B).tolist()
-    if g.edges:
+    if g.n_edges:
         eig = _eigenvector_centrality(csr.A)
         pr = _pagerank(csr.A, damping)
     else:

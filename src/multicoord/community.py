@@ -21,6 +21,11 @@ edges.
 All detection is deterministic for a fixed seed (node visit order is a
 seeded shuffle) and community ids are canonicalized by decreasing size,
 ties broken by smallest member id.
+
+All of it reads LayerGraph's edge arrays; a flattened graph is a
+LayerGraph named after its scope. Sums run left to right in edge-row
+order (np.bincount) or through math.fsum, so each float is the one a
+per-edge loop gives (tests/test_properties.py keeps those loops).
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DataError
-from .netbuild import EdgeData, LayerGraph, MultiplexNetwork, _ekey
+from .netbuild import LayerGraph, MultiplexNetwork, _group_pairs, _group_sums, _stacked
 
 logger = logging.getLogger(__name__)
 
@@ -75,12 +82,6 @@ class MultiplexPartition:
         return tuple(sorted({layer for (_, layer) in self.assignment}))
 
 
-@dataclass(frozen=True)
-class FlattenedGraph:
-    strategy: str  # nw | ec | sum | intersection
-    graph: LayerGraph
-
-
 def communities(assignment: dict) -> dict[int, frozenset]:
     """Group an assignment map into community id -> member set."""
     groups: dict[int, set] = defaultdict(set)
@@ -98,40 +99,44 @@ def _canonical_ids(assignment: dict) -> dict:
     return {node: i for i, members in enumerate(ordered) for node in members}
 
 
-def _as_layer_graph(g) -> LayerGraph:
-    return g.graph if isinstance(g, FlattenedGraph) else g
-
-
 # ---------------------------------------------------------------------------
 # quality functions
 
 
-def modularity(g, p: Partition, gamma: float = 1.0) -> float:
+def _strengths(g: LayerGraph) -> np.ndarray:
+    """Weighted degree per node, each summed left to right in edge-row order
+    (bincount over u0, v0, u1, v1, ...)."""
+    return np.bincount(np.column_stack((g.u, g.v)).ravel(), weights=np.repeat(g.weight, 2),
+                       minlength=g.n_nodes)
+
+
+def _labels(comm: list) -> np.ndarray:
+    """Community ids (any hashable values) relabelled densely as 0..k-1."""
+    index: dict = {}
+    return np.array([index.setdefault(c, len(index)) for c in comm], dtype=np.int64)
+
+
+def modularity(g: LayerGraph, p: Partition, gamma: float = 1.0) -> float:
     """Newman-Girvan weighted modularity
     Q = (1/2m) sum_ij (w_ij - gamma k_i k_j / 2m) d(c_i, c_j).
 
     Zero-edge graphs score 0 by convention.
     """
-    g = _as_layer_graph(g)
     missing = [n for n in g.nodes if n not in p.assignment]
     if missing:
         raise DataError(f"partition does not cover {len(missing)} nodes of {g.layer}")
     two_m = 2.0 * g.total_weight()
     if two_m == 0.0:
         return 0.0
-    strength: dict[str, float] = defaultdict(float)
-    internal: dict[int, float] = defaultdict(float)
-    for (u, v), data in g.edges.items():
-        strength[u] += data.weight
-        strength[v] += data.weight
-        if p.assignment[u] == p.assignment[v]:
-            internal[p.assignment[u]] += 2.0 * data.weight
-    comm_strength: dict[int, float] = defaultdict(float)
-    for n in sorted(g.nodes):  # fixed order: float sums must not follow set order
-        comm_strength[p.assignment[n]] += strength[n]
-    return math.fsum(
-        internal.get(c, 0.0) / two_m - gamma * (k / two_m) ** 2
-        for c, k in sorted(comm_strength.items()))
+    label = _labels([p.assignment[n] for n in g.nodes])
+    same = label[g.u] == label[g.v]
+    # bincount adds left to right: internal weight in row order, community
+    # strength in node order
+    internal = np.bincount(label[g.u][same], weights=2.0 * g.weight[same],
+                           minlength=label.max() + 1)
+    comm_k = np.bincount(label, weights=_strengths(g))
+    return math.fsum(i / two_m - gamma * (k / two_m) ** 2
+                     for i, k in zip(internal.tolist(), comm_k.tolist()))
 
 
 def multislice_modularity(net: MultiplexNetwork, p: MultiplexPartition,
@@ -142,13 +147,13 @@ def multislice_modularity(net: MultiplexNetwork, p: MultiplexPartition,
     weight (omega per ordered pair of an actor's copies).
     """
     layer_order = net.layer_names()
-    copies: dict[str, int] = defaultdict(int)
+    layers_of: dict[str, list[str]] = defaultdict(list)
     for layer in layer_order:
         for node in net.layers[layer].nodes:
             if (node, layer) not in p.assignment:
                 raise DataError(f"partition does not cover ({node!r}, {layer!r})")
-            copies[node] += 1
-    coupling_total = omega * math.fsum(c * (c - 1) for c in copies.values())
+            layers_of[node].append(layer)
+    coupling_total = omega * math.fsum(len(ls) * (len(ls) - 1) for ls in layers_of.values())
     two_m = {layer: 2.0 * net.layers[layer].total_weight() for layer in layer_order}
     two_mu = math.fsum(two_m.values()) + coupling_total
     if two_mu == 0.0:
@@ -156,27 +161,20 @@ def multislice_modularity(net: MultiplexNetwork, p: MultiplexPartition,
     raw = 0.0
     for layer in layer_order:
         g = net.layers[layer]
-        if not g.edges:
+        if not g.n_edges:
             continue
-        strength: dict[str, float] = defaultdict(float)
-        internal = 0.0
-        for (u, v), data in g.edges.items():
-            strength[u] += data.weight
-            strength[v] += data.weight
-            if p.assignment[(u, layer)] == p.assignment[(v, layer)]:
-                internal += 2.0 * data.weight
-        comm_strength: dict[int, float] = defaultdict(float)
-        for node in sorted(g.nodes):  # fixed order, see modularity()
-            comm_strength[p.assignment[(node, layer)]] += strength[node]
-        null = math.fsum(k * k for _, k in sorted(comm_strength.items())) / two_m[layer]
-        raw += internal - gamma * null
+        label = _labels([p.assignment[(node, layer)] for node in g.nodes])
+        internal = np.cumsum(2.0 * g.weight[label[g.u] == label[g.v]])  # left to right
+        comm_k = np.bincount(label, weights=_strengths(g))
+        null = math.fsum((comm_k * comm_k).tolist()) / two_m[layer]
+        raw += (float(internal[-1]) if len(internal) else 0.0) - gamma * null
     if omega != 0.0:
         coupled = 0.0
-        for actor in sorted(copies):
-            layers_of = [l for l in layer_order if actor in net.layers[l].nodes]
-            for i in range(len(layers_of)):
-                for j in range(i + 1, len(layers_of)):
-                    if p.assignment[(actor, layers_of[i])] == p.assignment[(actor, layers_of[j])]:
+        for actor in sorted(layers_of):
+            ls = layers_of[actor]
+            for i in range(len(ls)):
+                for j in range(i + 1, len(ls)):
+                    if p.assignment[(actor, ls[i])] == p.assignment[(actor, ls[j])]:
                         coupled += 2.0 * omega
         raw += coupled
     return raw / two_mu
@@ -356,34 +354,39 @@ def _optimize(prob: _Problem, gamma: float, inv_two_m: list[float], two_mu: floa
 # public detection operations
 
 
-def louvain(g, gamma: float = 1.0, seed: int = 42) -> Partition:
+def _adjacency(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[dict[int, float]]:
+    """Neighbour -> weight dicts of the symmetric edge rows (u, v, w), each
+    in increasing neighbour order: the order in which a walk over rows
+    sorted by (u, v) would insert them."""
+    rows, cols, ws = np.concatenate((u, v)), np.concatenate((v, u)), np.concatenate((w, w))
+    order = np.lexsort((cols, rows))
+    bounds = np.searchsorted(rows[order], np.arange(n + 1)).tolist()
+    cols, ws = cols[order].tolist(), ws[order].tolist()
+    return [dict(zip(cols[a:b], ws[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
+def louvain(g: LayerGraph, gamma: float = 1.0, seed: int = 42) -> Partition:
     """Greedy modularity optimization on a single graph.
 
     Deterministic for a fixed seed; the returned partition's trace holds
     modularity after each pass and is non-decreasing (within float noise).
     """
-    lg = _as_layer_graph(g)
-    if not lg.nodes:
-        raise DataError(f"cannot run louvain on empty graph {lg.layer!r}")
-    names = sorted(lg.nodes)
-    index = {u: i for i, u in enumerate(names)}
-    if not lg.edges:
-        assignment = {u: i for i, u in enumerate(names)}
-        return Partition(scope=lg.layer, assignment=assignment, gamma=gamma, trace=(0.0,))
+    if not g.nodes:
+        raise DataError(f"cannot run louvain on empty graph {g.layer!r}")
+    names = g.nodes
+    if not g.n_edges:
+        return Partition(scope=g.layer, assignment={u: i for i, u in enumerate(names)},
+                         gamma=gamma, trace=(0.0,))
     prob = _Problem(len(names), 1)
-    for (u, v), data in lg.edges.items():
-        iu, iv = index[u], index[v]
-        prob.adj[iu][iv] = prob.adj[iu].get(iv, 0.0) + data.weight
-        prob.adj[iv][iu] = prob.adj[iv].get(iu, 0.0) + data.weight
-        prob.strength[iu][0] += data.weight
-        prob.strength[iv][0] += data.weight
-    two_m = 2.0 * lg.total_weight()
+    prob.adj = _adjacency(len(names), g.u, g.v, g.weight)
+    prob.strength = [[k] for k in _strengths(g).tolist()]
+    two_m = 2.0 * g.total_weight()
     rng = random.Random(seed)
     comm, trace = _optimize(prob, gamma, [1.0 / two_m], two_m, rng)
-    assignment = _canonical_ids({u: comm[index[u]] for u in names})
+    assignment = _canonical_ids(dict(zip(names, comm)))
     logger.info("louvain[%s]: %d nodes -> %d communities, Q=%.6f (%d passes)",
-                lg.layer, len(names), len(set(assignment.values())), trace[-1], len(trace))
-    return Partition(scope=lg.layer, assignment=assignment, gamma=gamma, trace=tuple(trace))
+                g.layer, len(names), len(set(assignment.values())), trace[-1], len(trace))
+    return Partition(scope=g.layer, assignment=assignment, gamma=gamma, trace=tuple(trace))
 
 
 def generalized_louvain(net: MultiplexNetwork, gamma: float = 1.0,
@@ -395,30 +398,27 @@ def generalized_louvain(net: MultiplexNetwork, gamma: float = 1.0,
     a null-model term). Deterministic for a fixed seed.
     """
     layer_order = net.layer_names()
-    names: list[tuple[str, str]] = []
-    for layer in layer_order:
-        names.extend((actor, layer) for actor in sorted(net.layers[layer].nodes))
+    graphs = [net.layers[layer] for layer in layer_order]
+    # supra-node offset + i is (g.nodes[i], layer): layers in order, ids sorted
+    offsets = np.cumsum([0] + [g.n_nodes for g in graphs]).tolist()
+    names = [(actor, layer) for layer, g in zip(layer_order, graphs) for actor in g.nodes]
     if not names:
         raise DataError("cannot run generalized_louvain on an empty network")
-    index = {node: i for i, node in enumerate(names)}
-    slice_of = {layer: s for s, layer in enumerate(layer_order)}
     prob = _Problem(len(names), len(layer_order))
+    rows = [(off + g.u, off + g.v, g.weight) for off, g in zip(offsets, graphs)]
+    prob.adj = _adjacency(len(names), *map(np.concatenate, zip(*rows)))
     two_m = [0.0] * len(layer_order)
-    for layer in layer_order:
-        s = slice_of[layer]
-        for (u, v), data in net.layers[layer].edges.items():
-            iu, iv = index[(u, layer)], index[(v, layer)]
-            prob.adj[iu][iv] = prob.adj[iu].get(iv, 0.0) + data.weight
-            prob.adj[iv][iu] = prob.adj[iv].get(iu, 0.0) + data.weight
-            prob.strength[iu][s] += data.weight
-            prob.strength[iv][s] += data.weight
-            two_m[s] += 2.0 * data.weight
+    for s, (off, g) in enumerate(zip(offsets, graphs)):
+        for i, k in enumerate(_strengths(g).tolist()):
+            prob.strength[off + i][s] = k
+        if g.n_edges:
+            two_m[s] = float(np.cumsum(2.0 * g.weight)[-1])  # left to right
     coupling_total = 0.0
     if omega != 0.0:
         copies: dict[str, list[int]] = defaultdict(list)
-        for layer in layer_order:
-            for actor in sorted(net.layers[layer].nodes):
-                copies[actor].append(index[(actor, layer)])
+        for off, g in zip(offsets, graphs):
+            for i, actor in enumerate(g.nodes):
+                copies[actor].append(off + i)
         for actor in sorted(copies):
             idxs = copies[actor]
             coupling_total += omega * len(idxs) * (len(idxs) - 1)
@@ -434,7 +434,7 @@ def generalized_louvain(net: MultiplexNetwork, gamma: float = 1.0,
     inv_two_m = [1.0 / m if m > 0.0 else 0.0 for m in two_m]
     rng = random.Random(seed)
     comm, trace = _optimize(prob, gamma, inv_two_m, two_mu, rng)
-    assignment = _canonical_ids({node: comm[index[node]] for node in names})
+    assignment = _canonical_ids(dict(zip(names, comm)))
     logger.info("generalized_louvain: %d supra-nodes over %d layers -> %d communities, "
                 "Q=%.6f (%d passes)", len(names), len(layer_order),
                 len(set(assignment.values())), trace[-1], len(trace))
@@ -446,56 +446,48 @@ def generalized_louvain(net: MultiplexNetwork, gamma: float = 1.0,
 # flattening and restriction
 
 
-def flatten_union(net: MultiplexNetwork, strategy: str) -> FlattenedGraph:
-    """Union-flatten the multiplex: node and edge sets are unions over
-    layers; weights per strategy: nw -> 1, ec -> number of layers carrying
-    the edge, sum -> sum of layer weights (layers summed in canonical order).
+def _flatten(graphs: list[LayerGraph], scope: str) -> tuple[LayerGraph, np.ndarray]:
+    """The union of the graphs over all their nodes, and how many graphs
+    carry each edge. Weights are math.fsum over the carrying graphs in list
+    order; co_actions and window_count are sums.
+    """
+    nodes, u, v, order, bounds = _group_pairs(graphs)
+    w = _stacked([g.weight for g in graphs], order, float).tolist()
+    b = bounds.tolist()
+    weight = np.array([math.fsum(w[lo:hi]) for lo, hi in zip(b, b[1:])], dtype=float)
+    flat = LayerGraph(scope, nodes, u, v, weight,
+                      _group_sums(graphs, "co_actions", order, bounds),
+                      _group_sums(graphs, "window_count", order, bounds))
+    return flat, np.diff(bounds)
+
+
+def flatten_union(net: MultiplexNetwork, strategy: str) -> LayerGraph:
+    """Union-flatten the multiplex into the graph of scope unfl-<strategy>:
+    node and edge sets are unions over layers; weights per strategy: nw ->
+    1, ec -> number of layers carrying the edge, sum -> sum of layer
+    weights (layers summed in canonical order).
     """
     if strategy not in UNION_STRATEGIES:
         raise ValueError(f"unknown union strategy {strategy!r}; expected one of {UNION_STRATEGIES}")
-    per_edge: dict[tuple[str, str], list[EdgeData]] = defaultdict(list)
-    nodes: set[str] = set()
-    for layer in net.layer_names():
-        g = net.layers[layer]
-        nodes |= g.nodes
-        for key, data in g.edges.items():
-            per_edge[key].append(data)
-    out = LayerGraph(layer=f"unfl-{strategy}", nodes=nodes)
-    for key in sorted(per_edge):
-        datas = per_edge[key]
-        if strategy == "nw":
-            w = 1.0
-        elif strategy == "ec":
-            w = float(len(datas))
-        else:
-            w = math.fsum(d.weight for d in datas)
-        out.edges[key] = EdgeData(w, sum(d.co_actions for d in datas),
-                                  sum(d.window_count for d in datas))
-    return FlattenedGraph(strategy=strategy, graph=out)
+    flat, carried = _flatten([net.layers[layer] for layer in net.layer_names()],
+                             f"unfl-{strategy}")
+    if strategy == "nw":
+        flat.weight = np.ones(flat.n_edges)
+    elif strategy == "ec":
+        flat.weight = carried.astype(float)
+    return flat
 
 
-def flatten_intersection(net: MultiplexNetwork) -> FlattenedGraph:
-    """Intersection-flatten: keep only edges present in every layer, with
-    summed weights; nodes are the endpoints of surviving edges.
+def flatten_intersection(net: MultiplexNetwork) -> LayerGraph:
+    """Intersection-flatten into the graph of scope intfl: keep only edges
+    present in every layer, with summed weights; nodes are the endpoints of
+    surviving edges.
     """
     layer_order = net.layer_names()
     if len(layer_order) < 2:
         raise ValueError("intersection flattening needs at least 2 layers")
-    counts: dict[tuple[str, str], int] = defaultdict(int)
-    for layer in layer_order:
-        for key in net.layers[layer].edges:
-            counts[key] += 1
-    out = LayerGraph(layer="intfl")
-    for key in sorted(counts):
-        if counts[key] != len(layer_order):
-            continue
-        w = math.fsum(net.layers[layer].edges[key].weight for layer in layer_order)
-        co = sum(net.layers[layer].edges[key].co_actions for layer in layer_order)
-        wc = sum(net.layers[layer].edges[key].window_count for layer in layer_order)
-        out.edges[key] = EdgeData(w, co, wc)
-        out.nodes.add(key[0])
-        out.nodes.add(key[1])
-    return FlattenedGraph(strategy="intersection", graph=out)
+    flat, carried = _flatten([net.layers[layer] for layer in layer_order], "intfl")
+    return flat.edge_subgraph(carried == len(layer_order))
 
 
 def restrict_to_layer(p: MultiplexPartition, layer: str) -> Partition:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DataError, UndefinedMetricError
 from .community import MultiplexPartition, Partition, communities
+from .netbuild import _group_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -326,28 +327,28 @@ def actor_coverage(net, layer_i: str, layer_j: str) -> float:
     gi, gj = net.layers[layer_i], net.layers[layer_j]
     if not gi.nodes:
         raise DataError(f"layer {layer_i!r} has no nodes")
-    return len(gi.nodes & gj.nodes) / len(gi.nodes)
+    return len(set(gi.nodes).intersection(gj.nodes)) / len(gi.nodes)
 
 
 def edge_coverage(net, layer_i: str, layer_j: str) -> float:
     """|E^i n E^j| / |E^i| over unordered endpoint pairs, ignoring weights."""
     gi, gj = net.layers[layer_i], net.layers[layer_j]
-    if not gi.edges:
+    if not gi.n_edges:
         raise DataError(f"layer {layer_i!r} has no edges")
-    return len(gi.edges.keys() & gj.edges.keys()) / len(gi.edges)
+    bounds = _group_pairs([gi, gj])[-1]  # a pair of both layers is a group of 2
+    return int(np.count_nonzero(np.diff(bounds) == 2)) / gi.n_edges
 
 
 def pearson_degree_correlation(net, layer_i: str, layer_j: str) -> float:
     """Pearson correlation of unweighted degrees over the common actors."""
     gi, gj = net.layers[layer_i], net.layers[layer_j]
-    common = sorted(gi.nodes & gj.nodes)
+    common = set(gi.nodes).intersection(gj.nodes)
     if len(common) < 2:
         raise UndefinedMetricError(
             f"degree correlation needs >= 2 common actors between {layer_i!r} and {layer_j!r}")
-    di = gi.degrees()
-    dj = gj.degrees()
-    x = np.array([di[u] for u in common], dtype=float)
-    y = np.array([dj[u] for u in common], dtype=float)
+    # degrees of the common actors, both in id order as nodes are sorted
+    x, y = (np.bincount(np.concatenate((g.u, g.v)), minlength=g.n_nodes)
+            [[u in common for u in g.nodes]].astype(float) for g in (gi, gj))
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise UndefinedMetricError("degree correlation undefined for a constant degree vector")
     return float(np.corrcoef(x, y)[0, 1])

@@ -4,17 +4,20 @@ Stage one keeps edges backed by at least th_a shared distinct items
 (co_actions), where th_a is either fixed or auto-selected as the smallest
 integer whose surviving node count fits a node budget. Stage two keeps
 edges with weight at or above a threshold, by default the median weight of
-the stage-one graph. Isolated nodes are pruned after each stage.
+the stage-one graph. Each stage is a boolean mask over the graph's edge
+rows; nodes left without an edge are pruned after each stage.
 
-The median is the lower median: element (n - 1) // 2 of the sorted weight
-list, so it is always an actual edge weight and the kept set is never
+The median is the lower median: element (n - 1) // 2 of the sorted
+weights, so it is always an actual edge weight and the kept set is never
 empty when the input has edges.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvariantError
 from .netbuild import LayerGraph, MultiplexNetwork
@@ -61,54 +64,32 @@ class FilterReport:
     edges_final: int = 0
 
 
-def _prune_isolates(layer: str, edges: dict) -> LayerGraph:
-    nodes: set = set()
-    for u, v in edges:
-        nodes.add(u)
-        nodes.add(v)
-    return LayerGraph(layer=layer, nodes=nodes, edges=dict(edges))
-
-
 def filter_by_actions(g: LayerGraph, th_a: int) -> LayerGraph:
     """Keep edges with co_actions >= th_a and drop isolated nodes."""
     if th_a < 1:
         raise ValueError(f"th_a must be >= 1, got {th_a}")
-    kept = {key: data for key, data in g.edges.items() if data.co_actions >= th_a}
-    return _prune_isolates(g.layer, kept)
+    return g.edge_subgraph(g.co_actions >= th_a)
 
 
 def auto_threshold(g: LayerGraph, max_nodes: int) -> int:
     """Smallest th_a whose filtered graph has at most max_nodes nodes.
 
-    Candidate thresholds are 1 and each distinct co_actions value plus one
-    (the node count only changes there). Edges are scanned once in
-    descending co_actions order, growing the surviving node set as the
-    candidate threshold drops; the scan stops at the last candidate that
-    still fits the budget.
+    A node survives th_a when its largest co_actions reaches th_a, so with
+    those per-node maxima sorted in descending order, the answer is one
+    above the (max_nodes + 1)-th of them, or 1 when every node fits.
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
-    if not g.edges:
+    best = np.zeros(g.n_nodes, dtype=np.int64)
+    np.maximum.at(best, g.u, g.co_actions)
+    np.maximum.at(best, g.v, g.co_actions)
+    best = np.sort(best[best > 0])[::-1]
+    if len(best) <= max_nodes:
         return 1
-    by_co = sorted(g.edges.items(), key=lambda kv: -kv[1].co_actions)
-    nodes: set = set()
-    i = 0
-    n_edges = len(by_co)
-    while i < n_edges:
-        co = by_co[i][1].co_actions
-        while i < n_edges and by_co[i][1].co_actions == co:
-            (u, v), _ = by_co[i]
-            nodes.add(u)
-            nodes.add(v)
-            i += 1
-        # nodes now holds the graph at th_a = co; if it overflows, co + 1 is
-        # the smallest integer that cuts this block (and everything below)
-        if len(nodes) > max_nodes:
-            if co == by_co[0][1].co_actions:
-                logger.warning("layer %s: no threshold keeps any edge within %d nodes; "
-                               "using %d", g.layer, max_nodes, co + 1)
-            return co + 1
-    return 1
+    if best[max_nodes] == best[0]:
+        logger.warning("layer %s: no threshold keeps any edge within %d nodes; "
+                       "using %d", g.layer, max_nodes, best[0] + 1)
+    return int(best[max_nodes]) + 1
 
 
 def filter_by_weight(g: LayerGraph, rule: str = "median",
@@ -121,40 +102,36 @@ def filter_by_weight(g: LayerGraph, rule: str = "median",
     """
     if rule not in WEIGHT_RULES:
         raise ValueError(f"rule must be one of {WEIGHT_RULES}, got {rule!r}")
-    if not g.edges:
+    if not g.n_edges:
         logger.warning("layer %s: weight filter on an empty graph", g.layer)
-        return LayerGraph(layer=g.layer, nodes=set(), edges={}), 0.0
+        return LayerGraph(layer=g.layer), 0.0
     if rule == "median":
-        weights = sorted(data.weight for data in g.edges.values())
-        threshold = weights[(len(weights) - 1) // 2]
+        threshold = float(np.sort(g.weight)[(g.n_edges - 1) // 2])
     else:
         if value is None:
             raise ValueError("rule 'fixed' needs a value")
         threshold = float(value)
-    kept = {key: data for key, data in g.edges.items() if data.weight >= threshold}
-    return _prune_isolates(g.layer, kept), threshold
+    return g.edge_subgraph(g.weight >= threshold), threshold
 
 
 def filter_layer(g: LayerGraph, cfg: FilterConfig) -> tuple[LayerGraph, FilterReport]:
     """Run both stages on one layer and report before/after sizes."""
     auto = cfg.th_a is None
     th_a = auto_threshold(g, cfg.max_nodes) if auto else cfg.th_a
-    report = FilterReport(layer=g.layer, th_a=th_a, th_a_auto=auto,
-                          weight_rule=cfg.weight_rule, weight_threshold=None,
-                          nodes_raw=g.n_nodes, edges_raw=g.n_edges)
     stage1 = filter_by_actions(g, th_a)
-    report.nodes_actions = stage1.n_nodes
-    report.edges_actions = stage1.n_edges
     stage2, threshold = filter_by_weight(stage1, cfg.weight_rule, cfg.weight_value)
-    report.weight_threshold = threshold if stage1.edges else None
-    report.nodes_final = stage2.n_nodes
-    report.edges_final = stage2.n_edges
+    report = FilterReport(layer=g.layer, th_a=th_a, th_a_auto=auto,
+                          weight_rule=cfg.weight_rule,
+                          weight_threshold=threshold if stage1.n_edges else None,
+                          nodes_raw=g.n_nodes, edges_raw=g.n_edges,
+                          nodes_actions=stage1.n_nodes, edges_actions=stage1.n_edges,
+                          nodes_final=stage2.n_nodes, edges_final=stage2.n_edges)
     if stage2.n_nodes > g.n_nodes or stage2.n_edges > g.n_edges:
         raise InvariantError(f"layer {g.layer}: filtering grew the graph")
     logger.info("layer %s: %d/%d -> th_a=%d -> %d/%d -> w>=%s -> %d/%d",
                 g.layer, g.n_nodes, g.n_edges, th_a,
                 stage1.n_nodes, stage1.n_edges,
-                f"{threshold:g}" if stage1.edges else "-",
+                f"{threshold:g}" if stage1.n_edges else "-",
                 stage2.n_nodes, stage2.n_edges)
     return stage2, report
 

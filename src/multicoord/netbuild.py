@@ -8,6 +8,11 @@ LayerGraph per action type. The five LayerGraphs over a shared actor
 universe form the MultiplexNetwork that all downstream detection and
 comparison operates on.
 
+A LayerGraph is a sorted node tuple plus COO edge arrays sorted by
+(u, v), which every later stage reads. _group_pairs re-keys graphs onto
+their node union and groups equal pairs with one stable sort, for the
+window merge, the flattenings and edge coverage.
+
 IDF is computed within each layer-window (idf = ln(N_w / df)), so items
 used by every active user in a window are nulled: window-local virality
 carries no coordination signal.
@@ -19,7 +24,8 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from itertools import compress
+from typing import Iterable
 
 import numpy as np
 
@@ -45,29 +51,37 @@ class Window:
         return self.start <= ts < self.end
 
 
-class EdgeData(NamedTuple):
-    weight: float
-    co_actions: int
-    window_count: int
+class EdgeRowError(ValueError):
+    """Edge row ``row`` (0-based, in input order) that no LayerGraph holds."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"edge row {row}: {reason}")
+        self.row, self.reason = row, reason
 
 
-def _ekey(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
+def _ints(values=()) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
 
 
-@dataclass
+@dataclass(eq=False)
 class LayerGraph:
-    """Undirected weighted co-action graph for one layer.
+    """Undirected weighted co-action graph for one layer, as sorted COO arrays.
 
     ``layer`` is one of the five action names for real layers; flattened
-    graphs reuse the structure with a synthetic scope name. Edge keys are
-    sorted (u, v) pairs; no self-loops. Nodes are edge endpoints (users
-    participating in at least one co-action).
+    graphs use their scope name. ``nodes`` is the sorted tuple of node ids,
+    isolated nodes included. Row k is the edge between nodes[u[k]] and
+    nodes[v[k]] with u[k] < v[k]; rows are sorted by (u, v), so no pair
+    repeats and there are no self-loops. ``weight``, ``co_actions`` and
+    ``window_count`` are row-aligned with u and v.
     """
 
     layer: str
-    nodes: set[str] = field(default_factory=set)
-    edges: dict[tuple[str, str], EdgeData] = field(default_factory=dict)
+    nodes: tuple = ()
+    u: np.ndarray = field(default_factory=_ints)
+    v: np.ndarray = field(default_factory=_ints)
+    weight: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    co_actions: np.ndarray = field(default_factory=_ints)
+    window_count: np.ndarray = field(default_factory=_ints)
 
     @property
     def n_nodes(self) -> int:
@@ -75,35 +89,93 @@ class LayerGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
-
-    def degrees(self) -> dict[str, int]:
-        """Unweighted degree per node."""
-        deg = dict.fromkeys(self.nodes, 0)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return len(self.u)
 
     def total_weight(self) -> float:
-        return math.fsum(d.weight for d in self.edges.values())
+        return math.fsum(self.weight.tolist())
+
+    def edge_subgraph(self, keep=None) -> "LayerGraph":
+        """The rows where the boolean mask ``keep`` is true (all rows by
+        default), over their endpoints only: nodes left without an edge go.
+        """
+        cols = [self.u, self.v, self.weight, self.co_actions, self.window_count]
+        if keep is not None:
+            cols = [c[keep] for c in cols]
+        used = np.zeros(self.n_nodes, dtype=bool)
+        used[cols[0]] = True
+        used[cols[1]] = True
+        new_index = np.cumsum(used) - 1  # increasing, so rows stay sorted
+        return LayerGraph(self.layer, tuple(compress(self.nodes, used.tolist())),
+                          new_index[cols[0]], new_index[cols[1]], *cols[2:])
 
     @classmethod
-    def from_pairs(cls, layer: str, pairs: Iterable[tuple]) -> "LayerGraph":
+    def from_pairs(cls, layer: str, pairs: Iterable, nodes: Iterable[str] = ()) -> "LayerGraph":
         """Build a graph from (u, v, weight[, co_actions[, window_count]])
-        tuples; convenience for fixtures and demos.
+        rows in any order, numbers possibly as text; the counts default to 1
+        and ``nodes`` adds isolated nodes. Raises EdgeRowError for the first
+        row that is not numeric, is a self-loop or a pair already seen, or
+        has a non-finite or non-positive weight or a count below 1.
         """
-        g = cls(layer)
-        for p in pairs:
-            u, v, w = p[0], p[1], float(p[2])
-            if u == v:
-                raise ValueError(f"self-loop {u!r}")
-            co = int(p[3]) if len(p) > 3 else 1
-            wc = int(p[4]) if len(p) > 4 else 1
-            g.edges[_ekey(u, v)] = EdgeData(w, co, wc)
-            g.nodes.add(u)
-            g.nodes.add(v)
-        return g
+        rows = [tuple(p) + (1,) * (5 - len(p)) for p in pairs]
+        a, b, w, co, wc = zip(*rows) if rows else ((),) * 5
+        try:
+            weight = np.array(list(map(float, w)), dtype=float)
+            co, wc = _ints(list(map(int, co))), _ints(list(map(int, wc)))
+        except ValueError:
+            for k, r in enumerate(rows):
+                try:
+                    float(r[2]), int(r[3]), int(r[4])
+                except ValueError:
+                    raise EdgeRowError(k, f"not a number in {r[2:]!r}") from None
+            raise
+        names = tuple(sorted(set(a).union(b, nodes)))
+        index = {x: k for k, x in enumerate(names)}
+        ia, ib = _ints(list(map(index.__getitem__, a))), _ints(list(map(index.__getitem__, b)))
+        u, v = np.minimum(ia, ib), np.maximum(ia, ib)
+        order = np.lexsort((v, u))
+        repeat = np.zeros(len(rows), dtype=bool)
+        repeat[order[1:]] = (u[order[1:]] == u[order[:-1]]) & (v[order[1:]] == v[order[:-1]])
+        problems = (("self-loop", ia == ib), ("pair already seen", repeat),
+                    ("weight not finite and positive", ~(np.isfinite(weight) & (weight > 0))),
+                    ("co_actions or window_count below 1", (co < 1) | (wc < 1)))
+        bad = [(int(np.argmax(mask)), reason) for reason, mask in problems if mask.any()]
+        if bad:
+            raise EdgeRowError(*min(bad, key=lambda kr: kr[0]))
+        return cls(layer, names, u[order], v[order], weight[order], co[order], wc[order])
+
+
+def _group_pairs(graphs: list[LayerGraph]):
+    """Stack the graphs' rows, re-keyed onto the sorted union of their
+    nodes, and group equal pairs with one stable sort. Returns (nodes, u, v,
+    order, bounds): the union, the distinct pairs in (u, v) order, the
+    permutation sorting the stacked rows (a pair's rows keep list order)
+    and the bounds: sorted rows bounds[k]:bounds[k + 1] are pair k.
+    """
+    nodes = tuple(sorted(set().union(*(g.nodes for g in graphs))))
+    index = {x: k for k, x in enumerate(nodes)}
+    n = len(nodes)
+    keys = []
+    for g in graphs:
+        to_union = _ints(list(map(index.__getitem__, g.nodes)))  # increasing
+        keys.append(to_union[g.u] * n + to_union[g.v])
+    key = np.concatenate([_ints(), *keys])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+    u, v = np.divmod(key[starts], n)
+    return nodes, u, v, order, np.append(starts, len(key))
+
+
+def _stacked(columns: list[np.ndarray], order: np.ndarray, dtype) -> np.ndarray:
+    """Per-graph columns stacked, in the sorted order of _group_pairs."""
+    return np.concatenate([np.zeros(0, dtype), *columns])[order]
+
+
+def _group_sums(graphs: list[LayerGraph], column: str, order: np.ndarray,
+                bounds: np.ndarray) -> np.ndarray:
+    """Per-pair sums of an integer column over the groups of _group_pairs."""
+    return np.add.reduceat(_stacked([getattr(g, column) for g in graphs], order, np.int64),
+                           bounds[:-1])
 
 
 @dataclass
@@ -116,14 +188,13 @@ class MultiplexNetwork:
     def __post_init__(self):
         if self.actors is not None:
             for name, g in self.layers.items():
-                if not g.nodes <= self.actors.actors:
+                if not self.actors.actors.issuperset(g.nodes):
                     raise InvariantError(f"layer {name} has nodes outside the actor set")
 
     @classmethod
     def from_layers(cls, layers: dict[str, LayerGraph]) -> "MultiplexNetwork":
         """Wrap pre-built layer graphs; the actor set is their node union."""
-        union = frozenset().union(*(frozenset(g.nodes) for g in layers.values())) \
-            if layers else frozenset()
+        union = frozenset().union(*(g.nodes for g in layers.values()))
         actors = ActorSet(actors=union,
                           per_action_top={name: frozenset(g.nodes) for name, g in layers.items()})
         return cls(actors=actors, layers=dict(layers))
@@ -218,14 +289,13 @@ def build_user_vectors(log: EventLog, actors: ActorSet, layer: str,
     return _vectors_from_counts(counts, layer, window.index)
 
 
-def _window_pairs(vectors: list[UserVector]):
-    """Cosine pairs of one layer-window as arrays.
+def _window_graph(vectors: list[UserVector]) -> LayerGraph:
+    """Cosine graph of one layer-window over all its users.
 
-    Returns (users, i, j, weight, co_actions): ``users`` sorted, and for
-    every pair sharing at least one item, local indices i < j into
-    ``users`` in row-major order, weight = cosine similarity (capped at 1)
-    and co_actions = number of shared items. Zero-similarity pairs are
-    omitted.
+    Every pair sharing at least one item is a row with weight = cosine
+    similarity (capped at 1), co_actions = number of shared items and
+    window_count 1; zero-similarity pairs are omitted. Users without a
+    pair stay as isolated nodes.
     """
     layer = vectors[0].layer
     widx = vectors[0].window_index
@@ -263,64 +333,11 @@ def _window_pairs(vectors: list[UserVector]):
         # shared support iff positive cosine (all weights are positive)
         raise InvariantError("similarity and co-action supports diverge")
 
-    Scoo = S.tocoo()
+    Scoo = S.tocoo()  # row-major with sorted columns: rows sorted by (u, v)
     keep = Scoo.data > 0.0
-    return (users, Scoo.row[keep], Scoo.col[keep], np.minimum(Scoo.data[keep], 1.0),
-            C.data[keep].astype(np.int64))
-
-
-def _graph_pairs(g: LayerGraph):
-    """A LayerGraph's edges in the (users, i, j, weight, co_actions,
-    window_count) form that _merged_layer takes.
-    """
-    users = sorted(g.nodes.union(*g.edges))
-    index = {u: k for k, u in enumerate(users)}
-    data = list(g.edges.values())
-    return (users,
-            np.array([index[u] for u, _ in g.edges], dtype=np.int64),
-            np.array([index[v] for _, v in g.edges], dtype=np.int64),
-            np.array([d.weight for d in data], dtype=np.float64),
-            np.array([d.co_actions for d in data], dtype=np.int64),
-            np.array([d.window_count for d in data], dtype=np.int64))
-
-
-def _merged_layer(layer: str, parts: list, nodes: set[str] | None = None) -> LayerGraph:
-    """Merge per-window pair arrays into one LayerGraph.
-
-    Each part is (users, i, j, weight, co_actions, window_count) with i < j
-    local indices into its sorted ``users``; window_count is an array or a
-    scalar for the whole part. Parts are merged in list order: the weight is
-    sum(weight * window_count) / sum(window_count) per pair, co_actions and
-    window_count are sums. ``nodes`` defaults to the edge endpoints.
-    """
-    if not any(len(p[1]) for p in parts):
-        return LayerGraph(layer=layer, nodes=set(nodes or ()))
-    users = sorted(set().union(*(p[0] for p in parts)))
-    index = {u: k for k, u in enumerate(users)}
-    to_global = [np.array([index[u] for u in p[0]], dtype=np.int64) for p in parts]
-    n = len(users)
-    key = np.concatenate([g[p[1]] * n + g[p[2]] for g, p in zip(to_global, parts)])
-    weight = np.concatenate([p[3] for p in parts])
-    co = np.concatenate([p[4] for p in parts])
-    wc = np.concatenate([np.broadcast_to(p[5], p[1].shape) for p in parts])
-
-    # a stable sort keeps each pair's windows in list order, and bincount
-    # adds strictly left to right: the sums equal sequential float addition
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.r_[True, key[1:] != key[:-1]]
-    starts = np.flatnonzero(first)
-    weight_sum = np.bincount(np.cumsum(first) - 1, weights=(weight * wc)[order])
-    co_sum = np.add.reduceat(co[order], starts)
-    wc_sum = np.add.reduceat(wc[order], starts)
-
-    names = np.array(users, dtype=object)
-    i, j = np.divmod(key[starts], n)
-    us, vs = names[i].tolist(), names[j].tolist()
-    edges = dict(zip(zip(us, vs), map(EdgeData._make, zip(
-        (weight_sum / wc_sum).tolist(), co_sum.tolist(), wc_sum.tolist()))))
-    return LayerGraph(layer=layer, nodes=set(us).union(vs) if nodes is None else set(nodes),
-                      edges=edges)
+    return LayerGraph(layer, tuple(users), _ints(Scoo.row[keep]), _ints(Scoo.col[keep]),
+                      np.minimum(Scoo.data[keep], 1.0), _ints(C.data[keep]),
+                      np.ones(int(keep.sum()), dtype=np.int64))
 
 
 def layer_window_graph(vectors: list[UserVector]) -> LayerGraph:
@@ -328,28 +345,36 @@ def layer_window_graph(vectors: list[UserVector]) -> LayerGraph:
 
     Every user pair sharing at least one non-zero item gets an edge with
     weight = cosine similarity and co_actions = number of shared items;
-    zero-similarity pairs are omitted. Permuting the input list does not
-    change the result (users are sorted internally).
+    zero-similarity pairs are omitted, and so are users without an edge.
+    Permuting the input list does not change the result (users are sorted
+    internally).
     """
     if not vectors:
-        return LayerGraph(layer="", nodes=set(), edges={})
-    return _merged_layer(vectors[0].layer, [(*_window_pairs(vectors), 1)])
+        return LayerGraph(layer="")
+    return _window_graph(vectors).edge_subgraph()
 
 
 def merge_windows(graphs: list[LayerGraph], layer: str | None = None) -> LayerGraph:
-    """Merge per-window graphs of one layer.
+    """Merge per-window graphs of one layer, in list order.
 
-    Edge weight is the mean over the windows where the edge appears,
-    co_actions the sum, window_count the number of appearing windows;
-    nodes are the union.
+    Edge weight is sum(weight * window_count) / sum(window_count) over the
+    windows where the edge appears (the mean for single windows),
+    co_actions and window_count are sums; nodes are the union.
     """
     layers = {g.layer for g in graphs}
     if len(layers) > 1:
         raise ValueError(f"cannot merge graphs from different layers: {sorted(layers)}")
     if layer is None:
         layer = layers.pop() if layers else ""
-    return _merged_layer(layer, [_graph_pairs(g) for g in graphs],
-                         nodes=set().union(*(g.nodes for g in graphs)))
+    nodes, u, v, order, bounds = _group_pairs(graphs)
+    # the stable sort keeps each pair's windows in list order, and bincount
+    # adds strictly left to right: the sums equal sequential float addition
+    weighted = _stacked([g.weight * g.window_count for g in graphs], order, float)
+    group = np.repeat(np.arange(len(u)), np.diff(bounds))
+    weight_sum = np.bincount(group, weights=weighted, minlength=len(u))
+    co_sum = _group_sums(graphs, "co_actions", order, bounds)
+    wc_sum = _group_sums(graphs, "window_count", order, bounds)
+    return LayerGraph(layer, nodes, u, v, weight_sum / wc_sum, co_sum, wc_sum)
 
 
 def build_multiplex(log: EventLog, actors: ActorSet, width: float,
@@ -357,11 +382,8 @@ def build_multiplex(log: EventLog, actors: ActorSet, width: float,
     """Full network construction: window slicing, per-window TF-IDF graphs,
     and window merging for each of the five layers.
     """
-    layers: dict[str, LayerGraph] = {}
     if log.time_span is None:
-        for a in ACTIONS:
-            layers[a] = LayerGraph(layer=a)
-        return MultiplexNetwork(actors=actors, layers=layers)
+        return MultiplexNetwork(actors=actors, layers={a: LayerGraph(a) for a in ACTIONS})
     t_min, _ = log.time_span
     windows = window_slices(log.time_span, width, shift)
     # bucket events once: (layer, window) -> user -> item -> tf
@@ -372,6 +394,7 @@ def build_multiplex(log: EventLog, actors: ActorSet, width: float,
             continue
         for k in _window_index_range(e.timestamp, t_min, width, shift, len(windows)):
             buckets[(e.action, k)][e.user_id][e.item_id] += 1
+    layers: dict[str, LayerGraph] = {}
     for a in ACTIONS:
         parts = []
         for w in windows:
@@ -380,10 +403,8 @@ def build_multiplex(log: EventLog, actors: ActorSet, width: float,
                 continue
             vectors = _vectors_from_counts(counts, a, w.index)
             if vectors:
-                pairs = _window_pairs(vectors)
-                if len(pairs[1]):
-                    parts.append((*pairs, 1))
-        layers[a] = _merged_layer(a, parts)
+                parts.append(_window_graph(vectors))
+        layers[a] = merge_windows(parts, a).edge_subgraph()
         logger.info("build_multiplex: layer %s -> %d nodes, %d edges from %d window graphs",
                     a, layers[a].n_nodes, layers[a].n_edges, len(parts))
     return MultiplexNetwork(actors=actors, layers=layers)

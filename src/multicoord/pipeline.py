@@ -82,6 +82,8 @@ def _section(doc: dict, key: str, cls, default: dict):
         if f.type in ("int", "int | None") and type(v) is not int \
                 and (v is not None or f.type == "int"):
             raise ConfigError(f"{key}: {f.name} must be an integer, got {v!r}")
+        if f.type in ("float", "float | None") and isinstance(v, bool):
+            raise ConfigError(f"{key}: {f.name} must be a number, got {v!r}")
     try:
         return cls(**{**default, **sec})
     except (TypeError, ValueError, DataError) as exc:
@@ -163,6 +165,9 @@ class RunConfig:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ConfigError(f"comparison entries are [ref, other] pairs, got {entry!r}")
             comparisons.append((str(entry[0]), str(entry[1])))
+        for key in ("fraction", "width_hours", "shift_hours"):  # float(true) is 1.0
+            if isinstance(doc.get(key), bool):
+                raise ConfigError(f"{key} must be a number, got {doc[key]!r}")
 
         try:
             return cls(
@@ -275,7 +280,7 @@ def run_build(cfg: RunConfig) -> dict:
     if not log.events:
         logger.warning("build: empty event log; writing empty network")
         net = MultiplexNetwork.from_layers(
-            {layer: LayerGraph(layer=layer, nodes=set(), edges={}) for layer in ACTIONS})
+            {layer: LayerGraph(layer=layer) for layer in ACTIONS})
         filter_reports = []
         actors = None
     else:
@@ -291,15 +296,7 @@ def run_build(cfg: RunConfig) -> dict:
     for layer in ACTIONS:
         ctx.edges(_edges_path(cfg.out, layer), net.layers[layer])
 
-    for rep in filter_reports:
-        records.append({
-            "record": "filter_report", "layer": rep.layer,
-            "th_a": rep.th_a, "th_a_auto": rep.th_a_auto,
-            "weight_rule": rep.weight_rule, "weight_threshold": rep.weight_threshold,
-            "nodes_raw": rep.nodes_raw, "edges_raw": rep.edges_raw,
-            "nodes_actions": rep.nodes_actions, "edges_actions": rep.edges_actions,
-            "nodes_final": rep.nodes_final, "edges_final": rep.edges_final,
-        })
+    records.extend({"record": "filter_report", **asdict(rep)} for rep in filter_reports)
     records.extend(reports.layer_stats(net.layers[layer]) for layer in ACTIONS)
 
     for li in ACTIONS:
@@ -383,8 +380,8 @@ def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
             flat = flatten_intersection(net)
         else:
             flat = flatten_union(net, strategy=mode.split("-", 1)[1])
-        ctx.edges(_edges_path(cfg.out, mode), flat.graph)
-        summaries = [_detect_graph(cfg, ctx, flat.graph)]
+        ctx.edges(_edges_path(cfg.out, mode), flat)
+        summaries = [_detect_graph(cfg, ctx, flat)]
     else:  # multi
         summaries = [_detect_multi(cfg, ctx)]
     ctx.records(os.path.join(cfg.out, f"detect_{mode}.jsonl"), summaries)

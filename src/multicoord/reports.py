@@ -17,9 +17,11 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError
 from .community import MultiplexPartition, Partition
-from .netbuild import EdgeData, LayerGraph
+from .netbuild import EdgeRowError, LayerGraph
 
 logger = logging.getLogger(__name__)
 
@@ -61,13 +63,15 @@ def write_edges_tsv(path: str, g: LayerGraph, version: str = "0",
         fh.write(_meta_line(version, cfg_hash))
         fh.write(f"# layer {g.layer}\n")
         fh.write("user_a\tuser_b\tweight\tco_actions\twindow_count\n")
-        for (u, v) in sorted(g.edges):
-            d = g.edges[(u, v)]
-            fh.write(f"{u}\t{v}\t{_fmt(d.weight)}\t{d.co_actions}\t{d.window_count}\n")
+        names = g.nodes
+        rows = zip(g.u.tolist(), g.v.tolist(), g.weight.tolist(), g.co_actions.tolist(),
+                   g.window_count.tolist())
+        fh.writelines(f"{names[a]}\t{names[b]}\t{_fmt(w)}\t{co}\t{wc}\n"
+                      for a, b, w, co, wc in rows)
 
 
 def _tsv_rows(path: str, what: str, n_cols: int, directives: dict):
-    """Yield the fields of every data row of a written table.
+    """Yield (line number, fields) for every data row of a written table.
 
     Before the column header, lines starting with '#' are comments; a
     `# key value` comment is stored as directives[key] = value. From the
@@ -95,20 +99,21 @@ def _tsv_rows(path: str, what: str, n_cols: int, directives: dict):
             if len(parts) != n_cols:
                 raise DataError(f"{path}:{line_no}: expected {n_cols} columns, "
                                 f"got {len(parts)}")
-            yield parts
+            yield line_no, parts
 
 
 def read_edges_tsv(path: str) -> LayerGraph:
+    """Read an edge list; a row no LayerGraph holds (see from_pairs) is a
+    DataError naming its line."""
     directives: dict = {}
-    edges: dict = {}
-    for u, v, w, co, wc in _tsv_rows(path, "edge list", 5, directives):
-        edges[(u, v) if u <= v else (v, u)] = EdgeData(
-            weight=float(w), co_actions=int(co), window_count=int(wc))
+    rows = list(_tsv_rows(path, "edge list", 5, directives))
     layer = directives.get("layer")
     if layer is None:
         raise DataError(f"{path}: missing '# layer' line")
-    nodes = {u for key in edges for u in key}
-    return LayerGraph(layer=layer, nodes=nodes, edges=edges)
+    try:
+        return LayerGraph.from_pairs(layer, (parts for _, parts in rows))
+    except EdgeRowError as exc:
+        raise DataError(f"{path}:{rows[exc.row][0]}: {exc.reason}") from exc
 
 
 def write_partition_tsv(path: str, p: Partition, version: str = "0",
@@ -124,7 +129,7 @@ def write_partition_tsv(path: str, p: Partition, version: str = "0",
 
 def read_partition_tsv(path: str) -> Partition:
     directives: dict = {}
-    assignment = {user: int(comm) for user, comm
+    assignment = {user: int(comm) for _, (user, comm)
                   in _tsv_rows(path, "partition", 2, directives)}
     scope = directives.get("scope")
     if scope is None:
@@ -148,7 +153,7 @@ def write_multiplex_partition_tsv(path: str, p: MultiplexPartition, version: str
 
 def read_multiplex_partition_tsv(path: str) -> MultiplexPartition:
     directives: dict = {}
-    assignment = {(user, layer): int(comm) for user, layer, comm
+    assignment = {(user, layer): int(comm) for _, (user, layer, comm)
                   in _tsv_rows(path, "multiplex partition", 3, directives)}
     if not assignment:
         raise DataError(f"{path}: empty multiplex partition")
@@ -206,7 +211,7 @@ def write_ground_truth(path: str, truth, version: str = "0",
 
 
 def read_ground_truth(path: str) -> dict:
-    return {user: int(comm) for user, comm in _tsv_rows(path, "ground truth", 2, {})}
+    return {user: int(comm) for _, (user, comm) in _tsv_rows(path, "ground truth", 2, {})}
 
 
 def write_events_tsv(path: str, log, version: str = "0",
@@ -226,10 +231,7 @@ def _n_components(g: LayerGraph) -> int:
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
-    index = {u: k for k, u in enumerate(g.nodes)}
-    rows = [index[u] for u, _ in g.edges]
-    cols = [index[v] for _, v in g.edges]
-    adj = sp.coo_matrix(([1] * len(rows), (rows, cols)), shape=(len(index), len(index)))
+    adj = sp.coo_matrix((np.ones(g.n_edges), (g.u, g.v)), shape=(g.n_nodes, g.n_nodes))
     return int(connected_components(adj, directed=False)[0])
 
 

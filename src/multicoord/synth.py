@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -72,6 +73,9 @@ class SynthConfig:
         if self.seed is None:
             raise ValueError("seed is mandatory")
         self.seed = int(self.seed)
+        if not all(isinstance(s, Integral) and not isinstance(s, bool)
+                   for s in self.community_sizes):
+            raise ValueError(f"community sizes must be integers, got {self.community_sizes!r}")
         self.community_sizes = tuple(int(s) for s in self.community_sizes)
         self.strengths = tuple(dict(s) for s in self.strengths)
         if self.n_users < 1:

@@ -1,9 +1,22 @@
 """Shared builders for the test suite."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from multicoord.netbuild import LayerGraph, MultiplexNetwork
+
+
+Edge = namedtuple("Edge", "weight co_actions window_count")
+
+
+def edge_dict(g):
+    """{(u, v): Edge} of a graph's rows, in row order: a dict view for tests."""
+    names = g.nodes
+    return {(names[a], names[b]): Edge(w, co, wc) for a, b, w, co, wc in zip(
+        g.u.tolist(), g.v.tolist(), g.weight.tolist(), g.co_actions.tolist(),
+        g.window_count.tolist())}
 
 
 def clique(layer, names, weight=1.0):

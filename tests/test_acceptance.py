@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_layer
+from conftest import edge_dict, random_layer
 from multicoord.characterize import (brunner_munzel, community_metrics,
                                      node_metrics)
 from multicoord.community import (MultiplexPartition, Partition, communities,
@@ -88,7 +88,7 @@ def test_criterion_02_modality_divergence():
     if frozenset(c1) not in detected:
         failures.append("rpl mono run does not detect the rpl-only community")
 
-    rtw_nodes = net.layers["rtw"].nodes
+    rtw_nodes = set(net.layers["rtw"].nodes)
     if rtw_nodes & c1:
         failures.append(f"{len(rtw_nodes & c1)} rpl-only members appear in rtw")
 
@@ -151,23 +151,22 @@ def test_criterion_05_flattening_laws():
         layers = {name: random_layer(rng, name, n=int(rng.integers(5, 50)), p=0.15)
                   for name in ("rtw", "rpl", "men")}
         net = MultiplexNetwork.from_layers(layers)
-        union = set().union(*(set(g.edges) for g in layers.values()))
-        inter = set(layers["rtw"].edges) & set(layers["rpl"].edges) \
-            & set(layers["men"].edges)
+        edges = [edge_dict(g) for g in layers.values()]
+        union = set().union(*edges)
+        inter = set.intersection(*map(set, edges))
         for strategy in ("nw", "ec", "sum"):
-            flat = flatten_union(net, strategy).graph
-            if set(flat.edges) != union:
+            flat = edge_dict(flatten_union(net, strategy))
+            if set(flat) != union:
                 failures.append(f"trial {trial}: union edge set mismatch")
                 continue
-            for key, data in flat.edges.items():
-                carrying = [g.edges[key].weight for g in layers.values()
-                            if key in g.edges]
+            for key, data in flat.items():
+                carrying = [e[key].weight for e in edges if key in e]
                 want = {"nw": 1.0, "ec": float(len(carrying)),
                         "sum": math.fsum(carrying)}[strategy]
                 if data.weight != want:
                     failures.append(f"trial {trial}: {strategy} weight mismatch")
                     break
-        if set(flatten_intersection(net).graph.edges) != inter:
+        if set(edge_dict(flatten_intersection(net))) != inter:
             failures.append(f"trial {trial}: intersection edge set mismatch")
     _verdict(5, "union/ec/sum/intersection laws on 50 multiplexes", failures)
 
@@ -273,10 +272,8 @@ def test_criterion_09_metric_sanity():
         if abs(pr - 1.0) > 1e-9:
             failures.append(f"trial {trial}: pagerank sum {pr!r}")
         x = np.array([vals[u].eigenvector_centrality for u in order])
-        idx = {u: i for i, u in enumerate(order)}
-        A = np.zeros((len(order), len(order)))
-        for (u, v), data in g.edges.items():
-            A[idx[u], idx[v]] = A[idx[v], idx[u]] = data.weight
+        A = np.zeros((len(order), len(order)))  # order is g.nodes
+        A[g.u, g.v] = A[g.v, g.u] = g.weight
         lam = float(x @ A @ x)
         if np.max(np.abs(A @ x - lam * x)) > 1e-8:
             failures.append(f"trial {trial}: eigenvector residual > 1e-8")

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import clique, random_layer
+from conftest import clique, edge_dict, random_layer
 from multicoord.characterize import (COMMUNITY_METRIC_NAMES,
                                      NODE_METRIC_NAMES, CommunityMetrics,
                                      _midranks, brunner_munzel, community_metrics,
@@ -113,7 +113,7 @@ def test_node_metrics_match_reference_library(rng):
             continue
         G = nx.Graph()
         G.add_nodes_from(g.nodes)
-        for (u, v), data in g.edges.items():
+        for (u, v), data in edge_dict(g).items():
             G.add_edge(u, v, weight=data.weight)
         vals = node_metrics(g)
         want_pr = nx.pagerank(G, alpha=0.85, tol=1e-12, max_iter=1000,
@@ -151,7 +151,7 @@ def test_node_metrics_validation():
     with pytest.raises(ValueError):
         node_metrics(k4(), damping=1.0)
     # edgeless nodes still get well-defined values
-    g = LayerGraph("rtw", nodes={"a", "b"})
+    g = LayerGraph("rtw", nodes=("a", "b"))
     vals = node_metrics(g)
     assert vals["a"].pagerank == 0.5
     assert vals["a"].degree_centrality == 0.0
@@ -207,7 +207,7 @@ def test_community_metrics_match_reference_library(rng):
         members = set(sorted(g.nodes)[: max(3, g.n_nodes // 2)])
         G = nx.Graph()
         G.add_nodes_from(g.nodes)
-        for (u, v), data in g.edges.items():
+        for (u, v), data in edge_dict(g).items():
             G.add_edge(u, v, weight=data.weight)
         m = community_metrics(g, members)
         sub = G.subgraph(members)

@@ -171,6 +171,11 @@ def test_config_errors_exit_1(workdir, tmp_path, capsys):
                 {"detection": {"theta": None}}, {"detection": {"seed": 1.5}},
                 {"detection": {"min_size": True}}, {"filter": {"th_a": 1.5}},
                 {"synth": {"n_users": 10.5, "community_sizes": [], "strengths": [],
+                           "seed": 1}},
+                {"detection": {"gamma": True, "omega": False}},
+                {"filter": {"weight_rule": "fixed", "weight_value": True}},
+                {"fraction": True}, {"width_hours": True}, {"shift_hours": False},
+                {"synth": {"n_users": 100, "community_sizes": [40.7], "strengths": [{}],
                            "seed": 1}}):
         path = write_cfg(tmp_path / "section.json", {"out": "o", **doc})
         assert main(["build", "--config", path]) == 1, doc
@@ -192,6 +197,20 @@ def test_data_errors_exit_2(workdir, tmp_path, capsys):
     # report on a missing directory
     assert main(["report", "--out", str(tmp_path / "void")]) == 2
     capsys.readouterr()
+
+
+def test_bad_edge_row_exits_2(tmp_path, capsys):
+    # a self-loop used to load silently and skew Louvain and the metrics
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "edges_rtw.tsv").write_text(
+        "# multicoord 0 config x\n# layer rtw\nuser_a\tuser_b\tweight\tco_actions\t"
+        "window_count\na\ta\t1.0\t1\t1\na\tb\t0.5\t1\t1\n")
+    cfg = write_cfg(tmp_path / "run.json", {"out": str(out)})
+    assert main(["detect", "--config", cfg, "--mode", "mono", "--layer", "rtw"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "edges_rtw.tsv:4: self-loop" in err, err
+    assert not (out / "partition_rtw.tsv").exists()
 
 
 def test_explicit_restriction_token(workdir, capsys):

@@ -10,9 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_layer, two_clique_bridge
-from multicoord.community import (GAIN_TOLERANCE, FlattenedGraph,
-                                  MultiplexPartition, Partition, communities,
+from conftest import edge_dict, random_layer, two_clique_bridge
+from multicoord.community import (GAIN_TOLERANCE, MultiplexPartition, Partition, communities,
                                   flatten_intersection, flatten_union,
                                   generalized_louvain, louvain, modularity,
                                   multislice_modularity, restrict_to_layer)
@@ -116,8 +115,7 @@ def test_louvain_empty_and_determinism():
 
 def two_layer_net(g1=None, g2=None):
     g1 = g1 or two_clique_bridge("rtw")
-    g2 = g2 or LayerGraph.from_pairs("rpl", [(u, v, d.weight)
-                                             for (u, v), d in two_clique_bridge().edges.items()])
+    g2 = g2 or two_clique_bridge("rpl")
     return MultiplexNetwork.from_layers({"rtw": g1, "rpl": g2})
 
 
@@ -222,29 +220,27 @@ def three_layer_net():
 
 def test_flatten_union_strategies_hand_case():
     net = three_layer_net()
-    nw = flatten_union(net, "nw").graph
-    ec = flatten_union(net, "ec").graph
-    sm = flatten_union(net, "sum").graph
-    union_edges = {("a", "b"), ("b", "c"), ("c", "d")}
-    for g in (nw, ec, sm):
-        assert set(g.edges) == union_edges
-        assert g.nodes == {"a", "b", "c", "d"}
-    assert all(d.weight == 1.0 for d in nw.edges.values())
-    assert ec.edges[("a", "b")].weight == 3.0
-    assert ec.edges[("b", "c")].weight == 1.0
-    assert sm.edges[("a", "b")].weight == pytest.approx(0.2 + 0.5 + 0.25, abs=1e-15)
-    assert sm.edges[("c", "d")].weight == 0.9
+    nw, ec, sm = (flatten_union(net, s) for s in ("nw", "ec", "sum"))
+    for g, scope in ((nw, "unfl-nw"), (ec, "unfl-ec"), (sm, "unfl-sum")):
+        assert g.layer == scope
+        assert list(edge_dict(g)) == [("a", "b"), ("b", "c"), ("c", "d")]
+        assert g.nodes == ("a", "b", "c", "d")
+    assert nw.weight.tolist() == [1.0, 1.0, 1.0]
+    assert ec.weight.tolist() == [3.0, 1.0, 1.0]
+    assert edge_dict(sm)[("a", "b")].weight == pytest.approx(0.2 + 0.5 + 0.25, abs=1e-15)
+    assert edge_dict(sm)[("c", "d")].weight == 0.9
     # co-actions and window counts accumulate identically in all strategies
-    assert nw.edges[("a", "b")].co_actions == 4
-    assert nw.edges[("a", "b")].window_count == 5
+    assert edge_dict(nw)[("a", "b")].co_actions == 4
+    assert edge_dict(nw)[("a", "b")].window_count == 5
 
 
 def test_flatten_intersection_hand_case():
-    g = flatten_intersection(three_layer_net()).graph
+    g = flatten_intersection(three_layer_net())
     # only (a, b) lives in all three layers
-    assert set(g.edges) == {("a", "b")}
-    assert g.nodes == {"a", "b"}
-    assert g.edges[("a", "b")].weight == pytest.approx(0.95, abs=1e-15)
+    assert g.layer == "intfl"
+    assert list(edge_dict(g)) == [("a", "b")]
+    assert g.nodes == ("a", "b")
+    assert edge_dict(g)[("a", "b")].weight == pytest.approx(0.95, abs=1e-15)
     with pytest.raises(ValueError):
         flatten_intersection(MultiplexNetwork.from_layers(
             {"rtw": LayerGraph.from_pairs("rtw", [("a", "b", 1.0)])}))
@@ -257,15 +253,15 @@ def test_flatten_laws_random(rng):
         for name in ("rtw", "rpl", "men"):
             layers[name] = random_layer(rng, name, n=int(rng.integers(5, 20)), p=0.25)
         net = MultiplexNetwork.from_layers(layers)
-        union = set().union(*(set(g.edges) for g in layers.values()))
-        inter = set.intersection(*(set(g.edges) for g in layers.values())) \
-            if all(g.edges for g in layers.values()) else set()
+        edges = [edge_dict(g) for g in layers.values()]
+        union = set().union(*edges)
+        inter = set.intersection(*map(set, edges))
 
         for strategy in ("nw", "ec", "sum"):
-            flat = flatten_union(net, strategy).graph
-            assert set(flat.edges) == union
-            for key, data in flat.edges.items():
-                carrying = [g.edges[key] for g in layers.values() if key in g.edges]
+            flat = edge_dict(flatten_union(net, strategy))
+            assert set(flat) == union
+            for key, data in flat.items():
+                carrying = [e[key] for e in edges if key in e]
                 if strategy == "nw":
                     assert data.weight == 1.0
                 elif strategy == "ec":
@@ -273,16 +269,15 @@ def test_flatten_laws_random(rng):
                 else:
                     assert data.weight == pytest.approx(
                         math.fsum(d.weight for d in carrying), abs=1e-12)
-        flat_i = flatten_intersection(net).graph
-        assert set(flat_i.edges) == inter
+        assert set(edge_dict(flatten_intersection(net))) == inter
     with pytest.raises(ValueError):
         flatten_union(three_layer_net(), "mean")
 
 
 def test_flattened_graph_feeds_louvain():
     flat = flatten_union(two_layer_net(), "sum")
-    assert isinstance(flat, FlattenedGraph)
     p = louvain(flat, seed=42)
+    assert p.scope == "unfl-sum"
     groups = set(communities(p.assignment).values())
     assert groups == {frozenset({f"a{i}" for i in range(5)}),
                       frozenset({f"b{i}" for i in range(5)})}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import edge_dict
 from multicoord.filternet import (FilterConfig, auto_threshold,
                                   filter_by_actions, filter_by_weight,
                                   filter_layer, filter_multiplex)
@@ -20,8 +21,8 @@ def co_graph():
 
 def test_filter_by_actions_keeps_at_threshold():
     g = filter_by_actions(co_graph(), 3)
-    assert set(g.edges) == {("a", "b"), ("c", "d")}
-    assert g.nodes == {"a", "b", "c", "d"}   # e, f pruned as isolates
+    assert set(edge_dict(g)) == {("a", "b"), ("c", "d")}
+    assert g.nodes == ("a", "b", "c", "d")   # e, f pruned as isolates
     assert filter_by_actions(co_graph(), 2).n_edges == 3
     assert filter_by_actions(co_graph(), 4).n_edges == 0
 
@@ -57,7 +58,7 @@ def test_auto_threshold_agrees_with_direct_scan(rng):
         g = LayerGraph.from_pairs("rtw", pairs)
         budget = int(rng.integers(1, n + 3))
         got = auto_threshold(g, budget)
-        feasible = [th for th in range(1, max(d.co_actions for d in g.edges.values()) + 2)
+        feasible = [th for th in range(1, int(g.co_actions.max()) + 2)
                     if filter_by_actions(g, th).n_nodes <= budget]
         assert got == min(feasible)
 
@@ -71,8 +72,8 @@ def test_weight_median_is_lower_median():
         ("a", "b", 1.0), ("c", "d", 2.0), ("e", "f", 3.0), ("g", "h", 4.0)])
     out, th = filter_by_weight(g, "median")
     assert th == 2.0                       # lower median of [1,2,3,4]
-    assert set(d.weight for d in out.edges.values()) == {2.0, 3.0, 4.0}
-    assert out.nodes == {"c", "d", "e", "f", "g", "h"}
+    assert out.weight.tolist() == [2.0, 3.0, 4.0]
+    assert out.nodes == ("c", "d", "e", "f", "g", "h")
 
     g3 = LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("c", "d", 2.0),
                                        ("e", "f", 3.0)])
@@ -88,7 +89,7 @@ def test_weight_fixed_rule():
     g = co_graph()
     out, th = filter_by_weight(g, "fixed", 0.85)
     assert th == 0.85
-    assert set(out.edges) == {("a", "b")}
+    assert list(edge_dict(out)) == [("a", "b")]
     with pytest.raises(ValueError):
         filter_by_weight(g, "fixed", None)
     with pytest.raises(ValueError):
@@ -132,7 +133,7 @@ def test_filter_layer_explicit_threshold():
     out, rep = filter_layer(co_graph(), FilterConfig(th_a=2))
     assert rep.th_a == 2 and not rep.th_a_auto
     # weights after co stage: [0.7, 0.8, 0.9], median 0.8 cuts (e, f)
-    assert set(out.edges) == {("a", "b"), ("c", "d")}
+    assert list(edge_dict(out)) == [("a", "b"), ("c", "d")]
 
 
 def test_filter_multiplex_covers_all_layers():

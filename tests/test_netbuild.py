@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import edge_dict
 from multicoord.ingest import ActionEvent, ActorSet, EventLog
 from multicoord.netbuild import (LayerGraph, Window, build_multiplex,
                                  build_user_vectors, layer_window_graph,
@@ -124,12 +125,12 @@ def test_cosine_graph_hand_values():
     a, b = math.log(3 / 2), math.log(3)
     # u1 = (2a, b) on items (A, B); u2 = (a,) on A; no shared item with u3
     expected = 2 * a * a / (math.hypot(2 * a, b) * a)
-    assert set(g.edges) == {("u1", "u2")}
-    data = g.edges[("u1", "u2")]
+    assert list(edge_dict(g)) == [("u1", "u2")]
+    data = edge_dict(g)[("u1", "u2")]
     assert data.weight == pytest.approx(expected, abs=1e-12)
     assert data.co_actions == 1
     assert data.window_count == 1
-    assert g.nodes == {"u1", "u2"}
+    assert g.nodes == ("u1", "u2")
 
 
 def test_cosine_graph_identical_vectors():
@@ -141,7 +142,7 @@ def test_cosine_graph_identical_vectors():
                   ActionEvent("u3", "rtw", "Z", 3.0)), time_span=(0.0, 4.0)),
         actors_of("u1", "u2", "u3"), "rtw", Window(0.0, 4.0, 0))
     g = layer_window_graph(vecs)
-    data = g.edges[("u1", "u2")]
+    data = edge_dict(g)[("u1", "u2")]
     assert data.weight == pytest.approx(1.0, abs=1e-12)
     assert data.co_actions == 2
 
@@ -152,7 +153,7 @@ def test_cosine_graph_order_invariant():
                               Window(0.0, 10.0, 0))
     g1 = layer_window_graph(vecs)
     g2 = layer_window_graph(list(reversed(vecs)))
-    assert g1.edges == g2.edges and g1.nodes == g2.nodes
+    assert edge_dict(g1) == edge_dict(g2) and g1.nodes == g2.nodes
 
 
 def test_cosine_graph_input_validation():
@@ -176,12 +177,12 @@ def test_merge_windows_mean_weight_and_sums():
     g1 = LayerGraph.from_pairs("rtw", [("a", "b", 0.4, 3)])
     g2 = LayerGraph.from_pairs("rtw", [("c", "d", 1.0, 1)])
     m = merge_windows([g0, g1, g2])
-    ab = m.edges[("a", "b")]
+    ab = edge_dict(m)[("a", "b")]
     assert ab.weight == pytest.approx((0.8 + 0.4) / 2)  # mean over appearances
     assert ab.co_actions == 5
     assert ab.window_count == 2
-    assert m.edges[("b", "c")].window_count == 1
-    assert m.nodes == {"a", "b", "c", "d"}
+    assert edge_dict(m)[("b", "c")].window_count == 1
+    assert m.nodes == ("a", "b", "c", "d")
 
 
 def test_merge_windows_weights_by_window_count():
@@ -191,9 +192,9 @@ def test_merge_windows_weights_by_window_count():
     g1 = LayerGraph.from_pairs("rtw", [("a", "b", 0.7, 2, 2)])
     g2 = LayerGraph.from_pairs("rtw", [("a", "b", 0.1, 5, 4), ("b", "c", 0.2, 3, 5)])
     m = merge_windows([g0, g1, g2])
-    assert m.edges[("a", "b")] == ((0.3 * 3 + 0.7 * 2 + 0.1 * 4) / 9, 11, 9)
-    assert m.edges[("b", "c")] == ((0.9 * 1 + 0.2 * 5) / 6, 4, 6)
-    assert list(m.edges) == [("a", "b"), ("b", "c")]
+    assert edge_dict(m) == {("a", "b"): ((0.3 * 3 + 0.7 * 2 + 0.1 * 4) / 9, 11, 9),
+                            ("b", "c"): ((0.9 * 1 + 0.2 * 5) / 6, 4, 6)}
+    assert list(edge_dict(m)) == [("a", "b"), ("b", "c")]
 
 
 def test_merge_windows_rejects_mixed_layers():
@@ -244,20 +245,21 @@ def _check_manual_composition(rng, n_users, n_items, n_events, span, n_windows):
             vecs = build_user_vectors(log, acts, layer, w)
             if vecs:
                 wg = layer_window_graph(vecs)
-                if wg.edges:
+                if wg.n_edges:
                     per_window.append(wg)
         sums = {}
         for wg in per_window:
-            for key, d in wg.edges.items():
+            for key, d in edge_dict(wg).items():
                 w, co, wc = sums.get(key, (0.0, 0, 0))
                 sums[key] = (w + d.weight, co + d.co_actions, wc + 1)
         got = net.layers[layer]
-        assert got.edges == {k: (w / wc, co, wc) for k, (w, co, wc) in sums.items()}
-        assert list(got.edges) == sorted(got.edges)
-        assert got.nodes == {u for key in sums for u in key}
+        edges = edge_dict(got)
+        assert edges == {k: (w / wc, co, wc) for k, (w, co, wc) in sums.items()}
+        assert list(edges) == sorted(edges)
+        assert got.nodes == tuple(sorted({u for key in sums for u in key}))
         manual = merge_windows(per_window, layer=layer)
-        assert manual.edges == got.edges and manual.nodes == got.nodes
-        assert max(d.window_count for d in got.edges.values()) >= min(n_windows, 9)
+        assert edge_dict(manual) == edges and manual.nodes == got.nodes
+        assert got.window_count.max() >= min(n_windows, 9)
     # untouched layers exist and are empty
     for layer in ("men", "hst", "url"):
         assert net.layers[layer].n_edges == 0

@@ -1,19 +1,34 @@
 """Property tests against brute-force pure-Python references."""
 
+import dataclasses
 import math
+import os
+import tempfile
+from collections import defaultdict
 
 import numpy as np
 import pytest
+
+from conftest import edge_dict
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from multicoord.characterize import (CommunityMetrics,  # noqa: E402
                                      community_metrics, node_metrics)
-from multicoord.community import (generalized_louvain, louvain,  # noqa: E402
-                                  modularity, multislice_modularity)
+from multicoord.community import (MultiplexPartition, Partition,  # noqa: E402
+                                  _adjacency, flatten_intersection, flatten_union,
+                                  generalized_louvain, louvain, modularity,
+                                  multislice_modularity)
+from multicoord.compare import nmi, overlap_matrix  # noqa: E402
+from multicoord.filternet import FilterConfig, filter_layer  # noqa: E402
+from multicoord.ingest import _build_event  # noqa: E402
 from multicoord.netbuild import (LayerGraph, MultiplexNetwork,  # noqa: E402
                                  UserVector, layer_window_graph)
+from multicoord.reports import (read_edges_tsv,  # noqa: E402
+                                read_multiplex_partition_tsv, read_partition_tsv,
+                                write_edges_tsv, write_multiplex_partition_tsv,
+                                write_partition_tsv)
 
 # small id alphabets, so that random vectors share items and ids collide
 # with each other's prefixes
@@ -43,36 +58,44 @@ def test_layer_window_graph_matches_brute_force(entries_by_user):
                 cos = dot / (_norm(entries_by_user[a]) * _norm(entries_by_user[b]))
                 expected[(a, b)] = (min(cos, 1.0), len(shared))
 
-    assert list(g.edges) == sorted(expected)
+    edges = edge_dict(g)
+    assert list(edges) == sorted(expected)
     for key, (cos, n_shared) in expected.items():
-        d = g.edges[key]
+        d = edges[key]
         assert d.weight == pytest.approx(cos, rel=1e-12)
         assert 0.0 < d.weight <= 1.0
         assert (d.co_actions, d.window_count) == (n_shared, 1)
-    assert g.nodes == {u for key in expected for u in key}
+    assert g.nodes == tuple(sorted({u for key in expected for u in key}))
 
 
 # ---------------------------------------------------------------------------
 # Louvain: determinism, a monotone trace, and a trace that ends at Q
 
 NODE_IDS = [f"n{k}" for k in range(12)]
+LAYER_NAMES = ("rtw", "rpl", "men", "hst", "url")
 weights = st.sampled_from([0.05, 0.3, 1.0, 2.5]) | st.floats(min_value=0.01, max_value=3.0)
 
 
 @st.composite
 def layers(draw, name="rtw"):
-    """A weighted layer over a small id pool, possibly with isolated nodes."""
-    pairs = draw(st.lists(st.tuples(st.sampled_from(NODE_IDS), st.sampled_from(NODE_IDS),
-                                    weights), max_size=30))
-    g = LayerGraph.from_pairs(name, [(u, v, w) for u, v, w in pairs if u != v])
-    g.nodes |= set(draw(st.lists(st.sampled_from(NODE_IDS), max_size=2)))
-    return g
+    """A weighted layer over a small id pool shared by every layer plus ids
+    of its own, possibly with isolated nodes."""
+    pool = NODE_IDS + [f"{name}{k}" for k in range(4)]
+    rows = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool), weights,
+                                   st.integers(1, 4), st.integers(1, 3)), max_size=30))
+    seen, pairs = set(), []
+    for u, v, *data in rows:
+        if u != v and frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            pairs.append((u, v, *data))
+    return LayerGraph.from_pairs(name, pairs,
+                                 nodes=draw(st.lists(st.sampled_from(pool), max_size=2)))
 
 
 @st.composite
-def multiplexes(draw):
-    names = draw(st.lists(st.sampled_from(["rtw", "rpl", "men", "hst"]),
-                          min_size=1, max_size=3, unique=True))
+def multiplexes(draw, max_layers=3):
+    names = draw(st.lists(st.sampled_from(LAYER_NAMES), min_size=1, max_size=max_layers,
+                          unique=True))
     return MultiplexNetwork.from_layers({name: draw(layers(name)) for name in names})
 
 
@@ -89,7 +112,7 @@ def test_louvain_deterministic_with_exact_trace(g, seed, gamma):
         return
     p = louvain(g, gamma=gamma, seed=seed)
     assert louvain(g, gamma=gamma, seed=seed).assignment == p.assignment
-    assert set(p.assignment) == g.nodes
+    assert set(p.assignment) == set(g.nodes)
     _check_trace(p.trace, modularity(g, p, gamma))
 
 
@@ -109,7 +132,7 @@ def test_generalized_louvain_deterministic_with_exact_trace(net, seed, omega):
 
 def _adjacency_sets(g):
     adj = {u: set() for u in g.nodes}
-    for u, v in g.edges:
+    for u, v in edge_dict(g):
         adj[u].add(v)
         adj[v].add(u)
     return adj
@@ -147,14 +170,15 @@ def _assortativity_oracle(adj):
 def _community_oracle(g, members):
     """Brute force: one scan of all edges per community."""
     n = len(members)
-    internal = [(u, v, d) for (u, v), d in g.edges.items() if u in members and v in members]
+    internal = [(u, v, d) for (u, v), d in edge_dict(g).items()
+                if u in members and v in members]
     e_in = len(internal)
     sub_adj = {u: set() for u in members}
     for u, v, _ in internal:
         sub_adj[u].add(v)
         sub_adj[v].add(u)
     cut = vol_in = vol_total = 0
-    for u, v in g.edges:
+    for u, v in edge_dict(g):
         u_in, v_in = u in members, v in members
         vol_total += 2
         vol_in += int(u_in) + int(v_in)
@@ -189,7 +213,7 @@ def _eigenvector_oracle(g, adj):
         comp.sort()
         M = np.zeros((len(comp), len(comp)))
         pos = {u: i for i, u in enumerate(comp)}
-        for (u, v), d in g.edges.items():
+        for (u, v), d in edge_dict(g).items():
             if u in pos:
                 M[pos[u], pos[v]] = M[pos[v], pos[u]] = d.weight
         lams, vecs = np.linalg.eigh(M)
@@ -233,7 +257,299 @@ def test_characterize_matches_dict_of_sets_oracle(g, data):
     for u in nodes:
         assert vals[u].degree_centrality == (len(adj[u]) / (n - 1) if n > 1 else 0.0)
         assert vals[u].local_clustering == _clustering_oracle(adj, u)
-    if g.edges:
+    if g.n_edges:
         want = _eigenvector_oracle(g, adj)
         for u in nodes:
             assert vals[u].eigenvector_centrality == pytest.approx(want[u], abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# filtering, flattening and modularity against the dict code they replaced
+#
+# A graph in dict form is (layer, node set, {(u, v): (weight, co_actions,
+# window_count)}) with u < v, in the graph's row order.
+
+
+def _dict_form(g):
+    return g.layer, set(g.nodes), edge_dict(g)
+
+
+def _rows(g):
+    """Everything a graph holds: layer, node tuple and the edge rows in order."""
+    return g.layer, g.nodes, [(u, v, *d) for (u, v), d in edge_dict(g).items()]
+
+
+def _oracle_rows(layer, nodes, edges):
+    return layer, tuple(sorted(nodes)), [(u, v, *d) for (u, v), d in sorted(edges.items())]
+
+
+def _prune_oracle(edges):
+    return {x for key in edges for x in key}, dict(edges)
+
+
+def _auto_threshold_oracle(edges, max_nodes):
+    if not edges:
+        return 1
+    by_co = sorted(edges.items(), key=lambda kv: -kv[1][1])
+    nodes = set()
+    i = 0
+    while i < len(by_co):
+        co = by_co[i][1][1]
+        while i < len(by_co) and by_co[i][1][1] == co:
+            nodes.update(by_co[i][0])
+            i += 1
+        if len(nodes) > max_nodes:
+            return co + 1
+    return 1
+
+
+def _filter_layer_oracle(layer, nodes, edges, cfg):
+    auto = cfg.th_a is None
+    th_a = _auto_threshold_oracle(edges, cfg.max_nodes) if auto else cfg.th_a
+    report = dict(layer=layer, th_a=th_a, th_a_auto=auto, weight_rule=cfg.weight_rule,
+                  weight_threshold=None, nodes_raw=len(nodes), edges_raw=len(edges))
+    nodes1, edges1 = _prune_oracle({k: d for k, d in edges.items() if d[1] >= th_a})
+    report.update(nodes_actions=len(nodes1), edges_actions=len(edges1))
+    if not edges1:
+        nodes2, edges2, threshold = set(), {}, 0.0
+    else:
+        if cfg.weight_rule == "median":
+            ws = sorted(d[0] for d in edges1.values())
+            threshold = ws[(len(ws) - 1) // 2]
+        else:
+            threshold = float(cfg.weight_value)
+        nodes2, edges2 = _prune_oracle({k: d for k, d in edges1.items() if d[0] >= threshold})
+    report.update(weight_threshold=threshold if edges1 else None,
+                  nodes_final=len(nodes2), edges_final=len(edges2))
+    return (layer, nodes2, edges2), report
+
+
+def _flatten_union_oracle(forms, strategy):
+    per_edge = defaultdict(list)
+    nodes = set()
+    for _, layer_nodes, edges in forms:
+        nodes |= layer_nodes
+        for key, d in edges.items():
+            per_edge[key].append(d)
+    out = {}
+    for key in sorted(per_edge):
+        ds = per_edge[key]
+        if strategy == "nw":
+            w = 1.0
+        elif strategy == "ec":
+            w = float(len(ds))
+        else:
+            w = math.fsum(d[0] for d in ds)
+        out[key] = (w, sum(d[1] for d in ds), sum(d[2] for d in ds))
+    return f"unfl-{strategy}", nodes, out
+
+
+def _flatten_intersection_oracle(forms):
+    counts = defaultdict(int)
+    for _, _, edges in forms:
+        for key in edges:
+            counts[key] += 1
+    out = {}
+    for key in sorted(counts):
+        if counts[key] == len(forms):
+            ds = [edges[key] for _, _, edges in forms]
+            out[key] = (math.fsum(d[0] for d in ds), sum(d[1] for d in ds),
+                        sum(d[2] for d in ds))
+    return "intfl", {x for key in out for x in key}, out
+
+
+def _modularity_oracle(form, assignment, gamma):
+    _, nodes, edges = form
+    two_m = 2.0 * math.fsum(d[0] for d in edges.values())
+    if two_m == 0.0:
+        return 0.0
+    strength = defaultdict(float)
+    internal = defaultdict(float)
+    for (u, v), d in edges.items():
+        strength[u] += d[0]
+        strength[v] += d[0]
+        if assignment[u] == assignment[v]:
+            internal[assignment[u]] += 2.0 * d[0]
+    comm_strength = defaultdict(float)
+    for n in sorted(nodes):
+        comm_strength[assignment[n]] += strength[n]
+    return math.fsum(internal.get(c, 0.0) / two_m - gamma * (k / two_m) ** 2
+                     for c, k in sorted(comm_strength.items()))
+
+
+def _multislice_oracle(forms, assignment, gamma, omega):
+    copies = defaultdict(int)
+    for layer, nodes, _ in forms:
+        for node in nodes:
+            copies[node] += 1
+    coupling_total = omega * math.fsum(c * (c - 1) for c in copies.values())
+    two_m = {layer: 2.0 * math.fsum(d[0] for d in edges.values())
+             for layer, _, edges in forms}
+    two_mu = math.fsum(two_m.values()) + coupling_total
+    if two_mu == 0.0:
+        return 0.0
+    raw = 0.0
+    for layer, nodes, edges in forms:
+        if not edges:
+            continue
+        strength = defaultdict(float)
+        internal = 0.0
+        for (u, v), d in edges.items():
+            strength[u] += d[0]
+            strength[v] += d[0]
+            if assignment[(u, layer)] == assignment[(v, layer)]:
+                internal += 2.0 * d[0]
+        comm_strength = defaultdict(float)
+        for node in sorted(nodes):
+            comm_strength[assignment[(node, layer)]] += strength[node]
+        null = math.fsum(k * k for _, k in sorted(comm_strength.items())) / two_m[layer]
+        raw += internal - gamma * null
+    if omega != 0.0:
+        coupled = 0.0
+        for actor in sorted(copies):
+            layers_of = [layer for layer, nodes, _ in forms if actor in nodes]
+            for i in range(len(layers_of)):
+                for j in range(i + 1, len(layers_of)):
+                    if assignment[(actor, layers_of[i])] == assignment[(actor, layers_of[j])]:
+                        coupled += 2.0 * omega
+        raw += coupled
+    return raw / two_mu
+
+
+def _adjacency_oracle(g):
+    """The per-edge insertion loop of the old Louvain set-up."""
+    adj = [{} for _ in g.nodes]
+    for a, b, w in zip(g.u.tolist(), g.v.tolist(), g.weight.tolist()):
+        adj[a][b] = adj[a].get(b, 0.0) + w
+        adj[b][a] = adj[b].get(a, 0.0) + w
+    return adj
+
+
+filter_configs = st.builds(
+    FilterConfig, th_a=st.none() | st.integers(1, 4), max_nodes=st.integers(1, 15),
+    weight_rule=st.just("median")) | st.builds(
+    FilterConfig, th_a=st.none() | st.integers(1, 4), max_nodes=st.integers(1, 15),
+    weight_rule=st.just("fixed"), weight_value=weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multiplexes(max_layers=5), filter_configs)
+def test_filter_matches_dict_oracle(net, cfg):
+    for name in net.layer_names():
+        g = net.layers[name]
+        got, report = filter_layer(g, cfg)
+        want, want_report = _filter_layer_oracle(*_dict_form(g), cfg)
+        assert _rows(got) == _oracle_rows(*want)
+        assert dataclasses.asdict(report) == want_report
+
+
+@settings(max_examples=200, deadline=None)
+@given(multiplexes(max_layers=5))
+def test_flatten_matches_dict_oracle(net):
+    forms = [_dict_form(net.layers[name]) for name in net.layer_names()]
+    for strategy in ("nw", "ec", "sum"):
+        got = flatten_union(net, strategy)
+        assert _rows(got) == _oracle_rows(*_flatten_union_oracle(forms, strategy))
+    if len(forms) < 2:
+        with pytest.raises(ValueError):
+            flatten_intersection(net)
+    else:
+        got = flatten_intersection(net)
+        assert _rows(got) == _oracle_rows(*_flatten_intersection_oracle(forms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layers())
+def test_louvain_adjacency_keeps_insertion_order(g):
+    # neighbour order decides the order of Louvain's float sums
+    got = _adjacency(g.n_nodes, g.u, g.v, g.weight)
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in _adjacency_oracle(g)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(multiplexes(max_layers=5), st.data(), st.sampled_from([0.5, 1.0, 2.0]),
+       st.sampled_from([0.0, 0.1, 1.0]))
+def test_modularity_matches_dict_oracle(net, data, gamma, omega):
+    forms = [_dict_form(net.layers[name]) for name in net.layer_names()]
+    labels = st.integers(0, 3)
+    for form in forms:
+        assignment = {n: data.draw(labels) for n in sorted(form[1])}
+        if assignment:
+            p = Partition(form[0], assignment)
+            assert modularity(net.layers[form[0]], p, gamma) == \
+                _modularity_oracle(form, assignment, gamma)
+    supra = {(n, layer): data.draw(labels) for layer, nodes, _ in forms for n in sorted(nodes)}
+    p = MultiplexPartition(supra, gamma=gamma, omega=omega)
+    assert multislice_modularity(net, p, gamma, omega) == \
+        _multislice_oracle(forms, supra, gamma, omega)
+
+
+# ---------------------------------------------------------------------------
+# compare: overlap and NMI bounds and symmetry
+
+node_pool = st.sampled_from([f"v{k}" for k in range(15)])
+assignments = st.dictionaries(node_pool, st.integers(0, 4), min_size=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(assignments, assignments, st.integers(0, 2))
+def test_overlap_matrix_bounds_and_swap(a, b, min_size):
+    O = overlap_matrix(a, b, min_size=min_size)
+    assert ((O.values >= 0.0) & (O.values <= 1.0)).all()
+    swapped = overlap_matrix(b, a, min_size=min_size)
+    assert (swapped.a_ids, swapped.b_ids) == (O.b_ids, O.a_ids)
+    assert np.array_equal(swapped.values, O.values.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(assignments, assignments, st.permutations(range(5)))
+def test_nmi_bounds_symmetry_and_relabeling(a, b, perm):
+    if set(a) & set(b):
+        value = nmi(a, b)
+        assert 0.0 <= value <= 1.0
+        assert nmi(b, a) == value
+    relabeled = {node: 10 + perm[c] for node, c in a.items()}
+    if len(set(a.values())) >= 2:
+        assert nmi(a, relabeled) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# TSV round trips over every id that ingest accepts
+
+
+def _ingest_accepts(user_id):
+    try:
+        return _build_event(user_id, "rtw", "item", 0.0).user_id == user_id
+    except ValueError:
+        return False
+
+
+ids = st.builds(str.__add__, st.sampled_from(["", "#", "#é", "ü", "用户"]),
+                st.text(max_size=6)).filter(_ingest_accepts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(ids, ids, st.floats(min_value=0.0, exclude_min=True,
+                                              allow_infinity=False),
+                          st.integers(1, 10**6), st.integers(1, 10**6)), max_size=20),
+       st.dictionaries(ids, st.integers(0, 10**6), min_size=1),
+       st.dictionaries(st.tuples(ids, st.sampled_from(LAYER_NAMES)), st.integers(0, 50),
+                       min_size=1))
+def test_tsv_round_trips(rows, assignment, supra):
+    seen, pairs = set(), []
+    for u, v, *data in rows:
+        if u != v and frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            pairs.append((u, v, *data))
+    g = LayerGraph.from_pairs("hst", pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.tsv")
+        write_edges_tsv(path, g)
+        back = read_edges_tsv(path)
+        assert _rows(back) == _rows(g)
+
+        write_partition_tsv(path, Partition("hst", assignment))
+        assert read_partition_tsv(path).assignment == assignment
+
+        write_multiplex_partition_tsv(path, MultiplexPartition(supra))
+        assert read_multiplex_partition_tsv(path).assignment == supra

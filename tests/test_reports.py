@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import edge_dict
 from multicoord.community import MultiplexPartition, Partition
 from multicoord.compare import overlap_matrix
 from multicoord.errors import DataError
@@ -73,12 +74,7 @@ def test_edges_round_trip_exact(tmp_path):
     back = read_edges_tsv(str(p))
     assert back.layer == "rtw"
     assert back.nodes == g.nodes
-    assert set(back.edges) == set(g.edges)
-    for key, data in g.edges.items():
-        got = back.edges[key]
-        assert got.weight == data.weight          # repr round trip, bitwise
-        assert got.co_actions == data.co_actions
-        assert got.window_count == data.window_count
+    assert edge_dict(back) == edge_dict(g)  # repr round trip, bitwise
 
 
 def test_edges_rows_are_sorted(tmp_path):
@@ -147,7 +143,7 @@ def test_hash_prefixed_ids_round_trip(tmp_path):
     write_edges_tsv(str(tmp_path / "e.tsv"), g)
     got = read_edges_tsv(str(tmp_path / "e.tsv"))
     assert got.layer == "rtw"
-    assert got.edges == g.edges and got.nodes == {"#alice", "bob", "carol"}
+    assert edge_dict(got) == edge_dict(g) and got.nodes == ("#alice", "bob", "carol")
 
     p = Partition(scope="rtw", assignment={"#alice": 0, "bob": 0, "carol": 1},
                   gamma=0.75)
@@ -190,8 +186,30 @@ def test_read_errors_are_data_errors(tmp_path):
         read_records(str(badjson))
 
 
+@pytest.mark.parametrize("row, reason", [
+    ("a\ta\t1.0\t1\t1", "self-loop"),
+    ("b\ta\t0.7\t1\t1", "pair already seen"),
+    ("a\tb\t0.7\t1\t1", "pair already seen"),
+    ("a\tc\tnan\t1\t1", "weight not finite and positive"),
+    ("a\tc\t-inf\t1\t1", "weight not finite and positive"),
+    ("a\tc\t0.0\t1\t1", "weight not finite and positive"),
+    ("a\tc\t-0.5\t1\t1", "weight not finite and positive"),
+    ("a\tc\t0.5\t0\t1", "co_actions or window_count below 1"),
+    ("a\tc\t0.5\t2\t-1", "co_actions or window_count below 1"),
+    ("a\tc\t0.5\t1.5\t1", "not a number"),
+])
+def test_bad_edge_rows_name_their_line(tmp_path, row, reason):
+    p = tmp_path / "e.tsv"
+    p.write_text("# multicoord 0 config x\n# layer rtw\n"
+                 "user_a\tuser_b\tweight\tco_actions\twindow_count\n"
+                 f"a\tb\t0.5\t1\t1\n\n{row}\nc\td\t0.5\t1\t1\n")
+    with pytest.raises(DataError, match=f"e.tsv:6: {reason}"):
+        read_edges_tsv(str(p))
+
+
 def test_non_finite_values_refused(tmp_path):
-    g = LayerGraph.from_pairs("rtw", [("a", "b", float("nan"))])
+    g = LayerGraph("rtw", ("a", "b"), np.array([0]), np.array([1]), np.array([np.nan]),
+                   np.array([1]), np.array([1]))
     with pytest.raises(ValueError):
         write_edges_tsv(str(tmp_path / "x.tsv"), g)
 
@@ -202,7 +220,7 @@ def test_numpy_floats_serialize_as_plain_floats(tmp_path):
     write_edges_tsv(str(p), g)
     body = p.read_text()
     assert "np.float64" not in body and "0.5" in body
-    assert read_edges_tsv(str(p)).edges[("a", "b")].weight == 0.5
+    assert read_edges_tsv(str(p)).weight.tolist() == [0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +235,7 @@ def test_layer_stats_components():
     assert rec["n_nodes"] == 5 and rec["n_edges"] == 3
     assert rec["n_components"] == 2
     assert rec["total_weight"] == pytest.approx(3.5)
-    g.nodes.add("z")  # an isolated node is a component of its own
+    g.nodes += ("z",)  # an isolated node is a component of its own
     assert layer_stats(g)["n_components"] == 3
     assert layer_stats(LayerGraph("rtw"))["n_components"] == 0
 
