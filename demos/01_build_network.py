@@ -2,14 +2,14 @@
 """Walk through network construction step by step on a small synthetic log.
 
 Shows the intermediate objects most analyses never touch directly: the
-sliding windows, one window's TF-IDF vectors, the per-window cosine graph,
+sliding windows, one layer-window's TF-IDF matrix, its cosine graph,
 and finally the merged + filtered multiplex network.
 """
 
 from multicoord.filternet import FilterConfig, filter_multiplex
 from multicoord.ingest import ACTIONS, select_users
-from multicoord.netbuild import (build_multiplex, build_user_vectors,
-                                 layer_window_graph, window_slices)
+from multicoord.netbuild import (build_multiplex, layer_window_graph,
+                                 tfidf_windows, window_slices)
 from multicoord.synth import SynthConfig, generate
 
 H = 3600.0
@@ -34,17 +34,19 @@ windows = window_slices(log.time_span, width=6 * H, shift=5 * H)
 print(f"\n{len(windows)} windows of 6h shifted by 5h over "
       f"{(log.time_span[1] - log.time_span[0]) / H:.0f}h")
 
-# 2. TF-IDF vectors for one layer-window; items shared by everyone in the
-#    window get idf 0 and disappear, so vectors cover discriminative items only
+# 2. one TF-IDF matrix per layer-window, a row per active user; items
+#    shared by everyone in the window get idf 0 and disappear, so rows cover
+#    discriminative items only
 actors = select_users(log, 1.0)
-vecs = build_user_vectors(log, actors, "rtw", windows[0])
-print(f"\nwindow 0, layer rtw: {len(vecs)} user vectors")
-for v in vecs[:3]:
-    top = sorted(v.entries.items(), key=lambda kv: -kv[1])[:3]
-    print(f"  {v.user_id}: {len(v.entries)} items, strongest {top}")
+m = tfidf_windows(log, actors, width=6 * H, shift=5 * H)[0]
+print(f"\nwindow {m.index}, layer {m.layer}: {len(m.users)} users x {len(m.items)} items")
+for r, user in enumerate(m.users[:3]):
+    row = m.X.getrow(r)
+    top = sorted(zip(row.data.tolist(), (m.items[c] for c in row.indices)), reverse=True)
+    print(f"  {user}: {row.nnz} items, strongest {[(i, round(w, 3)) for w, i in top[:3]]}")
 
 # 3. cosine similarity graph for that window
-g0 = layer_window_graph(vecs)
+g0 = layer_window_graph(m)
 print(f"window graph: {g0.n_nodes} nodes, {g0.n_edges} edges")
 
 # 4. the full build merges every window of every layer (weight = mean

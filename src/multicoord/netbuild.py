@@ -1,10 +1,11 @@
 """Coordination-network construction.
 
-For every action layer and sliding time window, active users get a TF-IDF
-weighted vector over the items they acted on; cosine similarity between
-vectors yields a weighted co-action graph for that window, and the windows
-of a layer are merged (mean weight, summed co-action counts) into one
-LayerGraph per action type. The five LayerGraphs over a shared actor
+tfidf_windows buckets the actor events with a few array sorts into one
+TF-IDF matrix per action layer and sliding time window: a row per active
+user, a column per item. Cosine similarity between the rows yields a
+weighted co-action graph for that window (layer_window_graph), and the
+windows of a layer are merged (mean weight, summed co-action counts) into
+one LayerGraph per action type. The five LayerGraphs over a shared actor
 universe form the MultiplexNetwork that all downstream detection and
 comparison operates on.
 
@@ -22,14 +23,14 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, groupby
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import DataError, InvariantError
 from .ingest import ACTIONS, ActorSet, EventLog
 
 logger = logging.getLogger(__name__)
@@ -204,14 +205,7 @@ class MultiplexNetwork:
             sorted(set(self.layers) - set(ACTIONS)))
 
 
-@dataclass(frozen=True)
-class UserVector:
-    """Sparse TF-IDF vector of one user's activity in one layer-window."""
-
-    user_id: str
-    layer: str
-    window_index: int
-    entries: dict[str, float]  # item -> tf*idf, zero entries omitted
+MAX_WINDOWS = 100_000  # 57 years of 5 h shifts
 
 
 def window_slices(span: tuple[float, float], width: float, shift: float) -> list[Window]:
@@ -220,7 +214,8 @@ def window_slices(span: tuple[float, float], width: float, shift: float) -> list
     Starts are t_min, t_min+shift, ...; the count is
     floor((span_len - width) / shift) + 1 when span_len >= width, else 1.
     Windows may end short of (or past) t_max; events in the uncovered tail
-    fall into no window.
+    fall into no window. A grid of more than MAX_WINDOWS windows is a
+    DataError: it almost always means timestamps in mixed units.
     """
     if width <= 0 or shift <= 0:
         raise ValueError(f"width and shift must be positive, got {width}, {shift}")
@@ -229,100 +224,136 @@ def window_slices(span: tuple[float, float], width: float, shift: float) -> list
         raise ValueError(f"bad span {span}")
     span_len = t_max - t_min
     n = int(math.floor((span_len - width) / shift)) + 1 if span_len >= width else 1
+    if n > MAX_WINDOWS:
+        raise DataError(f"{n:,} windows of {width:g} s every {shift:g} s over a {span_len:g} s "
+                        f"span exceed {MAX_WINDOWS:,}; check that every timestamp is in seconds")
     return [Window(t_min + k * shift, width, k) for k in range(n)]
 
 
-def _window_index_range(ts: float, t_min: float, width: float, shift: float,
-                        n_windows: int) -> range:
-    """Indices of the windows whose half-open interval contains ts."""
-    hi = int(math.floor((ts - t_min) / shift))
-    lo = int(math.floor((ts - t_min - width) / shift)) + 1
-    lo = max(lo, 0)
-    hi = min(hi, n_windows - 1)
-    # float-boundary guard: trust the windows, not the arithmetic
-    while lo <= hi and not (t_min + lo * shift <= ts < t_min + lo * shift + width):
-        lo += 1
-    while lo <= hi and not (t_min + hi * shift <= ts < t_min + hi * shift + width):
-        hi -= 1
-    return range(lo, hi + 1)
-
-
-def _vectors_from_counts(counts: dict[str, dict[str, int]], layer: str,
-                         window_index: int) -> list[UserVector]:
-    """TF-IDF vectors from per-user item counts of one layer-window.
-
-    counts: user -> {item -> tf}. N_w is the number of active users; items
-    with df = N_w get idf 0 and are dropped from the sparse entries. Users
-    whose every item is nulled emit no vector.
+def _window_ranges(ts: np.ndarray, t_min: float, width: float, shift: float,
+                   n_windows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per timestamp, the first and last index of the windows whose half-open
+    interval contains it (lo > hi: none), as Window.contains decides.
     """
-    n_active = len(counts)
-    if n_active == 0:
+    rel = ts - t_min
+    # one window wider than the arithmetic on each side, then shrink until
+    # the end windows contain ts: start = t_min + k*shift rounds either way
+    lo = np.maximum(np.floor((rel - width) / shift).astype(np.int64), 0)
+    hi = np.minimum(np.floor(rel / shift).astype(np.int64) + 1, n_windows - 1)
+    for end, step in ((lo, 1), (hi, -1)):
+        off = lo <= hi
+        while off.any():
+            start = t_min + end * shift
+            off &= (lo <= hi) & ~((start <= ts) & (ts < start + width))
+            end[off] += step
+    return lo, hi
+
+
+def _run_starts(*cols: np.ndarray) -> np.ndarray:
+    """True at the first row of each run of equal rows of the sorted columns."""
+    first = np.arange(len(cols[0])) == 0
+    for c in cols:
+        first[1:] |= c[1:] != c[:-1]
+    return first
+
+
+def _interned(names: list) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct names as an object array, each name's index in it)."""
+    distinct = sorted(set(names))
+    index = {x: k for k, x in enumerate(distinct)}
+    return np.array(distinct, dtype=object), np.fromiter(map(index.__getitem__, names), np.int64)
+
+
+@dataclass(frozen=True)
+class WindowTfidf:
+    """TF-IDF matrix of one layer-window: X[r, c] = tf * idf of users[r] on
+    items[c], where tf counts the user's events on the item inside the window
+    and idf = ln(N_w / df) over the window's N_w active users, df of them on
+    the item. users and items are sorted; X stores only positive entries,
+    and every row and column holds one.
+    """
+
+    layer: str
+    index: int
+    users: tuple
+    items: tuple
+    X: object  # scipy.sparse.csr_matrix, len(users) x len(items)
+
+
+def tfidf_windows(log: EventLog, actors: ActorSet, width: float,
+                  shift: float) -> list[WindowTfidf]:
+    """One WindowTfidf per layer-window with a positive entry, in ACTIONS
+    order and then window order. Only actor events count.
+    """
+    if log.time_span is None:
         return []
-    df: dict[str, int] = defaultdict(int)
-    for items in counts.values():
-        for item in items:
-            df[item] += 1
-    idf = {item: math.log(n_active / d) for item, d in df.items()}
-    vectors = []
-    for user in sorted(counts):
-        entries = {}
-        for item, tf in counts[user].items():
-            w = tf * idf[item]
-            if w > 0.0:
-                entries[item] = w
-        if entries:
-            vectors.append(UserVector(user, layer, window_index, entries))
-    return vectors
-
-
-def build_user_vectors(log: EventLog, actors: ActorSet, layer: str,
-                       window: Window) -> list[UserVector]:
-    """TF-IDF vectors for the actors active in ``layer`` within ``window``.
-
-    tf(u, i) counts u's events on item i inside the window; idf(i) =
-    ln(N_w / df(i)) over the window's active actors.
-    """
-    counts: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-    for e in log.events:
-        if e.action == layer and e.user_id in actors.actors and window.contains(e.timestamp):
-            counts[e.user_id][e.item_id] += 1
-    return _vectors_from_counts(counts, layer, window.index)
-
-
-def _window_graph(vectors: list[UserVector]) -> LayerGraph:
-    """Cosine graph of one layer-window over all its users.
-
-    Every pair sharing at least one item is a row with weight = cosine
-    similarity (capped at 1), co_actions = number of shared items and
-    window_count 1; zero-similarity pairs are omitted. Users without a
-    pair stay as isolated nodes.
-    """
-    layer = vectors[0].layer
-    widx = vectors[0].window_index
-    for v in vectors:
-        if v.layer != layer or v.window_index != widx:
-            raise ValueError("vectors must come from a single layer-window")
-        if not v.entries:
-            raise ValueError(f"empty vector for user {v.user_id}")
-    by_user = {v.user_id: v for v in vectors}
-    if len(by_user) != len(vectors):
-        raise ValueError("duplicate user in vector list")
+    n_windows = len(window_slices(log.time_span, width, shift))
+    layer_of = {a: k for k, a in enumerate(ACTIONS)}
+    events = [e for e in log.events if e.user_id in actors.actors and e.action in layer_of]
+    user_names, user = _interned([e.user_id for e in events])
+    item_names, item = _interned([e.item_id for e in events])
+    layer = _ints([layer_of[e.action] for e in events])
+    lo, hi = _window_ranges(np.array([e.timestamp for e in events], dtype=float),
+                            log.time_span[0], width, shift, n_windows)
+    # one row per (event, window); lw numbers layer-windows in ACTIONS order
+    count = np.maximum(hi - lo + 1, 0)
+    ev = np.repeat(np.arange(len(events)), count)
+    lw = (layer[ev] * n_windows + lo[ev] + np.arange(len(ev))
+          - np.repeat(np.cumsum(count) - count, count))
+    user, item = user[ev], item[ev]
+    # one group per (layer-window, user, item), tf its size
+    order = np.lexsort((item, user, lw))
+    first = _run_starts(lw[order], user[order], item[order])
+    tf = np.diff(np.append(np.flatnonzero(first), len(order)))
+    lw, user, item = lw[order][first], user[order][first], item[order][first]
+    # N_w: distinct users per layer-window; df: groups per (layer-window, item)
+    window_id = np.cumsum(_run_starts(lw)) - 1
+    n_active = np.bincount(window_id[_run_starts(lw, user)])[window_id]
+    by_item = np.lexsort((item, lw))
+    pair_id = np.cumsum(_run_starts(lw[by_item], item[by_item])) - 1
+    df = np.empty_like(tf)
+    df[by_item] = np.bincount(pair_id)[pair_id]
+    # math.log, not np.log: the two differ in the last bit for some ratios
+    key, pair = np.unique(n_active * (len(user_names) + 1) + df, return_inverse=True)
+    n_w, df_w = np.divmod(key, len(user_names) + 1)
+    idf = np.array([math.log(n / d) for n, d in zip(n_w.tolist(), df_w.tolist())], dtype=float)
+    weight = tf * idf[pair]
+    keep = weight > 0.0
+    lw, user, item, weight = lw[keep], user[keep], item[keep], weight[keep]
+    # local rows and columns: ranks of the users and items within the window
+    new_user = _run_starts(lw, user)
+    row = np.cumsum(new_user) - 1
+    by_item = np.lexsort((item, lw))
+    new_item = _run_starts(lw[by_item], item[by_item])
+    col = np.empty_like(row)
+    col[by_item] = np.cumsum(new_item) - 1
     import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
 
-    users = sorted(by_user)
-    items = sorted({i for v in vectors for i in v.entries})
-    item_col = {i: c for c, i in enumerate(items)}
+    records = []
+    bounds = np.append(np.flatnonzero(_run_starts(lw)), len(lw))
+    for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        users = tuple(user_names[user[s:e][new_user[s:e]]].tolist())
+        items = tuple(item_names[item[by_item[s:e]][new_item[s:e]]].tolist())
+        X = sp.csr_matrix((weight[s:e], (row[s:e] - row[s], col[s:e] - col[by_item[s]])),
+                          shape=(len(users), len(items)))
+        a, k = divmod(int(lw[s]), n_windows)
+        records.append(WindowTfidf(ACTIONS[a], k, users, items, X))
+    return records
 
-    rows, cols, data = [], [], []
-    for r, u in enumerate(users):
-        for item, w in sorted(by_user[u].entries.items()):
-            rows.append(r)
-            cols.append(item_col[item])
-            data.append(w)
-    X = sp.csr_matrix((data, (rows, cols)), shape=(len(users), len(items)))
+
+def layer_window_graph(m: WindowTfidf) -> LayerGraph:
+    """Cosine-similarity graph of one layer-window.
+
+    Every user pair sharing at least one item gets an edge with weight =
+    cosine similarity (capped at 1), co_actions = number of shared items
+    and window_count 1; zero-similarity pairs are omitted, and so are users
+    without an edge.
+    """
+    import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
+
+    X = m.X
     norms = np.sqrt(X.multiply(X).sum(axis=1)).A1
-    inv = sp.diags(1.0 / norms)
-    Xn = inv @ X
+    Xn = sp.diags(1.0 / norms) @ X
     S = sp.triu(Xn @ Xn.T, k=1).tocsr()
     S.sort_indices()
     B = X.copy()
@@ -335,23 +366,9 @@ def _window_graph(vectors: list[UserVector]) -> LayerGraph:
 
     Scoo = S.tocoo()  # row-major with sorted columns: rows sorted by (u, v)
     keep = Scoo.data > 0.0
-    return LayerGraph(layer, tuple(users), _ints(Scoo.row[keep]), _ints(Scoo.col[keep]),
+    return LayerGraph(m.layer, m.users, _ints(Scoo.row[keep]), _ints(Scoo.col[keep]),
                       np.minimum(Scoo.data[keep], 1.0), _ints(C.data[keep]),
-                      np.ones(int(keep.sum()), dtype=np.int64))
-
-
-def layer_window_graph(vectors: list[UserVector]) -> LayerGraph:
-    """Cosine-similarity graph over one layer-window's user vectors.
-
-    Every user pair sharing at least one non-zero item gets an edge with
-    weight = cosine similarity and co_actions = number of shared items;
-    zero-similarity pairs are omitted, and so are users without an edge.
-    Permuting the input list does not change the result (users are sorted
-    internally).
-    """
-    if not vectors:
-        return LayerGraph(layer="")
-    return _window_graph(vectors).edge_subgraph()
+                      np.ones(int(keep.sum()), dtype=np.int64)).edge_subgraph()
 
 
 def merge_windows(graphs: list[LayerGraph], layer: str | None = None) -> LayerGraph:
@@ -379,31 +396,13 @@ def merge_windows(graphs: list[LayerGraph], layer: str | None = None) -> LayerGr
 
 def build_multiplex(log: EventLog, actors: ActorSet, width: float,
                     shift: float) -> MultiplexNetwork:
-    """Full network construction: window slicing, per-window TF-IDF graphs,
-    and window merging for each of the five layers.
+    """Full network construction: per-window TF-IDF matrices, their cosine
+    graphs, and window merging for each of the five layers.
     """
-    if log.time_span is None:
-        return MultiplexNetwork(actors=actors, layers={a: LayerGraph(a) for a in ACTIONS})
-    t_min, _ = log.time_span
-    windows = window_slices(log.time_span, width, shift)
-    # bucket events once: (layer, window) -> user -> item -> tf
-    buckets: dict[tuple[str, int], dict[str, dict[str, int]]] = defaultdict(
-        lambda: defaultdict(lambda: defaultdict(int)))
-    for e in log.events:
-        if e.user_id not in actors.actors:
-            continue
-        for k in _window_index_range(e.timestamp, t_min, width, shift, len(windows)):
-            buckets[(e.action, k)][e.user_id][e.item_id] += 1
-    layers: dict[str, LayerGraph] = {}
-    for a in ACTIONS:
-        parts = []
-        for w in windows:
-            counts = buckets.get((a, w.index))
-            if not counts:
-                continue
-            vectors = _vectors_from_counts(counts, a, w.index)
-            if vectors:
-                parts.append(_window_graph(vectors))
+    layers = {a: LayerGraph(a) for a in ACTIONS}
+    # one layer's window graphs at a time: the records come in ACTIONS order
+    for a, records in groupby(tfidf_windows(log, actors, width, shift), attrgetter("layer")):
+        parts = [layer_window_graph(m) for m in records]
         layers[a] = merge_windows(parts, a).edge_subgraph()
         logger.info("build_multiplex: layer %s -> %d nodes, %d edges from %d window graphs",
                     a, layers[a].n_nodes, layers[a].n_edges, len(parts))

@@ -70,50 +70,46 @@ def write_edges_tsv(path: str, g: LayerGraph, version: str = "0",
                       for a, b, w, co, wc in rows)
 
 
-def _tsv_rows(path: str, what: str, n_cols: int, directives: dict):
-    """Yield (line number, fields) for every data row of a written table.
+def _tsv_rows(path: str, what: str, n_cols: int, directives: dict) -> tuple[list, list]:
+    """(line numbers, fields) of the data rows of a written table.
 
-    Before the column header, lines starting with '#' are comments; a
-    `# key value` comment is stored as directives[key] = value. From the
-    header on, every non-blank line is a row, so ids that start with '#'
-    read back intact.
+    Blank lines are skipped. Before the column header, lines starting with
+    '#' are comments; a `# key value` comment is stored as directives[key] =
+    value. From the header on, every line is a row, so ids that start with
+    '#' read back intact.
     """
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    with fh:
-        header_seen = False
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if not header_seen:
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition(" ")
-                    directives[key] = value.strip()
-                else:
-                    header_seen = True  # column header row
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_cols:
-                raise DataError(f"{path}:{line_no}: expected {n_cols} columns, "
-                                f"got {len(parts)}")
-            yield line_no, parts
+    # split on newlines only: str.splitlines also breaks ids at U+2028 and the like
+    lines = text.split("\n")
+    kept = [k for k, line in enumerate(lines) if line.strip()]
+    head = next((i for i, k in enumerate(kept) if not lines[k].startswith("#")), len(kept))
+    for k in kept[:head]:
+        key, _, value = lines[k][1:].strip().partition(" ")
+        directives[key] = value.strip()
+    body = kept[head + 1:]
+    rows = [lines[k].split("\t") for k in body]
+    if set(map(len, rows)) - {n_cols}:
+        k, parts = next((k, p) for k, p in zip(body, rows) if len(p) != n_cols)
+        raise DataError(f"{path}:{k + 1}: expected {n_cols} columns, got {len(parts)}")
+    return [k + 1 for k in body], rows
 
 
 def read_edges_tsv(path: str) -> LayerGraph:
     """Read an edge list; a row no LayerGraph holds (see from_pairs) is a
     DataError naming its line."""
     directives: dict = {}
-    rows = list(_tsv_rows(path, "edge list", 5, directives))
+    line_nos, rows = _tsv_rows(path, "edge list", 5, directives)
     layer = directives.get("layer")
     if layer is None:
         raise DataError(f"{path}: missing '# layer' line")
     try:
-        return LayerGraph.from_pairs(layer, (parts for _, parts in rows))
+        return LayerGraph.from_pairs(layer, rows)
     except EdgeRowError as exc:
-        raise DataError(f"{path}:{rows[exc.row][0]}: {exc.reason}") from exc
+        raise DataError(f"{path}:{line_nos[exc.row]}: {exc.reason}") from exc
 
 
 def write_partition_tsv(path: str, p: Partition, version: str = "0",
@@ -129,8 +125,8 @@ def write_partition_tsv(path: str, p: Partition, version: str = "0",
 
 def read_partition_tsv(path: str) -> Partition:
     directives: dict = {}
-    assignment = {user: int(comm) for _, (user, comm)
-                  in _tsv_rows(path, "partition", 2, directives)}
+    assignment = {user: int(comm) for user, comm
+                  in _tsv_rows(path, "partition", 2, directives)[1]}
     scope = directives.get("scope")
     if scope is None:
         raise DataError(f"{path}: missing '# scope' line")
@@ -153,8 +149,8 @@ def write_multiplex_partition_tsv(path: str, p: MultiplexPartition, version: str
 
 def read_multiplex_partition_tsv(path: str) -> MultiplexPartition:
     directives: dict = {}
-    assignment = {(user, layer): int(comm) for _, (user, layer, comm)
-                  in _tsv_rows(path, "multiplex partition", 3, directives)}
+    assignment = {(user, layer): int(comm) for user, layer, comm
+                  in _tsv_rows(path, "multiplex partition", 3, directives)[1]}
     if not assignment:
         raise DataError(f"{path}: empty multiplex partition")
     return MultiplexPartition(assignment=assignment,
@@ -211,7 +207,7 @@ def write_ground_truth(path: str, truth, version: str = "0",
 
 
 def read_ground_truth(path: str) -> dict:
-    return {user: int(comm) for _, (user, comm) in _tsv_rows(path, "ground truth", 2, {})}
+    return {user: int(comm) for user, comm in _tsv_rows(path, "ground truth", 2, {})[1]}
 
 
 def write_events_tsv(path: str, log, version: str = "0",

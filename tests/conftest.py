@@ -19,6 +19,15 @@ def edge_dict(g):
         g.window_count.tolist())}
 
 
+def tfidf_entries(m):
+    """{user: {item: tf * idf}} of a WindowTfidf, in row order: a dict view for tests."""
+    out = {u: {} for u in m.users}
+    X = m.X.tocoo()
+    for r, c, w in zip(X.row.tolist(), X.col.tolist(), X.data.tolist()):
+        out[m.users[r]][m.items[c]] = w
+    return out
+
+
 def clique(layer, names, weight=1.0):
     pairs = [(names[i], names[j], weight)
              for i in range(len(names)) for j in range(i + 1, len(names))]

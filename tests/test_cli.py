@@ -213,6 +213,19 @@ def test_bad_edge_row_exits_2(tmp_path, capsys):
     assert not (out / "partition_rtw.tsv").exists()
 
 
+def test_runaway_window_grid_exits_2(tmp_path, capsys):
+    # one millisecond timestamp in a log in seconds would ask for 94,349,999
+    # windows of 6 h shifted by 5 h
+    events = tmp_path / "events.tsv"
+    events.write_text("u1\trtw\tA\t1700000000\nu2\trtw\tA\t1700000000000\n")
+    cfg = write_cfg(tmp_path / "run.json", {"input": str(events), "schema": "tsv",
+                                            "out": str(tmp_path / "out")})
+    assert main(["build", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "94,349,999 windows" in err, err
+    assert "in seconds" in err
+
+
 def test_explicit_restriction_token(workdir, capsys):
     assert main(["compare", "--config", workdir["run_cfg"],
                  "--ref", "multi:rpl", "--other", "rpl"]) == 0

@@ -1,15 +1,16 @@
-"""Window arithmetic, TF-IDF vectors, cosine graphs, and window merging."""
+"""Window arithmetic, TF-IDF matrices, cosine graphs, and window merging."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import edge_dict
+from conftest import edge_dict, tfidf_entries
+from multicoord.errors import DataError
 from multicoord.ingest import ActionEvent, ActorSet, EventLog
-from multicoord.netbuild import (LayerGraph, Window, build_multiplex,
-                                 build_user_vectors, layer_window_graph,
-                                 merge_windows, window_slices)
+from multicoord.netbuild import (MAX_WINDOWS, LayerGraph, Window, build_multiplex,
+                                 layer_window_graph, merge_windows,
+                                 tfidf_windows, window_slices)
 
 H = 3600.0
 
@@ -17,6 +18,13 @@ H = 3600.0
 def actors_of(*users):
     return ActorSet(actors=frozenset(users),
                     per_action_top={"rtw": frozenset(users)})
+
+
+def only_window(log, actors, width=10.0):
+    """The one TF-IDF record of a log over (0, 10): one window [0, width)."""
+    (m,) = tfidf_windows(log, actors, width, 10.0)
+    assert (m.layer, m.index) == ("rtw", 0)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +64,14 @@ def test_window_slices_validation():
         window_slices((0.0, 10.0), 1.0, -1.0)
     with pytest.raises(ValueError):
         window_slices((10.0, 0.0), 1.0, 1.0)
+    # one millisecond timestamp in a log in seconds: 94,349,999 windows
+    with pytest.raises(DataError, match=r"94,349,999 windows.*seconds"):
+        window_slices((1.7e9, 1.7e12), 6 * H, 5 * H)
+    assert len(window_slices((0.0, MAX_WINDOWS * 5.0), 5.0, 5.0)) == MAX_WINDOWS
 
 
 # ---------------------------------------------------------------------------
-# TF-IDF vectors
+# TF-IDF matrices
 
 # Hand fixture, one window with three active users:
 #   u1: item A twice, item B once
@@ -79,14 +91,23 @@ def _fixture_log():
 
 
 def test_tfidf_hand_values():
-    log = _fixture_log()
-    vecs = build_user_vectors(log, actors_of("u1", "u2", "u3"), "rtw",
-                              Window(0.0, 10.0, 0))
-    by_user = {v.user_id: v.entries for v in vecs}
+    m = only_window(_fixture_log(), actors_of("u1", "u2", "u3"))
     a, b = math.log(3 / 2), math.log(3)
-    assert by_user["u1"] == pytest.approx({"A": 2 * a, "B": b})
-    assert by_user["u2"] == pytest.approx({"A": a})
-    assert by_user["u3"] == pytest.approx({"C": b})
+    assert (m.users, m.items) == (("u1", "u2", "u3"), ("A", "B", "C"))
+    assert tfidf_entries(m) == {"u1": {"A": 2 * a, "B": b}, "u2": {"A": a}, "u3": {"C": b}}
+
+
+def test_idf_is_math_log():
+    # 21 active users, 20 of them on item V: idf(V) = ln(21/20), where
+    # np.log is one bit below math.log on numpy 2.4
+    rows = [(f"u{k:02d}", "rtw", "V", 1.0) for k in range(20)] + [("u20", "rtw", "Z", 2.0),
+                                                                 ("u00", "rtw", "V", 3.0)]
+    log = EventLog(tuple(ActionEvent(*r) for r in rows), time_span=(0.0, 10.0))
+    m = only_window(log, actors_of(*(f"u{k:02d}" for k in range(21))))
+    entries = tfidf_entries(m)
+    assert entries["u00"] == {"V": 2 * math.log(21 / 20)}
+    assert entries["u01"]["V"] == math.log(21 / 20) != float(np.log(21 / 20))
+    assert entries["u20"] == {"Z": math.log(21)}
 
 
 def test_viral_item_is_nulled():
@@ -94,23 +115,20 @@ def test_viral_item_is_nulled():
     rows = [("u1", "rtw", "V", 1.0), ("u2", "rtw", "V", 2.0),
             ("u2", "rtw", "X", 3.0)]
     log = EventLog(tuple(ActionEvent(*r) for r in rows), time_span=(0.0, 10.0))
-    vecs = build_user_vectors(log, actors_of("u1", "u2"), "rtw",
-                              Window(0.0, 10.0, 0))
-    # u1 had only the viral item, so it emits no vector at all
-    assert [v.user_id for v in vecs] == ["u2"]
-    assert set(vecs[0].entries) == {"X"}
+    m = only_window(log, actors_of("u1", "u2"))
+    # u1 had only the viral item, so it has no row at all
+    assert tfidf_entries(m) == {"u2": {"X": math.log(2)}}
 
 
 def test_vectors_respect_window_and_actor_set():
     log = _fixture_log()
     # window [0, 4.5) cuts u3's event at 5.0; active = {u1, u2}, so item A
     # (used by both) is nulled and only u1's B survives
-    vecs = build_user_vectors(log, actors_of("u1", "u2", "u3"), "rtw",
-                              Window(0.0, 4.5, 0))
-    assert [(v.user_id, set(v.entries)) for v in vecs] == [("u1", {"B"})]
+    m = only_window(log, actors_of("u1", "u2", "u3"), width=4.5)
+    assert tfidf_entries(m) == {"u1": {"B": math.log(2)}}
     # single active user: df(item) = N_w = 1 for every item, all nulled
-    vecs2 = build_user_vectors(log, actors_of("u1"), "rtw", Window(0.0, 10.0, 0))
-    assert vecs2 == []
+    solo = ActorSet(actors=frozenset({"u1"}), per_action_top={"rtw": frozenset({"u1"})})
+    assert tfidf_windows(log, solo, 10.0, 10.0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +136,7 @@ def test_vectors_respect_window_and_actor_set():
 
 
 def test_cosine_graph_hand_values():
-    log = _fixture_log()
-    vecs = build_user_vectors(log, actors_of("u1", "u2", "u3"), "rtw",
-                              Window(0.0, 10.0, 0))
-    g = layer_window_graph(vecs)
+    g = layer_window_graph(only_window(_fixture_log(), actors_of("u1", "u2", "u3")))
     a, b = math.log(3 / 2), math.log(3)
     # u1 = (2a, b) on items (A, B); u2 = (a,) on A; no shared item with u3
     expected = 2 * a * a / (math.hypot(2 * a, b) * a)
@@ -134,38 +149,24 @@ def test_cosine_graph_hand_values():
 
 
 def test_cosine_graph_identical_vectors():
-    vecs = build_user_vectors(
-        EventLog((ActionEvent("u1", "rtw", "A", 1.0),
-                  ActionEvent("u1", "rtw", "B", 1.5),
-                  ActionEvent("u2", "rtw", "A", 2.0),
-                  ActionEvent("u2", "rtw", "B", 2.5),
-                  ActionEvent("u3", "rtw", "Z", 3.0)), time_span=(0.0, 4.0)),
-        actors_of("u1", "u2", "u3"), "rtw", Window(0.0, 4.0, 0))
-    g = layer_window_graph(vecs)
+    log = EventLog((ActionEvent("u1", "rtw", "A", 1.0), ActionEvent("u1", "rtw", "B", 1.5),
+                    ActionEvent("u2", "rtw", "A", 2.0), ActionEvent("u2", "rtw", "B", 2.5),
+                    ActionEvent("u3", "rtw", "Z", 3.0)), time_span=(0.0, 10.0))
+    g = layer_window_graph(only_window(log, actors_of("u1", "u2", "u3")))
     data = edge_dict(g)[("u1", "u2")]
     assert data.weight == pytest.approx(1.0, abs=1e-12)
     assert data.co_actions == 2
 
 
 def test_cosine_graph_order_invariant():
+    # the order of the events in the log does not change the record or graph
     log = _fixture_log()
-    vecs = build_user_vectors(log, actors_of("u1", "u2", "u3"), "rtw",
-                              Window(0.0, 10.0, 0))
-    g1 = layer_window_graph(vecs)
-    g2 = layer_window_graph(list(reversed(vecs)))
+    shuffled = EventLog(log.events[::-1], time_span=log.time_span)
+    acts = actors_of("u1", "u2", "u3")
+    m1, m2 = only_window(log, acts), only_window(shuffled, acts)
+    assert (m1.users, m1.items, tfidf_entries(m1)) == (m2.users, m2.items, tfidf_entries(m2))
+    g1, g2 = layer_window_graph(m1), layer_window_graph(m2)
     assert edge_dict(g1) == edge_dict(g2) and g1.nodes == g2.nodes
-
-
-def test_cosine_graph_input_validation():
-    from multicoord.netbuild import UserVector
-    v1 = UserVector("u1", "rtw", 0, {"A": 1.0})
-    with pytest.raises(ValueError):
-        layer_window_graph([v1, UserVector("u1", "rtw", 0, {"B": 1.0})])
-    with pytest.raises(ValueError):
-        layer_window_graph([v1, UserVector("u2", "rtw", 1, {"A": 1.0})])
-    with pytest.raises(ValueError):
-        layer_window_graph([v1, UserVector("u2", "rpl", 0, {"A": 1.0})])
-    assert layer_window_graph([]).n_edges == 0
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,9 @@ def test_build_multiplex_matches_manual_composition(rng):
 
 def _check_manual_composition(rng, n_users, n_items, n_events, span, n_windows):
     # random small log; the one-shot builder must equal the window-by-window
-    # composition of the tested pieces, merged by a sequential loop
+    # composition of the dict oracle's graphs, merged by a sequential loop
+    from test_properties import user_vectors_oracle, window_graph_oracle
+
     users = [f"u{i}" for i in range(n_users)]
     items = [f"i{i}" for i in range(n_items)]
     rows = []
@@ -242,9 +245,9 @@ def _check_manual_composition(rng, n_users, n_items, n_events, span, n_windows):
     for layer in ("rtw", "rpl"):
         per_window = []
         for w in windows:
-            vecs = build_user_vectors(log, acts, layer, w)
+            vecs = user_vectors_oracle(log, acts, layer, w)
             if vecs:
-                wg = layer_window_graph(vecs)
+                wg = window_graph_oracle(vecs).edge_subgraph()
                 if wg.n_edges:
                     per_window.append(wg)
         sums = {}
@@ -272,13 +275,7 @@ def test_build_multiplex_boundary_event_exclusive():
             ActionEvent("u1", "rtw", "B", 3.0)]
     log = EventLog(tuple(sorted(rows, key=lambda e: e.timestamp)),
                    time_span=(0.0, 20.0))
-    acts = actors_of("u1", "u2")
-    w0, w1 = window_slices((0.0, 20.0), 10.0, 10.0)
-    v0 = build_user_vectors(log, acts, "rtw", w0)
-    v1 = build_user_vectors(log, acts, "rtw", w1)
-    items0 = {i for v in v0 for i in v.entries}
-    items1 = {i for v in v1 for i in v.entries}
-    assert "A" in items0          # the 9.999 event, df=1 in window 0
-    assert items1 == set()        # both users share A at 10.0: idf 0, nulled
-    g1 = layer_window_graph(v1) if v1 else None
-    assert g1 is None or g1.n_edges == 0
+    # the 9.999 event makes A df=1 in window 0; in window 1 both users share
+    # A at 10.0: idf 0, nulled, so window 1 has no record at all
+    (m0,) = tfidf_windows(log, actors_of("u1", "u2"), 10.0, 10.0)
+    assert m0.index == 0 and "A" in m0.items

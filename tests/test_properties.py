@@ -4,12 +4,12 @@ import dataclasses
 import math
 import os
 import tempfile
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
 import numpy as np
 import pytest
 
-from conftest import edge_dict
+from conftest import edge_dict, tfidf_entries
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -22,13 +22,100 @@ from multicoord.community import (MultiplexPartition, Partition,  # noqa: E402
                                   multislice_modularity)
 from multicoord.compare import nmi, overlap_matrix  # noqa: E402
 from multicoord.filternet import FilterConfig, filter_layer  # noqa: E402
-from multicoord.ingest import _build_event  # noqa: E402
+from multicoord.errors import InvariantError  # noqa: E402
+from multicoord.ingest import (ACTIONS, ActionEvent, ActorSet,  # noqa: E402
+                               EventLog, _build_event)
 from multicoord.netbuild import (LayerGraph, MultiplexNetwork,  # noqa: E402
-                                 UserVector, layer_window_graph)
+                                 WindowTfidf, _window_ranges, build_multiplex,
+                                 layer_window_graph, merge_windows,
+                                 tfidf_windows, window_slices)
 from multicoord.reports import (read_edges_tsv,  # noqa: E402
                                 read_multiplex_partition_tsv, read_partition_tsv,
                                 write_edges_tsv, write_multiplex_partition_tsv,
                                 write_partition_tsv)
+
+# ---------------------------------------------------------------------------
+# network construction against the dict code it replaced: a Window.contains
+# scan per layer-window, dict TF-IDF vectors, and a CSR built from them
+
+Vector = namedtuple("Vector", "user_id layer window_index entries")
+
+
+def user_vectors_oracle(log, actors, layer, window):
+    """TF-IDF vectors of the actors active in ``layer`` within ``window``;
+    users whose every item is nulled (df = N_w) get none."""
+    counts = defaultdict(lambda: defaultdict(int))
+    for e in log.events:
+        if e.action == layer and e.user_id in actors.actors and window.contains(e.timestamp):
+            counts[e.user_id][e.item_id] += 1
+    n_active = len(counts)
+    df = defaultdict(int)
+    for items in counts.values():
+        for item in items:
+            df[item] += 1
+    idf = {item: math.log(n_active / d) for item, d in df.items()}
+    vectors = []
+    for user in sorted(counts):
+        entries = {}
+        for item, tf in counts[user].items():
+            w = tf * idf[item]
+            if w > 0.0:
+                entries[item] = w
+        if entries:
+            vectors.append(Vector(user, layer, window.index, entries))
+    return vectors
+
+
+def matrix_oracle(vectors):
+    """(sorted users, sorted items, CSR of the entries) of one layer-window."""
+    import scipy.sparse as sp
+
+    by_user = {v.user_id: v for v in vectors}
+    users = sorted(by_user)
+    items = sorted({i for v in vectors for i in v.entries})
+    item_col = {i: c for c, i in enumerate(items)}
+    rows, cols, data = [], [], []
+    for r, u in enumerate(users):
+        for item, w in sorted(by_user[u].entries.items()):
+            rows.append(r)
+            cols.append(item_col[item])
+            data.append(w)
+    X = sp.csr_matrix((data, (rows, cols)), shape=(len(users), len(items)))
+    return tuple(users), tuple(items), X
+
+
+def window_graph_oracle(vectors):
+    """Cosine graph of one layer-window over all its users, isolated ones kept."""
+    import scipy.sparse as sp
+
+    users, _, X = matrix_oracle(vectors)
+    norms = np.sqrt(X.multiply(X).sum(axis=1)).A1
+    Xn = sp.diags(1.0 / norms) @ X
+    S = sp.triu(Xn @ Xn.T, k=1).tocsr()
+    S.sort_indices()
+    B = X.copy()
+    B.data = np.ones_like(B.data)
+    C = sp.triu(B @ B.T, k=1).tocsr()
+    C.sort_indices()
+    if not (np.array_equal(S.indptr, C.indptr) and np.array_equal(S.indices, C.indices)):
+        raise InvariantError("similarity and co-action supports diverge")
+    Scoo = S.tocoo()
+    keep = Scoo.data > 0.0
+    return LayerGraph(vectors[0].layer, users, Scoo.row[keep].astype(np.int64),
+                      Scoo.col[keep].astype(np.int64), np.minimum(Scoo.data[keep], 1.0),
+                      C.data[keep].astype(np.int64), np.ones(int(keep.sum()), dtype=np.int64))
+
+
+def build_multiplex_oracle(log, actors, width, shift):
+    """{layer: LayerGraph} from the oracle graphs of every layer-window."""
+    windows = window_slices(log.time_span, width, shift)
+    layers = {}
+    for layer in ACTIONS:
+        parts = [window_graph_oracle(vecs) for w in windows
+                 if (vecs := user_vectors_oracle(log, actors, layer, w))]
+        layers[layer] = merge_windows(parts, layer).edge_subgraph()
+    return layers
+
 
 # small id alphabets, so that random vectors share items and ids collide
 # with each other's prefixes
@@ -36,7 +123,7 @@ vector_sets = st.dictionaries(
     keys=st.text(alphabet="ab#é", min_size=1, max_size=3),
     values=st.dictionaries(st.sampled_from([f"i{k}" for k in range(6)]),
                            st.floats(min_value=1e-3, max_value=1e3), min_size=1),
-    max_size=8)
+    min_size=1, max_size=8)
 
 
 def _norm(entries):
@@ -46,8 +133,8 @@ def _norm(entries):
 @settings(max_examples=200, deadline=None)
 @given(vector_sets)
 def test_layer_window_graph_matches_brute_force(entries_by_user):
-    vectors = [UserVector(u, "rtw", 0, e) for u, e in entries_by_user.items()]
-    g = layer_window_graph(vectors)
+    vectors = [Vector(u, "rtw", 0, e) for u, e in entries_by_user.items()]
+    g = layer_window_graph(WindowTfidf("rtw", 0, *matrix_oracle(vectors)))
 
     expected = {}
     for a in entries_by_user:
@@ -66,6 +153,79 @@ def test_layer_window_graph_matches_brute_force(entries_by_user):
         assert 0.0 < d.weight <= 1.0
         assert (d.co_actions, d.window_count) == (n_shared, 1)
     assert g.nodes == tuple(sorted({u for key in expected for u in key}))
+
+
+H = 3600.0
+GRIDS = [(6 * H, 5 * H), (0.3, 0.1), (10.0, 4.0), (10.0, 10.0)]
+
+
+@st.composite
+def grids(draw):
+    """(t_min, t_max, width, shift) and times on and next to window edges."""
+    width, shift = draw(st.sampled_from(GRIDS))
+    t_min = draw(st.sampled_from([0.0, 0.05, 12.5, 1.7e9]))
+    n = draw(st.integers(1, 8))
+    t_max = t_min + width + (n - 1) * shift + draw(st.sampled_from([0.0, shift / 3]))
+    edges = [t_min + k * shift + d for k in range(n + 1) for d in (0.0, width)]
+    near = edges + [np.nextafter(t, s) for t in edges for s in (-np.inf, np.inf)]
+    times = st.sampled_from([float(t) for t in near if t_min <= t <= t_max])
+    return t_min, t_max, width, shift, times | st.floats(t_min, t_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.data())
+def test_window_ranges_match_contains_scan(grid, data):
+    t_min, t_max, width, shift, times = grid
+    windows = window_slices((t_min, t_max), width, shift)
+    ts = data.draw(st.lists(times, min_size=1, max_size=20))
+    lo, hi = _window_ranges(np.array(ts), t_min, width, shift, len(windows))
+    for t, a, b in zip(ts, lo.tolist(), hi.tolist()):
+        assert [w.index for w in windows if w.contains(t)] == list(range(a, b + 1))
+
+
+@st.composite
+def event_logs(draw):
+    """(log, actors, width, shift): 1-5 layers, repeated events, items that
+    every active user of a window shares, users outside the actor set and
+    events on window edges."""
+    t_min, t_max, width, shift, times = draw(grids())
+    layers = draw(st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=5, unique=True))
+    users = [f"u{k}" for k in range(draw(st.integers(2, 7)))]
+    events = draw(st.lists(st.builds(ActionEvent, st.sampled_from(users),
+                                     st.sampled_from(layers),
+                                     st.sampled_from(["i0", "i1", "i2", "i3"]), times),
+                           min_size=1, max_size=40))
+    events += events[:draw(st.integers(0, 5))]
+    for layer, t in draw(st.lists(st.tuples(st.sampled_from(layers), times), max_size=2)):
+        events += [ActionEvent(u, layer, "viral", t) for u in users]
+    actors = frozenset(draw(st.lists(st.sampled_from(users), min_size=1, unique=True)))
+    log = EventLog(tuple(sorted(events, key=lambda e: e.timestamp)), time_span=(t_min, t_max))
+    return log, ActorSet(actors=actors, per_action_top={"rtw": actors}), width, shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_logs())
+def test_build_multiplex_matches_dict_oracle(case):
+    log, actors, width, shift = case
+    windows = window_slices(log.time_span, width, shift)
+    records = tfidf_windows(log, actors, width, shift)
+    want = [(layer, w.index) for layer in ACTIONS for w in windows
+            if user_vectors_oracle(log, actors, layer, w)]
+    assert [(m.layer, m.index) for m in records] == want
+    for m in records:
+        vectors = user_vectors_oracle(log, actors, m.layer, windows[m.index])
+        assert tfidf_entries(m) == {v.user_id: v.entries for v in vectors}
+        users, items, X = matrix_oracle(vectors)
+        assert (m.users, m.items) == (users, items)
+        assert m.X.shape == X.shape and (m.X != X).nnz == 0
+
+    net = build_multiplex(log, actors, width, shift)
+    for layer, g in build_multiplex_oracle(log, actors, width, shift).items():
+        got = net.layers[layer]
+        assert got.nodes == g.nodes
+        for column in ("u", "v", "weight", "co_actions", "window_count"):
+            a, b = getattr(got, column), getattr(g, column)
+            assert a.dtype == b.dtype and np.array_equal(a, b), column
 
 
 # ---------------------------------------------------------------------------
