@@ -16,11 +16,15 @@ single layer reduces Q to standard Newman-Girvan modularity, which the
 test suite checks to 1e-12. One shared engine runs both cases: a node
 carries a per-layer strength vector, so the aggregated problem keeps the
 factorized per-layer null model while coupling weights behave as plain
-edges.
+edges. Each aggregation level is one symmetric CSR, and numpy grouping
+builds the next. Local moving drains a FIFO queue that starts as a seeded
+shuffle of every node; a node that moves requeues its neighbours outside
+its new community, so later visits go only where a neighbour moved
+(Ozaki, Tezuka & Inaba 2016; Traag, Waltman & van Eck 2019). Passes stop
+when one moves no node.
 
-All detection is deterministic for a fixed seed (node visit order is a
-seeded shuffle) and community ids are canonicalized by decreasing size,
-ties broken by smallest member id.
+Detection is deterministic for a fixed seed, and community ids are
+canonicalized by decreasing size, ties broken by smallest member id.
 
 All of it reads LayerGraph's edge arrays; a flattened graph is a
 LayerGraph named after its scope. Sums run left to right in edge-row
@@ -33,8 +37,8 @@ from __future__ import annotations
 import logging
 import math
 import random
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +47,8 @@ from .netbuild import LayerGraph, MultiplexNetwork, _group_pairs, _group_sums, _
 
 logger = logging.getLogger(__name__)
 
-# A full local-moving sweep that gains less than this (in Q units) stops
-# the sweep loop; passes that gain less stop the algorithm.
+# A node moves only when that raises Q by more than this, so float noise
+# cannot keep the local-moving queue cycling.
 GAIN_TOLERANCE = 1e-10
 
 UNION_STRATEGIES = ("nw", "ec", "sum")
@@ -53,14 +57,17 @@ UNION_STRATEGIES = ("nw", "ec", "sum")
 @dataclass(frozen=True)
 class Partition:
     """Node -> community assignment for one scope (a layer or a flattened
-    network), with the resolution used and the per-pass modularity trace
-    of the optimization that produced it (empty for derived partitions).
+    network), with the resolution used, the per-pass modularity trace of
+    the optimization that produced it, and the node visits and moves of
+    each pass (all empty for derived partitions).
     """
 
     scope: str
     assignment: dict[str, int]
     gamma: float = 1.0
     trace: tuple[float, ...] = ()
+    visits: tuple[int, ...] = ()
+    moves: tuple[int, ...] = ()
 
     def n_communities(self) -> int:
         return len(set(self.assignment.values()))
@@ -74,6 +81,8 @@ class MultiplexPartition:
     gamma: float = 1.0
     omega: float = 0.1
     trace: tuple[float, ...] = ()
+    visits: tuple[int, ...] = ()
+    moves: tuple[int, ...] = ()
 
     def n_communities(self) -> int:
         return len(set(self.assignment.values()))
@@ -184,185 +193,162 @@ def multislice_modularity(net: MultiplexNetwork, p: MultiplexPartition,
 # the shared Louvain engine
 
 
+@dataclass(frozen=True)
 class _Problem:
-    """State of one aggregation level.
-
-    adj holds symmetric neighbor weights (coupling included, no self
-    entries); loops holds collapsed internal weight as an ordered-pair sum;
-    strength holds per-layer null-model strength vectors (couplings are
-    excluded from the null model by construction).
+    """One aggregation level as a symmetric CSR: row u lists u's neighbours
+    (coupling included, no self entries) in increasing id order. strength
+    (n, L) holds per-layer null-model strengths (couplings are excluded
+    from the null model by construction). A node's internal weight is not
+    kept: no move gain depends on it, and Q comes from the gains.
     """
 
-    __slots__ = ("n", "adj", "loops", "strength", "scaled", "slot", "n_layers")
-
-    def __init__(self, n: int, n_layers: int):
-        self.n = n
-        self.n_layers = n_layers
-        self.adj: list[dict[int, float]] = [dict() for _ in range(n)]
-        self.loops: list[float] = [0.0] * n
-        self.strength: list[list[float]] = [[0.0] * n_layers for _ in range(n)]
-        self.scaled: list[list[float]] = []
-        self.slot: list[int] = []
-
-    def finalize_scaled(self, inv_two_m: list[float]):
-        self.scaled = [
-            [k * inv for k, inv in zip(vec, inv_two_m)] for vec in self.strength
-        ]
-        # the one layer a node has strength in, or -1: every node when L = 1
-        # and every level-0 supra-node, whose null term is then one product
-        nonzero = ([s for s, k in enumerate(vec) if k != 0.0] for vec in self.strength)
-        self.slot = [nz[0] if len(nz) == 1 else -1 for nz in nonzero]
+    indptr: np.ndarray
+    indices: np.ndarray
+    weight: np.ndarray
+    strength: np.ndarray
 
 
-def _null_term(scaled_u: list[float], comm_k: list[float]) -> float:
-    return sum(s * k for s, k in zip(scaled_u, comm_k))
+def _csr(n: int, u: np.ndarray, v: np.ndarray,
+         w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """indptr, indices, weight of the symmetric rows (u, v, w) and (v, u, w),
+    sorted by (row, neighbour) with one lexsort."""
+    rows, cols, ws = np.concatenate((u, v)), np.concatenate((v, u)), np.concatenate((w, w))
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return indptr, cols[order], ws[order]
 
 
-def _local_moving(prob: _Problem, comm: list[int], comm_k: list[list[float]],
-                  comm_size: list[int], gamma: float, two_mu: float,
-                  rng: random.Random) -> tuple[bool, float]:
-    """Greedy node moves until a full sweep gains < GAIN_TOLERANCE.
+def _null_term(scaled_u: list[float], comm_k: list[list[float]], c: int) -> float:
+    return sum(s * k[c] for s, k in zip(scaled_u, comm_k))
 
-    Returns whether any node moved and the summed gain of the accepted
-    moves (Q rises by twice that over 2mu). comm/comm_k/comm_size are
-    updated in place; emptied community slots are recycled for nodes
-    moving to fresh solitude.
+
+def _local_moving(prob: _Problem, inv_two_m: np.ndarray, gamma: float, threshold: float,
+                  rng: random.Random) -> tuple[list[int], float, int, int]:
+    """Greedy node moves from singletons, driven by a FIFO queue.
+
+    The queue starts as a seeded shuffle of every node. A node moves to the
+    neighbouring community (or a fresh one) of highest gain when that beats
+    staying by more than threshold; its neighbours outside its new community
+    then rejoin the queue unless already in it. The pass ends when the queue
+    is empty. Returns (community per node, summed gain of the moves, visits,
+    moves); Q rises by twice the gain over 2mu. A node moving to fresh
+    solitude takes an emptied community id.
     """
-    order = list(range(prob.n))
+    n, nl = prob.strength.shape
+    indptr, indices, weight = prob.indptr.tolist(), prob.indices.tolist(), prob.weight.tolist()
+    rows = [(indices[a:b], weight[a:b]) for a, b in zip(indptr, indptr[1:])]
+    strength = prob.strength.tolist()
+    scaled = (prob.strength * inv_two_m).tolist()
+    # the one layer a node has strength in, or -1: every node when L = 1 and
+    # every level-0 supra-node, whose null term is then one product (the
+    # other products of _null_term are exact zeros)
+    nonzero = prob.strength != 0.0
+    slot = np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1).tolist()
+    comm = list(range(n))
+    comm_k = prob.strength.T.tolist()  # comm_k[s][c]: community c's strength in layer s
+    comm_size = [1] * n
+    order = list(range(n))
     rng.shuffle(order)
+    queue, queued = deque(order), [True] * n
     free_ids: list[int] = []
-    moved_any = False
-    total_gain = 0.0
-    nl = prob.n_layers
-    while True:
-        sweep_gain = 0.0
-        for u in order:
-            c_old = comm[u]
-            links: dict[int, float] = defaultdict(float)
-            for v, w in prob.adj[u].items():
-                links[comm[v]] += w
-            ku = prob.strength[u]
-            su = prob.scaled[u]
-            # with one non-zero slot t the other products are exact zeros,
-            # so the scalar null term is the same float as _null_term
-            t = prob.slot[u]
-            slots = (t,) if t >= 0 else range(nl)
-            # take u out of its community
-            kc = comm_k[c_old]
-            for s in slots:
-                kc[s] -= ku[s]
-            comm_size[c_old] -= 1
-            null = su[t] * kc[t] if t >= 0 else _null_term(su, kc)
-            gain_old = links.get(c_old, 0.0) - gamma * null
-            best_c, best_gain = c_old, gain_old
-            for c in sorted(links):
-                if c == c_old:
-                    continue
-                null = su[t] * comm_k[c][t] if t >= 0 else _null_term(su, comm_k[c])
-                gain = links[c] - gamma * null
-                if gain > best_gain:
-                    best_c, best_gain = c, gain
-            if comm_size[c_old] > 0 and 0.0 > best_gain:
-                # strictly better off alone in a fresh community
-                if free_ids:
-                    best_c = free_ids.pop()
-                else:
-                    best_c = len(comm_k)
-                    comm_k.append([0.0] * nl)
-                    comm_size.append(0)
-                best_gain = 0.0
-            kc = comm_k[best_c]
-            for s in slots:
-                kc[s] += ku[s]
-            comm_size[best_c] += 1
-            if best_c != c_old:
-                if comm_size[c_old] == 0:
-                    free_ids.append(c_old)
-                comm[u] = best_c
-                moved_any = True
-                sweep_gain += best_gain - gain_old
-        total_gain += sweep_gain
-        if sweep_gain / two_mu < GAIN_TOLERANCE:
-            break
-    return moved_any, total_gain
-
-
-def _aggregate(prob: _Problem, comm: list[int]) -> tuple[_Problem, dict[int, int]]:
-    """Collapse communities into super-nodes; returns the new problem and
-    the old-community-id -> new-node-id map (dense, ordered by old id)."""
-    live = sorted({c for c in comm})
-    remap = {c: i for i, c in enumerate(live)}
-    agg = _Problem(len(live), prob.n_layers)
-    for u in range(prob.n):
-        cu = remap[comm[u]]
-        vec = agg.strength[cu]
-        for s in range(prob.n_layers):
-            vec[s] += prob.strength[u][s]
-        agg.loops[cu] += prob.loops[u]
-        for v, w in prob.adj[u].items():
-            cv = remap[comm[v]]
-            if cv == cu:
-                agg.loops[cu] += w  # ordered pair, counted from both ends
+    total_gain, visits, moves = 0.0, 0, 0
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        visits += 1
+        c_old = comm[u]
+        nbrs, ws = rows[u]
+        links: dict[int, float] = {}
+        for v, w in zip(nbrs, ws):
+            c = comm[v]
+            if c in links:
+                links[c] += w
             else:
-                agg.adj[cu][cv] = agg.adj[cu].get(cv, 0.0) + w
-    return agg, remap
+                links[c] = w
+        ku, su, t = strength[u], scaled[u], slot[u]
+        slots = (t,) if t >= 0 else range(nl)
+        for s in slots:  # take u out of its community
+            comm_k[s][c_old] -= ku[s]
+        comm_size[c_old] -= 1
+        kt, st = comm_k[t], su[t]  # read only when t >= 0
+        null = st * kt[c_old] if t >= 0 else _null_term(su, comm_k, c_old)
+        gain_old = best_gain = links.get(c_old, 0.0) - gamma * null
+        best_c = c_old
+        for c in sorted(links):
+            null = st * kt[c] if t >= 0 else _null_term(su, comm_k, c)
+            gain = links[c] - gamma * null
+            if gain > best_gain:
+                best_c, best_gain = c, gain
+        if comm_size[c_old] > 0 and 0.0 > best_gain:
+            best_c, best_gain = -1, 0.0  # strictly better off alone in a fresh community
+        if best_c != c_old and best_gain - gain_old > threshold:
+            if best_c < 0:  # u shares c_old, so at most n - 1 ids are in use
+                best_c = free_ids.pop()
+            if comm_size[c_old] == 0:
+                free_ids.append(c_old)
+            comm[u] = best_c
+            moves += 1
+            total_gain += best_gain - gain_old
+            for v in nbrs:
+                if not queued[v] and comm[v] != best_c:
+                    queued[v] = True
+                    queue.append(v)
+        else:
+            best_c = c_old
+        for s in slots:
+            comm_k[s][best_c] += ku[s]
+        comm_size[best_c] += 1
+    return comm, total_gain, visits, moves
+
+
+def _aggregate(prob: _Problem, comm: np.ndarray) -> tuple[_Problem, np.ndarray]:
+    """Collapse communities into super-nodes numbered by increasing
+    community id; returns the next level and each node's super-node.
+
+    Each sum adds in CSR row order, as a walk over the rows would
+    (tests/test_properties.py keeps that walk).
+    """
+    live, new = np.unique(comm, return_inverse=True)
+    k = len(live)
+    cu = new[np.repeat(np.arange(len(comm)), np.diff(prob.indptr))]
+    cv = new[prob.indices]
+    between = cu != cv
+    keys, pair = np.unique(cu[between] * k + cv[between], return_inverse=True)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // k, minlength=k))))
+    strength = np.column_stack([np.bincount(new, weights=col, minlength=k)
+                                for col in prob.strength.T])
+    return _Problem(indptr, keys % k, np.bincount(pair, weights=prob.weight[between]),
+                    strength), new
 
 
 def _optimize(prob: _Problem, gamma: float, inv_two_m: list[float], two_mu: float,
-              rng: random.Random) -> tuple[list[int], list[float]]:
-    """Run local moving + aggregation passes until no node moves.
+              rng: random.Random) -> tuple[list[int], list[float], list[tuple[int, int]]]:
+    """Run local moving + aggregation passes until a pass moves no node.
 
     The trace holds the quality after each pass, kept from the move gains:
     it starts at the all-singletons Q, each pass adds 2 * (its gains) / 2mu,
-    and aggregation leaves Q unchanged. Returns (assignment, trace).
+    and aggregation leaves Q unchanged. Returns (assignment, trace, (visits,
+    moves) per pass).
     """
-    prob.finalize_scaled(inv_two_m)
-    q = -gamma * math.fsum(k * s for vec, svec in zip(prob.strength, prob.scaled)
-                           for k, s in zip(vec, svec)) / two_mu
-    node_of = [[i] for i in range(prob.n)]  # level node -> original nodes
-    global_comm = list(range(prob.n))
+    inv = np.asarray(inv_two_m)
+    q = -gamma * math.fsum((prob.strength * (prob.strength * inv)).ravel().tolist()) / two_mu
+    threshold = 0.5 * GAIN_TOLERANCE * two_mu  # a move gains 2 * (its gain) / 2mu in Q
+    node = np.arange(len(prob.strength))  # original node -> its node at this level
     trace: list[float] = []
+    passes: list[tuple[int, int]] = []
     while True:
-        comm = list(range(prob.n))
-        comm_k = [list(vec) for vec in prob.strength]
-        comm_size = [1] * prob.n
-        moved, gain = _local_moving(prob, comm, comm_k, comm_size, gamma, two_mu, rng)
-        for level_node, originals in zip(range(prob.n), node_of):
-            for o in originals:
-                global_comm[o] = comm[level_node]
+        comm, gain, visits, moves = _local_moving(prob, inv, gamma, threshold, rng)
         q += 2.0 * gain / two_mu
         trace.append(q)
-        if not moved:
-            break
-        prob, remap = _aggregate(prob, comm)
-        prob.finalize_scaled(inv_two_m)
-        merged_members: list[list[int]] = [[] for _ in range(prob.n)]
-        for level_node, originals in enumerate(node_of):
-            merged_members[remap[comm[level_node]]].extend(originals)
-        node_of = merged_members
-        if len(trace) >= 2 and trace[-1] - trace[-2] < GAIN_TOLERANCE:
-            break
-    # densify ids in original-node order
-    remap_final: dict[int, int] = {}
-    for c in global_comm:
-        if c not in remap_final:
-            remap_final[c] = len(remap_final)
-    return [remap_final[c] for c in global_comm], trace
+        passes.append((visits, moves))
+        if not moves:
+            return node.tolist(), trace, passes
+        prob, new = _aggregate(prob, np.array(comm))
+        node = new[node]
 
 
 # ---------------------------------------------------------------------------
 # public detection operations
-
-
-def _adjacency(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> list[dict[int, float]]:
-    """Neighbour -> weight dicts of the symmetric edge rows (u, v, w), each
-    in increasing neighbour order: the order in which a walk over rows
-    sorted by (u, v) would insert them."""
-    rows, cols, ws = np.concatenate((u, v)), np.concatenate((v, u)), np.concatenate((w, w))
-    order = np.lexsort((cols, rows))
-    bounds = np.searchsorted(rows[order], np.arange(n + 1)).tolist()
-    cols, ws = cols[order].tolist(), ws[order].tolist()
-    return [dict(zip(cols[a:b], ws[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def louvain(g: LayerGraph, gamma: float = 1.0, seed: int = 42) -> Partition:
@@ -376,17 +362,53 @@ def louvain(g: LayerGraph, gamma: float = 1.0, seed: int = 42) -> Partition:
     names = g.nodes
     if not g.n_edges:
         return Partition(scope=g.layer, assignment={u: i for i, u in enumerate(names)},
-                         gamma=gamma, trace=(0.0,))
-    prob = _Problem(len(names), 1)
-    prob.adj = _adjacency(len(names), g.u, g.v, g.weight)
-    prob.strength = [[k] for k in _strengths(g).tolist()]
+                         gamma=gamma, trace=(0.0,), visits=(len(names),), moves=(0,))
+    n = len(names)
+    prob = _Problem(*_csr(n, g.u, g.v, g.weight), _strengths(g)[:, None])
     two_m = 2.0 * g.total_weight()
-    rng = random.Random(seed)
-    comm, trace = _optimize(prob, gamma, [1.0 / two_m], two_m, rng)
+    comm, trace, passes = _optimize(prob, gamma, [1.0 / two_m], two_m, random.Random(seed))
     assignment = _canonical_ids(dict(zip(names, comm)))
     logger.info("louvain[%s]: %d nodes -> %d communities, Q=%.6f (%d passes)",
-                g.layer, len(names), len(set(assignment.values())), trace[-1], len(trace))
-    return Partition(scope=g.layer, assignment=assignment, gamma=gamma, trace=tuple(trace))
+                g.layer, n, len(set(assignment.values())), trace[-1], len(trace))
+    visits, moves = zip(*passes)
+    return Partition(scope=g.layer, assignment=assignment, gamma=gamma, trace=tuple(trace),
+                     visits=visits, moves=moves)
+
+
+def _supra_graph(net: MultiplexNetwork,
+                 omega: float) -> tuple[list[tuple[str, str]], _Problem, list[float], float]:
+    """The level-0 problem of the (actor, layer) supra-graph: its node names,
+    the problem, each layer's 2m and the total coupling weight."""
+    layer_order = net.layer_names()
+    graphs = [net.layers[layer] for layer in layer_order]
+    # supra-node offset + i is (g.nodes[i], layer): layers in order, ids sorted
+    offsets = np.cumsum([0] + [g.n_nodes for g in graphs]).tolist()
+    names = [(actor, layer) for layer, g in zip(layer_order, graphs) for actor in g.nodes]
+    if not names:
+        raise DataError("cannot run generalized_louvain on an empty network")
+    strength = np.zeros((len(names), len(layer_order)))
+    two_m = [0.0] * len(layer_order)
+    for s, (off, g) in enumerate(zip(offsets, graphs)):
+        strength[off:off + g.n_nodes, s] = _strengths(g)
+        if g.n_edges:
+            two_m[s] = float(np.cumsum(2.0 * g.weight)[-1])  # left to right
+    u, v, w = ([off + g.u for off, g in zip(offsets, graphs)],
+               [off + g.v for off, g in zip(offsets, graphs)], [g.weight for g in graphs])
+    n_pairs = 0
+    if omega != 0.0:
+        # an actor's copies sit side by side once sorted by actor, and any
+        # two of them are d < L places apart
+        actor = np.unique([a for a, _ in names], return_inverse=True)[1]
+        by_actor = np.argsort(actor, kind="stable")
+        grouped = actor[by_actor]
+        for d in range(1, len(layer_order)):
+            same = grouped[:-d] == grouped[d:]
+            u.append(by_actor[:-d][same])
+            v.append(by_actor[d:][same])
+            w.append(np.full(len(u[-1]), omega))
+            n_pairs += len(u[-1])
+    prob = _Problem(*_csr(len(names), *map(np.concatenate, (u, v, w))), strength)
+    return names, prob, two_m, omega * 2.0 * n_pairs
 
 
 def generalized_louvain(net: MultiplexNetwork, gamma: float = 1.0,
@@ -397,49 +419,21 @@ def generalized_louvain(net: MultiplexNetwork, gamma: float = 1.0,
     actor's copies are coupled all-to-all with weight omega (edges without
     a null-model term). Deterministic for a fixed seed.
     """
-    layer_order = net.layer_names()
-    graphs = [net.layers[layer] for layer in layer_order]
-    # supra-node offset + i is (g.nodes[i], layer): layers in order, ids sorted
-    offsets = np.cumsum([0] + [g.n_nodes for g in graphs]).tolist()
-    names = [(actor, layer) for layer, g in zip(layer_order, graphs) for actor in g.nodes]
-    if not names:
-        raise DataError("cannot run generalized_louvain on an empty network")
-    prob = _Problem(len(names), len(layer_order))
-    rows = [(off + g.u, off + g.v, g.weight) for off, g in zip(offsets, graphs)]
-    prob.adj = _adjacency(len(names), *map(np.concatenate, zip(*rows)))
-    two_m = [0.0] * len(layer_order)
-    for s, (off, g) in enumerate(zip(offsets, graphs)):
-        for i, k in enumerate(_strengths(g).tolist()):
-            prob.strength[off + i][s] = k
-        if g.n_edges:
-            two_m[s] = float(np.cumsum(2.0 * g.weight)[-1])  # left to right
-    coupling_total = 0.0
-    if omega != 0.0:
-        copies: dict[str, list[int]] = defaultdict(list)
-        for off, g in zip(offsets, graphs):
-            for i, actor in enumerate(g.nodes):
-                copies[actor].append(off + i)
-        for actor in sorted(copies):
-            idxs = copies[actor]
-            coupling_total += omega * len(idxs) * (len(idxs) - 1)
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    iu, iv = idxs[a], idxs[b]
-                    prob.adj[iu][iv] = prob.adj[iu].get(iv, 0.0) + omega
-                    prob.adj[iv][iu] = prob.adj[iv].get(iu, 0.0) + omega
+    names, prob, two_m, coupling_total = _supra_graph(net, omega)
     two_mu = math.fsum(two_m) + coupling_total
     if two_mu == 0.0:
         assignment = _canonical_ids({node: i for i, node in enumerate(names)})
-        return MultiplexPartition(assignment=assignment, gamma=gamma, omega=omega, trace=(0.0,))
+        return MultiplexPartition(assignment=assignment, gamma=gamma, omega=omega, trace=(0.0,),
+                                  visits=(len(names),), moves=(0,))
     inv_two_m = [1.0 / m if m > 0.0 else 0.0 for m in two_m]
-    rng = random.Random(seed)
-    comm, trace = _optimize(prob, gamma, inv_two_m, two_mu, rng)
+    comm, trace, passes = _optimize(prob, gamma, inv_two_m, two_mu, random.Random(seed))
     assignment = _canonical_ids(dict(zip(names, comm)))
     logger.info("generalized_louvain: %d supra-nodes over %d layers -> %d communities, "
-                "Q=%.6f (%d passes)", len(names), len(layer_order),
+                "Q=%.6f (%d passes)", len(names), len(two_m),
                 len(set(assignment.values())), trace[-1], len(trace))
+    visits, moves = zip(*passes)
     return MultiplexPartition(assignment=assignment, gamma=gamma, omega=omega,
-                              trace=tuple(trace))
+                              trace=tuple(trace), visits=visits, moves=moves)
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,11 @@ def run_build(cfg: RunConfig) -> dict:
 
 # ---------------------------------------------------------------- detect
 
+def _louvain_facts(p) -> dict:
+    """Louvain passes, and the node visits and moves of each pass."""
+    return {"passes": len(p.trace), "visits": list(p.visits), "moves": list(p.moves)}
+
+
 def _detect_graph(cfg: RunConfig, ctx: ReportContext, g: LayerGraph) -> dict:
     """Louvain on one layer or flattened graph; its scope is g.layer."""
     scope = g.layer
@@ -345,7 +350,7 @@ def _detect_graph(cfg: RunConfig, ctx: ReportContext, g: LayerGraph) -> dict:
     return {"record": "partition_summary", "scope": scope, "empty": False,
             "n_nodes": len(p.assignment), "n_communities": p.n_communities(),
             "modularity": modularity(g, p, gamma=det.gamma),
-            "gamma": det.gamma, "seed": det.seed}
+            "gamma": det.gamma, "seed": det.seed, **_louvain_facts(p)}
 
 
 def _detect_multi(cfg: RunConfig, ctx: ReportContext) -> dict:
@@ -356,7 +361,7 @@ def _detect_multi(cfg: RunConfig, ctx: ReportContext) -> dict:
     return {"record": "partition_summary", "scope": "multi", "empty": not p.assignment,
             "n_nodes": len(p.assignment), "n_communities": p.n_communities(),
             "modularity": multislice_modularity(net, p, gamma=det.gamma, omega=det.omega),
-            "gamma": det.gamma, "omega": det.omega, "seed": det.seed}
+            "gamma": det.gamma, "omega": det.omega, "seed": det.seed, **_louvain_facts(p)}
 
 
 def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
@@ -685,6 +690,10 @@ def run_report(out: str) -> str:
             if kind == "partition_summary":
                 lines.append(f"    scope {r['scope']}: {r['n_communities']} communities, "
                              f"{r['n_nodes']} nodes, Q={r['modularity']}")
+                if "passes" in r:
+                    lines.append(f"      louvain: {r['passes']} passes, visits "
+                                 f"{'/'.join(map(str, r['visits']))}, moves "
+                                 f"{'/'.join(map(str, r['moves']))}")
             elif kind == "comparison_summary":
                 lines.append(f"    {r['ref']} vs {r['other']}: "
                              f"communities lost/common/gained = "

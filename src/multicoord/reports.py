@@ -17,8 +17,6 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DataError
 from .community import MultiplexPartition, Partition
 from .netbuild import EdgeRowError, LayerGraph
@@ -220,15 +218,21 @@ def write_events_tsv(path: str, log, version: str = "0",
 
 
 def _n_components(g: LayerGraph) -> int:
-    """Number of connected components; 0 for a graph without nodes."""
-    if not g.nodes:
-        return 0
-    # imported where used: only build calls this, and it has loaded scipy.sparse
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    adj = sp.coo_matrix((np.ones(g.n_edges), (g.u, g.v)), shape=(g.n_nodes, g.n_nodes))
-    return int(connected_components(adj, directed=False)[0])
+    """Number of connected components, isolated nodes included; 0 for a
+    graph without nodes. A union-find with path halving over the edge rows."""
+    parent = list(range(g.n_nodes))
+    count = g.n_nodes
+    for a, b in zip(g.u.tolist(), g.v.tolist()):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            count -= 1
+    return count
 
 
 def layer_stats(g: LayerGraph) -> dict:

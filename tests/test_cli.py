@@ -110,6 +110,16 @@ def test_report_digest(workdir, capsys):
     assert "detect_indi.jsonl" in text
 
 
+def test_detect_records_louvain_passes(workdir, capsys):
+    for mode in ("indi", "multi"):
+        recs = read_records(os.path.join(workdir["out"], f"detect_{mode}.jsonl"))
+        for r in (r for r in recs if r.get("record") == "partition_summary"):
+            assert r["passes"] == len(r["visits"]) == len(r["moves"]) >= 1
+            assert r["visits"][0] >= r["n_nodes"] and r["moves"][-1] == 0
+    assert main(["report", "--out", workdir["out"]]) == 0
+    assert "louvain: " in capsys.readouterr().out
+
+
 def test_detect_is_deterministic(workdir, tmp_path):
     out = workdir["out"]
     first = open(os.path.join(out, "partition_rtw.tsv"), "rb").read()

@@ -59,6 +59,30 @@ def seen(tmp_path_factory):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+BUILD_CHILD = """
+import json, sys
+from multicoord.pipeline import RunConfig, run_build
+run_build(RunConfig.from_file(sys.argv[1]))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
+def test_build_skips_csgraph_and_linalg(tmp_path):
+    # build needs scipy.sparse for its matrix products, and no more: the
+    # component count in build_report.jsonl is a union-find
+    synth_cfg, run_cfg = write_configs(tmp_path)
+    assert main(["synth", "--config", synth_cfg]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", BUILD_CHILD, run_cfg],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert "scipy.sparse" in loaded  # the build did run
+    assert not [m for m in loaded
+                if m.split(".")[:3] in (["scipy", "sparse", "csgraph"],
+                                        ["scipy", "sparse", "linalg"])]
+
+
 def test_cli_import_loads_no_scipy(seen):
     assert seen["import"] == []
 

@@ -17,9 +17,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from multicoord.characterize import (CommunityMetrics,  # noqa: E402
                                      community_metrics, node_metrics)
 from multicoord.community import (MultiplexPartition, Partition,  # noqa: E402
-                                  _adjacency, flatten_intersection, flatten_union,
-                                  generalized_louvain, louvain, modularity,
-                                  multislice_modularity)
+                                  _aggregate, _csr, _supra_graph, flatten_intersection,
+                                  flatten_union, generalized_louvain, louvain,
+                                  modularity, multislice_modularity)
 from multicoord.compare import nmi, overlap_matrix  # noqa: E402
 from multicoord.filternet import FilterConfig, filter_layer  # noqa: E402
 from multicoord.errors import InvariantError  # noqa: E402
@@ -29,7 +29,7 @@ from multicoord.netbuild import (LayerGraph, MultiplexNetwork,  # noqa: E402
                                  WindowTfidf, _window_ranges, build_multiplex,
                                  layer_window_graph, merge_windows,
                                  tfidf_windows, window_slices)
-from multicoord.reports import (read_edges_tsv,  # noqa: E402
+from multicoord.reports import (_n_components, read_edges_tsv,  # noqa: E402
                                 read_multiplex_partition_tsv, read_partition_tsv,
                                 write_edges_tsv, write_multiplex_partition_tsv,
                                 write_partition_tsv)
@@ -237,7 +237,7 @@ weights = st.sampled_from([0.05, 0.3, 1.0, 2.5]) | st.floats(min_value=0.01, max
 
 
 @st.composite
-def layers(draw, name="rtw"):
+def layers(draw, name="rtw", weights=weights):
     """A weighted layer over a small id pool shared by every layer plus ids
     of its own, possibly with isolated nodes."""
     pool = NODE_IDS + [f"{name}{k}" for k in range(4)]
@@ -253,10 +253,11 @@ def layers(draw, name="rtw"):
 
 
 @st.composite
-def multiplexes(draw, max_layers=3):
+def multiplexes(draw, max_layers=3, weights=weights):
     names = draw(st.lists(st.sampled_from(LAYER_NAMES), min_size=1, max_size=max_layers,
                           unique=True))
-    return MultiplexNetwork.from_layers({name: draw(layers(name)) for name in names})
+    return MultiplexNetwork.from_layers({name: draw(layers(name, weights))
+                                         for name in names})
 
 
 def _check_trace(trace, q):
@@ -284,6 +285,134 @@ def test_generalized_louvain_deterministic_with_exact_trace(net, seed, omega):
     p = generalized_louvain(net, omega=omega, seed=seed)
     assert generalized_louvain(net, omega=omega, seed=seed).assignment == p.assignment
     _check_trace(p.trace, multislice_modularity(net, p, omega=omega))
+
+
+def _check_passes(p):
+    """One (visits, moves) count per pass; the first pass visits every
+    node, and the last moves none."""
+    assert len(p.visits) == len(p.moves) == len(p.trace)
+    assert p.visits[0] >= len(p.assignment) and p.moves[-1] == 0
+    assert all(0 <= m <= v for v, m in zip(p.visits, p.moves))
+
+
+def _ring(n):
+    return LayerGraph.from_pairs("rtw", [(f"r{i:04d}", f"r{(i + 1) % n:04d}", 1.0)
+                                         for i in range(n)])
+
+
+def _clique(k, w):
+    return LayerGraph.from_pairs("rtw", [(f"k{i:02d}", f"k{j:02d}", w)
+                                         for i in range(k) for j in range(i + 1, k)])
+
+
+@pytest.mark.parametrize("g", [_ring(2000), _clique(12, 0.1)], ids=["ring-2000", "k12-0.1"])
+def test_louvain_queue_ends_at_q(g):
+    # long chains of tiny equal gains: the queue must drain and the trace
+    # must still end exactly at Q
+    p = louvain(g, seed=5)
+    _check_trace(p.trace, modularity(g, p))
+    _check_passes(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(multiplexes(max_layers=5, weights=st.sampled_from([0.1, 0.2, 0.3])),
+       st.integers(0, 2**16))
+def test_louvain_tied_weights_end_at_q(net, seed):
+    # weights from {0.1, 0.2, 0.3} make many gains tie up to float noise
+    for g in net.layers.values():
+        if g.nodes:
+            p = louvain(g, seed=seed)
+            _check_trace(p.trace, modularity(g, p))
+            _check_passes(p)
+    if any(g.nodes for g in net.layers.values()):
+        p = generalized_louvain(net, omega=0.1, seed=seed)
+        _check_trace(p.trace, multislice_modularity(net, p, omega=0.1))
+        _check_passes(p)
+
+
+# ---------------------------------------------------------------------------
+# the Louvain levels against the dict code they replaced
+
+
+def _supra_oracle(net, omega):
+    """The old supra-graph set-up: per-edge adjacency dicts per layer, then
+    the coupling of every pair of an actor's copies."""
+    layer_order = net.layer_names()
+    adj, strength, two_m, copies = [], [], [], defaultdict(list)
+    for s, layer in enumerate(layer_order):
+        g = net.layers[layer]
+        off = len(adj)
+        adj += [{off + v: w for v, w in d.items()} for d in _adjacency_oracle(g)]
+        strength += [[0.0] * len(layer_order) for _ in g.nodes]
+        for a, b, w in zip(g.u.tolist(), g.v.tolist(), g.weight.tolist()):
+            strength[off + a][s] += w
+            strength[off + b][s] += w
+        two_m.append(float(np.cumsum(2.0 * g.weight)[-1]) if g.n_edges else 0.0)
+        for i, actor in enumerate(g.nodes):
+            copies[actor].append(off + i)
+    sizes = []
+    if omega != 0.0:
+        for actor in sorted(copies):
+            idxs = copies[actor]
+            sizes.append(len(idxs) * (len(idxs) - 1))
+            for a in range(len(idxs)):
+                for b in range(a + 1, len(idxs)):
+                    iu, iv = idxs[a], idxs[b]
+                    adj[iu][iv] = adj[iu].get(iv, 0.0) + omega
+                    adj[iv][iu] = adj[iv].get(iu, 0.0) + omega
+    return adj, strength, two_m, omega * math.fsum(sizes)
+
+
+def _aggregate_oracle(adj, strength, comm):
+    """The old dict aggregation: communities become super-nodes numbered by
+    increasing id; sums run in node order, then in row order. (It also kept
+    each super-node's internal weight, which no gain ever read.)"""
+    live = sorted(set(comm))
+    remap = {c: i for i, c in enumerate(live)}
+    agg_adj = [{} for _ in live]
+    agg_strength = [[0.0] * len(strength[0]) for _ in live]
+    for u in range(len(comm)):
+        cu = remap[comm[u]]
+        for s in range(len(strength[u])):
+            agg_strength[cu][s] += strength[u][s]
+        for v, w in adj[u].items():
+            cv = remap[comm[v]]
+            if cv != cu:
+                agg_adj[cu][cv] = agg_adj[cu].get(cv, 0.0) + w
+    return agg_adj, agg_strength, remap
+
+
+def _csr_rows(indptr, indices, weight):
+    bounds = indptr.tolist()
+    return [list(zip(indices[a:b].tolist(), weight[a:b].tolist()))
+            for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(multiplexes(max_layers=5), st.sampled_from([0.0, 0.1]), st.data())
+def test_aggregate_matches_dict_oracle(net, omega, data):
+    if not any(g.nodes for g in net.layers.values()):
+        return
+    names, prob, two_m, coupling_total = _supra_graph(net, omega)
+    adj, strength, want_two_m, want_coupling = _supra_oracle(net, omega)
+    rows = _csr_rows(prob.indptr, prob.indices, prob.weight)
+    assert [dict(row) for row in rows] == adj
+    assert all(row == sorted(row) for row in rows)
+    assert prob.strength.tolist() == strength
+    assert (two_m, coupling_total) == (want_two_m, want_coupling)
+    assert len(names) == len(adj)
+    # two levels, so that the second one sums pair weights of merged rows
+    for _ in range(2):
+        comm = data.draw(st.lists(st.integers(0, 4), min_size=len(rows), max_size=len(rows)))
+        got, new = _aggregate(prob, np.array(comm))
+        want_adj, want_strength, remap = _aggregate_oracle([dict(row) for row in rows],
+                                                           prob.strength.tolist(), comm)
+        assert new.tolist() == [remap[c] for c in comm]
+        assert got.strength.tolist() == want_strength
+        rows = _csr_rows(got.indptr, got.indices, got.weight)
+        assert [dict(row) for row in rows] == want_adj
+        assert all(row == sorted(row) for row in rows)
+        prob = got
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +748,29 @@ def test_flatten_matches_dict_oracle(net):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
+       st.lists(st.integers(0, 49), max_size=5))
+def test_n_components_matches_csgraph(pairs, isolated):
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    seen, rows = set(), []
+    for a, b in pairs:
+        if a != b and frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            rows.append((f"n{a:02d}", f"n{b:02d}", 1.0))
+    g = LayerGraph.from_pairs("rtw", rows, nodes=[f"n{k:02d}" for k in isolated])
+    adj = coo_matrix((np.ones(g.n_edges), (g.u, g.v)), shape=(g.n_nodes, g.n_nodes))
+    want = connected_components(adj, directed=False)[0] if g.nodes else 0
+    assert _n_components(g) == want
+
+
+@settings(max_examples=200, deadline=None)
 @given(layers())
 def test_louvain_adjacency_keeps_insertion_order(g):
     # neighbour order decides the order of Louvain's float sums
-    got = _adjacency(g.n_nodes, g.u, g.v, g.weight)
-    assert [list(d.items()) for d in got] == [list(d.items()) for d in _adjacency_oracle(g)]
+    got = _csr_rows(*_csr(g.n_nodes, g.u, g.v, g.weight))
+    assert got == [list(d.items()) for d in _adjacency_oracle(g)]
 
 
 @settings(max_examples=200, deadline=None)
