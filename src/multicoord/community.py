@@ -218,10 +218,6 @@ def _csr(n: int, u: np.ndarray, v: np.ndarray,
     return indptr, cols[order], ws[order]
 
 
-def _null_term(scaled_u: list[float], comm_k: list[list[float]], c: int) -> float:
-    return sum(s * k[c] for s, k in zip(scaled_u, comm_k))
-
-
 def _local_moving(prob: _Problem, inv_two_m: np.ndarray, gamma: float, threshold: float,
                   rng: random.Random) -> tuple[list[int], float, int, int]:
     """Greedy node moves from singletons, driven by a FIFO queue.
@@ -234,18 +230,19 @@ def _local_moving(prob: _Problem, inv_two_m: np.ndarray, gamma: float, threshold
     moves); Q rises by twice the gain over 2mu. A node moving to fresh
     solitude takes an emptied community id.
     """
-    n, nl = prob.strength.shape
+    n = len(prob.strength)
     indptr, indices, weight = prob.indptr.tolist(), prob.indices.tolist(), prob.weight.tolist()
     rows = [(indices[a:b], weight[a:b]) for a, b in zip(indptr, indptr[1:])]
     strength = prob.strength.tolist()
     scaled = (prob.strength * inv_two_m).tolist()
-    # the one layer a node has strength in, or -1: every node when L = 1 and
-    # every level-0 supra-node, whose null term is then one product (the
-    # other products of _null_term are exact zeros)
-    nonzero = prob.strength != 0.0
-    slot = np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1).tolist()
-    comm = list(range(n))
     comm_k = prob.strength.T.tolist()  # comm_k[s][c]: community c's strength in layer s
+    # terms[u]: (strength, scaled strength, comm_k row) of each layer where u
+    # has strength, one for every node when L = 1 and for every level-0
+    # supra-node. The null term sums over these only: the other products are
+    # exact zeros, and leaving a zero out of the sum changes no float.
+    terms = [[(k, f, kc) for k, f, kc in zip(ku, su, comm_k) if k != 0.0]
+             for ku, su in zip(strength, scaled)]
+    comm = list(range(n))
     comm_size = [1] * n
     order = list(range(n))
     rng.shuffle(order)
@@ -265,17 +262,18 @@ def _local_moving(prob: _Problem, inv_two_m: np.ndarray, gamma: float, threshold
                 links[c] += w
             else:
                 links[c] = w
-        ku, su, t = strength[u], scaled[u], slot[u]
-        slots = (t,) if t >= 0 else range(nl)
-        for s in slots:  # take u out of its community
-            comm_k[s][c_old] -= ku[s]
+        tu = terms[u]
+        null = 0.0
+        for k, f, kc in tu:  # take u out of its community
+            kc[c_old] -= k
+            null += f * kc[c_old]
         comm_size[c_old] -= 1
-        kt, st = comm_k[t], su[t]  # read only when t >= 0
-        null = st * kt[c_old] if t >= 0 else _null_term(su, comm_k, c_old)
         gain_old = best_gain = links.get(c_old, 0.0) - gamma * null
         best_c = c_old
         for c in sorted(links):
-            null = st * kt[c] if t >= 0 else _null_term(su, comm_k, c)
+            null = 0.0
+            for _, f, kc in tu:
+                null += f * kc[c]
             gain = links[c] - gamma * null
             if gain > best_gain:
                 best_c, best_gain = c, gain
@@ -295,8 +293,8 @@ def _local_moving(prob: _Problem, inv_two_m: np.ndarray, gamma: float, threshold
                     queue.append(v)
         else:
             best_c = c_old
-        for s in slots:
-            comm_k[s][best_c] += ku[s]
+        for k, _, kc in tu:
+            kc[best_c] += k
         comm_size[best_c] += 1
     return comm, total_gain, visits, moves
 

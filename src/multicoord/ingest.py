@@ -7,6 +7,12 @@ lowercased, URLs are reduced to their registrable domain and mentions keep
 their raw id. Collection artifacts (campaign hashtags, candidate mentions,
 platform domains) are removed via stoplists, after which the most active
 users per action type are selected to form the analysis universe.
+
+Events are columns from the parse on. An EventLog holds the user, action
+and item ids as row-aligned tuples of str and the timestamps as a float64
+array; stoplist filtering is a mask over them, and actor selection and the
+TF-IDF bucketing in netbuild read them directly. ActionEvent is only a row
+view, built on demand by EventLog.events for tests and demos.
 """
 
 from __future__ import annotations
@@ -18,7 +24,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import compress
+from typing import NamedTuple
 from urllib.parse import urlsplit
+
+import numpy as np
 
 from .errors import DataError
 
@@ -40,10 +50,12 @@ EVENT_SCHEMAS = ("jsonl", "tsv")
 # tab-separated artifacts it is written to
 _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
+# JSON values that are not ids: str() would make them "None", "True" or "['a']"
+_NOT_IDS = {type(None): "null", bool: "boolean", list: "array", dict: "object"}
 
-@dataclass(frozen=True)
-class ActionEvent:
-    """One user action on one item at one point in time."""
+
+class ActionEvent(NamedTuple):
+    """One user action on one item at one point in time: a row of an EventLog."""
 
     user_id: str
     action: str
@@ -59,23 +71,34 @@ class RecordError:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventLog:
-    """Timestamp-sorted event sequence plus the rejects seen while parsing.
+    """Events as row-aligned columns, plus the rejects seen while parsing.
 
-    ``time_span`` is (t_min, t_max). It defaults to the observed event range
-    but may be wider (e.g. the nominal span of a generated log) so that
-    window grids are stable under filtering.
+    Row k is ``user[k]`` doing ``action[k]`` on ``item[k]`` at ``ts[k]``
+    (epoch seconds; a read-only float64 array). parse_events and
+    synth.generate give the rows in time order; from_events keeps the order
+    it is given. ``time_span`` is (t_min, t_max). It defaults to the
+    observed event range but may be wider (e.g. the nominal span of a
+    generated log) so that window grids are stable under filtering.
     """
 
-    events: tuple[ActionEvent, ...]
+    user: tuple[str, ...] = ()
+    action: tuple[str, ...] = ()
+    item: tuple[str, ...] = ()
+    ts: np.ndarray = field(default_factory=lambda: np.empty(0))
     time_span: tuple[float, float] | None = None
     rejects: tuple[RecordError, ...] = ()
 
     def __post_init__(self):
-        if self.events:
-            lo = min(e.timestamp for e in self.events)
-            hi = max(e.timestamp for e in self.events)
+        ts = np.array(self.ts, dtype=float)
+        ts.flags.writeable = False
+        object.__setattr__(self, "ts", ts)
+        if not len(self.user) == len(self.action) == len(self.item) == len(ts):
+            raise ValueError("event columns differ in length")
+        if len(ts):
+            stamps = ts.tolist()
+            lo, hi = min(stamps), max(stamps)
             if self.time_span is None:
                 object.__setattr__(self, "time_span", (lo, hi))
             else:
@@ -85,8 +108,19 @@ class EventLog:
         elif self.time_span is not None:
             raise ValueError("time_span given for an empty log")
 
+    @classmethod
+    def from_events(cls, events, time_span=None, rejects=()) -> "EventLog":
+        """A log of (user, action, item, timestamp) rows, in the order given."""
+        user, action, item, ts = tuple(zip(*events)) or ((), (), (), ())
+        return cls(user, action, item, ts, time_span, tuple(rejects))
+
+    @property
+    def events(self) -> tuple[ActionEvent, ...]:
+        """The rows as ActionEvent tuples, built anew on each access."""
+        return tuple(map(ActionEvent, self.user, self.action, self.item, self.ts.tolist()))
+
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.ts)
 
 
 @dataclass(frozen=True)
@@ -186,31 +220,14 @@ def _parse_timestamp(tok) -> float:
     return ts
 
 
-def _normalize_item(action: str, item: str) -> str:
-    if action == HST:
-        item = item.lstrip("#").lower()
-    elif action == MEN:
-        item = item.lstrip("@")
-    elif action == URL:
-        item = extract_domain(item)
-    return item
-
-
-def _build_event(user, action, item, ts) -> ActionEvent:
-    user = str(user).strip()
-    if not user:
-        raise ValueError("empty user id")
-    if _CONTROL_CHARS.search(user):
-        raise ValueError(f"control character in user id {user!r}")
-    action = str(action).strip().lower()
-    if action not in _ACTION_SET:
-        raise ValueError(f"unknown action token {action!r}")
-    item = _normalize_item(action, str(item).strip())
-    if not item:
-        raise ValueError("empty item id")
-    if _CONTROL_CHARS.search(item):
-        raise ValueError(f"control character in item id {item!r}")
-    return ActionEvent(user, action, item, _parse_timestamp(ts))
+def _json_ids(*values) -> list[str]:
+    """The user, action and item of a JSON record as strings: a string or
+    a number is an id; null, a boolean, an array or an object is refused."""
+    for name, value in zip(("user", "action", "item"), values):
+        if type(value) in _NOT_IDS:
+            raise ValueError(f"{name} is a JSON {_NOT_IDS[type(value)]}, "
+                             "expected a string or a number")
+    return [str(v) for v in values]
 
 
 def parse_events(path, schema: str = "jsonl") -> EventLog:
@@ -221,12 +238,23 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
     Blank lines and lines starting with '#' are skipped, except that a TSV
     line containing a tab is always a row. Malformed lines become
     RecordError entries on the returned log instead of being silently
-    dropped.
+    dropped. The file is read line by line into four column lists; rows
+    with equal timestamps keep their file order.
     """
     if schema not in EVENT_SCHEMAS:
         raise ValueError(f"unknown event schema {schema!r}; expected one of {EVENT_SCHEMAS}")
-    events: list[ActionEvent] = []
+    jsonl = schema == "jsonl"
+    users: list[str] = []
+    actions: list[str] = []
+    items: list[str] = []
+    stamps: list[float] = []
     rejects: list[RecordError] = []
+    # ids that passed the checks below, each as the one str object shared by
+    # every row that names it, and each raw action token seen, normalized:
+    # a repeated id or token is checked once
+    valid: dict[str, str] = {}
+    action_of: dict[str, str] = {}
+    loads, has_control, isfinite = json.loads, _CONTROL_CHARS.search, math.isfinite
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -235,27 +263,63 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             # a TSV line with a tab is a row, so user ids may start with '#'
-            if not line.strip() or (line.startswith("#")
-                                    and (schema == "jsonl" or "\t" not in line)):
+            if not line.strip() or (line[0] == "#" and (jsonl or "\t" not in line)):
                 continue
             try:
-                if schema == "jsonl":
-                    rec = json.loads(line)
-                    ev = _build_event(rec["user"], rec["action"], rec["item"], rec["ts"])
+                if jsonl:
+                    rec = loads(line)
+                    if type(rec) is not dict:
+                        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+                    user, action, item, ts = rec["user"], rec["action"], rec["item"], rec["ts"]
+                    if not (type(user) is type(action) is type(item) is str):
+                        user, action, item = _json_ids(user, action, item)
                 else:
                     cols = line.split("\t")
                     if len(cols) != 4:
                         raise ValueError(f"expected 4 columns, got {len(cols)}")
-                    ev = _build_event(*cols)
+                    user, action, item, ts = cols
+                user = user.strip()
+                if user not in valid:
+                    if not user:
+                        raise ValueError("empty user id")
+                    if has_control(user):
+                        raise ValueError(f"control character in user id {user!r}")
+                    valid[user] = user
+                if action not in action_of:
+                    a = action.strip().lower()
+                    if a not in _ACTION_SET:
+                        raise ValueError(f"unknown action token {a!r}")
+                    action_of[action] = a
+                action = action_of[action]
+                item = item.strip()
+                if action == HST:
+                    item = item.lstrip("#").lower()
+                elif action == MEN:
+                    item = item.lstrip("@")
+                elif action == URL:
+                    item = extract_domain(item)
+                if item not in valid:
+                    if not item:
+                        raise ValueError("empty item id")
+                    if has_control(item):
+                        raise ValueError(f"control character in item id {item!r}")
+                    valid[item] = item
+                if type(ts) is not float or not isfinite(ts):
+                    ts = _parse_timestamp(ts)
             except (ValueError, KeyError, TypeError) as exc:
                 rejects.append(RecordError(line_no, str(exc)))
                 continue
-            events.append(ev)
-    events.sort(key=lambda e: e.timestamp)  # stable: file order kept for ties
+            users.append(valid[user])
+            actions.append(action)
+            items.append(valid[item])
+            stamps.append(ts)
+    ts = np.array(stamps, dtype=float)
+    order = np.argsort(ts, kind="stable").tolist()  # stable: file order kept for ties
     if rejects:
         logger.warning("parse_events: rejected %d of %d lines from %s",
-                       len(rejects), len(rejects) + len(events), path)
-    return EventLog(tuple(events), rejects=tuple(rejects))
+                       len(rejects), len(rejects) + len(stamps), path)
+    return EventLog(*(tuple(map(col.__getitem__, order)) for col in (users, actions, items)),
+                    ts[order], rejects=tuple(rejects))
 
 
 def apply_stoplists(log: EventLog, stop: StopLists) -> EventLog:
@@ -264,18 +328,13 @@ def apply_stoplists(log: EventLog, stop: StopLists) -> EventLog:
     Idempotent. The log's time_span is preserved so window grids do not
     move when boundary events are removed.
     """
-    kept = tuple(
-        e for e in log.events
-        if not (
-            (e.action == HST and e.item_id in stop.hashtags)
-            or (e.action == MEN and e.item_id in stop.mentions)
-            or (e.action == URL and e.item_id in stop.url_domains)
-        )
-    )
-    if len(kept) == len(log.events):
+    stopped = {HST: stop.hashtags, MEN: stop.mentions, URL: stop.url_domains}
+    keep = [item not in stopped.get(action, ()) for action, item in zip(log.action, log.item)]
+    if all(keep):
         return log
-    span = log.time_span if kept else None
-    return EventLog(kept, time_span=span, rejects=log.rejects)
+    span = log.time_span if any(keep) else None
+    return EventLog(*(tuple(compress(col, keep)) for col in (log.user, log.action, log.item)),
+                    log.ts[np.array(keep, dtype=bool)], span, log.rejects)
 
 
 def select_users(log: EventLog, fraction: float) -> ActorSet:
@@ -285,11 +344,11 @@ def select_users(log: EventLog, fraction: float) -> ActorSet:
     """
     if not (0.0 < fraction <= 1.0):
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if not log.events:
+    if not len(log):
         raise ValueError("cannot select users from an empty log")
     counts: dict[str, Counter] = {a: Counter() for a in ACTIONS}
-    for e in log.events:
-        counts[e.action][e.user_id] += 1
+    for (action, user), n in Counter(zip(log.action, log.user)).items():
+        counts[action][user] = n
     per_action_top: dict[str, frozenset[str]] = {}
     for a in ACTIONS:
         c = counts[a]

@@ -289,15 +289,15 @@ def tfidf_windows(log: EventLog, actors: ActorSet, width: float,
         return []
     n_windows = len(window_slices(log.time_span, width, shift))
     layer_of = {a: k for k, a in enumerate(ACTIONS)}
-    events = [e for e in log.events if e.user_id in actors.actors and e.action in layer_of]
-    user_names, user = _interned([e.user_id for e in events])
-    item_names, item = _interned([e.item_id for e in events])
-    layer = _ints([layer_of[e.action] for e in events])
-    lo, hi = _window_ranges(np.array([e.timestamp for e in events], dtype=float),
+    keep = [u in actors.actors and a in layer_of for u, a in zip(log.user, log.action)]
+    user_names, user = _interned(list(compress(log.user, keep)))
+    item_names, item = _interned(list(compress(log.item, keep)))
+    layer = _ints([layer_of[a] for a in compress(log.action, keep)])
+    lo, hi = _window_ranges(log.ts[np.array(keep, dtype=bool)],
                             log.time_span[0], width, shift, n_windows)
     # one row per (event, window); lw numbers layer-windows in ACTIONS order
     count = np.maximum(hi - lo + 1, 0)
-    ev = np.repeat(np.arange(len(events)), count)
+    ev = np.repeat(np.arange(len(count)), count)
     lw = (layer[ev] * n_windows + lo[ev] + np.arange(len(ev))
           - np.repeat(np.cumsum(count) - count, count))
     user, item = user[ev], item[ev]

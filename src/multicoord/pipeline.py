@@ -251,7 +251,7 @@ def run_synth(cfg: RunConfig) -> dict:
     ctx.ground_truth(truth_path, truth)
     records = [{
         "record": "synth_summary",
-        "n_events": len(log.events),
+        "n_events": len(log),
         "n_users": cfg.synth.n_users,
         "n_communities": cfg.synth.n_communities,
         "n_noise_users": len(truth.noise_users),
@@ -277,7 +277,7 @@ def run_build(cfg: RunConfig) -> dict:
         log = apply_stoplists(log, stop)
 
     records = []
-    if not log.events:
+    if not len(log):
         logger.warning("build: empty event log; writing empty network")
         net = MultiplexNetwork.from_layers(
             {layer: LayerGraph(layer=layer) for layer in ACTIONS})

@@ -213,8 +213,8 @@ def write_events_tsv(path: str, log, version: str = "0",
     """Standard 4-column event file: user, action, item, timestamp."""
     with _open_out(path) as fh:
         fh.write(_meta_line(version, cfg_hash))
-        for e in log.events:
-            fh.write(f"{e.user_id}\t{e.action}\t{e.item_id}\t{_fmt(e.timestamp)}\n")
+        fh.writelines(f"{u}\t{a}\t{i}\t{_fmt(t)}\n"
+                      for u, a, i, t in zip(log.user, log.action, log.item, log.ts.tolist()))
 
 
 def _n_components(g: LayerGraph) -> int:

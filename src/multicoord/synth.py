@@ -25,11 +25,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from numbers import Integral
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import ACTIONS, ActionEvent, EventLog
+from .ingest import ACTIONS, EventLog
 from .netbuild import window_slices
 
 logger = logging.getLogger(__name__)
@@ -158,7 +159,7 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
     width_s = cfg.width_hours * 3600.0
     windows = window_slices((0.0, span_s), width_s, cfg.shift_hours * 3600.0)
 
-    events: list[ActionEvent] = []
+    rows: list[tuple[str, str, str, float]] = []  # (user, action, item, timestamp)
     for w in windows:
         for layer in ACTIONS:
             for ci in range(cfg.n_communities):
@@ -175,10 +176,8 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
                 pos = 0
                 for u, k in zip(block, counts):
                     for j in range(k):
-                        events.append(ActionEvent(
-                            user_id=u, action=layer,
-                            item_id=f"c{ci}.{layer}.{int(items[pos])}",
-                            timestamp=float(w.start + offsets[pos])))
+                        rows.append((u, layer, f"c{ci}.{layer}.{int(items[pos])}",
+                                     float(w.start + offsets[pos])))
                         pos += 1
             if cfg.noise_rate > 0:
                 counts = rng.poisson(cfg.noise_rate, size=len(users))
@@ -191,17 +190,15 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
                 pos = 0
                 for u, k in zip(users, counts):
                     for j in range(k):
-                        events.append(ActionEvent(
-                            user_id=u, action=layer,
-                            item_id=f"n.{layer}.{int(items[pos])}",
-                            timestamp=float(w.start + offsets[pos])))
+                        rows.append((u, layer, f"n.{layer}.{int(items[pos])}",
+                                     float(w.start + offsets[pos])))
                         pos += 1
 
-    events.sort(key=lambda e: (e.timestamp, e.user_id, e.action, e.item_id))
-    log = EventLog(events=tuple(events), time_span=(0.0, span_s))
+    rows.sort(key=itemgetter(3, 0, 1, 2))
+    log = EventLog.from_events(rows, time_span=(0.0, span_s))
     truth = GroundTruth(assignment=assignment, active_layers=active,
                         noise_users=noise_users)
-    planted = sum(1 for e in events if e.item_id.startswith("c"))
+    planted = sum(1 for i in log.item if i.startswith("c"))
     logger.info("synth: %d events (%d planted, %d noise) over %d windows, %d users",
-                len(events), planted, len(events) - planted, len(windows), cfg.n_users)
+                len(log), planted, len(log) - planted, len(windows), cfg.n_users)
     return log, truth

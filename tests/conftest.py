@@ -1,11 +1,25 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the hypothesis profiles.
 
+``HYPOTHESIS_PROFILE=ci`` selects the profile CI runs: examples derived from
+each test's name, so a failure repeats on a rerun, and the reproduction
+blob printed with it. Without the variable, examples are random as usual.
+"""
+
+import os
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from multicoord.netbuild import LayerGraph, MultiplexNetwork
+
+try:
+    from hypothesis import settings
+except ImportError:  # test_properties.py skips itself without hypothesis
+    pass
+else:
+    settings.register_profile("ci", derandomize=True, print_blob=True)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 Edge = namedtuple("Edge", "weight co_actions window_count")

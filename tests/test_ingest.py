@@ -99,9 +99,8 @@ def test_parse_tsv_hash_prefixed_user_is_a_row(tmp_path):
 
 
 def test_events_tsv_round_trip_keeps_hash_prefixed_ids(tmp_path):
-    log = EventLog((ActionEvent("#erin", "rtw", "t1", 1.0),
-                    ActionEvent("bob", "hst", "tag", 2.5),
-                    ActionEvent("#", "men", "x", 3.0)), time_span=(1.0, 3.0))
+    log = EventLog.from_events([("#erin", "rtw", "t1", 1.0), ("bob", "hst", "tag", 2.5),
+                                ("#", "men", "x", 3.0)], time_span=(1.0, 3.0))
     p = tmp_path / "events.tsv"
     write_events_tsv(str(p), log, cfg_hash="abc")
     back = parse_events(p, schema="tsv")
@@ -123,6 +122,28 @@ def test_parse_rejects_control_characters_in_ids(tmp_path):
     assert [e.user_id for e in log.events] == ["#erin", "fr\u00e9d"]
     assert [r.line_no for r in log.rejects] == [1, 2, 3, 4]
     assert all("control character" in r.reason for r in log.rejects)
+
+
+def test_parse_jsonl_refuses_values_that_are_no_ids(tmp_path):
+    # str() would turn these into the ids "None", "True", "['a']" and "none"
+    p = tmp_path / "e.jsonl"
+    p.write_text(
+        '{"user": null, "action": "rtw", "item": "t1", "ts": 1}\n'
+        '{"user": true, "action": "rtw", "item": "t1", "ts": 2}\n'
+        '{"user": ["a"], "action": "rtw", "item": "t1", "ts": 3}\n'
+        '{"user": "u1", "action": {"a": 1}, "item": "t1", "ts": 4}\n'
+        '{"user": "u1", "action": "hst", "item": null, "ts": 5}\n'
+        '{"user": 42, "action": "rtw", "item": 7, "ts": 6}\n'
+        '[1, 2, 3]\n'
+        '"u1"\n', encoding="utf-8")
+    log = parse_events(p)
+    assert log.events == (("42", "rtw", "7", 6.0),)
+    tail = ", expected a string or a number"
+    assert [(r.line_no, r.reason) for r in log.rejects] == [
+        (1, "user is a JSON null" + tail), (2, "user is a JSON boolean" + tail),
+        (3, "user is a JSON array" + tail), (4, "action is a JSON object" + tail),
+        (5, "item is a JSON null" + tail), (7, "expected a JSON object, got list"),
+        (8, "expected a JSON object, got str")]
 
 
 def test_parse_iso_timestamps(tmp_path):
@@ -153,8 +174,8 @@ def test_parse_missing_file_is_data_error(tmp_path):
 def test_time_span_must_cover_events():
     ev = ActionEvent("u", "rtw", "t", 100.0)
     with pytest.raises(ValueError):
-        EventLog((ev,), time_span=(0.0, 50.0))
-    log = EventLog((ev,), time_span=(0.0, 200.0))
+        EventLog.from_events((ev,), time_span=(0.0, 50.0))
+    log = EventLog.from_events((ev,), time_span=(0.0, 200.0))
     assert log.time_span == (0.0, 200.0)
 
 
@@ -169,7 +190,7 @@ def test_empty_log_has_no_span():
 
 
 def _log(*rows):
-    return EventLog(tuple(ActionEvent(*r) for r in rows))
+    return EventLog.from_events(rows)
 
 
 def test_apply_stoplists_filters_only_item_layers():

@@ -87,7 +87,7 @@ def _fixture_log():
         ("u2", "rtw", "A", 4.0),
         ("u3", "rtw", "C", 5.0),
     ]
-    return EventLog(tuple(ActionEvent(*r) for r in rows), time_span=(0.0, 10.0))
+    return EventLog.from_events(rows, time_span=(0.0, 10.0))
 
 
 def test_tfidf_hand_values():
@@ -102,7 +102,7 @@ def test_idf_is_math_log():
     # np.log is one bit below math.log on numpy 2.4
     rows = [(f"u{k:02d}", "rtw", "V", 1.0) for k in range(20)] + [("u20", "rtw", "Z", 2.0),
                                                                  ("u00", "rtw", "V", 3.0)]
-    log = EventLog(tuple(ActionEvent(*r) for r in rows), time_span=(0.0, 10.0))
+    log = EventLog.from_events(rows, time_span=(0.0, 10.0))
     m = only_window(log, actors_of(*(f"u{k:02d}" for k in range(21))))
     entries = tfidf_entries(m)
     assert entries["u00"] == {"V": 2 * math.log(21 / 20)}
@@ -114,7 +114,7 @@ def test_viral_item_is_nulled():
     # every active user shares item V: df = N_w, idf = 0, entry dropped
     rows = [("u1", "rtw", "V", 1.0), ("u2", "rtw", "V", 2.0),
             ("u2", "rtw", "X", 3.0)]
-    log = EventLog(tuple(ActionEvent(*r) for r in rows), time_span=(0.0, 10.0))
+    log = EventLog.from_events(rows, time_span=(0.0, 10.0))
     m = only_window(log, actors_of("u1", "u2"))
     # u1 had only the viral item, so it has no row at all
     assert tfidf_entries(m) == {"u2": {"X": math.log(2)}}
@@ -149,9 +149,9 @@ def test_cosine_graph_hand_values():
 
 
 def test_cosine_graph_identical_vectors():
-    log = EventLog((ActionEvent("u1", "rtw", "A", 1.0), ActionEvent("u1", "rtw", "B", 1.5),
-                    ActionEvent("u2", "rtw", "A", 2.0), ActionEvent("u2", "rtw", "B", 2.5),
-                    ActionEvent("u3", "rtw", "Z", 3.0)), time_span=(0.0, 10.0))
+    log = EventLog.from_events([("u1", "rtw", "A", 1.0), ("u1", "rtw", "B", 1.5),
+                                ("u2", "rtw", "A", 2.0), ("u2", "rtw", "B", 2.5),
+                                ("u3", "rtw", "Z", 3.0)], time_span=(0.0, 10.0))
     g = layer_window_graph(only_window(log, actors_of("u1", "u2", "u3")))
     data = edge_dict(g)[("u1", "u2")]
     assert data.weight == pytest.approx(1.0, abs=1e-12)
@@ -161,7 +161,7 @@ def test_cosine_graph_identical_vectors():
 def test_cosine_graph_order_invariant():
     # the order of the events in the log does not change the record or graph
     log = _fixture_log()
-    shuffled = EventLog(log.events[::-1], time_span=log.time_span)
+    shuffled = EventLog.from_events(log.events[::-1], time_span=log.time_span)
     acts = actors_of("u1", "u2", "u3")
     m1, m2 = only_window(log, acts), only_window(shuffled, acts)
     assert (m1.users, m1.items, tfidf_entries(m1)) == (m2.users, m2.items, tfidf_entries(m2))
@@ -234,8 +234,8 @@ def _check_manual_composition(rng, n_users, n_items, n_events, span, n_windows):
                                 ("rtw", "rpl")[rng.integers(2)],
                                 items[rng.integers(len(items))],
                                 float(rng.random() * span)))
-    log = EventLog(tuple(sorted(rows, key=lambda e: e.timestamp)),
-                   time_span=(0.0, span))
+    log = EventLog.from_events(sorted(rows, key=lambda e: e.timestamp),
+                               time_span=(0.0, span))
     acts = ActorSet(actors=frozenset(users),
                     per_action_top={"rtw": frozenset(users)})
     net = build_multiplex(log, acts, width=10.0, shift=4.0)
@@ -273,8 +273,8 @@ def test_build_multiplex_boundary_event_exclusive():
     rows = [ActionEvent("u1", "rtw", "A", 10.0), ActionEvent("u2", "rtw", "A", 10.0),
             ActionEvent("u1", "rtw", "A", 9.999), ActionEvent("u2", "rtw", "B", 3.0),
             ActionEvent("u1", "rtw", "B", 3.0)]
-    log = EventLog(tuple(sorted(rows, key=lambda e: e.timestamp)),
-                   time_span=(0.0, 20.0))
+    log = EventLog.from_events(sorted(rows, key=lambda e: e.timestamp),
+                               time_span=(0.0, 20.0))
     # the 9.999 event makes A df=1 in window 0; in window 1 both users share
     # A at 10.0: idf 0, nulled, so window 1 has no record at all
     (m0,) = tfidf_windows(log, actors_of("u1", "u2"), 10.0, 10.0)

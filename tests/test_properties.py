@@ -1,10 +1,11 @@
 """Property tests against brute-force pure-Python references."""
 
 import dataclasses
+import json
 import math
 import os
 import tempfile
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from multicoord.community import (MultiplexPartition, Partition,  # noqa: E402
 from multicoord.compare import nmi, overlap_matrix  # noqa: E402
 from multicoord.filternet import FilterConfig, filter_layer  # noqa: E402
 from multicoord.errors import InvariantError  # noqa: E402
-from multicoord.ingest import (ACTIONS, ActionEvent, ActorSet,  # noqa: E402
-                               EventLog, _build_event)
+from multicoord.ingest import (_CONTROL_CHARS, ACTIONS, HST, MEN, URL,  # noqa: E402
+                               ActionEvent, ActorSet, EventLog, RecordError,
+                               StopLists, _parse_timestamp, apply_stoplists,
+                               extract_domain, parse_events, select_users)
 from multicoord.netbuild import (LayerGraph, MultiplexNetwork,  # noqa: E402
                                  WindowTfidf, _window_ranges, build_multiplex,
                                  layer_window_graph, merge_windows,
@@ -199,7 +202,8 @@ def event_logs(draw):
     for layer, t in draw(st.lists(st.tuples(st.sampled_from(layers), times), max_size=2)):
         events += [ActionEvent(u, layer, "viral", t) for u in users]
     actors = frozenset(draw(st.lists(st.sampled_from(users), min_size=1, unique=True)))
-    log = EventLog(tuple(sorted(events, key=lambda e: e.timestamp)), time_span=(t_min, t_max))
+    log = EventLog.from_events(sorted(events, key=lambda e: e.timestamp),
+                               time_span=(t_min, t_max))
     return log, ActorSet(actors=actors, per_action_top={"rtw": actors}), width, shift
 
 
@@ -818,6 +822,210 @@ def test_nmi_bounds_symmetry_and_relabeling(a, b, perm):
     relabeled = {node: 10 + perm[c] for node, c in a.items()}
     if len(set(a.values())) >= 2:
         assert nmi(a, relabeled) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# ingest against the per-event loop it replaced: one ActionEvent per line,
+# a stable sort of the objects by timestamp, and object loops for the
+# stoplists and the actor selection
+
+_NOT_IDS = {type(None): "null", bool: "boolean", list: "array", dict: "object"}
+
+
+def _build_event(user, action, item, ts):
+    for name, value in (("user", user), ("action", action), ("item", item)):
+        if type(value) in _NOT_IDS:
+            raise ValueError(f"{name} is a JSON {_NOT_IDS[type(value)]}, "
+                             "expected a string or a number")
+    user = str(user).strip()
+    if not user:
+        raise ValueError("empty user id")
+    if _CONTROL_CHARS.search(user):
+        raise ValueError(f"control character in user id {user!r}")
+    action = str(action).strip().lower()
+    if action not in ACTIONS:
+        raise ValueError(f"unknown action token {action!r}")
+    item = str(item).strip()
+    if action == HST:
+        item = item.lstrip("#").lower()
+    elif action == MEN:
+        item = item.lstrip("@")
+    elif action == URL:
+        item = extract_domain(item)
+    if not item:
+        raise ValueError("empty item id")
+    if _CONTROL_CHARS.search(item):
+        raise ValueError(f"control character in item id {item!r}")
+    return ActionEvent(user, action, item, _parse_timestamp(ts))
+
+
+def parse_events_oracle(path, schema):
+    """(time-sorted events, rejects) of an event file, one object per line."""
+    events, rejects = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or (line.startswith("#")
+                                    and (schema == "jsonl" or "\t" not in line)):
+                continue
+            try:
+                if schema == "jsonl":
+                    rec = json.loads(line)
+                    if not isinstance(rec, dict):
+                        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+                    ev = _build_event(rec["user"], rec["action"], rec["item"], rec["ts"])
+                else:
+                    cols = line.split("\t")
+                    if len(cols) != 4:
+                        raise ValueError(f"expected 4 columns, got {len(cols)}")
+                    ev = _build_event(*cols)
+            except (ValueError, KeyError, TypeError) as exc:
+                rejects.append(RecordError(line_no, str(exc)))
+                continue
+            events.append(ev)
+    events.sort(key=lambda e: e.timestamp)
+    return events, rejects
+
+
+def apply_stoplists_oracle(events, stop):
+    return [e for e in events
+            if not ((e.action == HST and e.item_id in stop.hashtags)
+                    or (e.action == MEN and e.item_id in stop.mentions)
+                    or (e.action == URL and e.item_id in stop.url_domains))]
+
+
+def select_users_oracle(events, fraction):
+    counts = {a: Counter() for a in ACTIONS}
+    for e in events:
+        counts[e.action][e.user_id] += 1
+    top = {}
+    for a, c in counts.items():
+        ranked = sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))
+        top[a] = frozenset(u for u, _ in ranked[:math.ceil(fraction * len(c))])
+    return top
+
+
+def _exact(events):
+    """Rows with the timestamp's bits, so 0.0 and -0.0 differ."""
+    return [(e.user_id, e.action, e.item_id, float(e.timestamp).hex()) for e in events]
+
+
+# Each field is mostly a good value and sometimes one of many bad or odd ones:
+# ids with the characters ingest strips, lowercases or refuses, and JSON
+# values that are no ids. Timestamps repeat, 0.0 and -0.0 included, to pin
+# the stable order.
+good_ids = st.sampled_from(["u1", "u2", "#u3", "@U4", " u5 ", "\u00e9", "12"])
+id_text = st.text(st.sampled_from("aB#@ \t\x01\x7f\x85\u00e9\u2028.:/"), max_size=4)
+good_urls = st.sampled_from(["https://www.Ex.COM/a?b=1", "ex.net/p", "//cdn.ex.io/x", " bbc.co.uk "])
+bad_urls = st.sampled_from(["https://", "http://[::1", "", "www."])
+good_actions = st.sampled_from(list(ACTIONS) + [" RTW", "Hst "])
+bad_actions = st.sampled_from(["like", "", "r tw"])
+repeated_times = st.sampled_from([0.0, -0.0, 1.5, 1e9])
+good_times = st.one_of(repeated_times, st.integers(-10, 10**10), st.sampled_from(
+    ["1970-01-01T00:00:10Z", "1970-01-01t00:00:10z", "1970-01-01T00:00:10",
+     "1970-01-01T00:00:10+02:00", "12.5", " 7 ", "1e3", "-0.0", "0"]))
+bad_times = st.one_of(st.floats(), st.sampled_from(
+    ["NaN", "Infinity", "-inf", "not-a-time", "", "1970-13-01"]))
+json_ids = st.one_of(st.integers(-5, 5), st.floats(allow_nan=False), st.none(),
+                     st.booleans(), st.just(["a"]), st.just({"a": 1}))
+
+
+def _mostly(draw, good, bad):
+    return draw(bad if draw(st.integers(0, 5)) == 0 else good)
+
+
+@st.composite
+def jsonl_lines(draw):
+    kind = draw(st.sampled_from(["row", "row", "row", "truncated", "not object",
+                                 "comment", "blank"]))
+    if kind == "comment":
+        return "#" + draw(id_text)
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    if kind == "not object":
+        return draw(st.sampled_from(["[1,2,3]", "5", '"u1"', "null", "true", "{}"]))
+    action = _mostly(draw, good_actions, st.one_of(bad_actions, json_ids))
+    items = (good_urls, bad_urls) if action == "url" else (good_ids, id_text)
+    rec = {"user": _mostly(draw, good_ids, st.one_of(id_text, json_ids)), "action": action,
+           "item": _mostly(draw, items[0], st.one_of(items[1], json_ids)),
+           "ts": _mostly(draw, good_times, st.one_of(bad_times, json_ids))}
+    if draw(st.integers(0, 9)) == 0:
+        del rec[draw(st.sampled_from(sorted(rec)))]  # a missing key
+    line = json.dumps(rec, ensure_ascii=draw(st.booleans()))
+    if kind == "truncated":
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    return line
+
+
+@st.composite
+def tsv_lines(draw):
+    kind = draw(st.sampled_from(["row", "row", "row", "columns", "comment", "blank"]))
+    if kind == "comment":
+        return "#" + draw(st.text(st.sampled_from("ab #"), max_size=4))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  "]))
+    action = _mostly(draw, good_actions, bad_actions)
+    ts = _mostly(draw, good_times, bad_times)
+    items = (good_urls, bad_urls) if action == "url" else (good_ids, id_text)
+    cols = [_mostly(draw, good_ids, id_text), action, _mostly(draw, *items),
+            ts if isinstance(ts, str) else repr(ts)]
+    if kind == "columns":
+        cols = cols[:draw(st.integers(1, 3))] if draw(st.booleans()) else cols + ["x"]
+    return "\t".join(cols)
+
+
+@st.composite
+def event_files(draw):
+    schema = draw(st.sampled_from(["jsonl", "tsv"]))
+    lines = draw(st.lists(jsonl_lines() if schema == "jsonl" else tsv_lines(), max_size=40))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline at the end
+    if draw(st.booleans()):
+        text = "\ufeff" + text  # a byte order mark on line 1
+    return schema, text
+
+
+@settings(max_examples=400, deadline=None)
+@given(event_files())
+@example(("tsv", "".join(f"u{k}\trtw\ti{k}\t{(0.0, -0.0, 1.0)[k % 3]!r}\n"
+                         for k in range(40))))
+def test_parse_events_matches_oracle(case):
+    schema, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        log = parse_events(path, schema)
+        events, rejects = parse_events_oracle(path, schema)
+    assert _exact(log.events) == _exact(events)
+    assert log.rejects == tuple(rejects)
+    assert log.ts.dtype == np.float64 and not log.ts.flags.writeable
+    stamps = [e.timestamp for e in events]
+    want = (min(stamps), max(stamps)) if stamps else None
+    assert [t.hex() for t in log.time_span or ()] == [t.hex() for t in want or ()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]), st.sampled_from(ACTIONS),
+                          st.sampled_from(["a", "b", "spam"]), repeated_times), max_size=30),
+       st.lists(st.sampled_from(["a", "b", "spam"]), max_size=2),
+       st.lists(st.sampled_from(["a", "b", "spam"]), max_size=2),
+       st.lists(st.sampled_from(["a", "b", "spam"]), max_size=2),
+       st.floats(0.01, 1.0))
+def test_stoplists_and_selection_match_object_loops(rows, tags, mentions, domains, fraction):
+    events = [ActionEvent(*r) for r in rows]
+    log = EventLog.from_events(events)
+    stop = StopLists.from_sets(hashtags=tags, mentions=mentions, url_domains=domains)
+    out = apply_stoplists(log, stop)
+    kept = apply_stoplists_oracle(events, stop)
+    assert _exact(out.events) == _exact(kept)
+    assert out.time_span == (log.time_span if kept else None)
+    assert out.rejects == log.rejects
+    if kept:
+        assert select_users(out, fraction).per_action_top == select_users_oracle(kept, fraction)
 
 
 # ---------------------------------------------------------------------------
