@@ -53,6 +53,11 @@ _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 # JSON values that are not ids: str() would make them "None", "True" or "['a']"
 _NOT_IDS = {type(None): "null", bool: "boolean", list: "array", dict: "object"}
 
+# parse_events caches the domain of each raw URL, and empties the cache when
+# it is full: raw URLs that never repeat (a serial number, a tracking
+# parameter) would otherwise keep every string of the file alive
+_DOMAIN_CACHE_SIZE = 4096
+
 
 class ActionEvent(NamedTuple):
     """One user action on one item at one point in time: a row of an EventLog."""
@@ -250,10 +255,11 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
     stamps: list[float] = []
     rejects: list[RecordError] = []
     # ids that passed the checks below, each as the one str object shared by
-    # every row that names it, and each raw action token seen, normalized:
-    # a repeated id or token is checked once
+    # every row that names it, each raw action token seen, normalized, and
+    # each raw URL's domain: a repeated id, token or URL is checked once
     valid: dict[str, str] = {}
     action_of: dict[str, str] = {}
+    domain_of: dict[str, str] = {}  # raw URL -> domain, for URLs that have one
     loads, has_control, isfinite = json.loads, _CONTROL_CHARS.search, math.isfinite
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -297,7 +303,11 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
                 elif action == MEN:
                     item = item.lstrip("@")
                 elif action == URL:
-                    item = extract_domain(item)
+                    if item not in domain_of:
+                        if len(domain_of) == _DOMAIN_CACHE_SIZE:
+                            domain_of.clear()
+                        domain_of[item] = extract_domain(item)
+                    item = domain_of[item]
                 if item not in valid:
                     if not item:
                         raise ValueError("empty item id")

@@ -625,6 +625,13 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     # gained nodes only exist in the reference graph B
     nm_a = node_metrics(g_a, csr=csr_a) if g_a.nodes else {}
     nm_b = node_metrics(g_b, csr=csr_b) if g_b.nodes else {}
+    # the Lanczos facts behind each eigenvector centrality: a small gap
+    # between lambda1 and the second Ritz value marks an ill-conditioned one
+    eigen_records = [{"record": "eigen_summary", "graph": graph_id,
+                      "components": csr.eigen.components, "lambda1": csr.eigen.lambda1,
+                      "ritz2": csr.eigen.ritz2, "lanczos_steps": csr.eigen.steps}
+                     for graph_id, g, csr in (("a", g_a, csr_a), ("b", g_b, csr_b))
+                     if g.n_edges]
     node_records = []
     groups: dict = {LOST: {n: [] for n in NODE_METRIC_NAMES},
                     COMMON: {n: [] for n in NODE_METRIC_NAMES},
@@ -641,7 +648,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
             rec[name] = value
             groups[label][name].append(value)
         node_records.append(rec)
-    ctx.records(os.path.join(cfg.out, f"node_metrics_{cid}.jsonl"), node_records)
+    ctx.records(os.path.join(cfg.out, f"node_metrics_{cid}.jsonl"), eigen_records + node_records)
 
     bm_records = []
     pairs = ((LOST, COMMON), (LOST, GAINED), (COMMON, GAINED))
@@ -699,6 +706,12 @@ def run_report(out: str) -> str:
                              f"communities lost/common/gained = "
                              f"{r['communities']['lost']}/{r['communities']['common']}/"
                              f"{r['communities']['gained']}, nmi={r['nmi']:.4f}")
+            elif kind == "eigen_summary":
+                ritz2 = "-" if r["ritz2"] is None else f"{r['ritz2']:.6g}"
+                lines.append(f"    eigenvector centrality of graph {r['graph']}: "
+                             f"lambda1={r['lambda1']:.6g}, second Ritz value {ritz2}, "
+                             f"{r['components']} components, "
+                             f"{r['lanczos_steps']} Lanczos steps")
             elif kind == "synth_summary":
                 lines.append(f"    {r['n_events']} events, {r['n_users']} users, "
                              f"{r['n_communities']} planted communities")

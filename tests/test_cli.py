@@ -120,6 +120,21 @@ def test_detect_records_louvain_passes(workdir, capsys):
     assert "louvain: " in capsys.readouterr().out
 
 
+def test_characterize_records_eigen_summary(workdir, capsys):
+    run_cfg = workdir["run_cfg"]
+    for cmd in ("compare", "characterize"):
+        assert main([cmd, "--config", run_cfg, "--ref", "multi", "--other", "rtw"]) == 0
+    recs = read_records(os.path.join(workdir["out"], "node_metrics_multi_vs_rtw.jsonl"))
+    eigen = [r for r in recs if r.get("record") == "eigen_summary"]
+    assert [r["graph"] for r in eigen] == ["a", "b"]
+    for r in eigen:
+        assert r["components"] >= 1 and r["lanczos_steps"] >= r["components"]
+        assert r["lambda1"] > 0.0 and (r["ritz2"] is None or r["ritz2"] <= r["lambda1"])
+    capsys.readouterr()
+    assert main(["report", "--out", workdir["out"]]) == 0
+    assert "eigenvector centrality of graph a: lambda1=" in capsys.readouterr().out
+
+
 def test_detect_is_deterministic(workdir, tmp_path):
     out = workdir["out"]
     first = open(os.path.join(out, "partition_rtw.tsv"), "rb").read()

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 from collections import Counter, defaultdict, namedtuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from conftest import edge_dict, tfidf_entries
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from multicoord.characterize import (CommunityMetrics,  # noqa: E402
+from multicoord import characterize, ingest  # noqa: E402
+from multicoord.characterize import (CommunityMetrics, GraphCSR,  # noqa: E402
+                                     _components, _pagerank, _t_tail, _triangles,
                                      community_metrics, node_metrics)
 from multicoord.community import (MultiplexPartition, Partition,  # noqa: E402
                                   _aggregate, _csr, _supra_graph, flatten_intersection,
@@ -557,6 +560,154 @@ def test_characterize_matches_dict_of_sets_oracle(g, data):
 
 
 # ---------------------------------------------------------------------------
+# characterize's numpy kernels against the scipy code they replaced
+
+
+def _scipy_adjacency(csr):
+    import scipy.sparse as sp
+
+    n = csr.degree.size
+    return sp.csr_matrix((csr.weight, csr.indices, csr.indptr), shape=(n, n))
+
+
+def _pagerank_scipy(A, damping):
+    """The scipy PageRank that characterize._pagerank replaced."""
+    import scipy.sparse as sp
+
+    n = A.shape[0]
+    out_strength = np.asarray(A.sum(axis=1)).ravel()
+    dangling = out_strength == 0.0
+    inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, out_strength))
+    PT = (sp.diags(inv) @ A).T
+    x = np.full(n, 1.0 / n)
+    teleport = (1.0 - damping) / n
+    for _ in range(100000):
+        x_new = damping * (PT @ x) + teleport
+        x_new += damping * x[dangling].sum() / n
+        err = np.abs(x_new - x).sum()
+        x = x_new
+        if err < 1e-12:
+            break
+    return x / x.sum()
+
+
+def _eigenvector_eigsh(A):
+    """The ARPACK eigenvector centrality that GraphCSR.eigen replaced."""
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import eigsh
+
+    n_comp, labels = connected_components(A, directed=False)
+    best_val, best_idx, best_vec = -np.inf, None, None
+    for c in range(n_comp):
+        idx = np.flatnonzero(labels == c)
+        if idx.size == 1:
+            lam, vec = 0.0, np.ones(1)
+        else:
+            vals, vecs = eigsh(A[idx][:, idx], k=1, which="LA", v0=np.ones(idx.size))
+            lam, vec = float(vals[0]), vecs[:, 0]
+        if lam > best_val + 1e-12 or best_vec is None:
+            best_val, best_idx, best_vec = lam, idx, vec
+    out = np.zeros(A.shape[0])
+    out[best_idx] = np.abs(best_vec)
+    return best_val, out / np.linalg.norm(out)
+
+
+@st.composite
+def random_graphs(draw):
+    """Denser graphs than layers(): up to 60 nodes at edge probability up
+    to 0.9, so that triangles and wedges are plentiful."""
+    n = draw(st.integers(2, 60))
+    p = draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < p
+    w = rng.uniform(0.01, 3.0, size=iu.size)
+    return LayerGraph.from_pairs("rtw", [(f"n{a:02d}", f"n{b:02d}", float(x))
+                                         for a, b, x in zip(iu[keep], iv[keep], w[keep])],
+                                 nodes=[f"n{k:02d}" for k in range(n)])
+
+
+STAR = LayerGraph.from_pairs("rtw", [("hub", f"leaf{k:04d}", 1.0) for k in range(2000)])
+BIPARTITE = LayerGraph.from_pairs("rtw", [(f"a{i}", f"b{j}", 0.5 + i + j)
+                                          for i in range(5) for j in range(7)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs() | layers())
+@example(STAR)
+@example(BIPARTITE)
+def test_triangles_match_masked_product(g):
+    csr = GraphCSR.of(g)
+    B = _scipy_adjacency(csr)
+    B.data[:] = 1
+    B = B.astype(np.int64)
+    want = np.asarray((B @ B).multiply(B).sum(axis=1)).ravel()
+    assert (2 * _triangles(csr)).tolist() == want.tolist()
+    with mock.patch.object(characterize, "_WEDGE_BUDGET", 3):  # many small blocks
+        assert (2 * _triangles(csr)).tolist() == want.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs() | layers())
+def test_component_labels_match_csgraph(g):
+    from scipy.sparse.csgraph import connected_components
+
+    csr = GraphCSR.of(g)
+    want = connected_components(_scipy_adjacency(csr), directed=False)[1]
+    assert _components(csr).tolist() == want.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs() | layers(), st.sampled_from([0.5, 0.85, 0.99]))
+@example(STAR, 0.85)
+def test_pagerank_matches_scipy_bit_for_bit(g, damping):
+    if not g.n_edges:
+        return
+    csr = GraphCSR.of(g)
+    assert _pagerank(csr, damping).tolist() == _pagerank_scipy(_scipy_adjacency(csr),
+                                                               damping).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs() | layers())
+@example(STAR)
+@example(BIPARTITE)
+def test_eigenvector_matches_eigsh(g):
+    if not g.n_edges:
+        return
+    csr = GraphCSR.of(g)
+    lam, want = _eigenvector_eigsh(_scipy_adjacency(csr))
+    got = csr.eigen
+    assert got.lambda1 == pytest.approx(lam, rel=1e-12)
+    assert np.abs(got.vector - want).max() <= 1e-10
+    assert 1 <= got.components <= g.n_nodes // 2
+    assert got.steps >= got.components
+    assert got.ritz2 is None or got.ritz2 <= got.lambda1
+    with mock.patch.object(characterize, "_LANCZOS_MAX_STEPS", 4):  # restarts
+        restarted = GraphCSR.of(g).eigen
+    assert restarted.lambda1 == pytest.approx(lam, rel=1e-12)
+    assert np.abs(restarted.vector - want).max() <= 1e-10
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(min_value=1.0, max_value=1e5), st.floats(min_value=-50.0, max_value=0.0))
+@example(1283.0, -2.6e-5)     # a continued fraction in x alone is off by 1.8e-9 here
+@example(1e5, -2.1)           # large df near the mean of Beta(df/2, 1/2)
+@example(9e4, -1.9)           # 1 - x instead of t^2 / (df + t^2) is off by 2.6e-12 here
+@example(1e5, -50.0)          # underflows to 0
+@example(1.0, -1e-8)
+@example(1.0, -50.0)
+def test_t_tail_matches_stdtr(df, t):
+    from scipy.special import stdtr
+
+    # stdtr's df = 1 branch is off by up to 3e-9 near t = 0, so the Cauchy
+    # closed form is the reference there; below 1e-300 doubles lose their
+    # relative precision
+    want = 0.5 + math.atan(t) / math.pi if df == 1.0 else float(stdtr(df, t))
+    assert _t_tail(df, t) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+# ---------------------------------------------------------------------------
 # filtering, flattening and modularity against the dict code they replaced
 #
 # A graph in dict form is (layer, node set, {(u, v): (weight, co_actions,
@@ -1006,6 +1157,23 @@ def test_parse_events_matches_oracle(case):
     stamps = [e.timestamp for e in events]
     want = (min(stamps), max(stamps)) if stamps else None
     assert [t.hex() for t in log.time_span or ()] == [t.hex() for t in want or ()]
+
+
+@pytest.mark.parametrize("cache_size", [1, 2, 4096])
+def test_parse_events_domain_cache_keeps_rejects(cache_size):
+    # repeated good and bad URLs, with the cache emptied every few rows
+    urls = ["http://a.com/x", "b.org", "http://[::1", "http://a.com/x", "www.c.net/p",
+            "http://[::1", "b.org", "https://", "www.c.net/p", "B.ORG:80/q"]
+    text = "".join(f"u{k % 3}\turl\t{u}\t{k}\n" for k, u in enumerate(urls * 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with mock.patch.object(ingest, "_DOMAIN_CACHE_SIZE", cache_size):
+            log = parse_events(path, "tsv")
+        events, rejects = parse_events_oracle(path, "tsv")
+    assert _exact(log.events) == _exact(events)
+    assert log.rejects == tuple(rejects) and len(rejects) == 9
 
 
 @settings(max_examples=200, deadline=None)
