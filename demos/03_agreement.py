@@ -55,16 +55,15 @@ for a_idx, b_idx in M.pairs:
 print(f"  unmatched on A side: {[O.a_ids[i] for i in M.unmatched_a]}")
 print(f"  unmatched on B side: {[O.b_ids[i] for i in M.unmatched_b]}")
 
-rep = label_communities(O, M, theta=0.5)
+labels_a, labels_b = label_communities(O, M, theta=0.5)
 print("\ncommunity labels at theta = 0.5:")
-print("  A:", dict(sorted(rep.community_labels_a.items())))
-print("  B:", dict(sorted(rep.community_labels_b.items())))
+print("  A:", labels_a)
+print("  B:", labels_b)
 
 # node-level bookkeeping needs no threshold: a node is common when some
 # matched pair covers it on both sides
-nodes = label_nodes(p_a, p_b, M)
 counts = {}
-for label in nodes.node_labels.values():
+for label in label_nodes(O, M).values():
     counts[label] = counts.get(label, 0) + 1
 print(f"\nnode labels: {counts}")
 

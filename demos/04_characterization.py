@@ -64,7 +64,7 @@ for name, (x, y) in zip(row_names, coords):
 # 3. node labels from the matching, then rank tests between the groups
 O = overlap_matrix(p_a, p_b)
 M = hungarian_match(O)
-labels = label_nodes(p_a, p_b, M).node_labels
+labels = label_nodes(O, M)
 nm = node_metrics(flat)
 groups = {lab: [nm[u].pagerank for u in labels if labels[u] == lab and u in nm]
           for lab in ("lost", "common", "gained")}

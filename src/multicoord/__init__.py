@@ -27,11 +27,10 @@ from .community import (MultiplexPartition, Partition, communities,
                         flatten_intersection, flatten_union,
                         generalized_louvain, louvain, modularity,
                         multislice_modularity, restrict_to_layer)
-from .compare import (COMMON, GAINED, LOST, LabelReport, MatchResult,
-                      OverlapMatrix, actor_coverage, community_sets,
-                      edge_coverage, hungarian_match, label_communities,
-                      label_nodes, nmi, overlap_matrix,
-                      pearson_degree_correlation)
+from .compare import (COMMON, GAINED, LOST, MatchResult, OverlapMatrix,
+                      actor_coverage, community_sets, edge_coverage,
+                      hungarian_match, label_communities, label_nodes, nmi,
+                      overlap_matrix, pearson_degree_correlation)
 from .characterize import (COMMUNITY_METRIC_NAMES, NODE_METRIC_NAMES,
                            CommunityMetrics, NodeMetrics, TestResult,
                            brunner_munzel, community_metrics, metric_cosine,
@@ -56,7 +55,7 @@ __all__ = [
     "Partition", "MultiplexPartition", "communities",
     "louvain", "modularity", "multislice_modularity", "generalized_louvain",
     "flatten_union", "flatten_intersection", "restrict_to_layer",
-    "OverlapMatrix", "MatchResult", "LabelReport", "COMMON", "LOST", "GAINED",
+    "OverlapMatrix", "MatchResult", "COMMON", "LOST", "GAINED",
     "community_sets", "overlap_matrix", "hungarian_match",
     "label_communities", "label_nodes", "nmi", "actor_coverage",
     "edge_coverage", "pearson_degree_correlation",

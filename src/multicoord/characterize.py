@@ -44,7 +44,7 @@ _PAGERANK_TOL = 1e-12
 _PAGERANK_MAX_ITER = 100000
 _WEDGE_BUDGET = 1 << 16      # out-wedges closed per block when counting triangles
 _LANCZOS_MAX_STEPS = 128     # Krylov basis size before restarting from the Ritz vector
-_LANCZOS_MAX_RESTARTS = 100
+_LANCZOS_STEP_BUDGET = 100 * 128  # Lanczos steps over all restarts
 _BETA_CF_MAX_TERMS = 10000
 _EPS = float(np.finfo(float).eps)
 
@@ -255,7 +255,8 @@ def _lanczos(csr: GraphCSR) -> tuple[float, float | None, np.ndarray, int]:
     tridiagonal matrix. It stops when the residual bound beta_k |s_k| of
     the top Ritz pair is at machine precision, or the basis spans the whole
     space. After _LANCZOS_MAX_STEPS steps it restarts from the Ritz
-    vector, at most _LANCZOS_MAX_RESTARTS times. Returns (eigenvalue,
+    vector, until _LANCZOS_STEP_BUDGET steps are spent in all: a small
+    basis restarts more often, not for less work. Returns (eigenvalue,
     second Ritz value or None, unit vector, steps taken)."""
     n = csr.degree.size
     rows = csr.rows()
@@ -263,7 +264,7 @@ def _lanczos(csr: GraphCSR) -> tuple[float, float | None, np.ndarray, int]:
     T = np.zeros((Q.shape[0], Q.shape[0]))
     q = np.full(n, 1.0 / math.sqrt(n))
     steps = 0
-    for _ in range(_LANCZOS_MAX_RESTARTS):
+    while steps < _LANCZOS_STEP_BUDGET:
         for k in range(Q.shape[0]):
             Q[k] = q
             w = np.bincount(rows, weights=csr.weight * q[csr.indices], minlength=n)
@@ -417,10 +418,7 @@ def pca_project(vectors, dims: int = 2) -> tuple[np.ndarray, np.ndarray]:
     components, eigenvalues over the original feature count, so the ratios
     sum to 1 exactly when nothing was dropped).
     """
-    if isinstance(vectors, (list, tuple)) and vectors and isinstance(vectors[0], CommunityMetrics):
-        X = np.vstack([v.vector() for v in vectors])
-    else:
-        X = np.asarray(vectors, dtype=float)
+    X = np.asarray(vectors, dtype=float)
     if X.ndim != 2:
         raise ValueError("vectors must form a 2D array")
     n, n_feat = X.shape

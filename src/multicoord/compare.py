@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,14 +39,20 @@ def community_sets(source, min_size: int = 0) -> dict:
     """Normalize a community-set source into {community_id: frozenset}.
 
     Accepts a Partition / MultiplexPartition, a node -> community-id
-    assignment map, or a community-id -> member-set map. Communities with
-    size <= min_size are dropped.
+    assignment map, or a community-id -> member-set map, whose communities
+    must be disjoint. Communities with size <= min_size are dropped.
     """
     if isinstance(source, (Partition, MultiplexPartition)):
         sets = communities(source.assignment)
     elif isinstance(source, dict):
         if source and all(isinstance(v, (set, frozenset, list, tuple)) for v in source.values()):
             sets = {cid: frozenset(members) for cid, members in source.items()}
+            owner: dict = {}
+            for cid, members in sets.items():
+                for node in members:
+                    if owner.setdefault(node, cid) != cid:
+                        raise DataError(f"node {node!r} is in communities {owner[node]!r} "
+                                        f"and {cid!r}; communities must be disjoint")
         else:
             sets = communities(source)
     else:
@@ -60,9 +65,11 @@ def community_sets(source, min_size: int = 0) -> dict:
 
 @dataclass
 class OverlapMatrix:
-    """Harmonic-mean overlaps between two filtered community sets.
+    """One comparison's registry: the two filtered community sets in sorted
+    id order, their intersection sizes and harmonic-mean overlaps.
 
-    values has one row per B community and one column per A community;
+    values and counts have one row per B community and one column per A
+    community; counts[bi, aj] = |b_members[bi] n a_members[aj]| and
     values[bi, aj] is the overlap between B community b_ids[bi] and A
     community a_ids[aj] (the harmonic mean is direction-symmetric).
     """
@@ -72,6 +79,7 @@ class OverlapMatrix:
     a_members: tuple  # of frozenset, aligned with a_ids
     b_members: tuple
     values: np.ndarray  # shape (len(b_ids), len(a_ids))
+    counts: np.ndarray  # int64, same shape
 
     @property
     def k_a(self) -> int:
@@ -99,19 +107,6 @@ class MatchResult:
     total: float
 
 
-@dataclass
-class LabelReport:
-    """Lost/common/gained labels; community part keyed by community id,
-    node part keyed by node id. theta is None for the threshold-free
-    node labeling.
-    """
-
-    theta: float | None = None
-    community_labels_a: dict = field(default_factory=dict)
-    community_labels_b: dict = field(default_factory=dict)
-    node_labels: dict = field(default_factory=dict)
-
-
 def _sort_key(cid):
     return (str(type(cid).__name__), cid)
 
@@ -128,17 +123,17 @@ def overlap_matrix(C_A, C_B, min_size: int = 0) -> OverlapMatrix:
     b_ids = tuple(sorted(b_sets, key=_sort_key))
     a_members = tuple(a_sets[i] for i in a_ids)
     b_members = tuple(b_sets[i] for i in b_ids)
-    values = np.zeros((len(b_ids), len(a_ids)))
-    for bi, bm in enumerate(b_members):
-        for aj, am in enumerate(a_members):
-            inter = len(am & bm)
-            if inter == 0:
-                continue
-            r_ab = inter / len(am)
-            r_ba = inter / len(bm)
-            values[bi, aj] = 2.0 * r_ab * r_ba / (r_ab + r_ba)
+    a_of = {node: aj for aj, members in enumerate(a_members) for node in members}
+    cells = [bi * len(a_ids) + a_of[node] for bi, members in enumerate(b_members)
+             for node in members if node in a_of]
+    counts = np.bincount(np.array(cells, dtype=np.int64),
+                         minlength=len(b_ids) * len(a_ids)).reshape(len(b_ids), len(a_ids))
+    r_ab = counts / np.array([len(m) for m in a_members], dtype=float)
+    r_ba = counts / np.array([len(m) for m in b_members], dtype=float)[:, None]
+    with np.errstate(invalid="ignore"):
+        values = np.where(counts > 0, 2.0 * r_ab * r_ba / (r_ab + r_ba), 0.0)
     return OverlapMatrix(a_ids=a_ids, b_ids=b_ids, a_members=a_members,
-                         b_members=b_members, values=values)
+                         b_members=b_members, values=values, counts=counts)
 
 
 def _solve_min_assignment(cost: np.ndarray) -> list[int]:
@@ -220,69 +215,34 @@ def hungarian_match(O: OverlapMatrix) -> MatchResult:
         total=total)
 
 
-def label_communities(O: OverlapMatrix, M: MatchResult, theta: float = 0.5) -> LabelReport:
-    """Community labels: a matched pair with overlap >= theta is common on
-    both sides; below theta the A community is lost and the B community
-    gained; unmatched A are lost, unmatched B gained.
+def label_communities(O: OverlapMatrix, M: MatchResult, theta: float = 0.5) -> tuple[dict, dict]:
+    """Community labels (labels_a, labels_b), each in registry order: a
+    matched pair with overlap >= theta is common on both sides; below
+    theta the A community is lost and the B community gained; unmatched A
+    are lost, unmatched B gained.
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1], got {theta}")
-    labels_a: dict = {}
-    labels_b: dict = {}
+    labels_a = dict.fromkeys(O.a_ids, LOST)
+    labels_b = dict.fromkeys(O.b_ids, GAINED)
     for a_idx, b_idx in M.pairs:
         if O.overlap(a_idx, b_idx) >= theta:
-            labels_a[O.a_ids[a_idx]] = COMMON
-            labels_b[O.b_ids[b_idx]] = COMMON
-        else:
-            labels_a[O.a_ids[a_idx]] = LOST
-            labels_b[O.b_ids[b_idx]] = GAINED
-    for a_idx in M.unmatched_a:
-        labels_a[O.a_ids[a_idx]] = LOST
-    for b_idx in M.unmatched_b:
-        labels_b[O.b_ids[b_idx]] = GAINED
-    return LabelReport(theta=theta, community_labels_a=labels_a, community_labels_b=labels_b)
+            labels_a[O.a_ids[a_idx]] = labels_b[O.b_ids[b_idx]] = COMMON
+    return labels_a, labels_b
 
 
-def label_nodes(C_A, C_B, M: MatchResult) -> LabelReport:
-    """Node labels from matched-pair set algebra, threshold-free.
-
-    C_A and C_B must be the size-filtered community sets the match was
-    derived from (e.g. zip(O.a_ids, O.a_members)); they are indexed in
-    sorted-id order exactly like the OverlapMatrix registries. A node in a
-    matched intersection is common; otherwise any node covered on the A
+def label_nodes(O: OverlapMatrix, M: MatchResult) -> dict:
+    """Node labels from matched-pair set algebra, threshold-free: a node in
+    a matched intersection is common; otherwise any node covered on the A
     side is lost and any node covered only on the B side is gained.
     """
-    a_sets = community_sets(C_A)
-    b_sets = community_sets(C_B)
-    a_members = [a_sets[i] for i in sorted(a_sets, key=_sort_key)]
-    b_members = [b_sets[i] for i in sorted(b_sets, key=_sort_key)]
-    for side, members in (("A", a_members), ("B", b_members)):
-        seen: set = set()
-        for m in members:
-            if seen & m:
-                raise DataError(f"side {side} communities overlap; node labeling "
-                                "requires disjoint communities per side")
-            seen |= m
-    a_of: dict = {}
-    b_of: dict = {}
-    for idx, m in enumerate(a_members):
-        for node in m:
-            a_of[node] = idx
-    for idx, m in enumerate(b_members):
-        for node in m:
-            b_of[node] = idx
-    matched = set(M.pairs)
-    labels: dict = {}
-    for node in set(a_of) | set(b_of):
-        ai = a_of.get(node)
-        bi = b_of.get(node)
-        if ai is not None and bi is not None and (ai, bi) in matched:
-            labels[node] = COMMON
-        elif ai is not None:
-            labels[node] = LOST
-        else:
-            labels[node] = GAINED
-    return LabelReport(theta=None, node_labels=labels)
+    labels = {node: LOST for members in O.a_members for node in members}
+    for a_idx, b_idx in M.pairs:
+        labels.update(dict.fromkeys(O.a_members[a_idx] & O.b_members[b_idx], COMMON))
+    for members in O.b_members:
+        for node in members:
+            labels.setdefault(node, GAINED)
+    return labels
 
 
 def nmi(p1, p2, min_size: int = 0) -> float:
@@ -291,34 +251,20 @@ def nmi(p1, p2, min_size: int = 0) -> float:
 
     Degenerate entropies (both partitions constant) give 0 by convention.
     """
-    sets1 = community_sets(p1, min_size)
-    sets2 = community_sets(p2, min_size)
-    of1: dict = {}
-    for cid, members in sets1.items():
-        for node in members:
-            of1[node] = cid
-    of2: dict = {}
-    for cid, members in sets2.items():
-        for node in members:
-            of2[node] = cid
-    universe = set(of1) & set(of2)
-    if not universe:
+    counts = overlap_matrix(p1, p2, min_size).counts  # rows p2, columns p1
+    n = int(counts.sum())
+    if not n:
         raise DataError("no common nodes between the two partitions after filtering")
-    n = len(universe)
-    joint: dict = defaultdict(int)
-    c1: dict = defaultdict(int)
-    c2: dict = defaultdict(int)
-    for node in universe:
-        a, b = of1[node], of2[node]
-        joint[(a, b)] += 1
-        c1[a] += 1
-        c2[b] += 1
-    h1 = -math.fsum((c / n) * math.log(c / n) for c in c1.values())
-    h2 = -math.fsum((c / n) * math.log(c / n) for c in c2.values())
+    c1 = counts.sum(axis=0).tolist()
+    c2 = counts.sum(axis=1).tolist()
+    h1 = -math.fsum((c / n) * math.log(c / n) for c in c1 if c)
+    h2 = -math.fsum((c / n) * math.log(c / n) for c in c2 if c)
     if h1 + h2 == 0.0:
         return 0.0
+    b_idx, a_idx = np.nonzero(counts)
     mi = math.fsum((cnt / n) * math.log(n * cnt / (c1[a] * c2[b]))
-                   for (a, b), cnt in joint.items())
+                   for a, b, cnt in zip(a_idx.tolist(), b_idx.tolist(),
+                                        counts[b_idx, a_idx].tolist()))
     return min(1.0, max(0.0, 2.0 * mi / (h1 + h2)))
 
 

@@ -464,8 +464,9 @@ class _Comparison:
     b_scope: str | None
     O: object
     M: object
-    comm_labels: object
-    node_labels: object
+    labels_a: dict
+    labels_b: dict
+    node_labels: dict
 
 
 def _compare(cfg: RunConfig, ref: str, other: str) -> _Comparison:
@@ -475,11 +476,8 @@ def _compare(cfg: RunConfig, ref: str, other: str) -> _Comparison:
     A, a_token, a_scope = _load_approach(cfg.out, ob, ol)
     O = overlap_matrix(A, B, min_size=det.min_size)
     M = hungarian_match(O)
-    comm_labels = label_communities(O, M, theta=det.theta)
-    node_labels = label_nodes(dict(zip(O.a_ids, O.a_members)),
-                              dict(zip(O.b_ids, O.b_members)), M)
     return _Comparison(A, B, a_token, b_token, a_scope, b_scope, O, M,
-                       comm_labels, node_labels)
+                       *label_communities(O, M, theta=det.theta), label_nodes(O, M))
 
 
 def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
@@ -489,7 +487,7 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
     """
     det = cfg.detection
     c = _compare(cfg, ref, other)
-    O, M, comm_labels, node_labels = c.O, c.M, c.comm_labels, c.node_labels
+    O, M = c.O, c.M
     cid = comparison_id(ref, other)
     ctx = cfg.context()
     nmi_value = nmi(c.A, c.B, min_size=det.min_size)
@@ -507,14 +505,14 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
         "n_matched": len(M.pairs), "total_overlap": M.total,
         "nmi": nmi_value,
         "communities": {
-            "lost": count(comm_labels.community_labels_a, LOST),
-            "common": count(comm_labels.community_labels_a, COMMON),
-            "gained": count(comm_labels.community_labels_b, GAINED),
+            "lost": count(c.labels_a, LOST),
+            "common": count(c.labels_a, COMMON),
+            "gained": count(c.labels_b, GAINED),
         },
         "nodes": {
-            "lost": count(node_labels.node_labels, LOST),
-            "common": count(node_labels.node_labels, COMMON),
-            "gained": count(node_labels.node_labels, GAINED),
+            "lost": count(c.node_labels, LOST),
+            "common": count(c.node_labels, COMMON),
+            "gained": count(c.node_labels, GAINED),
         },
     }]
     for a_idx, b_idx in M.pairs:
@@ -522,14 +520,13 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
                         "a_community": str(O.a_ids[a_idx]),
                         "b_community": str(O.b_ids[b_idx]),
                         "overlap": O.overlap(a_idx, b_idx)})
-    for side, labels in (("a", comm_labels.community_labels_a),
-                         ("b", comm_labels.community_labels_b)):
-        for comm_id in sorted(labels, key=lambda c: (str(type(c).__name__), c)):
+    for side, labels in (("a", c.labels_a), ("b", c.labels_b)):
+        for comm_id, label in labels.items():
             records.append({"record": "community_label", "side": side,
-                            "community": str(comm_id), "label": labels[comm_id]})
-    for node in sorted(node_labels.node_labels, key=str):
+                            "community": str(comm_id), "label": label})
+    for node in sorted(c.node_labels, key=str):
         records.append({"record": "node_label", "node": str(node),
-                        "label": node_labels.node_labels[node]})
+                        "label": c.node_labels[node]})
     ctx.records(os.path.join(cfg.out, f"labels_{cid}.jsonl"), records)
     logger.info("compare %s: k_a=%d k_b=%d matched=%d nmi=%.4f",
                 cid, O.k_a, O.k_b, len(M.pairs), nmi_value)
@@ -557,7 +554,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     if not os.path.exists(labels_path):
         raise DataError(f"missing comparison output {labels_path}; run compare first")
     c = _compare(cfg, ref, other)
-    O, M, comm_labels, node_labels = c.O, c.M, c.comm_labels, c.node_labels
+    O, M = c.O, c.M
     if c.a_scope is None or c.b_scope is None:
         raise DataError("characterize needs a concrete graph per side; "
                         "restrict multiplex partitions to a layer (multi:<layer>)")
@@ -569,10 +566,10 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     comm_rows = []       # (side, community id, label, CommunityMetrics)
     for idx, comm_id in enumerate(O.a_ids):
         m = community_metrics(g_a, O.a_members[idx], csr_a)
-        comm_rows.append(("a", comm_id, comm_labels.community_labels_a[comm_id], m))
+        comm_rows.append(("a", comm_id, c.labels_a[comm_id], m))
     for idx, comm_id in enumerate(O.b_ids):
         m = community_metrics(g_b, O.b_members[idx], csr_b)
-        comm_rows.append(("b", comm_id, comm_labels.community_labels_b[comm_id], m))
+        comm_rows.append(("b", comm_id, c.labels_b[comm_id], m))
 
     vectors = [m.vector() for _, _, _, m in comm_rows]
     normalized = _minmax_normalize(vectors) if vectors else []
@@ -636,8 +633,8 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     groups: dict = {LOST: {n: [] for n in NODE_METRIC_NAMES},
                     COMMON: {n: [] for n in NODE_METRIC_NAMES},
                     GAINED: {n: [] for n in NODE_METRIC_NAMES}}
-    for node in sorted(node_labels.node_labels, key=str):
-        label = node_labels.node_labels[node]
+    for node in sorted(c.node_labels, key=str):
+        label = c.node_labels[node]
         source, graph_id = (nm_a, "a") if label in (LOST, COMMON) else (nm_b, "b")
         if node not in source:
             continue

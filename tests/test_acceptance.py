@@ -244,11 +244,11 @@ def test_criterion_08_label_bookkeeping():
         M = hungarian_match(O)
         prev_common = None
         for theta in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-            rep = label_communities(O, M, theta=theta)
-            common_a = sum(v == COMMON for v in rep.community_labels_a.values())
-            common_b = sum(v == COMMON for v in rep.community_labels_b.values())
-            lost = sum(v == LOST for v in rep.community_labels_a.values())
-            gained = sum(v == GAINED for v in rep.community_labels_b.values())
+            labels_a, labels_b = label_communities(O, M, theta=theta)
+            common_a = sum(v == COMMON for v in labels_a.values())
+            common_b = sum(v == COMMON for v in labels_b.values())
+            lost = sum(v == LOST for v in labels_a.values())
+            gained = sum(v == GAINED for v in labels_b.values())
             if common_a != common_b:
                 failures.append(f"trial {trial}: common_A != common_B")
             if lost + common_a != O.k_a or gained + common_b != O.k_b:

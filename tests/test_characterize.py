@@ -13,8 +13,8 @@ import pytest
 
 from conftest import clique, edge_dict, random_layer
 from multicoord.characterize import (COMMUNITY_METRIC_NAMES,
-                                     NODE_METRIC_NAMES, CommunityMetrics,
-                                     _midranks, brunner_munzel, community_metrics,
+                                     NODE_METRIC_NAMES, _midranks,
+                                     brunner_munzel, community_metrics,
                                      metric_cosine, node_metrics,
                                      pca_project, significance_band)
 from multicoord.errors import DegenerateSampleError, UndefinedMetricError
@@ -305,19 +305,6 @@ def test_pca_zero_variance_feature_dropped_with_warning(rng):
     with pytest.warns(UserWarning):
         _, expect = pca_project(X, dims=4)
     assert math.fsum(expect) == pytest.approx(4 / 5 * math.fsum(full), abs=1e-10)
-
-
-def test_pca_accepts_metric_objects(barbell):
-    rows = [community_metrics(barbell, {"a", "b", "c"}),
-            community_metrics(barbell, {"d", "e", "f"}),
-            community_metrics(barbell, {"a", "b"}),
-            community_metrics(barbell, {"c", "d"})]
-    assert all(isinstance(r, CommunityMetrics) for r in rows)
-    # several descriptors are constant on this fixture (density, weight),
-    # so the projection must warn about dropping them and still work
-    with pytest.warns(UserWarning):
-        coords, ratios = pca_project(rows, dims=2)
-    assert coords.shape == (4, 2)
 
 
 def test_pca_needs_three_rows(rng):

@@ -157,24 +157,25 @@ def _two_sided():
     C_A = {10: {"a", "b", "c", "d"}, 20: {"e", "f"}}
     C_B = {1: {"a", "b", "c", "x"}, 2: {"q", "r"}}
     O = overlap_matrix(C_A, C_B)
-    return C_A, C_B, O, hungarian_match(O)
+    return O, hungarian_match(O)
 
 
 def test_label_communities_threshold():
-    _, _, O, M = _two_sided()
+    O, M = _two_sided()
     # matched pair (10, 1) has overlap 3/4 = 0.75
-    rep = label_communities(O, M, theta=0.5)
-    assert rep.community_labels_a[10] == COMMON
-    assert rep.community_labels_b[1] == COMMON
-    rep_hi = label_communities(O, M, theta=0.76)
-    assert rep_hi.community_labels_a[10] == LOST
-    assert rep_hi.community_labels_b[1] == GAINED
+    labels_a, labels_b = label_communities(O, M, theta=0.5)
+    assert labels_a[10] == COMMON
+    assert labels_b[1] == COMMON
+    hi_a, hi_b = label_communities(O, M, theta=0.76)
+    assert hi_a[10] == LOST
+    assert hi_b[1] == GAINED
     # theta exactly at the overlap keeps the pair common
-    rep_eq = label_communities(O, M, theta=0.75)
-    assert rep_eq.community_labels_a[10] == COMMON
+    assert label_communities(O, M, theta=0.75)[0][10] == COMMON
     # the zero-overlap matched pair is never common above theta 0
-    assert rep.community_labels_a[20] == LOST
-    assert rep.community_labels_b[2] == GAINED
+    assert labels_a[20] == LOST
+    assert labels_b[2] == GAINED
+    # both dicts follow the registry order
+    assert tuple(labels_a) == O.a_ids and tuple(labels_b) == O.b_ids
     with pytest.raises(ValueError):
         label_communities(O, M, theta=1.5)
 
@@ -191,11 +192,11 @@ def test_label_bookkeeping_random(rng):
         M = hungarian_match(O)
         prev_common = None
         for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
-            rep = label_communities(O, M, theta=theta)
-            common_a = sum(1 for v in rep.community_labels_a.values() if v == COMMON)
-            common_b = sum(1 for v in rep.community_labels_b.values() if v == COMMON)
-            lost = sum(1 for v in rep.community_labels_a.values() if v == LOST)
-            gained = sum(1 for v in rep.community_labels_b.values() if v == GAINED)
+            labels_a, labels_b = label_communities(O, M, theta=theta)
+            common_a = sum(1 for v in labels_a.values() if v == COMMON)
+            common_b = sum(1 for v in labels_b.values() if v == COMMON)
+            lost = sum(1 for v in labels_a.values() if v == LOST)
+            gained = sum(1 for v in labels_b.values() if v == GAINED)
             assert common_a == common_b
             assert lost + common_a == O.k_a
             assert gained + common_b == O.k_b
@@ -205,9 +206,8 @@ def test_label_bookkeeping_random(rng):
 
 
 def test_label_nodes_set_algebra():
-    C_A, C_B, O, M = _two_sided()
-    rep = label_nodes(C_A, C_B, M)
-    labels = rep.node_labels
+    O, M = _two_sided()
+    labels = label_nodes(O, M)
     # matched pair is ({a,b,c,d}, {a,b,c,x})
     assert all(labels[u] == COMMON for u in "abc")
     assert labels["d"] == LOST                 # dropped from the matched pair
@@ -226,17 +226,28 @@ def test_label_nodes_cross_pair_membership_is_not_common():
     O = overlap_matrix(C_A, C_B)
     M = hungarian_match(O)
     assert set(M.pairs) == {(0, 0), (1, 1)}
-    labels = label_nodes(C_A, C_B, M).node_labels
+    labels = label_nodes(O, M)
     assert labels["z"] == LOST
     assert labels["a"] == COMMON and labels["b"] == COMMON
 
 
 def test_label_nodes_requires_disjoint_sides():
+    # the registry that node labels read is refused when it is built
     C_A = {0: {"a", "b"}, 1: {"b", "c"}}      # overlapping communities
     C_B = {0: {"a"}}
-    O = overlap_matrix(C_A, C_B)
+    with pytest.raises(DataError, match="'b'"):
+        overlap_matrix(C_A, C_B)
     with pytest.raises(DataError):
-        label_nodes(C_A, C_B, hungarian_match(O))
+        overlap_matrix(C_B, C_A)
+
+
+def test_overlap_counts_are_intersection_sizes():
+    O = overlap_matrix({0: {"a", "b", "c"}, 1: {"d"}},
+                       {0: {"a", "b", "x"}, 1: {"c", "d"}, 2: {"y"}})
+    assert O.counts.tolist() == [[2, 0], [1, 1], [0, 0]]
+    assert O.values[1, 0] == 2.0 * (1 / 3) * (1 / 2) / (1 / 3 + 1 / 2)
+    empty = overlap_matrix({0: {"a"}, 1: {"b"}}, {0: {"c"}}, min_size=1)
+    assert empty.counts.shape == empty.values.shape == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +279,16 @@ def test_nmi_matches_reference_implementation(rng):
         want = sklearn_metrics.normalized_mutual_info_score(
             labels1, labels2, average_method="arithmetic")
         assert nmi(p1, p2) == pytest.approx(want, abs=1e-10)
+
+
+def test_nmi_rejects_overlapping_communities():
+    # the last community a shared node was seen in used to win, so the
+    # score depended on the dict order: 0.344 one way, 1.0 the other
+    p1 = {0: {"a", "b", "x"}, 1: {"b", "c", "y"}}
+    p2 = {0: {"a", "b"}, 1: {"c", "y"}}
+    for first, second in ((p1, p2), (p2, p1), (dict(reversed(p1.items())), p2)):
+        with pytest.raises(DataError, match="disjoint"):
+            nmi(first, second)
 
 
 def test_nmi_common_universe_and_min_size():

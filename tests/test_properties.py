@@ -24,9 +24,10 @@ from multicoord.community import (MultiplexPartition, Partition,  # noqa: E402
                                   _aggregate, _csr, _supra_graph, flatten_intersection,
                                   flatten_union, generalized_louvain, louvain,
                                   modularity, multislice_modularity)
-from multicoord.compare import nmi, overlap_matrix  # noqa: E402
+from multicoord.compare import (community_sets, hungarian_match,  # noqa: E402
+                                label_nodes, nmi, overlap_matrix)
 from multicoord.filternet import FilterConfig, filter_layer  # noqa: E402
-from multicoord.errors import InvariantError  # noqa: E402
+from multicoord.errors import DataError, InvariantError  # noqa: E402
 from multicoord.ingest import (_CONTROL_CHARS, ACTIONS, HST, MEN, URL,  # noqa: E402
                                ActionEvent, ActorSet, EventLog, RecordError,
                                StopLists, _parse_timestamp, apply_stoplists,
@@ -630,6 +631,25 @@ def random_graphs(draw):
 STAR = LayerGraph.from_pairs("rtw", [("hub", f"leaf{k:04d}", 1.0) for k in range(2000)])
 BIPARTITE = LayerGraph.from_pairs("rtw", [(f"a{i}", f"b{j}", 0.5 + i + j)
                                           for i in range(5) for j in range(7)])
+# a 37-node component on which Lanczos with a basis of 4 needs 424 steps:
+# more than 100 restarts of that basis allow
+SLOW_LANCZOS = LayerGraph.from_pairs("rtw", [
+    (f"n{a:02d}", f"n{b:02d}", w) for a, b, w in zip(
+        [0, 0, 0, 0, 1, 2, 3, 4, 5, 5, 6, 6, 8, 8, 8, 9, 9, 10, 10, 10, 11, 11, 12,
+         12, 13, 13, 13, 14, 14, 19, 20, 20, 20, 22, 22, 24, 24, 26, 27, 27, 28, 28,
+         28, 31, 38, 40],
+        [1, 19, 25, 26, 32, 38, 17, 18, 44, 45, 25, 36, 16, 24, 30, 25, 36, 12, 35,
+         37, 29, 43, 35, 46, 27, 31, 45, 18, 34, 31, 39, 40, 44, 32, 41, 27, 46, 29,
+         29, 42, 36, 42, 47, 41, 45, 45],
+        [1.53322417, 1.85304112, 2.66948086, 1.5583767, 1.52941858, 1.24406535,
+         0.71971772, 1.18784095, 1.00472581, 2.72725927, 2.57834816, 0.87177781,
+         2.77789722, 1.37087016, 0.63076818, 0.81356127, 0.04029387, 2.83285607,
+         1.34713069, 0.64892223, 1.45042525, 0.0325185, 2.25236303, 0.78985848,
+         0.65937668, 2.94453174, 0.82298232, 2.70267516, 1.30110742, 0.87779529,
+         1.34376909, 1.46123814, 2.72073338, 1.87734614, 0.09984187, 2.59105382,
+         0.65508197, 1.56291725, 1.25108039, 2.29915293, 1.95838734, 2.17877238,
+         0.11412386, 0.90988095, 1.89877114, 0.62350265])],
+    nodes=[f"n{k:02d}" for k in range(48)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -672,6 +692,7 @@ def test_pagerank_matches_scipy_bit_for_bit(g, damping):
 @given(random_graphs() | layers())
 @example(STAR)
 @example(BIPARTITE)
+@example(SLOW_LANCZOS)
 def test_eigenvector_matches_eigsh(g):
     if not g.n_edges:
         return
@@ -947,10 +968,94 @@ def test_modularity_matches_dict_oracle(net, data, gamma, omega):
 
 
 # ---------------------------------------------------------------------------
-# compare: overlap and NMI bounds and symmetry
+# compare: overlap and NMI bounds and symmetry, and the OverlapMatrix
+# registry against the dict code it replaced: a set intersection per pair
+# of communities, node -> community dicts for the node labels and for NMI
 
 node_pool = st.sampled_from([f"v{k}" for k in range(15)])
 assignments = st.dictionaries(node_pool, st.integers(0, 4), min_size=1)
+
+
+def _sorted_sets(source, min_size=0):
+    sets = community_sets(source, min_size)
+    ids = tuple(sorted(sets, key=lambda c: (type(c).__name__, c)))
+    return ids, tuple(sets[i] for i in ids)
+
+
+def _overlap_oracle(C_A, C_B, min_size):
+    a_ids, a_members = _sorted_sets(C_A, min_size)
+    b_ids, b_members = _sorted_sets(C_B, min_size)
+    counts = np.zeros((len(b_ids), len(a_ids)), dtype=np.int64)
+    values = np.zeros((len(b_ids), len(a_ids)))
+    for bi, bm in enumerate(b_members):
+        for aj, am in enumerate(a_members):
+            inter = counts[bi, aj] = len(am & bm)
+            if inter == 0:
+                continue
+            r_ab = inter / len(am)
+            r_ba = inter / len(bm)
+            values[bi, aj] = 2.0 * r_ab * r_ba / (r_ab + r_ba)
+    return (a_ids, b_ids, a_members, b_members), counts, values
+
+
+def _label_nodes_oracle(C_A, C_B, M):
+    a_of = {node: idx for idx, m in enumerate(_sorted_sets(C_A)[1]) for node in m}
+    b_of = {node: idx for idx, m in enumerate(_sorted_sets(C_B)[1]) for node in m}
+    matched = set(M.pairs)
+    labels = {}
+    for node in set(a_of) | set(b_of):
+        ai = a_of.get(node)
+        bi = b_of.get(node)
+        if ai is not None and bi is not None and (ai, bi) in matched:
+            labels[node] = "common"
+        elif ai is not None:
+            labels[node] = "lost"
+        else:
+            labels[node] = "gained"
+    return labels
+
+
+def _nmi_oracle(p1, p2, min_size):
+    of1 = {node: cid for cid, m in community_sets(p1, min_size).items() for node in m}
+    of2 = {node: cid for cid, m in community_sets(p2, min_size).items() for node in m}
+    universe = set(of1) & set(of2)
+    if not universe:
+        raise DataError("no common nodes")
+    n = len(universe)
+    joint, c1, c2 = defaultdict(int), defaultdict(int), defaultdict(int)
+    for node in universe:
+        a, b = of1[node], of2[node]
+        joint[(a, b)] += 1
+        c1[a] += 1
+        c2[b] += 1
+    h1 = -math.fsum((c / n) * math.log(c / n) for c in c1.values())
+    h2 = -math.fsum((c / n) * math.log(c / n) for c in c2.values())
+    if h1 + h2 == 0.0:
+        return 0.0
+    mi = math.fsum((cnt / n) * math.log(n * cnt / (c1[a] * c2[b]))
+                   for (a, b), cnt in joint.items())
+    return min(1.0, max(0.0, 2.0 * mi / (h1 + h2)))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DataError:
+        return DataError
+
+
+@settings(max_examples=300, deadline=None)
+@given(assignments, assignments, st.integers(0, 2))
+def test_overlap_labels_and_nmi_match_dict_oracles(a, b, min_size):
+    O = overlap_matrix(a, b, min_size=min_size)
+    registry, counts, values = _overlap_oracle(a, b, min_size)
+    assert (O.a_ids, O.b_ids, O.a_members, O.b_members) == registry
+    assert O.counts.tolist() == counts.tolist()
+    assert O.values.tolist() == values.tolist()
+    M = hungarian_match(O)
+    assert label_nodes(O, M) == _label_nodes_oracle(dict(zip(O.a_ids, O.a_members)),
+                                                    dict(zip(O.b_ids, O.b_members)), M)
+    assert _outcome(nmi, a, b, min_size) == _outcome(_nmi_oracle, a, b, min_size)
 
 
 @settings(max_examples=300, deadline=None)
