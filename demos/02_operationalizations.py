@@ -62,7 +62,7 @@ def describe(assignment):
         best = max(O.overlap(0, bi) for bi in range(O.k_b))
         parts.append(f"c{ci} best overlap {best:.2f}")
     if visible == 2:
-        parts.append(f"nmi {nmi(assignment, truth.assignment):.3f}")
+        parts.append(f"nmi {nmi(overlap_matrix(assignment, truth.assignment)):.3f}")
     return "  ".join(parts)
 
 

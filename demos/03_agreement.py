@@ -70,7 +70,7 @@ print(f"\nnode labels: {counts}")
 # shared users here are all inside B's community 0, so the restricted
 # reference is constant and the score collapses to 0; informative NMI
 # needs scopes whose shared users span several communities
-print(f"\nnmi(A, B) over the shared users = {nmi(p_a, p_b):.3f}")
+print(f"\nnmi(A, B) over the shared users = {nmi(O):.3f}")
 print("\nReading: A's largest fragment survives as the match for B's"
       "\ncommunity 0, the smaller fragments are lost, and B's community 1"
       "\nhas no counterpart in A at all (gained).")

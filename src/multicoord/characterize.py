@@ -12,11 +12,13 @@ conductance when the member set is the whole graph) are reported as 0.0
 with an explicit defined flag, so downstream vectors keep a fixed length.
 
 Both descriptor sets work on one GraphCSR per graph, in numpy alone, so
-that a characterize process loads no scipy module: a community is an
-induced subgraph of its CSR arrays, clustering comes from integer triangle
-counts (Latapy 2008's forward algorithm), eigenvector centrality from a
-Lanczos iteration with full reorthogonalization, and the Brunner-Munzel
-p-value from a continued fraction of the incomplete beta function.
+that a characterize process loads no scipy module. netbuild builds its CSR
+arrays and labels its components, as it does for Louvain and the layer
+statistics. A community is an induced subgraph of the CSR arrays,
+clustering comes from integer triangle counts (Latapy 2008's forward
+algorithm), eigenvector centrality from a Lanczos iteration with full
+reorthogonalization, and the Brunner-Munzel p-value from a continued
+fraction of the incomplete beta function.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSampleError, UndefinedMetricError
-from .netbuild import LayerGraph
+from .netbuild import LayerGraph, _component_labels, _row_pointer, _symmetric_csr
 
 logger = logging.getLogger(__name__)
 
@@ -104,11 +106,6 @@ class Eigen(NamedTuple):
     steps: int                 # Lanczos steps over all components
 
 
-def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointer of the sorted row indices ``rows`` over n rows."""
-    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-
-
 @dataclass(frozen=True, eq=False)
 class GraphCSR:
     """One graph as arrays: node ids in sorted order and the symmetric
@@ -122,11 +119,7 @@ class GraphCSR:
 
     @classmethod
     def of(cls, g: LayerGraph) -> "GraphCSR":
-        rows = np.concatenate((g.u, g.v))
-        cols = np.concatenate((g.v, g.u))
-        perm = np.lexsort((cols, rows))
-        return cls(list(g.nodes), _indptr(rows[perm], g.n_nodes), cols[perm],
-                   np.concatenate((g.weight, g.weight))[perm])
+        return cls(list(g.nodes), *_symmetric_csr(g.n_nodes, g.u, g.v, g.weight))
 
     @cached_property
     def index(self) -> dict:
@@ -150,7 +143,7 @@ class GraphCSR:
         cols = pos[self.indices[at]]
         keep = cols >= 0
         rows = np.repeat(np.arange(idx.size), deg)[keep]
-        return GraphCSR([self.order[i] for i in idx.tolist()], _indptr(rows, idx.size),
+        return GraphCSR([self.order[i] for i in idx.tolist()], _row_pointer(rows, idx.size),
                         cols[keep], self.weight[at[keep]])
 
     @cached_property
@@ -164,7 +157,7 @@ class GraphCSR:
         1e-12 of the best eigenvalue do not replace it: the first one, in
         order of smallest node, wins.
         """
-        labels = _components(self)
+        labels = _component_labels(self.degree.size, self.rows(), self.indices)
         members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
         best_val, best_idx, best_vec, best_ritz2 = -np.inf, None, None, None
         solved = steps = 0
@@ -201,7 +194,7 @@ def _triangles(csr: GraphCSR) -> np.ndarray:
     key = np.sort(src[src < dst] * n + dst[src < dst])  # out-lists in target-rank order
     src, dst = key // n, key % n
     # the wedges edge e opens: the later edges in its source's out-list
-    opens = _indptr(src, n)[src + 1] - np.arange(key.size) - 1
+    opens = _row_pointer(src, n)[src + 1] - np.arange(key.size) - 1
     ends = np.cumsum(opens)
     tri = np.zeros(n, dtype=np.int64)
     e = 0
@@ -228,24 +221,6 @@ def _local_clustering(csr: GraphCSR) -> np.ndarray:
     wedge = d >= 2
     out[wedge] = links[wedge] / (d[wedge] * (d[wedge] - 1))
     return out
-
-
-def _components(csr: GraphCSR) -> np.ndarray:
-    """Connected component of each node, numbered in order of its smallest
-    node. Each round hooks every root to the smallest root it shares an edge
-    with, then jumps pointers until each node points at its root; a root is
-    the smallest node of its tree, so the rounds stop when no edge joins two
-    roots."""
-    rows = csr.rows()
-    root = np.arange(csr.degree.size)
-    while True:
-        a, b = root[rows], root[csr.indices]
-        join = a > b  # each edge is stored both ways
-        if not join.any():
-            return np.unique(root, return_inverse=True)[1]
-        np.minimum.at(root, a[join], b[join])
-        while not np.array_equal(up := root[root], root):
-            root = up
 
 
 def _lanczos(csr: GraphCSR) -> tuple[float, float | None, np.ndarray, int]:

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .netbuild import LayerGraph, MultiplexNetwork, _group_pairs, _group_sums, _stacked
+from .netbuild import (LayerGraph, MultiplexNetwork, _group_pairs, _group_sums, _row_pointer,
+                       _stacked, _symmetric_csr)
 
 logger = logging.getLogger(__name__)
 
@@ -208,16 +209,6 @@ class _Problem:
     strength: np.ndarray
 
 
-def _csr(n: int, u: np.ndarray, v: np.ndarray,
-         w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """indptr, indices, weight of the symmetric rows (u, v, w) and (v, u, w),
-    sorted by (row, neighbour) with one lexsort."""
-    rows, cols, ws = np.concatenate((u, v)), np.concatenate((v, u)), np.concatenate((w, w))
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    return indptr, cols[order], ws[order]
-
-
 def _local_moving(prob: _Problem, inv_two_m: np.ndarray, gamma: float, threshold: float,
                   rng: random.Random) -> tuple[list[int], float, int, int]:
     """Greedy node moves from singletons, driven by a FIFO queue.
@@ -312,11 +303,10 @@ def _aggregate(prob: _Problem, comm: np.ndarray) -> tuple[_Problem, np.ndarray]:
     cv = new[prob.indices]
     between = cu != cv
     keys, pair = np.unique(cu[between] * k + cv[between], return_inverse=True)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // k, minlength=k))))
     strength = np.column_stack([np.bincount(new, weights=col, minlength=k)
                                 for col in prob.strength.T])
-    return _Problem(indptr, keys % k, np.bincount(pair, weights=prob.weight[between]),
-                    strength), new
+    return _Problem(_row_pointer(keys // k, k), keys % k,
+                    np.bincount(pair, weights=prob.weight[between]), strength), new
 
 
 def _optimize(prob: _Problem, gamma: float, inv_two_m: list[float], two_mu: float,
@@ -362,7 +352,7 @@ def louvain(g: LayerGraph, gamma: float = 1.0, seed: int = 42) -> Partition:
         return Partition(scope=g.layer, assignment={u: i for i, u in enumerate(names)},
                          gamma=gamma, trace=(0.0,), visits=(len(names),), moves=(0,))
     n = len(names)
-    prob = _Problem(*_csr(n, g.u, g.v, g.weight), _strengths(g)[:, None])
+    prob = _Problem(*_symmetric_csr(n, g.u, g.v, g.weight), _strengths(g)[:, None])
     two_m = 2.0 * g.total_weight()
     comm, trace, passes = _optimize(prob, gamma, [1.0 / two_m], two_m, random.Random(seed))
     assignment = _canonical_ids(dict(zip(names, comm)))
@@ -405,7 +395,7 @@ def _supra_graph(net: MultiplexNetwork,
             v.append(by_actor[d:][same])
             w.append(np.full(len(u[-1]), omega))
             n_pairs += len(u[-1])
-    prob = _Problem(*_csr(len(names), *map(np.concatenate, (u, v, w))), strength)
+    prob = _Problem(*_symmetric_csr(len(names), *map(np.concatenate, (u, v, w))), strength)
     return names, prob, two_m, omega * 2.0 * n_pairs
 
 

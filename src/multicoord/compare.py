@@ -245,13 +245,13 @@ def label_nodes(O: OverlapMatrix, M: MatchResult) -> dict:
     return labels
 
 
-def nmi(p1, p2, min_size: int = 0) -> float:
-    """Normalized mutual information, 2 I / (H1 + H2), over the node
-    universe covered by both partitions after the size filter.
+def nmi(O: OverlapMatrix) -> float:
+    """Normalized mutual information, 2 I / (H1 + H2), of the two sides of
+    a comparison registry, over the nodes both sides cover.
 
     Degenerate entropies (both partitions constant) give 0 by convention.
     """
-    counts = overlap_matrix(p1, p2, min_size).counts  # rows p2, columns p1
+    counts = O.counts  # rows B, columns A
     n = int(counts.sum())
     if not n:
         raise DataError("no common nodes between the two partitions after filtering")

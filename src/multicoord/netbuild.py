@@ -12,7 +12,8 @@ comparison operates on.
 A LayerGraph is a sorted node tuple plus COO edge arrays sorted by
 (u, v), which every later stage reads. _group_pairs re-keys graphs onto
 their node union and groups equal pairs with one stable sort, for the
-window merge, the flattenings and edge coverage.
+window merge, the flattenings and edge coverage. The CSR arrays of
+Louvain and characterize and every component labelling come from here too.
 
 IDF is computed within each layer-window (idf = ln(N_w / df)), so items
 used by every active user in a window are nulled: window-local virality
@@ -179,18 +180,50 @@ def _group_sums(graphs: list[LayerGraph], column: str, order: np.ndarray,
                            bounds[:-1])
 
 
+def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer over n rows for entries with row indices ``rows``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray,
+                   w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """indptr, indices, weight of the rows (u, v, w) and (v, u, w) over n
+    nodes, sorted by (row, neighbour) with one lexsort."""
+    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
+    order = np.lexsort((cols, rows))
+    return _row_pointer(rows, n), cols[order], np.concatenate((w, w))[order]
+
+
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected component of each of n nodes joined by the rows (u, v),
+    numbered in order of its smallest node. Each round hooks the larger
+    root of every row that joins two roots to the smallest such root, then
+    jumps pointers until each node points at its root; a root is the
+    smallest node of its tree, so the rounds stop when no row joins two
+    roots (Shiloach & Vishkin 1982)."""
+    root = np.arange(n)
+    while True:
+        a, b = root[u], root[v]
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
+        join = hi != lo
+        if not join.any():
+            return np.unique(root, return_inverse=True)[1]
+        np.minimum.at(root, hi[join], lo[join])
+        while not np.array_equal(up := root[root], root):
+            root = up
+
+
 @dataclass
 class MultiplexNetwork:
     """One LayerGraph per action type over a shared actor universe."""
 
-    actors: ActorSet | None
+    actors: ActorSet
     layers: dict[str, LayerGraph]
 
     def __post_init__(self):
-        if self.actors is not None:
-            for name, g in self.layers.items():
-                if not self.actors.actors.issuperset(g.nodes):
-                    raise InvariantError(f"layer {name} has nodes outside the actor set")
+        for name, g in self.layers.items():
+            if not self.actors.actors.issuperset(g.nodes):
+                raise InvariantError(f"layer {name} has nodes outside the actor set")
 
     @classmethod
     def from_layers(cls, layers: dict[str, LayerGraph]) -> "MultiplexNetwork":

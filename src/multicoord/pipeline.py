@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -304,26 +305,18 @@ def run_build(cfg: RunConfig) -> dict:
             if li == lj:
                 continue
             rec = {"record": "layer_coverage", "layer_i": li, "layer_j": lj}
-            try:
-                rec["actor_coverage"] = actor_coverage(net, li, lj)
-            except DataError:
-                rec["actor_coverage"] = None
-            try:
-                rec["edge_coverage"] = edge_coverage(net, li, lj)
-            except DataError:
-                rec["edge_coverage"] = None
-            try:
-                rec["degree_correlation"] = pearson_degree_correlation(net, li, lj)
-            except (DataError, UndefinedMetricError):
-                rec["degree_correlation"] = None
+            for key, measure in (("actor_coverage", actor_coverage),
+                                 ("edge_coverage", edge_coverage),
+                                 ("degree_correlation", pearson_degree_correlation)):
+                try:
+                    rec[key] = measure(net, li, lj)
+                except (DataError, UndefinedMetricError):  # undefined for this pair
+                    rec[key] = None
             records.append(rec)
 
     if actors is not None:
-        with reports._open_out(os.path.join(cfg.out, "actors.tsv")) as fh:
-            fh.write(reports._meta_line(ctx.version, ctx.cfg_hash))
-            fh.write("user_id\n")
-            for u in sorted(actors.actors):
-                fh.write(f"{u}\n")
+        ctx.table(os.path.join(cfg.out, "actors.tsv"), ("user_id",),
+                  ((u,) for u in sorted(actors.actors)))
 
     ctx.records(os.path.join(cfg.out, "build_report.jsonl"), records)
     logger.info("build: wrote %d layers to %s", len(ACTIONS), cfg.out)
@@ -412,21 +405,16 @@ def _resolve_tokens(ref: str, other: str) -> tuple[tuple, tuple]:
     is restricted to that layer; facing a user-level scope it is a scope
     mismatch unless an explicit 'multi:<layer>' is given.
     """
-    rb, rl = _parse_token(ref)
-    ob, ol = _parse_token(other)
-    if rb == "multi" and rl is None and ob != "multi":
-        if ob in ACTIONS:
-            rl = ob
-        else:
-            raise DataError(f"scope mismatch: '{ref}' is a multiplex partition and "
-                            f"'{other}' is user-level; use multi:<layer>")
-    if ob == "multi" and ol is None and rb != "multi":
-        if rb in ACTIONS:
-            ol = rb
-        else:
-            raise DataError(f"scope mismatch: '{other}' is a multiplex partition and "
-                            f"'{ref}' is user-level; use multi:<layer>")
-    return (rb, rl), (ob, ol)
+    sides = [_parse_token(ref), _parse_token(other)]
+    for k, (token, facing) in enumerate(((ref, other), (other, ref))):
+        base, layer = sides[k]
+        facing_base = sides[1 - k][0]
+        if base == "multi" and layer is None and facing_base != "multi":
+            if facing_base not in ACTIONS:
+                raise DataError(f"scope mismatch: '{token}' is a multiplex partition and "
+                                f"'{facing}' is user-level; use multi:<layer>")
+            sides[k] = (base, facing_base)
+    return sides[0], sides[1]
 
 
 def _load_approach(out: str, base: str, restriction: str | None):
@@ -490,13 +478,11 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
     O, M = c.O, c.M
     cid = comparison_id(ref, other)
     ctx = cfg.context()
-    nmi_value = nmi(c.A, c.B, min_size=det.min_size)
+    nmi_value = nmi(O)
 
     ctx.overlap(os.path.join(cfg.out, f"overlap_{cid}.tsv"), O)
-
-    def count(labels: dict, label: str) -> int:
-        return sum(1 for v in labels.values() if v == label)
-
+    n_a, n_b = Counter(c.labels_a.values()), Counter(c.labels_b.values())
+    n_nodes = Counter(c.node_labels.values())
     records = [{
         "record": "comparison_summary",
         "ref": ref, "other": other, "a": c.a_token, "b": c.b_token,
@@ -504,16 +490,8 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
         "k_a": O.k_a, "k_b": O.k_b,
         "n_matched": len(M.pairs), "total_overlap": M.total,
         "nmi": nmi_value,
-        "communities": {
-            "lost": count(c.labels_a, LOST),
-            "common": count(c.labels_a, COMMON),
-            "gained": count(c.labels_b, GAINED),
-        },
-        "nodes": {
-            "lost": count(c.node_labels, LOST),
-            "common": count(c.node_labels, COMMON),
-            "gained": count(c.node_labels, GAINED),
-        },
+        "communities": {"lost": n_a[LOST], "common": n_a[COMMON], "gained": n_b[GAINED]},
+        "nodes": {label: n_nodes[label] for label in (LOST, COMMON, GAINED)},
     }]
     for a_idx, b_idx in M.pairs:
         records.append({"record": "matched_pair",
@@ -563,47 +541,40 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     csr_a, csr_b = GraphCSR.of(g_a), GraphCSR.of(g_b)
     ctx = cfg.context()
 
-    comm_rows = []       # (side, community id, label, CommunityMetrics)
-    for idx, comm_id in enumerate(O.a_ids):
-        m = community_metrics(g_a, O.a_members[idx], csr_a)
-        comm_rows.append(("a", comm_id, c.labels_a[comm_id], m))
-    for idx, comm_id in enumerate(O.b_ids):
-        m = community_metrics(g_b, O.b_members[idx], csr_b)
-        comm_rows.append(("b", comm_id, c.labels_b[comm_id], m))
+    # (side, community id, label, CommunityMetrics), the k_a A rows first
+    comm_rows = [(side, comm_id, labels[comm_id], community_metrics(g, members, csr))
+                 for side, ids, sets, labels, g, csr in (
+                     ("a", O.a_ids, O.a_members, c.labels_a, g_a, csr_a),
+                     ("b", O.b_ids, O.b_members, c.labels_b, g_b, csr_b))
+                 for comm_id, members in zip(ids, sets)]
 
     vectors = [m.vector() for _, _, _, m in comm_rows]
     normalized = _minmax_normalize(vectors) if vectors else []
     records = []
-    for (side, comm_id, label, m), norm in zip(comm_rows, normalized):
+    for (side, comm_id, label, m), vec, norm in zip(comm_rows, vectors, normalized):
         records.append({
             "record": "community_metrics", "side": side, "community": str(comm_id),
             "label": label,
-            "metrics": dict(zip(COMMUNITY_METRIC_NAMES, m.vector().tolist())),
+            "metrics": dict(zip(COMMUNITY_METRIC_NAMES, vec.tolist())),
             "normalized": dict(zip(COMMUNITY_METRIC_NAMES, norm.tolist())),
             "conductance_defined": m.conductance_defined,
             "assortativity_defined": m.assortativity_defined,
         })
     ctx.records(os.path.join(cfg.out, f"community_metrics_{cid}.jsonl"), records)
 
-    by_key = {(side, comm_id): m.vector() for side, comm_id, _, m in comm_rows}
-    cosine_rows = []
+    cosine_rows, defined = [], []
     for a_idx, b_idx in M.pairs:
-        va = by_key[("a", O.a_ids[a_idx])]
-        vb = by_key[("b", O.b_ids[b_idx])]
         try:
-            cos = metric_cosine(va, vb)
+            cos = metric_cosine(vectors[a_idx], vectors[O.k_a + b_idx])
+            defined.append(cos)
         except UndefinedMetricError:
             cos = None
         cosine_rows.append((str(O.a_ids[a_idx]), str(O.b_ids[b_idx]),
-                            O.overlap(a_idx, b_idx), cos))
-    with reports._open_out(os.path.join(cfg.out, f"cosine_{cid}.tsv")) as fh:
-        fh.write(reports._meta_line(ctx.version, ctx.cfg_hash))
-        fh.write("a_community\tb_community\toverlap\tcosine\n")
-        for a_id, b_id, ov, cos in cosine_rows:
-            fh.write(f"{a_id}\t{b_id}\t{ov!r}\t{'NA' if cos is None else repr(cos)}\n")
-        defined = [c for _, _, _, c in cosine_rows if c is not None]
-        mean = sum(defined) / len(defined) if defined else float("nan")
-        fh.write(f"mean\t-\t-\t{'NA' if not defined else repr(mean)}\n")
+                            repr(O.overlap(a_idx, b_idx)), "NA" if cos is None else repr(cos)))
+    mean = repr(sum(defined) / len(defined)) if defined else "NA"
+    ctx.table(os.path.join(cfg.out, f"cosine_{cid}.tsv"),
+              ("a_community", "b_community", "overlap", "cosine"),
+              [*cosine_rows, ("mean", "-", "-", mean)])
 
     pca_records = []
     if len(vectors) >= 3:
@@ -630,9 +601,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
                      for graph_id, g, csr in (("a", g_a, csr_a), ("b", g_b, csr_b))
                      if g.n_edges]
     node_records = []
-    groups: dict = {LOST: {n: [] for n in NODE_METRIC_NAMES},
-                    COMMON: {n: [] for n in NODE_METRIC_NAMES},
-                    GAINED: {n: [] for n in NODE_METRIC_NAMES}}
+    groups = {label: {n: [] for n in NODE_METRIC_NAMES} for label in (LOST, COMMON, GAINED)}
     for node in sorted(c.node_labels, key=str):
         label = c.node_labels[node]
         source, graph_id = (nm_a, "a") if label in (LOST, COMMON) else (nm_b, "b")

@@ -1,11 +1,15 @@
 """File formats for pipeline artifacts.
 
 Everything is line-oriented text: tab-separated tables for edge lists,
-partitions, ground truth, and overlap matrices, JSON lines for structured
-records. Every file starts with a comment line carrying the toolkit
-version and the config hash, and writers sort rows, so identical inputs
-produce byte-identical files. Floats are written with repr (shortest
-round-trip form); no timestamps appear in report bodies.
+partitions, ground truth, overlap matrices and the pipeline's other
+tables, JSON lines for structured records. Every file starts with a
+comment line carrying the toolkit version and the config hash, and
+writers sort rows, so identical inputs produce byte-identical files. One
+writer, _write_table, lays out every table: the meta line, `# key value`
+directives, the header and the rows. Floats are written with repr
+(shortest round-trip form); no timestamps appear in report bodies. The
+readers name the `path:line` of the first row or directive they cannot
+take.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .community import MultiplexPartition, Partition
-from .netbuild import EdgeRowError, LayerGraph
+from .netbuild import EdgeRowError, LayerGraph, _component_labels
 
 logger = logging.getLogger(__name__)
 
@@ -36,10 +40,6 @@ def config_hash(cfg_obj) -> str:
     return hashlib.sha256(canonical_json(cfg_obj).encode("utf-8")).hexdigest()
 
 
-def _meta_line(version: str, cfg_hash: str) -> str:
-    return f"# multicoord {version} config {cfg_hash}\n"
-
-
 def _open_out(path: str):
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
@@ -54,27 +54,36 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_table(path: str, rows, header, directives, version: str, cfg_hash: str) -> None:
+    """Write a table in the one artifact format: the meta line, a
+    `# key value` line per directive, the header if there is one, then the
+    rows. Header and rows are sequences of formatted fields, joined by tabs.
+    """
+    with _open_out(path) as fh:
+        fh.write(f"# multicoord {version} config {cfg_hash}\n")
+        fh.writelines(f"# {key} {value}\n" for key, value in directives)
+        if header:
+            fh.write("\t".join(header) + "\n")
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+
+
 def write_edges_tsv(path: str, g: LayerGraph, version: str = "0",
                     cfg_hash: str = UNHASHED) -> None:
     """`user_a  user_b  weight  co_actions  window_count`, sorted rows."""
-    with _open_out(path) as fh:
-        fh.write(_meta_line(version, cfg_hash))
-        fh.write(f"# layer {g.layer}\n")
-        fh.write("user_a\tuser_b\tweight\tco_actions\twindow_count\n")
-        names = g.nodes
-        rows = zip(g.u.tolist(), g.v.tolist(), g.weight.tolist(), g.co_actions.tolist(),
-                   g.window_count.tolist())
-        fh.writelines(f"{names[a]}\t{names[b]}\t{_fmt(w)}\t{co}\t{wc}\n"
-                      for a, b, w, co, wc in rows)
+    name = g.nodes.__getitem__
+    rows = zip(map(name, g.u.tolist()), map(name, g.v.tolist()), map(_fmt, g.weight.tolist()),
+               map(str, g.co_actions.tolist()), map(str, g.window_count.tolist()))
+    _write_table(path, rows, ("user_a", "user_b", "weight", "co_actions", "window_count"),
+                 [("layer", g.layer)], version, cfg_hash)
 
 
-def _tsv_rows(path: str, what: str, n_cols: int, directives: dict) -> tuple[list, list]:
-    """(line numbers, fields) of the data rows of a written table.
+def _tsv_rows(path: str, what: str, n_cols: int) -> tuple[dict, list, list]:
+    """(directives, line numbers, fields) of a written table.
 
     Blank lines are skipped. Before the column header, lines starting with
     '#' are comments; a `# key value` comment is stored as directives[key] =
-    value. From the header on, every line is a row, so ids that start with
-    '#' read back intact.
+    (line number, value). From the header on, every line is a row, so ids
+    that start with '#' read back intact.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -85,85 +94,96 @@ def _tsv_rows(path: str, what: str, n_cols: int, directives: dict) -> tuple[list
     lines = text.split("\n")
     kept = [k for k, line in enumerate(lines) if line.strip()]
     head = next((i for i, k in enumerate(kept) if not lines[k].startswith("#")), len(kept))
+    directives = {}
     for k in kept[:head]:
         key, _, value = lines[k][1:].strip().partition(" ")
-        directives[key] = value.strip()
+        directives[key] = (k + 1, value.strip())
     body = kept[head + 1:]
     rows = [lines[k].split("\t") for k in body]
     if set(map(len, rows)) - {n_cols}:
         k, parts = next((k, p) for k, p in zip(body, rows) if len(p) != n_cols)
         raise DataError(f"{path}:{k + 1}: expected {n_cols} columns, got {len(parts)}")
-    return [k + 1 for k in body], rows
+    return directives, [k + 1 for k in body], rows
+
+
+def _number(path: str, directives: dict, key: str, default: float) -> float:
+    """The `# key value` directive as a float, default if absent; a value
+    that is not a number is a DataError naming its line."""
+    line, value = directives.get(key, (None, default))
+    try:
+        return float(value)
+    except ValueError:
+        raise DataError(f"{path}:{line}: {key} {value!r} is not a number") from None
+
+
+def _assignment(path: str, line_nos: list, rows: list, what: str) -> dict:
+    """key -> community id from rows of key fields and a community id; a
+    repeated key or an id that is not an integer is a DataError naming its
+    line. A key of one field is that field, else the tuple of them."""
+    out = {}
+    for line, (*key, comm) in zip(line_nos, rows):
+        key = key[0] if len(key) == 1 else tuple(key)
+        if key in out:
+            raise DataError(f"{path}:{line}: {what} {key!r} repeated")
+        try:
+            out[key] = int(comm)
+        except ValueError:
+            raise DataError(f"{path}:{line}: community id {comm!r} is not an integer") from None
+    return out
 
 
 def read_edges_tsv(path: str) -> LayerGraph:
     """Read an edge list; a row no LayerGraph holds (see from_pairs) is a
     DataError naming its line."""
-    directives: dict = {}
-    line_nos, rows = _tsv_rows(path, "edge list", 5, directives)
-    layer = directives.get("layer")
-    if layer is None:
+    directives, line_nos, rows = _tsv_rows(path, "edge list", 5)
+    if "layer" not in directives:
         raise DataError(f"{path}: missing '# layer' line")
     try:
-        return LayerGraph.from_pairs(layer, rows)
+        return LayerGraph.from_pairs(directives["layer"][1], rows)
     except EdgeRowError as exc:
         raise DataError(f"{path}:{line_nos[exc.row]}: {exc.reason}") from exc
 
 
 def write_partition_tsv(path: str, p: Partition, version: str = "0",
                         cfg_hash: str = UNHASHED) -> None:
-    with _open_out(path) as fh:
-        fh.write(_meta_line(version, cfg_hash))
-        fh.write(f"# scope {p.scope}\n")
-        fh.write(f"# gamma {_fmt(float(p.gamma))}\n")
-        fh.write("user_id\tcommunity_id\n")
-        for user in sorted(p.assignment):
-            fh.write(f"{user}\t{p.assignment[user]}\n")
+    _write_table(path, ((user, str(p.assignment[user])) for user in sorted(p.assignment)),
+                 ("user_id", "community_id"),
+                 [("scope", p.scope), ("gamma", _fmt(float(p.gamma)))], version, cfg_hash)
 
 
 def read_partition_tsv(path: str) -> Partition:
-    directives: dict = {}
-    assignment = {user: int(comm) for user, comm
-                  in _tsv_rows(path, "partition", 2, directives)[1]}
-    scope = directives.get("scope")
-    if scope is None:
+    directives, line_nos, rows = _tsv_rows(path, "partition", 2)
+    assignment = _assignment(path, line_nos, rows, "user")
+    if "scope" not in directives:
         raise DataError(f"{path}: missing '# scope' line")
     if not assignment:
         raise DataError(f"{path}: empty partition")
-    return Partition(scope=scope, assignment=assignment,
-                     gamma=float(directives.get("gamma", 1.0)))
+    return Partition(scope=directives["scope"][1], assignment=assignment,
+                     gamma=_number(path, directives, "gamma", 1.0))
 
 
 def write_multiplex_partition_tsv(path: str, p: MultiplexPartition, version: str = "0",
                                   cfg_hash: str = UNHASHED) -> None:
-    with _open_out(path) as fh:
-        fh.write(_meta_line(version, cfg_hash))
-        fh.write(f"# gamma {_fmt(float(p.gamma))}\n")
-        fh.write(f"# omega {_fmt(float(p.omega))}\n")
-        fh.write("user_id\tlayer\tcommunity_id\n")
-        for (user, layer) in sorted(p.assignment):
-            fh.write(f"{user}\t{layer}\t{p.assignment[(user, layer)]}\n")
+    _write_table(path, ((*key, str(p.assignment[key])) for key in sorted(p.assignment)),
+                 ("user_id", "layer", "community_id"),
+                 [("gamma", _fmt(float(p.gamma))), ("omega", _fmt(float(p.omega)))],
+                 version, cfg_hash)
 
 
 def read_multiplex_partition_tsv(path: str) -> MultiplexPartition:
-    directives: dict = {}
-    assignment = {(user, layer): int(comm) for user, layer, comm
-                  in _tsv_rows(path, "multiplex partition", 3, directives)[1]}
+    directives, line_nos, rows = _tsv_rows(path, "multiplex partition", 3)
+    assignment = _assignment(path, line_nos, rows, "(user, layer)")
     if not assignment:
         raise DataError(f"{path}: empty multiplex partition")
     return MultiplexPartition(assignment=assignment,
-                              gamma=float(directives.get("gamma", 1.0)),
-                              omega=float(directives.get("omega", 0.1)))
+                              gamma=_number(path, directives, "gamma", 1.0),
+                              omega=_number(path, directives, "omega", 0.1))
 
 
 def write_overlap_tsv(path: str, O, version: str = "0", cfg_hash: str = UNHASHED) -> None:
     """Matrix with B communities as rows, A communities as columns."""
-    with _open_out(path) as fh:
-        fh.write(_meta_line(version, cfg_hash))
-        fh.write("b_id\\a_id\t" + "\t".join(str(a) for a in O.a_ids) + "\n")
-        for bi, b_id in enumerate(O.b_ids):
-            row = "\t".join(_fmt(float(x)) for x in O.values[bi])
-            fh.write(f"{b_id}\t{row}\n")
+    rows = ((str(b_id), *map(_fmt, row)) for b_id, row in zip(O.b_ids, O.values.tolist()))
+    _write_table(path, rows, ("b_id\\a_id", *map(str, O.a_ids)), (), version, cfg_hash)
 
 
 def write_records(path: str, records, version: str = "0",
@@ -197,42 +217,25 @@ def read_records(path: str) -> list:
 def write_ground_truth(path: str, truth, version: str = "0",
                        cfg_hash: str = UNHASHED) -> None:
     """`user_id  community_id`, planted users only, sorted."""
-    with _open_out(path) as fh:
-        fh.write(_meta_line(version, cfg_hash))
-        fh.write("user_id\tcommunity_id\n")
-        for user in sorted(truth.assignment):
-            fh.write(f"{user}\t{truth.assignment[user]}\n")
+    _write_table(path, ((user, str(truth.assignment[user])) for user in sorted(truth.assignment)),
+                 ("user_id", "community_id"), (), version, cfg_hash)
 
 
 def read_ground_truth(path: str) -> dict:
-    return {user: int(comm) for user, comm in _tsv_rows(path, "ground truth", 2, {})[1]}
+    return _assignment(path, *_tsv_rows(path, "ground truth", 2)[1:], "user")
 
 
 def write_events_tsv(path: str, log, version: str = "0",
                      cfg_hash: str = UNHASHED) -> None:
     """Standard 4-column event file: user, action, item, timestamp."""
-    with _open_out(path) as fh:
-        fh.write(_meta_line(version, cfg_hash))
-        fh.writelines(f"{u}\t{a}\t{i}\t{_fmt(t)}\n"
-                      for u, a, i, t in zip(log.user, log.action, log.item, log.ts.tolist()))
+    _write_table(path, zip(log.user, log.action, log.item, map(_fmt, log.ts.tolist())),
+                 (), (), version, cfg_hash)
 
 
 def _n_components(g: LayerGraph) -> int:
     """Number of connected components, isolated nodes included; 0 for a
-    graph without nodes. A union-find with path halving over the edge rows."""
-    parent = list(range(g.n_nodes))
-    count = g.n_nodes
-    for a, b in zip(g.u.tolist(), g.v.tolist()):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            count -= 1
-    return count
+    graph without nodes."""
+    return int(_component_labels(g.n_nodes, g.u, g.v).max(initial=-1)) + 1
 
 
 def layer_stats(g: LayerGraph) -> dict:
@@ -274,3 +277,7 @@ class ReportContext:
 
     def events(self, path, log):
         write_events_tsv(path, log, self.version, self.cfg_hash)
+
+    def table(self, path, header, rows):
+        """Any other table: header and rows of formatted fields."""
+        _write_table(path, rows, header, (), self.version, self.cfg_hash)

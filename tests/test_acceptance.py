@@ -58,12 +58,12 @@ def test_criterion_01_planted_recovery():
     net, truth = _built_network(cfg)
     for layer in ACTIONS:
         p = louvain(net.layers[layer], gamma=1.0, seed=42)
-        score = nmi(p.assignment, truth.assignment)
+        score = nmi(overlap_matrix(p.assignment, truth.assignment))
         if score < 0.9:
             failures.append(f"mono {layer}: nmi {score:.4f} < 0.9")
     mp = generalized_louvain(net, gamma=1.0, omega=0.1, seed=42)
     for layer in ACTIONS:
-        score = nmi(restrict_to_layer(mp, layer).assignment, truth.assignment)
+        score = nmi(overlap_matrix(restrict_to_layer(mp, layer).assignment, truth.assignment))
         if score < 0.9:
             failures.append(f"multi {layer}: nmi {score:.4f} < 0.9")
     elapsed = time.monotonic() - t0

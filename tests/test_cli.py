@@ -238,6 +238,21 @@ def test_bad_edge_row_exits_2(tmp_path, capsys):
     assert not (out / "partition_rtw.tsv").exists()
 
 
+def test_bad_partition_row_exits_2(tmp_path, capsys):
+    # a community id that is not an integer used to end compare with a
+    # ValueError traceback and exit code 1
+    out = tmp_path / "out"
+    out.mkdir()
+    head = "# multicoord 0 config x\n# scope {}\n# gamma 1.0\nuser_id\tcommunity_id\n"
+    (out / "partition_rtw.tsv").write_text(head.format("rtw") + "a\t0\nb\tone\n")
+    (out / "partition_rpl.tsv").write_text(head.format("rpl") + "a\t0\nb\t1\n")
+    cfg = write_cfg(tmp_path / "run.json", {"out": str(out)})
+    assert main(["compare", "--config", cfg, "--ref", "rtw", "--other", "rpl"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:"), err
+    assert "partition_rtw.tsv:6: community id 'one' is not an integer" in err, err
+
+
 def test_runaway_window_grid_exits_2(tmp_path, capsys):
     # one millisecond timestamp in a log in seconds would ask for 94,349,999
     # windows of 6 h shifted by 5 h

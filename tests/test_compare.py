@@ -256,13 +256,13 @@ def test_overlap_counts_are_intersection_sizes():
 
 def test_nmi_identical_and_independent():
     p1 = {f"n{i}": i % 3 for i in range(30)}
-    assert nmi(p1, dict(p1)) == pytest.approx(1.0, abs=1e-12)
+    assert nmi(overlap_matrix(p1, dict(p1))) == pytest.approx(1.0, abs=1e-12)
     relabeled = {u: {0: 7, 1: 2, 2: 5}[c] for u, c in p1.items()}
-    assert nmi(p1, relabeled) == pytest.approx(1.0, abs=1e-12)
+    assert nmi(overlap_matrix(p1, relabeled)) == pytest.approx(1.0, abs=1e-12)
     # a partition against the all-in-one partition carries no information
     whole = {u: 0 for u in p1}
-    assert nmi(p1, whole) == 0.0
-    assert nmi(whole, dict(whole)) == 0.0     # degenerate by convention
+    assert nmi(overlap_matrix(p1, whole)) == 0.0
+    assert nmi(overlap_matrix(whole, dict(whole))) == 0.0     # degenerate by convention
 
 
 def test_nmi_matches_reference_implementation(rng):
@@ -278,7 +278,7 @@ def test_nmi_matches_reference_implementation(rng):
             continue  # reference scores degenerate agreement as 1, we define 0
         want = sklearn_metrics.normalized_mutual_info_score(
             labels1, labels2, average_method="arithmetic")
-        assert nmi(p1, p2) == pytest.approx(want, abs=1e-10)
+        assert nmi(overlap_matrix(p1, p2)) == pytest.approx(want, abs=1e-10)
 
 
 def test_nmi_rejects_overlapping_communities():
@@ -288,20 +288,20 @@ def test_nmi_rejects_overlapping_communities():
     p2 = {0: {"a", "b"}, 1: {"c", "y"}}
     for first, second in ((p1, p2), (p2, p1), (dict(reversed(p1.items())), p2)):
         with pytest.raises(DataError, match="disjoint"):
-            nmi(first, second)
+            nmi(overlap_matrix(first, second))
 
 
 def test_nmi_common_universe_and_min_size():
     p1 = {"a": 0, "b": 0, "c": 1, "d": 2}
     p2 = {"c": 5, "d": 7, "e": 0, "f": 1}
     # computed over {c, d} only, where both split into singletons
-    assert nmi(p1, p2) == pytest.approx(1.0, abs=1e-12)
+    assert nmi(overlap_matrix(p1, p2)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DataError):
-        nmi({"a": 0, "b": 0}, {"c": 0, "d": 0})
+        nmi(overlap_matrix({"a": 0, "b": 0}, {"c": 0, "d": 0}))
     # the size filter can empty the common universe: p1 keeps {a,b},
     # p2 keeps {c,d}, nothing shared
     with pytest.raises(DataError):
-        nmi({"a": 0, "b": 0, "c": 1}, {"c": 0, "d": 0, "a": 1}, min_size=1)
+        nmi(overlap_matrix({"a": 0, "b": 0, "c": 1}, {"c": 0, "d": 0, "a": 1}, min_size=1))
 
 
 # ---------------------------------------------------------------------------

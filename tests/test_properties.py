@@ -18,10 +18,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from multicoord import characterize, ingest  # noqa: E402
 from multicoord.characterize import (CommunityMetrics, GraphCSR,  # noqa: E402
-                                     _components, _pagerank, _t_tail, _triangles,
+                                     _pagerank, _t_tail, _triangles,
                                      community_metrics, node_metrics)
 from multicoord.community import (MultiplexPartition, Partition,  # noqa: E402
-                                  _aggregate, _csr, _supra_graph, flatten_intersection,
+                                  _aggregate, _supra_graph, flatten_intersection,
                                   flatten_union, generalized_louvain, louvain,
                                   modularity, multislice_modularity)
 from multicoord.compare import (community_sets, hungarian_match,  # noqa: E402
@@ -33,7 +33,8 @@ from multicoord.ingest import (_CONTROL_CHARS, ACTIONS, HST, MEN, URL,  # noqa: 
                                StopLists, _parse_timestamp, apply_stoplists,
                                extract_domain, parse_events, select_users)
 from multicoord.netbuild import (LayerGraph, MultiplexNetwork,  # noqa: E402
-                                 WindowTfidf, _window_ranges, build_multiplex,
+                                 WindowTfidf, _component_labels, _symmetric_csr,
+                                 _window_ranges, build_multiplex,
                                  layer_window_graph, merge_windows,
                                  tfidf_windows, window_slices)
 from multicoord.reports import (_n_components, read_edges_tsv,  # noqa: E402
@@ -674,7 +675,23 @@ def test_component_labels_match_csgraph(g):
 
     csr = GraphCSR.of(g)
     want = connected_components(_scipy_adjacency(csr), directed=False)[1]
-    assert _components(csr).tolist() == want.tolist()
+    assert _component_labels(g.n_nodes, g.u, g.v).tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                                    max_size=60))
+def test_component_labels_of_raw_rows_match_csgraph(n, pairs):
+    # one direction per row, in any order, with self-loops, repeats and
+    # nodes that no row touches
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    u = np.array([a % n for a, _ in pairs], dtype=np.int64)
+    v = np.array([b % n for _, b in pairs], dtype=np.int64)
+    adj = coo_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+    want = connected_components(adj, directed=False)[1]
+    assert _component_labels(n, u, v).tolist() == want.tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -945,7 +962,7 @@ def test_n_components_matches_csgraph(pairs, isolated):
 @given(layers())
 def test_louvain_adjacency_keeps_insertion_order(g):
     # neighbour order decides the order of Louvain's float sums
-    got = _csr_rows(*_csr(g.n_nodes, g.u, g.v, g.weight))
+    got = _csr_rows(*_symmetric_csr(g.n_nodes, g.u, g.v, g.weight))
     assert got == [list(d.items()) for d in _adjacency_oracle(g)]
 
 
@@ -1055,7 +1072,7 @@ def test_overlap_labels_and_nmi_match_dict_oracles(a, b, min_size):
     M = hungarian_match(O)
     assert label_nodes(O, M) == _label_nodes_oracle(dict(zip(O.a_ids, O.a_members)),
                                                     dict(zip(O.b_ids, O.b_members)), M)
-    assert _outcome(nmi, a, b, min_size) == _outcome(_nmi_oracle, a, b, min_size)
+    assert _outcome(nmi, O) == _outcome(_nmi_oracle, a, b, min_size)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1072,12 +1089,12 @@ def test_overlap_matrix_bounds_and_swap(a, b, min_size):
 @given(assignments, assignments, st.permutations(range(5)))
 def test_nmi_bounds_symmetry_and_relabeling(a, b, perm):
     if set(a) & set(b):
-        value = nmi(a, b)
+        value = nmi(overlap_matrix(a, b))
         assert 0.0 <= value <= 1.0
-        assert nmi(b, a) == value
+        assert nmi(overlap_matrix(b, a)) == value
     relabeled = {node: 10 + perm[c] for node, c in a.items()}
     if len(set(a.values())) >= 2:
-        assert nmi(a, relabeled) == pytest.approx(1.0, abs=1e-12)
+        assert nmi(overlap_matrix(a, relabeled)) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

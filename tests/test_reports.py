@@ -207,6 +207,43 @@ def test_bad_edge_rows_name_their_line(tmp_path, row, reason):
         read_edges_tsv(str(p))
 
 
+PARTITION_HEAD = "# multicoord 0 config x\n# scope rtw\n# gamma 1.0\nuser_id\tcommunity_id\n"
+MULTI_HEAD = "# multicoord 0 config x\n# gamma 1.0\n# omega 0.1\nuser_id\tlayer\tcommunity_id\n"
+TRUTH_HEAD = "# multicoord 0 config x\nuser_id\tcommunity_id\n"
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_partition_tsv, PARTITION_HEAD + "u1\t0\n\nu2\tone\n",
+     "p.tsv:7: community id 'one' is not an integer"),
+    (read_partition_tsv, PARTITION_HEAD + "u1\t0\nu2\t1.5\n",
+     "p.tsv:6: community id '1.5' is not an integer"),
+    (read_partition_tsv, PARTITION_HEAD + "u1\t0\nu2\t1\nu1\t1\n",
+     "p.tsv:7: user 'u1' repeated"),
+    (read_partition_tsv, PARTITION_HEAD.replace("gamma 1.0", "gamma high") + "u1\t0\n",
+     "p.tsv:3: gamma 'high' is not a number"),
+    (read_multiplex_partition_tsv, MULTI_HEAD + "u1\trtw\t0\nu1\trpl\tx\n",
+     "p.tsv:6: community id 'x' is not an integer"),
+    (read_multiplex_partition_tsv, MULTI_HEAD + "u1\trtw\t0\nu1\trpl\t0\nu1\trtw\t1\n",
+     "p.tsv:7: \\(user, layer\\) \\('u1', 'rtw'\\) repeated"),
+    (read_multiplex_partition_tsv, MULTI_HEAD.replace("gamma 1.0", "gamma 1,5") + "u1\trtw\t0\n",
+     "p.tsv:2: gamma '1,5' is not a number"),
+    (read_multiplex_partition_tsv, MULTI_HEAD.replace("omega 0.1", "omega") + "u1\trtw\t0\n",
+     "p.tsv:3: omega '' is not a number"),
+    (read_ground_truth, TRUTH_HEAD + "u1\t0\nu2\tc7\n",
+     "p.tsv:4: community id 'c7' is not an integer"),
+    (read_ground_truth, TRUTH_HEAD + "u1\t0\nu1\t0\n", "p.tsv:4: user 'u1' repeated"),
+], ids=["word-id", "float-id", "repeated-user", "bad-gamma", "multi-word-id",
+        "multi-repeated-key", "multi-bad-gamma", "multi-empty-omega", "truth-word-id",
+        "truth-repeated-user"])
+def test_bad_partition_rows_name_their_line(tmp_path, reader, text, message):
+    # a bad id used to escape as a bare ValueError, and a repeated key
+    # silently kept its last row
+    p = tmp_path / "p.tsv"
+    p.write_text(text)
+    with pytest.raises(DataError, match=message):
+        reader(str(p))
+
+
 def test_non_finite_values_refused(tmp_path):
     g = LayerGraph("rtw", ("a", "b"), np.array([0]), np.array([1]), np.array([np.nan]),
                    np.array([1]), np.array([1]))
