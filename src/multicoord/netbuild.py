@@ -250,8 +250,8 @@ def window_slices(span: tuple[float, float], width: float, shift: float) -> list
     fall into no window. A grid of more than MAX_WINDOWS windows is a
     DataError: it almost always means timestamps in mixed units.
     """
-    if width <= 0 or shift <= 0:
-        raise ValueError(f"width and shift must be positive, got {width}, {shift}")
+    if not (0 < width < math.inf and 0 < shift < math.inf):
+        raise ValueError(f"width and shift must be positive and finite, got {width}, {shift}")
     t_min, t_max = span
     if t_max < t_min:
         raise ValueError(f"bad span {span}")

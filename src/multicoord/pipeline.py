@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -55,40 +56,62 @@ logger = logging.getLogger(__name__)
 DETECT_MODES = ("mono", "indi", "unfl-nw", "unfl-ec", "unfl-sum", "multi", "intfl")
 FLAT_SCOPES = tuple(f"unfl-{s}" for s in UNION_STRATEGIES) + ("intfl",)
 
-_TOP_KEYS = ("input", "schema", "stoplists", "fraction", "width_hours",
-             "shift_hours", "filter", "detection", "comparisons", "out", "synth")
 
-
-def _check_keys(d: dict, allowed, where: str) -> None:
+def _check_keys(d, allowed, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
-def _init_fields(cls) -> tuple:
-    return tuple(f.name for f in fields(cls) if f.init)
-
-
-def _section(doc: dict, key: str, cls, default: dict):
-    """Build the dataclass `cls` from the object doc[key], laid over the
-    keyword defaults `default`. The allowed keys are the fields cls takes;
-    wrong value types and failed checks become a ConfigError.
+def _typed(v, ftype: str, where: str):
+    """A JSON value checked against a field's declared type. JSON has one
+    number type, so an int field refuses 1.5 and true, and a float field
+    takes only a finite number, stored as a float so 1 and 1.0 hash alike.
     """
-    sec = doc.get(key, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{key} must be an object")
-    _check_keys(sec, _init_fields(cls), key)
-    for f in fields(cls):  # JSON has one number type: refuse 1.5 and true for an int
-        v = sec.get(f.name, 0)
-        if f.type in ("int", "int | None") and type(v) is not int \
-                and (v is not None or f.type == "int"):
-            raise ConfigError(f"{key}: {f.name} must be an integer, got {v!r}")
-        if f.type in ("float", "float | None") and isinstance(v, bool):
-            raise ConfigError(f"{key}: {f.name} must be a number, got {v!r}")
+    if v is None:
+        if ftype.endswith(" | None"):
+            return None
+        raise ConfigError(f"{where} must not be null")
+    base = ftype.removesuffix(" | None")
+    if base == "int" and type(v) is not int:
+        raise ConfigError(f"{where} must be an integer, got {v!r}")
+    if base == "float":
+        if type(v) not in (int, float) or not math.isfinite(v):
+            raise ConfigError(f"{where} must be a finite number, got {v!r}")
+        return float(v)
+    if base == "str" and not isinstance(v, str):
+        raise ConfigError(f"{where} must be a string, got {v!r}")
+    return v
+
+
+def _section(sec, where: str, cls, default: dict, **build):
+    """Build the dataclass `cls` from the JSON object sec, laid over the
+    keyword defaults `default`. The allowed keys are the fields cls takes
+    and each value is checked against its field's type; `build` maps a
+    field to the function that makes its value from a non-null checked one
+    (a nested section, a path). Failed checks become a ConfigError.
+    """
+    types = {f.name: f.type for f in fields(cls) if f.init}
+    _check_keys(sec, types, where)
+    kwargs = {}
+    for key, v in {**default, **sec}.items():
+        v = _typed(v, types[key], f"{where}: {key}")
+        kwargs[key] = build[key](v) if v is not None and key in build else v
     try:
-        return cls(**{**default, **sec})
+        return cls(**kwargs)
     except (TypeError, ValueError, DataError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _comparisons(entries) -> tuple:
+    if not (isinstance(entries, list) and all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(t, str) for t in e)
+            for e in entries)):
+        raise ConfigError(f"comparisons must be a list of [ref, other] string pairs, "
+                          f"got {entries!r}")
+    return tuple(map(tuple, entries))
 
 
 @dataclass
@@ -114,7 +137,7 @@ class RunConfig:
 
     input: str | None = None
     schema: str = "tsv"
-    stoplist_paths: dict = field(default_factory=dict)
+    stoplists: dict = field(default_factory=dict)  # StopLists field -> path
     fraction: float = 1.0
     width_hours: float = 6.0
     shift_hours: float = 5.0
@@ -134,60 +157,27 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
-        _check_keys(doc, _TOP_KEYS, "config")
-
-        def respath(p):
-            return p if os.path.isabs(p) else os.path.join(base_dir, p)
-
-        input_path = doc.get("input")
-        if input_path is not None:
-            input_path = respath(str(input_path))
-            if not os.path.exists(input_path):
-                raise ConfigError(f"input file does not exist: {input_path}")
-
-        stop_doc = doc.get("stoplists", {})
-        if not isinstance(stop_doc, dict):
-            raise ConfigError("stoplists must be an object")
-        _check_keys(stop_doc, _init_fields(StopLists), "stoplists")
-        stop_paths = {}
-        for key, p in stop_doc.items():
-            p = respath(str(p))
+        """An object keyed by the fields; paths resolve against base_dir."""
+        def existing(p, what="input"):
+            p = os.path.join(base_dir, p)  # an absolute p replaces base_dir
             if not os.path.exists(p):
-                raise ConfigError(f"stoplist file does not exist: {p}")
-            stop_paths[key] = p
+                raise ConfigError(f"{what} file does not exist: {p}")
+            return p
 
-        comp_doc = doc.get("comparisons", [])
-        if not isinstance(comp_doc, list):
-            raise ConfigError("comparisons must be a list of [ref, other] pairs")
-        comparisons = []
-        for entry in comp_doc:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise ConfigError(f"comparison entries are [ref, other] pairs, got {entry!r}")
-            comparisons.append((str(entry[0]), str(entry[1])))
-        for key in ("fraction", "width_hours", "shift_hours"):  # float(true) is 1.0
-            if isinstance(doc.get(key), bool):
-                raise ConfigError(f"{key} must be a number, got {doc[key]!r}")
+        def stoplists(paths):
+            _check_keys(paths, [f.name for f in fields(StopLists)], "stoplists")
+            return {key: existing(_typed(p, "str", f"stoplists: {key}"), "stoplist")
+                    for key, p in paths.items()}
 
-        try:
-            return cls(
-                input=input_path,
-                schema=str(doc.get("schema", "tsv")),
-                stoplist_paths=stop_paths,
-                fraction=float(doc.get("fraction", 1.0)),
-                width_hours=float(doc.get("width_hours", 6.0)),
-                shift_hours=float(doc.get("shift_hours", 5.0)),
-                filter=_section(doc, "filter", FilterConfig, {}),
-                detection=_section(doc, "detection", DetectionSettings, {}),
-                comparisons=tuple(comparisons),
-                out=respath(str(doc.get("out", "out"))),
-                # a synth section without communities plants none
-                synth=None if doc.get("synth") is None else _section(
-                    doc, "synth", SynthConfig, {"community_sizes": (), "strengths": ()}),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return _section(
+            doc, "config", cls, {"out": "out"},
+            input=existing, stoplists=stoplists, comparisons=_comparisons,
+            out=lambda p: os.path.join(base_dir, p),
+            filter=lambda sec: _section(sec, "filter", FilterConfig, {}),
+            detection=lambda sec: _section(sec, "detection", DetectionSettings, {}),
+            # a synth section without communities plants none
+            synth=lambda sec: _section(sec, "synth", SynthConfig,
+                                       {"community_sizes": (), "strengths": ()}))
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -201,14 +191,8 @@ class RunConfig:
         return cls.from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
     def to_dict(self) -> dict:
-        """Effective config for hashing; overrides already applied. Keys
-        follow the config document: `stoplists`, and no derived synth state.
-        """
-        d = asdict(self)
-        d["stoplists"] = d.pop("stoplist_paths")
-        if d["synth"] is not None:
-            del d["synth"]["_noise_pools"]
-        return d
+        """Effective config for hashing, keyed like the config document."""
+        return asdict(self)
 
     def context(self) -> ReportContext:
         return ReportContext(version=__version__,
@@ -272,9 +256,9 @@ def run_build(cfg: RunConfig) -> dict:
         raise ConfigError("config has no 'input' path")
     ctx = cfg.context()
     log = parse_events(cfg.input, schema=cfg.schema)
-    if cfg.stoplist_paths:
+    if cfg.stoplists:
         stop = StopLists.from_sets(**{key: load_stoplist(path)
-                                      for key, path in cfg.stoplist_paths.items()})
+                                      for key, path in cfg.stoplists.items()})
         log = apply_stoplists(log, stop)
 
     records = []
@@ -444,8 +428,6 @@ class _Comparison:
     the graph a side's metrics are read from, None for a whole multiplex.
     """
 
-    A: object
-    B: object
     a_token: str
     b_token: str
     a_scope: str | None
@@ -464,7 +446,7 @@ def _compare(cfg: RunConfig, ref: str, other: str) -> _Comparison:
     A, a_token, a_scope = _load_approach(cfg.out, ob, ol)
     O = overlap_matrix(A, B, min_size=det.min_size)
     M = hungarian_match(O)
-    return _Comparison(A, B, a_token, b_token, a_scope, b_scope, O, M,
+    return _Comparison(a_token, b_token, a_scope, b_scope, O, M,
                        *label_communities(O, M, theta=det.theta), label_nodes(O, M))
 
 

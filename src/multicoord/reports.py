@@ -31,8 +31,9 @@ UNHASHED = "unhashed"
 
 
 def canonical_json(obj) -> str:
-    """Stable JSON encoding: sorted keys, no whitespace variation."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    """Stable JSON encoding: sorted keys, no whitespace variation, no NaN."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                      allow_nan=False)
 
 
 def config_hash(cfg_obj) -> str:

@@ -23,12 +23,14 @@ than one.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
 
+from .community import communities
 from .errors import DataError
 from .ingest import ACTIONS, EventLog
 from .netbuild import window_slices
@@ -38,16 +40,6 @@ logger = logging.getLogger(__name__)
 NOISE = "noise"
 
 
-def _as_layer_map(value, what: str) -> dict:
-    """Normalize an int/float or {layer: value} mapping to a full per-layer dict."""
-    if isinstance(value, dict):
-        unknown = set(value) - set(ACTIONS)
-        if unknown:
-            raise ValueError(f"{what}: unknown layers {sorted(unknown)}")
-        return {layer: value.get(layer, 0) for layer in ACTIONS}
-    return {layer: value for layer in ACTIONS}
-
-
 @dataclass
 class SynthConfig:
     """Recipe for one synthetic log.
@@ -55,7 +47,8 @@ class SynthConfig:
     strengths has one mapping per community: layer -> expected planted
     events per member per window (0 or absent = inactive in that layer).
     noise_rate is the expected noise events per user per layer per window,
-    applied to every user, members included. Pool sizes are per layer.
+    applied to every user, members included. Each layer has its own
+    noise pool of noise_pool_size items.
     """
 
     n_users: int
@@ -64,11 +57,10 @@ class SynthConfig:
     seed: int
     noise_rate: float = 0.0
     community_pool_size: int = 6
-    noise_pool_size: object = 5000
+    noise_pool_size: int = 5000
     span_hours: float = 48.0
     width_hours: float = 6.0
     shift_hours: float = 5.0
-    _noise_pools: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.seed is None:
@@ -93,17 +85,15 @@ class SynthConfig:
             unknown = set(smap) - set(ACTIONS)
             if unknown:
                 raise ValueError(f"community {ci}: unknown layers {sorted(unknown)}")
-            if any(v < 0 for v in smap.values()):
-                raise ValueError(f"community {ci}: negative strength")
+            if not all(0 <= v < math.inf for v in smap.values()):
+                raise ValueError(f"community {ci}: strengths must be finite and >= 0")
         if self.noise_rate < 0:
             raise ValueError(f"noise_rate must be >= 0, got {self.noise_rate}")
         if self.community_pool_size < 2:
             raise DataError("community_pool_size must be >= 2: a single-item pool "
                             "shared by every active user is nulled by TF-IDF")
-        self._noise_pools = {k: int(v) for k, v in
-                             _as_layer_map(self.noise_pool_size, "noise_pool_size").items()}
-        if self.noise_rate > 0 and any(v < 1 for v in self._noise_pools.values()):
-            raise DataError("noise_pool_size must be >= 1 in every layer when noise_rate > 0")
+        if self.noise_rate > 0 and self.noise_pool_size < 1:
+            raise DataError("noise_pool_size must be >= 1 when noise_rate > 0")
         if self.width_hours <= 0 or self.shift_hours <= 0:
             raise ValueError("width_hours and shift_hours must be positive")
         if self.span_hours < self.width_hours:
@@ -127,10 +117,7 @@ class GroundTruth:
     noise_users: frozenset
 
     def communities(self) -> dict:
-        out: dict = {}
-        for user, cid in self.assignment.items():
-            out.setdefault(cid, set()).add(user)
-        return {cid: frozenset(members) for cid, members in out.items()}
+        return communities(self.assignment)
 
     def members(self, cid) -> frozenset:
         return self.communities().get(cid, frozenset())
@@ -184,8 +171,7 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
                 total = int(counts.sum())
                 if total == 0:
                     continue
-                pool = cfg._noise_pools[layer]
-                items = rng.integers(0, pool, size=total)
+                items = rng.integers(0, cfg.noise_pool_size, size=total)
                 offsets = rng.random(total) * width_s
                 pos = 0
                 for u, k in zip(users, counts):

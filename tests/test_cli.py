@@ -7,6 +7,7 @@ without an input key.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -189,6 +190,7 @@ def test_config_errors_exit_1(workdir, tmp_path, capsys):
     gone = write_cfg(tmp_path / "gone.json",
                      {"input": str(tmp_path / "nope.tsv"), "out": "o"})
     assert main(["build", "--config", gone]) == 1
+    capsys.readouterr()
     # malformed config sections, wrong value types included
     for doc in ({"filter": 5}, {"filter": [["th_a", 2]]},
                 {"filter": {"max_nodes": "5"}}, {"detection": "ab"},
@@ -201,12 +203,45 @@ def test_config_errors_exit_1(workdir, tmp_path, capsys):
                 {"filter": {"weight_rule": "fixed", "weight_value": True}},
                 {"fraction": True}, {"width_hours": True}, {"shift_hours": False},
                 {"synth": {"n_users": 100, "community_sizes": [40.7], "strengths": [{}],
-                           "seed": 1}}):
+                           "seed": 1}},
+                # non-finite numbers, which Python's json reads from NaN and Infinity
+                {"detection": {"gamma": math.nan}}, {"detection": {"omega": math.inf}},
+                {"filter": {"weight_rule": "fixed", "weight_value": math.nan}},
+                {"width_hours": math.inf}, {"shift_hours": -math.inf},
+                {"synth": {"n_users": 10, "seed": 1, "span_hours": math.inf}},
+                {"synth": {"n_users": 10, "community_sizes": [5], "seed": 1,
+                           "strengths": [{"rtw": math.nan}]}},
+                # paths and tokens that are not strings, numbers spelled as strings
+                {"out": ["o"]}, {"out": None}, {"schema": 5}, {"input": 3},
+                {"stoplists": {"hashtags": ["h.txt"]}}, {"comparisons": [["multi", 1]]},
+                {"comparisons": [["multi", "rtw", "hst"]]}, {"comparisons": "multi"},
+                {"filter": {"weight_rule": "fixed", "weight_value": "0.3"}},
+                {"synth": {"n_users": 10, "seed": 1, "span_hours": "24"}},
+                {"detection": None}, {"fraction": "1"}):
         path = write_cfg(tmp_path / "section.json", {"out": "o", **doc})
         assert main(["build", "--config", path]) == 1, doc
         err = capsys.readouterr().err
         assert err.startswith("config error:") and next(iter(doc)) in err, err
+        assert err.count("\n") == 1, err  # one line, no traceback
+        # nothing written, not even an output directory named ['o'] or None
+        assert all(p.suffix == ".json" for p in tmp_path.iterdir()), doc
     capsys.readouterr()
+
+
+def test_float_fields_hash_alike_as_json_integers(tmp_path):
+    # JSON has one number type: "gamma": 1 and "gamma": 1.0 are one config
+    def cfg_hash(doc):
+        path = write_cfg(tmp_path / "run.json", doc)
+        return config_hash(RunConfig.from_file(path).to_dict())
+
+    ints = {"fraction": 1, "width_hours": 6, "detection": {"gamma": 1, "omega": 0},
+            "filter": {"weight_rule": "fixed", "weight_value": 1},
+            "synth": {"n_users": 10, "seed": 1, "noise_rate": 0, "span_hours": 24}}
+    floats = {"fraction": 1.0, "width_hours": 6.0, "detection": {"gamma": 1.0, "omega": 0.0},
+              "filter": {"weight_rule": "fixed", "weight_value": 1.0},
+              "synth": {"n_users": 10, "seed": 1, "noise_rate": 0.0, "span_hours": 24.0}}
+    assert cfg_hash(ints) == cfg_hash(floats)
+    assert cfg_hash({"detection": {"gamma": 1}}) == cfg_hash({"detection": {"gamma": 1.0}})
 
 
 def test_data_errors_exit_2(workdir, tmp_path, capsys):
@@ -280,8 +315,8 @@ def test_config_hash_is_pinned():
     # change to to_dict that moves it changes every artifact's first line
     cfg = RunConfig(
         input="data/events.jsonl", schema="jsonl",
-        stoplist_paths={"hashtags": "stop/hashtags.txt",
-                        "url_domains": "stop/domains.txt"},
+        stoplists={"hashtags": "stop/hashtags.txt",
+                   "url_domains": "stop/domains.txt"},
         fraction=0.5, width_hours=4.0, shift_hours=3.0,
         filter=FilterConfig(th_a=2, max_nodes=600, weight_rule="fixed",
                             weight_value=0.25),
@@ -292,11 +327,10 @@ def test_config_hash_is_pinned():
         synth=SynthConfig(n_users=40, community_sizes=(15, 10),
                           strengths=({"rtw": 3.0, "hst": 1.5}, {"rpl": 2.0}),
                           seed=11, noise_rate=0.1, community_pool_size=8,
-                          noise_pool_size={"rtw": 300, "hst": 200, "rpl": 100,
-                                           "men": 50, "url": 25},
+                          noise_pool_size=300,
                           span_hours=24.0, width_hours=4.0, shift_hours=3.0))
     assert config_hash(cfg.to_dict()) == (
-        "21399d6acb11738dfd605bb191af4dd3d8545e1b147715fba478a4d5fe2ca6ea")
+        "82824a50a0c818fe515503aef5eca9fb8cfe75051a57ef2ba756ed6945b35115")
 
 
 def test_synth_section_defaults_to_no_planted_communities(tmp_path):

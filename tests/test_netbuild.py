@@ -70,6 +70,15 @@ def test_window_slices_validation():
     assert len(window_slices((0.0, MAX_WINDOWS * 5.0), 5.0, 5.0)) == MAX_WINDOWS
 
 
+def test_window_slices_refuses_non_finite_width_and_shift():
+    # an infinite shift used to give one window starting at nan, which holds
+    # no event, so build_multiplex dropped the whole log without a word
+    for width, shift in ((10.0, math.inf), (math.inf, 10.0), (math.nan, 10.0),
+                         (10.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            window_slices((0.0, 100.0), width, shift)
+
+
 # ---------------------------------------------------------------------------
 # TF-IDF matrices
 

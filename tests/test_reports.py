@@ -118,6 +118,15 @@ def test_records_round_trip(tmp_path):
     assert back[1:] == recs
 
 
+def test_records_refuse_non_finite_floats(tmp_path):
+    # JSON has no NaN or infinity; TSV tables refuse them too (reports._fmt)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            write_records(str(tmp_path / "r.jsonl"), [{"record": "x", "w": bad}])
+    with pytest.raises(ValueError):
+        config_hash({"gamma": math.nan})
+
+
 def test_ground_truth_round_trip(tmp_path):
     class Truth:
         assignment = {"u3": 1, "u1": 0, "u2": 0}

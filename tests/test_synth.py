@@ -179,11 +179,9 @@ def test_generated_log_survives_ingest(tmp_path):
 
 
 def test_per_layer_noise_pool_sizes():
-    cfg = small_cfg(noise_pool_size={"rtw": 2, "rpl": 9999, "men": 50,
-                                     "hst": 50, "url": 50},
-                    noise_rate=1.0, seed=13)
-    log, _ = generate(cfg)
-    rtw_noise = {e.item_id for e in log.events
-                 if e.action == "rtw" and NOISE.match(e.item_id)}
-    assert rtw_noise <= {"n.rtw.0", "n.rtw.1"}
-    assert len(rtw_noise) == 2
+    # every layer draws from its own pool of noise_pool_size items
+    log, _ = generate(small_cfg(noise_pool_size=2, noise_rate=1.0, seed=13))
+    for layer in ACTIONS:
+        noise = {e.item_id for e in log.events
+                 if e.action == layer and NOISE.match(e.item_id)}
+        assert noise == {f"n.{layer}.0", f"n.{layer}.1"}, layer
