@@ -40,9 +40,9 @@ actors = select_users(log, 1.0)
 m = tfidf_windows(log, actors, width=6 * H, shift=5 * H)[0]
 print(f"\nwindow {m.index}, layer {m.layer}: {len(m.users)} users x {len(m.items)} items")
 for r, user in enumerate(m.users[:3]):
-    row = m.X.getrow(r)
-    top = sorted(zip(row.data.tolist(), (m.items[c] for c in row.indices)), reverse=True)
-    print(f"  {user}: {row.nnz} items, strongest {[(i, round(w, 3)) for w, i in top[:3]]}")
+    mine = m.row == r
+    top = sorted(zip(m.weight[mine].tolist(), (m.items[c] for c in m.col[mine])), reverse=True)
+    print(f"  {user}: {len(top)} items, strongest {[(i, round(w, 3)) for w, i in top[:3]]}")
 
 # 3. cosine similarity graph for that window
 g0 = layer_window_graph(m)

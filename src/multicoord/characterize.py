@@ -33,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSampleError, UndefinedMetricError
-from .netbuild import LayerGraph, _component_labels, _row_pointer, _symmetric_csr
+from .netbuild import (LayerGraph, _component_labels, _row_pointer, _symmetric_csr,
+                       _wedge_opens, _wedges)
 
 logger = logging.getLogger(__name__)
 
@@ -194,16 +195,14 @@ def _triangles(csr: GraphCSR) -> np.ndarray:
     key = np.sort(src[src < dst] * n + dst[src < dst])  # out-lists in target-rank order
     src, dst = key // n, key % n
     # the wedges edge e opens: the later edges in its source's out-list
-    opens = _row_pointer(src, n)[src + 1] - np.arange(key.size) - 1
+    opens = _wedge_opens(src, n)
     ends = np.cumsum(opens)
     tri = np.zeros(n, dtype=np.int64)
     e = 0
     while e < key.size:
         stop = max(int(np.searchsorted(ends, ends[e] - opens[e] + _WEDGE_BUDGET, side="right")),
                    e + 1)
-        c = opens[e:stop]
-        first = np.repeat(np.arange(e, stop), c)
-        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(c) - c, c)
+        first, second = _wedges(opens, e, stop)
         want = dst[first] * n + dst[second]
         closed = key[np.minimum(np.searchsorted(key, want), key.size - 1)] == want
         for corner in (src[first], dst[first], dst[second]):

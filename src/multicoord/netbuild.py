@@ -1,13 +1,16 @@
 """Coordination-network construction.
 
-tfidf_windows buckets the actor events with a few array sorts into one
-TF-IDF matrix per action layer and sliding time window: a row per active
-user, a column per item. Cosine similarity between the rows yields a
-weighted co-action graph for that window (layer_window_graph), and the
-windows of a layer are merged (mean weight, summed co-action counts) into
-one LayerGraph per action type. The five LayerGraphs over a shared actor
-universe form the MultiplexNetwork that all downstream detection and
-comparison operates on.
+tfidf_windows buckets the actor events with a few array sorts into the
+TF-IDF entries of each action layer and sliding time window, as CSR-ordered
+(row, col, weight) arrays: a row per active user, a column per item.
+layer_window_graph pairs the users of each item (its wedges, which
+characterize's triangle count enumerates with the same helper) and groups
+the pairs with one sort: their product sums are the cosine similarities and
+their sizes the co-action counts of the window's weighted co-action graph.
+The windows of a layer are merged (mean weight, summed co-action counts)
+into one LayerGraph per action type. The five LayerGraphs over a shared
+actor universe form the MultiplexNetwork that all downstream detection and
+comparison operates on. All of it runs on numpy alone.
 
 A LayerGraph is a sorted node tuple plus COO edge arrays sorted by
 (u, v), which every later stage reads. _group_pairs re-keys graphs onto
@@ -297,20 +300,23 @@ def _interned(names: list) -> tuple[np.ndarray, np.ndarray]:
     return np.array(distinct, dtype=object), np.fromiter(map(index.__getitem__, names), np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowTfidf:
-    """TF-IDF matrix of one layer-window: X[r, c] = tf * idf of users[r] on
-    items[c], where tf counts the user's events on the item inside the window
-    and idf = ln(N_w / df) over the window's N_w active users, df of them on
-    the item. users and items are sorted; X stores only positive entries,
-    and every row and column holds one.
+    """TF-IDF entries of one layer-window: entry k is weight[k] = tf * idf of
+    users[row[k]] on items[col[k]], where tf counts the user's events on the
+    item inside the window and idf = ln(N_w / df) over the window's N_w
+    active users, df of them on the item. users and items are sorted; the
+    entries are positive and in CSR order, sorted by (row, col), and every
+    row and column holds one.
     """
 
     layer: str
     index: int
     users: tuple
     items: tuple
-    X: object  # scipy.sparse.csr_matrix, len(users) x len(items)
+    row: np.ndarray
+    col: np.ndarray
+    weight: np.ndarray
 
 
 def tfidf_windows(log: EventLog, actors: ActorSet, width: float,
@@ -353,25 +359,41 @@ def tfidf_windows(log: EventLog, actors: ActorSet, width: float,
     weight = tf * idf[pair]
     keep = weight > 0.0
     lw, user, item, weight = lw[keep], user[keep], item[keep], weight[keep]
-    # local rows and columns: ranks of the users and items within the window
+    # local rows and columns: ranks of the users and items within the window;
+    # rows sorted by (lw, user, item) are in each window's CSR order
     new_user = _run_starts(lw, user)
     row = np.cumsum(new_user) - 1
     by_item = np.lexsort((item, lw))
     new_item = _run_starts(lw[by_item], item[by_item])
     col = np.empty_like(row)
     col[by_item] = np.cumsum(new_item) - 1
-    import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
-
     records = []
     bounds = np.append(np.flatnonzero(_run_starts(lw)), len(lw))
     for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         users = tuple(user_names[user[s:e][new_user[s:e]]].tolist())
         items = tuple(item_names[item[by_item[s:e]][new_item[s:e]]].tolist())
-        X = sp.csr_matrix((weight[s:e], (row[s:e] - row[s], col[s:e] - col[by_item[s]])),
-                          shape=(len(users), len(items)))
         a, k = divmod(int(lw[s]), n_windows)
-        records.append(WindowTfidf(ACTIONS[a], k, users, items, X))
+        records.append(WindowTfidf(ACTIONS[a], k, users, items, row[s:e] - row[s],
+                                   col[s:e] - col[by_item[s]], weight[s:e]))
     return records
+
+
+def _wedge_opens(group: np.ndarray, n: int) -> np.ndarray:
+    """Per entry of a list sorted by group (integers in [0, n)), the wedges
+    it opens: the number of later entries in its group. Their sum is the
+    number of wedges, sum df (df - 1) / 2 over groups of df entries."""
+    return _row_pointer(group, n)[group + 1] - np.arange(group.size) - 1
+
+
+def _wedges(opens: np.ndarray, start: int = 0,
+            stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The wedges that entries start:stop open, as (first, second) entry
+    indices: entry e pairs with each of the opens[e] entries after it, in
+    entry order."""
+    c = opens[start:stop]
+    first = np.repeat(np.arange(start, start + c.size), c)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(c) - c, c)
+    return first, second
 
 
 def layer_window_graph(m: WindowTfidf) -> LayerGraph:
@@ -381,27 +403,33 @@ def layer_window_graph(m: WindowTfidf) -> LayerGraph:
     cosine similarity (capped at 1), co_actions = number of shared items
     and window_count 1; zero-similarity pairs are omitted, and so are users
     without an edge.
+
+    Each wedge is two users of one item. A pair's wedges are grouped by
+    one stable sort, so a weight is the sum of its pair's products in
+    decreasing item order: the order of the sparse product Xn Xn^T with
+    Xn = diag(1 / norm) X, whose every float it reproduces.
     """
-    import scipy.sparse as sp  # imported where used, to keep CLI start-up cheap
-
-    X = m.X
-    norms = np.sqrt(X.multiply(X).sum(axis=1)).A1
-    Xn = sp.diags(1.0 / norms) @ X
-    S = sp.triu(Xn @ Xn.T, k=1).tocsr()
-    S.sort_indices()
-    B = X.copy()
-    B.data = np.ones_like(B.data)
-    C = sp.triu(B @ B.T, k=1).tocsr()
-    C.sort_indices()
-    if not (np.array_equal(S.indptr, C.indptr) and np.array_equal(S.indices, C.indices)):
-        # shared support iff positive cosine (all weights are positive)
-        raise InvariantError("similarity and co-action supports diverge")
-
-    Scoo = S.tocoo()  # row-major with sorted columns: rows sorted by (u, v)
-    keep = Scoo.data > 0.0
-    return LayerGraph(m.layer, m.users, _ints(Scoo.row[keep]), _ints(Scoo.col[keep]),
-                      np.minimum(Scoo.data[keep], 1.0), _ints(C.data[keep]),
-                      np.ones(int(keep.sum()), dtype=np.int64)).edge_subgraph()
+    n = len(m.users)
+    norms = np.sqrt(np.add.reduceat(m.weight * m.weight, np.flatnonzero(_run_starts(m.row))))
+    x = (1.0 / norms)[m.row] * m.weight
+    rank = len(m.items) - 1 - m.col  # decreasing item order
+    order = np.lexsort((m.row, rank))
+    user, x = m.row[order], x[order]
+    first, second = _wedges(_wedge_opens(rank[order], len(m.items)))
+    key = user[first] * n + user[second]  # an item's users are in row order
+    product = x[first] * x[second]
+    del first, second
+    by_pair = np.argsort(key, kind="stable")
+    key = key[by_pair]
+    new_pair = _run_starts(key)
+    # bincount adds strictly left to right
+    dot = np.bincount(np.cumsum(new_pair) - 1, weights=product[by_pair])
+    starts = np.flatnonzero(new_pair)
+    u, v = np.divmod(key[starts], n)
+    co = np.diff(np.append(starts, key.size))
+    keep = dot > 0.0
+    return LayerGraph(m.layer, m.users, u[keep], v[keep], np.minimum(dot[keep], 1.0),
+                      co[keep], np.ones(int(keep.sum()), dtype=np.int64)).edge_subgraph()
 
 
 def merge_windows(graphs: list[LayerGraph], layer: str | None = None) -> LayerGraph:

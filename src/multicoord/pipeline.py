@@ -124,11 +124,11 @@ class DetectionSettings:
 
     def __post_init__(self):
         if not (0.0 <= self.theta <= 1.0):
-            raise ConfigError(f"theta must be in [0, 1], got {self.theta}")
+            raise ValueError(f"theta must be in [0, 1], got {self.theta}")
         if self.gamma < 0 or self.omega < 0:
-            raise ConfigError("gamma and omega must be >= 0")
+            raise ValueError("gamma and omega must be >= 0")
         if self.min_size < 0:
-            raise ConfigError(f"min_size must be >= 0, got {self.min_size}")
+            raise ValueError(f"min_size must be >= 0, got {self.min_size}")
 
 
 @dataclass
@@ -149,11 +149,11 @@ class RunConfig:
 
     def __post_init__(self):
         if not (0.0 < self.fraction <= 1.0):
-            raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
+            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.width_hours <= 0 or self.shift_hours <= 0:
-            raise ConfigError("width_hours and shift_hours must be positive")
+            raise ValueError("width_hours and shift_hours must be positive")
         if self.schema not in ("tsv", "jsonl"):
-            raise ConfigError(f"schema must be tsv or jsonl, got {self.schema!r}")
+            raise ValueError(f"schema must be tsv or jsonl, got {self.schema!r}")
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "RunConfig":

@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from operator import itemgetter
 
 import numpy as np
@@ -85,8 +85,10 @@ class SynthConfig:
             unknown = set(smap) - set(ACTIONS)
             if unknown:
                 raise ValueError(f"community {ci}: unknown layers {sorted(unknown)}")
-            if not all(0 <= v < math.inf for v in smap.values()):
-                raise ValueError(f"community {ci}: strengths must be finite and >= 0")
+            if not all(isinstance(v, Real) and not isinstance(v, bool) and 0 <= v < math.inf
+                       for v in smap.values()):
+                raise ValueError(f"community {ci}: strengths must be finite numbers >= 0, "
+                                 f"got {smap!r}")
         if self.noise_rate < 0:
             raise ValueError(f"noise_rate must be >= 0, got {self.noise_rate}")
         if self.community_pool_size < 2:

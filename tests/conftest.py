@@ -36,8 +36,7 @@ def edge_dict(g):
 def tfidf_entries(m):
     """{user: {item: tf * idf}} of a WindowTfidf, in row order: a dict view for tests."""
     out = {u: {} for u in m.users}
-    X = m.X.tocoo()
-    for r, c, w in zip(X.row.tolist(), X.col.tolist(), X.data.tolist()):
+    for r, c, w in zip(m.row.tolist(), m.col.tolist(), m.weight.tolist()):
         out[m.users[r]][m.items[c]] = w
     return out
 

@@ -225,6 +225,27 @@ def test_config_errors_exit_1(workdir, tmp_path, capsys):
         assert err.count("\n") == 1, err  # one line, no traceback
         # nothing written, not even an output directory named ['o'] or None
         assert all(p.suffix == ".json" for p in tmp_path.iterdir()), doc
+    # range checks name their section as the type checks do, and a strength
+    # must be a number: true used to plant as 1.0 and hash as true
+    synth = {"n_users": 10, "community_sizes": [5], "seed": 1}
+    for doc, msg in (
+            ({"detection": {"theta": 2.0}}, "detection: theta must be in [0, 1], got 2.0"),
+            ({"detection": {"omega": -1}}, "detection: gamma and omega must be >= 0"),
+            ({"detection": {"min_size": -1}}, "detection: min_size must be >= 0, got -1"),
+            ({"filter": {"max_nodes": 0}}, "filter: max_nodes must be >= 1, got 0"),
+            ({"fraction": 2}, "config: fraction must be in (0, 1], got 2.0"),
+            ({"shift_hours": 0}, "config: width_hours and shift_hours must be positive"),
+            ({"schema": "csv"}, "config: schema must be tsv or jsonl, got 'csv'"),
+            ({"synth": {**synth, "strengths": [{"rtw": True}]}},
+             "synth: community 0: strengths must be finite numbers >= 0, got {'rtw': True}"),
+            ({"synth": {**synth, "strengths": [{"hst": "2"}]}},
+             "synth: community 0: strengths must be finite numbers >= 0, got {'hst': '2'}"),
+            ({"synth": {**synth, "strengths": [{"url": None}]}},
+             "synth: community 0: strengths must be finite numbers >= 0, got {'url': None}")):
+        path = write_cfg(tmp_path / "section.json", {"out": "o", **doc})
+        assert main(["build", "--config", path]) == 1, doc
+        assert capsys.readouterr().err == f"config error: {msg}\n"
+        assert all(p.suffix == ".json" for p in tmp_path.iterdir()), doc
     capsys.readouterr()
 
 

@@ -1,11 +1,11 @@
-"""Import budget: scipy is imported only inside the functions that use it.
+"""Import budget: no stage loads scipy.
 
 Every CLI subcommand runs in its own process, so whatever the package
-imports at module level is paid once per invocation. Only `build` needs
-scipy, for `scipy.sparse` products; `detect`, `compare` and
-`characterize` run on numpy alone, and no stage loads `scipy.stats`
-(about 0.9 s on its own) or `scipy.optimize`. The checks run in a fresh
-interpreter because this one has imported scipy already.
+imports at module level is paid once per invocation. `build`, `detect`,
+`compare` and `characterize` run on numpy alone, so scipy (0.23 s and
+about 22 MB for `scipy.sparse`, about 0.9 s for `scipy.stats`) is only a
+test dependency. The checks run in a fresh interpreter because this one
+has imported scipy already.
 """
 
 import json
@@ -17,6 +17,7 @@ import pytest
 
 import multicoord
 from multicoord.cli import main
+from multicoord.ingest import ACTIONS
 from readme_recipe import COMPARISONS, write_configs
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(multicoord.__file__)))
@@ -63,25 +64,27 @@ def seen(tmp_path_factory):
 BUILD_CHILD = """
 import json, os, sys
 from multicoord.pipeline import RunConfig, run_build
-run_build(RunConfig.from_file(sys.argv[1]))
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+cfg = RunConfig.from_file(sys.argv[1])
+run_build(cfg)
+print(json.dumps({"scipy": sorted(m for m in sys.modules
+                                  if m == "scipy" or m.startswith("scipy.")),
+                  "edges": sorted(f for f in os.listdir(cfg.out) if f.startswith("edges_"))}))
 """
 
 
 def test_build_skips_csgraph_and_linalg(tmp_path):
-    # build needs scipy.sparse for its matrix products, and no more: the
-    # component count in build_report.jsonl is a union-find
+    # build loads no scipy module at all: the per-window cosine graphs are a
+    # numpy pair product and the component counts a numpy labelling
     synth_cfg, run_cfg = write_configs(tmp_path)
     assert main(["synth", "--config", synth_cfg]) == 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", BUILD_CHILD, run_cfg],
                           env=env, capture_output=True, text=True, check=True)
-    loaded = json.loads(done.stdout.strip().splitlines()[-1])
-    assert "scipy.sparse" in loaded  # the build did run
-    assert not [m for m in loaded
-                if m.split(".")[:3] in (["scipy", "sparse", "csgraph"],
-                                        ["scipy", "sparse", "linalg"])]
+    seen = json.loads(done.stdout.strip().splitlines()[-1])
+    # the build did run: one edge file per layer
+    assert seen["edges"] == sorted(f"edges_{layer}.tsv" for layer in ACTIONS)
+    assert seen["scipy"] == []
 
 
 def test_cli_import_loads_no_scipy(seen):

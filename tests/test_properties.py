@@ -34,7 +34,7 @@ from multicoord.ingest import (_CONTROL_CHARS, ACTIONS, HST, MEN, URL,  # noqa: 
                                extract_domain, parse_events, select_users)
 from multicoord.netbuild import (LayerGraph, MultiplexNetwork,  # noqa: E402
                                  WindowTfidf, _component_labels, _symmetric_csr,
-                                 _window_ranges, build_multiplex,
+                                 _wedge_opens, _wedges, _window_ranges, build_multiplex,
                                  layer_window_graph, merge_windows,
                                  tfidf_windows, window_slices)
 from multicoord.reports import (_n_components, read_edges_tsv,  # noqa: E402
@@ -74,29 +74,35 @@ def user_vectors_oracle(log, actors, layer, window):
     return vectors
 
 
-def matrix_oracle(vectors):
-    """(sorted users, sorted items, CSR of the entries) of one layer-window."""
-    import scipy.sparse as sp
-
+def window_oracle(vectors):
+    """WindowTfidf of one layer-window's vectors: sorted users and items, and
+    the entries in CSR order."""
     by_user = {v.user_id: v for v in vectors}
     users = sorted(by_user)
     items = sorted({i for v in vectors for i in v.entries})
     item_col = {i: c for c, i in enumerate(items)}
-    rows, cols, data = [], [], []
-    for r, u in enumerate(users):
-        for item, w in sorted(by_user[u].entries.items()):
-            rows.append(r)
-            cols.append(item_col[item])
-            data.append(w)
-    X = sp.csr_matrix((data, (rows, cols)), shape=(len(users), len(items)))
-    return tuple(users), tuple(items), X
+    row, col, weight = zip(*[(r, item_col[item], w) for r, u in enumerate(users)
+                             for item, w in sorted(by_user[u].entries.items())])
+    return WindowTfidf(vectors[0].layer, vectors[0].window_index, tuple(users), tuple(items),
+                       np.array(row, dtype=np.int64), np.array(col, dtype=np.int64),
+                       np.array(weight, dtype=float))
 
 
-def window_graph_oracle(vectors):
-    """Cosine graph of one layer-window over all its users, isolated ones kept."""
+def scipy_matrix(m):
+    """The CSR matrix that tfidf_windows built per layer-window before the
+    window kept its entry arrays."""
     import scipy.sparse as sp
 
-    users, _, X = matrix_oracle(vectors)
+    return sp.csr_matrix((m.weight, (m.row, m.col)), shape=(len(m.users), len(m.items)))
+
+
+def scipy_window_graph(m):
+    """Cosine graph of one layer-window over all its users, isolated ones
+    kept, from the two sparse products layer_window_graph ran before it
+    enumerated wedges: one for the cosines and one for the shared items."""
+    import scipy.sparse as sp
+
+    X = scipy_matrix(m)
     norms = np.sqrt(X.multiply(X).sum(axis=1)).A1
     Xn = sp.diags(1.0 / norms) @ X
     S = sp.triu(Xn @ Xn.T, k=1).tocsr()
@@ -109,9 +115,22 @@ def window_graph_oracle(vectors):
         raise InvariantError("similarity and co-action supports diverge")
     Scoo = S.tocoo()
     keep = Scoo.data > 0.0
-    return LayerGraph(vectors[0].layer, users, Scoo.row[keep].astype(np.int64),
+    return LayerGraph(m.layer, m.users, Scoo.row[keep].astype(np.int64),
                       Scoo.col[keep].astype(np.int64), np.minimum(Scoo.data[keep], 1.0),
                       C.data[keep].astype(np.int64), np.ones(int(keep.sum()), dtype=np.int64))
+
+
+def window_graph_oracle(vectors):
+    """Cosine graph of one layer-window over all its users, isolated ones kept."""
+    return scipy_window_graph(window_oracle(vectors))
+
+
+def assert_same_graph(got, want):
+    """Equal node tuples, and equal arrays of equal dtype in every column."""
+    assert got.nodes == want.nodes
+    for column in ("u", "v", "weight", "co_actions", "window_count"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and np.array_equal(a, b), column
 
 
 def build_multiplex_oracle(log, actors, width, shift):
@@ -142,7 +161,7 @@ def _norm(entries):
 @given(vector_sets)
 def test_layer_window_graph_matches_brute_force(entries_by_user):
     vectors = [Vector(u, "rtw", 0, e) for u, e in entries_by_user.items()]
-    g = layer_window_graph(WindowTfidf("rtw", 0, *matrix_oracle(vectors)))
+    g = layer_window_graph(window_oracle(vectors))
 
     expected = {}
     for a in entries_by_user:
@@ -161,6 +180,53 @@ def test_layer_window_graph_matches_brute_force(entries_by_user):
         assert 0.0 < d.weight <= 1.0
         assert (d.co_actions, d.window_count) == (n_shared, 1)
     assert g.nodes == tuple(sorted({u for key in expected for u in key}))
+
+
+@st.composite
+def one_window_logs(draw):
+    """(log, actors) of one window [0, 10): up to 8 users on 6 shared items
+    with repeated events, so that pairs share several items, plus items that
+    only one user touches."""
+    users = [f"u{k}" for k in range(draw(st.integers(2, 8)))]
+    events = draw(st.lists(st.builds(ActionEvent, st.sampled_from(users), st.just("rtw"),
+                                     st.sampled_from([f"i{k}" for k in range(6)]),
+                                     st.floats(0.0, 9.5)), min_size=2, max_size=60))
+    events += draw(st.lists(st.sampled_from(events), max_size=10))
+    events += [ActionEvent(u, "rtw", f"solo.{u}", 1.0)
+               for u in draw(st.lists(st.sampled_from(users), unique=True))]
+    log = EventLog.from_events(sorted(events, key=lambda e: e.timestamp), time_span=(0.0, 10.0))
+    return log, ActorSet(actors=frozenset(users), per_action_top={"rtw": frozenset(users)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_window_logs())
+def test_layer_window_graph_equals_scipy_products(case):
+    log, actors = case
+    for m in tfidf_windows(log, actors, 10.0, 10.0):
+        assert_same_graph(layer_window_graph(m), scipy_window_graph(m).edge_subgraph())
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_sets)
+# summed in increasing item order, this cosine moves in the last bit
+@example({"a": {"i0": 1.0, "i1": 1.0, "i2": 3.0}, "aa": {"i0": 1.0, "i1": 1.0, "i2": 1.0}})
+def test_layer_window_graph_equals_scipy_products_on_any_weights(entries_by_user):
+    # arbitrary positive floats: a pair's cosine sums its shared-item
+    # products in the order the sparse product did, or the last bits move
+    m = window_oracle([Vector(u, "rtw", 0, e) for u, e in entries_by_user.items()])
+    assert_same_graph(layer_window_graph(m), scipy_window_graph(m).edge_subgraph())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=30), st.integers(0, 30), st.integers(0, 30))
+def test_wedges_are_the_pairs_within_each_group(groups, start, stop):
+    group = np.sort(np.array(groups, dtype=np.int64))
+    opens = _wedge_opens(group, 6)
+    assert int(opens.sum()) == sum(d * (d - 1) // 2 for d in Counter(groups).values())
+    first, second = _wedges(opens, start, stop)
+    want = [(a, b) for a in range(len(groups))[start:stop] for b in range(a + 1, len(groups))
+            if group[a] == group[b]]
+    assert list(zip(first.tolist(), second.tolist())) == want
 
 
 H = 3600.0
@@ -224,17 +290,15 @@ def test_build_multiplex_matches_dict_oracle(case):
     for m in records:
         vectors = user_vectors_oracle(log, actors, m.layer, windows[m.index])
         assert tfidf_entries(m) == {v.user_id: v.entries for v in vectors}
-        users, items, X = matrix_oracle(vectors)
-        assert (m.users, m.items) == (users, items)
-        assert m.X.shape == X.shape and (m.X != X).nnz == 0
+        want = window_oracle(vectors)
+        assert (m.users, m.items) == (want.users, want.items)
+        for column in ("row", "col", "weight"):
+            a, b = getattr(m, column), getattr(want, column)
+            assert a.dtype == b.dtype and np.array_equal(a, b), column
 
     net = build_multiplex(log, actors, width, shift)
     for layer, g in build_multiplex_oracle(log, actors, width, shift).items():
-        got = net.layers[layer]
-        assert got.nodes == g.nodes
-        for column in ("u", "v", "weight", "co_actions", "window_count"):
-            a, b = getattr(got, column), getattr(g, column)
-            assert a.dtype == b.dtype and np.array_equal(a, b), column
+        assert_same_graph(net.layers[layer], g)
 
 
 # ---------------------------------------------------------------------------
