@@ -23,7 +23,7 @@ cfg = SynthConfig(
     span_hours=24.0,
 )
 log, truth = generate(cfg)
-print(f"synthetic log: {len(log)} events, {len(set(log.user))} active users")
+print(f"synthetic log: {len(log)} events, {len(log.users)} active users")
 print(f"planted: {truth.communities().keys()} with sizes "
       f"{[len(m) for m in truth.communities().values()]}, "
       f"{len(truth.noise_users)} noise-only users")

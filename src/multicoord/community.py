@@ -474,9 +474,11 @@ def flatten_intersection(net: MultiplexNetwork) -> LayerGraph:
 
 def restrict_to_layer(p: MultiplexPartition, layer: str) -> Partition:
     """Project a multiplex partition onto one layer (C restricted to V^l),
-    re-expressed as actor -> community id with canonical dense ids.
+    re-expressed as actor -> community id with canonical dense ids. A layer
+    without nodes is a DataError: there is nothing to compare or characterize.
     """
     restricted = {actor: cid for (actor, l), cid in p.assignment.items() if l == layer}
     if not restricted:
-        raise ValueError(f"layer {layer!r} not present in the multiplex partition")
+        raise DataError(f"layer {layer!r} has no node in the multiplex partition: "
+                        "the network has no edge in that layer")
     return Partition(scope=layer, assignment=_canonical_ids(restricted), gamma=p.gamma)

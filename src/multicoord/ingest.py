@@ -8,11 +8,13 @@ their raw id. Collection artifacts (campaign hashtags, candidate mentions,
 platform domains) are removed via stoplists, after which the most active
 users per action type are selected to form the analysis universe.
 
-Events are columns from the parse on. An EventLog holds the user, action
-and item ids as row-aligned tuples of str and the timestamps as a float64
-array; stoplist filtering is a mask over them, and actor selection and the
-TF-IDF bucketing in netbuild read them directly. ActionEvent is only a row
-view, built on demand by EventLog.events for tests and demos.
+Events are code columns from the parse on, and ingest is the one place
+that encodes ids. An EventLog holds integer user and item codes that index
+sorted vocabularies, so code order is id order, an action code that indexes
+ACTIONS, and the timestamps as a float64 array. Stoplist filtering is a mask
+over the columns, actor selection a bincount, and the TF-IDF bucketing in
+netbuild starts from the codes. ActionEvent is only a row view, built on
+demand by EventLog.events for tests and demos.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ import json
 import logging
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import compress
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
@@ -42,7 +42,7 @@ URL = "url"
 
 # canonical layer order, used everywhere layers are iterated or reported
 ACTIONS: tuple[str, ...] = (RTW, RPL, MEN, HST, URL)
-_ACTION_SET = frozenset(ACTIONS)
+_ACTION_CODE = {a: k for k, a in enumerate(ACTIONS)}
 
 EVENT_SCHEMAS = ("jsonl", "tsv")
 
@@ -76,33 +76,51 @@ class RecordError:
     reason: str
 
 
+def _sorted_codes(first_seen: dict[str, int], codes) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes numbered in order of first sight, renumbered into the sorted
+    vocabulary of ``first_seen`` (id -> first-sight code), and that vocabulary."""
+    vocab = tuple(sorted(first_seen))
+    rank = np.empty(len(vocab), dtype=np.int32)
+    rank[list(map(first_seen.__getitem__, vocab))] = np.arange(len(vocab))
+    return rank[np.asarray(codes, dtype=np.int32)], vocab
+
+
 @dataclass(frozen=True, eq=False)
 class EventLog:
-    """Events as row-aligned columns, plus the rejects seen while parsing.
+    """Events as row-aligned code columns, plus the rejects seen while parsing.
 
-    Row k is ``user[k]`` doing ``action[k]`` on ``item[k]`` at ``ts[k]``
-    (epoch seconds; a read-only float64 array). parse_events and
-    synth.generate give the rows in time order; from_events keeps the order
-    it is given. ``time_span`` is (t_min, t_max). It defaults to the
-    observed event range but may be wider (e.g. the nominal span of a
-    generated log) so that window grids are stable under filtering.
+    Row k is ``users[user[k]]`` doing ``ACTIONS[action[k]]`` on
+    ``items[item[k]]`` at ``ts[k]`` (epoch seconds). The columns are
+    read-only arrays, int32 codes and float64 timestamps. ``users`` and
+    ``items`` are sorted tuples of distinct ids, so code order is id order;
+    they hold every id of the rows and, after a mask, possibly more.
+    parse_events and synth.generate give the rows in time order; from_events
+    keeps the order it is given. ``time_span`` is (t_min, t_max). It
+    defaults to the observed event range but may be wider (e.g. the nominal
+    span of a generated log) so that window grids are stable under filtering.
     """
 
-    user: tuple[str, ...] = ()
-    action: tuple[str, ...] = ()
-    item: tuple[str, ...] = ()
-    ts: np.ndarray = field(default_factory=lambda: np.empty(0))
+    user: np.ndarray = ()
+    action: np.ndarray = ()
+    item: np.ndarray = ()
+    ts: np.ndarray = ()
+    users: tuple[str, ...] = ()
+    items: tuple[str, ...] = ()
     time_span: tuple[float, float] | None = None
     rejects: tuple[RecordError, ...] = ()
 
     def __post_init__(self):
-        ts = np.array(self.ts, dtype=float)
-        ts.flags.writeable = False
-        object.__setattr__(self, "ts", ts)
-        if not len(self.user) == len(self.action) == len(self.item) == len(ts):
+        for name, dtype in (("user", np.int32), ("action", np.int32), ("item", np.int32),
+                            ("ts", np.float64)):
+            col = np.array(getattr(self, name), dtype=dtype)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if not len(self.user) == len(self.action) == len(self.item) == len(self.ts):
             raise ValueError("event columns differ in length")
-        if len(ts):
-            stamps = ts.tolist()
+        if len(self.ts):
+            # Python's min and max keep the first of equal stamps, -0.0 or 0.0;
+            # ndarray.min and max need not
+            stamps = self.ts.tolist()
             lo, hi = min(stamps), max(stamps)
             if self.time_span is None:
                 object.__setattr__(self, "time_span", (lo, hi))
@@ -117,12 +135,30 @@ class EventLog:
     def from_events(cls, events, time_span=None, rejects=()) -> "EventLog":
         """A log of (user, action, item, timestamp) rows, in the order given."""
         user, action, item, ts = tuple(zip(*events)) or ((), (), (), ())
-        return cls(user, action, item, ts, time_span, tuple(rejects))
+        users, items = {}, {}  # id -> first-sight code, then the sorted vocabulary
+        user, users = _sorted_codes(users, [users.setdefault(u, len(users)) for u in user])
+        item, items = _sorted_codes(items, [items.setdefault(i, len(items)) for i in item])
+        return cls(user, list(map(_ACTION_CODE.__getitem__, action)), item, ts, users, items,
+                   time_span, tuple(rejects))
+
+    def masked(self, keep: np.ndarray) -> "EventLog":
+        """The rows where the boolean array ``keep`` is true, over the same
+        vocabularies. time_span is kept, so that window grids do not move,
+        unless no row is left."""
+        return EventLog(self.user[keep], self.action[keep], self.item[keep], self.ts[keep],
+                        self.users, self.items, self.time_span if keep.any() else None,
+                        self.rejects)
+
+    def decoded(self) -> tuple[list[str], list[str], list[str]]:
+        """The user, action and item columns as ids."""
+        return (list(map(self.users.__getitem__, self.user.tolist())),
+                list(map(ACTIONS.__getitem__, self.action.tolist())),
+                list(map(self.items.__getitem__, self.item.tolist())))
 
     @property
     def events(self) -> tuple[ActionEvent, ...]:
         """The rows as ActionEvent tuples, built anew on each access."""
-        return tuple(map(ActionEvent, self.user, self.action, self.item, self.ts.tolist()))
+        return tuple(map(ActionEvent, *self.decoded(), self.ts.tolist()))
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -243,23 +279,25 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
     Blank lines and lines starting with '#' are skipped, except that a TSV
     line containing a tab is always a row. Malformed lines become
     RecordError entries on the returned log instead of being silently
-    dropped. The file is read line by line into four column lists; rows
-    with equal timestamps keep their file order.
+    dropped. The file is read line by line into four columns, ids as codes
+    in order of first sight, which are renumbered in id order at the end;
+    rows with equal timestamps keep their file order.
     """
     if schema not in EVENT_SCHEMAS:
         raise ValueError(f"unknown event schema {schema!r}; expected one of {EVENT_SCHEMAS}")
+    # imported here, so that only build loads the array extension (~0.4 MB
+    # of peak RSS in every CLI process that imports it)
+    from array import array
+
     jsonl = schema == "jsonl"
-    users: list[str] = []
-    actions: list[str] = []
-    items: list[str] = []
-    stamps: list[float] = []
-    rejects: list[RecordError] = []
-    # ids that passed the checks below, each as the one str object shared by
-    # every row that names it, each raw action token seen, normalized, and
-    # each raw URL's domain: a repeated id, token or URL is checked once
-    valid: dict[str, str] = {}
-    action_of: dict[str, str] = {}
+    # columns with ids as codes numbered in order of first sight; per column
+    # the code of each id that passed the checks below, each raw action
+    # token seen, normalized, and each raw URL's domain: a repeated id, token
+    # or URL is checked once
+    users, actions, items, stamps = array("i"), array("b"), array("i"), array("d")
+    user_code, item_code, action_of = {}, {}, {}
     domain_of: dict[str, str] = {}  # raw URL -> domain, for URLs that have one
+    rejects: list[RecordError] = []
     loads, has_control, isfinite = json.loads, _CONTROL_CHARS.search, math.isfinite
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -285,15 +323,14 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
                         raise ValueError(f"expected 4 columns, got {len(cols)}")
                     user, action, item, ts = cols
                 user = user.strip()
-                if user not in valid:
+                if user not in user_code:
                     if not user:
                         raise ValueError("empty user id")
                     if has_control(user):
                         raise ValueError(f"control character in user id {user!r}")
-                    valid[user] = user
                 if action not in action_of:
                     a = action.strip().lower()
-                    if a not in _ACTION_SET:
+                    if a not in _ACTION_CODE:
                         raise ValueError(f"unknown action token {a!r}")
                     action_of[action] = a
                 action = action_of[action]
@@ -308,28 +345,29 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
                             domain_of.clear()
                         domain_of[item] = extract_domain(item)
                     item = domain_of[item]
-                if item not in valid:
+                if item not in item_code:
                     if not item:
                         raise ValueError("empty item id")
                     if has_control(item):
                         raise ValueError(f"control character in item id {item!r}")
-                    valid[item] = item
                 if type(ts) is not float or not isfinite(ts):
                     ts = _parse_timestamp(ts)
             except (ValueError, KeyError, TypeError) as exc:
                 rejects.append(RecordError(line_no, str(exc)))
                 continue
-            users.append(valid[user])
-            actions.append(action)
-            items.append(valid[item])
+            users.append(user_code.setdefault(user, len(user_code)))
+            actions.append(_ACTION_CODE[action])
+            items.append(item_code.setdefault(item, len(item_code)))
             stamps.append(ts)
     ts = np.array(stamps, dtype=float)
-    order = np.argsort(ts, kind="stable").tolist()  # stable: file order kept for ties
+    order = np.argsort(ts, kind="stable")  # stable: file order kept for ties
     if rejects:
         logger.warning("parse_events: rejected %d of %d lines from %s",
                        len(rejects), len(rejects) + len(stamps), path)
-    return EventLog(*(tuple(map(col.__getitem__, order)) for col in (users, actions, items)),
-                    ts[order], rejects=tuple(rejects))
+    user, users = _sorted_codes(user_code, users)
+    item, items = _sorted_codes(item_code, items)
+    return EventLog(user[order], np.asarray(actions)[order], item[order], ts[order],
+                    users, items, rejects=tuple(rejects))
 
 
 def apply_stoplists(log: EventLog, stop: StopLists) -> EventLog:
@@ -338,13 +376,11 @@ def apply_stoplists(log: EventLog, stop: StopLists) -> EventLog:
     Idempotent. The log's time_span is preserved so window grids do not
     move when boundary events are removed.
     """
-    stopped = {HST: stop.hashtags, MEN: stop.mentions, URL: stop.url_domains}
-    keep = [item not in stopped.get(action, ()) for action, item in zip(log.action, log.item)]
-    if all(keep):
-        return log
-    span = log.time_span if any(keep) else None
-    return EventLog(*(tuple(compress(col, keep)) for col in (log.user, log.action, log.item)),
-                    log.ts[np.array(keep, dtype=bool)], span, log.rejects)
+    listed = np.zeros((len(ACTIONS), len(log.items)), dtype=bool)
+    for action, ids in ((HST, stop.hashtags), (MEN, stop.mentions), (URL, stop.url_domains)):
+        listed[_ACTION_CODE[action]] = [i in ids for i in log.items]
+    keep = ~listed[log.action, log.item]
+    return log if keep.all() else log.masked(keep)
 
 
 def select_users(log: EventLog, fraction: float) -> ActorSet:
@@ -356,18 +392,15 @@ def select_users(log: EventLog, fraction: float) -> ActorSet:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if not len(log):
         raise ValueError("cannot select users from an empty log")
-    counts: dict[str, Counter] = {a: Counter() for a in ACTIONS}
-    for (action, user), n in Counter(zip(log.action, log.user)).items():
-        counts[action][user] = n
+    n = len(log.users)
+    counts = np.bincount(log.action.astype(np.int64) * n + log.user,
+                         minlength=len(ACTIONS) * n).reshape(len(ACTIONS), n)
     per_action_top: dict[str, frozenset[str]] = {}
-    for a in ACTIONS:
-        c = counts[a]
-        if not c:
-            per_action_top[a] = frozenset()
-            continue
-        k = math.ceil(fraction * len(c))
-        ranked = sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))
-        per_action_top[a] = frozenset(u for u, _ in ranked[:k])
+    for a, c in zip(ACTIONS, counts):
+        active = np.flatnonzero(c)
+        ranked = active[np.lexsort((active, -c[active]))]  # equal counts: smaller id first
+        top = ranked[:math.ceil(fraction * len(active))].tolist()
+        per_action_top[a] = frozenset(map(log.users.__getitem__, top))
     actors = frozenset().union(*per_action_top.values())
     logger.info("select_users: fraction=%.4g -> %d actors (%s)", fraction, len(actors),
                 ", ".join(f"{a}:{len(per_action_top[a])}" for a in ACTIONS))

@@ -1,16 +1,19 @@
 """Coordination-network construction.
 
-tfidf_windows buckets the actor events with a few array sorts into the
-TF-IDF entries of each action layer and sliding time window, as CSR-ordered
-(row, col, weight) arrays: a row per active user, a column per item.
-layer_window_graph pairs the users of each item (its wedges, which
-characterize's triangle count enumerates with the same helper) and groups
-the pairs with one sort: their product sums are the cosine similarities and
-their sizes the co-action counts of the window's weighted co-action graph.
-The windows of a layer are merged (mean weight, summed co-action counts)
-into one LayerGraph per action type. The five LayerGraphs over a shared
-actor universe form the MultiplexNetwork that all downstream detection and
-comparison operates on. All of it runs on numpy alone.
+tfidf_windows starts from the user, action and item codes of the EventLog
+(ingest encodes every id) and buckets the actor events with a few array
+sorts into the TF-IDF entries of each action layer and sliding time window,
+as CSR-ordered (row, col, weight) arrays: a row per active user, a column
+per item. layer_window_graph pairs the users of each item (its wedges,
+which characterize's triangle count enumerates with the same helper) and
+groups the pairs with one sort: their product sums are the cosine
+similarities and their sizes the co-action counts of the window's weighted
+co-action graph. The windows of a layer are merged (mean weight, summed
+co-action counts) into one LayerGraph per action type. build_multiplex
+takes these steps one layer at a time, so only that layer's entries and
+window graphs are alive. The five LayerGraphs over a shared actor universe
+form the MultiplexNetwork that all downstream detection and comparison
+operates on. All of it runs on numpy alone.
 
 A LayerGraph is a sorted node tuple plus COO edge arrays sorted by
 (u, v), which every later stage reads. _group_pairs re-keys graphs onto
@@ -28,8 +31,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import compress, groupby
-from operator import attrgetter
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
@@ -293,13 +295,6 @@ def _run_starts(*cols: np.ndarray) -> np.ndarray:
     return first
 
 
-def _interned(names: list) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted distinct names as an object array, each name's index in it)."""
-    distinct = sorted(set(names))
-    index = {x: k for k, x in enumerate(distinct)}
-    return np.array(distinct, dtype=object), np.fromiter(map(index.__getitem__, names), np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class WindowTfidf:
     """TF-IDF entries of one layer-window: entry k is weight[k] = tf * idf of
@@ -326,14 +321,16 @@ def tfidf_windows(log: EventLog, actors: ActorSet, width: float,
     """
     if log.time_span is None:
         return []
-    n_windows = len(window_slices(log.time_span, width, shift))
-    layer_of = {a: k for k, a in enumerate(ACTIONS)}
-    keep = [u in actors.actors and a in layer_of for u, a in zip(log.user, log.action)]
-    user_names, user = _interned(list(compress(log.user, keep)))
-    item_names, item = _interned(list(compress(log.item, keep)))
-    layer = _ints([layer_of[a] for a in compress(log.action, keep)])
-    lo, hi = _window_ranges(log.ts[np.array(keep, dtype=bool)],
-                            log.time_span[0], width, shift, n_windows)
+    return _tfidf_windows(log, actors, width, shift,
+                          len(window_slices(log.time_span, width, shift)))
+
+
+def _tfidf_windows(log: EventLog, actors: ActorSet, width: float, shift: float,
+                   n_windows: int) -> list[WindowTfidf]:
+    """tfidf_windows of a non-empty log over a grid of n_windows windows."""
+    keep = np.array([u in actors.actors for u in log.users], dtype=bool)[log.user]
+    user, item, layer = log.user[keep], log.item[keep], log.action[keep]
+    lo, hi = _window_ranges(log.ts[keep], log.time_span[0], width, shift, n_windows)
     # one row per (event, window); lw numbers layer-windows in ACTIONS order
     count = np.maximum(hi - lo + 1, 0)
     ev = np.repeat(np.arange(len(count)), count)
@@ -353,8 +350,8 @@ def tfidf_windows(log: EventLog, actors: ActorSet, width: float,
     df = np.empty_like(tf)
     df[by_item] = np.bincount(pair_id)[pair_id]
     # math.log, not np.log: the two differ in the last bit for some ratios
-    key, pair = np.unique(n_active * (len(user_names) + 1) + df, return_inverse=True)
-    n_w, df_w = np.divmod(key, len(user_names) + 1)
+    key, pair = np.unique(n_active * (len(log.users) + 1) + df, return_inverse=True)
+    n_w, df_w = np.divmod(key, len(log.users) + 1)
     idf = np.array([math.log(n / d) for n, d in zip(n_w.tolist(), df_w.tolist())], dtype=float)
     weight = tf * idf[pair]
     keep = weight > 0.0
@@ -368,6 +365,7 @@ def tfidf_windows(log: EventLog, actors: ActorSet, width: float,
     col = np.empty_like(row)
     col[by_item] = np.cumsum(new_item) - 1
     records = []
+    user_names, item_names = np.array(log.users, dtype=object), np.array(log.items, dtype=object)
     bounds = np.append(np.flatnonzero(_run_starts(lw)), len(lw))
     for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         users = tuple(user_names[user[s:e][new_user[s:e]]].tolist())
@@ -458,12 +456,17 @@ def merge_windows(graphs: list[LayerGraph], layer: str | None = None) -> LayerGr
 def build_multiplex(log: EventLog, actors: ActorSet, width: float,
                     shift: float) -> MultiplexNetwork:
     """Full network construction: per-window TF-IDF matrices, their cosine
-    graphs, and window merging for each of the five layers.
+    graphs, and window merging for each of the five layers, one layer at a
+    time, so that only its TF-IDF entries and window graphs are alive.
     """
     layers = {a: LayerGraph(a) for a in ACTIONS}
-    # one layer's window graphs at a time: the records come in ACTIONS order
-    for a, records in groupby(tfidf_windows(log, actors, width, shift), attrgetter("layer")):
-        parts = [layer_window_graph(m) for m in records]
+    n_windows = len(window_slices(log.time_span, width, shift)) if len(log) else 0
+    for k, a in enumerate(ACTIONS):
+        in_layer = log.action == k
+        if not in_layer.any():
+            continue
+        parts = [layer_window_graph(m)
+                 for m in _tfidf_windows(log.masked(in_layer), actors, width, shift, n_windows)]
         layers[a] = merge_windows(parts, a).edge_subgraph()
         logger.info("build_multiplex: layer %s -> %d nodes, %d edges from %d window graphs",
                     a, layers[a].n_nodes, layers[a].n_edges, len(parts))

@@ -558,8 +558,13 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
               ("a_community", "b_community", "overlap", "cosine"),
               [*cosine_rows, ("mean", "-", "-", mean)])
 
+    # two principal axes need three communities and two descriptors that vary
     pca_records = []
-    if len(vectors) >= 3:
+    varying = (int(np.count_nonzero(np.std(vectors, axis=0, ddof=1) > 0.0))
+               if len(vectors) >= 3 else 0)
+    skipped = (f"only {len(vectors)} communities" if len(vectors) < 3
+               else f"only {varying} descriptors vary" if varying < 2 else None)
+    if skipped is None:
         coords, ratios = pca_project(vectors, dims=2)
         pca_records.append({"record": "pca_ratios", "ratios": ratios.tolist()})
         for (side, comm_id, label, _), xy in zip(comm_rows, coords):
@@ -567,8 +572,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
                                 "community": str(comm_id), "label": label,
                                 "x": float(xy[0]), "y": float(xy[1])})
     else:
-        pca_records.append({"record": "pca_skipped",
-                            "reason": f"only {len(vectors)} communities"})
+        pca_records.append({"record": "pca_skipped", "reason": skipped})
     ctx.records(os.path.join(cfg.out, f"pca_{cid}.jsonl"), pca_records)
 
     # node metrics: lost and common nodes live in the baseline graph A,

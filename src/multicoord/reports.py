@@ -229,7 +229,7 @@ def read_ground_truth(path: str) -> dict:
 def write_events_tsv(path: str, log, version: str = "0",
                      cfg_hash: str = UNHASHED) -> None:
     """Standard 4-column event file: user, action, item, timestamp."""
-    _write_table(path, zip(log.user, log.action, log.item, map(_fmt, log.ts.tolist())),
+    _write_table(path, zip(*log.decoded(), map(_fmt, log.ts.tolist())),
                  (), (), version, cfg_hash)
 
 

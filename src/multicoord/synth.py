@@ -186,7 +186,7 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
     log = EventLog.from_events(rows, time_span=(0.0, span_s))
     truth = GroundTruth(assignment=assignment, active_layers=active,
                         noise_users=noise_users)
-    planted = sum(1 for i in log.item if i.startswith("c"))
+    planted = sum(1 for r in rows if r[2].startswith("c"))
     logger.info("synth: %d events (%d planted, %d noise) over %d windows, %d users",
                 len(log), planted, len(log) - planted, len(windows), cfg.n_users)
     return log, truth

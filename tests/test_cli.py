@@ -358,3 +358,47 @@ def test_synth_section_defaults_to_no_planted_communities(tmp_path):
     cfg = RunConfig.from_dict({"synth": {"n_users": 10, "seed": 1}},
                               base_dir=str(tmp_path))
     assert cfg.synth.n_communities == 0 and cfg.synth.strengths == ()
+
+
+def test_multi_against_a_layer_without_edges_exits_2(tmp_path, capsys):
+    # no hst event: the multiplex partition has no hst node, and restricting
+    # it to hst used to end compare and characterize with a ValueError
+    # traceback and exit code 1
+    events = tmp_path / "events.tsv"
+    events.write_text("".join(f"u{k}\t{a}\t{a}{k % 2}\t{k}\n"
+                              for k in range(8) for a in ("rtw", "men")))
+    cfg = write_cfg(tmp_path / "run.json", {"input": str(events), "schema": "tsv",
+                                            "out": str(tmp_path / "out")})
+    assert main(["build", "--config", cfg]) == 0
+    assert main(["detect", "--config", cfg, "--mode", "multi"]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg, "--ref", "multi", "--other", "hst"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: layer 'hst'"), err
+    assert not os.path.exists(tmp_path / "out" / "overlap_multi-hst_vs_hst.tsv")
+
+
+@pytest.mark.parametrize("weights, varying", [((1.0, 1.0, 1.0), 0), ((1.0, 0.5, 0.25), 1)])
+def test_characterize_skips_pca_when_fewer_than_two_descriptors_vary(tmp_path, capsys,
+                                                                     weights, varying):
+    # three equal triangles per layer, one community each: every descriptor
+    # but avg_weight is constant, and avg_weight varies only with the
+    # weights; PCA onto two axes used to raise a ValueError
+    out = tmp_path / "out"
+    out.mkdir()
+    head = "# multicoord 0 config x\n"
+    for layer in ("rtw", "rpl"):
+        rows = "".join(f"n{c}{i}\tn{c}{j}\t{w}\t1\t1\n"
+                       for c, w in enumerate(weights) for i, j in ((0, 1), (0, 2), (1, 2)))
+        (out / f"edges_{layer}.tsv").write_text(
+            f"{head}# layer {layer}\nuser_a\tuser_b\tweight\tco_actions\twindow_count\n" + rows)
+        (out / f"partition_{layer}.tsv").write_text(
+            f"{head}# scope {layer}\n# gamma 1.0\nuser_id\tcommunity_id\n"
+            + "".join(f"n{c}{i}\t{c}\n" for c in range(3) for i in range(3)))
+    cfg = write_cfg(tmp_path / "run.json", {"out": str(out)})
+    assert main(["compare", "--config", cfg, "--ref", "rtw", "--other", "rpl"]) == 0
+    assert main(["characterize", "--config", cfg, "--ref", "rtw", "--other", "rpl"]) == 0
+    records = read_records(str(out / "pca_rtw_vs_rpl.jsonl"))
+    assert [r for r in records if r.get("record") != "meta"] == [
+        {"record": "pca_skipped", "reason": f"only {varying} descriptors vary"}]
+    capsys.readouterr()

@@ -15,6 +15,7 @@ from multicoord.community import (GAIN_TOLERANCE, MultiplexPartition, Partition,
                                   flatten_intersection, flatten_union,
                                   generalized_louvain, louvain, modularity,
                                   multislice_modularity, restrict_to_layer)
+from multicoord.errors import DataError
 from multicoord.netbuild import LayerGraph, MultiplexNetwork
 
 
@@ -297,7 +298,7 @@ def test_restrict_to_layer():
     assert r.assignment == {"u1": 0, "u2": 0, "u3": 1}
     r2 = restrict_to_layer(mp, "rpl")
     assert r2.assignment == {"u1": 0}
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="layer 'hst' has no node"):
         restrict_to_layer(mp, "hst")
 
 

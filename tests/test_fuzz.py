@@ -1,0 +1,84 @@
+"""End-to-end fuzz: tiny random event logs through every CLI step, in process.
+
+Each log goes through build, every detect mode, and compare + characterize
+on two pairs, one of them multi against a layer. The oracle: every step
+exits 0, or 2 with a ``data error:`` line; none raises, so none would end a
+CLI process with a traceback.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from multicoord.cli import main  # noqa: E402
+from multicoord.ingest import ACTIONS  # noqa: E402
+from multicoord.pipeline import DETECT_MODES, FLAT_SCOPES  # noqa: E402
+
+
+def _config(width_hours, shift_hours, fraction, max_nodes, seed):
+    return {"schema": "tsv", "width_hours": width_hours, "shift_hours": shift_hours,
+            "fraction": fraction, "filter": {"max_nodes": max_nodes},
+            "detection": {"seed": seed}}
+
+
+@st.composite
+def studies(draw):
+    """(TSV event lines, run config, (ref, other) pairs) of a tiny study:
+    1-12 users, 1-6 items, 1-5 action types and 1-80 events over up to two
+    days."""
+    n_users, n_items = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    actions = draw(st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=5, unique=True))
+    n_events, span = draw(st.integers(1, 80)), draw(st.sampled_from([3600, 6 * 3600, 48 * 3600]))
+    rows = draw(st.lists(st.tuples(st.integers(0, n_users - 1), st.sampled_from(actions),
+                                   st.integers(0, n_items - 1), st.integers(0, span)),
+                         min_size=n_events, max_size=n_events))
+    cfg = _config(draw(st.sampled_from([1.0, 6.0, 24.0])),
+                  draw(st.sampled_from([0.5, 5.0, 24.0])),
+                  draw(st.sampled_from([0.25, 0.5, 1.0])), draw(st.integers(1, 12)),
+                  draw(st.integers(0, 3)))
+    pairs = [("multi", draw(st.sampled_from(ACTIONS))),
+             (draw(st.sampled_from(FLAT_SCOPES)), draw(st.sampled_from(actions)))]
+    return [f"u{u}\t{a}\ti{i}\t{t}\n" for u, a, i, t in rows], cfg, pairs
+
+
+def _steps(pairs):
+    yield ("build",)
+    for mode in DETECT_MODES:
+        yield ("detect", "--mode", mode) + (("--layer", pairs[0][1]) if mode == "mono" else ())
+    for ref, other in pairs:
+        yield ("compare", "--ref", ref, "--other", other)
+        yield ("characterize", "--ref", ref, "--other", other)
+
+
+@settings(max_examples=25, deadline=None)
+@given(studies())
+# no hst event, so the multi partition has no hst node to restrict to
+@example(([f"u{k}\trtw\ti{k % 2}\t{k}\n" for k in range(6)], _config(6.0, 5.0, 1.0, 12, 0),
+          [("multi", "hst"), ("unfl-sum", "rtw")]))
+# unfl-ec against men, where one descriptor varies over the communities:
+# PCA has one axis
+@example(([f"u{u}\tmen\ti{i}\t{t}\n" for u, i, t in (
+    (0, 1, 1041), (2, 4, 21599), (3, 4, 978), (3, 3, 156), (4, 4, 132), (6, 4, 202),
+    (1, 0, 955), (5, 1, 1234), (5, 2, 17972), (6, 3, 1641))],
+    _config(1.0, 5.0, 0.5, 11, 0), [("multi", "men"), ("unfl-ec", "men")]))
+def test_every_cli_step_exits_0_or_2_on_tiny_logs(study):
+    lines, cfg, pairs = study
+    with tempfile.TemporaryDirectory() as tmp:
+        events, path = os.path.join(tmp, "events.tsv"), os.path.join(tmp, "run.json")
+        with open(events, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**cfg, "input": events, "out": os.path.join(tmp, "out")}, fh)
+        for argv in _steps(pairs):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([argv[0], "--config", path, *argv[1:]])
+            assert code in (0, 2), (argv, code, err.getvalue())
+            assert code == 0 or "data error:" in err.getvalue(), (argv, err.getvalue())
