@@ -91,8 +91,9 @@ else:
 
 print("\nmultislice run (multi, omega=0.1), restricted per layer")
 mp = generalized_louvain(net, gamma=1.0, omega=0.1, seed=42)
+layers = sorted({layer for _, layer in mp.assignment})
 print(f"  joint     {mp.n_communities():2d} communities over "
-      f"{len(mp.layers())} layers")
-for a in mp.layers():
+      f"{len(layers)} layers")
+for a in layers:
     p = restrict_to_layer(mp, a)
     print(f"  multi|{a:3s} {describe(p.assignment)}")

@@ -23,10 +23,9 @@ from .netbuild import (EdgeRowError, LayerGraph, MultiplexNetwork, Window,
 from .filternet import (FilterConfig, FilterReport, auto_threshold,
                         filter_by_actions, filter_by_weight, filter_layer,
                         filter_multiplex)
-from .community import (MultiplexPartition, Partition, communities,
-                        flatten_intersection, flatten_union,
-                        generalized_louvain, louvain, modularity,
-                        multislice_modularity, restrict_to_layer)
+from .community import (Partition, communities, flatten_intersection,
+                        flatten_union, generalized_louvain, louvain,
+                        modularity, multislice_modularity, restrict_to_layer)
 from .compare import (COMMON, GAINED, LOST, MatchResult, OverlapMatrix,
                       actor_coverage, community_sets, edge_coverage,
                       hungarian_match, label_communities, label_nodes, nmi,
@@ -52,7 +51,7 @@ __all__ = [
     "merge_windows", "build_multiplex",
     "FilterConfig", "FilterReport", "filter_by_actions", "auto_threshold",
     "filter_by_weight", "filter_layer", "filter_multiplex",
-    "Partition", "MultiplexPartition", "communities",
+    "Partition", "communities",
     "louvain", "modularity", "multislice_modularity", "generalized_louvain",
     "flatten_union", "flatten_intersection", "restrict_to_layer",
     "OverlapMatrix", "MatchResult", "COMMON", "LOST", "GAINED",

@@ -16,7 +16,9 @@ single layer reduces Q to standard Newman-Girvan modularity, which the
 test suite checks to 1e-12. One shared engine runs both cases: a node
 carries a per-layer strength vector, so the aggregated problem keeps the
 factorized per-layer null model while coupling weights behave as plain
-edges. Each aggregation level is one symmetric CSR, and numpy grouping
+edges. Both end in one tail that returns one Partition type: a layer or
+flattened scope maps actors, and scope "multi" maps (actor, layer)
+supra-nodes. Each aggregation level is one symmetric CSR, and numpy grouping
 builds the next. Local moving drains a FIFO queue that starts as a seeded
 shuffle of every node; a node that moves requeues its neighbours outside
 its new community, so later visits go only where a neighbour moved
@@ -57,39 +59,24 @@ UNION_STRATEGIES = ("nw", "ec", "sum")
 
 @dataclass(frozen=True)
 class Partition:
-    """Node -> community assignment for one scope (a layer or a flattened
-    network), with the resolution used, the per-pass modularity trace of
-    the optimization that produced it, and the node visits and moves of
-    each pass (all empty for derived partitions).
+    """Node -> community assignment for one scope, with the resolution used,
+    the per-pass modularity trace of the optimization that produced it, and
+    the node visits and moves of each pass (all empty for derived
+    partitions). A layer or flattened scope maps actors; scope "multi" maps
+    (actor, layer) supra-nodes, its communities may span layers, and omega
+    is the coupling it was detected with (None for every other scope).
     """
 
     scope: str
-    assignment: dict[str, int]
+    assignment: dict
     gamma: float = 1.0
     trace: tuple[float, ...] = ()
     visits: tuple[int, ...] = ()
     moves: tuple[int, ...] = ()
+    omega: float | None = None
 
     def n_communities(self) -> int:
         return len(set(self.assignment.values()))
-
-
-@dataclass(frozen=True)
-class MultiplexPartition:
-    """(actor, layer) -> community assignment; communities may span layers."""
-
-    assignment: dict[tuple[str, str], int]
-    gamma: float = 1.0
-    omega: float = 0.1
-    trace: tuple[float, ...] = ()
-    visits: tuple[int, ...] = ()
-    moves: tuple[int, ...] = ()
-
-    def n_communities(self) -> int:
-        return len(set(self.assignment.values()))
-
-    def layers(self) -> tuple[str, ...]:
-        return tuple(sorted({layer for (_, layer) in self.assignment}))
 
 
 def communities(assignment: dict) -> dict[int, frozenset]:
@@ -102,10 +89,8 @@ def communities(assignment: dict) -> dict[int, frozenset]:
 
 def _canonical_ids(assignment: dict) -> dict:
     """Relabel community ids densely: by decreasing size, then smallest member."""
-    groups = defaultdict(list)
-    for node, cid in assignment.items():
-        groups[cid].append(node)
-    ordered = sorted(groups.values(), key=lambda members: (-len(members), min(members)))
+    ordered = sorted(communities(assignment).values(),
+                     key=lambda members: (-len(members), min(members)))
     return {node: i for i, members in enumerate(ordered) for node in members}
 
 
@@ -149,7 +134,7 @@ def modularity(g: LayerGraph, p: Partition, gamma: float = 1.0) -> float:
                      for i, k in zip(internal.tolist(), comm_k.tolist()))
 
 
-def multislice_modularity(net: MultiplexNetwork, p: MultiplexPartition,
+def multislice_modularity(net: MultiplexNetwork, p: Partition,
                           gamma: float = 1.0, omega: float = 0.1) -> float:
     """Multislice modularity with categorical (all-to-all) coupling.
 
@@ -339,6 +324,26 @@ def _optimize(prob: _Problem, gamma: float, inv_two_m: list[float], two_mu: floa
 # public detection operations
 
 
+def _detect(scope: str, names: tuple | list, prob: _Problem, two_m: list[float],
+            coupling_total: float, gamma: float, omega: float | None, seed: int) -> Partition:
+    """The one Louvain tail: optimize the level-0 problem over the named
+    nodes, whose layers have 2m two_m and whose couplings weigh
+    coupling_total in all. With 2mu = 0 nothing can gain, so every node is
+    its own community.
+    """
+    two_mu = math.fsum(two_m) + coupling_total
+    if two_mu == 0.0:
+        comm, trace, passes = list(range(len(names))), [0.0], [(len(names), 0)]
+    else:
+        inv_two_m = [1.0 / m if m > 0.0 else 0.0 for m in two_m]
+        comm, trace, passes = _optimize(prob, gamma, inv_two_m, two_mu, random.Random(seed))
+    assignment = _canonical_ids(dict(zip(names, comm)))
+    logger.info("louvain[%s]: %d nodes -> %d communities, Q=%.6f (%d passes)",
+                scope, len(names), len(set(assignment.values())), trace[-1], len(trace))
+    visits, moves = zip(*passes)
+    return Partition(scope, assignment, gamma, tuple(trace), visits, moves, omega)
+
+
 def louvain(g: LayerGraph, gamma: float = 1.0, seed: int = 42) -> Partition:
     """Greedy modularity optimization on a single graph.
 
@@ -347,20 +352,8 @@ def louvain(g: LayerGraph, gamma: float = 1.0, seed: int = 42) -> Partition:
     """
     if not g.nodes:
         raise DataError(f"cannot run louvain on empty graph {g.layer!r}")
-    names = g.nodes
-    if not g.n_edges:
-        return Partition(scope=g.layer, assignment={u: i for i, u in enumerate(names)},
-                         gamma=gamma, trace=(0.0,), visits=(len(names),), moves=(0,))
-    n = len(names)
-    prob = _Problem(*_symmetric_csr(n, g.u, g.v, g.weight), _strengths(g)[:, None])
-    two_m = 2.0 * g.total_weight()
-    comm, trace, passes = _optimize(prob, gamma, [1.0 / two_m], two_m, random.Random(seed))
-    assignment = _canonical_ids(dict(zip(names, comm)))
-    logger.info("louvain[%s]: %d nodes -> %d communities, Q=%.6f (%d passes)",
-                g.layer, n, len(set(assignment.values())), trace[-1], len(trace))
-    visits, moves = zip(*passes)
-    return Partition(scope=g.layer, assignment=assignment, gamma=gamma, trace=tuple(trace),
-                     visits=visits, moves=moves)
+    prob = _Problem(*_symmetric_csr(g.n_nodes, g.u, g.v, g.weight), _strengths(g)[:, None])
+    return _detect(g.layer, g.nodes, prob, [2.0 * g.total_weight()], 0.0, gamma, None, seed)
 
 
 def _supra_graph(net: MultiplexNetwork,
@@ -400,28 +393,15 @@ def _supra_graph(net: MultiplexNetwork,
 
 
 def generalized_louvain(net: MultiplexNetwork, gamma: float = 1.0,
-                        omega: float = 0.1, seed: int = 42) -> MultiplexPartition:
-    """Multislice community detection over the (actor, layer) supra-graph.
+                        omega: float = 0.1, seed: int = 42) -> Partition:
+    """Multislice community detection over the (actor, layer) supra-graph;
+    returns the partition of scope "multi".
 
     Intra-layer edges keep their weights and per-layer null models; every
     actor's copies are coupled all-to-all with weight omega (edges without
     a null-model term). Deterministic for a fixed seed.
     """
-    names, prob, two_m, coupling_total = _supra_graph(net, omega)
-    two_mu = math.fsum(two_m) + coupling_total
-    if two_mu == 0.0:
-        assignment = _canonical_ids({node: i for i, node in enumerate(names)})
-        return MultiplexPartition(assignment=assignment, gamma=gamma, omega=omega, trace=(0.0,),
-                                  visits=(len(names),), moves=(0,))
-    inv_two_m = [1.0 / m if m > 0.0 else 0.0 for m in two_m]
-    comm, trace, passes = _optimize(prob, gamma, inv_two_m, two_mu, random.Random(seed))
-    assignment = _canonical_ids(dict(zip(names, comm)))
-    logger.info("generalized_louvain: %d supra-nodes over %d layers -> %d communities, "
-                "Q=%.6f (%d passes)", len(names), len(two_m),
-                len(set(assignment.values())), trace[-1], len(trace))
-    visits, moves = zip(*passes)
-    return MultiplexPartition(assignment=assignment, gamma=gamma, omega=omega,
-                              trace=tuple(trace), visits=visits, moves=moves)
+    return _detect("multi", *_supra_graph(net, omega), gamma, omega, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +452,7 @@ def flatten_intersection(net: MultiplexNetwork) -> LayerGraph:
     return flat.edge_subgraph(carried == len(layer_order))
 
 
-def restrict_to_layer(p: MultiplexPartition, layer: str) -> Partition:
+def restrict_to_layer(p: Partition, layer: str) -> Partition:
     """Project a multiplex partition onto one layer (C restricted to V^l),
     re-expressed as actor -> community id with canonical dense ids. A layer
     without nodes is a DataError: there is nothing to compare or characterize.

@@ -1,7 +1,7 @@
 """Agreement between two community structures.
 
-Given community sets from two approaches A and B, this module computes the
-harmonic-mean overlap matrix
+Given community sets from two approaches A and B (Partitions of any scope,
+or plain maps), this module computes the harmonic-mean overlap matrix
 
     r_ij = |C_i^A n C_j^B| / |C_i^A|,   r_ji = |C_i^A n C_j^B| / |C_j^B|,
     o_ij = 2 r_ij r_ji / (r_ij + r_ji)   (0 when the intersection is empty)
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UndefinedMetricError
-from .community import MultiplexPartition, Partition, communities
+from .community import Partition, communities
 from .netbuild import _group_pairs
 
 logger = logging.getLogger(__name__)
@@ -38,11 +38,11 @@ GAINED = "gained"
 def community_sets(source, min_size: int = 0) -> dict:
     """Normalize a community-set source into {community_id: frozenset}.
 
-    Accepts a Partition / MultiplexPartition, a node -> community-id
-    assignment map, or a community-id -> member-set map, whose communities
-    must be disjoint. Communities with size <= min_size are dropped.
+    Accepts a Partition of any scope ("multi" included), a node ->
+    community-id assignment map, or a community-id -> member-set map, whose
+    communities must be disjoint. Communities with size <= min_size are dropped.
     """
-    if isinstance(source, (Partition, MultiplexPartition)):
+    if isinstance(source, Partition):
         sets = communities(source.assignment)
     elif isinstance(source, dict):
         if source and all(isinstance(v, (set, frozenset, list, tuple)) for v in source.values()):

@@ -467,7 +467,7 @@ def build_multiplex(log: EventLog, actors: ActorSet, width: float,
             continue
         parts = [layer_window_graph(m)
                  for m in _tfidf_windows(log.masked(in_layer), actors, width, shift, n_windows)]
-        layers[a] = merge_windows(parts, a).edge_subgraph()
+        layers[a] = merge_windows(parts, a)
         logger.info("build_multiplex: layer %s -> %d nodes, %d edges from %d window graphs",
                     a, layers[a].n_nodes, layers[a].n_edges, len(parts))
     return MultiplexNetwork(actors=actors, layers=layers)

@@ -37,8 +37,8 @@ from .ingest import (ACTIONS, StopLists, apply_stoplists, load_stoplist,
                      parse_events, select_users)
 from .netbuild import LayerGraph, MultiplexNetwork, build_multiplex
 from .filternet import FilterConfig, filter_multiplex
-from .community import (UNION_STRATEGIES, flatten_intersection, flatten_union,
-                        generalized_louvain, louvain, modularity,
+from .community import (UNION_STRATEGIES, Partition, flatten_intersection,
+                        flatten_union, generalized_louvain, louvain, modularity,
                         multislice_modularity, restrict_to_layer)
 from .compare import (hungarian_match, label_communities, label_nodes, nmi,
                       overlap_matrix, actor_coverage, edge_coverage,
@@ -309,36 +309,43 @@ def run_build(cfg: RunConfig) -> dict:
 
 # ---------------------------------------------------------------- detect
 
-def _louvain_facts(p) -> dict:
-    """Louvain passes, and the node visits and moves of each pass."""
-    return {"passes": len(p.trace), "visits": list(p.visits), "moves": list(p.moves)}
+def _summary(scope: str, p: Partition | None = None, modularity: float | None = None,
+             **settings) -> dict:
+    """The partition_summary record of one scope. Without a partition the
+    scope had no node, and detect wrote none for it. With one: its size,
+    quality and detection settings, and the Louvain passes with the node
+    visits and moves of each.
+    """
+    rec = {"record": "partition_summary", "scope": scope, "empty": p is None,
+           "n_nodes": 0, "n_communities": 0, "modularity": modularity}
+    if p is None:
+        logger.warning("detect: scope %s is empty; writing no partition", scope)
+    else:
+        rec.update(n_nodes=len(p.assignment), n_communities=p.n_communities(), **settings,
+                   passes=len(p.trace), visits=list(p.visits), moves=list(p.moves))
+    return rec
 
 
 def _detect_graph(cfg: RunConfig, ctx: ReportContext, g: LayerGraph) -> dict:
     """Louvain on one layer or flattened graph; its scope is g.layer."""
-    scope = g.layer
     if not g.nodes:
-        logger.warning("detect: scope %s is empty; writing no partition", scope)
-        return {"record": "partition_summary", "scope": scope, "empty": True,
-                "n_nodes": 0, "n_communities": 0, "modularity": None}
+        return _summary(g.layer)
     det = cfg.detection
     p = louvain(g, gamma=det.gamma, seed=det.seed)
-    ctx.partition(_partition_path(cfg.out, scope), p)
-    return {"record": "partition_summary", "scope": scope, "empty": False,
-            "n_nodes": len(p.assignment), "n_communities": p.n_communities(),
-            "modularity": modularity(g, p, gamma=det.gamma),
-            "gamma": det.gamma, "seed": det.seed, **_louvain_facts(p)}
+    ctx.partition(_partition_path(cfg.out, g.layer), p)
+    return _summary(g.layer, p, modularity(g, p, gamma=det.gamma),
+                    gamma=det.gamma, seed=det.seed)
 
 
 def _detect_multi(cfg: RunConfig, ctx: ReportContext) -> dict:
     net = _load_network(cfg.out)
+    if not any(g.nodes for g in net.layers.values()):
+        return _summary("multi")
     det = cfg.detection
     p = generalized_louvain(net, gamma=det.gamma, omega=det.omega, seed=det.seed)
     ctx.multiplex_partition(_partition_path(cfg.out, "multi"), p)
-    return {"record": "partition_summary", "scope": "multi", "empty": not p.assignment,
-            "n_nodes": len(p.assignment), "n_communities": p.n_communities(),
-            "modularity": multislice_modularity(net, p, gamma=det.gamma, omega=det.omega),
-            "gamma": det.gamma, "omega": det.omega, "seed": det.seed, **_louvain_facts(p)}
+    return _summary("multi", p, multislice_modularity(net, p, gamma=det.gamma, omega=det.omega),
+                    gamma=det.gamma, omega=det.omega, seed=det.seed)
 
 
 def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
@@ -402,19 +409,24 @@ def _resolve_tokens(ref: str, other: str) -> tuple[tuple, tuple]:
 
 
 def _load_approach(out: str, base: str, restriction: str | None):
-    """Returns (community source, display token, metric graph scope or None)."""
-    if base == "multi":
-        path = _partition_path(out, "multi")
-        if not os.path.exists(path):
-            raise DataError(f"missing partition {path}; run detect --mode multi first")
-        p = reports.read_multiplex_partition_tsv(path)
-        if restriction is not None:
-            return restrict_to_layer(p, restriction), f"multi-{restriction}", restriction
-        return p, "multi", None
+    """Returns (community source, display token, metric graph scope or None).
+
+    Detect writes no partition for a scope without a node, so a missing
+    partition file names its scope when that scope's graphs are empty.
+    """
     path = _partition_path(out, base)
     if not os.path.exists(path):
+        graphs = (_load_network(out).layers.values() if base == "multi"
+                  else [_load_layer_graph(out, base)])
+        if not any(g.nodes for g in graphs):
+            raise DataError(f"scope {base!r} has no edge, so detect wrote no partition for it")
         raise DataError(f"missing partition {path}; run detect first")
-    return reports.read_partition_tsv(path), base, base
+    if base != "multi":
+        return reports.read_partition_tsv(path), base, base
+    p = reports.read_multiplex_partition_tsv(path)
+    if restriction is not None:
+        return restrict_to_layer(p, restriction), f"multi-{restriction}", restriction
+    return p, "multi", None
 
 
 def comparison_id(ref: str, other: str) -> str:

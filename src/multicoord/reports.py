@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import DataError
-from .community import MultiplexPartition, Partition
+from .community import Partition
 from .netbuild import EdgeRowError, LayerGraph, _component_labels
 
 logger = logging.getLogger(__name__)
@@ -163,7 +163,7 @@ def read_partition_tsv(path: str) -> Partition:
                      gamma=_number(path, directives, "gamma", 1.0))
 
 
-def write_multiplex_partition_tsv(path: str, p: MultiplexPartition, version: str = "0",
+def write_multiplex_partition_tsv(path: str, p: Partition, version: str = "0",
                                   cfg_hash: str = UNHASHED) -> None:
     _write_table(path, ((*key, str(p.assignment[key])) for key in sorted(p.assignment)),
                  ("user_id", "layer", "community_id"),
@@ -171,14 +171,13 @@ def write_multiplex_partition_tsv(path: str, p: MultiplexPartition, version: str
                  version, cfg_hash)
 
 
-def read_multiplex_partition_tsv(path: str) -> MultiplexPartition:
+def read_multiplex_partition_tsv(path: str) -> Partition:
     directives, line_nos, rows = _tsv_rows(path, "multiplex partition", 3)
     assignment = _assignment(path, line_nos, rows, "(user, layer)")
     if not assignment:
         raise DataError(f"{path}: empty multiplex partition")
-    return MultiplexPartition(assignment=assignment,
-                              gamma=_number(path, directives, "gamma", 1.0),
-                              omega=_number(path, directives, "omega", 0.1))
+    return Partition("multi", assignment, gamma=_number(path, directives, "gamma", 1.0),
+                     omega=_number(path, directives, "omega", 0.1))
 
 
 def write_overlap_tsv(path: str, O, version: str = "0", cfg_hash: str = UNHASHED) -> None:

@@ -16,7 +16,7 @@ import pytest
 from conftest import edge_dict, random_layer
 from multicoord.characterize import (brunner_munzel, community_metrics,
                                      node_metrics)
-from multicoord.community import (MultiplexPartition, Partition, communities,
+from multicoord.community import (Partition, communities,
                                   flatten_intersection, flatten_union,
                                   generalized_louvain, louvain, modularity,
                                   multislice_modularity, restrict_to_layer)
@@ -180,8 +180,7 @@ def test_criterion_06_multislice_reduction():
             continue
         net = MultiplexNetwork.from_layers({"rtw": g})
         assign = louvain(g, seed=int(rng.integers(1000))).assignment
-        mp = MultiplexPartition({(n, "rtw"): c for n, c in assign.items()},
-                                omega=0.0)
+        mp = Partition("multi", {(n, "rtw"): c for n, c in assign.items()}, omega=0.0)
         q_multi = multislice_modularity(net, mp, gamma=1.0, omega=0.0)
         q_std = modularity(g, Partition("rtw", assign))
         if abs(q_multi - q_std) > 1e-12:

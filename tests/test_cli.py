@@ -402,3 +402,25 @@ def test_characterize_skips_pca_when_fewer_than_two_descriptors_vary(tmp_path, c
     assert [r for r in records if r.get("record") != "meta"] == [
         {"record": "pca_skipped", "reason": f"only {varying} descriptors vary"}]
     capsys.readouterr()
+
+
+def test_compare_names_a_scope_without_an_edge(tmp_path, capsys):
+    # two users with no item in common: no layer has an edge. detect --mode
+    # multi used to exit 2, and compare then said "run detect first"
+    events = tmp_path / "events.tsv"
+    events.write_text("u0\trtw\ti0\t1\nu1\trtw\ti1\t2\n")
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "run.json", {"input": str(events), "schema": "tsv",
+                                            "out": str(out)})
+    assert main(["build", "--config", cfg]) == 0
+    for mode in ("multi", "unfl-sum"):
+        assert main(["detect", "--config", cfg, "--mode", mode]) == 0
+    summaries = [r for r in read_records(str(out / "detect_multi.jsonl"))
+                 if r["record"] != "meta"]
+    assert summaries == [{"record": "partition_summary", "scope": "multi", "empty": True,
+                          "n_nodes": 0, "n_communities": 0, "modularity": None}]
+    capsys.readouterr()
+    for ref in ("unfl-sum", "multi"):
+        assert main(["compare", "--config", cfg, "--ref", ref, "--other", "rtw"]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: scope {ref!r} has no edge, so detect wrote no partition for it\n")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import edge_dict, random_layer, two_clique_bridge
-from multicoord.community import (GAIN_TOLERANCE, MultiplexPartition, Partition, communities,
+from multicoord.community import (GAIN_TOLERANCE, Partition, communities,
                                   flatten_intersection, flatten_union,
                                   generalized_louvain, louvain, modularity,
                                   multislice_modularity, restrict_to_layer)
@@ -129,7 +129,7 @@ def test_multislice_hand_fixture():
         "rtw": LayerGraph.from_pairs("rtw", [("u", "v", 1.0)]),
         "rpl": LayerGraph.from_pairs("rpl", [("u", "v", 1.0)]),
     })
-    p = MultiplexPartition({("u", "rtw"): 0, ("v", "rtw"): 0,
+    p = Partition("multi", {("u", "rtw"): 0, ("v", "rtw"): 0,
                             ("u", "rpl"): 0, ("v", "rpl"): 0}, omega=0.5)
     q = multislice_modularity(net, p, gamma=1.0, omega=0.5)
     assert q == pytest.approx(1 / 3, abs=1e-15)
@@ -148,7 +148,7 @@ def test_multislice_omega_zero_reduces_to_weighted_layer_mean(rng):
         assign2 = louvain(g2, seed=1).assignment
         joint = {(n, "rtw"): ("rtw", c) for n, c in assign1.items()}
         joint.update({(n, "rpl"): ("rpl", c) for n, c in assign2.items()})
-        mp = MultiplexPartition(joint, omega=0.0)
+        mp = Partition("multi", joint, omega=0.0)
         q = multislice_modularity(net, mp, gamma=1.0, omega=0.0)
         m1, m2 = 2 * g1.total_weight(), 2 * g2.total_weight()
         q1 = modularity(g1, Partition("rtw", assign1))
@@ -289,9 +289,8 @@ def test_flattened_graph_feeds_louvain():
 
 
 def test_restrict_to_layer():
-    mp = MultiplexPartition({("u1", "rtw"): 5, ("u2", "rtw"): 5,
-                             ("u3", "rtw"): 9, ("u1", "rpl"): 9},
-                            gamma=1.3)
+    mp = Partition("multi", {("u1", "rtw"): 5, ("u2", "rtw"): 5,
+                             ("u3", "rtw"): 9, ("u1", "rpl"): 9}, gamma=1.3)
     r = restrict_to_layer(mp, "rtw")
     assert r.scope == "rtw" and r.gamma == 1.3
     # canonical ids: {u1, u2} is larger -> 0, {u3} -> 1

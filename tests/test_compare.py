@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from multicoord.community import MultiplexPartition, Partition
+from multicoord.community import Partition
 from multicoord.compare import (COMMON, GAINED, LOST, community_sets,
                                 actor_coverage, edge_coverage,
                                 hungarian_match, label_communities,
@@ -25,7 +25,7 @@ def test_community_sets_accepts_all_shapes():
     assert community_sets(Partition("rtw", {"a": 0, "b": 0, "c": 1})) == want
     assert community_sets({"a": 0, "b": 0, "c": 1}) == want
     assert community_sets({0: {"a", "b"}, 1: {"c"}}) == want
-    mp = MultiplexPartition({("a", "rtw"): 0, ("b", "rtw"): 0, ("c", "rpl"): 1})
+    mp = Partition("multi", {("a", "rtw"): 0, ("b", "rtw"): 0, ("c", "rpl"): 1})
     got = community_sets(mp)
     assert got == {0: frozenset({("a", "rtw"), ("b", "rtw")}),
                    1: frozenset({("c", "rpl")})}

@@ -3,10 +3,13 @@
 Each log goes through build, every detect mode, and compare + characterize
 on two pairs, one of them multi against a layer. The oracle: every step
 exits 0, or 2 with a ``data error:`` line; none raises, so none would end a
-CLI process with a traceback.
+CLI process with a traceback. Once every detect mode has run, no message
+asks to run detect: a scope without a partition is named as one without an
+edge. A step that exits 2 leaves the output directory as it found it.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -48,6 +51,17 @@ def studies(draw):
     return [f"u{u}\t{a}\ti{i}\t{t}\n" for u, a, i, t in rows], cfg, pairs
 
 
+def _digests(out):
+    """File name -> sha256 of the files in out."""
+    if not os.path.isdir(out):
+        return {}
+    digests = {}
+    for name in os.listdir(out):
+        with open(os.path.join(out, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
 def _steps(pairs):
     yield ("build",)
     for mode in DETECT_MODES:
@@ -72,13 +86,18 @@ def test_every_cli_step_exits_0_or_2_on_tiny_logs(study):
     lines, cfg, pairs = study
     with tempfile.TemporaryDirectory() as tmp:
         events, path = os.path.join(tmp, "events.tsv"), os.path.join(tmp, "run.json")
+        out = os.path.join(tmp, "out")
         with open(events, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({**cfg, "input": events, "out": os.path.join(tmp, "out")}, fh)
+            json.dump({**cfg, "input": events, "out": out}, fh)
         for argv in _steps(pairs):
+            before = _digests(out)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([argv[0], "--config", path, *argv[1:]])
             assert code in (0, 2), (argv, code, err.getvalue())
             assert code == 0 or "data error:" in err.getvalue(), (argv, err.getvalue())
+            assert "run detect" not in err.getvalue(), (argv, err.getvalue())
+            if code == 2:
+                assert _digests(out) == before, argv

@@ -20,7 +20,7 @@ from multicoord import characterize, ingest  # noqa: E402
 from multicoord.characterize import (CommunityMetrics, GraphCSR,  # noqa: E402
                                      _pagerank, _t_tail, _triangles,
                                      community_metrics, node_metrics)
-from multicoord.community import (MultiplexPartition, Partition,  # noqa: E402
+from multicoord.community import (Partition,  # noqa: E402
                                   _aggregate, _supra_graph, flatten_intersection,
                                   flatten_union, generalized_louvain, louvain,
                                   modularity, multislice_modularity)
@@ -1043,7 +1043,7 @@ def test_modularity_matches_dict_oracle(net, data, gamma, omega):
             assert modularity(net.layers[form[0]], p, gamma) == \
                 _modularity_oracle(form, assignment, gamma)
     supra = {(n, layer): data.draw(labels) for layer, nodes, _ in forms for n in sorted(nodes)}
-    p = MultiplexPartition(supra, gamma=gamma, omega=omega)
+    p = Partition("multi", supra, gamma=gamma, omega=omega)
     assert multislice_modularity(net, p, gamma, omega) == \
         _multislice_oracle(forms, supra, gamma, omega)
 
@@ -1420,5 +1420,5 @@ def test_tsv_round_trips(rows, assignment, supra):
         write_partition_tsv(path, Partition("hst", assignment))
         assert read_partition_tsv(path).assignment == assignment
 
-        write_multiplex_partition_tsv(path, MultiplexPartition(supra))
+        write_multiplex_partition_tsv(path, Partition("multi", supra, omega=0.1))
         assert read_multiplex_partition_tsv(path).assignment == supra

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import edge_dict
-from multicoord.community import MultiplexPartition, Partition
+from multicoord.community import Partition
 from multicoord.compare import overlap_matrix
 from multicoord.errors import DataError
 from multicoord.netbuild import LayerGraph
@@ -98,7 +98,7 @@ def test_partition_round_trip(tmp_path):
 
 def test_multiplex_partition_round_trip(tmp_path):
     p = tmp_path / "mp.tsv"
-    mp = MultiplexPartition({("u1", "rtw"): 0, ("u1", "rpl"): 0,
+    mp = Partition("multi", {("u1", "rtw"): 0, ("u1", "rpl"): 0,
                              ("u2", "rtw"): 1}, gamma=0.9, omega=0.25)
     write_multiplex_partition_tsv(str(p), mp)
     back = read_multiplex_partition_tsv(str(p))
@@ -161,8 +161,7 @@ def test_hash_prefixed_ids_round_trip(tmp_path):
     assert got_p.assignment == p.assignment
     assert got_p.scope == "rtw" and got_p.gamma == 0.75
 
-    mp = MultiplexPartition(assignment={("#alice", "rtw"): 0, ("bob", "hst"): 1},
-                            gamma=1.5, omega=0.25)
+    mp = Partition("multi", {("#alice", "rtw"): 0, ("bob", "hst"): 1}, gamma=1.5, omega=0.25)
     write_multiplex_partition_tsv(str(tmp_path / "m.tsv"), mp)
     got_mp = read_multiplex_partition_tsv(str(tmp_path / "m.tsv"))
     assert got_mp.assignment == mp.assignment
