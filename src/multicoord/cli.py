@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 usage or config error, 2 data error, 3 internal
 invariant violation. --seed overrides the config's detection seed (and the
 synth seed for the synth command); --out overrides the output directory.
 Both overrides are part of the effective config, so they change the config
-hash embedded in the reports.
+hash embedded in the reports. report reads no seed, so it takes none.
 """
 
 from __future__ import annotations
@@ -47,13 +47,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def paths(p, config_required=True):
         p.add_argument("--config", required=config_required,
                        help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the configured seed")
         p.add_argument("--out", default=None,
                        help="override the configured output directory")
+
+    def common(p):
+        paths(p)
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the configured seed")
 
     common(sub.add_parser("build", help="ingest events, build and filter the network"))
     p_detect = sub.add_parser("detect", help="run one operationalization")
@@ -74,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_char.add_argument("--other", required=True)
     common(sub.add_parser("synth", help="generate a synthetic log + ground truth"))
     p_report = sub.add_parser("report", help="summarize an output directory")
-    common(p_report, config_required=False)
+    paths(p_report, config_required=False)
     return parser
 
 
@@ -98,7 +101,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             if args.config is None and args.out is None:
                 raise ConfigError("report needs --out or --config")
-            out = args.out if args.out is not None else _load_config(args).out
+            out = args.out if args.out is not None else RunConfig.from_file(args.config).out
             sys.stdout.write(run_report(out))
             return 0
         cfg = _load_config(args)

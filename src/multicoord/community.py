@@ -141,21 +141,19 @@ def multislice_modularity(net: MultiplexNetwork, p: Partition,
     Every (actor, layer) node must be assigned; 2mu includes the coupling
     weight (omega per ordered pair of an actor's copies).
     """
-    layer_order = net.layer_names()
     layers_of: dict[str, list[str]] = defaultdict(list)
-    for layer in layer_order:
-        for node in net.layers[layer].nodes:
+    for layer, g in net.layers.items():
+        for node in g.nodes:
             if (node, layer) not in p.assignment:
                 raise DataError(f"partition does not cover ({node!r}, {layer!r})")
             layers_of[node].append(layer)
     coupling_total = omega * math.fsum(len(ls) * (len(ls) - 1) for ls in layers_of.values())
-    two_m = {layer: 2.0 * net.layers[layer].total_weight() for layer in layer_order}
+    two_m = {layer: 2.0 * g.total_weight() for layer, g in net.layers.items()}
     two_mu = math.fsum(two_m.values()) + coupling_total
     if two_mu == 0.0:
         return 0.0
     raw = 0.0
-    for layer in layer_order:
-        g = net.layers[layer]
+    for layer, g in net.layers.items():
         if not g.n_edges:
             continue
         label = _labels([p.assignment[(node, layer)] for node in g.nodes])
@@ -360,15 +358,14 @@ def _supra_graph(net: MultiplexNetwork,
                  omega: float) -> tuple[list[tuple[str, str]], _Problem, list[float], float]:
     """The level-0 problem of the (actor, layer) supra-graph: its node names,
     the problem, each layer's 2m and the total coupling weight."""
-    layer_order = net.layer_names()
-    graphs = [net.layers[layer] for layer in layer_order]
+    graphs = list(net.layers.values())
     # supra-node offset + i is (g.nodes[i], layer): layers in order, ids sorted
     offsets = np.cumsum([0] + [g.n_nodes for g in graphs]).tolist()
-    names = [(actor, layer) for layer, g in zip(layer_order, graphs) for actor in g.nodes]
+    names = [(actor, layer) for layer, g in net.layers.items() for actor in g.nodes]
     if not names:
         raise DataError("cannot run generalized_louvain on an empty network")
-    strength = np.zeros((len(names), len(layer_order)))
-    two_m = [0.0] * len(layer_order)
+    strength = np.zeros((len(names), len(graphs)))
+    two_m = [0.0] * len(graphs)
     for s, (off, g) in enumerate(zip(offsets, graphs)):
         strength[off:off + g.n_nodes, s] = _strengths(g)
         if g.n_edges:
@@ -382,7 +379,7 @@ def _supra_graph(net: MultiplexNetwork,
         actor = np.unique([a for a, _ in names], return_inverse=True)[1]
         by_actor = np.argsort(actor, kind="stable")
         grouped = actor[by_actor]
-        for d in range(1, len(layer_order)):
+        for d in range(1, len(graphs)):
             same = grouped[:-d] == grouped[d:]
             u.append(by_actor[:-d][same])
             v.append(by_actor[d:][same])
@@ -431,8 +428,7 @@ def flatten_union(net: MultiplexNetwork, strategy: str) -> LayerGraph:
     """
     if strategy not in UNION_STRATEGIES:
         raise ValueError(f"unknown union strategy {strategy!r}; expected one of {UNION_STRATEGIES}")
-    flat, carried = _flatten([net.layers[layer] for layer in net.layer_names()],
-                             f"unfl-{strategy}")
+    flat, carried = _flatten(list(net.layers.values()), f"unfl-{strategy}")
     if strategy == "nw":
         flat.weight = np.ones(flat.n_edges)
     elif strategy == "ec":
@@ -445,11 +441,10 @@ def flatten_intersection(net: MultiplexNetwork) -> LayerGraph:
     present in every layer, with summed weights; nodes are the endpoints of
     surviving edges.
     """
-    layer_order = net.layer_names()
-    if len(layer_order) < 2:
+    if len(net.layers) < 2:
         raise ValueError("intersection flattening needs at least 2 layers")
-    flat, carried = _flatten([net.layers[layer] for layer in layer_order], "intfl")
-    return flat.edge_subgraph(carried == len(layer_order))
+    flat, carried = _flatten(list(net.layers.values()), "intfl")
+    return flat.edge_subgraph(carried == len(net.layers))
 
 
 def restrict_to_layer(p: Partition, layer: str) -> Partition:

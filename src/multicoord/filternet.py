@@ -141,8 +141,7 @@ def filter_multiplex(net: MultiplexNetwork,
     """Filter every layer independently with the same config."""
     layers: dict = {}
     reports: list[FilterReport] = []
-    for name in net.layer_names():
-        filtered, report = filter_layer(net.layers[name], cfg)
-        layers[name] = filtered
+    for name, g in net.layers.items():
+        layers[name], report = filter_layer(g, cfg)
         reports.append(report)
-    return MultiplexNetwork(actors=net.actors, layers=layers), reports
+    return MultiplexNetwork(layers), reports

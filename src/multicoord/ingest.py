@@ -5,8 +5,12 @@ tracked, one per co-action modality: retweet (rtw), reply (rpl), mention
 (men), hashtag (hst) and URL share (url). During parsing hashtags are
 lowercased, URLs are reduced to their registrable domain and mentions keep
 their raw id. Collection artifacts (campaign hashtags, candidate mentions,
-platform domains) are removed via stoplists, after which the most active
-users per action type are selected to form the analysis universe.
+platform domains) are removed via stoplists, whose entries are normalized
+as event items are, after which the most active users per action type are
+selected to form the analysis universe. An ActorSet stores those
+per-action tops only; its actors are their union. The event file and
+stoplists are read through errors.reading, so a file that cannot be read
+as UTF-8 text is a DataError naming it.
 
 Events are code columns from the parse on, and ingest is the one place
 that encodes ids. An EventLog holds integer user and item codes that index
@@ -23,14 +27,14 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import DataError
+from .errors import reading
 
 logger = logging.getLogger(__name__)
 
@@ -168,8 +172,11 @@ class EventLog:
 class StopLists:
     """Items to drop before network construction.
 
-    Hashtag and domain membership is case-insensitive (entries are stored
-    lowercased); mention ids are matched exactly.
+    Entries are normalized as parse_events normalizes event items: hashtags
+    lose a leading '#' and are lowercased, mentions lose a leading '@' and
+    are matched exactly, and URL entries are reduced by extract_domain, so
+    "https://www.bbc.co.uk/news" lists bbc.co.uk. A URL entry without a
+    host is a ValueError.
     """
 
     hashtags: frozenset[str] = frozenset()
@@ -181,39 +188,27 @@ class StopLists:
         return StopLists(
             hashtags=frozenset(h.lstrip("#").lower() for h in hashtags),
             mentions=frozenset(m.lstrip("@") for m in mentions),
-            url_domains=frozenset(_normalize_domain_entry(d) for d in url_domains),
+            url_domains=frozenset(map(extract_domain, url_domains)),
         )
 
 
-def _normalize_domain_entry(d: str) -> str:
-    d = d.strip().lower()
-    if d.startswith("www."):
-        d = d[4:]
-    return d
-
-
 def load_stoplist(path) -> tuple[str, ...]:
-    """Read a plain-text stoplist, one entry per line; blank lines ignored."""
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(line)
-    return tuple(entries)
+    """Read a plain-text stoplist, one entry per line; blank lines ignored.
+    A file that cannot be read as UTF-8 text is a DataError naming it."""
+    with reading(path, "stoplist") as fh:
+        return tuple(line for line in map(str.strip, fh) if line)
 
 
 @dataclass(frozen=True)
 class ActorSet:
-    """The analysis universe: top-active users per action and their union."""
+    """The analysis universe: the top-active users of each action type."""
 
-    actors: frozenset[str]
-    per_action_top: dict[str, frozenset[str]] = field(compare=False)
+    per_action_top: dict[str, frozenset[str]]
 
-    def __post_init__(self):
-        union = frozenset().union(*self.per_action_top.values()) if self.per_action_top else frozenset()
-        if union != self.actors:
-            raise ValueError("actors must equal the union of per-action sets")
+    @property
+    def actors(self) -> frozenset[str]:
+        """Every selected user: the union of the per-action tops."""
+        return frozenset().union(*self.per_action_top.values())
 
 
 def extract_domain(url: str) -> str:
@@ -281,7 +276,8 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
     RecordError entries on the returned log instead of being silently
     dropped. The file is read line by line into four columns, ids as codes
     in order of first sight, which are renumbered in id order at the end;
-    rows with equal timestamps keep their file order.
+    rows with equal timestamps keep their file order. A file that cannot be
+    read as UTF-8 text is a DataError naming it.
     """
     if schema not in EVENT_SCHEMAS:
         raise ValueError(f"unknown event schema {schema!r}; expected one of {EVENT_SCHEMAS}")
@@ -299,11 +295,7 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
     domain_of: dict[str, str] = {}  # raw URL -> domain, for URLs that have one
     rejects: list[RecordError] = []
     loads, has_control, isfinite = json.loads, _CONTROL_CHARS.search, math.isfinite
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read event file {path}: {exc}") from exc
-    with fh:
+    with reading(path, "event file") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             # a TSV line with a tab is a row, so user ids may start with '#'
@@ -386,7 +378,7 @@ def apply_stoplists(log: EventLog, stop: StopLists) -> EventLog:
 def select_users(log: EventLog, fraction: float) -> ActorSet:
     """Select, per action type, the top ``ceil(fraction * n_active)`` users
     by event count (ties broken toward lexicographically smaller ids), and
-    return their union as the analysis universe.
+    return them as the analysis universe.
     """
     if not (0.0 < fraction <= 1.0):
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -401,7 +393,7 @@ def select_users(log: EventLog, fraction: float) -> ActorSet:
         ranked = active[np.lexsort((active, -c[active]))]  # equal counts: smaller id first
         top = ranked[:math.ceil(fraction * len(active))].tolist()
         per_action_top[a] = frozenset(map(log.users.__getitem__, top))
-    actors = frozenset().union(*per_action_top.values())
-    logger.info("select_users: fraction=%.4g -> %d actors (%s)", fraction, len(actors),
+    actors = ActorSet(per_action_top)
+    logger.info("select_users: fraction=%.4g -> %d actors (%s)", fraction, len(actors.actors),
                 ", ".join(f"{a}:{len(per_action_top[a])}" for a in ACTIONS))
-    return ActorSet(actors=actors, per_action_top=per_action_top)
+    return actors

@@ -10,10 +10,14 @@ groups the pairs with one sort: their product sums are the cosine
 similarities and their sizes the co-action counts of the window's weighted
 co-action graph. The windows of a layer are merged (mean weight, summed
 co-action counts) into one LayerGraph per action type. build_multiplex
-takes these steps one layer at a time, so only that layer's entries and
-window graphs are alive. The five LayerGraphs over a shared actor universe
-form the MultiplexNetwork that all downstream detection and comparison
-operates on. All of it runs on numpy alone.
+marks the actor rows of the log once, then takes these steps one layer at
+a time on the rows of that layer's action, so only that layer's entries
+and window graphs are alive. The five LayerGraphs form the
+MultiplexNetwork that all downstream detection and comparison operates
+on: the layers in ACTIONS order and nothing else, so a network that build
+makes and one that detect loads from edge lists are the same object. The
+actor universe is the ActorSet of ingest, stored once there. All of it
+runs on numpy alone.
 
 A LayerGraph is a sorted node tuple plus COO edge arrays sorted by
 (u, v), which every later stage reads. _group_pairs re-keys graphs onto
@@ -36,7 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, InvariantError
+from .errors import DataError
 from .ingest import ACTIONS, ActorSet, EventLog
 
 logger = logging.getLogger(__name__)
@@ -220,27 +224,17 @@ def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MultiplexNetwork:
-    """One LayerGraph per action type over a shared actor universe."""
+    """One LayerGraph per action type, keyed by layer name. The constructor
+    orders ``layers`` once: the ACTIONS layers present, in ACTIONS order,
+    then any other names sorted. Every stage iterates the layers in that
+    order.
+    """
 
-    actors: ActorSet
     layers: dict[str, LayerGraph]
 
     def __post_init__(self):
-        for name, g in self.layers.items():
-            if not self.actors.actors.issuperset(g.nodes):
-                raise InvariantError(f"layer {name} has nodes outside the actor set")
-
-    @classmethod
-    def from_layers(cls, layers: dict[str, LayerGraph]) -> "MultiplexNetwork":
-        """Wrap pre-built layer graphs; the actor set is their node union."""
-        union = frozenset().union(*(g.nodes for g in layers.values()))
-        actors = ActorSet(actors=union,
-                          per_action_top={name: frozenset(g.nodes) for name, g in layers.items()})
-        return cls(actors=actors, layers=dict(layers))
-
-    def layer_names(self) -> tuple[str, ...]:
-        return tuple(a for a in ACTIONS if a in self.layers) + tuple(
-            sorted(set(self.layers) - set(ACTIONS)))
+        order = [a for a in ACTIONS if a in self.layers] + sorted(set(self.layers) - set(ACTIONS))
+        self.layers = {name: self.layers[name] for name in order}
 
 
 MAX_WINDOWS = 100_000  # 57 years of 5 h shifts
@@ -321,14 +315,20 @@ def tfidf_windows(log: EventLog, actors: ActorSet, width: float,
     """
     if log.time_span is None:
         return []
-    return _tfidf_windows(log, actors, width, shift,
+    return _tfidf_windows(log, _actor_rows(log, actors), width, shift,
                           len(window_slices(log.time_span, width, shift)))
 
 
-def _tfidf_windows(log: EventLog, actors: ActorSet, width: float, shift: float,
+def _actor_rows(log: EventLog, actors: ActorSet) -> np.ndarray:
+    """True at the rows of the log whose user is an actor."""
+    members = actors.actors
+    return np.array([u in members for u in log.users], dtype=bool)[log.user]
+
+
+def _tfidf_windows(log: EventLog, keep: np.ndarray, width: float, shift: float,
                    n_windows: int) -> list[WindowTfidf]:
-    """tfidf_windows of a non-empty log over a grid of n_windows windows."""
-    keep = np.array([u in actors.actors for u in log.users], dtype=bool)[log.user]
+    """tfidf_windows of the rows where ``keep`` is true, over the grid of
+    n_windows windows that starts at the non-empty log's t_min."""
     user, item, layer = log.user[keep], log.item[keep], log.action[keep]
     lo, hi = _window_ranges(log.ts[keep], log.time_span[0], width, shift, n_windows)
     # one row per (event, window); lw numbers layer-windows in ACTIONS order
@@ -457,17 +457,21 @@ def build_multiplex(log: EventLog, actors: ActorSet, width: float,
                     shift: float) -> MultiplexNetwork:
     """Full network construction: per-window TF-IDF matrices, their cosine
     graphs, and window merging for each of the five layers, one layer at a
-    time, so that only its TF-IDF entries and window graphs are alive.
+    time, so that only its TF-IDF entries and window graphs are alive. Every
+    layer shares the log's window grid and one mask of the actor rows.
     """
     layers = {a: LayerGraph(a) for a in ACTIONS}
-    n_windows = len(window_slices(log.time_span, width, shift)) if len(log) else 0
+    if not len(log):
+        return MultiplexNetwork(layers)
+    n_windows = len(window_slices(log.time_span, width, shift))
+    actor_rows = _actor_rows(log, actors)
     for k, a in enumerate(ACTIONS):
-        in_layer = log.action == k
+        in_layer = actor_rows & (log.action == k)
         if not in_layer.any():
             continue
         parts = [layer_window_graph(m)
-                 for m in _tfidf_windows(log.masked(in_layer), actors, width, shift, n_windows)]
+                 for m in _tfidf_windows(log, in_layer, width, shift, n_windows)]
         layers[a] = merge_windows(parts, a)
         logger.info("build_multiplex: layer %s -> %d nodes, %d edges from %d window graphs",
                     a, layers[a].n_nodes, layers[a].n_edges, len(parts))
-    return MultiplexNetwork(actors=actors, layers=layers)
+    return MultiplexNetwork(layers)

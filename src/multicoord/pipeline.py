@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 from .ingest import (ACTIONS, StopLists, apply_stoplists, load_stoplist,
                      parse_events, select_users)
 from .netbuild import LayerGraph, MultiplexNetwork, build_multiplex
@@ -182,10 +182,8 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         try:
-            with open(path, encoding="utf-8") as fh:
+            with reading(path, "config", ConfigError) as fh:
                 doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -208,18 +206,16 @@ def _partition_path(out: str, scope: str) -> str:
 
 
 def _load_layer_graph(out: str, scope: str) -> LayerGraph:
+    """The graph of edges_<scope>.tsv, whose `# layer` line must name scope."""
     path = _edges_path(out, scope)
     if not os.path.exists(path):
         raise DataError(f"missing edge list {path}; run build (or the detect mode "
                         f"that creates scope {scope!r}) first")
-    return reports.read_edges_tsv(path)
+    return reports.read_edges_tsv(path, layer=scope)
 
 
 def _load_network(out: str) -> MultiplexNetwork:
-    layers = {}
-    for layer in ACTIONS:
-        layers[layer] = _load_layer_graph(out, layer)
-    return MultiplexNetwork.from_layers(layers)
+    return MultiplexNetwork({layer: _load_layer_graph(out, layer) for layer in ACTIONS})
 
 
 # ---------------------------------------------------------------- synth
@@ -257,15 +253,17 @@ def run_build(cfg: RunConfig) -> dict:
     ctx = cfg.context()
     log = parse_events(cfg.input, schema=cfg.schema)
     if cfg.stoplists:
-        stop = StopLists.from_sets(**{key: load_stoplist(path)
-                                      for key, path in cfg.stoplists.items()})
+        entries = {key: load_stoplist(path) for key, path in cfg.stoplists.items()}
+        try:
+            stop = StopLists.from_sets(**entries)
+        except ValueError as exc:  # only a URL entry can be refused
+            raise DataError(f"stoplist {cfg.stoplists['url_domains']}: {exc}") from exc
         log = apply_stoplists(log, stop)
 
     records = []
     if not len(log):
         logger.warning("build: empty event log; writing empty network")
-        net = MultiplexNetwork.from_layers(
-            {layer: LayerGraph(layer=layer) for layer in ACTIONS})
+        net = MultiplexNetwork({layer: LayerGraph(layer) for layer in ACTIONS})
         filter_reports = []
         actors = None
     else:

@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, reading
 from .community import Partition
 from .netbuild import EdgeRowError, LayerGraph, _component_labels
 
@@ -86,11 +86,8 @@ def _tsv_rows(path: str, what: str, n_cols: int) -> tuple[dict, list, list]:
     (line number, value). From the header on, every line is a row, so ids
     that start with '#' read back intact.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    with reading(path, what) as fh:
+        text = fh.read()
     # split on newlines only: str.splitlines also breaks ids at U+2028 and the like
     lines = text.split("\n")
     kept = [k for k, line in enumerate(lines) if line.strip()]
@@ -133,14 +130,18 @@ def _assignment(path: str, line_nos: list, rows: list, what: str) -> dict:
     return out
 
 
-def read_edges_tsv(path: str) -> LayerGraph:
+def read_edges_tsv(path: str, layer: str | None = None) -> LayerGraph:
     """Read an edge list; a row no LayerGraph holds (see from_pairs) is a
-    DataError naming its line."""
+    DataError naming its line, and so is a `# layer` line that does not
+    name ``layer`` when one is given."""
     directives, line_nos, rows = _tsv_rows(path, "edge list", 5)
     if "layer" not in directives:
         raise DataError(f"{path}: missing '# layer' line")
+    line, name = directives["layer"]
+    if layer is not None and name != layer:
+        raise DataError(f"{path}:{line}: '# layer {name}' does not name scope {layer!r}")
     try:
-        return LayerGraph.from_pairs(directives["layer"][1], rows)
+        return LayerGraph.from_pairs(name, rows)
     except EdgeRowError as exc:
         raise DataError(f"{path}:{line_nos[exc.row]}: {exc.reason}") from exc
 
@@ -197,11 +198,7 @@ def write_records(path: str, records, version: str = "0",
 
 
 def read_records(path: str) -> list:
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read records {path}: {exc}") from exc
-    with fh:
+    with reading(path, "records") as fh:
         out = []
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()

@@ -85,4 +85,4 @@ def barbell():
 def multiplex_from(layer_pairs):
     layers = {name: LayerGraph.from_pairs(name, pairs)
               for name, pairs in layer_pairs.items()}
-    return MultiplexNetwork.from_layers(layers)
+    return MultiplexNetwork(layers)

@@ -150,7 +150,7 @@ def test_criterion_05_flattening_laws():
     for trial in range(50):
         layers = {name: random_layer(rng, name, n=int(rng.integers(5, 50)), p=0.15)
                   for name in ("rtw", "rpl", "men")}
-        net = MultiplexNetwork.from_layers(layers)
+        net = MultiplexNetwork(layers)
         edges = [edge_dict(g) for g in layers.values()]
         union = set().union(*edges)
         inter = set.intersection(*map(set, edges))
@@ -178,7 +178,7 @@ def test_criterion_06_multislice_reduction():
         g = random_layer(rng, "rtw", n=int(rng.integers(4, 25)), p=0.3)
         if g.n_edges == 0:
             continue
-        net = MultiplexNetwork.from_layers({"rtw": g})
+        net = MultiplexNetwork({"rtw": g})
         assign = louvain(g, seed=int(rng.integers(1000))).assignment
         mp = Partition("multi", {(n, "rtw"): c for n, c in assign.items()}, omega=0.0)
         q_multi = multislice_modularity(net, mp, gamma=1.0, omega=0.0)
@@ -193,8 +193,7 @@ def test_criterion_06_multislice_reduction():
             (n[0], n[1], 1.0), (n[1], n[2], 1.0), (n[0], n[2], 1.0),
             (n[3], n[4], 1.0), (n[4], n[5], 1.0), (n[3], n[5], 1.0),
             (n[2], n[3], 0.05)])
-    net = MultiplexNetwork.from_layers({"rtw": triangles("rtw"),
-                                        "rpl": triangles("rpl")})
+    net = MultiplexNetwork({"rtw": triangles("rtw"), "rpl": triangles("rpl")})
     mp = generalized_louvain(net, gamma=1.0, omega=0.0, seed=42)
     for layer in ("rtw", "rpl"):
         got = set(communities(restrict_to_layer(mp, layer).assignment).values())

@@ -9,14 +9,17 @@ without an input key.
 import json
 import math
 import os
+import shutil
 
+import numpy as np
 import pytest
 
+from multicoord import pipeline
 from multicoord.cli import main
-from multicoord.filternet import FilterConfig
+from multicoord.filternet import FilterConfig, filter_multiplex
 from multicoord.ingest import ACTIONS
 from multicoord.pipeline import DetectionSettings, RunConfig
-from multicoord.reports import config_hash, read_partition_tsv, read_records
+from multicoord.reports import config_hash, read_edges_tsv, read_partition_tsv, read_records
 from multicoord.synth import SynthConfig
 
 SYNTH = {
@@ -169,6 +172,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["detect", "--mode", "indi", "--jobs", "2", "--config", "x.json"])
     assert exc.value.code == 1
+    # report reads no seed; it used to take --seed and ignore it
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--out", str(tmp_path), "--seed", "7"])
+    assert exc.value.code == 1
     capsys.readouterr()
 
 
@@ -266,9 +273,15 @@ def test_float_fields_hash_alike_as_json_integers(tmp_path):
 
 
 def test_data_errors_exit_2(workdir, tmp_path, capsys):
-    # comparing against a partition that was never detected
-    assert main(["compare", "--config", workdir["run_cfg"],
-                 "--ref", "multi", "--other", "unfl-nw"]) == 2
+    # comparing a scope with an edge list but no partition
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(os.path.join(workdir["out"], "edges_unfl-sum.tsv"), out)
+    cfg = write_cfg(tmp_path / "run.json", {"out": str(out)})
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg, "--ref", "unfl-sum", "--other", "rtw"]) == 2
+    assert capsys.readouterr().err == (f"data error: missing partition "
+                                       f"{out / 'partition_unfl-sum.tsv'}; run detect first\n")
     # scope mismatch: bare multi against a user-level flattened scope
     assert main(["compare", "--config", workdir["run_cfg"],
                  "--ref", "multi", "--other", "unfl-sum"]) == 2
@@ -424,3 +437,94 @@ def test_compare_names_a_scope_without_an_edge(tmp_path, capsys):
         assert main(["compare", "--config", cfg, "--ref", ref, "--other", "rtw"]) == 2
         assert capsys.readouterr().err == (
             f"data error: scope {ref!r} has no edge, so detect wrote no partition for it\n")
+
+
+BAD_ROW = b"u1\trtw\t\xff\t1\n"  # 0xff starts no UTF-8 sequence
+
+
+@pytest.mark.parametrize("what, name, content, argv", [
+    ("event file", "events.tsv", BAD_ROW, ["build"]),
+    ("edge list", "out/edges_rtw.tsv", b"# layer rtw\n" + BAD_ROW,
+     ["detect", "--mode", "mono", "--layer", "rtw"]),
+    ("records", "out/build_report.jsonl", b'{"record": "\xff"}\n', ["report"]),
+    ("config", "run.json", b'{"out": "\xff"}', ["build"]),
+    ("stoplist", "stop.txt", None, ["build"]),  # a directory
+], ids=["event-file", "edge-list", "records", "config", "stoplist"])
+def test_unreadable_input_names_the_file(tmp_path, capsys, what, name, content, argv):
+    # each used to end in a UnicodeDecodeError or IsADirectoryError
+    # traceback and exit code 1
+    (tmp_path / "out").mkdir()
+    (tmp_path / "events.tsv").write_text("u1\trtw\tA\t1\n")
+    (tmp_path / "stop.txt").write_text("spam\n")
+    cfg = write_cfg(tmp_path / "run.json", {"input": "events.tsv", "schema": "tsv", "out": "out",
+                                            "stoplists": {"hashtags": "stop.txt"}})
+    path = tmp_path / name
+    if content is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, kind = (1, "config") if what == "config" else (2, "data")
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{kind} error: cannot read {what} {path}: ") and err.count("\n") == 1, err
+
+
+def test_url_stoplist_entries_are_reduced_like_event_urls(tmp_path, capsys):
+    # entries used to be kept as written, so none of the first three matched
+    # the events' bbc.co.uk, and "www." listed an empty domain
+    events, stop, out = tmp_path / "events.tsv", tmp_path / "domains.txt", tmp_path / "out"
+    events.write_text("".join(f"u{k}\turl\thttps://{site}/p{k}\t{k}\n" for k, site in enumerate(
+        ("bbc.co.uk", "www.bbc.co.uk", "cnn.com", "cnn.com", "fox.com"))))
+    cfg = write_cfg(tmp_path / "run.json", {"input": str(events), "schema": "tsv", "out": str(out),
+                                            "stoplists": {"url_domains": str(stop)}})
+    for entry in ("https://www.bbc.co.uk/news", "bbc.co.uk:443", "//BBC.co.uk/x"):
+        stop.write_text(entry + "\n")
+        assert main(["build", "--config", cfg]) == 0
+        assert read_edges_tsv(str(out / "edges_url.tsv")).nodes == ("u2", "u3"), entry
+    stop.write_text("www.\n")
+    assert main(["build", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (f"data error: stoplist {stop}: unparseable URL 'www.': "
+                                       "empty host after www-strip\n")
+
+
+def test_edge_list_must_name_its_scope(tmp_path, capsys):
+    # an edge list of another scope used to load as that scope: detect
+    # --mode mono --layer rtw printed "detect rpl" and wrote partition_rpl.tsv
+    events, out = tmp_path / "events.tsv", tmp_path / "out"
+    events.write_text("".join(f"u{k}\trtw\ti{k % 2}\t{k}\n" for k in range(6)))
+    cfg = write_cfg(tmp_path / "run.json", {"input": str(events), "schema": "tsv",
+                                            "out": str(out)})
+    assert main(["build", "--config", cfg]) == 0
+    path = out / "edges_rtw.tsv"
+    path.write_text(path.read_text().replace("# layer rtw\n", "# layer rpl\n"))
+    capsys.readouterr()
+    assert main(["detect", "--config", cfg, "--mode", "mono", "--layer", "rtw"]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}:2: '# layer rpl' does not name scope 'rtw'\n")
+    assert not list(out.glob("partition_*"))
+
+
+def test_loaded_network_is_the_built_one(tmp_path, monkeypatch):
+    # build and detect hold the same kind of network: what detect loads from
+    # the edge lists is, layer by layer, the filtered network build wrote
+    built = []
+
+    def keep(net, cfg):
+        built.append(filter_multiplex(net, cfg))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "filter_multiplex", keep)
+    out = str(tmp_path / "out")
+    assert main(["synth", "--config", write_cfg(tmp_path / "synth.json",
+                                                {"out": out, "synth": SYNTH})]) == 0
+    assert main(["build", "--config", write_cfg(tmp_path / "run.json", {
+        "input": os.path.join(out, "events.tsv"), "schema": "tsv", "out": out})]) == 0
+    (net, _), = built
+    loaded = pipeline._load_network(out)
+    assert list(loaded.layers) == list(net.layers) == list(ACTIONS)
+    for got, want in zip(loaded.layers.values(), net.layers.values()):
+        assert got.nodes == want.nodes and want.n_edges
+        for col in ("u", "v", "weight", "co_actions", "window_count"):
+            a, b = getattr(got, col), getattr(want, col)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (got.layer, col)

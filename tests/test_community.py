@@ -117,7 +117,7 @@ def test_louvain_empty_and_determinism():
 def two_layer_net(g1=None, g2=None):
     g1 = g1 or two_clique_bridge("rtw")
     g2 = g2 or two_clique_bridge("rpl")
-    return MultiplexNetwork.from_layers({"rtw": g1, "rpl": g2})
+    return MultiplexNetwork({"rtw": g1, "rpl": g2})
 
 
 def test_multislice_hand_fixture():
@@ -125,7 +125,7 @@ def test_multislice_hand_fixture():
     # state nodes in one community:
     #   intra per layer: 2*(1 - 1/2) - 2*(1/2) = 0; coupling: 2 actors * 2
     #   ordered cross-layer pairs * 0.5 = 2; 2mu = 2 + 2 + 2*0.5*2 = 6
-    net = MultiplexNetwork.from_layers({
+    net = MultiplexNetwork({
         "rtw": LayerGraph.from_pairs("rtw", [("u", "v", 1.0)]),
         "rpl": LayerGraph.from_pairs("rpl", [("u", "v", 1.0)]),
     })
@@ -143,7 +143,7 @@ def test_multislice_omega_zero_reduces_to_weighted_layer_mean(rng):
         g2 = random_layer(rng, "rpl", n=10, p=0.4)
         if g1.n_edges == 0 or g2.n_edges == 0:
             continue
-        net = MultiplexNetwork.from_layers({"rtw": g1, "rpl": g2})
+        net = MultiplexNetwork({"rtw": g1, "rpl": g2})
         assign1 = louvain(g1, seed=1).assignment
         assign2 = louvain(g2, seed=1).assignment
         joint = {(n, "rtw"): ("rtw", c) for n, c in assign1.items()}
@@ -166,8 +166,7 @@ def test_generalized_louvain_omega_zero_matches_per_layer():
             (names[0], names[2], 1.0), (names[3], names[4], 1.0),
             (names[4], names[5], 1.0), (names[3], names[5], 1.0),
             (names[2], names[3], 0.05)])
-    net = MultiplexNetwork.from_layers({"rtw": triangles("rtw", 0),
-                                        "rpl": triangles("rpl", 0)})
+    net = MultiplexNetwork({"rtw": triangles("rtw", 0), "rpl": triangles("rpl", 0)})
     mp = generalized_louvain(net, gamma=1.0, omega=0.0, seed=42)
     for layer in ("rtw", "rpl"):
         restricted = restrict_to_layer(mp, layer)
@@ -210,7 +209,7 @@ def test_generalized_louvain_recovers_cross_layer_cliques():
 
 
 def three_layer_net():
-    return MultiplexNetwork.from_layers({
+    return MultiplexNetwork({
         "rtw": LayerGraph.from_pairs("rtw", [("a", "b", 0.2, 2, 3),
                                              ("b", "c", 0.4, 1, 1)]),
         "rpl": LayerGraph.from_pairs("rpl", [("a", "b", 0.5, 1, 1),
@@ -243,7 +242,7 @@ def test_flatten_intersection_hand_case():
     assert g.nodes == ("a", "b")
     assert edge_dict(g)[("a", "b")].weight == pytest.approx(0.95, abs=1e-15)
     with pytest.raises(ValueError):
-        flatten_intersection(MultiplexNetwork.from_layers(
+        flatten_intersection(MultiplexNetwork(
             {"rtw": LayerGraph.from_pairs("rtw", [("a", "b", 1.0)])}))
 
 
@@ -253,7 +252,7 @@ def test_flatten_laws_random(rng):
         layers = {}
         for name in ("rtw", "rpl", "men"):
             layers[name] = random_layer(rng, name, n=int(rng.integers(5, 20)), p=0.25)
-        net = MultiplexNetwork.from_layers(layers)
+        net = MultiplexNetwork(layers)
         edges = [edge_dict(g) for g in layers.values()]
         union = set().union(*edges)
         inter = set.intersection(*map(set, edges))

@@ -309,7 +309,7 @@ def test_nmi_common_universe_and_min_size():
 
 
 def cover_net():
-    return MultiplexNetwork.from_layers({
+    return MultiplexNetwork({
         "rtw": LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1.0),
                                              ("c", "d", 1.0)]),
         "rpl": LayerGraph.from_pairs("rpl", [("a", "b", 1.0), ("x", "y", 1.0)]),
@@ -320,8 +320,7 @@ def test_actor_coverage_directional():
     net = cover_net()
     assert actor_coverage(net, "rtw", "rpl") == pytest.approx(2 / 4)
     assert actor_coverage(net, "rpl", "rtw") == pytest.approx(2 / 4)
-    e = MultiplexNetwork.from_layers({"rtw": LayerGraph("rtw"),
-                                      "rpl": cover_net().layers["rpl"]})
+    e = MultiplexNetwork({"rtw": LayerGraph("rtw"), "rpl": cover_net().layers["rpl"]})
     with pytest.raises(DataError):
         actor_coverage(e, "rtw", "rpl")
 
@@ -331,14 +330,14 @@ def test_edge_coverage_directional():
     assert edge_coverage(net, "rtw", "rpl") == pytest.approx(1 / 3)
     assert edge_coverage(net, "rpl", "rtw") == pytest.approx(1 / 2)
     with pytest.raises(DataError):
-        edge_coverage(MultiplexNetwork.from_layers(
+        edge_coverage(MultiplexNetwork(
             {"rtw": LayerGraph("rtw"), "rpl": cover_net().layers["rpl"]}),
             "rtw", "rpl")
 
 
 def test_pearson_degree_correlation_frozen():
     # common actors a, b, c with rtw degrees (1, 2, 1)... build exact vectors
-    net = MultiplexNetwork.from_layers({
+    net = MultiplexNetwork({
         "rtw": LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1.0),
                                              ("c", "d", 1.0), ("a", "d", 1.0),
                                              ("a", "c", 1.0)]),
@@ -352,13 +351,13 @@ def test_pearson_degree_correlation_frozen():
 
 
 def test_pearson_degree_correlation_undefined_cases():
-    net = MultiplexNetwork.from_layers({
+    net = MultiplexNetwork({
         "rtw": LayerGraph.from_pairs("rtw", [("a", "b", 1.0)]),
         "rpl": LayerGraph.from_pairs("rpl", [("a", "b", 1.0)]),
     })
     with pytest.raises(UndefinedMetricError):
         pearson_degree_correlation(net, "rtw", "rpl")   # constant degrees
-    disjoint = MultiplexNetwork.from_layers({
+    disjoint = MultiplexNetwork({
         "rtw": LayerGraph.from_pairs("rtw", [("a", "b", 1.0)]),
         "rpl": LayerGraph.from_pairs("rpl", [("x", "y", 1.0)]),
     })

@@ -137,7 +137,7 @@ def test_filter_layer_explicit_threshold():
 
 
 def test_filter_multiplex_covers_all_layers():
-    net = MultiplexNetwork.from_layers({
+    net = MultiplexNetwork({
         "rtw": co_graph(),
         "rpl": LayerGraph.from_pairs("rpl", [("a", "b", 0.5, 1)]),
     })

@@ -3,7 +3,8 @@
 Each log goes through build, every detect mode, and compare + characterize
 on two pairs, one of them multi against a layer. The oracle: every step
 exits 0, or 2 with a ``data error:`` line; none raises, so none would end a
-CLI process with a traceback. Once every detect mode has run, no message
+CLI process with a traceback. Pinned examples add crash cases the generator
+does not draw: a log that is not UTF-8 and a stoplist that is a directory. Once every detect mode has run, no message
 asks to run detect: a scope without a partition is named as one without an
 edge. A step that exits 2 leaves the output directory as it found it.
 """
@@ -82,12 +83,20 @@ def _steps(pairs):
     (0, 1, 1041), (2, 4, 21599), (3, 4, 978), (3, 3, 156), (4, 4, 132), (6, 4, 202),
     (1, 0, 955), (5, 1, 1234), (5, 2, 17972), (6, 3, 1641))],
     _config(1.0, 5.0, 0.5, 11, 0), [("multi", "men"), ("unfl-ec", "men")]))
+# a byte that is not UTF-8 in the log, and a stoplist that is a directory:
+# build ended in a UnicodeDecodeError and an IsADirectoryError traceback
+@example(([f"u{k}\trtw\ti{k % 2}\t{k}\n" for k in range(5)] + ["u5\trtw\ti\udcff\t5\n"],
+          _config(6.0, 5.0, 1.0, 12, 0), [("multi", "rtw"), ("unfl-sum", "rtw")]))
+@example(([f"u{k}\thst\ti{k % 2}\t{k}\n" for k in range(6)],
+          {**_config(6.0, 5.0, 1.0, 12, 0), "stoplists": {"hashtags": "."}},
+          [("multi", "hst"), ("intfl", "hst")]))
 def test_every_cli_step_exits_0_or_2_on_tiny_logs(study):
     lines, cfg, pairs = study
     with tempfile.TemporaryDirectory() as tmp:
         events, path = os.path.join(tmp, "events.tsv"), os.path.join(tmp, "run.json")
         out = os.path.join(tmp, "out")
-        with open(events, "w", encoding="utf-8") as fh:
+        # a lone surrogate escape such as \udcff writes its byte as it is
+        with open(events, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.writelines(lines)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({**cfg, "input": events, "out": out}, fh)

@@ -16,8 +16,7 @@ H = 3600.0
 
 
 def actors_of(*users):
-    return ActorSet(actors=frozenset(users),
-                    per_action_top={"rtw": frozenset(users)})
+    return ActorSet({"rtw": frozenset(users)})
 
 
 def only_window(log, actors, width=10.0):
@@ -136,7 +135,7 @@ def test_vectors_respect_window_and_actor_set():
     m = only_window(log, actors_of("u1", "u2", "u3"), width=4.5)
     assert tfidf_entries(m) == {"u1": {"B": math.log(2)}}
     # single active user: df(item) = N_w = 1 for every item, all nulled
-    solo = ActorSet(actors=frozenset({"u1"}), per_action_top={"rtw": frozenset({"u1"})})
+    solo = ActorSet({"rtw": frozenset({"u1"})})
     assert tfidf_windows(log, solo, 10.0, 10.0) == []
 
 
@@ -245,8 +244,7 @@ def _check_manual_composition(rng, n_users, n_items, n_events, span, n_windows):
                                 float(rng.random() * span)))
     log = EventLog.from_events(sorted(rows, key=lambda e: e.timestamp),
                                time_span=(0.0, span))
-    acts = ActorSet(actors=frozenset(users),
-                    per_action_top={"rtw": frozenset(users)})
+    acts = ActorSet({"rtw": frozenset(users)})
     net = build_multiplex(log, acts, width=10.0, shift=4.0)
 
     windows = window_slices((0.0, span), 10.0, 4.0)

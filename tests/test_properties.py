@@ -195,7 +195,7 @@ def one_window_logs(draw):
     events += [ActionEvent(u, "rtw", f"solo.{u}", 1.0)
                for u in draw(st.lists(st.sampled_from(users), unique=True))]
     log = EventLog.from_events(sorted(events, key=lambda e: e.timestamp), time_span=(0.0, 10.0))
-    return log, ActorSet(actors=frozenset(users), per_action_top={"rtw": frozenset(users)})
+    return log, ActorSet({"rtw": frozenset(users)})
 
 
 @settings(max_examples=300, deadline=None)
@@ -275,7 +275,7 @@ def event_logs(draw):
     actors = frozenset(draw(st.lists(st.sampled_from(users), min_size=1, unique=True)))
     log = EventLog.from_events(sorted(events, key=lambda e: e.timestamp),
                                time_span=(t_min, t_max))
-    return log, ActorSet(actors=actors, per_action_top={"rtw": actors}), width, shift
+    return log, ActorSet({"rtw": actors}), width, shift
 
 
 @settings(max_examples=200, deadline=None)
@@ -299,6 +299,16 @@ def test_build_multiplex_matches_dict_oracle(case):
     net = build_multiplex(log, actors, width, shift)
     for layer, g in build_multiplex_oracle(log, actors, width, shift).items():
         assert_same_graph(net.layers[layer], g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(ACTIONS + ("alpha", "zeta", "unfl-sum")), unique=True))
+def test_multiplex_orders_layers_for_any_dict_order(names):
+    # the constructor is the one place that orders layers: ACTIONS first,
+    # then any other names sorted
+    net = MultiplexNetwork({name: LayerGraph(name) for name in names})
+    order = [*ACTIONS, "alpha", "unfl-sum", "zeta"]
+    assert list(net.layers) == [name for name in order if name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +339,7 @@ def layers(draw, name="rtw", weights=weights):
 def multiplexes(draw, max_layers=3, weights=weights):
     names = draw(st.lists(st.sampled_from(LAYER_NAMES), min_size=1, max_size=max_layers,
                           unique=True))
-    return MultiplexNetwork.from_layers({name: draw(layers(name, weights))
-                                         for name in names})
+    return MultiplexNetwork({name: draw(layers(name, weights)) for name in names})
 
 
 def _check_trace(trace, q):
@@ -410,7 +419,7 @@ def test_louvain_tied_weights_end_at_q(net, seed):
 def _supra_oracle(net, omega):
     """The old supra-graph set-up: per-edge adjacency dicts per layer, then
     the coupling of every pair of an actor's copies."""
-    layer_order = net.layer_names()
+    layer_order = list(net.layers)
     adj, strength, two_m, copies = [], [], [], defaultdict(list)
     for s, layer in enumerate(layer_order):
         g = net.layers[layer]
@@ -981,8 +990,7 @@ filter_configs = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(multiplexes(max_layers=5), filter_configs)
 def test_filter_matches_dict_oracle(net, cfg):
-    for name in net.layer_names():
-        g = net.layers[name]
+    for g in net.layers.values():
         got, report = filter_layer(g, cfg)
         want, want_report = _filter_layer_oracle(*_dict_form(g), cfg)
         assert _rows(got) == _oracle_rows(*want)
@@ -992,7 +1000,7 @@ def test_filter_matches_dict_oracle(net, cfg):
 @settings(max_examples=200, deadline=None)
 @given(multiplexes(max_layers=5))
 def test_flatten_matches_dict_oracle(net):
-    forms = [_dict_form(net.layers[name]) for name in net.layer_names()]
+    forms = [_dict_form(g) for g in net.layers.values()]
     for strategy in ("nw", "ec", "sum"):
         got = flatten_union(net, strategy)
         assert _rows(got) == _oracle_rows(*_flatten_union_oracle(forms, strategy))
@@ -1034,7 +1042,7 @@ def test_louvain_adjacency_keeps_insertion_order(g):
 @given(multiplexes(max_layers=5), st.data(), st.sampled_from([0.5, 1.0, 2.0]),
        st.sampled_from([0.0, 0.1, 1.0]))
 def test_modularity_matches_dict_oracle(net, data, gamma, omega):
-    forms = [_dict_form(net.layers[name]) for name in net.layer_names()]
+    forms = [_dict_form(g) for g in net.layers.values()]
     labels = st.integers(0, 3)
     for form in forms:
         assignment = {n: data.draw(labels) for n in sorted(form[1])}
