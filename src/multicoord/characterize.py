@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -387,7 +386,7 @@ def metric_cosine(v1, v2) -> float:
 def pca_project(vectors, dims: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Project descriptor rows onto principal axes of the z-scored data.
 
-    Zero-variance features are dropped (with a warning) before scoring.
+    Zero-variance features are dropped (with a logged warning) before scoring.
     Returns (coordinates (n, dims), explained variance ratios for all kept
     components, eigenvalues over the original feature count, so the ratios
     sum to 1 exactly when nothing was dropped).
@@ -405,8 +404,7 @@ def pca_project(vectors, dims: int = 2) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(keep):
         dropped = [COMMUNITY_METRIC_NAMES[i] if n_feat == len(COMMUNITY_METRIC_NAMES) else str(i)
                    for i in np.flatnonzero(~keep)]
-        warnings.warn(f"dropping zero-variance features: {', '.join(dropped)}",
-                      stacklevel=2)
+        logger.warning("dropping zero-variance features: %s", ", ".join(dropped))
     Xk = X[:, keep]
     Z = (Xk - Xk.mean(axis=0)) / std[keep]
     C = np.cov(Z, rowvar=False, ddof=1)

@@ -32,13 +32,33 @@ class DegenerateSampleError(MulticoordError):
     """A statistical test cannot be computed (zero variance estimate)."""
 
 
+def _first_bad_line(path) -> str | None:
+    """Where the first byte of ``path`` that is not UTF-8 lies, as "line
+    <n>, byte <k>: not UTF-8 (<reason>)" counted from 1; None if every
+    line decodes. Lines split at 0x0A, which no UTF-8 sequence contains."""
+    try:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return f"line {line_no}, byte {exc.start + 1}: not UTF-8 ({exc.reason})"
+    except OSError:
+        pass
+    return None
+
+
 @contextmanager
 def reading(path, what: str, error: type[MulticoordError] = DataError):
     """Open ``path`` as UTF-8 text for the with-block. An OSError or a
     UnicodeDecodeError while opening or reading it, in the block too,
-    becomes ``error`` naming the file: "cannot read <what> <path>: ..."."""
+    becomes ``error`` naming the file: "cannot read <what> <path>: ...".
+    A decode error names the line and byte of the first bad byte: the
+    decoder's own position counts from the chunk it was decoding."""
     try:
         with open(path, encoding="utf-8") as fh:
             yield fh
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {what} {path}: {_first_bad_line(path) or exc}") from exc
+    except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc

@@ -105,15 +105,6 @@ def _section(sec, where: str, cls, default: dict, **build):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _comparisons(entries) -> tuple:
-    if not (isinstance(entries, list) and all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(t, str) for t in e)
-            for e in entries)):
-        raise ConfigError(f"comparisons must be a list of [ref, other] string pairs, "
-                          f"got {entries!r}")
-    return tuple(map(tuple, entries))
-
-
 @dataclass
 class DetectionSettings:
     gamma: float = 1.0
@@ -143,7 +134,6 @@ class RunConfig:
     shift_hours: float = 5.0
     filter: FilterConfig = field(default_factory=FilterConfig)
     detection: DetectionSettings = field(default_factory=DetectionSettings)
-    comparisons: tuple = ()
     out: str = "out"
     synth: SynthConfig | None = None
 
@@ -171,7 +161,7 @@ class RunConfig:
 
         return _section(
             doc, "config", cls, {"out": "out"},
-            input=existing, stoplists=stoplists, comparisons=_comparisons,
+            input=existing, stoplists=stoplists,
             out=lambda p: os.path.join(base_dir, p),
             filter=lambda sec: _section(sec, "filter", FilterConfig, {}),
             detection=lambda sec: _section(sec, "detection", DetectionSettings, {}),
@@ -228,8 +218,8 @@ def run_synth(cfg: RunConfig) -> dict:
     log, truth = generate(cfg.synth)
     events_path = os.path.join(cfg.out, "events.tsv")
     truth_path = os.path.join(cfg.out, "ground_truth.tsv")
-    ctx.events(events_path, log)
-    ctx.ground_truth(truth_path, truth)
+    reports.write_events_tsv(events_path, log, ctx)
+    reports.write_ground_truth(truth_path, truth, ctx)
     records = [{
         "record": "synth_summary",
         "n_events": len(log),
@@ -238,7 +228,7 @@ def run_synth(cfg: RunConfig) -> dict:
         "n_noise_users": len(truth.noise_users),
         "active_layers": {str(c): sorted(ls) for c, ls in truth.active_layers.items()},
     }]
-    ctx.records(os.path.join(cfg.out, "synth_report.jsonl"), records)
+    reports.write_records(os.path.join(cfg.out, "synth_report.jsonl"), records, ctx)
     return {"events": events_path, "ground_truth": truth_path}
 
 
@@ -277,7 +267,7 @@ def run_build(cfg: RunConfig) -> dict:
         net, filter_reports = filter_multiplex(net, cfg.filter)
 
     for layer in ACTIONS:
-        ctx.edges(_edges_path(cfg.out, layer), net.layers[layer])
+        reports.write_edges_tsv(_edges_path(cfg.out, layer), net.layers[layer], ctx)
 
     records.extend({"record": "filter_report", **asdict(rep)} for rep in filter_reports)
     records.extend(reports.layer_stats(net.layers[layer]) for layer in ACTIONS)
@@ -297,10 +287,10 @@ def run_build(cfg: RunConfig) -> dict:
             records.append(rec)
 
     if actors is not None:
-        ctx.table(os.path.join(cfg.out, "actors.tsv"), ("user_id",),
-                  ((u,) for u in sorted(actors.actors)))
+        reports.write_table(os.path.join(cfg.out, "actors.tsv"), ("user_id",),
+                            ((u,) for u in sorted(actors.actors)), ctx)
 
-    ctx.records(os.path.join(cfg.out, "build_report.jsonl"), records)
+    reports.write_records(os.path.join(cfg.out, "build_report.jsonl"), records, ctx)
     logger.info("build: wrote %d layers to %s", len(ACTIONS), cfg.out)
     return {"out": cfg.out, "n_layers": len(ACTIONS)}
 
@@ -330,7 +320,7 @@ def _detect_graph(cfg: RunConfig, ctx: ReportContext, g: LayerGraph) -> dict:
         return _summary(g.layer)
     det = cfg.detection
     p = louvain(g, gamma=det.gamma, seed=det.seed)
-    ctx.partition(_partition_path(cfg.out, g.layer), p)
+    reports.write_partition_tsv(_partition_path(cfg.out, g.layer), p, ctx)
     return _summary(g.layer, p, modularity(g, p, gamma=det.gamma),
                     gamma=det.gamma, seed=det.seed)
 
@@ -341,7 +331,7 @@ def _detect_multi(cfg: RunConfig, ctx: ReportContext) -> dict:
         return _summary("multi")
     det = cfg.detection
     p = generalized_louvain(net, gamma=det.gamma, omega=det.omega, seed=det.seed)
-    ctx.multiplex_partition(_partition_path(cfg.out, "multi"), p)
+    reports.write_multiplex_partition_tsv(_partition_path(cfg.out, "multi"), p, ctx)
     return _summary("multi", p, multislice_modularity(net, p, gamma=det.gamma, omega=det.omega),
                     gamma=det.gamma, omega=det.omega, seed=det.seed)
 
@@ -367,11 +357,11 @@ def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
             flat = flatten_intersection(net)
         else:
             flat = flatten_union(net, strategy=mode.split("-", 1)[1])
-        ctx.edges(_edges_path(cfg.out, mode), flat)
+        reports.write_edges_tsv(_edges_path(cfg.out, mode), flat, ctx)
         summaries = [_detect_graph(cfg, ctx, flat)]
     else:  # multi
         summaries = [_detect_multi(cfg, ctx)]
-    ctx.records(os.path.join(cfg.out, f"detect_{mode}.jsonl"), summaries)
+    reports.write_records(os.path.join(cfg.out, f"detect_{mode}.jsonl"), summaries, ctx)
     return summaries
 
 
@@ -472,7 +462,7 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
     ctx = cfg.context()
     nmi_value = nmi(O)
 
-    ctx.overlap(os.path.join(cfg.out, f"overlap_{cid}.tsv"), O)
+    reports.write_overlap_tsv(os.path.join(cfg.out, f"overlap_{cid}.tsv"), O, ctx)
     n_a, n_b = Counter(c.labels_a.values()), Counter(c.labels_b.values())
     n_nodes = Counter(c.node_labels.values())
     records = [{
@@ -497,7 +487,7 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
     for node in sorted(c.node_labels, key=str):
         records.append({"record": "node_label", "node": str(node),
                         "label": c.node_labels[node]})
-    ctx.records(os.path.join(cfg.out, f"labels_{cid}.jsonl"), records)
+    reports.write_records(os.path.join(cfg.out, f"labels_{cid}.jsonl"), records, ctx)
     logger.info("compare %s: k_a=%d k_b=%d matched=%d nmi=%.4f",
                 cid, O.k_a, O.k_b, len(M.pairs), nmi_value)
     return records[0]
@@ -552,7 +542,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
             "conductance_defined": m.conductance_defined,
             "assortativity_defined": m.assortativity_defined,
         })
-    ctx.records(os.path.join(cfg.out, f"community_metrics_{cid}.jsonl"), records)
+    reports.write_records(os.path.join(cfg.out, f"community_metrics_{cid}.jsonl"), records, ctx)
 
     cosine_rows, defined = [], []
     for a_idx, b_idx in M.pairs:
@@ -564,9 +554,9 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
         cosine_rows.append((str(O.a_ids[a_idx]), str(O.b_ids[b_idx]),
                             repr(O.overlap(a_idx, b_idx)), "NA" if cos is None else repr(cos)))
     mean = repr(sum(defined) / len(defined)) if defined else "NA"
-    ctx.table(os.path.join(cfg.out, f"cosine_{cid}.tsv"),
-              ("a_community", "b_community", "overlap", "cosine"),
-              [*cosine_rows, ("mean", "-", "-", mean)])
+    reports.write_table(os.path.join(cfg.out, f"cosine_{cid}.tsv"),
+                        ("a_community", "b_community", "overlap", "cosine"),
+                        [*cosine_rows, ("mean", "-", "-", mean)], ctx)
 
     # two principal axes need three communities and two descriptors that vary
     pca_records = []
@@ -583,7 +573,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
                                 "x": float(xy[0]), "y": float(xy[1])})
     else:
         pca_records.append({"record": "pca_skipped", "reason": skipped})
-    ctx.records(os.path.join(cfg.out, f"pca_{cid}.jsonl"), pca_records)
+    reports.write_records(os.path.join(cfg.out, f"pca_{cid}.jsonl"), pca_records, ctx)
 
     # node metrics: lost and common nodes live in the baseline graph A,
     # gained nodes only exist in the reference graph B
@@ -610,7 +600,8 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
             rec[name] = value
             groups[label][name].append(value)
         node_records.append(rec)
-    ctx.records(os.path.join(cfg.out, f"node_metrics_{cid}.jsonl"), eigen_records + node_records)
+    reports.write_records(os.path.join(cfg.out, f"node_metrics_{cid}.jsonl"),
+                          eigen_records + node_records, ctx)
 
     bm_records = []
     pairs = ((LOST, COMMON), (LOST, GAINED), (COMMON, GAINED))
@@ -630,7 +621,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
                 except DegenerateSampleError as exc:
                     rec["degenerate"] = str(exc)
             bm_records.append(rec)
-    ctx.records(os.path.join(cfg.out, f"bm_{cid}.jsonl"), bm_records)
+    reports.write_records(os.path.join(cfg.out, f"bm_{cid}.jsonl"), bm_records, ctx)
     logger.info("characterize %s: %d communities, %d labeled nodes",
                 cid, len(comm_rows), len(node_records))
     return {"comparison": cid, "n_communities": len(comm_rows),

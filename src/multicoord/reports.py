@@ -3,13 +3,14 @@
 Everything is line-oriented text: tab-separated tables for edge lists,
 partitions, ground truth, overlap matrices and the pipeline's other
 tables, JSON lines for structured records. Every file starts with a
-comment line carrying the toolkit version and the config hash, and
-writers sort rows, so identical inputs produce byte-identical files. One
-writer, _write_table, lays out every table: the meta line, `# key value`
-directives, the header and the rows. Floats are written with repr
-(shortest round-trip form); no timestamps appear in report bodies. The
-readers name the `path:line` of the first row or directive they cannot
-take.
+comment line carrying the run's stamp: a ReportContext of the toolkit
+version and the config hash, which every writer takes as its ``ctx``
+argument (UNSTAMPED by default). Writers sort rows, so identical inputs
+produce byte-identical files. One writer, write_table, lays out every
+table: the meta line, `# key value` directives, the header and the rows.
+Floats are written with repr (shortest round-trip form); no timestamps
+appear in report bodies. The readers name the `path:line` of the first
+row or directive they cannot take.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .netbuild import EdgeRowError, LayerGraph, _component_labels
 
 logger = logging.getLogger(__name__)
 
-UNHASHED = "unhashed"
-
 
 def canonical_json(obj) -> str:
     """Stable JSON encoding: sorted keys, no whitespace variation, no NaN."""
@@ -39,6 +38,17 @@ def canonical_json(obj) -> str:
 def config_hash(cfg_obj) -> str:
     """sha256 of the canonical JSON form of a config mapping."""
     return hashlib.sha256(canonical_json(cfg_obj).encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class ReportContext:
+    """Version + config hash stamped into every written file."""
+
+    version: str
+    cfg_hash: str
+
+
+UNSTAMPED = ReportContext("0", "unhashed")
 
 
 def _open_out(path: str):
@@ -55,27 +65,27 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_table(path: str, rows, header, directives, version: str, cfg_hash: str) -> None:
+def write_table(path: str, header, rows, ctx: ReportContext = UNSTAMPED, *,
+                directives=()) -> None:
     """Write a table in the one artifact format: the meta line, a
     `# key value` line per directive, the header if there is one, then the
     rows. Header and rows are sequences of formatted fields, joined by tabs.
     """
     with _open_out(path) as fh:
-        fh.write(f"# multicoord {version} config {cfg_hash}\n")
+        fh.write(f"# multicoord {ctx.version} config {ctx.cfg_hash}\n")
         fh.writelines(f"# {key} {value}\n" for key, value in directives)
         if header:
             fh.write("\t".join(header) + "\n")
         fh.writelines("\t".join(row) + "\n" for row in rows)
 
 
-def write_edges_tsv(path: str, g: LayerGraph, version: str = "0",
-                    cfg_hash: str = UNHASHED) -> None:
+def write_edges_tsv(path: str, g: LayerGraph, ctx: ReportContext = UNSTAMPED) -> None:
     """`user_a  user_b  weight  co_actions  window_count`, sorted rows."""
     name = g.nodes.__getitem__
     rows = zip(map(name, g.u.tolist()), map(name, g.v.tolist()), map(_fmt, g.weight.tolist()),
                map(str, g.co_actions.tolist()), map(str, g.window_count.tolist()))
-    _write_table(path, rows, ("user_a", "user_b", "weight", "co_actions", "window_count"),
-                 [("layer", g.layer)], version, cfg_hash)
+    write_table(path, ("user_a", "user_b", "weight", "co_actions", "window_count"), rows, ctx,
+                directives=[("layer", g.layer)])
 
 
 def _tsv_rows(path: str, what: str, n_cols: int) -> tuple[dict, list, list]:
@@ -146,11 +156,10 @@ def read_edges_tsv(path: str, layer: str | None = None) -> LayerGraph:
         raise DataError(f"{path}:{line_nos[exc.row]}: {exc.reason}") from exc
 
 
-def write_partition_tsv(path: str, p: Partition, version: str = "0",
-                        cfg_hash: str = UNHASHED) -> None:
-    _write_table(path, ((user, str(p.assignment[user])) for user in sorted(p.assignment)),
-                 ("user_id", "community_id"),
-                 [("scope", p.scope), ("gamma", _fmt(float(p.gamma)))], version, cfg_hash)
+def write_partition_tsv(path: str, p: Partition, ctx: ReportContext = UNSTAMPED) -> None:
+    write_table(path, ("user_id", "community_id"),
+                ((user, str(p.assignment[user])) for user in sorted(p.assignment)), ctx,
+                directives=[("scope", p.scope), ("gamma", _fmt(float(p.gamma)))])
 
 
 def read_partition_tsv(path: str) -> Partition:
@@ -164,12 +173,10 @@ def read_partition_tsv(path: str) -> Partition:
                      gamma=_number(path, directives, "gamma", 1.0))
 
 
-def write_multiplex_partition_tsv(path: str, p: Partition, version: str = "0",
-                                  cfg_hash: str = UNHASHED) -> None:
-    _write_table(path, ((*key, str(p.assignment[key])) for key in sorted(p.assignment)),
-                 ("user_id", "layer", "community_id"),
-                 [("gamma", _fmt(float(p.gamma))), ("omega", _fmt(float(p.omega)))],
-                 version, cfg_hash)
+def write_multiplex_partition_tsv(path: str, p: Partition, ctx: ReportContext = UNSTAMPED) -> None:
+    write_table(path, ("user_id", "layer", "community_id"),
+                ((*key, str(p.assignment[key])) for key in sorted(p.assignment)), ctx,
+                directives=[("gamma", _fmt(float(p.gamma))), ("omega", _fmt(float(p.omega)))])
 
 
 def read_multiplex_partition_tsv(path: str) -> Partition:
@@ -181,18 +188,17 @@ def read_multiplex_partition_tsv(path: str) -> Partition:
                      omega=_number(path, directives, "omega", 0.1))
 
 
-def write_overlap_tsv(path: str, O, version: str = "0", cfg_hash: str = UNHASHED) -> None:
+def write_overlap_tsv(path: str, O, ctx: ReportContext = UNSTAMPED) -> None:
     """Matrix with B communities as rows, A communities as columns."""
     rows = ((str(b_id), *map(_fmt, row)) for b_id, row in zip(O.b_ids, O.values.tolist()))
-    _write_table(path, rows, ("b_id\\a_id", *map(str, O.a_ids)), (), version, cfg_hash)
+    write_table(path, ("b_id\\a_id", *map(str, O.a_ids)), rows, ctx)
 
 
-def write_records(path: str, records, version: str = "0",
-                  cfg_hash: str = UNHASHED) -> None:
+def write_records(path: str, records, ctx: ReportContext = UNSTAMPED) -> None:
     """JSON-lines file; first record is the meta record."""
     with _open_out(path) as fh:
-        fh.write(canonical_json({"record": "meta", "version": version,
-                                 "config_sha256": cfg_hash}) + "\n")
+        fh.write(canonical_json({"record": "meta", "version": ctx.version,
+                                 "config_sha256": ctx.cfg_hash}) + "\n")
         for rec in records:
             fh.write(canonical_json(rec) + "\n")
 
@@ -211,22 +217,19 @@ def read_records(path: str) -> list:
         return out
 
 
-def write_ground_truth(path: str, truth, version: str = "0",
-                       cfg_hash: str = UNHASHED) -> None:
+def write_ground_truth(path: str, truth, ctx: ReportContext = UNSTAMPED) -> None:
     """`user_id  community_id`, planted users only, sorted."""
-    _write_table(path, ((user, str(truth.assignment[user])) for user in sorted(truth.assignment)),
-                 ("user_id", "community_id"), (), version, cfg_hash)
+    write_table(path, ("user_id", "community_id"),
+                ((user, str(truth.assignment[user])) for user in sorted(truth.assignment)), ctx)
 
 
 def read_ground_truth(path: str) -> dict:
     return _assignment(path, *_tsv_rows(path, "ground truth", 2)[1:], "user")
 
 
-def write_events_tsv(path: str, log, version: str = "0",
-                     cfg_hash: str = UNHASHED) -> None:
+def write_events_tsv(path: str, log, ctx: ReportContext = UNSTAMPED) -> None:
     """Standard 4-column event file: user, action, item, timestamp."""
-    _write_table(path, zip(*log.decoded(), map(_fmt, log.ts.tolist())),
-                 (), (), version, cfg_hash)
+    write_table(path, (), zip(*log.decoded(), map(_fmt, log.ts.tolist())), ctx)
 
 
 def _n_components(g: LayerGraph) -> int:
@@ -245,36 +248,3 @@ def layer_stats(g: LayerGraph) -> dict:
         "total_weight": g.total_weight(),
         "n_components": _n_components(g),
     }
-
-
-@dataclass(frozen=True)
-class ReportContext:
-    """Version + config hash stamped into every written file."""
-
-    version: str
-    cfg_hash: str
-
-    def edges(self, path, g):
-        write_edges_tsv(path, g, self.version, self.cfg_hash)
-
-    def partition(self, path, p):
-        write_partition_tsv(path, p, self.version, self.cfg_hash)
-
-    def multiplex_partition(self, path, p):
-        write_multiplex_partition_tsv(path, p, self.version, self.cfg_hash)
-
-    def overlap(self, path, O):
-        write_overlap_tsv(path, O, self.version, self.cfg_hash)
-
-    def records(self, path, records):
-        write_records(path, records, self.version, self.cfg_hash)
-
-    def ground_truth(self, path, truth):
-        write_ground_truth(path, truth, self.version, self.cfg_hash)
-
-    def events(self, path, log):
-        write_events_tsv(path, log, self.version, self.cfg_hash)
-
-    def table(self, path, header, rows):
-        """Any other table: header and rows of formatted fields."""
-        _write_table(path, rows, header, (), self.version, self.cfg_hash)

@@ -294,16 +294,19 @@ def test_pca_matches_reference_library(rng):
         assert np.allclose(ratios[:2], ref.explained_variance_ratio_, atol=1e-10)
 
 
-def test_pca_zero_variance_feature_dropped_with_warning(rng):
+def test_pca_zero_variance_feature_dropped_with_warning(rng, caplog):
+    # logged, not warnings.warn: a CLI user gets one WARNING line, no source line
     X = _metric_rows(rng)
     X[:, 3] = 42.0
-    with pytest.warns(UserWarning):
-        coords, ratios = pca_project(X, dims=2)
+    coords, ratios = pca_project(X, dims=2)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "dropping zero-variance features: 3")]
     assert coords.shape == (12, 2)
     # the dropped feature still counts in the ratio denominator
     _, full = pca_project(np.delete(X, 3, axis=1), dims=4)
-    with pytest.warns(UserWarning):
-        _, expect = pca_project(X, dims=4)
+    assert len(caplog.records) == 1
+    _, expect = pca_project(X, dims=4)
+    assert len(caplog.records) == 2
     assert math.fsum(expect) == pytest.approx(4 / 5 * math.fsum(full), abs=1e-10)
 
 

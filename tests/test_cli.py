@@ -222,6 +222,8 @@ def test_config_errors_exit_1(workdir, tmp_path, capsys):
                 {"out": ["o"]}, {"out": None}, {"schema": 5}, {"input": 3},
                 {"stoplists": {"hashtags": ["h.txt"]}}, {"comparisons": [["multi", 1]]},
                 {"comparisons": [["multi", "rtw", "hst"]]}, {"comparisons": "multi"},
+                # no stage read it, yet it moved the config hash: now an unknown key
+                {"comparisons": [["multi", "rtw"]]},
                 {"filter": {"weight_rule": "fixed", "weight_value": "0.3"}},
                 {"synth": {"n_users": 10, "seed": 1, "span_hours": "24"}},
                 {"detection": None}, {"fraction": "1"}):
@@ -356,7 +358,6 @@ def test_config_hash_is_pinned():
                             weight_value=0.25),
         detection=DetectionSettings(gamma=1.5, omega=0.2, seed=7, theta=0.4,
                                     min_size=3),
-        comparisons=(("multi", "rtw"), ("unfl-sum", "hst")),
         out="runs/out",
         synth=SynthConfig(n_users=40, community_sizes=(15, 10),
                           strengths=({"rtw": 3.0, "hst": 1.5}, {"rpl": 2.0}),
@@ -364,7 +365,7 @@ def test_config_hash_is_pinned():
                           noise_pool_size=300,
                           span_hours=24.0, width_hours=4.0, shift_hours=3.0))
     assert config_hash(cfg.to_dict()) == (
-        "82824a50a0c818fe515503aef5eca9fb8cfe75051a57ef2ba756ed6945b35115")
+        "b21055c08995fad14d606635986a9b9bf2f7a44c2e15bbe142d8b398c9e7a6a3")
 
 
 def test_synth_section_defaults_to_no_planted_communities(tmp_path):
@@ -468,6 +469,17 @@ def test_unreadable_input_names_the_file(tmp_path, capsys, what, name, content, 
     assert main([argv[0], "--config", cfg, *argv[1:]]) == code
     err = capsys.readouterr().err
     assert err.startswith(f"{kind} error: cannot read {what} {path}: ") and err.count("\n") == 1, err
+
+
+def test_decode_error_names_the_line_and_byte(tmp_path, capsys):
+    # the message used to give the decoder's position, counted from the start
+    # of its current chunk: "can't decode byte 0xff in position 3372"
+    events = tmp_path / "events.tsv"
+    events.write_bytes(b"".join(b"u%d\trtw\tA\t%d\n" % (k, k) for k in range(5000)) + BAD_ROW)
+    cfg = write_cfg(tmp_path / "run.json", {"input": "events.tsv", "schema": "tsv", "out": "out"})
+    assert main(["build", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (f"data error: cannot read event file {events}: "
+                                       "line 5001, byte 8: not UTF-8 (invalid start byte)\n")
 
 
 def test_url_stoplist_entries_are_reduced_like_event_urls(tmp_path, capsys):

@@ -9,7 +9,7 @@ from multicoord.errors import DataError
 from multicoord.ingest import (ACTIONS, ActionEvent, EventLog, StopLists,
                                apply_stoplists, extract_domain, load_stoplist,
                                parse_events, select_users)
-from multicoord.reports import write_events_tsv
+from multicoord.reports import ReportContext, write_events_tsv
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_events_tsv_round_trip_keeps_hash_prefixed_ids(tmp_path):
     log = EventLog.from_events([("#erin", "rtw", "t1", 1.0), ("bob", "hst", "tag", 2.5),
                                 ("#", "men", "x", 3.0)], time_span=(1.0, 3.0))
     p = tmp_path / "events.tsv"
-    write_events_tsv(str(p), log, cfg_hash="abc")
+    write_events_tsv(str(p), log, ReportContext("0", "abc"))
     back = parse_events(p, schema="tsv")
     assert back.events == log.events
     assert back.rejects == ()

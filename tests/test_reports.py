@@ -9,16 +9,18 @@ from conftest import edge_dict
 from multicoord.community import Partition
 from multicoord.compare import overlap_matrix
 from multicoord.errors import DataError
+from multicoord.ingest import EventLog
 from multicoord.netbuild import LayerGraph
 from multicoord.reports import (ReportContext, canonical_json, config_hash,
                                 layer_stats, read_edges_tsv,
                                 read_ground_truth,
                                 read_multiplex_partition_tsv,
                                 read_partition_tsv, read_records,
-                                write_edges_tsv, write_ground_truth,
+                                write_edges_tsv, write_events_tsv,
+                                write_ground_truth,
                                 write_multiplex_partition_tsv,
                                 write_overlap_tsv, write_partition_tsv,
-                                write_records)
+                                write_records, write_table)
 
 
 def edge_fixture():
@@ -48,13 +50,27 @@ def test_config_hash_is_stable_sha256():
 
 def test_every_file_starts_with_meta_line(tmp_path):
     h = config_hash({"x": 1})
+    ctx = ReportContext("0.1.0", h)
     paths = {}
     paths["edges"] = tmp_path / "edges.tsv"
-    write_edges_tsv(str(paths["edges"]), edge_fixture(), "0.1.0", h)
+    write_edges_tsv(str(paths["edges"]), edge_fixture(), ctx)
     paths["part"] = tmp_path / "p.tsv"
-    write_partition_tsv(str(paths["part"]), Partition("rtw", {"u1": 0}), "0.1.0", h)
+    write_partition_tsv(str(paths["part"]), Partition("rtw", {"u1": 0}), ctx)
+    paths["mp"] = tmp_path / "mp.tsv"
+    write_multiplex_partition_tsv(str(paths["mp"]),
+                                  Partition("multi", {("u1", "rtw"): 0}, omega=0.1), ctx)
+    paths["overlap"] = tmp_path / "o.tsv"
+    write_overlap_tsv(str(paths["overlap"]),
+                      overlap_matrix({0: {"u1"}, 1: {"u2"}}, {5: {"u1", "u2"}}), ctx)
+    paths["truth"] = tmp_path / "gt.tsv"
+    write_ground_truth(str(paths["truth"]), Partition("rtw", {"u1": 0}), ctx)
+    paths["events"] = tmp_path / "events.tsv"
+    write_events_tsv(str(paths["events"]), EventLog.from_events(
+        [("u1", "rtw", "t1", 1.0)], time_span=(1.0, 1.0)), ctx)
+    paths["table"] = tmp_path / "t.tsv"
+    write_table(str(paths["table"]), ("user_id",), [("u1",)], ctx)
     paths["rec"] = tmp_path / "r.jsonl"
-    write_records(str(paths["rec"]), [{"record": "x"}], "0.1.0", h)
+    write_records(str(paths["rec"]), [{"record": "x"}], ctx)
     for name, p in paths.items():
         first = p.read_text(encoding="utf-8").splitlines()[0]
         if name == "rec":
@@ -110,7 +126,7 @@ def test_records_round_trip(tmp_path):
     p = tmp_path / "r.jsonl"
     recs = [{"record": "layer_stats", "n_nodes": 4, "w": 0.1},
             {"record": "note", "text": "zeta"}]
-    write_records(str(p), recs, version="9", cfg_hash="f" * 64)
+    write_records(str(p), recs, ReportContext("9", "f" * 64))
     back = read_records(str(p))
     assert back[0]["record"] == "meta"
     assert back[0]["version"] == "9"
@@ -288,5 +304,5 @@ def test_layer_stats_components():
 def test_report_context_stamps_hash(tmp_path):
     ctx = ReportContext(version="0.1.0", cfg_hash="a" * 64)
     p = tmp_path / "e.tsv"
-    ctx.edges(str(p), edge_fixture())
+    write_edges_tsv(str(p), edge_fixture(), ctx)
     assert p.read_text().splitlines()[0].endswith("a" * 64)
