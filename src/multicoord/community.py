@@ -207,6 +207,7 @@ def _local_moving(prob: _Problem, inv_two_m: np.ndarray, gamma: float, threshold
     n = len(prob.strength)
     indptr, indices, weight = prob.indptr.tolist(), prob.indices.tolist(), prob.weight.tolist()
     rows = [(indices[a:b], weight[a:b]) for a, b in zip(indptr, indptr[1:])]
+    del indptr, indices, weight  # rows hold the entries from here on
     strength = prob.strength.tolist()
     scaled = (prob.strength * inv_two_m).tolist()
     comm_k = prob.strength.T.tolist()  # comm_k[s][c]: community c's strength in layer s
@@ -216,6 +217,7 @@ def _local_moving(prob: _Problem, inv_two_m: np.ndarray, gamma: float, threshold
     # exact zeros, and leaving a zero out of the sum changes no float.
     terms = [[(k, f, kc) for k, f, kc in zip(ku, su, comm_k) if k != 0.0]
              for ku, su in zip(strength, scaled)]
+    del strength, scaled  # and terms the strengths
     comm = list(range(n))
     comm_size = [1] * n
     order = list(range(n))

@@ -36,7 +36,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,38 +121,49 @@ class LayerGraph:
 
     @classmethod
     def from_pairs(cls, layer: str, pairs: Iterable, nodes: Iterable[str] = ()) -> "LayerGraph":
-        """Build a graph from (u, v, weight[, co_actions[, window_count]])
-        rows in any order, numbers possibly as text; the counts default to 1
-        and ``nodes`` adds isolated nodes. Raises EdgeRowError for the first
-        row that is not numeric, is a self-loop or a pair already seen, or
-        has a non-finite or non-positive weight or a count below 1.
-        """
+        """from_columns over (u, v, weight[, co_actions[, window_count]])
+        rows; the counts default to 1."""
         rows = [tuple(p) + (1,) * (5 - len(p)) for p in pairs]
-        a, b, w, co, wc = zip(*rows) if rows else ((),) * 5
+        return cls.from_columns(layer, *(zip(*rows) if rows else ((),) * 5), nodes=nodes)
+
+    @classmethod
+    def from_columns(cls, layer: str, a: Sequence, b: Sequence, weight: Sequence,
+                     co_actions: Sequence, window_count: Sequence,
+                     nodes: Iterable[str] = ()) -> "LayerGraph":
+        """Build a graph from row-aligned columns of edges in any order:
+        endpoint names, then weights and counts, as numbers or as text that
+        float and int take. ``nodes`` adds isolated nodes. Raises
+        EdgeRowError for the first row that is not numeric, is a self-loop or
+        a pair already seen, or has a non-finite or non-positive weight or a
+        count below 1.
+        """
+        n = len(weight)
         try:
-            weight = np.array(list(map(float, w)), dtype=float)
-            co, wc = _ints(list(map(int, co))), _ints(list(map(int, wc)))
+            w = np.fromiter(map(float, weight), float, n)
+            co = np.fromiter(map(int, co_actions), np.int64, n)
+            wc = np.fromiter(map(int, window_count), np.int64, n)
         except ValueError:
-            for k, r in enumerate(rows):
+            for k, r in enumerate(zip(weight, co_actions, window_count)):
                 try:
-                    float(r[2]), int(r[3]), int(r[4])
+                    float(r[0]), int(r[1]), int(r[2])
                 except ValueError:
-                    raise EdgeRowError(k, f"not a number in {r[2:]!r}") from None
+                    raise EdgeRowError(k, f"not a number in {r!r}") from None
             raise
         names = tuple(sorted(set(a).union(b, nodes)))
         index = {x: k for k, x in enumerate(names)}
-        ia, ib = _ints(list(map(index.__getitem__, a))), _ints(list(map(index.__getitem__, b)))
+        ia = np.fromiter(map(index.__getitem__, a), np.int64, n)
+        ib = np.fromiter(map(index.__getitem__, b), np.int64, n)
         u, v = np.minimum(ia, ib), np.maximum(ia, ib)
         order = np.lexsort((v, u))
-        repeat = np.zeros(len(rows), dtype=bool)
+        repeat = np.zeros(n, dtype=bool)
         repeat[order[1:]] = (u[order[1:]] == u[order[:-1]]) & (v[order[1:]] == v[order[:-1]])
         problems = (("self-loop", ia == ib), ("pair already seen", repeat),
-                    ("weight not finite and positive", ~(np.isfinite(weight) & (weight > 0))),
+                    ("weight not finite and positive", ~(np.isfinite(w) & (w > 0))),
                     ("co_actions or window_count below 1", (co < 1) | (wc < 1)))
         bad = [(int(np.argmax(mask)), reason) for reason, mask in problems if mask.any()]
         if bad:
             raise EdgeRowError(*min(bad, key=lambda kr: kr[0]))
-        return cls(layer, names, u[order], v[order], weight[order], co[order], wc[order])
+        return cls(layer, names, u[order], v[order], w[order], co[order], wc[order])
 
 
 def _group_pairs(graphs: list[LayerGraph]):

@@ -8,9 +8,12 @@ version and the config hash, which every writer takes as its ``ctx``
 argument (UNSTAMPED by default). Writers sort rows, so identical inputs
 produce byte-identical files. One writer, write_table, lays out every
 table: the meta line, `# key value` directives, the header and the rows.
-Floats are written with repr (shortest round-trip form); no timestamps
-appear in report bodies. The readers name the `path:line` of the first
-row or directive they cannot take.
+Floats are written with repr (shortest round-trip form), after one
+finiteness check per array; no timestamps appear in report bodies. One
+reader, _tsv_columns, reads every table back as one list of text fields
+per column. It checks that the header is the writer's, so a file without
+one loses no row, and the readers name the `path:line` of the first row
+or directive they cannot take.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 from dataclasses import dataclass
+from itertools import compress, repeat
+from typing import Callable
+
+import numpy as np
 
 from .errors import DataError, reading
 from .community import Partition
@@ -50,6 +56,10 @@ class ReportContext:
 
 UNSTAMPED = ReportContext("0", "unhashed")
 
+EDGE_HEADER = ("user_a", "user_b", "weight", "co_actions", "window_count")
+PARTITION_HEADER = ("user_id", "community_id")  # ground truth too
+MULTIPLEX_HEADER = ("user_id", "layer", "community_id")
+
 
 def _open_out(path: str):
     parent = os.path.dirname(os.path.abspath(path))
@@ -57,12 +67,14 @@ def _open_out(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):  # incl. numpy float subclasses
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite value in report: {x}")
-        return repr(float(x))
-    return str(x)
+def _finite(values) -> list:
+    """The numbers of an array (or a number) as Python values, after one
+    check that every one is finite: no report holds NaN or infinity."""
+    values = np.asarray(values)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"non-finite value in report: {values[bad][0]}")
+    return values.tolist()
 
 
 def write_table(path: str, header, rows, ctx: ReportContext = UNSTAMPED, *,
@@ -82,36 +94,57 @@ def write_table(path: str, header, rows, ctx: ReportContext = UNSTAMPED, *,
 def write_edges_tsv(path: str, g: LayerGraph, ctx: ReportContext = UNSTAMPED) -> None:
     """`user_a  user_b  weight  co_actions  window_count`, sorted rows."""
     name = g.nodes.__getitem__
-    rows = zip(map(name, g.u.tolist()), map(name, g.v.tolist()), map(_fmt, g.weight.tolist()),
+    rows = zip(map(name, g.u.tolist()), map(name, g.v.tolist()), map(repr, _finite(g.weight)),
                map(str, g.co_actions.tolist()), map(str, g.window_count.tolist()))
-    write_table(path, ("user_a", "user_b", "weight", "co_actions", "window_count"), rows, ctx,
-                directives=[("layer", g.layer)])
+    write_table(path, EDGE_HEADER, rows, ctx, directives=[("layer", g.layer)])
 
 
-def _tsv_rows(path: str, what: str, n_cols: int) -> tuple[dict, list, list]:
-    """(directives, line numbers, fields) of a written table.
+def _tsv_columns(path: str, what: str,
+                 header: tuple) -> tuple[dict, list[list[str]], Callable[[int], int]]:
+    """(directives, columns, line) of a written table: the body as one list
+    of text fields per header column, and line(k), the line number of body
+    row k, to name a row once a check has failed.
 
     Blank lines are skipped. Before the column header, lines starting with
     '#' are comments; a `# key value` comment is stored as directives[key] =
-    (line number, value). From the header on, every line is a row, so ids
-    that start with '#' read back intact.
+    (line number, value). The first other line must be ``header``. From
+    there on, every line is a row, so ids that start with '#' read back
+    intact, and each row has one field per header column.
     """
     with reading(path, what) as fh:
         text = fh.read()
     # split on newlines only: str.splitlines also breaks ids at U+2028 and the like
     lines = text.split("\n")
-    kept = [k for k, line in enumerate(lines) if line.strip()]
-    head = next((i for i, k in enumerate(kept) if not lines[k].startswith("#")), len(kept))
+    del text
+    expected = "\t".join(header)
     directives = {}
-    for k in kept[:head]:
-        key, _, value = lines[k][1:].strip().partition(" ")
-        directives[key] = (k + 1, value.strip())
-    body = kept[head + 1:]
-    rows = [lines[k].split("\t") for k in body]
-    if set(map(len, rows)) - {n_cols}:
-        k, parts = next((k, p) for k, p in zip(body, rows) if len(p) != n_cols)
-        raise DataError(f"{path}:{k + 1}: expected {n_cols} columns, got {len(parts)}")
-    return directives, [k + 1 for k in body], rows
+    for head, line in enumerate(lines):
+        if not line.strip():
+            continue
+        if not line.startswith("#"):
+            break
+        key, _, value = line[1:].strip().partition(" ")
+        directives[key] = (head + 1, value.strip())
+    else:
+        raise DataError(f"{path}: missing the header {expected!r}")
+    if lines[head] != expected:
+        raise DataError(f"{path}:{head + 1}: expected the header {expected!r}, "
+                        f"got {lines[head]!r}")
+    body = lines[head + 1:]
+    del lines
+    n_cols = len(header)
+    kept = np.fromiter(map(bool, map(str.strip, body)), bool, len(body))
+    tabs = np.fromiter(map(str.count, body, repeat("\t")), np.int64, len(body))
+    wrong = kept & (tabs != n_cols - 1)
+    if wrong.any():
+        k = int(np.argmax(wrong))
+        raise DataError(f"{path}:{head + 2 + k}: expected {n_cols} columns, got {tabs[k] + 1}")
+    joined = "\t".join(compress(body, kept.tolist()))
+    del body  # the fields hold the text from here on
+    fields = joined.split("\t") if kept.any() else []
+    del joined
+    return (directives, [fields[c::n_cols] for c in range(n_cols)],
+            lambda k: head + 2 + int(np.flatnonzero(kept)[k]))
 
 
 def _number(path: str, directives: dict, key: str, default: float) -> float:
@@ -124,47 +157,48 @@ def _number(path: str, directives: dict, key: str, default: float) -> float:
         raise DataError(f"{path}:{line}: {key} {value!r} is not a number") from None
 
 
-def _assignment(path: str, line_nos: list, rows: list, what: str) -> dict:
-    """key -> community id from rows of key fields and a community id; a
+def _assignment(path: str, columns: list, line: Callable[[int], int], what: str) -> dict:
+    """key -> community id from key columns and a community id column; a
     repeated key or an id that is not an integer is a DataError naming its
     line. A key of one field is that field, else the tuple of them."""
+    *key_columns, comms = columns
+    keys = key_columns[0] if len(key_columns) == 1 else zip(*key_columns)
     out = {}
-    for line, (*key, comm) in zip(line_nos, rows):
-        key = key[0] if len(key) == 1 else tuple(key)
+    for k, (key, comm) in enumerate(zip(keys, comms)):
         if key in out:
-            raise DataError(f"{path}:{line}: {what} {key!r} repeated")
+            raise DataError(f"{path}:{line(k)}: {what} {key!r} repeated")
         try:
             out[key] = int(comm)
         except ValueError:
-            raise DataError(f"{path}:{line}: community id {comm!r} is not an integer") from None
+            raise DataError(f"{path}:{line(k)}: community id {comm!r} is not an integer") from None
     return out
 
 
 def read_edges_tsv(path: str, layer: str | None = None) -> LayerGraph:
-    """Read an edge list; a row no LayerGraph holds (see from_pairs) is a
+    """Read an edge list; a row no LayerGraph holds (see from_columns) is a
     DataError naming its line, and so is a `# layer` line that does not
     name ``layer`` when one is given."""
-    directives, line_nos, rows = _tsv_rows(path, "edge list", 5)
+    directives, columns, line_of = _tsv_columns(path, "edge list", EDGE_HEADER)
     if "layer" not in directives:
         raise DataError(f"{path}: missing '# layer' line")
     line, name = directives["layer"]
     if layer is not None and name != layer:
         raise DataError(f"{path}:{line}: '# layer {name}' does not name scope {layer!r}")
     try:
-        return LayerGraph.from_pairs(name, rows)
+        return LayerGraph.from_columns(name, *columns)
     except EdgeRowError as exc:
-        raise DataError(f"{path}:{line_nos[exc.row]}: {exc.reason}") from exc
+        raise DataError(f"{path}:{line_of(exc.row)}: {exc.reason}") from exc
 
 
 def write_partition_tsv(path: str, p: Partition, ctx: ReportContext = UNSTAMPED) -> None:
-    write_table(path, ("user_id", "community_id"),
+    write_table(path, PARTITION_HEADER,
                 ((user, str(p.assignment[user])) for user in sorted(p.assignment)), ctx,
-                directives=[("scope", p.scope), ("gamma", _fmt(float(p.gamma)))])
+                directives=[("scope", p.scope), ("gamma", repr(_finite(float(p.gamma))))])
 
 
 def read_partition_tsv(path: str) -> Partition:
-    directives, line_nos, rows = _tsv_rows(path, "partition", 2)
-    assignment = _assignment(path, line_nos, rows, "user")
+    directives, columns, line = _tsv_columns(path, "partition", PARTITION_HEADER)
+    assignment = _assignment(path, columns, line, "user")
     if "scope" not in directives:
         raise DataError(f"{path}: missing '# scope' line")
     if not assignment:
@@ -174,14 +208,15 @@ def read_partition_tsv(path: str) -> Partition:
 
 
 def write_multiplex_partition_tsv(path: str, p: Partition, ctx: ReportContext = UNSTAMPED) -> None:
-    write_table(path, ("user_id", "layer", "community_id"),
+    write_table(path, MULTIPLEX_HEADER,
                 ((*key, str(p.assignment[key])) for key in sorted(p.assignment)), ctx,
-                directives=[("gamma", _fmt(float(p.gamma))), ("omega", _fmt(float(p.omega)))])
+                directives=[("gamma", repr(_finite(float(p.gamma)))),
+                            ("omega", repr(_finite(float(p.omega))))])
 
 
 def read_multiplex_partition_tsv(path: str) -> Partition:
-    directives, line_nos, rows = _tsv_rows(path, "multiplex partition", 3)
-    assignment = _assignment(path, line_nos, rows, "(user, layer)")
+    directives, columns, line = _tsv_columns(path, "multiplex partition", MULTIPLEX_HEADER)
+    assignment = _assignment(path, columns, line, "(user, layer)")
     if not assignment:
         raise DataError(f"{path}: empty multiplex partition")
     return Partition("multi", assignment, gamma=_number(path, directives, "gamma", 1.0),
@@ -190,7 +225,7 @@ def read_multiplex_partition_tsv(path: str) -> Partition:
 
 def write_overlap_tsv(path: str, O, ctx: ReportContext = UNSTAMPED) -> None:
     """Matrix with B communities as rows, A communities as columns."""
-    rows = ((str(b_id), *map(_fmt, row)) for b_id, row in zip(O.b_ids, O.values.tolist()))
+    rows = ((str(b_id), *map(repr, row)) for b_id, row in zip(O.b_ids, _finite(O.values)))
     write_table(path, ("b_id\\a_id", *map(str, O.a_ids)), rows, ctx)
 
 
@@ -219,17 +254,17 @@ def read_records(path: str) -> list:
 
 def write_ground_truth(path: str, truth, ctx: ReportContext = UNSTAMPED) -> None:
     """`user_id  community_id`, planted users only, sorted."""
-    write_table(path, ("user_id", "community_id"),
+    write_table(path, PARTITION_HEADER,
                 ((user, str(truth.assignment[user])) for user in sorted(truth.assignment)), ctx)
 
 
 def read_ground_truth(path: str) -> dict:
-    return _assignment(path, *_tsv_rows(path, "ground truth", 2)[1:], "user")
+    return _assignment(path, *_tsv_columns(path, "ground truth", PARTITION_HEADER)[1:], "user")
 
 
 def write_events_tsv(path: str, log, ctx: ReportContext = UNSTAMPED) -> None:
     """Standard 4-column event file: user, action, item, timestamp."""
-    write_table(path, (), zip(*log.decoded(), map(_fmt, log.ts.tolist())), ctx)
+    write_table(path, (), zip(*log.decoded(), map(repr, _finite(log.ts))), ctx)
 
 
 def _n_components(g: LayerGraph) -> int:

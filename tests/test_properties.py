@@ -32,13 +32,16 @@ from multicoord.ingest import (_CONTROL_CHARS, ACTIONS, HST, MEN, URL,  # noqa: 
                                ActionEvent, ActorSet, EventLog, RecordError,
                                StopLists, _parse_timestamp, apply_stoplists,
                                extract_domain, parse_events, select_users)
-from multicoord.netbuild import (LayerGraph, MultiplexNetwork,  # noqa: E402
+from multicoord.errors import reading  # noqa: E402
+from multicoord.netbuild import (EdgeRowError, LayerGraph, MultiplexNetwork,  # noqa: E402
                                  WindowTfidf, _component_labels, _symmetric_csr,
                                  _wedge_opens, _wedges, _window_ranges, build_multiplex,
                                  layer_window_graph, merge_windows,
                                  tfidf_windows, window_slices)
-from multicoord.reports import (_n_components, read_edges_tsv,  # noqa: E402
-                                read_multiplex_partition_tsv, read_partition_tsv,
+from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER,  # noqa: E402
+                                PARTITION_HEADER, _n_components, _number, read_edges_tsv,
+                                read_ground_truth, read_multiplex_partition_tsv,
+                                read_partition_tsv,
                                 write_edges_tsv, write_multiplex_partition_tsv,
                                 write_partition_tsv)
 
@@ -1430,3 +1433,198 @@ def test_tsv_round_trips(rows, assignment, supra):
 
         write_multiplex_partition_tsv(path, Partition("multi", supra, omega=0.1))
         assert read_multiplex_partition_tsv(path).assignment == supra
+
+
+# ---------------------------------------------------------------------------
+# table readers against the row reader they replaced: a list of fields per
+# row, and LayerGraph.from_pairs building a tuple per row
+
+
+def _tsv_rows_oracle(path, what, n_cols):
+    with reading(path, what) as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    kept = [k for k, line in enumerate(lines) if line.strip()]
+    head = next((i for i, k in enumerate(kept) if not lines[k].startswith("#")), len(kept))
+    directives = {}
+    for k in kept[:head]:
+        key, _, value = lines[k][1:].strip().partition(" ")
+        directives[key] = (k + 1, value.strip())
+    body = kept[head + 1:]
+    rows = [lines[k].split("\t") for k in body]
+    if set(map(len, rows)) - {n_cols}:
+        k, parts = next((k, p) for k, p in zip(body, rows) if len(p) != n_cols)
+        raise DataError(f"{path}:{k + 1}: expected {n_cols} columns, got {len(parts)}")
+    return directives, [k + 1 for k in body], rows
+
+
+def _from_pairs_oracle(layer, pairs):
+    rows = [tuple(p) for p in pairs]
+    a, b, w, co, wc = zip(*rows) if rows else ((),) * 5
+    try:
+        weight = np.array(list(map(float, w)), dtype=float)
+        co, wc = (np.asarray(list(map(int, c)), dtype=np.int64) for c in (co, wc))
+    except ValueError:
+        for k, r in enumerate(rows):
+            try:
+                float(r[2]), int(r[3]), int(r[4])
+            except ValueError:
+                raise EdgeRowError(k, f"not a number in {r[2:]!r}") from None
+        raise
+    names = tuple(sorted(set(a).union(b)))
+    index = {x: k for k, x in enumerate(names)}
+    ia = np.asarray(list(map(index.__getitem__, a)), dtype=np.int64)
+    ib = np.asarray(list(map(index.__getitem__, b)), dtype=np.int64)
+    u, v = np.minimum(ia, ib), np.maximum(ia, ib)
+    order = np.lexsort((v, u))
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:]] = (u[order[1:]] == u[order[:-1]]) & (v[order[1:]] == v[order[:-1]])
+    problems = (("self-loop", ia == ib), ("pair already seen", repeat),
+                ("weight not finite and positive", ~(np.isfinite(weight) & (weight > 0))),
+                ("co_actions or window_count below 1", (co < 1) | (wc < 1)))
+    bad = [(int(np.argmax(mask)), reason) for reason, mask in problems if mask.any()]
+    if bad:
+        raise EdgeRowError(*min(bad, key=lambda kr: kr[0]))
+    return LayerGraph(layer, names, u[order], v[order], weight[order], co[order], wc[order])
+
+
+def _read_edges_oracle(path):
+    directives, line_nos, rows = _tsv_rows_oracle(path, "edge list", 5)
+    if "layer" not in directives:
+        raise DataError(f"{path}: missing '# layer' line")
+    try:
+        return _from_pairs_oracle(directives["layer"][1], rows)
+    except EdgeRowError as exc:
+        raise DataError(f"{path}:{line_nos[exc.row]}: {exc.reason}") from exc
+
+
+def _assignment_oracle(path, n_cols, what):
+    directives, line_nos, rows = _tsv_rows_oracle(path, what, n_cols)
+    out = {}
+    for line, (*key, comm) in zip(line_nos, rows):
+        key = key[0] if len(key) == 1 else tuple(key)
+        if key in out:
+            raise DataError(f"{path}:{line}: {what} {key!r} repeated")
+        try:
+            out[key] = int(comm)
+        except ValueError:
+            raise DataError(f"{path}:{line}: community id {comm!r} is not an integer") from None
+    return directives, out
+
+
+def _read_partition_oracle(path):
+    directives, assignment = _assignment_oracle(path, 2, "user")
+    if "scope" not in directives:
+        raise DataError(f"{path}: missing '# scope' line")
+    if not assignment:
+        raise DataError(f"{path}: empty partition")
+    return Partition(directives["scope"][1], assignment,
+                     gamma=_number(path, directives, "gamma", 1.0))
+
+
+def _read_multiplex_oracle(path):
+    directives, assignment = _assignment_oracle(path, 3, "(user, layer)")
+    if not assignment:
+        raise DataError(f"{path}: empty multiplex partition")
+    return Partition("multi", assignment, gamma=_number(path, directives, "gamma", 1.0),
+                     omega=_number(path, directives, "omega", 0.1))
+
+
+def _read_outcome(read, path):
+    """What a reader gives for a file: its value, or the DataError text."""
+    try:
+        return "value", read(path)
+    except DataError as exc:
+        return "error", str(exc)
+
+
+# names that start with '#', hold U+2028 or U+0085, or carry spaces; numbers
+# that Python's float and int take and numpy's parsers need not, and numbers
+# no row may hold
+table_ids = st.sampled_from(["u1", "u2", "u3", "#u4", "#", "a\u2028b", "c\x85", " d", "e ",
+                             "é", "用户"]) | st.text("uvw#", min_size=1, max_size=3)
+table_weights = (st.floats(min_value=1e-3, max_value=1e3).map(repr)
+                 | st.sampled_from([" 2.0", "+1", "1_0", "٣", "1.5 "]))
+bad_weights = st.sampled_from(["1e400", "nan", "-inf", "0.0", "-0.5", "x", "", "0x1"])
+table_counts = st.integers(1, 99).map(str) | st.sampled_from([" 2", "+1", "1_0", "٣", "3 "])
+bad_counts = st.sampled_from(["0", "-1", "1.5", "x", ""])
+blank_lines = st.sampled_from(["", " ", "\t", " \t ", "\t\t\t\t", "\u2028", "\x85"])
+
+
+@st.composite
+def table_texts(draw, header, rows, bad_rows, directives):
+    """The text of a table: the directives (left out one time in ten) among
+    comment and blank lines, the header, then rows with now and then a blank
+    line, a row of bad values or a line with the wrong number of fields,
+    each line ended by LF or CRLF."""
+    n_cols = len(header)
+    lines = draw(st.lists(st.sampled_from(["# multicoord 0 config x", "#", ""]), max_size=3))
+    if draw(st.integers(0, 9)):
+        lines += directives
+    lines.append("\t".join(header))
+    wrong = st.lists(table_ids, min_size=1, max_size=n_cols + 2).filter(
+        lambda f: len(f) != n_cols).map("\t".join)
+    for kind in draw(st.lists(st.integers(0, 19), max_size=12)):
+        line = (wrong if kind == 0 else blank_lines if kind < 3 else
+                bad_rows.map("\t".join) if kind == 3 else rows.map("\t".join))
+        lines.append(draw(line))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+def _table_file(text):
+    fd, path = tempfile.mkstemp(suffix=".tsv")
+    with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_texts(EDGE_HEADER,
+                   st.tuples(table_ids, table_ids, table_weights, table_counts, table_counts),
+                   st.tuples(table_ids, table_ids, table_weights | bad_weights,
+                             table_counts | bad_counts, table_counts | bad_counts),
+                   ["# layer rtw"]))
+@example("# layer rtw\nuser_a\tuser_b\tweight\tco_actions\twindow_count\r\n"
+         "u1\tu2\t 2.0\t+1\t1_0\r\n\r\n \t \n#u4\ta\u2028b\t0.5\t1\t1\n")
+def test_edge_reader_matches_row_oracle(text):
+    path = _table_file(text)
+    try:
+        kind, got = _read_outcome(read_edges_tsv, path)
+        want = _read_outcome(_read_edges_oracle, path)
+    finally:
+        os.unlink(path)
+    assert kind == want[0], (got, want[1])
+    if kind == "error":
+        assert got == want[1]
+    else:
+        assert (got.layer, got.nodes) == (want[1].layer, want[1].nodes)
+        for name in ("u", "v", "weight", "co_actions", "window_count"):
+            a, b = getattr(got, name), getattr(want[1], name)
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([
+    (read_partition_tsv, _read_partition_oracle, PARTITION_HEADER, 1,
+     ["# scope rtw", "# gamma 1.5"]),
+    (read_partition_tsv, _read_partition_oracle, PARTITION_HEADER, 1,
+     ["# scope rtw", "# gamma high"]),
+    (read_multiplex_partition_tsv, _read_multiplex_oracle, MULTIPLEX_HEADER, 2,
+     ["# gamma 1.5", "# omega 0.25"]),
+    (read_multiplex_partition_tsv, _read_multiplex_oracle, MULTIPLEX_HEADER, 2,
+     ["# omega"]),
+    (read_ground_truth, lambda path: _assignment_oracle(path, 2, "user")[1],
+     PARTITION_HEADER, 1, []),
+]), st.data())
+def test_assignment_readers_match_row_oracle(case, data):
+    read, oracle, header, n_keys, directives = case
+    ids = st.sampled_from(["u1", "u2", "#u3"]) if n_keys == 1 else table_ids
+    text = data.draw(table_texts(header, st.tuples(*[ids] * n_keys, table_counts),
+                                 st.tuples(*[ids] * n_keys, table_counts | bad_counts),
+                                 directives))
+    path = _table_file(text)
+    try:
+        got, want = _read_outcome(read, path), _read_outcome(oracle, path)
+    finally:
+        os.unlink(path)
+    assert got == want

@@ -1,6 +1,8 @@
 """Report files: round trips, meta stamping, canonical hashing."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from multicoord.compare import overlap_matrix
 from multicoord.errors import DataError
 from multicoord.ingest import EventLog
 from multicoord.netbuild import LayerGraph
-from multicoord.reports import (ReportContext, canonical_json, config_hash,
+from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER, PARTITION_HEADER,
+                                ReportContext, canonical_json, config_hash,
                                 layer_stats, read_edges_tsv,
                                 read_ground_truth,
                                 read_multiplex_partition_tsv,
@@ -266,6 +269,53 @@ def test_bad_partition_rows_name_their_line(tmp_path, reader, text, message):
     p.write_text(text)
     with pytest.raises(DataError, match=message):
         reader(str(p))
+
+
+@pytest.mark.parametrize("reader, header, text", [
+    (read_edges_tsv, EDGE_HEADER, "# layer rtw\nu1\tu2\t0.5\t1\t1\nu2\tu3\t0.5\t1\t1\n"),
+    (read_partition_tsv, PARTITION_HEADER, "# scope rtw\n# gamma 1.0\nu1\t0\nu2\t1\n"),
+    (read_multiplex_partition_tsv, MULTIPLEX_HEADER, "# gamma 1.0\nu1\trtw\t0\nu2\trtw\t1\n"),
+    (read_ground_truth, PARTITION_HEADER, "u1\t0\nu2\t1\n"),
+], ids=["edges", "partition", "multiplex-partition", "ground-truth"])
+def test_headerless_tables_are_refused(tmp_path, reader, header, text):
+    # the first row used to be taken for the header and dropped without a word
+    p = tmp_path / "p.tsv"
+    p.write_text("# multicoord 0 config x\n" + text)
+    line = 2 + text.count("#")
+    first = text.split("\n")[text.count("#")]
+    expected = "\t".join(header)
+    with pytest.raises(DataError, match=re.escape(
+            f"p.tsv:{line}: expected the header {expected!r}, got {first!r}")):
+        reader(str(p))
+    p.write_text("# multicoord 0 config x\n" + "".join(l + "\n" for l in text.split("\n")
+                                                      if l.startswith("#")))
+    with pytest.raises(DataError, match=re.escape(f"p.tsv: missing the header {expected!r}")):
+        reader(str(p))
+
+
+def test_edge_read_allocates_a_bounded_multiple_of_the_file(tmp_path):
+    # ~20k rows shaped like a 1.2k-user unfl-sum edge list; the row reader
+    # this replaced peaked at ~18x the file's size, the column reader ~11x
+    rng = np.random.default_rng(7)
+    n_nodes, n_rows = 1500, 20_000
+    key = np.unique(rng.integers(0, n_nodes * n_nodes, 3 * n_rows))
+    u, v = np.divmod(key, n_nodes)
+    keep = np.flatnonzero(u < v)[:n_rows]
+    g = LayerGraph("unfl-sum", tuple(f"u{k:04d}" for k in range(n_nodes)), u[keep], v[keep],
+                   rng.random(len(keep)) + 1e-3, rng.integers(1, 60, len(keep)),
+                   rng.integers(1, 14, len(keep)))
+    assert g.n_edges == n_rows
+    p = tmp_path / "edges_unfl-sum.tsv"
+    write_edges_tsv(str(p), g)
+    size = p.stat().st_size
+    tracemalloc.start()
+    try:
+        back = read_edges_tsv(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edge_dict(back) == edge_dict(g)
+    assert peak < 14 * size, f"read peaked at {peak / size:.1f}x the file's {size} bytes"
 
 
 def test_non_finite_values_refused(tmp_path):
