@@ -19,7 +19,7 @@ from .ingest import (ACTIONS, HST, MEN, RPL, RTW, URL, ActionEvent, ActorSet,
                      load_stoplist, parse_events, select_users)
 from .netbuild import (EdgeRowError, LayerGraph, MultiplexNetwork, Window,
                        WindowTfidf, build_multiplex, layer_window_graph,
-                       merge_windows, tfidf_windows, window_slices)
+                       tfidf_windows, window_slices)
 from .filternet import (FilterConfig, FilterReport, auto_threshold,
                         filter_by_actions, filter_by_weight, filter_layer,
                         filter_multiplex)
@@ -47,8 +47,7 @@ __all__ = [
     "parse_events", "apply_stoplists", "load_stoplist", "select_users",
     "extract_domain",
     "Window", "WindowTfidf", "EdgeRowError", "LayerGraph", "MultiplexNetwork",
-    "window_slices", "tfidf_windows", "layer_window_graph",
-    "merge_windows", "build_multiplex",
+    "window_slices", "tfidf_windows", "layer_window_graph", "build_multiplex",
     "FilterConfig", "FilterReport", "filter_by_actions", "auto_threshold",
     "filter_by_weight", "filter_layer", "filter_multiplex",
     "Partition", "communities",

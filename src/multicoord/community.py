@@ -45,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .netbuild import (LayerGraph, MultiplexNetwork, _group_pairs, _group_sums, _row_pointer,
-                       _stacked, _symmetric_csr)
+from .netbuild import LayerGraph, MultiplexNetwork, _group_pairs, _row_pointer, _symmetric_csr
 
 logger = logging.getLogger(__name__)
 
@@ -413,13 +412,15 @@ def _flatten(graphs: list[LayerGraph], scope: str) -> tuple[LayerGraph, np.ndarr
     order; co_actions and window_count are sums.
     """
     nodes, u, v, order, bounds = _group_pairs(graphs)
-    w = _stacked([g.weight for g in graphs], order, float).tolist()
-    b = bounds.tolist()
+
+    def stacked(column, dtype):
+        return np.concatenate([np.zeros(0, dtype), *(getattr(g, column) for g in graphs)])[order]
+
+    w, b = stacked("weight", float).tolist(), bounds.tolist()
     weight = np.array([math.fsum(w[lo:hi]) for lo, hi in zip(b, b[1:])], dtype=float)
-    flat = LayerGraph(scope, nodes, u, v, weight,
-                      _group_sums(graphs, "co_actions", order, bounds),
-                      _group_sums(graphs, "window_count", order, bounds))
-    return flat, np.diff(bounds)
+    co, wc = (np.add.reduceat(stacked(c, np.int64), bounds[:-1])
+              for c in ("co_actions", "window_count"))
+    return LayerGraph(scope, nodes, u, v, weight, co, wc), np.diff(bounds)
 
 
 def flatten_union(net: MultiplexNetwork, strategy: str) -> LayerGraph:

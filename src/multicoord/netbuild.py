@@ -1,29 +1,33 @@
 """Coordination-network construction.
 
-tfidf_windows starts from the user, action and item codes of the EventLog
-(ingest encodes every id) and buckets the actor events with a few array
-sorts into the TF-IDF entries of each action layer and sliding time window,
-as CSR-ordered (row, col, weight) arrays: a row per active user, a column
-per item. layer_window_graph pairs the users of each item (its wedges,
-which characterize's triangle count enumerates with the same helper) and
-groups the pairs with one sort: their product sums are the cosine
-similarities and their sizes the co-action counts of the window's weighted
-co-action graph. The windows of a layer are merged (mean weight, summed
-co-action counts) into one LayerGraph per action type. build_multiplex
-marks the actor rows of the log once, then takes these steps one layer at
-a time on the rows of that layer's action, so only that layer's entries
-and window graphs are alive. The five LayerGraphs form the
-MultiplexNetwork that all downstream detection and comparison operates
-on: the layers in ACTIONS order and nothing else, so a network that build
-makes and one that detect loads from edge lists are the same object. The
-actor universe is the ActorSet of ingest, stored once there. All of it
-runs on numpy alone.
+The build runs on the user, action and item codes of the EventLog (ingest
+encodes every id) and turns codes into names once per layer. A few array
+sorts bucket the actor events into the TF-IDF entries of each action layer
+and sliding time window, as CSR-ordered (row, col, weight) arrays: a row
+per active user, a column per item, with the users' and items' log codes
+alongside. Each window pairs the users of each item (its wedges, which
+characterize's triangle count enumerates with the same helper) and groups
+the pairs with one sort: their product sums are the cosine similarities
+and their sizes the co-action counts, keyed on the pair's user codes.
+_merged_layer sorts the keys of all windows of a layer once, stably, and
+sums each pair's windows in window order: mean weight, summed co-action
+counts, and the window count as the group size. Only then are the names
+of the used codes attached, in one LayerGraph per action type.
+build_multiplex marks the actor rows of the log once, then takes these
+steps one layer at a time on the rows of that layer's action, so only that
+layer's entries and pair keys are alive. tfidf_windows and
+layer_window_graph are the same steps for one window, over names. The five
+LayerGraphs form the MultiplexNetwork that all downstream detection and
+comparison operates on: the layers in ACTIONS order and nothing else, so a
+network that build makes and one that detect loads from edge lists are the
+same object. The actor universe is the ActorSet of ingest, stored once
+there. All of it runs on numpy alone.
 
 A LayerGraph is a sorted node tuple plus COO edge arrays sorted by
 (u, v), which every later stage reads. _group_pairs re-keys graphs onto
 their node union and groups equal pairs with one stable sort, for the
-window merge, the flattenings and edge coverage. The CSR arrays of
-Louvain and characterize and every component labelling come from here too.
+flattenings and edge coverage. The CSR arrays of Louvain and characterize
+and every component labelling come from here too.
 
 IDF is computed within each layer-window (idf = ln(N_w / df)), so items
 used by every active user in a window are nulled: window-local virality
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -112,12 +116,7 @@ class LayerGraph:
         cols = [self.u, self.v, self.weight, self.co_actions, self.window_count]
         if keep is not None:
             cols = [c[keep] for c in cols]
-        used = np.zeros(self.n_nodes, dtype=bool)
-        used[cols[0]] = True
-        used[cols[1]] = True
-        new_index = np.cumsum(used) - 1  # increasing, so rows stay sorted
-        return LayerGraph(self.layer, tuple(compress(self.nodes, used.tolist())),
-                          new_index[cols[0]], new_index[cols[1]], *cols[2:])
+        return LayerGraph(self.layer, *_endpoints(self.nodes, cols[0], cols[1]), *cols[2:])
 
     @classmethod
     def from_pairs(cls, layer: str, pairs: Iterable, nodes: Iterable[str] = ()) -> "LayerGraph":
@@ -133,21 +132,24 @@ class LayerGraph:
         """Build a graph from row-aligned columns of edges in any order:
         endpoint names, then weights and counts, as numbers or as text that
         float and int take. ``nodes`` adds isolated nodes. Raises
-        EdgeRowError for the first row that is not numeric, is a self-loop or
-        a pair already seen, or has a non-finite or non-positive weight or a
-        count below 1.
+        EdgeRowError for the first row that is not numeric or has a count
+        outside int64, and then for the first that is a self-loop or a pair
+        already seen, or has a non-finite or non-positive weight or a count
+        below 1.
         """
         n = len(weight)
         try:
             w = np.fromiter(map(float, weight), float, n)
             co = np.fromiter(map(int, co_actions), np.int64, n)
             wc = np.fromiter(map(int, window_count), np.int64, n)
-        except ValueError:
+        except (ValueError, OverflowError):
             for k, r in enumerate(zip(weight, co_actions, window_count)):
                 try:
-                    float(r[0]), int(r[1]), int(r[2])
+                    counts = float(r[0]), int(r[1]), int(r[2])
                 except ValueError:
                     raise EdgeRowError(k, f"not a number in {r!r}") from None
+                if not all(-2**63 <= c < 2**63 for c in counts[1:]):
+                    raise EdgeRowError(k, f"count outside int64 in {r!r}")
             raise
         names = tuple(sorted(set(a).union(b, nodes)))
         index = {x: k for k, x in enumerate(names)}
@@ -164,6 +166,16 @@ class LayerGraph:
         if bad:
             raise EdgeRowError(*min(bad, key=lambda kr: kr[0]))
         return cls(layer, names, u[order], v[order], w[order], co[order], wc[order])
+
+
+def _endpoints(nodes: Sequence, u: np.ndarray, v: np.ndarray) -> tuple:
+    """(used nodes, u, v): the nodes that the rows (u, v) use, in node
+    order, and the rows re-indexed onto them."""
+    used = np.zeros(len(nodes), dtype=bool)
+    used[u] = True
+    used[v] = True
+    new_index = np.cumsum(used) - 1  # increasing, so rows stay sorted
+    return tuple(compress(nodes, used.tolist())), new_index[u], new_index[v]
 
 
 def _group_pairs(graphs: list[LayerGraph]):
@@ -186,18 +198,6 @@ def _group_pairs(graphs: list[LayerGraph]):
     starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
     u, v = np.divmod(key[starts], n)
     return nodes, u, v, order, np.append(starts, len(key))
-
-
-def _stacked(columns: list[np.ndarray], order: np.ndarray, dtype) -> np.ndarray:
-    """Per-graph columns stacked, in the sorted order of _group_pairs."""
-    return np.concatenate([np.zeros(0, dtype), *columns])[order]
-
-
-def _group_sums(graphs: list[LayerGraph], column: str, order: np.ndarray,
-                bounds: np.ndarray) -> np.ndarray:
-    """Per-pair sums of an integer column over the groups of _group_pairs."""
-    return np.add.reduceat(_stacked([getattr(g, column) for g in graphs], order, np.int64),
-                           bounds[:-1])
 
 
 def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
@@ -305,15 +305,16 @@ class WindowTfidf:
     """TF-IDF entries of one layer-window: entry k is weight[k] = tf * idf of
     users[row[k]] on items[col[k]], where tf counts the user's events on the
     item inside the window and idf = ln(N_w / df) over the window's N_w
-    active users, df of them on the item. users and items are sorted; the
-    entries are positive and in CSR order, sorted by (row, col), and every
-    row and column holds one.
+    active users, df of them on the item. users and items are sorted: tuples
+    of ids from tfidf_windows, arrays of the log's codes within the build.
+    The entries are positive and in CSR order, sorted by (row, col), and
+    every row and column holds one.
     """
 
     layer: str
     index: int
-    users: tuple
-    items: tuple
+    users: Sequence
+    items: Sequence
     row: np.ndarray
     col: np.ndarray
     weight: np.ndarray
@@ -326,8 +327,11 @@ def tfidf_windows(log: EventLog, actors: ActorSet, width: float,
     """
     if log.time_span is None:
         return []
-    return _tfidf_windows(log, _actor_rows(log, actors), width, shift,
-                          len(window_slices(log.time_span, width, shift)))
+    windows = _tfidf_windows(log, _actor_rows(log, actors), width, shift,
+                             len(window_slices(log.time_span, width, shift)))
+    return [replace(m, users=tuple(map(log.users.__getitem__, m.users.tolist())),
+                    items=tuple(map(log.items.__getitem__, m.items.tolist())))
+            for m in windows]
 
 
 def _actor_rows(log: EventLog, actors: ActorSet) -> np.ndarray:
@@ -339,7 +343,8 @@ def _actor_rows(log: EventLog, actors: ActorSet) -> np.ndarray:
 def _tfidf_windows(log: EventLog, keep: np.ndarray, width: float, shift: float,
                    n_windows: int) -> list[WindowTfidf]:
     """tfidf_windows of the rows where ``keep`` is true, over the grid of
-    n_windows windows that starts at the non-empty log's t_min."""
+    n_windows windows that starts at the non-empty log's t_min, with the
+    users and items of each window as the log's codes."""
     user, item, layer = log.user[keep], log.item[keep], log.action[keep]
     lo, hi = _window_ranges(log.ts[keep], log.time_span[0], width, shift, n_windows)
     # one row per (event, window); lw numbers layer-windows in ACTIONS order
@@ -375,14 +380,12 @@ def _tfidf_windows(log: EventLog, keep: np.ndarray, width: float, shift: float,
     new_item = _run_starts(lw[by_item], item[by_item])
     col = np.empty_like(row)
     col[by_item] = np.cumsum(new_item) - 1
-    records = []
-    user_names, item_names = np.array(log.users, dtype=object), np.array(log.items, dtype=object)
     bounds = np.append(np.flatnonzero(_run_starts(lw)), len(lw))
+    records = []
     for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        users = tuple(user_names[user[s:e][new_user[s:e]]].tolist())
-        items = tuple(item_names[item[by_item[s:e]][new_item[s:e]]].tolist())
         a, k = divmod(int(lw[s]), n_windows)
-        records.append(WindowTfidf(ACTIONS[a], k, users, items, row[s:e] - row[s],
+        records.append(WindowTfidf(ACTIONS[a], k, user[s:e][new_user[s:e]],
+                                   item[by_item[s:e]][new_item[s:e]], row[s:e] - row[s],
                                    col[s:e] - col[by_item[s]], weight[s:e]))
     return records
 
@@ -405,71 +408,82 @@ def _wedges(opens: np.ndarray, start: int = 0,
     return first, second
 
 
-def layer_window_graph(m: WindowTfidf) -> LayerGraph:
-    """Cosine-similarity graph of one layer-window.
+def _sum_by_key(key: np.ndarray, weight: np.ndarray):
+    """Group equal integer keys with one stable sort. Returns the distinct
+    keys in increasing order, each group's weight sum, added strictly left
+    to right in input order (bincount), each group's size, and the sort
+    permutation and group starts, to sum other columns alike."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = _run_starts(key)
+    starts = np.flatnonzero(new)
+    sums = np.bincount(np.cumsum(new) - 1, weights=weight[order])
+    return key[starts], sums, np.diff(np.append(starts, key.size)), order, starts
 
-    Every user pair sharing at least one item gets an edge with weight =
-    cosine similarity (capped at 1), co_actions = number of shared items
-    and window_count 1; zero-similarity pairs are omitted, and so are users
-    without an edge.
+
+def _cosine_pairs(m: WindowTfidf, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cosine-similarity edges of one layer-window whose users are codes
+    below n, in key order: per user pair that shares an item and has a
+    positive similarity, the key code_u * n + code_v with code_u < code_v,
+    the cosine capped at 1, and the number of shared items.
 
     Each wedge is two users of one item. A pair's wedges are grouped by
     one stable sort, so a weight is the sum of its pair's products in
     decreasing item order: the order of the sparse product Xn Xn^T with
     Xn = diag(1 / norm) X, whose every float it reproduces.
     """
-    n = len(m.users)
     norms = np.sqrt(np.add.reduceat(m.weight * m.weight, np.flatnonzero(_run_starts(m.row))))
     x = (1.0 / norms)[m.row] * m.weight
     rank = len(m.items) - 1 - m.col  # decreasing item order
     order = np.lexsort((m.row, rank))
-    user, x = m.row[order], x[order]
+    # int64 codes: the log's int32 codes would overflow in the keys
+    user, x = np.asarray(m.users, dtype=np.int64)[m.row[order]], x[order]
     first, second = _wedges(_wedge_opens(rank[order], len(m.items)))
-    key = user[first] * n + user[second]  # an item's users are in row order
+    key = user[first] * n + user[second]  # an item's users are in code order
     product = x[first] * x[second]
     del first, second
-    by_pair = np.argsort(key, kind="stable")
-    key = key[by_pair]
-    new_pair = _run_starts(key)
-    # bincount adds strictly left to right
-    dot = np.bincount(np.cumsum(new_pair) - 1, weights=product[by_pair])
-    starts = np.flatnonzero(new_pair)
-    u, v = np.divmod(key[starts], n)
-    co = np.diff(np.append(starts, key.size))
+    key, dot, co, _, _ = _sum_by_key(key, product)
     keep = dot > 0.0
-    return LayerGraph(m.layer, m.users, u[keep], v[keep], np.minimum(dot[keep], 1.0),
-                      co[keep], np.ones(int(keep.sum()), dtype=np.int64)).edge_subgraph()
+    return key[keep], np.minimum(dot[keep], 1.0), co[keep]
 
 
-def merge_windows(graphs: list[LayerGraph], layer: str | None = None) -> LayerGraph:
-    """Merge per-window graphs of one layer, in list order.
-
-    Edge weight is sum(weight * window_count) / sum(window_count) over the
-    windows where the edge appears (the mean for single windows),
-    co_actions and window_count are sums; nodes are the union.
+def _merged_layer(layer: str, users: Sequence, windows: list[WindowTfidf]) -> LayerGraph:
+    """The LayerGraph of one layer from its windows in window order, whose
+    users are codes into ``users``. An edge's weight is the mean of its
+    window cosines, co_actions their summed shared items and window_count
+    the number of windows that hold it; the nodes are the edges' endpoints.
     """
-    layers = {g.layer for g in graphs}
-    if len(layers) > 1:
-        raise ValueError(f"cannot merge graphs from different layers: {sorted(layers)}")
-    if layer is None:
-        layer = layers.pop() if layers else ""
-    nodes, u, v, order, bounds = _group_pairs(graphs)
-    # the stable sort keeps each pair's windows in list order, and bincount
-    # adds strictly left to right: the sums equal sequential float addition
-    weighted = _stacked([g.weight * g.window_count for g in graphs], order, float)
-    group = np.repeat(np.arange(len(u)), np.diff(bounds))
-    weight_sum = np.bincount(group, weights=weighted, minlength=len(u))
-    co_sum = _group_sums(graphs, "co_actions", order, bounds)
-    wc_sum = _group_sums(graphs, "window_count", order, bounds)
-    return LayerGraph(layer, nodes, u, v, weight_sum / wc_sum, co_sum, wc_sum)
+    n = len(users)
+    pairs = [_cosine_pairs(m, n) for m in windows]
+    key, cosine, co = (np.concatenate([np.zeros(0, dtype), *(p[k] for p in pairs)])
+                       for k, dtype in enumerate((np.int64, float, np.int64)))
+    del pairs
+    # the stable sort keeps a pair's windows in window order, so each weight
+    # sum is sequential float addition over them
+    key, weight_sum, window_count, order, starts = _sum_by_key(key, cosine)
+    u, v = np.divmod(key, n)
+    return LayerGraph(layer, *_endpoints(users, u, v), weight_sum / window_count,
+                      np.add.reduceat(co[order], starts), window_count)
+
+
+def layer_window_graph(m: WindowTfidf) -> LayerGraph:
+    """Cosine-similarity graph of one layer-window of tfidf_windows.
+
+    Every user pair sharing at least one item gets an edge with weight =
+    cosine similarity (capped at 1), co_actions = number of shared items
+    and window_count 1; zero-similarity pairs are omitted, and so are users
+    without an edge. It is the build's layer merge over this one window.
+    """
+    return _merged_layer(m.layer, m.users, [replace(m, users=np.arange(len(m.users)))])
 
 
 def build_multiplex(log: EventLog, actors: ActorSet, width: float,
                     shift: float) -> MultiplexNetwork:
     """Full network construction: per-window TF-IDF matrices, their cosine
-    graphs, and window merging for each of the five layers, one layer at a
-    time, so that only its TF-IDF entries and window graphs are alive. Every
-    layer shares the log's window grid and one mask of the actor rows.
+    similarities, and window merging for each of the five layers, one layer
+    at a time, so that only its TF-IDF entries and pair keys are alive.
+    Every layer shares the log's window grid and one mask of the actor rows,
+    and stays on the log's user codes until it is merged.
     """
     layers = {a: LayerGraph(a) for a in ACTIONS}
     if not len(log):
@@ -480,9 +494,8 @@ def build_multiplex(log: EventLog, actors: ActorSet, width: float,
         in_layer = actor_rows & (log.action == k)
         if not in_layer.any():
             continue
-        parts = [layer_window_graph(m)
-                 for m in _tfidf_windows(log, in_layer, width, shift, n_windows)]
-        layers[a] = merge_windows(parts, a)
-        logger.info("build_multiplex: layer %s -> %d nodes, %d edges from %d window graphs",
-                    a, layers[a].n_nodes, layers[a].n_edges, len(parts))
+        windows = _tfidf_windows(log, in_layer, width, shift, n_windows)
+        layers[a] = _merged_layer(a, log.users, windows)
+        logger.info("build_multiplex: layer %s -> %d nodes, %d edges from %d windows",
+                    a, layers[a].n_nodes, layers[a].n_edges, len(windows))
     return MultiplexNetwork(layers)

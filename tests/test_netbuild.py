@@ -9,8 +9,7 @@ from conftest import edge_dict, tfidf_entries
 from multicoord.errors import DataError
 from multicoord.ingest import ActionEvent, ActorSet, EventLog
 from multicoord.netbuild import (MAX_WINDOWS, LayerGraph, Window, build_multiplex,
-                                 layer_window_graph, merge_windows,
-                                 tfidf_windows, window_slices)
+                                 layer_window_graph, tfidf_windows, window_slices)
 
 H = 3600.0
 
@@ -178,10 +177,13 @@ def test_cosine_graph_order_invariant():
 
 
 # ---------------------------------------------------------------------------
-# merging
+# merging, by the name-keyed window merge that test_properties keeps as the
+# build's oracle
 
 
 def test_merge_windows_mean_weight_and_sums():
+    from test_properties import merge_windows
+
     g0 = LayerGraph.from_pairs("rtw", [("a", "b", 0.8, 2), ("b", "c", 0.5, 1)])
     g1 = LayerGraph.from_pairs("rtw", [("a", "b", 0.4, 3)])
     g2 = LayerGraph.from_pairs("rtw", [("c", "d", 1.0, 1)])
@@ -195,6 +197,8 @@ def test_merge_windows_mean_weight_and_sums():
 
 
 def test_merge_windows_weights_by_window_count():
+    from test_properties import merge_windows
+
     # inputs that are themselves merges: the weight is the window-weighted
     # mean, added up in input order
     g0 = LayerGraph.from_pairs("rtw", [("a", "b", 0.3, 4, 3), ("b", "c", 0.9, 1, 1)])
@@ -207,6 +211,8 @@ def test_merge_windows_weights_by_window_count():
 
 
 def test_merge_windows_rejects_mixed_layers():
+    from test_properties import merge_windows
+
     with pytest.raises(ValueError):
         merge_windows([LayerGraph.from_pairs("rtw", [("a", "b", 1.0)]),
                        LayerGraph.from_pairs("rpl", [("a", "b", 1.0)])])
@@ -232,7 +238,7 @@ def test_build_multiplex_matches_manual_composition(rng):
 def _check_manual_composition(rng, n_users, n_items, n_events, span, n_windows):
     # random small log; the one-shot builder must equal the window-by-window
     # composition of the dict oracle's graphs, merged by a sequential loop
-    from test_properties import user_vectors_oracle, window_graph_oracle
+    from test_properties import merge_windows, user_vectors_oracle, window_graph_oracle
 
     users = [f"u{i}" for i in range(n_users)]
     items = [f"i{i}" for i in range(n_items)]

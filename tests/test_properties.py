@@ -34,10 +34,9 @@ from multicoord.ingest import (_CONTROL_CHARS, ACTIONS, HST, MEN, URL,  # noqa: 
                                extract_domain, parse_events, select_users)
 from multicoord.errors import reading  # noqa: E402
 from multicoord.netbuild import (EdgeRowError, LayerGraph, MultiplexNetwork,  # noqa: E402
-                                 WindowTfidf, _component_labels, _symmetric_csr,
+                                 WindowTfidf, _component_labels, _group_pairs, _symmetric_csr,
                                  _wedge_opens, _wedges, _window_ranges, build_multiplex,
-                                 layer_window_graph, merge_windows,
-                                 tfidf_windows, window_slices)
+                                 layer_window_graph, tfidf_windows, window_slices)
 from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER,  # noqa: E402
                                 PARTITION_HEADER, _n_components, _number, read_edges_tsv,
                                 read_ground_truth, read_multiplex_partition_tsv,
@@ -134,6 +133,42 @@ def assert_same_graph(got, want):
     for column in ("u", "v", "weight", "co_actions", "window_count"):
         a, b = getattr(got, column), getattr(want, column)
         assert a.dtype == b.dtype and np.array_equal(a, b), column
+
+
+def _stacked(columns: list[np.ndarray], order: np.ndarray, dtype) -> np.ndarray:
+    """Per-graph columns stacked, in the sorted order of _group_pairs."""
+    return np.concatenate([np.zeros(0, dtype), *columns])[order]
+
+
+def _group_sums(graphs: list[LayerGraph], column: str, order: np.ndarray,
+                bounds: np.ndarray) -> np.ndarray:
+    """Per-pair sums of an integer column over the groups of _group_pairs."""
+    return np.add.reduceat(_stacked([getattr(g, column) for g in graphs], order, np.int64),
+                           bounds[:-1])
+
+
+def merge_windows(graphs: list[LayerGraph], layer: str | None = None) -> LayerGraph:
+    """Merge per-window graphs of one layer, in list order: the window merge
+    that the build ran on per-window name graphs before it kept user codes.
+
+    Edge weight is sum(weight * window_count) / sum(window_count) over the
+    windows where the edge appears (the mean for single windows),
+    co_actions and window_count are sums; nodes are the union.
+    """
+    layers = {g.layer for g in graphs}
+    if len(layers) > 1:
+        raise ValueError(f"cannot merge graphs from different layers: {sorted(layers)}")
+    if layer is None:
+        layer = layers.pop() if layers else ""
+    nodes, u, v, order, bounds = _group_pairs(graphs)
+    # the stable sort keeps each pair's windows in list order, and bincount
+    # adds strictly left to right: the sums equal sequential float addition
+    weighted = _stacked([g.weight * g.window_count for g in graphs], order, float)
+    group = np.repeat(np.arange(len(u)), np.diff(bounds))
+    weight_sum = np.bincount(group, weights=weighted, minlength=len(u))
+    co_sum = _group_sums(graphs, "co_actions", order, bounds)
+    wc_sum = _group_sums(graphs, "window_count", order, bounds)
+    return LayerGraph(layer, nodes, u, v, weight_sum / wc_sum, co_sum, wc_sum)
 
 
 def build_multiplex_oracle(log, actors, width, shift):
@@ -281,8 +316,38 @@ def event_logs(draw):
     return log, ActorSet({"rtw": actors}), width, shift
 
 
+def _pinned_log(rows, n_windows):
+    """(log, actors, 10, 10) of (user, layer, item, t) rows over a grid of
+    n_windows windows of 10 s, with every user but u9 an actor."""
+    log = EventLog.from_events([ActionEvent(*r) for r in sorted(rows, key=lambda r: r[3])],
+                               time_span=(0.0, 10.0 * n_windows))
+    actors = frozenset(r[0] for r in rows) - {"u9"}
+    return log, ActorSet({"rtw": actors}), 10.0, 10.0
+
+
+# every rtw window holds one actor (u9 is none) and every rpl window two
+# actors on items of their own: windows without a pair, so the merge sees
+# empty arrays only
+LONE_ACTORS = _pinned_log([("u0", "rtw", "i0", 1.0), ("u9", "rtw", "i0", 2.0),
+                           ("u1", "rtw", "i1", 12.0), ("u0", "rpl", "i0", 3.0),
+                           ("u1", "rpl", "i1", 3.0), ("u0", "rpl", "i2", 15.0),
+                           ("u2", "rpl", "i3", 15.0)], 3)
+# u0 and u1 co-act in all 9 windows that hold events, around an empty one;
+# a merge that adds their 9 cosines in another order or with math.fsum
+# moves the last bit of the mean
+EVERY_WINDOW = _pinned_log(
+    [row for k, counts in enumerate([(1, 4), (1, 2), (2, 2), (1, 4), None, (1, 3), (2, 3),
+                                     (4, 2), (3, 1), (2, 4)]) if counts
+     for row in [("u0", "rtw", "a", 10.0 * k + 1.0), ("u1", "rtw", "c", 10.0 * k + 1.0),
+                 ("u2", "rtw", "b", 10.0 * k + 1.0)]
+     + [("u0", "rtw", "c", 10.0 * k + 2.0)] * counts[0]
+     + [("u1", "rtw", "a", 10.0 * k + 2.0)] * counts[1]], 10)
+
+
 @settings(max_examples=200, deadline=None)
 @given(event_logs())
+@example(LONE_ACTORS)
+@example(EVERY_WINDOW)
 def test_build_multiplex_matches_dict_oracle(case):
     log, actors, width, shift = case
     windows = window_slices(log.time_span, width, shift)
@@ -1464,12 +1529,15 @@ def _from_pairs_oracle(layer, pairs):
     try:
         weight = np.array(list(map(float, w)), dtype=float)
         co, wc = (np.asarray(list(map(int, c)), dtype=np.int64) for c in (co, wc))
-    except ValueError:
+    except (ValueError, OverflowError):
+        int64 = np.iinfo(np.int64)
         for k, r in enumerate(rows):
             try:
                 float(r[2]), int(r[3]), int(r[4])
             except ValueError:
                 raise EdgeRowError(k, f"not a number in {r[2:]!r}") from None
+            if not all(int64.min <= int(c) <= int64.max for c in r[3:]):
+                raise EdgeRowError(k, f"count outside int64 in {r[2:]!r}")
         raise
     names = tuple(sorted(set(a).union(b)))
     index = {x: k for k, x in enumerate(names)}
@@ -1547,7 +1615,8 @@ table_weights = (st.floats(min_value=1e-3, max_value=1e3).map(repr)
                  | st.sampled_from([" 2.0", "+1", "1_0", "٣", "1.5 "]))
 bad_weights = st.sampled_from(["1e400", "nan", "-inf", "0.0", "-0.5", "x", "", "0x1"])
 table_counts = st.integers(1, 99).map(str) | st.sampled_from([" 2", "+1", "1_0", "٣", "3 "])
-bad_counts = st.sampled_from(["0", "-1", "1.5", "x", ""])
+bad_counts = st.sampled_from(["0", "-1", "1.5", "x", "", "99999999999999999999",
+                              "-99999999999999999999"])
 blank_lines = st.sampled_from(["", " ", "\t", " \t ", "\t\t\t\t", "\u2028", "\x85"])
 
 

@@ -224,6 +224,8 @@ def test_read_errors_are_data_errors(tmp_path):
     ("a\tc\t0.5\t0\t1", "co_actions or window_count below 1"),
     ("a\tc\t0.5\t2\t-1", "co_actions or window_count below 1"),
     ("a\tc\t0.5\t1.5\t1", "not a number"),
+    ("a\tc\t0.5\t99999999999999999999\t1", "count outside int64"),
+    ("a\tc\t0.5\t1\t-99999999999999999999", "count outside int64"),
 ])
 def test_bad_edge_rows_name_their_line(tmp_path, row, reason):
     p = tmp_path / "e.tsv"
