@@ -12,11 +12,13 @@ conductance when the member set is the whole graph) are reported as 0.0
 with an explicit defined flag, so downstream vectors keep a fixed length.
 
 Both descriptor sets work on one GraphCSR per graph, in numpy alone, so
-that a characterize process loads no scipy module. netbuild builds its CSR
-arrays and labels its components, as it does for Louvain and the layer
-statistics. A community is an induced subgraph of the CSR arrays,
-clustering comes from integer triangle counts (Latapy 2008's forward
-algorithm), eigenvector centrality from a Lanczos iteration with full
+that a characterize process loads no scipy module. A GraphCSR is
+netbuild's CSR, the type of every Louvain level too, plus what only
+characterize needs: the node ids and the cached eigenvector centrality.
+netbuild also labels its components, as it does for the layer statistics.
+A community is an induced subgraph of the CSR (CSR.induced), clustering
+comes from integer triangle counts (Latapy 2008's forward algorithm),
+eigenvector centrality from a Lanczos iteration with full
 reorthogonalization, and the Brunner-Munzel p-value from a continued
 fraction of the incomplete beta function.
 """
@@ -32,8 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSampleError, UndefinedMetricError
-from .netbuild import (LayerGraph, _component_labels, _row_pointer, _symmetric_csr,
-                       _wedge_opens, _wedges)
+from .netbuild import CSR, LayerGraph, _component_labels, _wedge_opens, _wedges
 
 logger = logging.getLogger(__name__)
 
@@ -107,44 +108,20 @@ class Eigen(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class GraphCSR:
-    """One graph as arrays: node ids in sorted order and the symmetric
-    weighted CSR adjacency (indptr, indices, weight). Each row lists its
-    neighbours in id order, so every reduction sees a fixed array."""
+class GraphCSR(CSR):
+    """One graph's netbuild CSR with its node ids in sorted order, and the
+    eigenvector centrality computed once per graph."""
 
     order: list
-    indptr: np.ndarray
-    indices: np.ndarray
-    weight: np.ndarray
 
     @classmethod
     def of(cls, g: LayerGraph) -> "GraphCSR":
-        return cls(list(g.nodes), *_symmetric_csr(g.n_nodes, g.u, g.v, g.weight))
+        csr = CSR.symmetric(g.n_nodes, g.u, g.v, g.weight)
+        return cls(csr.indptr, csr.indices, csr.weight, list(g.nodes))
 
     @cached_property
     def index(self) -> dict:
         return {u: i for i, u in enumerate(self.order)}
-
-    @property
-    def degree(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def rows(self) -> np.ndarray:
-        """Row index of every stored entry."""
-        return np.repeat(np.arange(self.degree.size), self.degree)
-
-    def induced(self, idx: np.ndarray) -> "GraphCSR":
-        """Subgraph on the increasing node positions ``idx``, renumbered in
-        that order; rows and columns stay sorted."""
-        pos = np.full(self.degree.size, -1)
-        pos[idx] = np.arange(idx.size)
-        deg = self.degree[idx]
-        at = np.repeat(self.indptr[idx] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-        cols = pos[self.indices[at]]
-        keep = cols >= 0
-        rows = np.repeat(np.arange(idx.size), deg)[keep]
-        return GraphCSR([self.order[i] for i in idx.tolist()], _row_pointer(rows, idx.size),
-                        cols[keep], self.weight[at[keep]])
 
     @cached_property
     def eigen(self) -> Eigen:
@@ -178,7 +155,7 @@ class GraphCSR:
         return Eigen(out, solved, float(best_val), best_ritz2, steps)
 
 
-def _triangles(csr: GraphCSR) -> np.ndarray:
+def _triangles(csr: CSR) -> np.ndarray:
     """Triangles through each node, by Latapy's (2008) forward algorithm.
 
     Each edge is oriented from the lower to the higher (degree, id) rank.
@@ -210,7 +187,7 @@ def _triangles(csr: GraphCSR) -> np.ndarray:
     return tri[rank]
 
 
-def _local_clustering(csr: GraphCSR) -> np.ndarray:
+def _local_clustering(csr: CSR) -> np.ndarray:
     """Unweighted local clustering per node: twice the triangles through a
     node over d(d - 1)."""
     d = csr.degree
@@ -221,7 +198,7 @@ def _local_clustering(csr: GraphCSR) -> np.ndarray:
     return out
 
 
-def _lanczos(csr: GraphCSR) -> tuple[float, float | None, np.ndarray, int]:
+def _lanczos(csr: CSR) -> tuple[float, float | None, np.ndarray, int]:
     """Top eigenpair of a connected graph's weighted adjacency: Lanczos from
     the all-ones vector with full reorthogonalization, the matvec a
     bincount over the CSR entries and the Ritz pairs from eigh of the
@@ -303,7 +280,7 @@ def community_metrics(g: LayerGraph, members, csr: GraphCSR | None = None) -> Co
                             assortativity_defined=assortativity_defined)
 
 
-def _degree_assortativity(sub: GraphCSR) -> tuple[float, bool]:
+def _degree_assortativity(sub: CSR) -> tuple[float, bool]:
     """Pearson correlation of endpoint degrees over the edges of the CSR
     subgraph, symmetrized; edges in row-major order, so the numpy
     reductions see a fixed array."""
@@ -320,7 +297,7 @@ def _degree_assortativity(sub: GraphCSR) -> tuple[float, bool]:
     return r, True
 
 
-def _pagerank(csr: GraphCSR, damping: float) -> np.ndarray:
+def _pagerank(csr: CSR, damping: float) -> np.ndarray:
     """Weighted PageRank on the CSR adjacency, uniform teleport, L1
     stopping rule. The strength sums each row in order, and the transition
     product accumulates row by row."""

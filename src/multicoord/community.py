@@ -13,17 +13,20 @@ null model:
 
 with 2mu = sum_s 2m_s + total coupling weight. Setting omega = 0 on a
 single layer reduces Q to standard Newman-Girvan modularity, which the
-test suite checks to 1e-12. One shared engine runs both cases: a node
-carries a per-layer strength vector, so the aggregated problem keeps the
-factorized per-layer null model while coupling weights behave as plain
-edges. Both end in one tail that returns one Partition type: a layer or
-flattened scope maps actors, and scope "multi" maps (actor, layer)
-supra-nodes. Each aggregation level is one symmetric CSR, and numpy grouping
-builds the next. Local moving drains a FIFO queue that starts as a seeded
-shuffle of every node; a node that moves requeues its neighbours outside
-its new community, so later visits go only where a neighbour moved
-(Ozaki, Tezuka & Inaba 2016; Traag, Waltman & van Eck 2019). Passes stop
-when one moves no node.
+test suite checks to 1e-12. The coupled pairs are defined once
+(_supra_nodes), for the supra-graph and for Q alike, apart from the
+intra-layer rows. One shared engine runs both cases: a node carries a
+per-layer strength vector, so the aggregated problem keeps the factorized
+per-layer null model while coupling weights behave as plain edges. Both
+end in one tail that returns one Partition type: a layer or flattened
+scope maps actors, and scope "multi" maps (actor, layer) supra-nodes.
+Each aggregation level is one netbuild CSR with its (n, L) strength table
+beside it; netbuild's stable key grouping (_sum_by_key) sums the
+between-community rows into the next. Local moving drains a FIFO queue
+that starts as a seeded shuffle of every node; a node that moves requeues
+its neighbours outside its new community, so later visits go only where a
+neighbour moved (Ozaki, Tezuka & Inaba 2016; Traag, Waltman & van Eck
+2019). Passes stop when one moves no node.
 
 Detection is deterministic for a fixed seed, and community ids are
 canonicalized by decreasing size, ties broken by smallest member id.
@@ -45,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .netbuild import LayerGraph, MultiplexNetwork, _group_pairs, _row_pointer, _symmetric_csr
+from .netbuild import (CSR, LayerGraph, MultiplexNetwork, _group_pairs, _row_pointer,
+                       _sum_by_key, _wedge_opens, _wedges)
 
 logger = logging.getLogger(__name__)
 
@@ -118,7 +122,8 @@ def modularity(g: LayerGraph, p: Partition, gamma: float = 1.0) -> float:
     """
     missing = [n for n in g.nodes if n not in p.assignment]
     if missing:
-        raise DataError(f"partition does not cover {len(missing)} nodes of {g.layer}")
+        raise DataError(f"partition does not cover {len(missing)} nodes of {g.layer}, "
+                        f"e.g. {missing[0]!r}")
     two_m = 2.0 * g.total_weight()
     if two_m == 0.0:
         return 0.0
@@ -133,6 +138,20 @@ def modularity(g: LayerGraph, p: Partition, gamma: float = 1.0) -> float:
                      for i, k in zip(internal.tolist(), comm_k.tolist()))
 
 
+def _supra_nodes(net: MultiplexNetwork) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
+    """The (actor, layer) supra-nodes, layer by layer in each layer's node
+    order, and the coupled pairs (a[k], b[k]), a < b: the indices of two
+    copies of one actor, each pair once.
+    """
+    names = [(actor, layer) for layer, g in net.layers.items() for actor in g.nodes]
+    # sorted stably by actor, an actor's copies are one group, and each
+    # pairs with every later one, as the users of one item do in the build
+    actor = _labels([a for a, _ in names])
+    by_actor = np.argsort(actor, kind="stable")
+    first, second = _wedges(_wedge_opens(actor[by_actor], len(names)))
+    return names, by_actor[first], by_actor[second]
+
+
 def multislice_modularity(net: MultiplexNetwork, p: Partition,
                           gamma: float = 1.0, omega: float = 0.1) -> float:
     """Multislice modularity with categorical (all-to-all) coupling.
@@ -140,60 +159,42 @@ def multislice_modularity(net: MultiplexNetwork, p: Partition,
     Every (actor, layer) node must be assigned; 2mu includes the coupling
     weight (omega per ordered pair of an actor's copies).
     """
-    layers_of: dict[str, list[str]] = defaultdict(list)
-    for layer, g in net.layers.items():
-        for node in g.nodes:
-            if (node, layer) not in p.assignment:
-                raise DataError(f"partition does not cover ({node!r}, {layer!r})")
-            layers_of[node].append(layer)
-    coupling_total = omega * math.fsum(len(ls) * (len(ls) - 1) for ls in layers_of.values())
-    two_m = {layer: 2.0 * g.total_weight() for layer, g in net.layers.items()}
-    two_mu = math.fsum(two_m.values()) + coupling_total
+    names, a, b = _supra_nodes(net)
+    missing = [x for x in names if x not in p.assignment]
+    if missing:
+        raise DataError(f"partition does not cover {len(missing)} (actor, layer) nodes, "
+                        f"e.g. {missing[0]!r}")
+    label = _labels([p.assignment[x] for x in names])
+    two_m = [2.0 * g.total_weight() for g in net.layers.values()]
+    two_mu = math.fsum(two_m) + omega * 2.0 * len(a)
     if two_mu == 0.0:
         return 0.0
-    raw = 0.0
-    for layer, g in net.layers.items():
+    raw, off = 0.0, 0
+    for g, m in zip(net.layers.values(), two_m):
+        # ids over all layers: those without a node here add exact zeros to fsum
+        lab, off = label[off:off + g.n_nodes], off + g.n_nodes
         if not g.n_edges:
             continue
-        label = _labels([p.assignment[(node, layer)] for node in g.nodes])
-        internal = np.cumsum(2.0 * g.weight[label[g.u] == label[g.v]])  # left to right
-        comm_k = np.bincount(label, weights=_strengths(g))
-        null = math.fsum((comm_k * comm_k).tolist()) / two_m[layer]
+        internal = np.cumsum(2.0 * g.weight[lab[g.u] == lab[g.v]])  # left to right
+        comm_k = np.bincount(lab, weights=_strengths(g))
+        null = math.fsum((comm_k * comm_k).tolist()) / m
         raw += (float(internal[-1]) if len(internal) else 0.0) - gamma * null
-    if omega != 0.0:
-        coupled = 0.0
-        for actor in sorted(layers_of):
-            ls = layers_of[actor]
-            for i in range(len(ls)):
-                for j in range(i + 1, len(ls)):
-                    if p.assignment[(actor, ls[i])] == p.assignment[(actor, ls[j])]:
-                        coupled += 2.0 * omega
-        raw += coupled
-    return raw / two_mu
+    coupled = 0.0
+    for _ in range(np.count_nonzero(label[a] == label[b])):  # 2 omega per pair, left to right
+        coupled += 2.0 * omega
+    return (raw + coupled) / two_mu
 
 
 # ---------------------------------------------------------------------------
 # the shared Louvain engine
 
 
-@dataclass(frozen=True)
-class _Problem:
-    """One aggregation level as a symmetric CSR: row u lists u's neighbours
-    (coupling included, no self entries) in increasing id order. strength
-    (n, L) holds per-layer null-model strengths (couplings are excluded
-    from the null model by construction). A node's internal weight is not
-    kept: no move gain depends on it, and Q comes from the gains.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    weight: np.ndarray
-    strength: np.ndarray
-
-
-def _local_moving(prob: _Problem, inv_two_m: np.ndarray, gamma: float, threshold: float,
-                  rng: random.Random) -> tuple[list[int], float, int, int]:
-    """Greedy node moves from singletons, driven by a FIFO queue.
+def _local_moving(csr: CSR, strength: np.ndarray, inv_two_m: np.ndarray, gamma: float,
+                  threshold: float, rng: random.Random) -> tuple[list[int], float, int, int]:
+    """Greedy node moves from singletons over one level: its CSR (coupling
+    included) and its (n, L) table of per-layer null-model strengths, which
+    no coupling enters. A node's internal weight is not kept: no move gain
+    depends on it, and Q comes from the gains.
 
     The queue starts as a seeded shuffle of every node. A node moves to the
     neighbouring community (or a fresh one) of highest gain when that beats
@@ -203,20 +204,21 @@ def _local_moving(prob: _Problem, inv_two_m: np.ndarray, gamma: float, threshold
     moves); Q rises by twice the gain over 2mu. A node moving to fresh
     solitude takes an emptied community id.
     """
-    n = len(prob.strength)
-    indptr, indices, weight = prob.indptr.tolist(), prob.indices.tolist(), prob.weight.tolist()
+    n = len(strength)
+    indptr, indices, weight = csr.indptr.tolist(), csr.indices.tolist(), csr.weight.tolist()
     rows = [(indices[a:b], weight[a:b]) for a, b in zip(indptr, indptr[1:])]
     del indptr, indices, weight  # rows hold the entries from here on
-    strength = prob.strength.tolist()
-    scaled = (prob.strength * inv_two_m).tolist()
-    comm_k = prob.strength.T.tolist()  # comm_k[s][c]: community c's strength in layer s
+    comm_k = strength.T.tolist()  # comm_k[s][c]: community c's strength in layer s
     # terms[u]: (strength, scaled strength, comm_k row) of each layer where u
     # has strength, one for every node when L = 1 and for every level-0
     # supra-node. The null term sums over these only: the other products are
     # exact zeros, and leaving a zero out of the sum changes no float.
-    terms = [[(k, f, kc) for k, f, kc in zip(ku, su, comm_k) if k != 0.0]
-             for ku, su in zip(strength, scaled)]
-    del strength, scaled  # and terms the strengths
+    node, layer = np.nonzero(strength)
+    k = strength[node, layer]
+    terms: list[list] = [[] for _ in range(n)]
+    for u, s, ku, fu in zip(node.tolist(), layer.tolist(), k.tolist(),
+                            (k * inv_two_m[layer]).tolist()):
+        terms[u].append((ku, fu, comm_k[s]))
     comm = list(range(n))
     comm_size = [1] * n
     order = list(range(n))
@@ -274,27 +276,27 @@ def _local_moving(prob: _Problem, inv_two_m: np.ndarray, gamma: float, threshold
     return comm, total_gain, visits, moves
 
 
-def _aggregate(prob: _Problem, comm: np.ndarray) -> tuple[_Problem, np.ndarray]:
+def _aggregate(csr: CSR, strength: np.ndarray,
+               comm: np.ndarray) -> tuple[CSR, np.ndarray, np.ndarray]:
     """Collapse communities into super-nodes numbered by increasing
-    community id; returns the next level and each node's super-node.
+    community id; returns the next level's CSR and strength table, and each
+    node's super-node.
 
     Each sum adds in CSR row order, as a walk over the rows would
     (tests/test_properties.py keeps that walk).
     """
     live, new = np.unique(comm, return_inverse=True)
     k = len(live)
-    cu = new[np.repeat(np.arange(len(comm)), np.diff(prob.indptr))]
-    cv = new[prob.indices]
+    cu, cv = new[csr.rows()], new[csr.indices]
     between = cu != cv
-    keys, pair = np.unique(cu[between] * k + cv[between], return_inverse=True)
-    strength = np.column_stack([np.bincount(new, weights=col, minlength=k)
-                                for col in prob.strength.T])
-    return _Problem(_row_pointer(keys // k, k), keys % k,
-                    np.bincount(pair, weights=prob.weight[between]), strength), new
+    keys, weight, *_ = _sum_by_key(cu[between] * k + cv[between], csr.weight[between])
+    strength = np.column_stack([np.bincount(new, weights=col, minlength=k) for col in strength.T])
+    return CSR(_row_pointer(keys // k, k), keys % k, weight), strength, new
 
 
-def _optimize(prob: _Problem, gamma: float, inv_two_m: list[float], two_mu: float,
-              rng: random.Random) -> tuple[list[int], list[float], list[tuple[int, int]]]:
+def _optimize(csr: CSR, strength: np.ndarray, gamma: float, inv_two_m: list[float],
+              two_mu: float, rng: random.Random) -> tuple[list[int], list[float],
+                                                         list[tuple[int, int]]]:
     """Run local moving + aggregation passes until a pass moves no node.
 
     The trace holds the quality after each pass, kept from the move gains:
@@ -303,19 +305,19 @@ def _optimize(prob: _Problem, gamma: float, inv_two_m: list[float], two_mu: floa
     moves) per pass).
     """
     inv = np.asarray(inv_two_m)
-    q = -gamma * math.fsum((prob.strength * (prob.strength * inv)).ravel().tolist()) / two_mu
+    q = -gamma * math.fsum((strength * (strength * inv)).ravel().tolist()) / two_mu
     threshold = 0.5 * GAIN_TOLERANCE * two_mu  # a move gains 2 * (its gain) / 2mu in Q
-    node = np.arange(len(prob.strength))  # original node -> its node at this level
+    node = np.arange(len(strength))  # original node -> its node at this level
     trace: list[float] = []
     passes: list[tuple[int, int]] = []
     while True:
-        comm, gain, visits, moves = _local_moving(prob, inv, gamma, threshold, rng)
+        comm, gain, visits, moves = _local_moving(csr, strength, inv, gamma, threshold, rng)
         q += 2.0 * gain / two_mu
         trace.append(q)
         passes.append((visits, moves))
         if not moves:
             return node.tolist(), trace, passes
-        prob, new = _aggregate(prob, np.array(comm))
+        csr, strength, new = _aggregate(csr, strength, np.array(comm))
         node = new[node]
 
 
@@ -323,19 +325,21 @@ def _optimize(prob: _Problem, gamma: float, inv_two_m: list[float], two_mu: floa
 # public detection operations
 
 
-def _detect(scope: str, names: tuple | list, prob: _Problem, two_m: list[float],
-            coupling_total: float, gamma: float, omega: float | None, seed: int) -> Partition:
-    """The one Louvain tail: optimize the level-0 problem over the named
-    nodes, whose layers have 2m two_m and whose couplings weigh
-    coupling_total in all. With 2mu = 0 nothing can gain, so every node is
-    its own community.
+def _detect(scope: str, names: tuple | list, csr: CSR, strength: np.ndarray,
+            two_m: list[float], coupling_total: float, gamma: float, omega: float | None,
+            seed: int) -> Partition:
+    """The one Louvain tail: optimize the level-0 CSR and strength table
+    over the named nodes, whose layers have 2m two_m and whose couplings
+    weigh coupling_total in all. With 2mu = 0 nothing can gain, so every
+    node is its own community.
     """
     two_mu = math.fsum(two_m) + coupling_total
     if two_mu == 0.0:
         comm, trace, passes = list(range(len(names))), [0.0], [(len(names), 0)]
     else:
         inv_two_m = [1.0 / m if m > 0.0 else 0.0 for m in two_m]
-        comm, trace, passes = _optimize(prob, gamma, inv_two_m, two_mu, random.Random(seed))
+        comm, trace, passes = _optimize(csr, strength, gamma, inv_two_m, two_mu,
+                                        random.Random(seed))
     assignment = _canonical_ids(dict(zip(names, comm)))
     logger.info("louvain[%s]: %d nodes -> %d communities, Q=%.6f (%d passes)",
                 scope, len(names), len(set(assignment.values())), trace[-1], len(trace))
@@ -351,20 +355,20 @@ def louvain(g: LayerGraph, gamma: float = 1.0, seed: int = 42) -> Partition:
     """
     if not g.nodes:
         raise DataError(f"cannot run louvain on empty graph {g.layer!r}")
-    prob = _Problem(*_symmetric_csr(g.n_nodes, g.u, g.v, g.weight), _strengths(g)[:, None])
-    return _detect(g.layer, g.nodes, prob, [2.0 * g.total_weight()], 0.0, gamma, None, seed)
+    return _detect(g.layer, g.nodes, CSR.symmetric(g.n_nodes, g.u, g.v, g.weight),
+                   _strengths(g)[:, None], [2.0 * g.total_weight()], 0.0, gamma, None, seed)
 
 
-def _supra_graph(net: MultiplexNetwork,
-                 omega: float) -> tuple[list[tuple[str, str]], _Problem, list[float], float]:
-    """The level-0 problem of the (actor, layer) supra-graph: its node names,
-    the problem, each layer's 2m and the total coupling weight."""
-    graphs = list(net.layers.values())
-    # supra-node offset + i is (g.nodes[i], layer): layers in order, ids sorted
-    offsets = np.cumsum([0] + [g.n_nodes for g in graphs]).tolist()
-    names = [(actor, layer) for layer, g in net.layers.items() for actor in g.nodes]
+def _supra_graph(net: MultiplexNetwork, omega: float) -> tuple[
+        list[tuple[str, str]], CSR, np.ndarray, list[float], float]:
+    """The level 0 of the (actor, layer) supra-graph: its node names, its
+    CSR and strength table, each layer's 2m and the total coupling weight."""
+    names, a, b = _supra_nodes(net)
     if not names:
         raise DataError("cannot run generalized_louvain on an empty network")
+    graphs = list(net.layers.values())
+    # supra-node offset + i is (g.nodes[i], layer)
+    offsets = np.cumsum([0] + [g.n_nodes for g in graphs]).tolist()
     strength = np.zeros((len(names), len(graphs)))
     two_m = [0.0] * len(graphs)
     for s, (off, g) in enumerate(zip(offsets, graphs)):
@@ -373,21 +377,12 @@ def _supra_graph(net: MultiplexNetwork,
             two_m[s] = float(np.cumsum(2.0 * g.weight)[-1])  # left to right
     u, v, w = ([off + g.u for off, g in zip(offsets, graphs)],
                [off + g.v for off, g in zip(offsets, graphs)], [g.weight for g in graphs])
-    n_pairs = 0
     if omega != 0.0:
-        # an actor's copies sit side by side once sorted by actor, and any
-        # two of them are d < L places apart
-        actor = np.unique([a for a, _ in names], return_inverse=True)[1]
-        by_actor = np.argsort(actor, kind="stable")
-        grouped = actor[by_actor]
-        for d in range(1, len(graphs)):
-            same = grouped[:-d] == grouped[d:]
-            u.append(by_actor[:-d][same])
-            v.append(by_actor[d:][same])
-            w.append(np.full(len(u[-1]), omega))
-            n_pairs += len(u[-1])
-    prob = _Problem(*_symmetric_csr(len(names), *map(np.concatenate, (u, v, w))), strength)
-    return names, prob, two_m, omega * 2.0 * n_pairs
+        u.append(a)
+        v.append(b)
+        w.append(np.full(len(a), omega))
+    csr = CSR.symmetric(len(names), *map(np.concatenate, (u, v, w)))
+    return names, csr, strength, two_m, omega * 2.0 * len(a)
 
 
 def generalized_louvain(net: MultiplexNetwork, gamma: float = 1.0,

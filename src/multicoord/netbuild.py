@@ -24,10 +24,12 @@ same object. The actor universe is the ActorSet of ingest, stored once
 there. All of it runs on numpy alone.
 
 A LayerGraph is a sorted node tuple plus COO edge arrays sorted by
-(u, v), which every later stage reads. _group_pairs re-keys graphs onto
-their node union and groups equal pairs with one stable sort, for the
-flattenings and edge coverage. The CSR arrays of Louvain and characterize
-and every component labelling come from here too.
+(u, v), which every later stage reads. One stable key grouping
+(_group_keys, and _sum_by_key on it) merges a layer's windows, sums each
+Louvain level into the next, and serves _group_pairs, which re-keys graphs
+onto their node union for the flattenings and edge coverage. CSR is the
+one symmetric adjacency type, of every Louvain level and every
+characterized graph, and every component labelling comes from here too.
 
 IDF is computed within each layer-window (idf = ln(N_w / df)), so items
 used by every active user in a window are nulled: window-local virality
@@ -132,8 +134,9 @@ class LayerGraph:
         """Build a graph from row-aligned columns of edges in any order:
         endpoint names, then weights and counts, as numbers or as text that
         float and int take. ``nodes`` adds isolated nodes. Raises
-        EdgeRowError for the first row that is not numeric or has a count
-        outside int64, and then for the first that is a self-loop or a pair
+        EdgeRowError for the first row that is not numeric, holds a number
+        beyond float or int, or has a count outside int64, and then for the
+        first that is a self-loop or a pair
         already seen, or has a non-finite or non-positive weight or a count
         below 1.
         """
@@ -148,6 +151,8 @@ class LayerGraph:
                     counts = float(r[0]), int(r[1]), int(r[2])
                 except ValueError:
                     raise EdgeRowError(k, f"not a number in {r!r}") from None
+                except OverflowError:  # an int weight beyond float, an infinite count
+                    raise EdgeRowError(k, f"number out of range in {r!r}") from None
                 if not all(-2**63 <= c < 2**63 for c in counts[1:]):
                     raise EdgeRowError(k, f"count outside int64 in {r!r}")
             raise
@@ -180,7 +185,7 @@ def _endpoints(nodes: Sequence, u: np.ndarray, v: np.ndarray) -> tuple:
 
 def _group_pairs(graphs: list[LayerGraph]):
     """Stack the graphs' rows, re-keyed onto the sorted union of their
-    nodes, and group equal pairs with one stable sort. Returns (nodes, u, v,
+    nodes, and group equal pairs with _group_keys. Returns (nodes, u, v,
     order, bounds): the union, the distinct pairs in (u, v) order, the
     permutation sorting the stacked rows (a pair's rows keep list order)
     and the bounds: sorted rows bounds[k]:bounds[k + 1] are pair k.
@@ -192,12 +197,9 @@ def _group_pairs(graphs: list[LayerGraph]):
     for g in graphs:
         to_union = _ints(list(map(index.__getitem__, g.nodes)))  # increasing
         keys.append(to_union[g.u] * n + to_union[g.v])
-    key = np.concatenate([_ints(), *keys])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
-    u, v = np.divmod(key[starts], n)
-    return nodes, u, v, order, np.append(starts, len(key))
+    key, order, bounds = _group_keys(np.concatenate([_ints(), *keys]))
+    u, v = np.divmod(key, n)
+    return nodes, u, v, order, bounds
 
 
 def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
@@ -205,13 +207,45 @@ def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
 
-def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray,
-                   w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """indptr, indices, weight of the rows (u, v, w) and (v, u, w) over n
-    nodes, sorted by (row, neighbour) with one lexsort."""
-    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
-    order = np.lexsort((cols, rows))
-    return _row_pointer(rows, n), cols[order], np.concatenate((w, w))[order]
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A symmetric weighted adjacency: row u lists u's neighbours
+    indices[indptr[u]:indptr[u + 1]] in increasing id order, their weights
+    alongside, and no self entry. So every reduction over it sees a fixed
+    array. Each Louvain level is one, and so is each characterized graph.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    weight: np.ndarray
+
+    @staticmethod
+    def symmetric(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> "CSR":
+        """The rows (u, v, w) and (v, u, w) over n nodes, sorted by (row,
+        neighbour) with one lexsort."""
+        rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
+        order = np.lexsort((cols, rows))
+        return CSR(_row_pointer(rows, n), cols[order], np.concatenate((w, w))[order])
+
+    @property
+    def degree(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def rows(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.degree.size), self.degree)
+
+    def induced(self, idx: np.ndarray) -> "CSR":
+        """Subgraph on the increasing node positions ``idx``, renumbered in
+        that order; rows and columns stay sorted."""
+        pos = np.full(self.degree.size, -1)
+        pos[idx] = np.arange(idx.size)
+        deg = self.degree[idx]
+        at = np.repeat(self.indptr[idx] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        cols = pos[self.indices[at]]
+        keep = cols >= 0
+        rows = np.repeat(np.arange(idx.size), deg)[keep]
+        return CSR(_row_pointer(rows, idx.size), cols[keep], self.weight[at[keep]])
 
 
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -266,7 +300,9 @@ def window_slices(span: tuple[float, float], width: float, shift: float) -> list
     if t_max < t_min:
         raise ValueError(f"bad span {span}")
     span_len = t_max - t_min
-    n = int(math.floor((span_len - width) / shift)) + 1 if span_len >= width else 1
+    last = (span_len - width) / shift if span_len >= width else 0.0
+    # the span between two huge stamps overflows to inf, which no int takes
+    n = math.floor(last) + 1 if math.isfinite(last) else math.inf
     if n > MAX_WINDOWS:
         raise DataError(f"{n:,} windows of {width:g} s every {shift:g} s over a {span_len:g} s "
                         f"span exceed {MAX_WINDOWS:,}; check that every timestamp is in seconds")
@@ -408,17 +444,25 @@ def _wedges(opens: np.ndarray, start: int = 0,
     return first, second
 
 
-def _sum_by_key(key: np.ndarray, weight: np.ndarray):
+def _group_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group equal integer keys with one stable sort. Returns the distinct
-    keys in increasing order, each group's weight sum, added strictly left
-    to right in input order (bincount), each group's size, and the sort
-    permutation and group starts, to sum other columns alike."""
+    keys in increasing order, the sort permutation (equal keys keep input
+    order) and the bounds: sorted entries bounds[k]:bounds[k + 1] hold key k.
+    """
     order = np.argsort(key, kind="stable")
     key = key[order]
-    new = _run_starts(key)
-    starts = np.flatnonzero(new)
-    sums = np.bincount(np.cumsum(new) - 1, weights=weight[order])
-    return key[starts], sums, np.diff(np.append(starts, key.size)), order, starts
+    starts = np.flatnonzero(_run_starts(key))
+    return key[starts], order, np.append(starts, key.size)
+
+
+def _sum_by_key(key: np.ndarray, weight: np.ndarray):
+    """_group_keys with each group's weight sum, added strictly left to
+    right in input order (bincount), and size. Returns (keys, sums, sizes,
+    order, bounds); order and bounds sum other columns alike."""
+    key, order, bounds = _group_keys(key)
+    size = np.diff(bounds)
+    sums = np.bincount(np.repeat(np.arange(size.size), size), weights=weight[order])
+    return key, sums, size, order, bounds
 
 
 def _cosine_pairs(m: WindowTfidf, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -460,10 +504,10 @@ def _merged_layer(layer: str, users: Sequence, windows: list[WindowTfidf]) -> La
     del pairs
     # the stable sort keeps a pair's windows in window order, so each weight
     # sum is sequential float addition over them
-    key, weight_sum, window_count, order, starts = _sum_by_key(key, cosine)
+    key, weight_sum, window_count, order, bounds = _sum_by_key(key, cosine)
     u, v = np.divmod(key, n)
     return LayerGraph(layer, *_endpoints(users, u, v), weight_sum / window_count,
-                      np.add.reduceat(co[order], starts), window_count)
+                      np.add.reduceat(co[order], bounds[:-1]), window_count)
 
 
 def layer_window_graph(m: WindowTfidf) -> LayerGraph:

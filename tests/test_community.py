@@ -135,6 +135,17 @@ def test_multislice_hand_fixture():
     assert q == pytest.approx(1 / 3, abs=1e-15)
 
 
+def test_quality_refuses_a_partition_that_misses_a_node():
+    g = path3()
+    with pytest.raises(DataError, match="does not cover 1 nodes of rtw, e.g. 'c'"):
+        modularity(g, Partition("rtw", {"a": 0, "b": 0}))
+    net = MultiplexNetwork({"rtw": g, "rpl": LayerGraph.from_pairs("rpl", [("a", "b", 1.0)])})
+    supra = {(n, layer): 0 for layer, h in net.layers.items() for n in h.nodes}
+    del supra[("b", "rpl")]
+    with pytest.raises(DataError, match=r"does not cover 1 .*e\.g\. \('b', 'rpl'\)"):
+        multislice_modularity(net, Partition("multi", supra, omega=0.1))
+
+
 def test_multislice_omega_zero_reduces_to_weighted_layer_mean(rng):
     # with no coupling the multislice quality is the 2m_s-weighted average
     # of per-layer modularities

@@ -90,6 +90,10 @@ def _steps(pairs):
 @example(([f"u{k}\thst\ti{k % 2}\t{k}\n" for k in range(6)],
           {**_config(6.0, 5.0, 1.0, 12, 0), "stoplists": {"hashtags": "."}},
           [("multi", "hst"), ("intfl", "hst")]))
+# stamps 3.4e308 apart: the span overflows to inf, and build ended in an
+# OverflowError traceback counting the windows
+@example((["u0\trtw\ti0\t-1.7e308\n", "u1\trtw\ti0\t5\n", "u2\trtw\ti0\t1.7e308\n"],
+          _config(6.0, 5.0, 1.0, 12, 0), [("multi", "rtw"), ("unfl-sum", "rtw")]))
 def test_every_cli_step_exits_0_or_2_on_tiny_logs(study):
     lines, cfg, pairs = study
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,8 +8,9 @@ import pytest
 from conftest import edge_dict, tfidf_entries
 from multicoord.errors import DataError
 from multicoord.ingest import ActionEvent, ActorSet, EventLog
-from multicoord.netbuild import (MAX_WINDOWS, LayerGraph, Window, build_multiplex,
-                                 layer_window_graph, tfidf_windows, window_slices)
+from multicoord.netbuild import (MAX_WINDOWS, EdgeRowError, LayerGraph, Window,
+                                 build_multiplex, layer_window_graph, tfidf_windows,
+                                 window_slices)
 
 H = 3600.0
 
@@ -66,6 +67,9 @@ def test_window_slices_validation():
     with pytest.raises(DataError, match=r"94,349,999 windows.*seconds"):
         window_slices((1.7e9, 1.7e12), 6 * H, 5 * H)
     assert len(window_slices((0.0, MAX_WINDOWS * 5.0), 5.0, 5.0)) == MAX_WINDOWS
+    # a span that overflows to inf: no int holds the window count
+    with pytest.raises(DataError, match=r"inf windows.*seconds"):
+        window_slices((-1.7e308, 1.7e308), 6 * H, 5 * H)
 
 
 def test_window_slices_refuses_non_finite_width_and_shift():
@@ -75,6 +79,13 @@ def test_window_slices_refuses_non_finite_width_and_shift():
                          (10.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             window_slices((0.0, 100.0), width, shift)
+
+
+def test_edge_row_beyond_float_or_int_is_named():
+    with pytest.raises(EdgeRowError, match="edge row 1: number out of range"):
+        LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 10**400)])
+    with pytest.raises(EdgeRowError, match="edge row 0: number out of range"):
+        LayerGraph.from_pairs("rtw", [("a", "b", 1.0, math.inf)])
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from multicoord.ingest import (_CONTROL_CHARS, ACTIONS, HST, MEN, URL,  # noqa: 
                                StopLists, _parse_timestamp, apply_stoplists,
                                extract_domain, parse_events, select_users)
 from multicoord.errors import reading  # noqa: E402
-from multicoord.netbuild import (EdgeRowError, LayerGraph, MultiplexNetwork,  # noqa: E402
-                                 WindowTfidf, _component_labels, _group_pairs, _symmetric_csr,
+from multicoord.netbuild import (CSR, EdgeRowError, LayerGraph, MultiplexNetwork,  # noqa: E402
+                                 WindowTfidf, _component_labels, _group_pairs,
                                  _wedge_opens, _wedges, _window_ranges, build_multiplex,
                                  layer_window_graph, tfidf_windows, window_slices)
 from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER,  # noqa: E402
@@ -543,26 +543,26 @@ def _csr_rows(indptr, indices, weight):
 def test_aggregate_matches_dict_oracle(net, omega, data):
     if not any(g.nodes for g in net.layers.values()):
         return
-    names, prob, two_m, coupling_total = _supra_graph(net, omega)
-    adj, strength, want_two_m, want_coupling = _supra_oracle(net, omega)
-    rows = _csr_rows(prob.indptr, prob.indices, prob.weight)
+    names, csr, strength, two_m, coupling_total = _supra_graph(net, omega)
+    adj, want_strength, want_two_m, want_coupling = _supra_oracle(net, omega)
+    rows = _csr_rows(csr.indptr, csr.indices, csr.weight)
     assert [dict(row) for row in rows] == adj
     assert all(row == sorted(row) for row in rows)
-    assert prob.strength.tolist() == strength
+    assert strength.tolist() == want_strength
     assert (two_m, coupling_total) == (want_two_m, want_coupling)
     assert len(names) == len(adj)
     # two levels, so that the second one sums pair weights of merged rows
     for _ in range(2):
         comm = data.draw(st.lists(st.integers(0, 4), min_size=len(rows), max_size=len(rows)))
-        got, new = _aggregate(prob, np.array(comm))
+        csr, got_strength, new = _aggregate(csr, strength, np.array(comm))
         want_adj, want_strength, remap = _aggregate_oracle([dict(row) for row in rows],
-                                                           prob.strength.tolist(), comm)
+                                                           strength.tolist(), comm)
         assert new.tolist() == [remap[c] for c in comm]
-        assert got.strength.tolist() == want_strength
-        rows = _csr_rows(got.indptr, got.indices, got.weight)
+        assert got_strength.tolist() == want_strength
+        rows = _csr_rows(csr.indptr, csr.indices, csr.weight)
         assert [dict(row) for row in rows] == want_adj
         assert all(row == sorted(row) for row in rows)
-        prob = got
+        strength = got_strength
 
 
 # ---------------------------------------------------------------------------
@@ -1102,13 +1102,25 @@ def test_n_components_matches_csgraph(pairs, isolated):
 @given(layers())
 def test_louvain_adjacency_keeps_insertion_order(g):
     # neighbour order decides the order of Louvain's float sums
-    got = _csr_rows(*_symmetric_csr(g.n_nodes, g.u, g.v, g.weight))
+    csr = CSR.symmetric(g.n_nodes, g.u, g.v, g.weight)
+    got = _csr_rows(csr.indptr, csr.indices, csr.weight)
     assert got == [list(d.items()) for d in _adjacency_oracle(g)]
+
+
+class _ZeroLabels:
+    """st.data() in a pinned example: every drawn label is 0."""
+
+    def draw(self, strategy):
+        return 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(multiplexes(max_layers=5), st.data(), st.sampled_from([0.5, 1.0, 2.0]),
        st.sampled_from([0.0, 0.1, 1.0]))
+# one actor in all five layers, in one community: the coupled term adds 0.2
+# ten times, which gives 1.9999999999999998, and 10 * 0.2 gives 2.0
+@example(MultiplexNetwork({name: LayerGraph.from_pairs(name, [], nodes=["a"])
+                           for name in LAYER_NAMES}), _ZeroLabels(), 1.0, 0.1)
 def test_modularity_matches_dict_oracle(net, data, gamma, omega):
     forms = [_dict_form(g) for g in net.layers.values()]
     labels = st.integers(0, 3)
