@@ -45,7 +45,7 @@ NODE_METRIC_NAMES = ("degree_centrality", "eigenvector_centrality",
 
 _PAGERANK_TOL = 1e-12
 _PAGERANK_MAX_ITER = 100000
-_WEDGE_BUDGET = 1 << 16      # out-wedges closed per block when counting triangles
+_WEDGE_BUDGET = 1 << 14      # out-wedges closed per block when counting triangles
 _LANCZOS_MAX_STEPS = 128     # Krylov basis size before restarting from the Ritz vector
 _LANCZOS_STEP_BUDGET = 100 * 128  # Lanczos steps over all restarts
 _BETA_CF_MAX_TERMS = 10000

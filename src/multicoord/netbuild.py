@@ -330,7 +330,8 @@ def _window_ranges(ts: np.ndarray, t_min: float, width: float, shift: float,
 
 def _run_starts(*cols: np.ndarray) -> np.ndarray:
     """True at the first row of each run of equal rows of the sorted columns."""
-    first = np.arange(len(cols[0])) == 0
+    first = np.zeros(len(cols[0]), dtype=bool)
+    first[:1] = True
     for c in cols:
         first[1:] |= c[1:] != c[:-1]
     return first

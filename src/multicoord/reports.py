@@ -14,11 +14,16 @@ reader, _tsv_columns, reads every table back as one list of text fields
 per column. It checks that the header is the writer's, so a file without
 one loses no row, and the readers name the `path:line` of the first row
 or directive they cannot take.
+
+The config hash is CPython's builtin SHA-256 (_sha2 from 3.12, _sha256
+before), as the stdlib's random does for SHA-512: hashlib would load
+OpenSSL's _hashlib, about 3.6 MB in every CLI process, for one digest of
+a few hundred bytes. hashlib.sha256 is the fallback on an interpreter
+built without the builtin module.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -32,6 +37,14 @@ from .errors import DataError, reading
 from .community import Partition
 from .netbuild import EdgeRowError, LayerGraph, _component_labels
 
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 logger = logging.getLogger(__name__)
 
 
@@ -43,7 +56,7 @@ def canonical_json(obj) -> str:
 
 def config_hash(cfg_obj) -> str:
     """sha256 of the canonical JSON form of a config mapping."""
-    return hashlib.sha256(canonical_json(cfg_obj).encode("utf-8")).hexdigest()
+    return _sha256(canonical_json(cfg_obj).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

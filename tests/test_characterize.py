@@ -6,6 +6,7 @@ before being frozen here.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 
 from conftest import clique, edge_dict, random_layer
 from multicoord.characterize import (COMMUNITY_METRIC_NAMES,
-                                     NODE_METRIC_NAMES, _midranks,
+                                     NODE_METRIC_NAMES, GraphCSR, _midranks,
+                                     _triangles,
                                      brunner_munzel, community_metrics,
                                      metric_cosine, node_metrics,
                                      pca_project, significance_band)
@@ -86,6 +88,26 @@ def test_node_metrics_disconnected_zeroes_minor_component():
     for u in "abc":
         assert vals[u].eigenvector_centrality == pytest.approx(
             1 / math.sqrt(3), abs=1e-10)
+
+
+def test_triangle_pass_allocates_a_bounded_block():
+    # K_200 opens C(200, 3) = 1,313,400 wedges, 80 blocks of 1 << 14. The
+    # edge arrays take ~28 B per CSR entry and a block ~50 B per wedge, so
+    # blocks of 1 << 15 wedges, or one block of them all, overshoot
+    k = 200
+    u, v = np.triu_indices(k, 1)
+    csr = GraphCSR.of(LayerGraph("rtw", tuple(f"u{i:03d}" for i in range(k)), u, v,
+                                 np.ones(u.size), np.ones(u.size, np.int64),
+                                 np.ones(u.size, np.int64)))
+    tracemalloc.start()
+    try:
+        tri = _triangles(csr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tri.tolist() == [math.comb(k - 1, 2)] * k
+    bound = 32 * csr.indices.size + 64 * (1 << 14)
+    assert peak < bound, f"triangle pass peaked at {peak} bytes, bound {bound}"
 
 
 def test_node_metrics_invariants_random(rng):

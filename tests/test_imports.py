@@ -1,11 +1,13 @@
-"""Import budget: no stage loads scipy.
+"""Import budget: no stage loads scipy or OpenSSL.
 
 Every CLI subcommand runs in its own process, so whatever the package
 imports at module level is paid once per invocation. `build`, `detect`,
 `compare` and `characterize` run on numpy alone, so scipy (0.23 s and
 about 22 MB for `scipy.sparse`, about 0.9 s for `scipy.stats`) is only a
-test dependency. The checks run in a fresh interpreter because this one
-has imported scipy already.
+test dependency. The config hash uses CPython's builtin SHA-256, so no
+stage imports `hashlib`, which loads OpenSSL's `_hashlib` (about 3.6 MB
+per process). The checks run in a fresh interpreter because this one has
+imported scipy and hashlib already.
 """
 
 import json
@@ -43,6 +45,7 @@ for ref, other in json.loads(sys.argv[2]):
     run_characterize(cfg, ref, other)
 seen["characterize"] = scipy_modules()
 seen["bm_files"] = sorted(f for f in os.listdir(cfg.out) if f.startswith("bm_"))
+seen["openssl"] = sorted({"hashlib", "_hashlib"} & set(sys.modules))
 print(json.dumps(seen))
 """
 
@@ -68,6 +71,7 @@ cfg = RunConfig.from_file(sys.argv[1])
 run_build(cfg)
 print(json.dumps({"scipy": sorted(m for m in sys.modules
                                   if m == "scipy" or m.startswith("scipy.")),
+                  "openssl": sorted({"hashlib", "_hashlib"} & set(sys.modules)),
                   "edges": sorted(f for f in os.listdir(cfg.out) if f.startswith("edges_"))}))
 """
 
@@ -85,6 +89,7 @@ def test_build_skips_csgraph_and_linalg(tmp_path):
     # the build did run: one edge file per layer
     assert seen["edges"] == sorted(f"edges_{layer}.tsv" for layer in ACTIONS)
     assert seen["scipy"] == []
+    assert seen["openssl"] == []
 
 
 def test_cli_import_loads_no_scipy(seen):
@@ -101,3 +106,8 @@ def test_characterize_skips_scipy_stats(seen):
     assert seen["characterize"] == []
     assert not [m for m in seen["characterize"]
                 if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"])]
+
+
+def test_no_stage_loads_openssl(seen):
+    # the config hash stamped on every artifact is the builtin SHA-256
+    assert seen["openssl"] == []

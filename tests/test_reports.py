@@ -1,5 +1,6 @@
 """Report files: round trips, meta stamping, canonical hashing."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -49,6 +50,26 @@ def test_config_hash_is_stable_sha256():
     assert h1 == h2
     assert len(h1) == 64 and all(c in "0123456789abcdef" for c in h1)
     assert config_hash({"seed": 43, "gamma": 1.0}) != h1
+
+
+def test_config_hash_is_hashlib_sha256():
+    # the builtin SHA-256 behind config_hash gives hashlib's digest on any
+    # nested config, non-ASCII keys and strings included
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, strategies as st
+
+    scalars = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                          | st.dictionaries(st.text(), inner, max_size=4), max_leaves=20)
+
+    @given(st.dictionaries(st.text(), values, max_size=6))
+    @example({"größe": {"名前": ["naïve", 1.5, None, "\U0001f600"]}, "": {"é": True}})
+    def check(obj):
+        want = hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+        assert config_hash(obj) == want
+
+    check()
 
 
 def test_every_file_starts_with_meta_line(tmp_path):
