@@ -99,7 +99,8 @@ class EventLog:
     ``items`` are sorted tuples of distinct ids, so code order is id order;
     they hold every id of the rows and, after a mask, possibly more.
     parse_events and synth.generate give the rows in time order; from_events
-    keeps the order it is given. ``time_span`` is (t_min, t_max). It
+    keeps the order it is given. Every stamp must be finite: a ValueError
+    names the first row that is not. ``time_span`` is (t_min, t_max). It
     defaults to the observed event range but may be wider (e.g. the nominal
     span of a generated log) so that window grids are stable under filtering.
     """
@@ -114,18 +115,22 @@ class EventLog:
     rejects: tuple[RecordError, ...] = ()
 
     def __post_init__(self):
-        for name, dtype in (("user", np.int32), ("action", np.int32), ("item", np.int32),
-                            ("ts", np.float64)):
-            col = np.array(getattr(self, name), dtype=dtype)
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+        columns = (("user", np.int32), ("action", np.int32), ("item", np.int32),
+                   ("ts", np.float64))
+        for name, dtype in columns:
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
         if not len(self.user) == len(self.action) == len(self.item) == len(self.ts):
             raise ValueError("event columns differ in length")
-        if len(self.ts):
-            # Python's min and max keep the first of equal stamps, -0.0 or 0.0;
-            # ndarray.min and max need not
-            stamps = self.ts.tolist()
-            lo, hi = min(stamps), max(stamps)
+        ts = self.ts
+        if len(ts):
+            finite = np.isfinite(ts)
+            if not finite.all():
+                row = int(finite.argmin())
+                raise ValueError(f"event row {row}: timestamp {ts[row].item()} is not finite")
+            # argmin and argmax keep the first of equal stamps, -0.0 or 0.0,
+            # as Python's min and max do; ndarray.min and max need not. Both
+            # copy a read-only array, so the columns are frozen after them
+            lo, hi = ts[ts.argmin()].item(), ts[ts.argmax()].item()
             if self.time_span is None:
                 object.__setattr__(self, "time_span", (lo, hi))
             else:
@@ -134,6 +139,8 @@ class EventLog:
                     raise ValueError("time_span does not cover all events")
         elif self.time_span is not None:
             raise ValueError("time_span given for an empty log")
+        for name, _ in columns:
+            getattr(self, name).flags.writeable = False
 
     @classmethod
     def from_events(cls, events, time_span=None, rejects=()) -> "EventLog":

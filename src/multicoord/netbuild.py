@@ -9,10 +9,14 @@ alongside. Each window pairs the users of each item (its wedges, which
 characterize's triangle count enumerates with the same helper) and groups
 the pairs with one sort: their product sums are the cosine similarities
 and their sizes the co-action counts, keyed on the pair's user codes.
-_merged_layer sorts the keys of all windows of a layer once, stably, and
-sums each pair's windows in window order: mean weight, summed co-action
-counts, and the window count as the group size. Only then are the names
-of the used codes attached, in one LayerGraph per action type.
+_merged_layer folds each window's pairs, as they are made, into running
+sums kept in key order: a binary search finds the pairs seen before, which
+gain one addition each, and the rows of new pairs are summed and inserted
+in batches. So a pair's windows add up in window order, and the merge
+holds about the layer's edges and one window's pairs, never every window's
+rows. The mean weight is the weight sum over the window count. Only then
+are the names of the used codes attached, in one LayerGraph per action
+type.
 build_multiplex marks the actor rows of the log once, then takes these
 steps one layer at a time on the rows of that layer's action, so only that
 layer's entries and pair keys are alive. tfidf_windows and
@@ -25,11 +29,12 @@ there. All of it runs on numpy alone.
 
 A LayerGraph is a sorted node tuple plus COO edge arrays sorted by
 (u, v), which every later stage reads. One stable key grouping
-(_group_keys, and _sum_by_key on it) merges a layer's windows, sums each
-Louvain level into the next, and serves _group_pairs, which re-keys graphs
-onto their node union for the flattenings and edge coverage. CSR is the
-one symmetric adjacency type, of every Louvain level and every
-characterized graph, and every component labelling comes from here too.
+(_group_keys, and _sum_by_key on it) groups each window's pairs and each
+batch of a layer's new pairs, sums each Louvain level into the next, and
+serves _group_pairs, which re-keys graphs onto their node union for the
+flattenings and edge coverage. CSR is the one symmetric adjacency type, of
+every Louvain level and every characterized graph, and every component
+labelling comes from here too.
 
 IDF is computed within each layer-window (idf = ln(N_w / df)), so items
 used by every active user in a window are nulled: window-local virality
@@ -492,23 +497,63 @@ def _cosine_pairs(m: WindowTfidf, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return key[keep], np.minimum(dot[keep], 1.0), co[keep]
 
 
+def _insert_pending(merged: list, pending: list) -> None:
+    """Sum the pending rows of the pairs that ``merged`` lacks, per pair in
+    row order, and insert them into its columns in key order; empties
+    ``pending``."""
+    key, cosine, co = (np.concatenate([np.zeros(0, dtype), *(p[k] for p in pending)])
+                       for k, dtype in enumerate((np.int64, float, np.int64)))
+    pending.clear()
+    key, weight_sum, count, order, bounds = _sum_by_key(key, cosine)
+    co = np.add.reduceat(co[order], bounds[:-1])
+    at = np.searchsorted(merged[0], key)
+    # one column at a time, so only one old column is alive beside its copy
+    for k, x in enumerate((key, weight_sum, co, count)):
+        merged[k] = np.insert(merged[k], at, x)
+
+
 def _merged_layer(layer: str, users: Sequence, windows: list[WindowTfidf]) -> LayerGraph:
     """The LayerGraph of one layer from its windows in window order, whose
     users are codes into ``users``. An edge's weight is the mean of its
     window cosines, co_actions their summed shared items and window_count
     the number of windows that hold it; the nodes are the edges' endpoints.
+
+    Each window's pairs are folded in as they are made. A pair already in
+    the running sums gains its cosine in place. The rows of the other pairs
+    wait until they reach a quarter of the merged pairs, and are then summed
+    per pair and inserted in key order. So the merge holds the layer's
+    edges, a quarter as many pending rows and one window's pairs, and each
+    weight sum is its window cosines added one at a time, in window order.
     """
     n = len(users)
-    pairs = [_cosine_pairs(m, n) for m in windows]
-    key, cosine, co = (np.concatenate([np.zeros(0, dtype), *(p[k] for p in pairs)])
-                       for k, dtype in enumerate((np.int64, float, np.int64)))
-    del pairs
-    # the stable sort keeps a pair's windows in window order, so each weight
-    # sum is sequential float addition over them
-    key, weight_sum, window_count, order, bounds = _sum_by_key(key, cosine)
+    # running sums in key order: key, weight sum, co_actions, window count;
+    # and the rows of pairs they lack, in window order
+    merged = [_ints(), np.zeros(0), _ints(), _ints()]
+    pending, n_pending = [], 0
+    for m in windows:
+        key, cosine, co = _cosine_pairs(m, n)
+        at = np.searchsorted(merged[0], key)
+        seen = at < merged[0].size
+        seen[seen] = merged[0][at[seen]] == key[seen]
+        # a window's keys are distinct, so a pair's sum gains one addition
+        # per window, in window order: sequential float addition
+        at = at[seen]
+        merged[1][at] += cosine[seen]
+        merged[2][at] += co[seen]
+        merged[3][at] += 1
+        pending.append((key[~seen], cosine[~seen], co[~seen]))
+        n_pending += pending[-1][0].size
+        # each insert copies the columns: pairs inserted window by window
+        # would take time quadratic in the windows, and all at the end would
+        # keep every window's rows alive
+        if 4 * n_pending >= merged[0].size:
+            _insert_pending(merged, pending)
+            n_pending = 0
+    _insert_pending(merged, pending)
+    key, weight_sum, co, window_count = merged
     u, v = np.divmod(key, n)
     return LayerGraph(layer, *_endpoints(users, u, v), weight_sum / window_count,
-                      np.add.reduceat(co[order], bounds[:-1]), window_count)
+                      co, window_count)
 
 
 def layer_window_graph(m: WindowTfidf) -> LayerGraph:

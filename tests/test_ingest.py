@@ -2,7 +2,9 @@
 
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from multicoord.errors import DataError
@@ -183,6 +185,31 @@ def test_empty_log_has_no_span():
     assert EventLog(()).time_span is None
     with pytest.raises(ValueError):
         EventLog((), time_span=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("stamps,row", [([math.nan, 1.0, 2.0], 0), ([1.0, math.nan, 2.0], 1),
+                                        ([1.0, 2.0, math.inf], 2), ([-math.inf, 1.0], 0)])
+def test_non_finite_timestamp_names_its_row(stamps, row):
+    # a nan or inf stamp anywhere would give a span that no window grid
+    # covers, and the build would drop events without a word
+    events = [(f"u{k}", "rtw", "t", t) for k, t in enumerate(stamps)]
+    with pytest.raises(ValueError, match=f"^event row {row}: timestamp .* is not finite$"):
+        EventLog.from_events(events)
+
+
+def test_event_log_allocates_its_columns_only():
+    # 20 B a row for the four columns; the span takes no per-row objects
+    n = 100_000
+    codes, ts = np.zeros(n, np.int32), np.arange(n, dtype=np.float64)
+    tracemalloc.start()
+    try:
+        log = EventLog(codes, codes, codes, ts, ("u",), ("t",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.time_span == (0.0, n - 1.0)
+    bound = 24 * n + (1 << 16)
+    assert peak < bound, f"EventLog of {n} rows peaked at {peak} bytes, bound {bound}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Window arithmetic, TF-IDF matrices, cosine graphs, and window merging."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ import pytest
 from conftest import edge_dict, tfidf_entries
 from multicoord.errors import DataError
 from multicoord.ingest import ActionEvent, ActorSet, EventLog
-from multicoord.netbuild import (MAX_WINDOWS, EdgeRowError, LayerGraph, Window,
-                                 build_multiplex, layer_window_graph, tfidf_windows,
-                                 window_slices)
+from multicoord.netbuild import (MAX_WINDOWS, EdgeRowError, LayerGraph, Window, WindowTfidf,
+                                 _merged_layer, build_multiplex, layer_window_graph,
+                                 tfidf_windows, window_slices)
 
 H = 3600.0
 
@@ -219,6 +221,37 @@ def test_merge_windows_weights_by_window_count():
     assert edge_dict(m) == {("a", "b"): ((0.3 * 3 + 0.7 * 2 + 0.1 * 4) / 9, 11, 9),
                             ("b", "c"): ((0.9 * 1 + 0.2 * 5) / 6, 4, 6)}
     assert list(edge_dict(m)) == [("a", "b"), ("b", "c")]
+
+
+def test_layer_merge_allocates_edges_not_pair_window_rows():
+    # 60 windows of 120 users on two items: window k holds users k..k+119 of
+    # a pool, so it repeats most pairs of the window before and adds 119,
+    # which recur before they are inserted. The 428,400 pair-window rows are
+    # 30x the 14,161 edges. The merge may hold the edges and one window's
+    # 14,280 wedges (2.7 MB); one sort over every window's rows would take 21 MB
+    n_windows, size = 60, 120
+    names = [f"u{k:03d}" for k in range(n_windows + size)]
+    rng = np.random.default_rng(5)
+    windows = [WindowTfidf("rtw", k, np.arange(k, k + size), np.arange(2),
+                           np.repeat(np.arange(size), 2), np.tile(np.arange(2), size),
+                           rng.uniform(0.5, 2.0, 2 * size))
+               for k in range(n_windows)]
+    tracemalloc.start()
+    try:
+        g = _merged_layer("rtw", names, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sums = {}
+    for m in windows:
+        window = layer_window_graph(replace(m, users=tuple(names[k] for k in m.users)))
+        for key, d in edge_dict(window).items():
+            w, co, wc = sums.get(key, (0.0, 0, 0))
+            sums[key] = (w + d.weight, co + d.co_actions, wc + 1)
+    assert edge_dict(g) == {k: (w / wc, co, wc) for k, (w, co, wc) in sums.items()}
+    assert g.n_edges == math.comb(size, 2) + (n_windows - 1) * (size - 1)
+    bound = 64 * g.n_edges + 128 * 2 * math.comb(size, 2)
+    assert peak < bound, f"layer merge peaked at {peak} bytes, bound {bound}"
 
 
 def test_merge_windows_rejects_mixed_layers():

@@ -1433,6 +1433,21 @@ def test_parse_events_matches_oracle(case):
     assert [t.hex() for t in log.time_span or ()] == [t.hex() for t in want or ()]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(repeated_times | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+@example([0.0, -0.0, 0.0])
+@example([-0.0, 0.0, -0.0])
+def test_time_span_is_the_first_min_and_max(stamps):
+    # of equal stamps, -0.0 and 0.0, the span keeps the first, as Python's
+    # min and max do
+    codes = np.zeros(len(stamps), np.int32)
+    log = EventLog(codes, codes, codes, stamps, ("u",), ("t",))
+    want = min(log.ts.tolist()), max(log.ts.tolist())
+    assert [(t, math.copysign(1.0, t)) for t in log.time_span] == \
+        [(t, math.copysign(1.0, t)) for t in want]
+
+
 @pytest.mark.parametrize("cache_size", [1, 2, 4096])
 def test_parse_events_domain_cache_keeps_rejects(cache_size):
     # repeated good and bad URLs, with the cache emptied every few rows
