@@ -11,9 +11,9 @@ Brunner-Munzel rank test.
 
 import numpy as np
 
-from multicoord.characterize import (COMMUNITY_METRIC_NAMES, brunner_munzel,
-                                     community_metrics, metric_cosine,
-                                     node_metrics, pca_project,
+from multicoord.characterize import (COMMUNITY_METRIC_NAMES, GraphCSR,
+                                     brunner_munzel, community_metrics,
+                                     metric_cosine, node_metrics, pca_project,
                                      significance_band)
 from multicoord.community import communities, flatten_union, louvain
 from multicoord.compare import hungarian_match, label_nodes, overlap_matrix
@@ -46,8 +46,9 @@ print("community descriptors")
 print(f"{'scope':12s}" + "".join(f"{n:>15s}" for n in COMMUNITY_METRIC_NAMES))
 rows, row_names = [], []
 for scope, g, p in (("rtw", net.layers["rtw"], p_a), ("unfl-sum", flat, p_b)):
+    csr = GraphCSR.of(g)
     for cid, members in sorted(communities(p.assignment).items()):
-        m = community_metrics(g, members)
+        m = community_metrics(csr, members)
         rows.append(m.vector())
         row_names.append(f"{scope}/{cid}")
         print(f"{row_names[-1]:12s}" + "".join(f"{x:15.3f}" for x in m.vector()))
@@ -65,7 +66,7 @@ for name, (x, y) in zip(row_names, coords):
 O = overlap_matrix(p_a, p_b)
 M = hungarian_match(O)
 labels = label_nodes(O, M)
-nm = node_metrics(flat)
+nm = node_metrics(GraphCSR.of(flat))
 groups = {lab: [nm[u].pagerank for u in labels if labels[u] == lab and u in nm]
           for lab in ("lost", "common", "gained")}
 print("\npagerank by node label (on the flattened graph):")

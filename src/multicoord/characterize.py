@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -37,11 +37,6 @@ from .errors import DegenerateSampleError, UndefinedMetricError
 from .netbuild import CSR, LayerGraph, _component_labels, _wedge_opens, _wedges
 
 logger = logging.getLogger(__name__)
-
-COMMUNITY_METRIC_NAMES = ("size", "density", "avg_degree", "avg_weight",
-                          "avg_clustering", "conductance", "assortativity")
-NODE_METRIC_NAMES = ("degree_centrality", "eigenvector_centrality",
-                     "local_clustering", "pagerank")
 
 _PAGERANK_TOL = 1e-12
 _PAGERANK_MAX_ITER = 100000
@@ -67,9 +62,7 @@ class CommunityMetrics:
     assortativity_defined: bool = True
 
     def vector(self) -> np.ndarray:
-        return np.array([self.size, self.density, self.avg_degree,
-                         self.avg_weight, self.avg_clustering,
-                         self.conductance, self.assortativity], dtype=float)
+        return np.array([getattr(self, name) for name in COMMUNITY_METRIC_NAMES], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -82,8 +75,16 @@ class NodeMetrics:
     pagerank: float
 
     def vector(self) -> np.ndarray:
-        return np.array([self.degree_centrality, self.eigenvector_centrality,
-                         self.local_clustering, self.pagerank], dtype=float)
+        return np.array([getattr(self, name) for name in NODE_METRIC_NAMES], dtype=float)
+
+
+def _metric_names(cls) -> tuple:
+    """A descriptor's metrics in field order; its *_defined flags are not metrics."""
+    return tuple(f.name for f in fields(cls) if not f.name.endswith("_defined"))
+
+
+COMMUNITY_METRIC_NAMES = _metric_names(CommunityMetrics)
+NODE_METRIC_NAMES = _metric_names(NodeMetrics)
 
 
 @dataclass(frozen=True)
@@ -236,32 +237,29 @@ def _lanczos(csr: CSR) -> tuple[float, float | None, np.ndarray, int]:
     raise ArithmeticError(f"Lanczos did not converge in {steps} steps on {n} nodes")
 
 
-def community_metrics(g: LayerGraph, members, csr: GraphCSR | None = None) -> CommunityMetrics:
-    """Structural descriptor of the member set within graph g.
+def community_metrics(csr: GraphCSR, members) -> CommunityMetrics:
+    """Structural descriptor of the member set within the graph of csr.
 
     Density, mean degree, weight, and clustering are computed on the
     induced subgraph; conductance uses unweighted volumes on the full
     graph; assortativity is the degree assortativity of the induced
-    subgraph. Weights enter only through avg_weight. ``csr`` is g's
-    GraphCSR when the caller already built it.
+    subgraph. Weights enter only through avg_weight.
     """
     members = frozenset(members)
     if not members:
         raise ValueError("empty member set")
-    missing = members.difference(g.nodes)
+    missing = [u for u in members if u not in csr.index]
     if missing:
         raise ValueError(f"{len(missing)} members not in graph, e.g. {sorted(missing)[:3]}")
-    if csr is None:
-        csr = GraphCSR.of(g)
     n = len(members)
     idx = np.array(sorted(csr.index[u] for u in members))
     sub = csr.induced(idx)
-    e_in = sub.indices.size // 2
+    e_in = sub.n_edges
     density = 2.0 * e_in / (n * (n - 1)) if n >= 2 else 0.0
     avg_degree = 2.0 * e_in / n
     # fsum is exact, so summing each edge twice and halving is the same float
-    avg_weight = math.fsum(sub.weight.tolist()) / (2 * e_in) if e_in else 0.0
-    avg_clustering = math.fsum(_local_clustering(sub).tolist()) / n
+    avg_weight = math.fsum(sub.weight) / (2 * e_in) if e_in else 0.0
+    avg_clustering = math.fsum(_local_clustering(sub)) / n
 
     # conductance: unweighted cut over the smaller unweighted volume
     vol_in = int(csr.degree[idx].sum())
@@ -321,20 +319,16 @@ def _pagerank(csr: CSR, damping: float) -> np.ndarray:
     return x / x.sum()
 
 
-def node_metrics(g: LayerGraph, damping: float = 0.85,
-                 csr: GraphCSR | None = None) -> dict:
-    """All four node descriptors for every node of g; ``csr`` is g's
-    GraphCSR when the caller already built it."""
-    if not g.nodes:
+def node_metrics(csr: GraphCSR, damping: float = 0.85) -> dict:
+    """All four node descriptors for every node of the graph of csr."""
+    n = len(csr.order)
+    if not n:
         raise ValueError("empty graph")
     if not (0.0 < damping < 1.0):
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    if csr is None:
-        csr = GraphCSR.of(g)
-    n = len(csr.order)
     degc = (csr.degree / (n - 1)).tolist() if n > 1 else [0.0] * n
     clus = _local_clustering(csr).tolist()
-    if g.n_edges:
+    if csr.n_edges:
         eig = csr.eigen.vector
         pr = _pagerank(csr, damping)
     else:
@@ -363,7 +357,9 @@ def metric_cosine(v1, v2) -> float:
 def pca_project(vectors, dims: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Project descriptor rows onto principal axes of the z-scored data.
 
-    Zero-variance features are dropped (with a logged warning) before scoring.
+    Fewer than 3 rows, or fewer than ``dims`` features that vary, leave
+    the axes undefined: UndefinedMetricError names which. Zero-variance
+    features are dropped (with a logged warning) before scoring.
     Returns (coordinates (n, dims), explained variance ratios for all kept
     components, eigenvalues over the original feature count, so the ratios
     sum to 1 exactly when nothing was dropped).
@@ -371,14 +367,17 @@ def pca_project(vectors, dims: int = 2) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(vectors, dtype=float)
     if X.ndim != 2:
         raise ValueError("vectors must form a 2D array")
+    if dims < 1:
+        raise ValueError(f"dims must be at least 1, got {dims}")
     n, n_feat = X.shape
     if n < 3:
-        raise ValueError(f"PCA needs at least 3 rows, got {n}")
+        raise UndefinedMetricError(f"only {n} communities")
     std = X.std(axis=0, ddof=1)
     keep = std > 0.0
-    if not np.any(keep):
-        raise ValueError("all features have zero variance")
-    if not np.all(keep):
+    varying = int(np.count_nonzero(keep))
+    if varying < dims:
+        raise UndefinedMetricError(f"only {varying} descriptors vary")
+    if varying < n_feat:
         dropped = [COMMUNITY_METRIC_NAMES[i] if n_feat == len(COMMUNITY_METRIC_NAMES) else str(i)
                    for i in np.flatnonzero(~keep)]
         logger.warning("dropping zero-variance features: %s", ", ".join(dropped))
@@ -390,8 +389,6 @@ def pca_project(vectors, dims: int = 2) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(eigval)[::-1]
     eigval = np.clip(eigval[order], 0.0, None)
     eigvec = eigvec[:, order]
-    if dims < 1 or dims > eigvec.shape[1]:
-        raise ValueError(f"dims must be in [1, {eigvec.shape[1]}], got {dims}")
     # orient each axis so its largest-magnitude loading is positive
     for k in range(eigvec.shape[1]):
         pivot = int(np.argmax(np.abs(eigvec[:, k])))

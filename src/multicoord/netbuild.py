@@ -56,6 +56,13 @@ from .ingest import ACTIONS, ActorSet, EventLog
 
 logger = logging.getLogger(__name__)
 
+# The largest edge weight a LayerGraph takes. Squares of weight sums appear
+# in the multislice null term (community strengths squared), the Lanczos
+# norms and metric_cosine; under this cap a sum of up to 1e50 weights still
+# squares to a finite float. Build writes weights <= 1 per layer and <= 5
+# flattened, so only an edited edge list comes near it.
+MAX_WEIGHT = 1e100
+
 
 @dataclass(frozen=True)
 class Window:
@@ -114,7 +121,7 @@ class LayerGraph:
         return len(self.u)
 
     def total_weight(self) -> float:
-        return math.fsum(self.weight.tolist())
+        return math.fsum(self.weight)
 
     def edge_subgraph(self, keep=None) -> "LayerGraph":
         """The rows where the boolean mask ``keep`` is true (all rows by
@@ -141,9 +148,8 @@ class LayerGraph:
         float and int take. ``nodes`` adds isolated nodes. Raises
         EdgeRowError for the first row that is not numeric, holds a number
         beyond float or int, or has a count outside int64, and then for the
-        first that is a self-loop or a pair
-        already seen, or has a non-finite or non-positive weight or a count
-        below 1.
+        first that is a self-loop or a pair already seen, or has a non-finite
+        or non-positive weight, a weight above MAX_WEIGHT or a count below 1.
         """
         n = len(weight)
         try:
@@ -171,6 +177,7 @@ class LayerGraph:
         repeat[order[1:]] = (u[order[1:]] == u[order[:-1]]) & (v[order[1:]] == v[order[:-1]])
         problems = (("self-loop", ia == ib), ("pair already seen", repeat),
                     ("weight not finite and positive", ~(np.isfinite(w) & (w > 0))),
+                    (f"weight above {MAX_WEIGHT:g}", w > MAX_WEIGHT),
                     ("co_actions or window_count below 1", (co < 1) | (wc < 1)))
         bad = [(int(np.argmax(mask)), reason) for reason, mask in problems if mask.any()]
         if bad:
@@ -235,6 +242,10 @@ class CSR:
     @property
     def degree(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    @property
+    def n_edges(self) -> int:
+        return self.indices.size // 2
 
     def rows(self) -> np.ndarray:
         """Row index of every stored entry."""

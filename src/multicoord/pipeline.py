@@ -397,7 +397,8 @@ def _resolve_tokens(ref: str, other: str) -> tuple[tuple, tuple]:
 
 
 def _load_approach(out: str, base: str, restriction: str | None):
-    """Returns (community source, display token, metric graph scope or None).
+    """Returns (community source, display token, metric graph scope or None,
+    partition path).
 
     Detect writes no partition for a scope without a node, so a missing
     partition file names its scope when that scope's graphs are empty.
@@ -410,11 +411,11 @@ def _load_approach(out: str, base: str, restriction: str | None):
             raise DataError(f"scope {base!r} has no edge, so detect wrote no partition for it")
         raise DataError(f"missing partition {path}; run detect first")
     if base != "multi":
-        return reports.read_partition_tsv(path), base, base
+        return reports.read_partition_tsv(path), base, base, path
     p = reports.read_multiplex_partition_tsv(path)
     if restriction is not None:
-        return restrict_to_layer(p, restriction), f"multi-{restriction}", restriction
-    return p, "multi", None
+        return restrict_to_layer(p, restriction), f"multi-{restriction}", restriction, path
+    return p, "multi", None, path
 
 
 def comparison_id(ref: str, other: str) -> str:
@@ -425,13 +426,16 @@ def comparison_id(ref: str, other: str) -> str:
 class _Comparison:
     """Both sides of one comparison and its overlap -> match -> labels chain.
     Side A is the baseline (other), side B the reference (ref); a scope is
-    the graph a side's metrics are read from, None for a whole multiplex.
+    the graph a side's metrics are read from, None for a whole multiplex,
+    and a partition the file a side's communities are read from.
     """
 
     a_token: str
     b_token: str
     a_scope: str | None
     b_scope: str | None
+    a_partition: str
+    b_partition: str
     O: object
     M: object
     labels_a: dict
@@ -442,11 +446,11 @@ class _Comparison:
 def _compare(cfg: RunConfig, ref: str, other: str) -> _Comparison:
     det = cfg.detection
     (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
-    B, b_token, b_scope = _load_approach(cfg.out, rb, rl)
-    A, a_token, a_scope = _load_approach(cfg.out, ob, ol)
+    B, b_token, b_scope, b_partition = _load_approach(cfg.out, rb, rl)
+    A, a_token, a_scope, a_partition = _load_approach(cfg.out, ob, ol)
     O = overlap_matrix(A, B, min_size=det.min_size)
     M = hungarian_match(O)
-    return _Comparison(a_token, b_token, a_scope, b_scope, O, M,
+    return _Comparison(a_token, b_token, a_scope, b_scope, a_partition, b_partition, O, M,
                        *label_communities(O, M, theta=det.theta), label_nodes(O, M))
 
 
@@ -495,12 +499,14 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
 
 # ---------------------------------------------------------------- characterize
 
-def _minmax_normalize(rows: list[np.ndarray]) -> list[np.ndarray]:
-    X = np.vstack(rows)
+def _minmax_normalize(X: np.ndarray) -> np.ndarray:
+    """Each column of X scaled onto [0, 1]; a constant column maps to 0."""
+    if not len(X):
+        return X
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
-    return [np.clip((r - lo) / span, 0.0, 1.0) for r in rows]
+    return np.clip((X - lo) / span, 0.0, 1.0)
 
 
 def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
@@ -518,30 +524,34 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     if c.a_scope is None or c.b_scope is None:
         raise DataError("characterize needs a concrete graph per side; "
                         "restrict multiplex partitions to a layer (multi:<layer>)")
-    g_a = _load_layer_graph(cfg.out, c.a_scope)
-    g_b = _load_layer_graph(cfg.out, c.b_scope)
-    csr_a, csr_b = GraphCSR.of(g_a), GraphCSR.of(g_b)
+    # one graph and one node profile per distinct scope: multi:hst against
+    # hst reads and profiles edges_hst.tsv once
+    graphs = {s: GraphCSR.of(_load_layer_graph(cfg.out, s))
+              for s in dict.fromkeys((c.a_scope, c.b_scope))}
     ctx = cfg.context()
 
     # (side, community id, label, CommunityMetrics), the k_a A rows first
-    comm_rows = [(side, comm_id, labels[comm_id], community_metrics(g, members, csr))
-                 for side, ids, sets, labels, g, csr in (
-                     ("a", O.a_ids, O.a_members, c.labels_a, g_a, csr_a),
-                     ("b", O.b_ids, O.b_members, c.labels_b, g_b, csr_b))
-                 for comm_id, members in zip(ids, sets)]
+    comm_rows = []
+    for side, ids, sets, labels, scope, partition in (
+            ("a", O.a_ids, O.a_members, c.labels_a, c.a_scope, c.a_partition),
+            ("b", O.b_ids, O.b_members, c.labels_b, c.b_scope, c.b_partition)):
+        try:
+            comm_rows += [(side, comm_id, labels[comm_id], community_metrics(graphs[scope], members))
+                          for comm_id, members in zip(ids, sets)]
+        except ValueError as exc:  # a partition node that the edge list lacks
+            raise DataError(f"partition {partition} does not fit edge list "
+                            f"{_edges_path(cfg.out, scope)}: {exc}") from exc
 
-    vectors = [m.vector() for _, _, _, m in comm_rows]
-    normalized = _minmax_normalize(vectors) if vectors else []
-    records = []
-    for (side, comm_id, label, m), vec, norm in zip(comm_rows, vectors, normalized):
-        records.append({
-            "record": "community_metrics", "side": side, "community": str(comm_id),
-            "label": label,
-            "metrics": dict(zip(COMMUNITY_METRIC_NAMES, vec.tolist())),
-            "normalized": dict(zip(COMMUNITY_METRIC_NAMES, norm.tolist())),
-            "conductance_defined": m.conductance_defined,
-            "assortativity_defined": m.assortativity_defined,
-        })
+    vectors = np.array([m.vector() for _, _, _, m in comm_rows]).reshape(
+        len(comm_rows), len(COMMUNITY_METRIC_NAMES))
+    records = [{"record": "community_metrics", "side": side, "community": str(comm_id),
+                "label": label,
+                "metrics": dict(zip(COMMUNITY_METRIC_NAMES, vec.tolist())),
+                "normalized": dict(zip(COMMUNITY_METRIC_NAMES, norm.tolist())),
+                "conductance_defined": m.conductance_defined,
+                "assortativity_defined": m.assortativity_defined}
+               for (side, comm_id, label, m), vec, norm in zip(comm_rows, vectors,
+                                                               _minmax_normalize(vectors))]
     reports.write_records(os.path.join(cfg.out, f"community_metrics_{cid}.jsonl"), records, ctx)
 
     cosine_rows, defined = [], []
@@ -558,57 +568,43 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
                         ("a_community", "b_community", "overlap", "cosine"),
                         [*cosine_rows, ("mean", "-", "-", mean)], ctx)
 
-    # two principal axes need three communities and two descriptors that vary
-    pca_records = []
-    varying = (int(np.count_nonzero(np.std(vectors, axis=0, ddof=1) > 0.0))
-               if len(vectors) >= 3 else 0)
-    skipped = (f"only {len(vectors)} communities" if len(vectors) < 3
-               else f"only {varying} descriptors vary" if varying < 2 else None)
-    if skipped is None:
+    try:
         coords, ratios = pca_project(vectors, dims=2)
-        pca_records.append({"record": "pca_ratios", "ratios": ratios.tolist()})
-        for (side, comm_id, label, _), xy in zip(comm_rows, coords):
-            pca_records.append({"record": "pca_point", "side": side,
-                                "community": str(comm_id), "label": label,
-                                "x": float(xy[0]), "y": float(xy[1])})
+    except UndefinedMetricError as exc:
+        pca_records = [{"record": "pca_skipped", "reason": str(exc)}]
     else:
-        pca_records.append({"record": "pca_skipped", "reason": skipped})
+        pca_records = [{"record": "pca_ratios", "ratios": ratios.tolist()}]
+        pca_records += [{"record": "pca_point", "side": side, "community": str(comm_id),
+                         "label": label, "x": float(xy[0]), "y": float(xy[1])}
+                        for (side, comm_id, label, _), xy in zip(comm_rows, coords)]
     reports.write_records(os.path.join(cfg.out, f"pca_{cid}.jsonl"), pca_records, ctx)
 
-    # node metrics: lost and common nodes live in the baseline graph A,
-    # gained nodes only exist in the reference graph B
-    nm_a = node_metrics(g_a, csr=csr_a) if g_a.nodes else {}
-    nm_b = node_metrics(g_b, csr=csr_b) if g_b.nodes else {}
+    profiles = {s: node_metrics(csr) if csr.order else {} for s, csr in graphs.items()}
     # the Lanczos facts behind each eigenvector centrality: a small gap
     # between lambda1 and the second Ritz value marks an ill-conditioned one
     eigen_records = [{"record": "eigen_summary", "graph": graph_id,
                       "components": csr.eigen.components, "lambda1": csr.eigen.lambda1,
                       "ritz2": csr.eigen.ritz2, "lanczos_steps": csr.eigen.steps}
-                     for graph_id, g, csr in (("a", g_a, csr_a), ("b", g_b, csr_b))
-                     if g.n_edges]
+                     for graph_id, csr in (("a", graphs[c.a_scope]), ("b", graphs[c.b_scope]))
+                     if csr.n_edges]
+    # lost and common nodes live in the baseline graph A, gained nodes only
+    # exist in the reference graph B
     node_records = []
-    groups = {label: {n: [] for n in NODE_METRIC_NAMES} for label in (LOST, COMMON, GAINED)}
     for node in sorted(c.node_labels, key=str):
         label = c.node_labels[node]
-        source, graph_id = (nm_a, "a") if label in (LOST, COMMON) else (nm_b, "b")
-        if node not in source:
-            continue
-        nm = source[node]
-        rec = {"record": "node_metrics", "node": str(node), "label": label,
-               "graph": graph_id}
-        for name, value in zip(NODE_METRIC_NAMES, nm.vector().tolist()):
-            rec[name] = value
-            groups[label][name].append(value)
-        node_records.append(rec)
+        graph_id, scope = ("a", c.a_scope) if label in (LOST, COMMON) else ("b", c.b_scope)
+        nm = profiles[scope].get(node)
+        if nm is not None:
+            node_records.append({"record": "node_metrics", "node": str(node), "label": label,
+                                 "graph": graph_id,
+                                 **dict(zip(NODE_METRIC_NAMES, nm.vector().tolist()))})
     reports.write_records(os.path.join(cfg.out, f"node_metrics_{cid}.jsonl"),
                           eigen_records + node_records, ctx)
 
     bm_records = []
-    pairs = ((LOST, COMMON), (LOST, GAINED), (COMMON, GAINED))
     for metric in NODE_METRIC_NAMES:
-        for gx, gy in pairs:
-            x = groups[gx][metric]
-            y = groups[gy][metric]
+        for gx, gy in ((LOST, COMMON), (LOST, GAINED), (COMMON, GAINED)):
+            x, y = ([r[metric] for r in node_records if r["label"] == g] for g in (gx, gy))
             rec = {"record": "bm_test", "metric": metric, "group_x": gx,
                    "group_y": gy, "n_x": len(x), "n_y": len(y)}
             if len(x) < 2 or len(y) < 2:

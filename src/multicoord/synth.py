@@ -125,6 +125,21 @@ class GroundTruth:
         return self.communities().get(cid, frozenset())
 
 
+def _window_events(rng, users, rate, pool_size, prefix, layer, start, width_s) -> list:
+    """One layer's events of ``users`` in the window from ``start``: a
+    Poisson(rate) count per user, then for each event an item <prefix><k>
+    of the pool and a uniform offset into the window, drawn in that order
+    and user by user."""
+    counts = rng.poisson(rate, size=len(users)).tolist()
+    total = sum(counts)
+    if total == 0:
+        return []
+    items = rng.integers(0, pool_size, size=total).tolist()
+    times = (start + rng.random(total) * width_s).tolist()
+    owners = (u for u, k in zip(users, counts) for _ in range(k))
+    return [(u, layer, f"{prefix}{k}", t) for u, k, t in zip(owners, items, times)]
+
+
 def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
     """Build the planted log and its ground truth; deterministic per seed."""
     rng = np.random.default_rng(cfg.seed)
@@ -153,34 +168,12 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
         for layer in ACTIONS:
             for ci in range(cfg.n_communities):
                 strength = cfg.strengths[ci].get(layer, 0.0)
-                if strength <= 0:
-                    continue
-                block = members[ci]
-                counts = rng.poisson(strength, size=len(block))
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                items = rng.integers(0, cfg.community_pool_size, size=total)
-                offsets = rng.random(total) * width_s
-                pos = 0
-                for u, k in zip(block, counts):
-                    for j in range(k):
-                        rows.append((u, layer, f"c{ci}.{layer}.{int(items[pos])}",
-                                     float(w.start + offsets[pos])))
-                        pos += 1
+                if strength > 0:
+                    rows += _window_events(rng, members[ci], strength, cfg.community_pool_size,
+                                           f"c{ci}.{layer}.", layer, w.start, width_s)
             if cfg.noise_rate > 0:
-                counts = rng.poisson(cfg.noise_rate, size=len(users))
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                items = rng.integers(0, cfg.noise_pool_size, size=total)
-                offsets = rng.random(total) * width_s
-                pos = 0
-                for u, k in zip(users, counts):
-                    for j in range(k):
-                        rows.append((u, layer, f"n.{layer}.{int(items[pos])}",
-                                     float(w.start + offsets[pos])))
-                        pos += 1
+                rows += _window_events(rng, users, cfg.noise_rate, cfg.noise_pool_size,
+                                       f"n.{layer}.", layer, w.start, width_s)
 
     rows.sort(key=itemgetter(3, 0, 1, 2))
     log = EventLog.from_events(rows, time_span=(0.0, span_s))

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import edge_dict, random_layer
-from multicoord.characterize import (brunner_munzel, community_metrics,
-                                     node_metrics)
+from multicoord.characterize import (GraphCSR, brunner_munzel,
+                                     community_metrics, node_metrics)
 from multicoord.community import (Partition, communities,
                                   flatten_intersection, flatten_union,
                                   generalized_louvain, louvain, modularity,
@@ -264,7 +264,7 @@ def test_criterion_09_metric_sanity():
         g = random_layer(rng, n=int(rng.integers(3, 25)), p=0.3)
         if g.n_edges == 0:
             continue
-        vals = node_metrics(g)
+        vals = node_metrics(GraphCSR.of(g))
         order = sorted(g.nodes)
         pr = math.fsum(vals[u].pagerank for u in order)
         if abs(pr - 1.0) > 1e-9:
@@ -278,26 +278,26 @@ def test_criterion_09_metric_sanity():
         for u in order:
             if not (0.0 <= vals[u].local_clustering <= 1.0):
                 failures.append(f"trial {trial}: clustering out of bounds")
-        m = community_metrics(g, set(order[: max(2, len(order) // 2)]))
+        m = community_metrics(GraphCSR.of(g), set(order[: max(2, len(order) // 2)]))
         if not (0.0 <= m.density <= 1.0) or m.conductance < 0.0:
             failures.append(f"trial {trial}: community metric out of bounds")
 
     # closed forms
     k4 = LayerGraph.from_pairs("rtw", [(a, b, 1.0) for a, b in
                                        itertools.combinations("abcd", 2)])
-    v = node_metrics(k4)["a"]
+    v = node_metrics(GraphCSR.of(k4))["a"]
     if not (v.degree_centrality == 1.0 and v.local_clustering == 1.0
             and abs(v.eigenvector_centrality - 0.5) < 1e-10
             and abs(v.pagerank - 0.25) < 1e-10):
         failures.append("K4 closed forms")
     c5 = LayerGraph.from_pairs("rtw", [(f"v{i}", f"v{(i + 1) % 5}", 1.0)
                                        for i in range(5)])
-    v = node_metrics(c5)["v0"]
+    v = node_metrics(GraphCSR.of(c5))["v0"]
     if not (abs(v.pagerank - 0.2) < 1e-10
             and abs(v.eigenvector_centrality - 1 / math.sqrt(5)) < 1e-10):
         failures.append("C5 closed forms")
     star = LayerGraph.from_pairs("rtw", [("hub", f"l{i}", 1.0) for i in range(4)])
-    sv = node_metrics(star)
+    sv = node_metrics(GraphCSR.of(star))
     if not (abs(sv["hub"].eigenvector_centrality - 0.7071067811865476) < 1e-10
             and abs(sv["l0"].eigenvector_centrality - 0.35355339059327373) < 1e-10
             and sv["hub"].local_clustering == 0.0
@@ -306,7 +306,7 @@ def test_criterion_09_metric_sanity():
     barbell = LayerGraph.from_pairs("rtw", [
         ("a", "b", 1.0), ("a", "c", 1.0), ("b", "c", 1.0),
         ("d", "e", 1.0), ("d", "f", 1.0), ("e", "f", 1.0), ("c", "d", 1.0)])
-    m = community_metrics(barbell, {"a", "b", "c"})
+    m = community_metrics(GraphCSR.of(barbell), {"a", "b", "c"})
     if not (m.size == 3 and m.density == 1.0 and m.avg_degree == 2.0
             and m.avg_weight == 1.0 and m.avg_clustering == 1.0
             and abs(m.conductance - 1 / 7) < 1e-15

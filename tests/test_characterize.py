@@ -42,7 +42,7 @@ def star4():
 
 
 def test_k4_node_metrics():
-    m = node_metrics(k4())
+    m = node_metrics(GraphCSR.of(k4()))
     for u in "abcd":
         assert m[u].degree_centrality == 1.0
         assert m[u].local_clustering == 1.0
@@ -52,7 +52,7 @@ def test_k4_node_metrics():
 
 def test_c5_node_metrics():
     m = c5()
-    vals = node_metrics(m)
+    vals = node_metrics(GraphCSR.of(m))
     for u in m.nodes:
         assert vals[u].degree_centrality == 0.5
         assert vals[u].local_clustering == 0.0
@@ -62,7 +62,7 @@ def test_c5_node_metrics():
 
 
 def test_star_node_metrics():
-    vals = node_metrics(star4())
+    vals = node_metrics(GraphCSR.of(star4()))
     hub, leaf = vals["hub"], vals["l0"]
     assert hub.degree_centrality == 1.0 and leaf.degree_centrality == 0.25
     assert hub.local_clustering == 0.0
@@ -82,7 +82,7 @@ def test_node_metrics_disconnected_zeroes_minor_component():
     # triangle (lambda 2) dominates the single edge (lambda 1)
     g = LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1.0),
                                       ("a", "c", 1.0), ("x", "y", 1.0)])
-    vals = node_metrics(g)
+    vals = node_metrics(GraphCSR.of(g))
     assert vals["x"].eigenvector_centrality == 0.0
     assert vals["y"].eigenvector_centrality == 0.0
     for u in "abc":
@@ -115,7 +115,7 @@ def test_node_metrics_invariants_random(rng):
         g = random_layer(rng, n=int(rng.integers(3, 30)), p=0.25)
         if g.n_edges == 0:
             continue
-        vals = node_metrics(g)
+        vals = node_metrics(GraphCSR.of(g))
         pr_sum = math.fsum(v.pagerank for v in vals.values())
         assert pr_sum == pytest.approx(1.0, abs=1e-9)
         eig = np.array([v.eigenvector_centrality for v in vals.values()])
@@ -137,7 +137,7 @@ def test_node_metrics_match_reference_library(rng):
         G.add_nodes_from(g.nodes)
         for (u, v), data in edge_dict(g).items():
             G.add_edge(u, v, weight=data.weight)
-        vals = node_metrics(g)
+        vals = node_metrics(GraphCSR.of(g))
         want_pr = nx.pagerank(G, alpha=0.85, tol=1e-12, max_iter=1000,
                               weight="weight")
         want_cl = nx.clustering(G)  # unweighted
@@ -169,12 +169,12 @@ def test_node_metrics_match_reference_library(rng):
 
 def test_node_metrics_validation():
     with pytest.raises(ValueError):
-        node_metrics(LayerGraph("rtw"))
+        node_metrics(GraphCSR.of(LayerGraph("rtw")))
     with pytest.raises(ValueError):
-        node_metrics(k4(), damping=1.0)
+        node_metrics(GraphCSR.of(k4()), damping=1.0)
     # edgeless nodes still get well-defined values
     g = LayerGraph("rtw", nodes=("a", "b"))
-    vals = node_metrics(g)
+    vals = node_metrics(GraphCSR.of(g))
     assert vals["a"].pagerank == 0.5
     assert vals["a"].degree_centrality == 0.0
 
@@ -184,7 +184,7 @@ def test_node_metrics_validation():
 
 
 def test_barbell_community_vector(barbell):
-    m = community_metrics(barbell, {"a", "b", "c"})
+    m = community_metrics(GraphCSR.of(barbell), {"a", "b", "c"})
     assert m.size == 3
     assert m.density == 1.0
     assert m.avg_degree == 2.0
@@ -202,7 +202,7 @@ def test_barbell_community_vector(barbell):
 
 
 def test_whole_graph_community_conductance_undefined():
-    m = community_metrics(k4(), {"a", "b", "c", "d"})
+    m = community_metrics(GraphCSR.of(k4()), {"a", "b", "c", "d"})
     assert m.density == 1.0 and m.avg_degree == 3.0
     assert m.conductance == 0.0
     assert not m.conductance_defined
@@ -211,7 +211,7 @@ def test_whole_graph_community_conductance_undefined():
 def test_community_metrics_weights_only_in_avg_weight():
     g = LayerGraph.from_pairs("rtw", [("a", "b", 0.2), ("b", "c", 0.6),
                                       ("c", "d", 10.0)])
-    m = community_metrics(g, {"a", "b", "c"})
+    m = community_metrics(GraphCSR.of(g), {"a", "b", "c"})
     assert m.avg_weight == pytest.approx((0.2 + 0.6) / 2)
     assert m.density == pytest.approx(2 / 3)
     assert m.avg_degree == pytest.approx(4 / 3)
@@ -231,7 +231,7 @@ def test_community_metrics_match_reference_library(rng):
         G.add_nodes_from(g.nodes)
         for (u, v), data in edge_dict(g).items():
             G.add_edge(u, v, weight=data.weight)
-        m = community_metrics(g, members)
+        m = community_metrics(GraphCSR.of(g), members)
         sub = G.subgraph(members)
         assert m.density == pytest.approx(nx.density(sub), abs=1e-12)
         assert m.avg_clustering == pytest.approx(
@@ -258,10 +258,10 @@ def test_community_metrics_match_reference_library(rng):
 
 def test_community_metrics_validation(barbell):
     with pytest.raises(ValueError):
-        community_metrics(barbell, set())
+        community_metrics(GraphCSR.of(barbell), set())
     with pytest.raises(ValueError):
-        community_metrics(barbell, {"a", "zz"})
-    m = community_metrics(barbell, {"a"})
+        community_metrics(GraphCSR.of(barbell), {"a", "zz"})
+    m = community_metrics(GraphCSR.of(barbell), {"a"})
     assert m.size == 1 and m.density == 0.0 and m.avg_degree == 0.0
 
 
@@ -333,8 +333,28 @@ def test_pca_zero_variance_feature_dropped_with_warning(rng, caplog):
 
 
 def test_pca_needs_three_rows(rng):
-    with pytest.raises(ValueError):
+    with pytest.raises(UndefinedMetricError):
         pca_project(rng.random((2, 5)), dims=2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_pca_skip_reason_names_the_row_count(n, caplog):
+    # characterize writes the reason into its pca_skipped record
+    with pytest.raises(UndefinedMetricError) as info:
+        pca_project(np.ones((n, len(COMMUNITY_METRIC_NAMES))), dims=2)
+    assert str(info.value) == f"only {n} communities"
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("varying", [0, 1])
+def test_pca_skip_reason_names_the_varying_descriptors(rng, varying, caplog):
+    X = np.ones((5, len(COMMUNITY_METRIC_NAMES)))
+    X[:, :varying] = rng.random((5, varying))
+    with pytest.raises(UndefinedMetricError) as info:
+        pca_project(X, dims=2)
+    assert str(info.value) == f"only {varying} descriptors vary"
+    # the check comes before the warning about the features it would drop
+    assert caplog.records == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -137,6 +138,21 @@ def test_characterize_records_eigen_summary(workdir, capsys):
     capsys.readouterr()
     assert main(["report", "--out", workdir["out"]]) == 0
     assert "eigenvector centrality of graph a: lambda1=" in capsys.readouterr().out
+
+
+def test_characterize_profiles_a_shared_scope_once(workdir, monkeypatch):
+    # multi against hst reads both sides from edges_hst.tsv; it used to read
+    # and profile that graph once per side
+    cfg = RunConfig.from_file(workdir["run_cfg"])
+    pipeline.run_compare(cfg, "multi", "hst")
+    calls = Counter()
+    for ns, name in ((pipeline.reports, "read_edges_tsv"), (pipeline, "node_metrics")):
+        def counted(*args, _fn=getattr(ns, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ns, name, counted)
+    pipeline.run_characterize(cfg, "multi", "hst")
+    assert calls == {"read_edges_tsv": 1, "node_metrics": 1}
 
 
 def test_detect_is_deterministic(workdir, tmp_path):

@@ -7,6 +7,9 @@ CLI process with a traceback. Pinned examples add crash cases the generator
 does not draw: a log that is not UTF-8 and a stoplist that is a directory. Once every detect mode has run, no message
 asks to run detect: a scope without a partition is named as one without an
 edge. A step that exits 2 leaves the output directory as it found it.
+Edited artifacts of the README recipe pin the cases a log cannot make: a
+partition node that its edge list lacks, and edge weights that are finite
+but huge.
 """
 
 import contextlib
@@ -14,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import tempfile
 
 import pytest
@@ -24,6 +28,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from multicoord.cli import main  # noqa: E402
 from multicoord.ingest import ACTIONS  # noqa: E402
 from multicoord.pipeline import DETECT_MODES, FLAT_SCOPES  # noqa: E402
+from multicoord.reports import EDGE_HEADER  # noqa: E402
+from readme_recipe import write_configs  # noqa: E402
 
 
 def _config(width_hours, shift_hours, fraction, max_nodes, seed):
@@ -114,3 +120,76 @@ def test_every_cli_step_exits_0_or_2_on_tiny_logs(study):
             assert "run detect" not in err.getvalue(), (argv, err.getvalue())
             if code == 2:
                 assert _digests(out) == before, argv
+
+
+@pytest.fixture(scope="module")
+def recipe(tmp_path_factory):
+    """The README recipe's out/ after synth, build, detect indi and unfl-sum."""
+    synth_cfg, run_cfg = write_configs(tmp_path_factory.mktemp("recipe"))
+    assert main(["synth", "--config", synth_cfg]) == 0
+    assert main(["build", "--config", run_cfg]) == 0
+    for mode in ("indi", "unfl-sum"):
+        assert main(["detect", "--config", run_cfg, "--mode", mode]) == 0
+    return os.path.join(os.path.dirname(run_cfg), "out")
+
+
+@pytest.fixture
+def edited(recipe, tmp_path):
+    """(run config, out) over a copy of the recipe's out/ to edit."""
+    out = str(tmp_path / "out")
+    shutil.copytree(recipe, out)
+    return write_configs(tmp_path)[1], out
+
+
+def _refused(argv, out, capsys):
+    """Run one CLI step that must exit 2 and leave out as it was; returns
+    its one line of stderr."""
+    before = _digests(out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: "), err
+    assert _digests(out) == before
+    return err[0]
+
+
+def _set_weights(path, weight):
+    """Give the first two rows of an edge list the weight ``weight``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    first = lines.index("\t".join(EDGE_HEADER)) + 1
+    for k in (first, first + 1):
+        cells = lines[k].split("\t")
+        cells[2] = repr(weight)
+        lines[k] = "\t".join(cells)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    return first + 1  # the 1-based line of the first edited row
+
+
+def test_characterize_refuses_a_partition_node_missing_from_the_edge_list(edited, capsys):
+    # characterize used to end in a ValueError traceback, exit code 1
+    cfg, out = edited
+    with open(os.path.join(out, "partition_rtw.tsv"), "a", encoding="utf-8") as fh:
+        fh.write("ghost\t0\n")
+    argv = ["--config", cfg, "--ref", "unfl-sum", "--other", "rtw"]
+    assert main(["compare", *argv]) == 0
+    err = _refused(["characterize", *argv], out, capsys)
+    assert err == (f"data error: partition {os.path.join(out, 'partition_rtw.tsv')} does not "
+                   f"fit edge list {os.path.join(out, 'edges_rtw.tsv')}: "
+                   "1 members not in graph, e.g. ['ghost']")
+
+
+@pytest.mark.parametrize("layer, weight, argv", [
+    # fsum of the weights overflowed: an OverflowError traceback
+    ("rtw", 1e308, ("--mode", "mono", "--layer", "rtw")),
+    # squared community strengths overflowed: a ValueError traceback, after
+    # partition_multi.tsv and a detect_multi.jsonl of one meta line were written
+    ("hst", 1e200, ("--mode", "multi")),
+])
+def test_detect_refuses_huge_edge_weights(edited, capsys, layer, weight, argv):
+    cfg, out = edited
+    path = os.path.join(out, f"edges_{layer}.tsv")
+    line = _set_weights(path, weight)
+    err = _refused(["detect", "--config", cfg, *argv], out, capsys)
+    assert err == f"data error: {path}:{line}: weight above 1e+100"

@@ -10,7 +10,7 @@ import pytest
 from conftest import edge_dict, tfidf_entries
 from multicoord.errors import DataError
 from multicoord.ingest import ActionEvent, ActorSet, EventLog
-from multicoord.netbuild import (MAX_WINDOWS, EdgeRowError, LayerGraph, Window, WindowTfidf,
+from multicoord.netbuild import (MAX_WEIGHT, MAX_WINDOWS, EdgeRowError, LayerGraph, Window, WindowTfidf,
                                  _merged_layer, build_multiplex, layer_window_graph,
                                  tfidf_windows, window_slices)
 
@@ -88,6 +88,27 @@ def test_edge_row_beyond_float_or_int_is_named():
         LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 10**400)])
     with pytest.raises(EdgeRowError, match="edge row 0: number out of range"):
         LayerGraph.from_pairs("rtw", [("a", "b", 1.0, math.inf)])
+
+
+def test_edge_weight_above_the_cap_is_named():
+    assert LayerGraph.from_pairs("rtw", [("a", "b", MAX_WEIGHT)]).weight.tolist() == [MAX_WEIGHT]
+    with pytest.raises(EdgeRowError, match="edge row 1: weight above 1e[+]100"):
+        LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1e101), ("c", "d", 1e308)])
+
+
+def test_total_weight_allocates_no_list_of_the_weights():
+    # the sum used to copy the weights into a list of Python floats: 32 B a row
+    n = 100_000
+    g = LayerGraph("rtw", ("a", "b"), np.zeros(n, np.int64), np.ones(n, np.int64),
+                   np.full(n, 0.1), np.ones(n, np.int64), np.ones(n, np.int64))
+    tracemalloc.start()
+    try:
+        total = g.total_weight()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == math.fsum([0.1] * n)
+    assert peak < 4096, f"total_weight peaked at {peak} bytes"
 
 
 # ---------------------------------------------------------------------------
