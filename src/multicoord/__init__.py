@@ -17,9 +17,9 @@ from .errors import (ConfigError, DataError, DegenerateSampleError,
 from .ingest import (ACTIONS, HST, MEN, RPL, RTW, URL, ActionEvent, ActorSet,
                      EventLog, StopLists, apply_stoplists, extract_domain,
                      load_stoplist, parse_events, select_users)
-from .netbuild import (EdgeRowError, LayerGraph, MultiplexNetwork, Window,
-                       WindowTfidf, build_multiplex, layer_window_graph,
-                       tfidf_windows, window_slices)
+from .netbuild import (EdgeRowError, LayerGraph, MultiplexNetwork, WindowTfidf,
+                       build_multiplex, layer_window_graph, tfidf_windows,
+                       window_slices)
 from .filternet import (FilterConfig, FilterReport, auto_threshold,
                         filter_by_actions, filter_by_weight, filter_layer,
                         filter_multiplex)
@@ -46,7 +46,7 @@ __all__ = [
     "ActionEvent", "EventLog", "StopLists", "ActorSet",
     "parse_events", "apply_stoplists", "load_stoplist", "select_users",
     "extract_domain",
-    "Window", "WindowTfidf", "EdgeRowError", "LayerGraph", "MultiplexNetwork",
+    "WindowTfidf", "EdgeRowError", "LayerGraph", "MultiplexNetwork",
     "window_slices", "tfidf_windows", "layer_window_graph", "build_multiplex",
     "FilterConfig", "FilterReport", "filter_by_actions", "auto_threshold",
     "filter_by_weight", "filter_layer", "filter_multiplex",

@@ -5,10 +5,13 @@ encodes every id) and turns codes into names once per layer. A few array
 sorts bucket the actor events into the TF-IDF entries of each action layer
 and sliding time window, as CSR-ordered (row, col, weight) arrays: a row
 per active user, a column per item, with the users' and items' log codes
-alongside. Each window pairs the users of each item (its wedges, which
-characterize's triangle count enumerates with the same helper) and groups
-the pairs with one sort: their product sums are the cosine similarities
-and their sizes the co-action counts, keyed on the pair's user codes.
+alongside. The window grid is the list of window starts that
+window_slices returns; _window_ranges computes the windows of every stamp
+with the same arithmetic. Each window pairs the users of each item (its
+wedges, which characterize's triangle count enumerates with the same
+helper) and groups the pairs with one sort: their product sums are the
+cosine similarities and their sizes the co-action counts, keyed on the
+pair's user codes.
 _merged_layer folds each window's pairs, as they are made, into running
 sums kept in key order: a binary search finds the pairs seen before, which
 gain one addition each, and the rows of new pairs are summed and inserted
@@ -60,24 +63,9 @@ logger = logging.getLogger(__name__)
 # in the multislice null term (community strengths squared), the Lanczos
 # norms and metric_cosine; under this cap a sum of up to 1e50 weights still
 # squares to a finite float. Build writes weights <= 1 per layer and <= 5
-# flattened, so only an edited edge list comes near it.
+# flattened, so only an edited edge list comes near it; detect refuses a
+# flattened sum of such weights above it rather than write it.
 MAX_WEIGHT = 1e100
-
-
-@dataclass(frozen=True)
-class Window:
-    """Half-open time slice [start, start + width)."""
-
-    start: float
-    width: float
-    index: int
-
-    @property
-    def end(self) -> float:
-        return self.start + self.width
-
-    def contains(self, ts: float) -> bool:
-        return self.start <= ts < self.end
 
 
 class EdgeRowError(ValueError):
@@ -131,13 +119,6 @@ class LayerGraph:
         if keep is not None:
             cols = [c[keep] for c in cols]
         return LayerGraph(self.layer, *_endpoints(self.nodes, cols[0], cols[1]), *cols[2:])
-
-    @classmethod
-    def from_pairs(cls, layer: str, pairs: Iterable, nodes: Iterable[str] = ()) -> "LayerGraph":
-        """from_columns over (u, v, weight[, co_actions[, window_count]])
-        rows; the counts default to 1."""
-        rows = [tuple(p) + (1,) * (5 - len(p)) for p in pairs]
-        return cls.from_columns(layer, *(zip(*rows) if rows else ((),) * 5), nodes=nodes)
 
     @classmethod
     def from_columns(cls, layer: str, a: Sequence, b: Sequence, weight: Sequence,
@@ -301,14 +282,15 @@ class MultiplexNetwork:
 MAX_WINDOWS = 100_000  # 57 years of 5 h shifts
 
 
-def window_slices(span: tuple[float, float], width: float, shift: float) -> list[Window]:
-    """Sliding windows over [t_min, t_max].
+def window_slices(span: tuple[float, float], width: float, shift: float) -> list[float]:
+    """The starts of the sliding windows over [t_min, t_max]: t_min + k *
+    shift for k = 0, 1, ...; window k holds the stamps in the half-open
+    [start, start + width).
 
-    Starts are t_min, t_min+shift, ...; the count is
-    floor((span_len - width) / shift) + 1 when span_len >= width, else 1.
-    Windows may end short of (or past) t_max; events in the uncovered tail
-    fall into no window. A grid of more than MAX_WINDOWS windows is a
-    DataError: it almost always means timestamps in mixed units.
+    The count is floor((span_len - width) / shift) + 1 when span_len >=
+    width, else 1. Windows may end short of (or past) t_max; events in the
+    uncovered tail fall into no window. A grid of more than MAX_WINDOWS
+    windows is a DataError: it almost always means timestamps in mixed units.
     """
     if not (0 < width < math.inf and 0 < shift < math.inf):
         raise ValueError(f"width and shift must be positive and finite, got {width}, {shift}")
@@ -322,13 +304,14 @@ def window_slices(span: tuple[float, float], width: float, shift: float) -> list
     if n > MAX_WINDOWS:
         raise DataError(f"{n:,} windows of {width:g} s every {shift:g} s over a {span_len:g} s "
                         f"span exceed {MAX_WINDOWS:,}; check that every timestamp is in seconds")
-    return [Window(t_min + k * shift, width, k) for k in range(n)]
+    return [t_min + k * shift for k in range(n)]
 
 
 def _window_ranges(ts: np.ndarray, t_min: float, width: float, shift: float,
                    n_windows: int) -> tuple[np.ndarray, np.ndarray]:
     """Per timestamp, the first and last index of the windows whose half-open
-    interval contains it (lo > hi: none), as Window.contains decides.
+    interval [start, start + width) contains it (lo > hi: none), with start
+    = t_min + k * shift computed as window_slices computes it.
     """
     rel = ts - t_min
     # one window wider than the arithmetic on each side, then shrink until

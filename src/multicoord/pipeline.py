@@ -33,9 +33,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DataError, reading
-from .ingest import (ACTIONS, StopLists, apply_stoplists, load_stoplist,
-                     parse_events, select_users)
-from .netbuild import LayerGraph, MultiplexNetwork, build_multiplex
+from .ingest import (ACTIONS, EVENT_SCHEMAS, StopLists, apply_stoplists,
+                     load_stoplist, parse_events, select_users)
+from .netbuild import MAX_WEIGHT, LayerGraph, MultiplexNetwork, build_multiplex
 from .filternet import FilterConfig, filter_multiplex
 from .community import (UNION_STRATEGIES, Partition, flatten_intersection,
                         flatten_union, generalized_louvain, louvain, modularity,
@@ -142,7 +142,7 @@ class RunConfig:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.width_hours <= 0 or self.shift_hours <= 0:
             raise ValueError("width_hours and shift_hours must be positive")
-        if self.schema not in ("tsv", "jsonl"):
+        if self.schema not in EVENT_SCHEMAS:
             raise ValueError(f"schema must be tsv or jsonl, got {self.schema!r}")
 
     @classmethod
@@ -357,6 +357,11 @@ def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
             flat = flatten_intersection(net)
         else:
             flat = flatten_union(net, strategy=mode.split("-", 1)[1])
+        # a sum of layer weights can pass the cap that every edge list is read under
+        top = flat.weight.max(initial=0.0)
+        if top > MAX_WEIGHT:
+            raise DataError(f"{mode}: flattened weight {top:g} above the edge weight cap "
+                            f"{MAX_WEIGHT:g}")
         reports.write_edges_tsv(_edges_path(cfg.out, mode), flat, ctx)
         summaries = [_detect_graph(cfg, ctx, flat)]
     else:  # multi

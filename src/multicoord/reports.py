@@ -271,10 +271,6 @@ def write_ground_truth(path: str, truth, ctx: ReportContext = UNSTAMPED) -> None
                 ((user, str(truth.assignment[user])) for user in sorted(truth.assignment)), ctx)
 
 
-def read_ground_truth(path: str) -> dict:
-    return _assignment(path, *_tsv_columns(path, "ground truth", PARTITION_HEADER)[1:], "user")
-
-
 def write_events_tsv(path: str, log, ctx: ReportContext = UNSTAMPED) -> None:
     """Standard 4-column event file: user, action, item, timestamp."""
     write_table(path, (), zip(*log.decoded(), map(repr, _finite(log.ts))), ctx)

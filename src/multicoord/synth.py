@@ -161,19 +161,19 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
 
     span_s = cfg.span_hours * 3600.0
     width_s = cfg.width_hours * 3600.0
-    windows = window_slices((0.0, span_s), width_s, cfg.shift_hours * 3600.0)
+    starts = window_slices((0.0, span_s), width_s, cfg.shift_hours * 3600.0)
 
     rows: list[tuple[str, str, str, float]] = []  # (user, action, item, timestamp)
-    for w in windows:
+    for start in starts:
         for layer in ACTIONS:
             for ci in range(cfg.n_communities):
                 strength = cfg.strengths[ci].get(layer, 0.0)
                 if strength > 0:
                     rows += _window_events(rng, members[ci], strength, cfg.community_pool_size,
-                                           f"c{ci}.{layer}.", layer, w.start, width_s)
+                                           f"c{ci}.{layer}.", layer, start, width_s)
             if cfg.noise_rate > 0:
                 rows += _window_events(rng, users, cfg.noise_rate, cfg.noise_pool_size,
-                                       f"n.{layer}.", layer, w.start, width_s)
+                                       f"n.{layer}.", layer, start, width_s)
 
     rows.sort(key=itemgetter(3, 0, 1, 2))
     log = EventLog.from_events(rows, time_span=(0.0, span_s))
@@ -181,5 +181,5 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
                         noise_users=noise_users)
     planted = sum(1 for r in rows if r[2].startswith("c"))
     logger.info("synth: %d events (%d planted, %d noise) over %d windows, %d users",
-                len(log), planted, len(log) - planted, len(windows), cfg.n_users)
+                len(log), planted, len(log) - planted, len(starts), cfg.n_users)
     return log, truth

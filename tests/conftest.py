@@ -1,4 +1,4 @@
-"""Shared builders for the test suite, and the hypothesis profiles.
+"""Shared builders and readers for the test suite, and the hypothesis profiles.
 
 ``HYPOTHESIS_PROFILE=ci`` selects the profile CI runs: examples derived from
 each test's name, so a failure repeats on a rerun, and the reproduction
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from multicoord.netbuild import LayerGraph, MultiplexNetwork
+from multicoord.reports import PARTITION_HEADER, _assignment, _tsv_columns
 
 try:
     from hypothesis import settings
@@ -33,6 +34,18 @@ def edge_dict(g):
         g.window_count.tolist())}
 
 
+def from_pairs(layer, pairs, nodes=()):
+    """LayerGraph.from_columns over (u, v, weight[, co_actions[,
+    window_count]]) rows; the counts default to 1."""
+    rows = [tuple(p) + (1,) * (5 - len(p)) for p in pairs]
+    return LayerGraph.from_columns(layer, *(zip(*rows) if rows else ((),) * 5), nodes=nodes)
+
+
+def read_ground_truth(path):
+    """{user: community id} of a ground-truth file that synth wrote."""
+    return _assignment(path, *_tsv_columns(path, "ground truth", PARTITION_HEADER)[1:], "user")
+
+
 def tfidf_entries(m):
     """{user: {item: tf * idf}} of a WindowTfidf, in row order: a dict view for tests."""
     out = {u: {} for u in m.users}
@@ -44,7 +57,7 @@ def tfidf_entries(m):
 def clique(layer, names, weight=1.0):
     pairs = [(names[i], names[j], weight)
              for i in range(len(names)) for j in range(i + 1, len(names))]
-    return LayerGraph.from_pairs(layer, pairs)
+    return from_pairs(layer, pairs)
 
 
 def random_layer(rng, layer="rtw", n=10, p=0.3, w_lo=0.05, w_hi=1.05):
@@ -55,7 +68,7 @@ def random_layer(rng, layer="rtw", n=10, p=0.3, w_lo=0.05, w_hi=1.05):
             if rng.random() < p:
                 pairs.append((f"n{i:02d}", f"n{j:02d}",
                               float(w_lo + rng.random() * (w_hi - w_lo))))
-    return LayerGraph.from_pairs(layer, pairs)
+    return from_pairs(layer, pairs)
 
 
 def two_clique_bridge(layer="rtw"):
@@ -65,7 +78,7 @@ def two_clique_bridge(layer="rtw"):
     pairs = [(f"a{i}", f"a{j}", 1.0) for i in range(5) for j in range(i + 1, 5)]
     pairs += [(f"b{i}", f"b{j}", 1.0) for i in range(5) for j in range(i + 1, 5)]
     pairs.append(("a4", "b0", 1.0))
-    return LayerGraph.from_pairs(layer, pairs)
+    return from_pairs(layer, pairs)
 
 
 @pytest.fixture
@@ -76,13 +89,13 @@ def rng():
 @pytest.fixture
 def barbell():
     """Two triangles abc and def joined by the bridge c-d, unit weights."""
-    return LayerGraph.from_pairs("rtw", [
+    return from_pairs("rtw", [
         ("a", "b", 1.0), ("a", "c", 1.0), ("b", "c", 1.0),
         ("d", "e", 1.0), ("d", "f", 1.0), ("e", "f", 1.0),
         ("c", "d", 1.0)])
 
 
 def multiplex_from(layer_pairs):
-    layers = {name: LayerGraph.from_pairs(name, pairs)
+    layers = {name: from_pairs(name, pairs)
               for name, pairs in layer_pairs.items()}
     return MultiplexNetwork(layers)

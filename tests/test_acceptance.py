@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import edge_dict, random_layer
+from conftest import edge_dict, from_pairs, random_layer
 from multicoord.characterize import (GraphCSR, brunner_munzel,
                                      community_metrics, node_metrics)
 from multicoord.community import (Partition, communities,
@@ -25,8 +25,7 @@ from multicoord.compare import (COMMON, GAINED, LOST, hungarian_match,
 from multicoord.errors import DegenerateSampleError
 from multicoord.filternet import FilterConfig, filter_multiplex
 from multicoord.ingest import ACTIONS, select_users
-from multicoord.netbuild import (LayerGraph, MultiplexNetwork,
-                                 build_multiplex, window_slices)
+from multicoord.netbuild import MultiplexNetwork, build_multiplex, window_slices
 from multicoord.synth import SynthConfig, generate
 
 H = 3600.0
@@ -189,7 +188,7 @@ def test_criterion_06_multislice_reduction():
     # omega = 0 solver equivalence on fixtures with a unique optimum
     def triangles(layer):
         n = [f"u{i}" for i in range(6)]
-        return LayerGraph.from_pairs(layer, [
+        return from_pairs(layer, [
             (n[0], n[1], 1.0), (n[1], n[2], 1.0), (n[0], n[2], 1.0),
             (n[3], n[4], 1.0), (n[4], n[5], 1.0), (n[3], n[5], 1.0),
             (n[2], n[3], 0.05)])
@@ -283,27 +282,27 @@ def test_criterion_09_metric_sanity():
             failures.append(f"trial {trial}: community metric out of bounds")
 
     # closed forms
-    k4 = LayerGraph.from_pairs("rtw", [(a, b, 1.0) for a, b in
+    k4 = from_pairs("rtw", [(a, b, 1.0) for a, b in
                                        itertools.combinations("abcd", 2)])
     v = node_metrics(GraphCSR.of(k4))["a"]
     if not (v.degree_centrality == 1.0 and v.local_clustering == 1.0
             and abs(v.eigenvector_centrality - 0.5) < 1e-10
             and abs(v.pagerank - 0.25) < 1e-10):
         failures.append("K4 closed forms")
-    c5 = LayerGraph.from_pairs("rtw", [(f"v{i}", f"v{(i + 1) % 5}", 1.0)
+    c5 = from_pairs("rtw", [(f"v{i}", f"v{(i + 1) % 5}", 1.0)
                                        for i in range(5)])
     v = node_metrics(GraphCSR.of(c5))["v0"]
     if not (abs(v.pagerank - 0.2) < 1e-10
             and abs(v.eigenvector_centrality - 1 / math.sqrt(5)) < 1e-10):
         failures.append("C5 closed forms")
-    star = LayerGraph.from_pairs("rtw", [("hub", f"l{i}", 1.0) for i in range(4)])
+    star = from_pairs("rtw", [("hub", f"l{i}", 1.0) for i in range(4)])
     sv = node_metrics(GraphCSR.of(star))
     if not (abs(sv["hub"].eigenvector_centrality - 0.7071067811865476) < 1e-10
             and abs(sv["l0"].eigenvector_centrality - 0.35355339059327373) < 1e-10
             and sv["hub"].local_clustering == 0.0
             and sv["l0"].degree_centrality == 0.25):
         failures.append("star closed forms")
-    barbell = LayerGraph.from_pairs("rtw", [
+    barbell = from_pairs("rtw", [
         ("a", "b", 1.0), ("a", "c", 1.0), ("b", "c", 1.0),
         ("d", "e", 1.0), ("d", "f", 1.0), ("e", "f", 1.0), ("c", "d", 1.0)])
     m = community_metrics(GraphCSR.of(barbell), {"a", "b", "c"})
@@ -395,7 +394,6 @@ def test_criterion_12_window_arithmetic():
     windows = window_slices((0.0, 744 * H), 6 * H, 5 * H)
     if len(windows) != 148:
         failures.append(f"31-day grid has {len(windows)} windows, wanted 148")
-    if windows and not (windows[0].start == 0.0
-                        and windows[-1].start == 147 * 5 * H):
+    if windows and not (windows[0] == 0.0 and windows[-1] == 147 * 5 * H):
         failures.append("window starts misplaced")
     _verdict(12, "31 days at 6h/5h yields 148 windows", failures)

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import clique, edge_dict, random_layer
+from conftest import clique, edge_dict, from_pairs, random_layer
 from multicoord.characterize import (COMMUNITY_METRIC_NAMES,
                                      NODE_METRIC_NAMES, GraphCSR, _midranks,
                                      _triangles,
@@ -29,12 +29,12 @@ def k4():
 
 def c5():
     names = [f"v{i}" for i in range(5)]
-    return LayerGraph.from_pairs("rtw", [
+    return from_pairs("rtw", [
         (names[i], names[(i + 1) % 5], 1.0) for i in range(5)])
 
 
 def star4():
-    return LayerGraph.from_pairs("rtw", [("hub", f"l{i}", 1.0) for i in range(4)])
+    return from_pairs("rtw", [("hub", f"l{i}", 1.0) for i in range(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_star_node_metrics():
 
 def test_node_metrics_disconnected_zeroes_minor_component():
     # triangle (lambda 2) dominates the single edge (lambda 1)
-    g = LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1.0),
+    g = from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1.0),
                                       ("a", "c", 1.0), ("x", "y", 1.0)])
     vals = node_metrics(GraphCSR.of(g))
     assert vals["x"].eigenvector_centrality == 0.0
@@ -209,7 +209,7 @@ def test_whole_graph_community_conductance_undefined():
 
 
 def test_community_metrics_weights_only_in_avg_weight():
-    g = LayerGraph.from_pairs("rtw", [("a", "b", 0.2), ("b", "c", 0.6),
+    g = from_pairs("rtw", [("a", "b", 0.2), ("b", "c", 0.6),
                                       ("c", "d", 10.0)])
     m = community_metrics(GraphCSR.of(g), {"a", "b", "c"})
     assert m.avg_weight == pytest.approx((0.2 + 0.6) / 2)

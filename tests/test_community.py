@@ -10,17 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import edge_dict, random_layer, two_clique_bridge
+from conftest import edge_dict, from_pairs, random_layer, two_clique_bridge
 from multicoord.community import (GAIN_TOLERANCE, Partition, communities,
                                   flatten_intersection, flatten_union,
                                   generalized_louvain, louvain, modularity,
                                   multislice_modularity, restrict_to_layer)
 from multicoord.errors import DataError
-from multicoord.netbuild import LayerGraph, MultiplexNetwork
+from multicoord.netbuild import MultiplexNetwork
 
 
 def path3():
-    return LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1.0)])
+    return from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_louvain_two_clique_exact_optimum():
 
 
 def test_louvain_canonical_ids():
-    g = LayerGraph.from_pairs("rtw", [
+    g = from_pairs("rtw", [
         ("x1", "x2", 5.0), ("y1", "y2", 5.0), ("y2", "y3", 5.0),
         ("y1", "y3", 5.0), ("x1", "y1", 0.01)])
     p = louvain(g, seed=42)
@@ -126,8 +126,8 @@ def test_multislice_hand_fixture():
     #   intra per layer: 2*(1 - 1/2) - 2*(1/2) = 0; coupling: 2 actors * 2
     #   ordered cross-layer pairs * 0.5 = 2; 2mu = 2 + 2 + 2*0.5*2 = 6
     net = MultiplexNetwork({
-        "rtw": LayerGraph.from_pairs("rtw", [("u", "v", 1.0)]),
-        "rpl": LayerGraph.from_pairs("rpl", [("u", "v", 1.0)]),
+        "rtw": from_pairs("rtw", [("u", "v", 1.0)]),
+        "rpl": from_pairs("rpl", [("u", "v", 1.0)]),
     })
     p = Partition("multi", {("u", "rtw"): 0, ("v", "rtw"): 0,
                             ("u", "rpl"): 0, ("v", "rpl"): 0}, omega=0.5)
@@ -139,7 +139,7 @@ def test_quality_refuses_a_partition_that_misses_a_node():
     g = path3()
     with pytest.raises(DataError, match="does not cover 1 nodes of rtw, e.g. 'c'"):
         modularity(g, Partition("rtw", {"a": 0, "b": 0}))
-    net = MultiplexNetwork({"rtw": g, "rpl": LayerGraph.from_pairs("rpl", [("a", "b", 1.0)])})
+    net = MultiplexNetwork({"rtw": g, "rpl": from_pairs("rpl", [("a", "b", 1.0)])})
     supra = {(n, layer): 0 for layer, h in net.layers.items() for n in h.nodes}
     del supra[("b", "rpl")]
     with pytest.raises(DataError, match=r"does not cover 1 .*e\.g\. \('b', 'rpl'\)"):
@@ -172,7 +172,7 @@ def test_generalized_louvain_omega_zero_matches_per_layer():
     # layer, so every solver must find the triangles
     def triangles(layer, shift):
         names = [f"{layer}{i + shift}" for i in range(6)]
-        return LayerGraph.from_pairs(layer, [
+        return from_pairs(layer, [
             (names[0], names[1], 1.0), (names[1], names[2], 1.0),
             (names[0], names[2], 1.0), (names[3], names[4], 1.0),
             (names[4], names[5], 1.0), (names[3], names[5], 1.0),
@@ -221,11 +221,11 @@ def test_generalized_louvain_recovers_cross_layer_cliques():
 
 def three_layer_net():
     return MultiplexNetwork({
-        "rtw": LayerGraph.from_pairs("rtw", [("a", "b", 0.2, 2, 3),
+        "rtw": from_pairs("rtw", [("a", "b", 0.2, 2, 3),
                                              ("b", "c", 0.4, 1, 1)]),
-        "rpl": LayerGraph.from_pairs("rpl", [("a", "b", 0.5, 1, 1),
+        "rpl": from_pairs("rpl", [("a", "b", 0.5, 1, 1),
                                              ("c", "d", 0.9, 4, 2)]),
-        "men": LayerGraph.from_pairs("men", [("a", "b", 0.25, 1, 1)]),
+        "men": from_pairs("men", [("a", "b", 0.25, 1, 1)]),
     })
 
 
@@ -254,7 +254,7 @@ def test_flatten_intersection_hand_case():
     assert edge_dict(g)[("a", "b")].weight == pytest.approx(0.95, abs=1e-15)
     with pytest.raises(ValueError):
         flatten_intersection(MultiplexNetwork(
-            {"rtw": LayerGraph.from_pairs("rtw", [("a", "b", 1.0)])}))
+            {"rtw": from_pairs("rtw", [("a", "b", 1.0)])}))
 
 
 def test_flatten_laws_random(rng):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import from_pairs
 from multicoord.community import Partition
 from multicoord.compare import (COMMON, GAINED, LOST, community_sets,
                                 actor_coverage, edge_coverage,
@@ -310,9 +311,9 @@ def test_nmi_common_universe_and_min_size():
 
 def cover_net():
     return MultiplexNetwork({
-        "rtw": LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1.0),
+        "rtw": from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1.0),
                                              ("c", "d", 1.0)]),
-        "rpl": LayerGraph.from_pairs("rpl", [("a", "b", 1.0), ("x", "y", 1.0)]),
+        "rpl": from_pairs("rpl", [("a", "b", 1.0), ("x", "y", 1.0)]),
     })
 
 
@@ -338,10 +339,10 @@ def test_edge_coverage_directional():
 def test_pearson_degree_correlation_frozen():
     # common actors a, b, c with rtw degrees (1, 2, 1)... build exact vectors
     net = MultiplexNetwork({
-        "rtw": LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1.0),
+        "rtw": from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1.0),
                                              ("c", "d", 1.0), ("a", "d", 1.0),
                                              ("a", "c", 1.0)]),
-        "rpl": LayerGraph.from_pairs("rpl", [("a", "b", 1.0), ("b", "c", 1.0),
+        "rpl": from_pairs("rpl", [("a", "b", 1.0), ("b", "c", 1.0),
                                              ("a", "c", 1.0), ("a", "d", 1.0)]),
     })
     # degrees over common {a,b,c,d}: rtw (3,2,3,2), rpl (3,2,2,1)
@@ -352,14 +353,14 @@ def test_pearson_degree_correlation_frozen():
 
 def test_pearson_degree_correlation_undefined_cases():
     net = MultiplexNetwork({
-        "rtw": LayerGraph.from_pairs("rtw", [("a", "b", 1.0)]),
-        "rpl": LayerGraph.from_pairs("rpl", [("a", "b", 1.0)]),
+        "rtw": from_pairs("rtw", [("a", "b", 1.0)]),
+        "rpl": from_pairs("rpl", [("a", "b", 1.0)]),
     })
     with pytest.raises(UndefinedMetricError):
         pearson_degree_correlation(net, "rtw", "rpl")   # constant degrees
     disjoint = MultiplexNetwork({
-        "rtw": LayerGraph.from_pairs("rtw", [("a", "b", 1.0)]),
-        "rpl": LayerGraph.from_pairs("rpl", [("x", "y", 1.0)]),
+        "rtw": from_pairs("rtw", [("a", "b", 1.0)]),
+        "rpl": from_pairs("rpl", [("x", "y", 1.0)]),
     })
     with pytest.raises(UndefinedMetricError):
         pearson_degree_correlation(disjoint, "rtw", "rpl")  # < 2 common

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import edge_dict
+from conftest import edge_dict, from_pairs
 from multicoord.filternet import (FilterConfig, auto_threshold,
                                   filter_by_actions, filter_by_weight,
                                   filter_layer, filter_multiplex)
@@ -11,7 +11,7 @@ from multicoord.netbuild import LayerGraph, MultiplexNetwork
 
 def co_graph():
     """Edges (a,b) and (c,d) with 3 shared actions, (e,f) with 2."""
-    return LayerGraph.from_pairs("rtw", [
+    return from_pairs("rtw", [
         ("a", "b", 0.9, 3), ("c", "d", 0.8, 3), ("e", "f", 0.7, 2)])
 
 
@@ -55,7 +55,7 @@ def test_auto_threshold_agrees_with_direct_scan(rng):
                                   int(rng.integers(1, 6))))
         if not pairs:
             continue
-        g = LayerGraph.from_pairs("rtw", pairs)
+        g = from_pairs("rtw", pairs)
         budget = int(rng.integers(1, n + 3))
         got = auto_threshold(g, budget)
         feasible = [th for th in range(1, int(g.co_actions.max()) + 2)
@@ -68,19 +68,19 @@ def test_auto_threshold_agrees_with_direct_scan(rng):
 
 
 def test_weight_median_is_lower_median():
-    g = LayerGraph.from_pairs("rtw", [
+    g = from_pairs("rtw", [
         ("a", "b", 1.0), ("c", "d", 2.0), ("e", "f", 3.0), ("g", "h", 4.0)])
     out, th = filter_by_weight(g, "median")
     assert th == 2.0                       # lower median of [1,2,3,4]
     assert out.weight.tolist() == [2.0, 3.0, 4.0]
     assert out.nodes == ("c", "d", "e", "f", "g", "h")
 
-    g3 = LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("c", "d", 2.0),
+    g3 = from_pairs("rtw", [("a", "b", 1.0), ("c", "d", 2.0),
                                        ("e", "f", 3.0)])
     _, th3 = filter_by_weight(g3, "median")
     assert th3 == 2.0                      # middle of an odd count
 
-    g1 = LayerGraph.from_pairs("rtw", [("a", "b", 0.5)])
+    g1 = from_pairs("rtw", [("a", "b", 0.5)])
     out1, th1 = filter_by_weight(g1, "median")
     assert th1 == 0.5 and out1.n_edges == 1
 
@@ -139,7 +139,7 @@ def test_filter_layer_explicit_threshold():
 def test_filter_multiplex_covers_all_layers():
     net = MultiplexNetwork({
         "rtw": co_graph(),
-        "rpl": LayerGraph.from_pairs("rpl", [("a", "b", 0.5, 1)]),
+        "rpl": from_pairs("rpl", [("a", "b", 0.5, 1)]),
     })
     filtered, reports = filter_multiplex(net, FilterConfig())
     by_layer = {r.layer: r for r in reports}

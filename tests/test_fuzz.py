@@ -8,8 +8,8 @@ does not draw: a log that is not UTF-8 and a stoplist that is a directory. Once 
 asks to run detect: a scope without a partition is named as one without an
 edge. A step that exits 2 leaves the output directory as it found it.
 Edited artifacts of the README recipe pin the cases a log cannot make: a
-partition node that its edge list lacks, and edge weights that are finite
-but huge.
+partition node that its edge list lacks, edge weights that are finite
+but huge, and layer weights whose flattened sum no later step could read.
 """
 
 import contextlib
@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 
@@ -27,6 +28,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from multicoord.cli import main  # noqa: E402
 from multicoord.ingest import ACTIONS  # noqa: E402
+from multicoord.netbuild import MAX_WEIGHT  # noqa: E402
 from multicoord.pipeline import DETECT_MODES, FLAT_SCOPES  # noqa: E402
 from multicoord.reports import EDGE_HEADER  # noqa: E402
 from readme_recipe import write_configs  # noqa: E402
@@ -153,12 +155,15 @@ def _refused(argv, out, capsys):
     return err[0]
 
 
-def _set_weights(path, weight):
-    """Give the first two rows of an edge list the weight ``weight``."""
+def _set_weights(path, weight, n_rows=2):
+    """Give the first n_rows rows of an edge list (None: every row) the
+    weight ``weight``."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     first = lines.index("\t".join(EDGE_HEADER)) + 1
-    for k in (first, first + 1):
+    for k in range(first, len(lines) if n_rows is None else first + n_rows):
+        if not lines[k]:
+            continue
         cells = lines[k].split("\t")
         cells[2] = repr(weight)
         lines[k] = "\t".join(cells)
@@ -193,3 +198,25 @@ def test_detect_refuses_huge_edge_weights(edited, capsys, layer, weight, argv):
     line = _set_weights(path, weight)
     err = _refused(["detect", "--config", cfg, *argv], out, capsys)
     assert err == f"data error: {path}:{line}: weight above 1e+100"
+
+
+def test_detect_refuses_a_flattened_weight_above_the_cap(edited, capsys):
+    # detect unfl-sum wrote the sums of capped layer weights, and then
+    # characterize refused the edge list it had written, exit code 2
+    cfg, out = edited
+    paths = [os.path.join(out, f"edges_{layer}.tsv") for layer in ACTIONS]
+    for path in paths:
+        _set_weights(path, MAX_WEIGHT, None)
+    detect = ["detect", "--config", cfg, "--mode"]
+    err = _refused(detect + ["unfl-sum"], out, capsys)
+    assert re.fullmatch(r"data error: unfl-sum: flattened weight [2-5]e\+100 above the edge "
+                        r"weight cap 1e\+100", err), err
+    # the other unions weigh an edge by its layers, not by their weights
+    for mode in ("unfl-nw", "unfl-ec"):
+        assert main(detect + [mode]) == 0
+    # no recipe edge is in all five layers: give them one at the cap
+    for path in paths:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"x0\tx1\t{MAX_WEIGHT!r}\t1\t1\n")
+    err = _refused(detect + ["intfl"], out, capsys)
+    assert err == "data error: intfl: flattened weight 5e+100 above the edge weight cap 1e+100"

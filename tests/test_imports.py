@@ -1,4 +1,5 @@
-"""Import budget: no stage loads scipy or OpenSSL.
+"""Import budget: no stage loads scipy or OpenSSL; and the package's public
+names all resolve.
 
 Every CLI subcommand runs in its own process, so whatever the package
 imports at module level is paid once per invocation. `build`, `detect`,
@@ -8,12 +9,17 @@ test dependency. The config hash uses CPython's builtin SHA-256, so no
 stage imports `hashlib`, which loads OpenSSL's `_hashlib` (about 3.6 MB
 per process). The checks run in a fresh interpreter because this one has
 imported scipy and hashlib already.
+
+Every name in multicoord.__all__ is bound on the package, once: a name
+removed from its module but left in __all__ fails here, not at a user's
+``from multicoord import *``.
 """
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -111,3 +117,9 @@ def test_characterize_skips_scipy_stats(seen):
 def test_no_stage_loads_openssl(seen):
     # the config hash stamped on every artifact is the builtin SHA-256
     assert seen["openssl"] == []
+
+
+def test_every_public_name_resolves_once():
+    names = multicoord.__all__
+    assert [n for n in names if not hasattr(multicoord, n)] == []
+    assert sorted(n for n, k in Counter(names).items() if k > 1) == []

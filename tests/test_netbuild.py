@@ -7,12 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import edge_dict, tfidf_entries
+from conftest import edge_dict, from_pairs, tfidf_entries
 from multicoord.errors import DataError
 from multicoord.ingest import ActionEvent, ActorSet, EventLog
-from multicoord.netbuild import (MAX_WEIGHT, MAX_WINDOWS, EdgeRowError, LayerGraph, Window, WindowTfidf,
-                                 _merged_layer, build_multiplex, layer_window_graph,
-                                 tfidf_windows, window_slices)
+from multicoord.netbuild import (MAX_WEIGHT, MAX_WINDOWS, EdgeRowError, LayerGraph, WindowTfidf,
+                                 _merged_layer, _window_ranges, build_multiplex,
+                                 layer_window_graph, tfidf_windows, window_slices)
 
 H = 3600.0
 
@@ -36,9 +36,11 @@ def test_window_count_31_days():
     # 744 h span, 6 h width, 5 h shift: floor((744-6)/5)+1 = 148
     windows = window_slices((0.0, 744 * H), 6 * H, 5 * H)
     assert len(windows) == 148
-    assert windows[0].start == 0.0
-    assert windows[-1].start == 147 * 5 * H
-    assert all(w.width == 6 * H for w in windows)
+    assert windows[0] == 0.0
+    assert windows[-1] == 147 * 5 * H
+    # Python floats, t_min + k * shift: the starts synth plants its events at
+    assert windows == [0.0 + k * (5 * H) for k in range(148)]
+    assert all(type(start) is float for start in windows)
 
 
 def test_window_count_formula_cases():
@@ -50,12 +52,12 @@ def test_window_count_formula_cases():
 
 
 def test_window_membership_is_half_open():
-    w = Window(start=10.0, width=5.0, index=0)
-    assert w.contains(10.0)
-    assert w.contains(14.999)
-    assert not w.contains(15.0)
-    assert not w.contains(9.999)
-    assert w.end == 15.0
+    starts = window_slices((10.0, 15.0), 5.0, 5.0)
+    assert starts == [10.0]
+    ts = np.array([10.0, 14.999, 9.999, 15.0])
+    lo, hi = _window_ranges(ts, starts[0], 5.0, 5.0, len(starts))
+    assert (lo <= hi).tolist() == [True, True, False, False]
+    assert lo[:2].tolist() == hi[:2].tolist() == [0, 0]
 
 
 def test_window_slices_validation():
@@ -85,15 +87,15 @@ def test_window_slices_refuses_non_finite_width_and_shift():
 
 def test_edge_row_beyond_float_or_int_is_named():
     with pytest.raises(EdgeRowError, match="edge row 1: number out of range"):
-        LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 10**400)])
+        from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 10**400)])
     with pytest.raises(EdgeRowError, match="edge row 0: number out of range"):
-        LayerGraph.from_pairs("rtw", [("a", "b", 1.0, math.inf)])
+        from_pairs("rtw", [("a", "b", 1.0, math.inf)])
 
 
 def test_edge_weight_above_the_cap_is_named():
-    assert LayerGraph.from_pairs("rtw", [("a", "b", MAX_WEIGHT)]).weight.tolist() == [MAX_WEIGHT]
+    assert from_pairs("rtw", [("a", "b", MAX_WEIGHT)]).weight.tolist() == [MAX_WEIGHT]
     with pytest.raises(EdgeRowError, match="edge row 1: weight above 1e[+]100"):
-        LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1e101), ("c", "d", 1e308)])
+        from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1e101), ("c", "d", 1e308)])
 
 
 def test_total_weight_allocates_no_list_of_the_weights():
@@ -218,9 +220,9 @@ def test_cosine_graph_order_invariant():
 def test_merge_windows_mean_weight_and_sums():
     from test_properties import merge_windows
 
-    g0 = LayerGraph.from_pairs("rtw", [("a", "b", 0.8, 2), ("b", "c", 0.5, 1)])
-    g1 = LayerGraph.from_pairs("rtw", [("a", "b", 0.4, 3)])
-    g2 = LayerGraph.from_pairs("rtw", [("c", "d", 1.0, 1)])
+    g0 = from_pairs("rtw", [("a", "b", 0.8, 2), ("b", "c", 0.5, 1)])
+    g1 = from_pairs("rtw", [("a", "b", 0.4, 3)])
+    g2 = from_pairs("rtw", [("c", "d", 1.0, 1)])
     m = merge_windows([g0, g1, g2])
     ab = edge_dict(m)[("a", "b")]
     assert ab.weight == pytest.approx((0.8 + 0.4) / 2)  # mean over appearances
@@ -235,9 +237,9 @@ def test_merge_windows_weights_by_window_count():
 
     # inputs that are themselves merges: the weight is the window-weighted
     # mean, added up in input order
-    g0 = LayerGraph.from_pairs("rtw", [("a", "b", 0.3, 4, 3), ("b", "c", 0.9, 1, 1)])
-    g1 = LayerGraph.from_pairs("rtw", [("a", "b", 0.7, 2, 2)])
-    g2 = LayerGraph.from_pairs("rtw", [("a", "b", 0.1, 5, 4), ("b", "c", 0.2, 3, 5)])
+    g0 = from_pairs("rtw", [("a", "b", 0.3, 4, 3), ("b", "c", 0.9, 1, 1)])
+    g1 = from_pairs("rtw", [("a", "b", 0.7, 2, 2)])
+    g2 = from_pairs("rtw", [("a", "b", 0.1, 5, 4), ("b", "c", 0.2, 3, 5)])
     m = merge_windows([g0, g1, g2])
     assert edge_dict(m) == {("a", "b"): ((0.3 * 3 + 0.7 * 2 + 0.1 * 4) / 9, 11, 9),
                             ("b", "c"): ((0.9 * 1 + 0.2 * 5) / 6, 4, 6)}
@@ -279,8 +281,8 @@ def test_merge_windows_rejects_mixed_layers():
     from test_properties import merge_windows
 
     with pytest.raises(ValueError):
-        merge_windows([LayerGraph.from_pairs("rtw", [("a", "b", 1.0)]),
-                       LayerGraph.from_pairs("rpl", [("a", "b", 1.0)])])
+        merge_windows([from_pairs("rtw", [("a", "b", 1.0)]),
+                       from_pairs("rpl", [("a", "b", 1.0)])])
     empty = merge_windows([], layer="rtw")
     assert empty.layer == "rtw" and empty.n_nodes == 0
 
@@ -303,7 +305,8 @@ def test_build_multiplex_matches_manual_composition(rng):
 def _check_manual_composition(rng, n_users, n_items, n_events, span, n_windows):
     # random small log; the one-shot builder must equal the window-by-window
     # composition of the dict oracle's graphs, merged by a sequential loop
-    from test_properties import merge_windows, user_vectors_oracle, window_graph_oracle
+    from test_properties import (merge_windows, oracle_windows, user_vectors_oracle,
+                                 window_graph_oracle)
 
     users = [f"u{i}" for i in range(n_users)]
     items = [f"i{i}" for i in range(n_items)]
@@ -318,7 +321,7 @@ def _check_manual_composition(rng, n_users, n_items, n_events, span, n_windows):
     acts = ActorSet({"rtw": frozenset(users)})
     net = build_multiplex(log, acts, width=10.0, shift=4.0)
 
-    windows = window_slices((0.0, span), 10.0, 4.0)
+    windows = oracle_windows((0.0, span), 10.0, 4.0)
     assert len(windows) == n_windows
     for layer in ("rtw", "rpl"):
         per_window = []

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import edge_dict, tfidf_entries
+from conftest import edge_dict, from_pairs, read_ground_truth, tfidf_entries
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -39,16 +39,29 @@ from multicoord.netbuild import (CSR, MAX_WEIGHT, EdgeRowError, LayerGraph,  # n
                                  layer_window_graph, tfidf_windows, window_slices)
 from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER,  # noqa: E402
                                 PARTITION_HEADER, _n_components, _number, read_edges_tsv,
-                                read_ground_truth, read_multiplex_partition_tsv,
-                                read_partition_tsv,
+                                read_multiplex_partition_tsv, read_partition_tsv,
                                 write_edges_tsv, write_multiplex_partition_tsv,
                                 write_partition_tsv)
 
 # ---------------------------------------------------------------------------
 # network construction against the dict code it replaced: a Window.contains
-# scan per layer-window, dict TF-IDF vectors, and a CSR built from them
+# scan of every event per layer-window (the oracle of _window_ranges, which
+# computes the same half-open rule on window_slices' starts), dict TF-IDF
+# vectors, and a CSR built from them
 
 Vector = namedtuple("Vector", "user_id layer window_index entries")
+
+
+class Window(namedtuple("Window", "start width index")):
+    """Half-open time slice [start, start + width) of the window grid."""
+
+    def contains(self, ts):
+        return self.start <= ts < self.start + self.width
+
+
+def oracle_windows(span, width, shift):
+    """One Window per start that window_slices returns, in grid order."""
+    return [Window(start, width, k) for k, start in enumerate(window_slices(span, width, shift))]
 
 
 def user_vectors_oracle(log, actors, layer, window):
@@ -173,7 +186,7 @@ def merge_windows(graphs: list[LayerGraph], layer: str | None = None) -> LayerGr
 
 def build_multiplex_oracle(log, actors, width, shift):
     """{layer: LayerGraph} from the oracle graphs of every layer-window."""
-    windows = window_slices(log.time_span, width, shift)
+    windows = oracle_windows(log.time_span, width, shift)
     layers = {}
     for layer in ACTIONS:
         parts = [window_graph_oracle(vecs) for w in windows
@@ -288,7 +301,7 @@ def grids(draw):
 @given(grids(), st.data())
 def test_window_ranges_match_contains_scan(grid, data):
     t_min, t_max, width, shift, times = grid
-    windows = window_slices((t_min, t_max), width, shift)
+    windows = oracle_windows((t_min, t_max), width, shift)
     ts = data.draw(st.lists(times, min_size=1, max_size=20))
     lo, hi = _window_ranges(np.array(ts), t_min, width, shift, len(windows))
     for t, a, b in zip(ts, lo.tolist(), hi.tolist()):
@@ -350,7 +363,7 @@ EVERY_WINDOW = _pinned_log(
 @example(EVERY_WINDOW)
 def test_build_multiplex_matches_dict_oracle(case):
     log, actors, width, shift = case
-    windows = window_slices(log.time_span, width, shift)
+    windows = oracle_windows(log.time_span, width, shift)
     records = tfidf_windows(log, actors, width, shift)
     want = [(layer, w.index) for layer in ACTIONS for w in windows
             if user_vectors_oracle(log, actors, layer, w)]
@@ -399,7 +412,7 @@ def layers(draw, name="rtw", weights=weights):
         if u != v and frozenset((u, v)) not in seen:
             seen.add(frozenset((u, v)))
             pairs.append((u, v, *data))
-    return LayerGraph.from_pairs(name, pairs,
+    return from_pairs(name, pairs,
                                  nodes=draw(st.lists(st.sampled_from(pool), max_size=2)))
 
 
@@ -446,12 +459,12 @@ def _check_passes(p):
 
 
 def _ring(n):
-    return LayerGraph.from_pairs("rtw", [(f"r{i:04d}", f"r{(i + 1) % n:04d}", 1.0)
+    return from_pairs("rtw", [(f"r{i:04d}", f"r{(i + 1) % n:04d}", 1.0)
                                          for i in range(n)])
 
 
 def _clique(k, w):
-    return LayerGraph.from_pairs("rtw", [(f"k{i:02d}", f"k{j:02d}", w)
+    return from_pairs("rtw", [(f"k{i:02d}", f"k{j:02d}", w)
                                          for i in range(k) for j in range(i + 1, k)])
 
 
@@ -673,11 +686,11 @@ def _edgeless_subset(adj):
 @settings(max_examples=200, deadline=None)
 @given(layers(), st.data())
 # equal lambda = 2: the bipartite 6-cycle (ids first) beats the triangle
-@example(LayerGraph.from_pairs("rtw", [(f"n{k}", f"n{(k + 1) % 6}", 1.0) for k in range(6)]
+@example(from_pairs("rtw", [(f"n{k}", f"n{(k + 1) % 6}", 1.0) for k in range(6)]
                                + [("x0", "x1", 1.0), ("x1", "x2", 1.0), ("x0", "x2", 1.0)]),
          None)
 # two identical triangles: the first one wins
-@example(LayerGraph.from_pairs("rtw", [("a", "b", 0.5), ("b", "c", 0.5), ("a", "c", 0.5),
+@example(from_pairs("rtw", [("a", "b", 0.5), ("b", "c", 0.5), ("a", "c", 0.5),
                                        ("x", "y", 0.5), ("y", "z", 0.5), ("x", "z", 0.5)]),
          None)
 def test_characterize_matches_dict_of_sets_oracle(g, data):
@@ -766,17 +779,17 @@ def random_graphs(draw):
     iu, iv = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < p
     w = rng.uniform(0.01, 3.0, size=iu.size)
-    return LayerGraph.from_pairs("rtw", [(f"n{a:02d}", f"n{b:02d}", float(x))
+    return from_pairs("rtw", [(f"n{a:02d}", f"n{b:02d}", float(x))
                                          for a, b, x in zip(iu[keep], iv[keep], w[keep])],
                                  nodes=[f"n{k:02d}" for k in range(n)])
 
 
-STAR = LayerGraph.from_pairs("rtw", [("hub", f"leaf{k:04d}", 1.0) for k in range(2000)])
-BIPARTITE = LayerGraph.from_pairs("rtw", [(f"a{i}", f"b{j}", 0.5 + i + j)
+STAR = from_pairs("rtw", [("hub", f"leaf{k:04d}", 1.0) for k in range(2000)])
+BIPARTITE = from_pairs("rtw", [(f"a{i}", f"b{j}", 0.5 + i + j)
                                           for i in range(5) for j in range(7)])
 # a 37-node component on which Lanczos with a basis of 4 needs 424 steps:
 # more than 100 restarts of that basis allow
-SLOW_LANCZOS = LayerGraph.from_pairs("rtw", [
+SLOW_LANCZOS = from_pairs("rtw", [
     (f"n{a:02d}", f"n{b:02d}", w) for a, b, w in zip(
         [0, 0, 0, 0, 1, 2, 3, 4, 5, 5, 6, 6, 8, 8, 8, 9, 9, 10, 10, 10, 11, 11, 12,
          12, 13, 13, 13, 14, 14, 19, 20, 20, 20, 22, 22, 24, 24, 26, 27, 27, 28, 28,
@@ -1093,7 +1106,7 @@ def test_n_components_matches_csgraph(pairs, isolated):
         if a != b and frozenset((a, b)) not in seen:
             seen.add(frozenset((a, b)))
             rows.append((f"n{a:02d}", f"n{b:02d}", 1.0))
-    g = LayerGraph.from_pairs("rtw", rows, nodes=[f"n{k:02d}" for k in isolated])
+    g = from_pairs("rtw", rows, nodes=[f"n{k:02d}" for k in isolated])
     adj = coo_matrix((np.ones(g.n_edges), (g.u, g.v)), shape=(g.n_nodes, g.n_nodes))
     want = connected_components(adj, directed=False)[0] if g.nodes else 0
     assert _n_components(g) == want
@@ -1120,7 +1133,7 @@ class _ZeroLabels:
        st.sampled_from([0.0, 0.1, 1.0]))
 # one actor in all five layers, in one community: the coupled term adds 0.2
 # ten times, which gives 1.9999999999999998, and 10 * 0.2 gives 2.0
-@example(MultiplexNetwork({name: LayerGraph.from_pairs(name, [], nodes=["a"])
+@example(MultiplexNetwork({name: from_pairs(name, [], nodes=["a"])
                            for name in LAYER_NAMES}), _ZeroLabels(), 1.0, 0.1)
 def test_modularity_matches_dict_oracle(net, data, gamma, omega):
     forms = [_dict_form(g) for g in net.layers.values()]
@@ -1514,7 +1527,7 @@ def test_tsv_round_trips(rows, assignment, supra):
         if u != v and frozenset((u, v)) not in seen:
             seen.add(frozenset((u, v)))
             pairs.append((u, v, *data))
-    g = LayerGraph.from_pairs("hst", pairs)
+    g = from_pairs("hst", pairs)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.tsv")
         write_edges_tsv(path, g)
@@ -1530,7 +1543,7 @@ def test_tsv_round_trips(rows, assignment, supra):
 
 # ---------------------------------------------------------------------------
 # table readers against the row reader they replaced: a list of fields per
-# row, and LayerGraph.from_pairs building a tuple per row
+# row, and from_pairs (conftest) building a tuple per row
 
 
 def _tsv_rows_oracle(path, what, n_cols):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import edge_dict
+from conftest import edge_dict, from_pairs, read_ground_truth
 from multicoord.community import Partition
 from multicoord.compare import overlap_matrix
 from multicoord.errors import DataError
@@ -17,7 +17,6 @@ from multicoord.netbuild import LayerGraph
 from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER, PARTITION_HEADER,
                                 ReportContext, canonical_json, config_hash,
                                 layer_stats, read_edges_tsv,
-                                read_ground_truth,
                                 read_multiplex_partition_tsv,
                                 read_partition_tsv, read_records,
                                 write_edges_tsv, write_events_tsv,
@@ -28,7 +27,7 @@ from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER, PARTITION_HEADER,
 
 
 def edge_fixture():
-    return LayerGraph.from_pairs("rtw", [
+    return from_pairs("rtw", [
         ("u2", "u1", 0.123456789012345678, 3, 2),
         ("u1", "u3", 1 / 3, 1, 1)])
 
@@ -188,7 +187,7 @@ def test_overlap_tsv_layout(tmp_path):
 
 def test_hash_prefixed_ids_round_trip(tmp_path):
     # '#' marks a comment only above the column header
-    g = LayerGraph.from_pairs("rtw", [("#alice", "bob", 0.5), ("bob", "carol", 0.25)])
+    g = from_pairs("rtw", [("#alice", "bob", 0.5), ("bob", "carol", 0.25)])
     write_edges_tsv(str(tmp_path / "e.tsv"), g)
     got = read_edges_tsv(str(tmp_path / "e.tsv"))
     assert got.layer == "rtw"
@@ -349,7 +348,7 @@ def test_non_finite_values_refused(tmp_path):
 
 
 def test_numpy_floats_serialize_as_plain_floats(tmp_path):
-    g = LayerGraph.from_pairs("rtw", [("a", "b", np.float64(0.5))])
+    g = from_pairs("rtw", [("a", "b", np.float64(0.5))])
     p = tmp_path / "np.tsv"
     write_edges_tsv(str(p), g)
     body = p.read_text()
@@ -362,7 +361,7 @@ def test_numpy_floats_serialize_as_plain_floats(tmp_path):
 
 
 def test_layer_stats_components():
-    g = LayerGraph.from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 0.5),
+    g = from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 0.5),
                                       ("x", "y", 2.0)])
     rec = layer_stats(g)
     assert rec["record"] == "layer_stats"
