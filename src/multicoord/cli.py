@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, DataError, InvariantError
 from .pipeline import (DETECT_MODES, RunConfig, run_build, run_characterize,
@@ -86,9 +87,12 @@ def _load_config(args) -> RunConfig:
     if args.out is not None:
         cfg.out = args.out
     if args.seed is not None:
-        cfg.detection.seed = args.seed
-        if cfg.synth is not None:
-            cfg.synth.seed = args.seed
+        try:  # replace checks the seed as the config's own is checked
+            cfg.detection = replace(cfg.detection, seed=args.seed)
+            if cfg.synth is not None:
+                cfg.synth = replace(cfg.synth, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     return cfg
 
 

@@ -26,7 +26,10 @@ between-community rows into the next. Local moving drains a FIFO queue
 that starts as a seeded shuffle of every node; a node that moves requeues
 its neighbours outside its new community, so later visits go only where a
 neighbour moved (Ozaki, Tezuka & Inaba 2016; Traag, Waltman & van Eck
-2019). Passes stop when one moves no node.
+2019). It reads the level's CSR in place, with no per-entry Python copy,
+and picks each move in one pass over the neighbouring communities: the
+highest gain wins, of equal gains the smallest community id, and a node
+whose own community ties stays. Passes stop when one moves no node.
 
 Detection is deterministic for a fixed seed, and community ids are
 canonicalized by decreasing size, ties broken by smallest member id.
@@ -194,20 +197,25 @@ def _local_moving(csr: CSR, strength: np.ndarray, inv_two_m: np.ndarray, gamma: 
     """Greedy node moves from singletons over one level: its CSR (coupling
     included) and its (n, L) table of per-layer null-model strengths, which
     no coupling enters. A node's internal weight is not kept: no move gain
-    depends on it, and Q comes from the gains.
+    depends on it, and Q comes from the gains. The CSR is read in place: a
+    visit slices memoryviews of its indices and weights, which yield the
+    same Python ints and floats, in the same order, as lists would, and no
+    entry is copied.
 
     The queue starts as a seeded shuffle of every node. A node moves to the
     neighbouring community (or a fresh one) of highest gain when that beats
     staying by more than threshold; its neighbours outside its new community
     then rejoin the queue unless already in it. The pass ends when the queue
-    is empty. Returns (community per node, summed gain of the moves, visits,
-    moves); Q rises by twice the gain over 2mu. A node moving to fresh
-    solitude takes an emptied community id.
+    is empty. One pass over the neighbouring communities picks the move: of
+    equal gains the smallest id wins, and a tie with the node's own
+    community moves nothing, as a move must gain more than threshold >= 0.
+    Returns (community per node, summed gain of the moves, visits, moves);
+    Q rises by twice the gain over 2mu. A node moving to fresh solitude
+    takes an emptied community id.
     """
     n = len(strength)
-    indptr, indices, weight = csr.indptr.tolist(), csr.indices.tolist(), csr.weight.tolist()
-    rows = [(indices[a:b], weight[a:b]) for a, b in zip(indptr, indptr[1:])]
-    del indptr, indices, weight  # rows hold the entries from here on
+    indptr = csr.indptr.tolist()
+    indices, weight = memoryview(csr.indices), memoryview(csr.weight)
     comm_k = strength.T.tolist()  # comm_k[s][c]: community c's strength in layer s
     # terms[u]: (strength, scaled strength, comm_k row) of each layer where u
     # has strength, one for every node when L = 1 and for every level-0
@@ -231,9 +239,10 @@ def _local_moving(csr: CSR, strength: np.ndarray, inv_two_m: np.ndarray, gamma: 
         queued[u] = False
         visits += 1
         c_old = comm[u]
-        nbrs, ws = rows[u]
+        a, b = indptr[u], indptr[u + 1]
+        nbrs = indices[a:b]
         links: dict[int, float] = {}
-        for v, w in zip(nbrs, ws):
+        for v, w in zip(nbrs, weight[a:b]):
             c = comm[v]
             if c in links:
                 links[c] += w
@@ -247,12 +256,12 @@ def _local_moving(csr: CSR, strength: np.ndarray, inv_two_m: np.ndarray, gamma: 
         comm_size[c_old] -= 1
         gain_old = best_gain = links.get(c_old, 0.0) - gamma * null
         best_c = c_old
-        for c in sorted(links):
+        for c, w in links.items():
             null = 0.0
             for _, f, kc in tu:
                 null += f * kc[c]
-            gain = links[c] - gamma * null
-            if gain > best_gain:
+            gain = w - gamma * null
+            if gain > best_gain or (gain == best_gain and c < best_c):
                 best_c, best_gain = c, gain
         if comm_size[c_old] > 0 and 0.0 > best_gain:
             best_c, best_gain = -1, 0.0  # strictly better off alone in a fresh community

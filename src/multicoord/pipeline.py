@@ -47,7 +47,7 @@ from .characterize import (COMMUNITY_METRIC_NAMES, NODE_METRIC_NAMES, GraphCSR,
                            brunner_munzel, community_metrics, metric_cosine,
                            node_metrics, pca_project, significance_band)
 from .errors import DegenerateSampleError, UndefinedMetricError
-from .synth import SynthConfig, generate
+from .synth import SynthConfig, check_seed, generate
 from . import reports
 from .reports import ReportContext
 
@@ -120,6 +120,7 @@ class DetectionSettings:
             raise ValueError("gamma and omega must be >= 0")
         if self.min_size < 0:
             raise ValueError(f"min_size must be >= 0, got {self.min_size}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -416,7 +417,7 @@ def _load_approach(out: str, base: str, restriction: str | None):
             raise DataError(f"scope {base!r} has no edge, so detect wrote no partition for it")
         raise DataError(f"missing partition {path}; run detect first")
     if base != "multi":
-        return reports.read_partition_tsv(path), base, base, path
+        return reports.read_partition_tsv(path, base), base, base, path
     p = reports.read_multiplex_partition_tsv(path)
     if restriction is not None:
         return restrict_to_layer(p, restriction), f"multi-{restriction}", restriction, path
@@ -632,7 +633,10 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
 # ---------------------------------------------------------------- report
 
 def run_report(out: str) -> str:
-    """Human-readable digest of an output directory; returns the text."""
+    """Human-readable digest of an output directory; returns the text. A
+    record file that is not JSON objects, or a record of a kind it prints
+    without a field it prints or with one of the wrong type, is a DataError
+    naming the file (and the line or the record kind)."""
     if not os.path.isdir(out):
         raise DataError(f"not a directory: {out}")
     lines = [f"multicoord report for {out}"]
@@ -641,32 +645,38 @@ def run_report(out: str) -> str:
     tsv = [n for n in names if n.endswith(".tsv")]
     lines.append(f"{len(tsv)} tables, {len(jsonl)} record files")
     for name in jsonl:
-        recs = reports.read_records(os.path.join(out, name))
+        path = os.path.join(out, name)
+        recs = reports.read_records(path)
         body = [r for r in recs if r.get("record") != "meta"]
         meta = next((r for r in recs if r.get("record") == "meta"), None)
-        stamp = f" [v{meta['version']} cfg {meta['config_sha256'][:12]}]" if meta else ""
-        lines.append(f"  {name}: {len(body)} records{stamp}")
-        for r in body:
-            kind = r.get("record")
-            if kind == "partition_summary":
-                lines.append(f"    scope {r['scope']}: {r['n_communities']} communities, "
-                             f"{r['n_nodes']} nodes, Q={r['modularity']}")
-                if "passes" in r:
-                    lines.append(f"      louvain: {r['passes']} passes, visits "
-                                 f"{'/'.join(map(str, r['visits']))}, moves "
-                                 f"{'/'.join(map(str, r['moves']))}")
-            elif kind == "comparison_summary":
-                lines.append(f"    {r['ref']} vs {r['other']}: "
-                             f"communities lost/common/gained = "
-                             f"{r['communities']['lost']}/{r['communities']['common']}/"
-                             f"{r['communities']['gained']}, nmi={r['nmi']:.4f}")
-            elif kind == "eigen_summary":
-                ritz2 = "-" if r["ritz2"] is None else f"{r['ritz2']:.6g}"
-                lines.append(f"    eigenvector centrality of graph {r['graph']}: "
-                             f"lambda1={r['lambda1']:.6g}, second Ritz value {ritz2}, "
-                             f"{r['components']} components, "
-                             f"{r['lanczos_steps']} Lanczos steps")
-            elif kind == "synth_summary":
-                lines.append(f"    {r['n_events']} events, {r['n_users']} users, "
-                             f"{r['n_communities']} planted communities")
+        kind = "meta"
+        try:
+            stamp = f" [v{meta['version']} cfg {meta['config_sha256'][:12]}]" if meta else ""
+            lines.append(f"  {name}: {len(body)} records{stamp}")
+            for r in body:
+                kind = r.get("record")
+                if kind == "partition_summary":
+                    lines.append(f"    scope {r['scope']}: {r['n_communities']} communities, "
+                                 f"{r['n_nodes']} nodes, Q={r['modularity']}")
+                    if "passes" in r:
+                        lines.append(f"      louvain: {r['passes']} passes, visits "
+                                     f"{'/'.join(map(str, r['visits']))}, moves "
+                                     f"{'/'.join(map(str, r['moves']))}")
+                elif kind == "comparison_summary":
+                    lines.append(f"    {r['ref']} vs {r['other']}: "
+                                 f"communities lost/common/gained = "
+                                 f"{r['communities']['lost']}/{r['communities']['common']}/"
+                                 f"{r['communities']['gained']}, nmi={r['nmi']:.4f}")
+                elif kind == "eigen_summary":
+                    ritz2 = "-" if r["ritz2"] is None else f"{r['ritz2']:.6g}"
+                    lines.append(f"    eigenvector centrality of graph {r['graph']}: "
+                                 f"lambda1={r['lambda1']:.6g}, second Ritz value {ritz2}, "
+                                 f"{r['components']} components, "
+                                 f"{r['lanczos_steps']} Lanczos steps")
+                elif kind == "synth_summary":
+                    lines.append(f"    {r['n_events']} events, {r['n_users']} users, "
+                                 f"{r['n_communities']} planted communities")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: a {kind} record lacks a field or has one of the "
+                            f"wrong type ({exc!r})") from None
     return "\n".join(lines) + "\n"

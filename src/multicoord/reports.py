@@ -187,16 +187,24 @@ def _assignment(path: str, columns: list, line: Callable[[int], int], what: str)
     return out
 
 
+def _scope_name(path: str, directives: dict, key: str, scope: str | None) -> str:
+    """The name on a table's `# key` line; a missing line is a DataError,
+    and so is a name other than ``scope`` when one is given, naming its
+    line: a file read for one scope holds that scope."""
+    if key not in directives:
+        raise DataError(f"{path}: missing '# {key}' line")
+    line, name = directives[key]
+    if scope is not None and name != scope:
+        raise DataError(f"{path}:{line}: '# {key} {name}' does not name scope {scope!r}")
+    return name
+
+
 def read_edges_tsv(path: str, layer: str | None = None) -> LayerGraph:
     """Read an edge list; a row no LayerGraph holds (see from_columns) is a
     DataError naming its line, and so is a `# layer` line that does not
     name ``layer`` when one is given."""
     directives, columns, line_of = _tsv_columns(path, "edge list", EDGE_HEADER)
-    if "layer" not in directives:
-        raise DataError(f"{path}: missing '# layer' line")
-    line, name = directives["layer"]
-    if layer is not None and name != layer:
-        raise DataError(f"{path}:{line}: '# layer {name}' does not name scope {layer!r}")
+    name = _scope_name(path, directives, "layer", layer)
     try:
         return LayerGraph.from_columns(name, *columns)
     except EdgeRowError as exc:
@@ -209,14 +217,15 @@ def write_partition_tsv(path: str, p: Partition, ctx: ReportContext = UNSTAMPED)
                 directives=[("scope", p.scope), ("gamma", repr(_finite(float(p.gamma))))])
 
 
-def read_partition_tsv(path: str) -> Partition:
+def read_partition_tsv(path: str, scope: str | None = None) -> Partition:
+    """Read a partition; a `# scope` line that does not name ``scope``
+    when one is given is a DataError naming its line, as for edge lists."""
     directives, columns, line = _tsv_columns(path, "partition", PARTITION_HEADER)
     assignment = _assignment(path, columns, line, "user")
-    if "scope" not in directives:
-        raise DataError(f"{path}: missing '# scope' line")
+    name = _scope_name(path, directives, "scope", scope)
     if not assignment:
         raise DataError(f"{path}: empty partition")
-    return Partition(scope=directives["scope"][1], assignment=assignment,
+    return Partition(scope=name, assignment=assignment,
                      gamma=_number(path, directives, "gamma", 1.0))
 
 
@@ -251,7 +260,9 @@ def write_records(path: str, records, ctx: ReportContext = UNSTAMPED) -> None:
             fh.write(canonical_json(rec) + "\n")
 
 
-def read_records(path: str) -> list:
+def read_records(path: str) -> list[dict]:
+    """The records of a JSON-lines file, blank lines skipped; a line that
+    is not a JSON object is a DataError naming its line."""
     with reading(path, "records") as fh:
         out = []
         for line_no, line in enumerate(fh, start=1):
@@ -259,9 +270,14 @@ def read_records(path: str) -> list:
             if not line:
                 continue
             try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                rec = json.loads(line)
+            # ValueError also covers an integer of more digits than int() takes,
+            # RecursionError a nesting deeper than the decoder goes
+            except (ValueError, RecursionError) as exc:
                 raise DataError(f"{path}:{line_no}: bad JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{line_no}: not a JSON object")
+            out.append(rec)
         return out
 
 

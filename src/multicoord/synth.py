@@ -40,6 +40,15 @@ logger = logging.getLogger(__name__)
 NOISE = "noise"
 
 
+def check_seed(seed: int) -> int:
+    """The one rule for a seed, from a config or from --seed: an integer
+    >= 0. NumPy refuses a negative seed, and random.Random takes its
+    absolute value, so -5 would detect as 5 under another config hash."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass
 class SynthConfig:
     """Recipe for one synthetic log.
@@ -65,7 +74,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("seed is mandatory")
-        self.seed = int(self.seed)
+        self.seed = check_seed(int(self.seed))
         if not all(isinstance(s, Integral) and not isinstance(s, bool)
                    for s in self.community_sizes):
             raise ValueError(f"community sizes must be integers, got {self.community_sizes!r}")

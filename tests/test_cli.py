@@ -274,6 +274,31 @@ def test_config_errors_exit_1(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_negative_seed_is_refused(workdir, tmp_path, capsys):
+    # synth ended in NumPy's ValueError traceback; detect --seed -5 wrote the
+    # partition of seed 5 under another config hash
+    out = workdir["out"]
+    before = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+    synth = write_cfg(tmp_path / "synth.json", {"out": str(tmp_path / "o"), "synth": SYNTH})
+    capsys.readouterr()
+    for argv, msg in (
+            (["synth", "--config", synth, "--seed", "-1"], "--seed: seed must be >= 0, got -1"),
+            (["detect", "--config", workdir["run_cfg"], "--mode", "mono", "--layer", "rtw",
+              "--seed", "-5"], "--seed: seed must be >= 0, got -5")):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"config error: {msg}\n"
+    for doc, msg in (({"synth": {**SYNTH, "seed": -3}}, "synth: seed must be >= 0, got -3"),
+                     ({"detection": {"seed": -5}}, "detection: seed must be >= 0, got -5")):
+        path = write_cfg(tmp_path / "section.json", {"out": str(tmp_path / "o"), **doc})
+        assert main(["synth" if "synth" in doc else "build", "--config", path]) == 1, doc
+        assert capsys.readouterr().err == f"config error: {msg}\n"
+    assert not (tmp_path / "o").exists()
+    assert {name: open(os.path.join(out, name), "rb").read()
+            for name in os.listdir(out)} == before
+    # seed 0 is a seed like any other
+    assert DetectionSettings(seed=0).seed == 0
+
+
 def test_float_fields_hash_alike_as_json_integers(tmp_path):
     # JSON has one number type: "gamma": 1 and "gamma": 1.0 are one config
     def cfg_hash(doc):

@@ -6,17 +6,19 @@ before the implementation was tested against them.
 """
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import edge_dict, from_pairs, random_layer, two_clique_bridge
-from multicoord.community import (GAIN_TOLERANCE, Partition, communities,
+from multicoord.community import (GAIN_TOLERANCE, Partition, _local_moving, communities,
                                   flatten_intersection, flatten_union,
                                   generalized_louvain, louvain, modularity,
                                   multislice_modularity, restrict_to_layer)
 from multicoord.errors import DataError
-from multicoord.netbuild import MultiplexNetwork
+from multicoord.netbuild import CSR, MultiplexNetwork
 
 
 def path3():
@@ -108,6 +110,31 @@ def test_louvain_gamma_zero_merges_everything():
 def test_louvain_empty_and_determinism():
     g = two_clique_bridge()
     assert louvain(g, seed=7).assignment == louvain(g, seed=7).assignment
+
+
+def test_local_moving_reads_the_csr_in_place():
+    # 1,000 nodes of mean degree ~60: a copy of the level's CSR as per-node
+    # lists of Python ints and floats peaks at ~87 bytes an entry here;
+    # reading it in place leaves the per-node tables, ~7 bytes an entry
+    n = 1000
+    rng = np.random.default_rng(3)
+    key = np.unique(rng.integers(0, n * n, 60 * n))
+    u, v = key // n, key % n
+    u, v = u[u < v], v[u < v]
+    w = rng.integers(1, 4, u.size).astype(float)
+    csr = CSR.symmetric(n, u, v, w)
+    strength = np.bincount(np.concatenate((u, v)), np.concatenate((w, w)), minlength=n)
+    assert csr.indices.size >= 50 * n
+    tracemalloc.start()
+    try:
+        comm, _, visits, moves = _local_moving(csr, strength[:, None],
+                                               np.array([1.0 / strength.sum()]), 1.0,
+                                               1e-10, random.Random(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert visits >= n and moves > 0 and len(comm) == n
+    assert peak < 16 * csr.indices.size, peak / csr.indices.size
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """End-to-end fuzz: tiny random event logs through every CLI step, in process.
 
-Each log goes through build, every detect mode, and compare + characterize
-on two pairs, one of them multi against a layer. The oracle: every step
-exits 0, or 2 with a ``data error:`` line; none raises, so none would end a
-CLI process with a traceback. Pinned examples add crash cases the generator
+Each log goes through build, every detect mode, compare + characterize on
+two pairs, one of them multi against a layer, and report. The oracle: every
+step exits 0, or 2 with a ``data error:`` line; none raises, so none would
+end a CLI process with a traceback. Pinned examples add crash cases the generator
 does not draw: a log that is not UTF-8 and a stoplist that is a directory. Once every detect mode has run, no message
 asks to run detect: a scope without a partition is named as one without an
 edge. A step that exits 2 leaves the output directory as it found it.
 Edited artifacts of the README recipe pin the cases a log cannot make: a
-partition node that its edge list lacks, edge weights that are finite
-but huge, and layer weights whose flattened sum no later step could read.
+partition node that its edge list lacks, a partition whose `# scope` line
+names another scope, edge weights that are finite but huge, layer weights
+whose flattened sum no later step could read, and record files that
+report cannot print.
 """
 
 import contextlib
@@ -78,6 +80,7 @@ def _steps(pairs):
     for ref, other in pairs:
         yield ("compare", "--ref", ref, "--other", other)
         yield ("characterize", "--ref", ref, "--other", other)
+    yield ("report",)
 
 
 @settings(max_examples=25, deadline=None)
@@ -220,3 +223,51 @@ def test_detect_refuses_a_flattened_weight_above_the_cap(edited, capsys):
             fh.write(f"x0\tx1\t{MAX_WEIGHT!r}\t1\t1\n")
     err = _refused(detect + ["intfl"], out, capsys)
     assert err == "data error: intfl: flattened weight 5e+100 above the edge weight cap 1e+100"
+
+
+def test_compare_refuses_a_partition_of_another_scope(edited, capsys):
+    # a partition_rtw.tsv that says it holds hst was compared as rtw, exit 0
+    cfg, out = edited
+    path = os.path.join(out, "partition_rtw.tsv")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    line = lines.index("# scope rtw") + 1
+    lines[line - 1] = "# scope hst"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    err = _refused(["compare", "--config", cfg, "--ref", "unfl-sum", "--other", "rtw"], out,
+                   capsys)
+    assert err == f"data error: {path}:{line}: '# scope hst' does not name scope 'rtw'"
+
+
+def _edit_records(path, edit):
+    """Rewrite a JSON-lines file with edit(record) applied to each record."""
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(edit(r)) + "\n" for r in records)
+
+
+@pytest.mark.parametrize("kind, field", [("partition_summary", "n_communities"),
+                                         ("meta", "version")])
+def test_report_refuses_a_record_without_a_field_it_prints(edited, capsys, kind, field):
+    # a KeyError traceback, exit code 1
+    _, out = edited
+    path = os.path.join(out, "detect_indi.jsonl")
+    _edit_records(path, lambda r: {k: v for k, v in r.items()
+                                   if r["record"] != kind or k != field})
+    err = _refused(["report", "--out", out], out, capsys)
+    assert err == (f"data error: {path}: a {kind} record lacks a field or has one of the "
+                   f"wrong type (KeyError({field!r}))")
+
+
+def test_report_refuses_a_line_that_is_not_a_json_object(edited, capsys):
+    # an AttributeError traceback, exit code 1
+    _, out = edited
+    path = os.path.join(out, "detect_indi.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        n_lines = len(fh.readlines())
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("[1, 2]\n")
+    err = _refused(["report", "--out", out], out, capsys)
+    assert err == f"data error: {path}:{n_lines + 1}: not a JSON object"

@@ -4,8 +4,9 @@ import dataclasses
 import json
 import math
 import os
+import random
 import tempfile
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, defaultdict, deque, namedtuple
 from unittest import mock
 
 import numpy as np
@@ -20,8 +21,9 @@ from multicoord import characterize, ingest  # noqa: E402
 from multicoord.characterize import (CommunityMetrics, GraphCSR,  # noqa: E402
                                      _pagerank, _t_tail, _triangles,
                                      community_metrics, node_metrics)
-from multicoord.community import (Partition,  # noqa: E402
-                                  _aggregate, _supra_graph, flatten_intersection,
+from multicoord.community import (GAIN_TOLERANCE, Partition,  # noqa: E402
+                                  _aggregate, _local_moving, _supra_graph,
+                                  flatten_intersection,
                                   flatten_union, generalized_louvain, louvain,
                                   modularity, multislice_modularity)
 from multicoord.compare import (community_sets, hungarian_match,  # noqa: E402
@@ -576,6 +578,111 @@ def test_aggregate_matches_dict_oracle(net, omega, data):
         assert [dict(row) for row in rows] == want_adj
         assert all(row == sorted(row) for row in rows)
         strength = got_strength
+
+
+def _local_moving_oracle(csr, strength, inv_two_m, gamma, threshold, rng):
+    """The local moving that _local_moving replaced: each level's CSR copied
+    into per-node lists of Python ints and floats, and the candidate
+    communities visited in sorted order, so that on equal gains the node's
+    own community, and else the smallest id, wins."""
+    n = len(strength)
+    indptr, indices, weight = csr.indptr.tolist(), csr.indices.tolist(), csr.weight.tolist()
+    rows = [(indices[a:b], weight[a:b]) for a, b in zip(indptr, indptr[1:])]
+    comm_k = strength.T.tolist()
+    node, layer = np.nonzero(strength)
+    k = strength[node, layer]
+    terms = [[] for _ in range(n)]
+    for u, s, ku, fu in zip(node.tolist(), layer.tolist(), k.tolist(),
+                            (k * inv_two_m[layer]).tolist()):
+        terms[u].append((ku, fu, comm_k[s]))
+    comm = list(range(n))
+    comm_size = [1] * n
+    order = list(range(n))
+    rng.shuffle(order)
+    queue, queued = deque(order), [True] * n
+    free_ids = []
+    total_gain, visits, moves = 0.0, 0, 0
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        visits += 1
+        c_old = comm[u]
+        nbrs, ws = rows[u]
+        links = {}
+        for v, w in zip(nbrs, ws):
+            c = comm[v]
+            if c in links:
+                links[c] += w
+            else:
+                links[c] = w
+        tu = terms[u]
+        null = 0.0
+        for k, f, kc in tu:
+            kc[c_old] -= k
+            null += f * kc[c_old]
+        comm_size[c_old] -= 1
+        gain_old = best_gain = links.get(c_old, 0.0) - gamma * null
+        best_c = c_old
+        for c in sorted(links):
+            null = 0.0
+            for _, f, kc in tu:
+                null += f * kc[c]
+            gain = links[c] - gamma * null
+            if gain > best_gain:
+                best_c, best_gain = c, gain
+        if comm_size[c_old] > 0 and 0.0 > best_gain:
+            best_c, best_gain = -1, 0.0
+        if best_c != c_old and best_gain - gain_old > threshold:
+            if best_c < 0:
+                best_c = free_ids.pop()
+            if comm_size[c_old] == 0:
+                free_ids.append(c_old)
+            comm[u] = best_c
+            moves += 1
+            total_gain += best_gain - gain_old
+            for v in nbrs:
+                if not queued[v] and comm[v] != best_c:
+                    queued[v] = True
+                    queue.append(v)
+        else:
+            best_c = c_old
+        for k, _, kc in tu:
+            kc[best_c] += k
+        comm_size[best_c] += 1
+    return comm, total_gain, visits, moves
+
+
+@st.composite
+def coupled_problems(draw):
+    """(network, omega) of L = 1 or L = 3 layers with integer weights, so
+    that many gains tie exactly, and isolated nodes."""
+    n_layers = draw(st.sampled_from([1, 3]))
+    names = draw(st.lists(st.sampled_from(LAYER_NAMES), min_size=n_layers,
+                          max_size=n_layers, unique=True))
+    integral = st.integers(1, 3).map(float)
+    return (MultiplexNetwork({name: draw(layers(name, integral)) for name in names}),
+            draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coupled_problems(), st.integers(0, 2**16), st.sampled_from([0.5, 1.0, 2.0]))
+def test_local_moving_matches_the_sorted_loop(problem, seed, gamma):
+    # every level of a whole optimization, so that aggregated levels with
+    # strength in several layers are compared too
+    net, omega = problem
+    if not any(g.nodes for g in net.layers.values()):
+        return
+    _, csr, strength, two_m, coupling_total = _supra_graph(net, omega)
+    two_mu = math.fsum(two_m) + coupling_total
+    inv = np.array([1.0 / m if m > 0.0 else 0.0 for m in two_m])
+    threshold = 0.5 * GAIN_TOLERANCE * two_mu
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    while True:
+        got = _local_moving(csr, strength, inv, gamma, threshold, got_rng)
+        assert got == _local_moving_oracle(csr, strength, inv, gamma, threshold, want_rng)
+        if not got[3]:
+            return
+        csr, strength, _ = _aggregate(csr, strength, np.array(got[0]))
 
 
 # ---------------------------------------------------------------------------

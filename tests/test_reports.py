@@ -228,9 +228,12 @@ def test_read_errors_are_data_errors(tmp_path):
     with pytest.raises(DataError):
         read_partition_tsv(str(empty_part))
     badjson = tmp_path / "r.jsonl"
-    badjson.write_text('{"record":"meta"}\nnot json\n')
-    with pytest.raises(DataError):
-        read_records(str(badjson))
+    # an integer longer than int() takes, and a nesting deeper than the
+    # decoder goes, raised ValueError and RecursionError, not DataError
+    for line in ("not json", "1" * 5000, "[" * 100_000, "[1, 2]"):
+        badjson.write_text('{"record":"meta"}\n' + line + "\n")
+        with pytest.raises(DataError, match=r"r\.jsonl:2: "):
+            read_records(str(badjson))
 
 
 @pytest.mark.parametrize("row, reason", [
