@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 usage or config error, 2 data error, 3 internal
 invariant violation. --seed overrides the config's detection seed (and the
 synth seed for the synth command); --out overrides the output directory.
 Both overrides are part of the effective config, so they change the config
-hash embedded in the reports. report reads no seed, so it takes none.
+hash embedded in the reports. Only detect and synth read a seed, so only
+they take --seed; --layer goes with --mode mono alone.
 """
 
 from __future__ import annotations
@@ -54,29 +55,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="override the configured output directory")
 
-    def common(p):
+    def seeded(p):
         paths(p)
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured seed")
 
-    common(sub.add_parser("build", help="ingest events, build and filter the network"))
+    paths(sub.add_parser("build", help="ingest events, build and filter the network"))
     p_detect = sub.add_parser("detect", help="run one operationalization")
-    common(p_detect)
+    seeded(p_detect)
     p_detect.add_argument("--mode", required=True, choices=DETECT_MODES)
     p_detect.add_argument("--layer", default=None,
-                          help="layer for --mode mono")
+                          help="layer for --mode mono, the only mode that takes one")
     p_compare = sub.add_parser("compare", help="overlap, matching, labels, NMI")
-    common(p_compare)
+    paths(p_compare)
     p_compare.add_argument("--ref", required=True,
                            help="reference approach (side B)")
     p_compare.add_argument("--other", required=True,
                            help="baseline approach (side A)")
     p_char = sub.add_parser("characterize",
                             help="metric vectors, cosine, PCA, rank tests")
-    common(p_char)
+    paths(p_char)
     p_char.add_argument("--ref", required=True)
     p_char.add_argument("--other", required=True)
-    common(sub.add_parser("synth", help="generate a synthetic log + ground truth"))
+    seeded(sub.add_parser("synth", help="generate a synthetic log + ground truth"))
     p_report = sub.add_parser("report", help="summarize an output directory")
     paths(p_report, config_required=False)
     return parser
@@ -86,7 +87,7 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config)
     if args.out is not None:
         cfg.out = args.out
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # only detect and synth take one
         try:  # replace checks the seed as the config's own is checked
             cfg.detection = replace(cfg.detection, seed=args.seed)
             if cfg.synth is not None:

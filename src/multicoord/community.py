@@ -340,9 +340,12 @@ def _detect(scope: str, names: tuple | list, csr: CSR, strength: np.ndarray,
     """The one Louvain tail: optimize the level-0 CSR and strength table
     over the named nodes, whose layers have 2m two_m and whose couplings
     weigh coupling_total in all. With 2mu = 0 nothing can gain, so every
-    node is its own community.
+    node is its own community; a 2mu that overflows (edge weights are
+    capped, so only the coupling can) is a DataError.
     """
     two_mu = math.fsum(two_m) + coupling_total
+    if not math.isfinite(two_mu):
+        raise DataError(f"{scope}: 2mu is {two_mu} at omega = {omega!r}")
     if two_mu == 0.0:
         comm, trace, passes = list(range(len(names))), [0.0], [(len(names), 0)]
     else:

@@ -351,7 +351,9 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
                         raise ValueError(f"control character in item id {item!r}")
                 if type(ts) is not float or not isfinite(ts):
                     ts = _parse_timestamp(ts)
-            except (ValueError, KeyError, TypeError) as exc:
+            # OverflowError: an integer stamp beyond float range; RecursionError:
+            # a line nested deeper than the JSON decoder goes
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                 rejects.append(RecordError(line_no, str(exc)))
                 continue
             users.append(user_code.setdefault(user, len(user_code)))

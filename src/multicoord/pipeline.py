@@ -47,7 +47,7 @@ from .characterize import (COMMUNITY_METRIC_NAMES, NODE_METRIC_NAMES, GraphCSR,
                            brunner_munzel, community_metrics, metric_cosine,
                            node_metrics, pca_project, significance_band)
 from .errors import DegenerateSampleError, UndefinedMetricError
-from .synth import SynthConfig, check_seed, generate
+from .synth import SynthConfig, check_hours, check_seed, generate
 from . import reports
 from .reports import ReportContext
 
@@ -143,6 +143,7 @@ class RunConfig:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.width_hours <= 0 or self.shift_hours <= 0:
             raise ValueError("width_hours and shift_hours must be positive")
+        check_hours(width_hours=self.width_hours, shift_hours=self.shift_hours)
         if self.schema not in EVENT_SCHEMAS:
             raise ValueError(f"schema must be tsv or jsonl, got {self.schema!r}")
 
@@ -303,8 +304,11 @@ def _summary(scope: str, p: Partition | None = None, modularity: float | None = 
     """The partition_summary record of one scope. Without a partition the
     scope had no node, and detect wrote none for it. With one: its size,
     quality and detection settings, and the Louvain passes with the node
-    visits and moves of each.
+    visits and moves of each. A quality that overflowed is a DataError, so
+    detect makes the record before it writes the partition.
     """
+    if modularity is not None and not math.isfinite(modularity):
+        raise DataError(f"{scope}: modularity is {modularity} at gamma = {settings['gamma']!r}")
     rec = {"record": "partition_summary", "scope": scope, "empty": p is None,
            "n_nodes": 0, "n_communities": 0, "modularity": modularity}
     if p is None:
@@ -321,9 +325,9 @@ def _detect_graph(cfg: RunConfig, ctx: ReportContext, g: LayerGraph) -> dict:
         return _summary(g.layer)
     det = cfg.detection
     p = louvain(g, gamma=det.gamma, seed=det.seed)
+    rec = _summary(g.layer, p, modularity(g, p, gamma=det.gamma), gamma=det.gamma, seed=det.seed)
     reports.write_partition_tsv(_partition_path(cfg.out, g.layer), p, ctx)
-    return _summary(g.layer, p, modularity(g, p, gamma=det.gamma),
-                    gamma=det.gamma, seed=det.seed)
+    return rec
 
 
 def _detect_multi(cfg: RunConfig, ctx: ReportContext) -> dict:
@@ -332,9 +336,10 @@ def _detect_multi(cfg: RunConfig, ctx: ReportContext) -> dict:
         return _summary("multi")
     det = cfg.detection
     p = generalized_louvain(net, gamma=det.gamma, omega=det.omega, seed=det.seed)
+    rec = _summary("multi", p, multislice_modularity(net, p, gamma=det.gamma, omega=det.omega),
+                   gamma=det.gamma, omega=det.omega, seed=det.seed)
     reports.write_multiplex_partition_tsv(_partition_path(cfg.out, "multi"), p, ctx)
-    return _summary("multi", p, multislice_modularity(net, p, gamma=det.gamma, omega=det.omega),
-                    gamma=det.gamma, omega=det.omega, seed=det.seed)
+    return rec
 
 
 def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
@@ -349,6 +354,8 @@ def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
             raise ConfigError("mode 'mono' needs --layer")
         if layer not in ACTIONS:
             raise ConfigError(f"unknown layer {layer!r}; expected one of {ACTIONS}")
+    elif layer is not None:
+        raise ConfigError(f"mode {mode!r} takes no layer; only mode 'mono' runs one")
     if mode in ("mono", "indi"):
         summaries = [_detect_graph(cfg, ctx, _load_layer_graph(cfg.out, l))
                      for l in ((layer,) if mode == "mono" else ACTIONS)]

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, reading
+from .errors import ConfigError, DataError, reading
 from .community import Partition
 from .netbuild import EdgeRowError, LayerGraph, _component_labels
 
@@ -75,9 +75,14 @@ MULTIPLEX_HEADER = ("user_id", "layer", "community_id")
 
 
 def _open_out(path: str):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    """``path`` opened for writing, its directory made first. A path that
+    cannot be written, say under a file or at a directory, is a ConfigError
+    naming it: the run asked for an output place that does not work."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _finite(values) -> list:

@@ -49,6 +49,14 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def check_hours(**hours: float) -> None:
+    """The one rule for a time span given in hours: it must still be finite
+    once in seconds (x 3600), the unit of every timestamp."""
+    for name, h in hours.items():
+        if not math.isfinite(h * 3600.0):
+            raise ValueError(f"{name} must be finite in seconds, got {h!r} hours")
+
+
 @dataclass
 class SynthConfig:
     """Recipe for one synthetic log.
@@ -107,6 +115,8 @@ class SynthConfig:
             raise DataError("noise_pool_size must be >= 1 when noise_rate > 0")
         if self.width_hours <= 0 or self.shift_hours <= 0:
             raise ValueError("width_hours and shift_hours must be positive")
+        check_hours(width_hours=self.width_hours, shift_hours=self.shift_hours,
+                    span_hours=self.span_hours)
         if self.span_hours < self.width_hours:
             raise ValueError(f"span_hours {self.span_hours} shorter than "
                              f"width_hours {self.width_hours}")

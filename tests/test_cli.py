@@ -17,6 +17,7 @@ import pytest
 
 from multicoord import pipeline
 from multicoord.cli import main
+from multicoord.errors import ConfigError
 from multicoord.filternet import FilterConfig, filter_multiplex
 from multicoord.ingest import ACTIONS
 from multicoord.pipeline import DetectionSettings, RunConfig
@@ -37,6 +38,21 @@ def write_cfg(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
     return str(path)
+
+
+def _bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _first_line(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.readline()
+
+
+def _contents(out):
+    """File name -> bytes of every file in out."""
+    return {name: _bytes(os.path.join(out, name)) for name in os.listdir(out)}
 
 
 @pytest.fixture(scope="module")
@@ -156,21 +172,19 @@ def test_characterize_profiles_a_shared_scope_once(workdir, monkeypatch):
 
 
 def test_detect_is_deterministic(workdir, tmp_path):
-    out = workdir["out"]
-    first = open(os.path.join(out, "partition_rtw.tsv"), "rb").read()
+    path = os.path.join(workdir["out"], "partition_rtw.tsv")
+    first = _bytes(path)
     assert main(["detect", "--config", workdir["run_cfg"], "--mode", "mono",
                  "--layer", "rtw"]) == 0
-    second = open(os.path.join(out, "partition_rtw.tsv"), "rb").read()
-    assert first == second
+    assert _bytes(path) == first
 
 
 def test_seed_override_changes_config_hash(workdir):
-    out = workdir["out"]
-    before = open(os.path.join(out, "partition_rtw.tsv")).readline()
+    path = os.path.join(workdir["out"], "partition_rtw.tsv")
+    before = _first_line(path)
     assert main(["detect", "--config", workdir["run_cfg"], "--mode", "mono",
                  "--layer", "rtw", "--seed", "77"]) == 0
-    after = open(os.path.join(out, "partition_rtw.tsv")).readline()
-    assert before != after          # hash reflects the effective config
+    assert _first_line(path) != before  # hash reflects the effective config
     # restore the original artifact for any later test
     assert main(["detect", "--config", workdir["run_cfg"], "--mode", "mono",
                  "--layer", "rtw"]) == 0
@@ -260,6 +274,17 @@ def test_config_errors_exit_1(workdir, tmp_path, capsys):
             ({"filter": {"max_nodes": 0}}, "filter: max_nodes must be >= 1, got 0"),
             ({"fraction": 2}, "config: fraction must be in (0, 1], got 2.0"),
             ({"shift_hours": 0}, "config: width_hours and shift_hours must be positive"),
+            # finite hours whose seconds are not: build and synth ended in a
+            # ValueError traceback from window_slices, or in a data error
+            # blaming the timestamps
+            ({"width_hours": 1e305}, "config: width_hours must be finite in seconds, got 1e+305 hours"),
+            ({"shift_hours": 1e305}, "config: shift_hours must be finite in seconds, got 1e+305 hours"),
+            ({"synth": {**synth, "strengths": [{}], "shift_hours": 1e305}},
+             "synth: shift_hours must be finite in seconds, got 1e+305 hours"),
+            ({"synth": {**synth, "strengths": [{}], "width_hours": 1e305, "span_hours": 1e305}},
+             "synth: width_hours must be finite in seconds, got 1e+305 hours"),
+            ({"synth": {**synth, "strengths": [{}], "span_hours": 1e306}},
+             "synth: span_hours must be finite in seconds, got 1e+306 hours"),
             ({"schema": "csv"}, "config: schema must be tsv or jsonl, got 'csv'"),
             ({"synth": {**synth, "strengths": [{"rtw": True}]}},
              "synth: community 0: strengths must be finite numbers >= 0, got {'rtw': True}"),
@@ -274,11 +299,53 @@ def test_config_errors_exit_1(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["build"], ["compare", "--ref", "multi", "--other", "rtw"],
+                                  ["characterize", "--ref", "multi", "--other", "rtw"]],
+                         ids=["build", "compare", "characterize"])
+def test_a_step_that_reads_no_seed_takes_none(workdir, capsys, argv):
+    # compare --seed 7 wrote the same overlap body under another config hash
+    before = _contents(workdir["out"])
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", workdir["run_cfg"], *argv[1:], "--seed", "7"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --seed 7\n")
+    assert _contents(workdir["out"]) == before
+
+
+def test_a_layer_goes_with_mode_mono_only(workdir, capsys):
+    # detect --mode indi --layer rtw ran all five layers and exited 0
+    before = _contents(workdir["out"])
+    capsys.readouterr()
+    for mode in ("indi", "multi", "unfl-sum"):
+        assert main(["detect", "--config", workdir["run_cfg"], "--mode", mode,
+                     "--layer", "rtw"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: mode {mode!r} takes no layer; only mode 'mono' runs one\n")
+    # a library call keeps the same rule
+    with pytest.raises(ConfigError, match="^mode 'indi' takes no layer"):
+        pipeline.run_detect(RunConfig.from_file(workdir["run_cfg"]), "indi", layer="rtw")
+    assert _contents(workdir["out"]) == before
+
+
+def test_an_output_path_that_cannot_be_written_is_a_config_error(workdir, tmp_path, capsys):
+    # build --out <a file> ended in a FileExistsError traceback, exit 1
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    capsys.readouterr()
+    for argv, first in ((["build", "--config", workdir["run_cfg"]], "edges_rtw.tsv"),
+                        (["synth", "--config", workdir["synth_cfg"]], "events.tsv")):
+        assert main([*argv, "--out", str(blocker)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {blocker / first}: ") \
+            and err.count("\n") == 1, err
+    assert blocker.read_text() == "x"
+
+
 def test_a_negative_seed_is_refused(workdir, tmp_path, capsys):
     # synth ended in NumPy's ValueError traceback; detect --seed -5 wrote the
     # partition of seed 5 under another config hash
     out = workdir["out"]
-    before = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+    before = _contents(out)
     synth = write_cfg(tmp_path / "synth.json", {"out": str(tmp_path / "o"), "synth": SYNTH})
     capsys.readouterr()
     for argv, msg in (
@@ -293,8 +360,7 @@ def test_a_negative_seed_is_refused(workdir, tmp_path, capsys):
         assert main(["synth" if "synth" in doc else "build", "--config", path]) == 1, doc
         assert capsys.readouterr().err == f"config error: {msg}\n"
     assert not (tmp_path / "o").exists()
-    assert {name: open(os.path.join(out, name), "rb").read()
-            for name in os.listdir(out)} == before
+    assert _contents(out) == before
     # seed 0 is a seed like any other
     assert DetectionSettings(seed=0).seed == 0
 

@@ -1,7 +1,9 @@
 """End-to-end fuzz: tiny random event logs through every CLI step, in process.
 
-Each log goes through build, every detect mode, compare + characterize on
-two pairs, one of them multi against a layer, and report. The oracle: every
+Each log, TSV or JSONL, goes through build, every detect mode, compare +
+characterize on two pairs, one of them multi against a layer, and report.
+The JSONL logs mix in a line of every class that ingest rejects, and at
+times a stoplist that empties a layer. The oracle: every
 step exits 0, or 2 with a ``data error:`` line; none raises, so none would
 end a CLI process with a traceback. Pinned examples add crash cases the generator
 does not draw: a log that is not UTF-8 and a stoplist that is a directory. Once every detect mode has run, no message
@@ -10,8 +12,8 @@ edge. A step that exits 2 leaves the output directory as it found it.
 Edited artifacts of the README recipe pin the cases a log cannot make: a
 partition node that its edge list lacks, a partition whose `# scope` line
 names another scope, edge weights that are finite but huge, layer weights
-whose flattened sum no later step could read, and record files that
-report cannot print.
+whose flattened sum no later step could read, detection settings that
+overflow the multislice quality, and record files that report cannot print.
 """
 
 import contextlib
@@ -62,6 +64,54 @@ def studies(draw):
     return [f"u{u}\t{a}\ti{i}\t{t}\n" for u, a, i, t in rows], cfg, pairs
 
 
+# JSONL studies draw from these: every kind of value that is no id, how the
+# item layers spell an item id, and a stoplist entry that matches it
+NOT_IDS = (None, True, ["u0"], {"id": 1})
+ITEMS = {"hst": "#H{}", "men": "@m{}", "url": "https://s{}.example/p"}
+STOPLISTS = {"hst": ("hashtags", "#h{}"), "men": ("mentions", "m{}"),
+             "url": ("url_domains", "s{}.example")}
+
+
+def _jsonl(user, action, item, ts):
+    return json.dumps({"user": user, "action": action, "item": item, "ts": ts}) + "\n"
+
+
+# a line of each class that parse_events rejects, the id classes aside
+BAD_LINES = (
+    "[1, 2]\n", '"u0"\n',                                      # not an object
+    _jsonl("u0", "dms", "i0", 1),                               # unknown action
+    _jsonl("u0", "rtw", "i0", "noon"), _jsonl("u0", "rtw", "i0", None),  # bad stamps
+    '{"user": "u0", "action": "rtw", "item": "i0"}\n',          # no stamp
+    # an integer stamp beyond float range and a nesting deeper than the JSON
+    # decoder goes: build ended in an OverflowError and a RecursionError traceback
+    '{"user": "u0", "action": "rtw", "item": "i0", "ts": ' + "9" * 400 + "}\n",
+    "[" * 100_000 + "\n",
+)
+
+
+@st.composite
+def jsonl_studies(draw):
+    """(JSONL event lines, run config, (ref, other) pairs, extra files): a
+    study of studies() in the JSONL schema, with malformed lines of every
+    class parse_events rejects among its rows, and at times a stoplist that
+    lists every item of a layer."""
+    tsv, cfg, pairs = draw(studies())
+    lines = [_jsonl(u, a, ITEMS.get(a, "{}").format(i), int(t))
+             for u, a, i, t in (line.rstrip("\n").split("\t") for line in tsv)]
+    lines += draw(st.lists(st.sampled_from(BAD_LINES), max_size=4))
+    for field in draw(st.lists(st.sampled_from(("user", "action", "item")), max_size=2)):
+        ids = {"user": "u0", "action": "rtw", "item": "i0", field: draw(st.sampled_from(NOT_IDS))}
+        lines.append(_jsonl(ids["user"], ids["action"], ids["item"], 1))
+    cfg, files = {**cfg, "schema": "jsonl"}, {}
+    emptied = draw(st.sampled_from((None, *STOPLISTS)))
+    if emptied is not None:
+        key, entry = STOPLISTS[emptied]
+        # studies() draws the items i0 to i5
+        files["stop.txt"] = [entry.format(f"i{k}") + "\n" for k in range(6)]
+        cfg["stoplists"] = {key: "stop.txt"}
+    return draw(st.permutations(lines)), cfg, pairs, files
+
+
 def _digests(out):
     """File name -> sha256 of the files in out."""
     if not os.path.isdir(out):
@@ -81,6 +131,32 @@ def _steps(pairs):
         yield ("compare", "--ref", ref, "--other", other)
         yield ("characterize", "--ref", ref, "--other", other)
     yield ("report",)
+
+
+def _run_study(lines, cfg, pairs, files=None):
+    """Run every step of _steps on one study; files maps a name beside the
+    config to its lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        events, path = os.path.join(tmp, "events"), os.path.join(tmp, "run.json")
+        out = os.path.join(tmp, "out")
+        # a lone surrogate escape such as \udcff writes its byte as it is
+        with open(events, "w", encoding="utf-8", errors="surrogateescape") as fh:
+            fh.writelines(lines)
+        for name, content in (files or {}).items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.writelines(content)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**cfg, "input": events, "out": out}, fh)
+        for argv in _steps(pairs):
+            before = _digests(out)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([argv[0], "--config", path, *argv[1:]])
+            assert code in (0, 2), (argv, code, err.getvalue())
+            assert code == 0 or "data error:" in err.getvalue(), (argv, err.getvalue())
+            assert "run detect" not in err.getvalue(), (argv, err.getvalue())
+            if code == 2:
+                assert _digests(out) == before, argv
 
 
 @settings(max_examples=25, deadline=None)
@@ -106,25 +182,21 @@ def _steps(pairs):
 @example((["u0\trtw\ti0\t-1.7e308\n", "u1\trtw\ti0\t5\n", "u2\trtw\ti0\t1.7e308\n"],
           _config(6.0, 5.0, 1.0, 12, 0), [("multi", "rtw"), ("unfl-sum", "rtw")]))
 def test_every_cli_step_exits_0_or_2_on_tiny_logs(study):
-    lines, cfg, pairs = study
-    with tempfile.TemporaryDirectory() as tmp:
-        events, path = os.path.join(tmp, "events.tsv"), os.path.join(tmp, "run.json")
-        out = os.path.join(tmp, "out")
-        # a lone surrogate escape such as \udcff writes its byte as it is
-        with open(events, "w", encoding="utf-8", errors="surrogateescape") as fh:
-            fh.writelines(lines)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({**cfg, "input": events, "out": out}, fh)
-        for argv in _steps(pairs):
-            before = _digests(out)
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([argv[0], "--config", path, *argv[1:]])
-            assert code in (0, 2), (argv, code, err.getvalue())
-            assert code == 0 or "data error:" in err.getvalue(), (argv, err.getvalue())
-            assert "run detect" not in err.getvalue(), (argv, err.getvalue())
-            if code == 2:
-                assert _digests(out) == before, argv
+    _run_study(*study)
+
+
+@settings(max_examples=25, deadline=None)
+@given(jsonl_studies())
+# every reject class at once, and a stoplist that empties the hst layer
+@example(([_jsonl(f"u{k}", a, ITEMS.get(a, "{}").format(f"i{k % 2}"), k)
+           for k in range(6) for a in ("rtw", "hst")] + list(BAD_LINES)
+          + [_jsonl(None, "rtw", "i0", 1), _jsonl("u0", True, "i0", 1),
+             _jsonl("u0", "rtw", ["u0"], 1), _jsonl({"id": 1}, "rtw", "i0", 1)],
+          {**_config(6.0, 5.0, 1.0, 12, 0), "schema": "jsonl",
+           "stoplists": {"hashtags": "stop.txt"}},
+          [("multi", "hst"), ("unfl-sum", "rtw")], {"stop.txt": ["#hi0\n", "hi1\n"]}))
+def test_every_cli_step_exits_0_or_2_on_tiny_jsonl_logs(study):
+    _run_study(*study)
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +295,24 @@ def test_detect_refuses_a_flattened_weight_above_the_cap(edited, capsys):
             fh.write(f"x0\tx1\t{MAX_WEIGHT!r}\t1\t1\n")
     err = _refused(detect + ["intfl"], out, capsys)
     assert err == "data error: intfl: flattened weight 5e+100 above the edge weight cap 1e+100"
+
+
+@pytest.mark.parametrize("setting, value, err", [
+    # Q overflowed: a ValueError traceback, after partition_multi.tsv and a
+    # detect_multi.jsonl of one meta line were written
+    ("gamma", 1e308, "data error: multi: modularity is -inf at gamma = 1e+308"),
+    # 2mu overflowed, so no node moved: exit 0, 162 singletons and Q = -0.0
+    ("omega", 1.7e308, "data error: multi: 2mu is inf at omega = 1.7e+308"),
+], ids=["gamma", "omega"])
+def test_detect_multi_refuses_a_setting_that_overflows_its_quality(edited, capsys, setting,
+                                                                    value, err):
+    cfg, out = edited
+    with open(cfg, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["detection"][setting] = value
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert _refused(["detect", "--config", cfg, "--mode", "multi"], out, capsys) == err
 
 
 def test_compare_refuses_a_partition_of_another_scope(edited, capsys):

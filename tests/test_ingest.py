@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from multicoord.cli import main
 from multicoord.errors import DataError
 from multicoord.ingest import (ACTIONS, ActionEvent, EventLog, StopLists,
                                apply_stoplists, extract_domain, load_stoplist,
@@ -146,6 +147,36 @@ def test_parse_jsonl_refuses_values_that_are_no_ids(tmp_path):
         (3, "user is a JSON array" + tail), (4, "action is a JSON object" + tail),
         (5, "item is a JSON null" + tail), (7, "expected a JSON object, got list"),
         (8, "expected a JSON object, got str")]
+
+
+def _log_with_crash_lines(path):
+    """Three good JSONL rows, and between them an integer stamp beyond float
+    range and a line nested deeper than the JSON decoder goes (lines 2, 4)."""
+    path.write_text(
+        '{"user": "u1", "action": "rtw", "item": "t1", "ts": 1}\n'
+        '{"user": "u9", "action": "rtw", "item": "t1", "ts": ' + "9" * 400 + '}\n'
+        '{"user": "u2", "action": "rtw", "item": "t1", "ts": 2}\n'
+        + "[" * 100_000 + "\n"
+        '{"user": "u3", "action": "rtw", "item": "t2", "ts": 3}\n', encoding="utf-8")
+    return path
+
+
+def test_parse_jsonl_rejects_a_stamp_beyond_floats_and_a_line_too_deep(tmp_path):
+    # each ended build in a traceback: OverflowError, RecursionError
+    log = parse_events(_log_with_crash_lines(tmp_path / "e.jsonl"))
+    assert [e.user_id for e in log.events] == ["u1", "u2", "u3"]
+    assert [r.line_no for r in log.rejects] == [2, 4]
+    assert "too large to convert to float" in log.rejects[0].reason
+    assert "recursion" in log.rejects[1].reason
+
+
+def test_build_keeps_the_good_rows_around_such_lines(tmp_path):
+    _log_with_crash_lines(tmp_path / "e.jsonl")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"input": "e.jsonl", "schema": "jsonl", "out": "out"}))
+    assert main(["build", "--config", str(cfg)]) == 0
+    with open(tmp_path / "out" / "actors.tsv", encoding="utf-8") as fh:
+        assert fh.read().splitlines()[1:] == ["user_id", "u1", "u2", "u3"]
 
 
 def test_parse_iso_timestamps(tmp_path):
