@@ -143,14 +143,14 @@ class EventLog:
             getattr(self, name).flags.writeable = False
 
     @classmethod
-    def from_events(cls, events, time_span=None, rejects=()) -> "EventLog":
+    def from_events(cls, events, time_span=None) -> "EventLog":
         """A log of (user, action, item, timestamp) rows, in the order given."""
         user, action, item, ts = tuple(zip(*events)) or ((), (), (), ())
         users, items = {}, {}  # id -> first-sight code, then the sorted vocabulary
         user, users = _sorted_codes(users, [users.setdefault(u, len(users)) for u in user])
         item, items = _sorted_codes(items, [items.setdefault(i, len(items)) for i in item])
         return cls(user, list(map(_ACTION_CODE.__getitem__, action)), item, ts, users, items,
-                   time_span, tuple(rejects))
+                   time_span)
 
     def masked(self, keep: np.ndarray) -> "EventLog":
         """The rows where the boolean array ``keep`` is true, over the same
@@ -387,12 +387,10 @@ def apply_stoplists(log: EventLog, stop: StopLists) -> EventLog:
 def select_users(log: EventLog, fraction: float) -> ActorSet:
     """Select, per action type, the top ``ceil(fraction * n_active)`` users
     by event count (ties broken toward lexicographically smaller ids), and
-    return them as the analysis universe.
+    return them as the analysis universe; an empty log has none.
     """
     if not (0.0 < fraction <= 1.0):
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if not len(log):
-        raise ValueError("cannot select users from an empty log")
     n = len(log.users)
     counts = np.bincount(log.action.astype(np.int64) * n + log.user,
                          minlength=len(ACTIONS) * n).reshape(len(ACTIONS), n)

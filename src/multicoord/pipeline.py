@@ -7,12 +7,17 @@ stages restartable and the whole pipeline a plain function of (config,
 seed): two runs with the same effective config produce byte-identical
 artifacts.
 
+Each step computes the contents of all its files first, then writes them
+together at its end through _write: a step that is refused, with a data
+error or an output place that does not work, leaves the directory as it
+found it.
+
 Approach tokens name community structures when comparing:
 
     rtw rpl men hst url    per-layer partitions
     unfl-nw unfl-ec unfl-sum intfl    flattened partitions
     multi    the multiplex partition (auto-restricted when the other
-             side is a single layer)
+             side is a single layer or multi:<layer>)
     multi:<layer>    explicit restriction
 
 The reference side of a comparison is the B side: lost communities are
@@ -49,7 +54,6 @@ from .characterize import (COMMUNITY_METRIC_NAMES, NODE_METRIC_NAMES, GraphCSR,
 from .errors import DegenerateSampleError, UndefinedMetricError
 from .synth import SynthConfig, check_hours, check_seed, generate
 from . import reports
-from .reports import ReportContext
 
 logger = logging.getLogger(__name__)
 
@@ -184,17 +188,26 @@ class RunConfig:
         """Effective config for hashing, keyed like the config document."""
         return asdict(self)
 
-    def context(self) -> ReportContext:
-        return ReportContext(version=__version__,
-                             cfg_hash=reports.config_hash(self.to_dict()))
+    def context(self) -> reports.ReportContext:
+        return reports.ReportContext(version=__version__,
+                                     cfg_hash=reports.config_hash(self.to_dict()))
 
 
 def _edges_path(out: str, scope: str) -> str:
     return os.path.join(out, f"edges_{scope}.tsv")
 
 
-def _partition_path(out: str, scope: str) -> str:
-    return os.path.join(out, f"partition_{scope}.tsv")
+def _write(cfg: RunConfig, *files) -> None:
+    """Write a step's files into cfg.out under the run's stamp; each file is
+    (name, writer, *contents) and is written as writer(path, *contents,
+    ctx). Every target is checked before the first write, so a directory
+    at any one of them leaves cfg.out as it was."""
+    paths = [os.path.join(cfg.out, name) for name, *_ in files]
+    for path in paths:
+        reports._open_out(path, check_only=True)
+    ctx = cfg.context()
+    for path, (_, writer, *contents) in zip(paths, files):
+        writer(path, *contents, ctx)
 
 
 def _load_layer_graph(out: str, scope: str) -> LayerGraph:
@@ -216,12 +229,9 @@ def run_synth(cfg: RunConfig) -> dict:
     """Generate the synthetic log + ground truth into the output directory."""
     if cfg.synth is None:
         raise ConfigError("config has no 'synth' section")
-    ctx = cfg.context()
-    log, truth = generate(cfg.synth)
     events_path = os.path.join(cfg.out, "events.tsv")
-    truth_path = os.path.join(cfg.out, "ground_truth.tsv")
-    reports.write_events_tsv(events_path, log, ctx)
-    reports.write_ground_truth(truth_path, truth, ctx)
+    reports._open_out(events_path, check_only=True)  # make out before the work
+    log, truth = generate(cfg.synth)
     records = [{
         "record": "synth_summary",
         "n_events": len(log),
@@ -230,8 +240,10 @@ def run_synth(cfg: RunConfig) -> dict:
         "n_noise_users": len(truth.noise_users),
         "active_layers": {str(c): sorted(ls) for c, ls in truth.active_layers.items()},
     }]
-    reports.write_records(os.path.join(cfg.out, "synth_report.jsonl"), records, ctx)
-    return {"events": events_path, "ground_truth": truth_path}
+    _write(cfg, ("events.tsv", reports.write_events_tsv, log),
+           ("ground_truth.tsv", reports.write_ground_truth, truth),
+           ("synth_report.jsonl", reports.write_records, records))
+    return {"events": events_path, "ground_truth": os.path.join(cfg.out, "ground_truth.tsv")}
 
 
 # ---------------------------------------------------------------- build
@@ -242,7 +254,8 @@ def run_build(cfg: RunConfig) -> dict:
     """
     if cfg.input is None:
         raise ConfigError("config has no 'input' path")
-    ctx = cfg.context()
+    # make out before the parse, so that a place that cannot be written costs no work
+    reports._open_out(_edges_path(cfg.out, ACTIONS[0]), check_only=True)
     log = parse_events(cfg.input, schema=cfg.schema)
     if cfg.stoplists:
         entries = {key: load_stoplist(path) for key, path in cfg.stoplists.items()}
@@ -252,25 +265,14 @@ def run_build(cfg: RunConfig) -> dict:
             raise DataError(f"stoplist {cfg.stoplists['url_domains']}: {exc}") from exc
         log = apply_stoplists(log, stop)
 
-    records = []
     if not len(log):
         logger.warning("build: empty event log; writing empty network")
-        net = MultiplexNetwork({layer: LayerGraph(layer) for layer in ACTIONS})
-        filter_reports = []
-        actors = None
-    else:
-        actors = select_users(log, cfg.fraction)
-        net = build_multiplex(log, actors, width=cfg.width_hours * 3600.0,
-                              shift=cfg.shift_hours * 3600.0)
-        raw_records = [reports.layer_stats(net.layers[layer]) for layer in ACTIONS]
-        for rec in raw_records:
-            rec["record"] = "layer_stats_raw"
-        records.extend(raw_records)
-        net, filter_reports = filter_multiplex(net, cfg.filter)
-
-    for layer in ACTIONS:
-        reports.write_edges_tsv(_edges_path(cfg.out, layer), net.layers[layer], ctx)
-
+    actors = select_users(log, cfg.fraction)
+    net = build_multiplex(log, actors, width=cfg.width_hours * 3600.0,
+                          shift=cfg.shift_hours * 3600.0)
+    records = [{**reports.layer_stats(net.layers[layer]), "record": "layer_stats_raw"}
+               for layer in ACTIONS]
+    net, filter_reports = filter_multiplex(net, cfg.filter)
     records.extend({"record": "filter_report", **asdict(rep)} for rep in filter_reports)
     records.extend(reports.layer_stats(net.layers[layer]) for layer in ACTIONS)
 
@@ -288,11 +290,10 @@ def run_build(cfg: RunConfig) -> dict:
                     rec[key] = None
             records.append(rec)
 
-    if actors is not None:
-        reports.write_table(os.path.join(cfg.out, "actors.tsv"), ("user_id",),
-                            ((u,) for u in sorted(actors.actors)), ctx)
-
-    reports.write_records(os.path.join(cfg.out, "build_report.jsonl"), records, ctx)
+    _write(cfg, *((f"edges_{layer}.tsv", reports.write_edges_tsv, net.layers[layer])
+                  for layer in ACTIONS),
+           ("actors.tsv", reports.write_table, ("user_id",), ((u,) for u in sorted(actors.actors))),
+           ("build_report.jsonl", reports.write_records, records))
     logger.info("build: wrote %d layers to %s", len(ACTIONS), cfg.out)
     return {"out": cfg.out, "n_layers": len(ACTIONS)}
 
@@ -304,8 +305,7 @@ def _summary(scope: str, p: Partition | None = None, modularity: float | None = 
     """The partition_summary record of one scope. Without a partition the
     scope had no node, and detect wrote none for it. With one: its size,
     quality and detection settings, and the Louvain passes with the node
-    visits and moves of each. A quality that overflowed is a DataError, so
-    detect makes the record before it writes the partition.
+    visits and moves of each. A quality that overflowed is a DataError.
     """
     if modularity is not None and not math.isfinite(modularity):
         raise DataError(f"{scope}: modularity is {modularity} at gamma = {settings['gamma']!r}")
@@ -319,27 +319,25 @@ def _summary(scope: str, p: Partition | None = None, modularity: float | None = 
     return rec
 
 
-def _detect_graph(cfg: RunConfig, ctx: ReportContext, g: LayerGraph) -> dict:
-    """Louvain on one layer or flattened graph; its scope is g.layer."""
+def _detect_graph(det: DetectionSettings, g: LayerGraph) -> tuple[dict, tuple]:
+    """Louvain on one layer or flattened graph, whose scope is g.layer: the
+    summary record and the partition file, () for a scope without a node."""
     if not g.nodes:
-        return _summary(g.layer)
-    det = cfg.detection
+        return _summary(g.layer), ()
     p = louvain(g, gamma=det.gamma, seed=det.seed)
-    rec = _summary(g.layer, p, modularity(g, p, gamma=det.gamma), gamma=det.gamma, seed=det.seed)
-    reports.write_partition_tsv(_partition_path(cfg.out, g.layer), p, ctx)
-    return rec
+    return (_summary(g.layer, p, modularity(g, p, gamma=det.gamma), gamma=det.gamma,
+                     seed=det.seed),
+            (f"partition_{g.layer}.tsv", reports.write_partition_tsv, p))
 
 
-def _detect_multi(cfg: RunConfig, ctx: ReportContext) -> dict:
-    net = _load_network(cfg.out)
+def _detect_multi(det: DetectionSettings, net: MultiplexNetwork) -> tuple[dict, tuple]:
+    """Generalized Louvain on the multiplex, as _detect_graph on a graph."""
     if not any(g.nodes for g in net.layers.values()):
-        return _summary("multi")
-    det = cfg.detection
+        return _summary("multi"), ()
     p = generalized_louvain(net, gamma=det.gamma, omega=det.omega, seed=det.seed)
-    rec = _summary("multi", p, multislice_modularity(net, p, gamma=det.gamma, omega=det.omega),
-                   gamma=det.gamma, omega=det.omega, seed=det.seed)
-    reports.write_multiplex_partition_tsv(_partition_path(cfg.out, "multi"), p, ctx)
-    return rec
+    return (_summary("multi", p, multislice_modularity(net, p, gamma=det.gamma, omega=det.omega),
+                     gamma=det.gamma, omega=det.omega, seed=det.seed),
+            ("partition_multi.tsv", reports.write_multiplex_partition_tsv, p))
 
 
 def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
@@ -348,7 +346,6 @@ def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
     """
     if mode not in DETECT_MODES:
         raise ConfigError(f"unknown detect mode {mode!r}; expected one of {DETECT_MODES}")
-    ctx = cfg.context()
     if mode == "mono":
         if layer is None:
             raise ConfigError("mode 'mono' needs --layer")
@@ -356,9 +353,10 @@ def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
             raise ConfigError(f"unknown layer {layer!r}; expected one of {ACTIONS}")
     elif layer is not None:
         raise ConfigError(f"mode {mode!r} takes no layer; only mode 'mono' runs one")
+    det, files = cfg.detection, []
     if mode in ("mono", "indi"):
-        summaries = [_detect_graph(cfg, ctx, _load_layer_graph(cfg.out, l))
-                     for l in ((layer,) if mode == "mono" else ACTIONS)]
+        found = [_detect_graph(det, _load_layer_graph(cfg.out, l))
+                 for l in ((layer,) if mode == "mono" else ACTIONS)]
     elif mode in FLAT_SCOPES:
         net = _load_network(cfg.out)
         if mode == "intfl":
@@ -370,11 +368,13 @@ def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
         if top > MAX_WEIGHT:
             raise DataError(f"{mode}: flattened weight {top:g} above the edge weight cap "
                             f"{MAX_WEIGHT:g}")
-        reports.write_edges_tsv(_edges_path(cfg.out, mode), flat, ctx)
-        summaries = [_detect_graph(cfg, ctx, flat)]
+        files.append((f"edges_{mode}.tsv", reports.write_edges_tsv, flat))
+        found = [_detect_graph(det, flat)]
     else:  # multi
-        summaries = [_detect_multi(cfg, ctx)]
-    reports.write_records(os.path.join(cfg.out, f"detect_{mode}.jsonl"), summaries, ctx)
+        found = [_detect_multi(det, _load_network(cfg.out))]
+    summaries = [rec for rec, _ in found]
+    _write(cfg, *files, *(file for _, file in found if file),
+           (f"detect_{mode}.jsonl", reports.write_records, summaries))
     return summaries
 
 
@@ -393,19 +393,20 @@ def _parse_token(token: str) -> tuple[str, str | None]:
 
 
 def _resolve_tokens(ref: str, other: str) -> tuple[tuple, tuple]:
-    """Apply the restrict-first rule: a bare 'multi' facing a single layer
-    is restricted to that layer; facing a user-level scope it is a scope
-    mismatch unless an explicit 'multi:<layer>' is given.
+    """Apply the restrict-first rule: a bare 'multi' facing a single layer,
+    on its own or as 'multi:<layer>', is restricted to that layer; facing a
+    user-level scope it is a scope mismatch unless an explicit
+    'multi:<layer>' is given.
     """
     sides = [_parse_token(ref), _parse_token(other)]
     for k, (token, facing) in enumerate(((ref, other), (other, ref))):
         base, layer = sides[k]
-        facing_base = sides[1 - k][0]
-        if base == "multi" and layer is None and facing_base != "multi":
-            if facing_base not in ACTIONS:
+        facing_scope = sides[1 - k][1] or sides[1 - k][0]  # multi:<layer> faces as <layer>
+        if base == "multi" and layer is None and facing_scope != "multi":
+            if facing_scope not in ACTIONS:
                 raise DataError(f"scope mismatch: '{token}' is a multiplex partition and "
                                 f"'{facing}' is user-level; use multi:<layer>")
-            sides[k] = (base, facing_base)
+            sides[k] = (base, facing_scope)
     return sides[0], sides[1]
 
 
@@ -416,7 +417,7 @@ def _load_approach(out: str, base: str, restriction: str | None):
     Detect writes no partition for a scope without a node, so a missing
     partition file names its scope when that scope's graphs are empty.
     """
-    path = _partition_path(out, base)
+    path = os.path.join(out, f"partition_{base}.tsv")
     if not os.path.exists(path):
         graphs = (_load_network(out).layers.values() if base == "multi"
                   else [_load_layer_graph(out, base)])
@@ -476,10 +477,7 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
     c = _compare(cfg, ref, other)
     O, M = c.O, c.M
     cid = comparison_id(ref, other)
-    ctx = cfg.context()
     nmi_value = nmi(O)
-
-    reports.write_overlap_tsv(os.path.join(cfg.out, f"overlap_{cid}.tsv"), O, ctx)
     n_a, n_b = Counter(c.labels_a.values()), Counter(c.labels_b.values())
     n_nodes = Counter(c.node_labels.values())
     records = [{
@@ -504,7 +502,8 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
     for node in sorted(c.node_labels, key=str):
         records.append({"record": "node_label", "node": str(node),
                         "label": c.node_labels[node]})
-    reports.write_records(os.path.join(cfg.out, f"labels_{cid}.jsonl"), records, ctx)
+    _write(cfg, (f"overlap_{cid}.tsv", reports.write_overlap_tsv, O),
+           (f"labels_{cid}.jsonl", reports.write_records, records))
     logger.info("compare %s: k_a=%d k_b=%d matched=%d nmi=%.4f",
                 cid, O.k_a, O.k_b, len(M.pairs), nmi_value)
     return records[0]
@@ -541,7 +540,6 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     # hst reads and profiles edges_hst.tsv once
     graphs = {s: GraphCSR.of(_load_layer_graph(cfg.out, s))
               for s in dict.fromkeys((c.a_scope, c.b_scope))}
-    ctx = cfg.context()
 
     # (side, community id, label, CommunityMetrics), the k_a A rows first
     comm_rows = []
@@ -557,15 +555,14 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
 
     vectors = np.array([m.vector() for _, _, _, m in comm_rows]).reshape(
         len(comm_rows), len(COMMUNITY_METRIC_NAMES))
-    records = [{"record": "community_metrics", "side": side, "community": str(comm_id),
-                "label": label,
-                "metrics": dict(zip(COMMUNITY_METRIC_NAMES, vec.tolist())),
-                "normalized": dict(zip(COMMUNITY_METRIC_NAMES, norm.tolist())),
-                "conductance_defined": m.conductance_defined,
-                "assortativity_defined": m.assortativity_defined}
-               for (side, comm_id, label, m), vec, norm in zip(comm_rows, vectors,
-                                                               _minmax_normalize(vectors))]
-    reports.write_records(os.path.join(cfg.out, f"community_metrics_{cid}.jsonl"), records, ctx)
+    comm_records = [{"record": "community_metrics", "side": side, "community": str(comm_id),
+                     "label": label,
+                     "metrics": dict(zip(COMMUNITY_METRIC_NAMES, vec.tolist())),
+                     "normalized": dict(zip(COMMUNITY_METRIC_NAMES, norm.tolist())),
+                     "conductance_defined": m.conductance_defined,
+                     "assortativity_defined": m.assortativity_defined}
+                    for (side, comm_id, label, m), vec, norm in zip(comm_rows, vectors,
+                                                                    _minmax_normalize(vectors))]
 
     cosine_rows, defined = [], []
     for a_idx, b_idx in M.pairs:
@@ -576,10 +573,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
             cos = None
         cosine_rows.append((str(O.a_ids[a_idx]), str(O.b_ids[b_idx]),
                             repr(O.overlap(a_idx, b_idx)), "NA" if cos is None else repr(cos)))
-    mean = repr(sum(defined) / len(defined)) if defined else "NA"
-    reports.write_table(os.path.join(cfg.out, f"cosine_{cid}.tsv"),
-                        ("a_community", "b_community", "overlap", "cosine"),
-                        [*cosine_rows, ("mean", "-", "-", mean)], ctx)
+    cosine_rows.append(("mean", "-", "-", repr(sum(defined) / len(defined)) if defined else "NA"))
 
     try:
         coords, ratios = pca_project(vectors, dims=2)
@@ -590,7 +584,6 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
         pca_records += [{"record": "pca_point", "side": side, "community": str(comm_id),
                          "label": label, "x": float(xy[0]), "y": float(xy[1])}
                         for (side, comm_id, label, _), xy in zip(comm_rows, coords)]
-    reports.write_records(os.path.join(cfg.out, f"pca_{cid}.jsonl"), pca_records, ctx)
 
     profiles = {s: node_metrics(csr) if csr.order else {} for s, csr in graphs.items()}
     # the Lanczos facts behind each eigenvector centrality: a small gap
@@ -611,8 +604,6 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
             node_records.append({"record": "node_metrics", "node": str(node), "label": label,
                                  "graph": graph_id,
                                  **dict(zip(NODE_METRIC_NAMES, nm.vector().tolist()))})
-    reports.write_records(os.path.join(cfg.out, f"node_metrics_{cid}.jsonl"),
-                          eigen_records + node_records, ctx)
 
     bm_records = []
     for metric in NODE_METRIC_NAMES:
@@ -630,7 +621,12 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
                 except DegenerateSampleError as exc:
                     rec["degenerate"] = str(exc)
             bm_records.append(rec)
-    reports.write_records(os.path.join(cfg.out, f"bm_{cid}.jsonl"), bm_records, ctx)
+    _write(cfg, (f"community_metrics_{cid}.jsonl", reports.write_records, comm_records),
+           (f"cosine_{cid}.tsv", reports.write_table,
+            ("a_community", "b_community", "overlap", "cosine"), cosine_rows),
+           (f"pca_{cid}.jsonl", reports.write_records, pca_records),
+           (f"node_metrics_{cid}.jsonl", reports.write_records, eigen_records + node_records),
+           (f"bm_{cid}.jsonl", reports.write_records, bm_records))
     logger.info("characterize %s: %d communities, %d labeled nodes",
                 cid, len(comm_rows), len(node_records))
     return {"comparison": cid, "n_communities": len(comm_rows),

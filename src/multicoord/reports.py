@@ -24,6 +24,7 @@ built without the builtin module.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -74,13 +75,18 @@ PARTITION_HEADER = ("user_id", "community_id")  # ground truth too
 MULTIPLEX_HEADER = ("user_id", "layer", "community_id")
 
 
-def _open_out(path: str):
-    """``path`` opened for writing, its directory made first. A path that
-    cannot be written, say under a file or at a directory, is a ConfigError
-    naming it: the run asked for an output place that does not work."""
+def _open_out(path: str, check_only: bool = False):
+    """``path`` opened for writing, its directory made first; with
+    check_only, the directory made and the path checked, but nothing opened.
+    A path that cannot be written, say under a file or at a directory, is a
+    ConfigError naming it: the run asked for an output place that does not
+    work."""
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        return open(path, "w", encoding="utf-8", newline="\n")
+        if not check_only:
+            return open(path, "w", encoding="utf-8", newline="\n")
+        if os.path.isdir(path):  # what open() would raise there
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 

@@ -90,6 +90,21 @@ def test_build_outputs(workdir):
             "layer_coverage"} <= kinds
 
 
+def test_a_log_without_a_good_line_builds_the_usual_files(tmp_path):
+    # an empty log wrote no actors.tsv and no layer_stats_raw or filter_report record
+    events = tmp_path / "events.jsonl"
+    events.write_text("not json\n[1, 2]\n", encoding="utf-8")
+    cfg = write_cfg(tmp_path / "run.json", {"input": str(events), "schema": "jsonl",
+                                            "out": str(tmp_path / "out")})
+    assert main(["build", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    assert set(os.listdir(out)) == {*(f"edges_{layer}.tsv" for layer in ACTIONS),
+                                    "actors.tsv", "build_report.jsonl"}
+    assert (out / "actors.tsv").read_text(encoding="utf-8").split("\n")[1:] == ["user_id", ""]
+    kinds = Counter(r["record"] for r in read_records(str(out / "build_report.jsonl")))
+    assert kinds["layer_stats_raw"] == kinds["filter_report"] == kinds["layer_stats"] == 5
+
+
 def test_detect_outputs(workdir):
     out = workdir["out"]
     for layer in ACTIONS:
@@ -341,6 +356,22 @@ def test_an_output_path_that_cannot_be_written_is_a_config_error(workdir, tmp_pa
     assert blocker.read_text() == "x"
 
 
+def test_build_makes_its_output_directory_before_it_reads(workdir, tmp_path, capsys,
+                                                          monkeypatch):
+    # build --out <a file> parsed, built and filtered the whole log first
+    def parse_events(*args, **kwargs):
+        raise AssertionError("build read its input")
+
+    monkeypatch.setattr(pipeline, "parse_events", parse_events)
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    capsys.readouterr()
+    assert main(["build", "--config", workdir["run_cfg"], "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {blocker / 'edges_rtw.tsv'}: ") \
+        and err.count("\n") == 1, err
+
+
 def test_a_negative_seed_is_refused(workdir, tmp_path, capsys):
     # synth ended in NumPy's ValueError traceback; detect --seed -5 wrote the
     # partition of seed 5 under another config hash
@@ -451,6 +482,24 @@ def test_explicit_restriction_token(workdir, capsys):
     assert "multi:rpl vs rpl" in out
     assert os.path.exists(os.path.join(workdir["out"],
                                        "overlap_multi-rpl_vs_rpl.tsv"))
+
+
+def test_bare_multi_facing_multi_layer_is_restricted_to_that_layer(workdir, tmp_path, capsys):
+    # both pairs exited 2: no common nodes between the two partitions
+    out = str(tmp_path / "out")
+    shutil.copytree(workdir["out"], out)
+    argv = ["--config", workdir["run_cfg"], "--out", out]
+
+    def compared(ref, other):
+        assert main(["compare", *argv, "--ref", ref, "--other", other]) == 0, (ref, other)
+        labels = read_records(os.path.join(out, f"labels_{pipeline.comparison_id(ref, other)}.jsonl"))
+        summary = next(r for r in labels if r["record"] == "comparison_summary")
+        return summary["nmi"], summary["communities"]
+
+    explicit = compared("multi:rtw", "multi:rtw")
+    assert compared("multi", "multi:rtw") == explicit
+    assert compared("multi:rtw", "multi") == explicit
+    assert main(["characterize", *argv, "--ref", "multi", "--other", "multi:rtw"]) == 0
 
 
 def test_config_hash_is_pinned():

@@ -14,6 +14,8 @@ partition node that its edge list lacks, a partition whose `# scope` line
 names another scope, edge weights that are finite but huge, layer weights
 whose flattened sum no later step could read, detection settings that
 overflow the multislice quality, and record files that report cannot print.
+A step refused at a write, by a directory at one of its outputs or by the
+one write point refusing, leaves the output directory as it found it too.
 """
 
 import contextlib
@@ -30,12 +32,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from multicoord import pipeline  # noqa: E402
 from multicoord.cli import main  # noqa: E402
 from multicoord.ingest import ACTIONS  # noqa: E402
 from multicoord.netbuild import MAX_WEIGHT  # noqa: E402
 from multicoord.pipeline import DETECT_MODES, FLAT_SCOPES  # noqa: E402
 from multicoord.reports import EDGE_HEADER  # noqa: E402
-from readme_recipe import write_configs  # noqa: E402
+from readme_recipe import COMPARISONS, write_configs  # noqa: E402
 
 
 def _config(width_hours, shift_hours, fraction, max_nodes, seed):
@@ -113,11 +116,13 @@ def jsonl_studies(draw):
 
 
 def _digests(out):
-    """File name -> sha256 of the files in out."""
+    """File name -> sha256 of the files in out; directories are skipped."""
     if not os.path.isdir(out):
         return {}
     digests = {}
     for name in os.listdir(out):
+        if os.path.isdir(os.path.join(out, name)):
+            continue
         with open(os.path.join(out, name), "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
     return digests
@@ -361,3 +366,65 @@ def test_report_refuses_a_line_that_is_not_a_json_object(edited, capsys):
         fh.write("[1, 2]\n")
     err = _refused(["report", "--out", out], out, capsys)
     assert err == f"data error: {path}:{n_lines + 1}: not a JSON object"
+
+
+# one study of the README recipe, a step per line
+RECIPE_STEPS = (("synth",), ("build",), ("detect", "--mode", "indi"),
+                ("detect", "--mode", "unfl-sum"),
+                ("compare", "--ref", "unfl-sum", "--other", "rtw"),
+                ("characterize", "--ref", "unfl-sum", "--other", "rtw"))
+
+
+@pytest.mark.parametrize("k, last", [(0, "synth_report.jsonl"), (1, "build_report.jsonl"),
+                                     (2, "detect_indi.jsonl"),
+                                     (4, "labels_unfl-sum_vs_rtw.jsonl"),
+                                     (5, "bm_unfl-sum_vs_rtw.jsonl")],
+                         ids=["synth", "build", "detect", "compare", "characterize"])
+def test_a_step_refused_at_its_last_output_writes_nothing(tmp_path, capsys, k, last):
+    # compare refused at labels_<cid>.jsonl left a new overlap_<cid>.tsv, and
+    # every other step the files it wrote before its last one. A fresh study
+    # runs the step for the first time, so no rewrite of the same bytes hides
+    # a write.
+    synth_cfg, run_cfg = write_configs(tmp_path)
+    argv = [[step[0], "--config", synth_cfg if step == ("synth",) else run_cfg, *step[1:]]
+            for step in RECIPE_STEPS]
+    for earlier in argv[:k]:
+        assert main(earlier) == 0, earlier
+    out = os.path.join(str(tmp_path), "out")
+    os.makedirs(os.path.join(out, last))
+    before = _digests(out)
+    capsys.readouterr()
+    assert main(argv[k]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"config error: cannot write {os.path.join(out, last)}: "), err
+    assert _digests(out) == before
+
+
+class _Refusal(Exception):
+    pass
+
+
+def test_every_step_writes_through_its_one_write_point(tmp_path, monkeypatch):
+    # a step that writes a file outside pipeline._write changes out here
+    synth_cfg, run_cfg = write_configs(tmp_path)
+    out = os.path.join(str(tmp_path), "out")
+    steps = [(synth_cfg, pipeline.run_synth, ()), (run_cfg, pipeline.run_build, ())]
+    steps += [(run_cfg, pipeline.run_detect, (mode, "hst") if mode == "mono" else (mode,))
+              for mode in DETECT_MODES]
+    steps += [(run_cfg, run, pair) for pair in COMPARISONS
+              for run in (pipeline.run_compare, pipeline.run_characterize)]
+    write = pipeline._write
+
+    def refuse(cfg, *files):
+        raise _Refusal
+
+    for cfg_path, run, args in steps:
+        cfg = pipeline.RunConfig.from_file(cfg_path)
+        before = _digests(out)
+        monkeypatch.setattr(pipeline, "_write", refuse)
+        with pytest.raises(_Refusal):
+            run(cfg, *args)
+        assert _digests(out) == before, (run.__name__, args)
+        monkeypatch.setattr(pipeline, "_write", write)
+        run(cfg, *args)

@@ -315,8 +315,8 @@ def test_select_users_validates_fraction():
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             select_users(log, bad)
-    with pytest.raises(ValueError):
-        select_users(EventLog(()), 0.5)
+    # an empty log has no actor in any layer
+    assert select_users(EventLog(()), 0.5).per_action_top == {a: frozenset() for a in ACTIONS}
 
 
 def test_actions_constant():
