@@ -98,12 +98,11 @@ def filter_by_weight(g: LayerGraph, rule: str = "median",
 
     rule 'median' uses the lower median of the current edge weights, rule
     'fixed' uses the provided value. An empty input graph passes through
-    with a warning (threshold 0.0).
+    (threshold 0.0).
     """
     if rule not in WEIGHT_RULES:
         raise ValueError(f"rule must be one of {WEIGHT_RULES}, got {rule!r}")
     if not g.n_edges:
-        logger.warning("layer %s: weight filter on an empty graph", g.layer)
         return LayerGraph(layer=g.layer), 0.0
     if rule == "median":
         threshold = float(np.sort(g.weight)[(g.n_edges - 1) // 2])

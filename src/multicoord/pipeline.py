@@ -7,10 +7,11 @@ stages restartable and the whole pipeline a plain function of (config,
 seed): two runs with the same effective config produce byte-identical
 artifacts.
 
-Each step computes the contents of all its files first, then writes them
-together at its end through _write: a step that is refused, with a data
-error or an output place that does not work, leaves the directory as it
-found it.
+Each step has one shape: it reads every input, then computes on objects,
+then writes all its files together at its end through _write. A step
+refused for an input or an approach token computes nothing, and a step
+that is refused, with a data error or an output place that does not work,
+leaves the directory as it found it.
 
 Approach tokens name community structures when comparing:
 
@@ -219,8 +220,8 @@ def _load_layer_graph(out: str, scope: str) -> LayerGraph:
     return reports.read_edges_tsv(path, layer=scope)
 
 
-def _load_network(out: str) -> MultiplexNetwork:
-    return MultiplexNetwork({layer: _load_layer_graph(out, layer) for layer in ACTIONS})
+def _load_network(out: str, layers=ACTIONS) -> MultiplexNetwork:
+    return MultiplexNetwork({layer: _load_layer_graph(out, layer) for layer in layers})
 
 
 # ---------------------------------------------------------------- synth
@@ -256,13 +257,13 @@ def run_build(cfg: RunConfig) -> dict:
         raise ConfigError("config has no 'input' path")
     # make out before the parse, so that a place that cannot be written costs no work
     reports._open_out(_edges_path(cfg.out, ACTIONS[0]), check_only=True)
+    entries = {key: load_stoplist(path) for key, path in cfg.stoplists.items()}
+    try:
+        stop = StopLists.from_sets(**entries)
+    except ValueError as exc:  # only a URL entry can be refused
+        raise DataError(f"stoplist {cfg.stoplists['url_domains']}: {exc}") from exc
     log = parse_events(cfg.input, schema=cfg.schema)
     if cfg.stoplists:
-        entries = {key: load_stoplist(path) for key, path in cfg.stoplists.items()}
-        try:
-            stop = StopLists.from_sets(**entries)
-        except ValueError as exc:  # only a URL entry can be refused
-            raise DataError(f"stoplist {cfg.stoplists['url_domains']}: {exc}") from exc
         log = apply_stoplists(log, stop)
 
     if not len(log):
@@ -354,11 +355,10 @@ def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
     elif layer is not None:
         raise ConfigError(f"mode {mode!r} takes no layer; only mode 'mono' runs one")
     det, files = cfg.detection, []
+    net = _load_network(cfg.out, (layer,) if mode == "mono" else ACTIONS)
     if mode in ("mono", "indi"):
-        found = [_detect_graph(det, _load_layer_graph(cfg.out, l))
-                 for l in ((layer,) if mode == "mono" else ACTIONS)]
+        found = [_detect_graph(det, g) for g in net.layers.values()]
     elif mode in FLAT_SCOPES:
-        net = _load_network(cfg.out)
         if mode == "intfl":
             flat = flatten_intersection(net)
         else:
@@ -371,7 +371,7 @@ def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
         files.append((f"edges_{mode}.tsv", reports.write_edges_tsv, flat))
         found = [_detect_graph(det, flat)]
     else:  # multi
-        found = [_detect_multi(det, _load_network(cfg.out))]
+        found = [_detect_multi(det, net)]
     summaries = [rec for rec, _ in found]
     _write(cfg, *files, *(file for _, file in found if file),
            (f"detect_{mode}.jsonl", reports.write_records, summaries))
@@ -411,8 +411,8 @@ def _resolve_tokens(ref: str, other: str) -> tuple[tuple, tuple]:
 
 
 def _load_approach(out: str, base: str, restriction: str | None):
-    """Returns (community source, display token, metric graph scope or None,
-    partition path).
+    """The communities of one resolved side, its display token and its
+    partition path.
 
     Detect writes no partition for a scope without a node, so a missing
     partition file names its scope when that scope's graphs are empty.
@@ -425,47 +425,23 @@ def _load_approach(out: str, base: str, restriction: str | None):
             raise DataError(f"scope {base!r} has no edge, so detect wrote no partition for it")
         raise DataError(f"missing partition {path}; run detect first")
     if base != "multi":
-        return reports.read_partition_tsv(path, base), base, base, path
+        return reports.read_partition_tsv(path, base), base, path
     p = reports.read_multiplex_partition_tsv(path)
     if restriction is not None:
-        return restrict_to_layer(p, restriction), f"multi-{restriction}", restriction, path
-    return p, "multi", None, path
+        return restrict_to_layer(p, restriction), f"multi-{restriction}", path
+    return p, "multi", path
 
 
 def comparison_id(ref: str, other: str) -> str:
     return f"{ref}_vs_{other}".replace(":", "-")
 
 
-@dataclass
-class _Comparison:
-    """Both sides of one comparison and its overlap -> match -> labels chain.
-    Side A is the baseline (other), side B the reference (ref); a scope is
-    the graph a side's metrics are read from, None for a whole multiplex,
-    and a partition the file a side's communities are read from.
-    """
-
-    a_token: str
-    b_token: str
-    a_scope: str | None
-    b_scope: str | None
-    a_partition: str
-    b_partition: str
-    O: object
-    M: object
-    labels_a: dict
-    labels_b: dict
-    node_labels: dict
-
-
-def _compare(cfg: RunConfig, ref: str, other: str) -> _Comparison:
-    det = cfg.detection
-    (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
-    B, b_token, b_scope, b_partition = _load_approach(cfg.out, rb, rl)
-    A, a_token, a_scope, a_partition = _load_approach(cfg.out, ob, ol)
+def _compare(det: DetectionSettings, A, B) -> tuple:
+    """The overlap -> match -> labels chain of the baseline communities A
+    against the reference B: (O, M, labels_a, labels_b, node_labels)."""
     O = overlap_matrix(A, B, min_size=det.min_size)
     M = hungarian_match(O)
-    return _Comparison(a_token, b_token, a_scope, b_scope, a_partition, b_partition, O, M,
-                       *label_communities(O, M, theta=det.theta), label_nodes(O, M))
+    return (O, M, *label_communities(O, M, theta=det.theta), label_nodes(O, M))
 
 
 def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
@@ -474,15 +450,17 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
     ref is the reference approach (side B); other is the baseline (side A).
     """
     det = cfg.detection
-    c = _compare(cfg, ref, other)
-    O, M = c.O, c.M
+    (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
+    B, b_token, _ = _load_approach(cfg.out, rb, rl)
+    A, a_token, _ = _load_approach(cfg.out, ob, ol)
+    O, M, labels_a, labels_b, node_labels = _compare(det, A, B)
     cid = comparison_id(ref, other)
     nmi_value = nmi(O)
-    n_a, n_b = Counter(c.labels_a.values()), Counter(c.labels_b.values())
-    n_nodes = Counter(c.node_labels.values())
+    n_a, n_b = Counter(labels_a.values()), Counter(labels_b.values())
+    n_nodes = Counter(node_labels.values())
     records = [{
         "record": "comparison_summary",
-        "ref": ref, "other": other, "a": c.a_token, "b": c.b_token,
+        "ref": ref, "other": other, "a": a_token, "b": b_token,
         "theta": det.theta, "min_size": det.min_size,
         "k_a": O.k_a, "k_b": O.k_b,
         "n_matched": len(M.pairs), "total_overlap": M.total,
@@ -495,13 +473,13 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
                         "a_community": str(O.a_ids[a_idx]),
                         "b_community": str(O.b_ids[b_idx]),
                         "overlap": O.overlap(a_idx, b_idx)})
-    for side, labels in (("a", c.labels_a), ("b", c.labels_b)):
+    for side, labels in (("a", labels_a), ("b", labels_b)):
         for comm_id, label in labels.items():
             records.append({"record": "community_label", "side": side,
                             "community": str(comm_id), "label": label})
-    for node in sorted(c.node_labels, key=str):
+    for node in sorted(node_labels, key=str):
         records.append({"record": "node_label", "node": str(node),
-                        "label": c.node_labels[node]})
+                        "label": node_labels[node]})
     _write(cfg, (f"overlap_{cid}.tsv", reports.write_overlap_tsv, O),
            (f"labels_{cid}.jsonl", reports.write_records, records))
     logger.info("compare %s: k_a=%d k_b=%d matched=%d nmi=%.4f",
@@ -528,24 +506,28 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     lost / common / gained node groups.
     """
     cid = comparison_id(ref, other)
+    (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
+    # the graph a side's metrics are read from: a restricted multi reads its layer
+    a_scope, b_scope = ol or ob, rl or rb
+    if "multi" in (a_scope, b_scope):
+        raise DataError("characterize needs a concrete graph per side; "
+                        "restrict multiplex partitions to a layer (multi:<layer>)")
+    B, _, b_partition = _load_approach(cfg.out, rb, rl)
+    A, _, a_partition = _load_approach(cfg.out, ob, ol)
     labels_path = os.path.join(cfg.out, f"labels_{cid}.jsonl")
     if not os.path.exists(labels_path):
         raise DataError(f"missing comparison output {labels_path}; run compare first")
-    c = _compare(cfg, ref, other)
-    O, M = c.O, c.M
-    if c.a_scope is None or c.b_scope is None:
-        raise DataError("characterize needs a concrete graph per side; "
-                        "restrict multiplex partitions to a layer (multi:<layer>)")
     # one graph and one node profile per distinct scope: multi:hst against
     # hst reads and profiles edges_hst.tsv once
     graphs = {s: GraphCSR.of(_load_layer_graph(cfg.out, s))
-              for s in dict.fromkeys((c.a_scope, c.b_scope))}
+              for s in dict.fromkeys((a_scope, b_scope))}
+    O, M, labels_a, labels_b, node_labels = _compare(cfg.detection, A, B)
 
     # (side, community id, label, CommunityMetrics), the k_a A rows first
     comm_rows = []
     for side, ids, sets, labels, scope, partition in (
-            ("a", O.a_ids, O.a_members, c.labels_a, c.a_scope, c.a_partition),
-            ("b", O.b_ids, O.b_members, c.labels_b, c.b_scope, c.b_partition)):
+            ("a", O.a_ids, O.a_members, labels_a, a_scope, a_partition),
+            ("b", O.b_ids, O.b_members, labels_b, b_scope, b_partition)):
         try:
             comm_rows += [(side, comm_id, labels[comm_id], community_metrics(graphs[scope], members))
                           for comm_id, members in zip(ids, sets)]
@@ -591,19 +573,18 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     eigen_records = [{"record": "eigen_summary", "graph": graph_id,
                       "components": csr.eigen.components, "lambda1": csr.eigen.lambda1,
                       "ritz2": csr.eigen.ritz2, "lanczos_steps": csr.eigen.steps}
-                     for graph_id, csr in (("a", graphs[c.a_scope]), ("b", graphs[c.b_scope]))
+                     for graph_id, csr in (("a", graphs[a_scope]), ("b", graphs[b_scope]))
                      if csr.n_edges]
     # lost and common nodes live in the baseline graph A, gained nodes only
     # exist in the reference graph B
     node_records = []
-    for node in sorted(c.node_labels, key=str):
-        label = c.node_labels[node]
-        graph_id, scope = ("a", c.a_scope) if label in (LOST, COMMON) else ("b", c.b_scope)
-        nm = profiles[scope].get(node)
-        if nm is not None:
-            node_records.append({"record": "node_metrics", "node": str(node), "label": label,
-                                 "graph": graph_id,
-                                 **dict(zip(NODE_METRIC_NAMES, nm.vector().tolist()))})
+    for node in sorted(node_labels, key=str):
+        label = node_labels[node]
+        graph_id, scope = ("a", a_scope) if label in (LOST, COMMON) else ("b", b_scope)
+        nm = profiles[scope][node]
+        node_records.append({"record": "node_metrics", "node": str(node), "label": label,
+                             "graph": graph_id,
+                             **dict(zip(NODE_METRIC_NAMES, nm.vector().tolist()))})
 
     bm_records = []
     for metric in NODE_METRIC_NAMES:

@@ -7,6 +7,7 @@ without an input key.
 """
 
 import json
+import logging
 import math
 import os
 import shutil
@@ -20,9 +21,10 @@ from multicoord.cli import main
 from multicoord.errors import ConfigError
 from multicoord.filternet import FilterConfig, filter_multiplex
 from multicoord.ingest import ACTIONS
-from multicoord.pipeline import DetectionSettings, RunConfig
+from multicoord.pipeline import DETECT_MODES, DetectionSettings, RunConfig
 from multicoord.reports import config_hash, read_edges_tsv, read_partition_tsv, read_records
 from multicoord.synth import SynthConfig
+from readme_recipe import write_configs
 
 SYNTH = {
     "n_users": 40,
@@ -103,6 +105,29 @@ def test_a_log_without_a_good_line_builds_the_usual_files(tmp_path):
     assert (out / "actors.tsv").read_text(encoding="utf-8").split("\n")[1:] == ["user_id", ""]
     kinds = Counter(r["record"] for r in read_records(str(out / "build_report.jsonl")))
     assert kinds["layer_stats_raw"] == kinds["filter_report"] == kinds["layer_stats"] == 5
+
+
+def test_an_empty_log_builds_with_one_warning(tmp_path, caplog):
+    # the filter added "layer <l>: weight filter on an empty graph" for each
+    # of the five layers
+    events = tmp_path / "events.tsv"
+    events.write_text("", encoding="utf-8")
+    cfg = write_cfg(tmp_path / "run.json", {"input": str(events), "schema": "tsv",
+                                            "out": str(tmp_path / "out")})
+    caplog.set_level(logging.WARNING)
+    assert main(["build", "--config", cfg]) == 0
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("multicoord.pipeline", "build: empty event log; writing empty network")]
+
+
+def test_the_recipe_build_logs_nothing_from_the_filter(tmp_path, caplog):
+    # the README recipe's url layer has no event, and the filter warned about
+    # it on every build
+    synth_cfg, run_cfg = write_configs(tmp_path)
+    assert main(["synth", "--config", synth_cfg]) == 0
+    caplog.set_level(logging.WARNING)
+    assert main(["build", "--config", run_cfg]) == 0
+    assert [r for r in caplog.records if r.name == "multicoord.filternet"] == []
 
 
 def test_detect_outputs(workdir):
@@ -671,6 +696,40 @@ def test_edge_list_must_name_its_scope(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"data error: {path}:2: '# layer rpl' does not name scope 'rtw'\n")
     assert not list(out.glob("partition_*"))
+
+
+@pytest.fixture(scope="module")
+def recipe_detected(tmp_path_factory):
+    """(run config, out) of the README recipe after every detect mode, before
+    any compare."""
+    synth_cfg, run_cfg = write_configs(tmp_path_factory.mktemp("recipe"))
+    assert main(["synth", "--config", synth_cfg]) == 0
+    assert main(["build", "--config", run_cfg]) == 0
+    for mode in DETECT_MODES:
+        extra = ["--layer", "rtw"] if mode == "mono" else []
+        assert main(["detect", "--config", run_cfg, "--mode", mode, *extra]) == 0
+    return run_cfg, os.path.join(os.path.dirname(run_cfg), "out")
+
+
+@pytest.mark.parametrize("ref, other, err", [
+    ("intfl", "rtw", "scope 'intfl' has no edge, so detect wrote no partition for it"),
+    ("multi", "intfl", "scope mismatch: 'multi' is a multiplex partition and 'intfl' is "
+                       "user-level; use multi:<layer>"),
+    ("multi", "multi", "characterize needs a concrete graph per side; restrict multiplex "
+                       "partitions to a layer (multi:<layer>)"),
+], ids=["intfl-rtw", "multi-intfl", "multi-multi"])
+def test_characterize_names_why_compare_cannot_run(recipe_detected, capsys, ref, other, err):
+    # each said "run compare first": compare refuses the first two pairs, and
+    # on the last one it ran only for characterize to refuse the pair then
+    cfg, out = recipe_detected
+    argv = ["--config", cfg, "--ref", ref, "--other", other]
+    capsys.readouterr()
+    assert main(["characterize", *argv]) == 2
+    assert capsys.readouterr().err == f"data error: {err}\n"
+    assert not [name for name in os.listdir(out) if name.startswith("labels_")]
+    if ref != other:  # compare refuses the pair with the same line
+        assert main(["compare", *argv]) == 2
+        assert capsys.readouterr().err == f"data error: {err}\n"
 
 
 def test_loaded_network_is_the_built_one(tmp_path, monkeypatch):

@@ -10,12 +10,18 @@ does not draw: a log that is not UTF-8 and a stoplist that is a directory. Once 
 asks to run detect: a scope without a partition is named as one without an
 edge. A step that exits 2 leaves the output directory as it found it.
 Edited artifacts of the README recipe pin the cases a log cannot make: a
-partition node that its edge list lacks, a partition whose `# scope` line
-names another scope, edge weights that are finite but huge, layer weights
-whose flattened sum no later step could read, detection settings that
-overflow the multislice quality, and record files that report cannot print.
+partition node that its edge list lacks, a partition that covers only part
+of its graph, a partition whose `# scope` line names another scope, edge
+rows that the reader refuses (a self-loop, a count below 1, a weight of nan
+or inf, a repeated pair, a `# layer` of another scope), edge weights that
+are finite but huge, layer weights whose flattened sum no later step could
+read, detection settings that overflow the multislice quality, and record
+files that report cannot print.
 A step refused at a write, by a directory at one of its outputs or by the
 one write point refusing, leaves the output directory as it found it too.
+A step reads every input before it computes: refused for a bad edge row, a
+stoplist entry or a pair of tokens, it calls none of pipeline's compute
+functions.
 """
 
 import contextlib
@@ -252,6 +258,53 @@ def _set_weights(path, weight, n_rows=2):
     return first + 1  # the 1-based line of the first edited row
 
 
+# what a step does once it has read its inputs; parse_events is build's
+# first and costliest step
+COMPUTE = ("parse_events", "build_multiplex", "filter_multiplex", "louvain",
+           "generalized_louvain", "flatten_union", "flatten_intersection", "overlap_matrix",
+           "hungarian_match", "community_metrics", "node_metrics")
+
+
+def _forbid_compute(monkeypatch):
+    """Make each COMPUTE name in pipeline raise when it is called."""
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a refused step called {name}")
+        return call
+
+    for name in COMPUTE:
+        monkeypatch.setattr(pipeline, name, forbidden(name))
+
+
+def _put(lines, k, col, text):
+    cells = lines[k].split("\t")
+    cells[col] = text
+    lines[k] = "\t".join(cells)
+    return k
+
+
+# edits of an edge list's lines, k the index of its first row; each returns
+# the index of the line it breaks
+EDGE_EDITS = {
+    "self-loop": lambda lines, k: _put(lines, k, 1, lines[k].split("\t")[0]),
+    "co_actions-below-1": lambda lines, k: _put(lines, k, 3, "-1"),
+    "weight-nan": lambda lines, k: _put(lines, k, 2, "nan"),
+    "weight-inf": lambda lines, k: _put(lines, k, 2, "inf"),
+    "repeated-row": lambda lines, k: lines.insert(k + 1, lines[k]) or k + 1,
+    "layer-rpl": lambda lines, k: _put(lines, lines.index("# layer rtw"), 0, "# layer rpl"),
+}
+
+
+def _edit_edges(path, edit):
+    """Apply EDGE_EDITS[edit] to an edge list; returns the 1-based line it breaks."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    k = EDGE_EDITS[edit](lines, lines.index("\t".join(EDGE_HEADER)) + 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    return k + 1
+
+
 def test_characterize_refuses_a_partition_node_missing_from_the_edge_list(edited, capsys):
     # characterize used to end in a ValueError traceback, exit code 1
     cfg, out = edited
@@ -333,6 +386,86 @@ def test_compare_refuses_a_partition_of_another_scope(edited, capsys):
     err = _refused(["compare", "--config", cfg, "--ref", "unfl-sum", "--other", "rtw"], out,
                    capsys)
     assert err == f"data error: {path}:{line}: '# scope hst' does not name scope 'rtw'"
+
+
+@pytest.mark.parametrize("step", [("detect", "--mode", "mono", "--layer", "rtw"),
+                                  ("detect", "--mode", "unfl-sum"),
+                                  ("detect", "--mode", "multi"),
+                                  ("characterize", "--ref", "unfl-sum", "--other", "rtw")],
+                         ids=["mono", "unfl-sum", "multi", "characterize"])
+@pytest.mark.parametrize("edit", list(EDGE_EDITS))
+def test_an_edited_edge_list_is_refused_before_any_compute(edited, capsys, monkeypatch,
+                                                            edit, step):
+    cfg, out = edited
+    if step[0] == "characterize":
+        assert main(["compare", "--config", cfg, *step[1:]]) == 0
+    path = os.path.join(out, "edges_rtw.tsv")
+    line = _edit_edges(path, edit)
+    _forbid_compute(monkeypatch)
+    err = _refused([step[0], "--config", cfg, *step[1:]], out, capsys)
+    assert err.startswith(f"data error: {path}:{line}: "), err
+
+
+def test_a_partition_may_cover_part_of_its_graph(edited):
+    cfg, out = edited
+    path = os.path.join(out, "partition_rtw.tsv")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    first = lines.index("user_id\tcommunity_id") + 1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines[:first] + lines[first::2]))
+    argv = ["--config", cfg, "--ref", "unfl-sum", "--other", "rtw"]
+    assert main(["compare", *argv]) == 0
+    assert main(["characterize", *argv]) == 0
+
+
+def _stoplist_without_a_host(cfg, out):
+    # build parsed the whole event log before it refused the stoplist
+    stop = os.path.join(os.path.dirname(cfg), "stop.txt")
+    with open(stop, "w", encoding="utf-8") as fh:
+        fh.write("http://\n")
+    with open(cfg, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump({**doc, "stoplists": {"url_domains": stop}}, fh)
+    return ["build"], f"stoplist {stop}: unparseable URL 'http://': no host"
+
+
+def _bad_url_edge(cfg, out):
+    # Louvain ran on rtw, rpl, men and hst before the url edge list was read
+    path = os.path.join(out, "edges_url.tsv")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("a\tb\tnan\t1\t1\n")
+    return ["detect", "--mode", "indi"], f"{path}:4: weight not finite and positive"
+
+
+def _multi_against_multi(cfg, out):
+    # the overlap and the match ran before characterize refused the pair
+    assert main(["detect", "--config", cfg, "--mode", "multi"]) == 0
+    argv = ["--ref", "multi", "--other", "multi"]
+    assert main(["compare", "--config", cfg, *argv]) == 0
+    return ["characterize", *argv], ("characterize needs a concrete graph per side; restrict "
+                                     "multiplex partitions to a layer (multi:<layer>)")
+
+
+def _bad_rtw_edge_after_compare(cfg, out):
+    # the overlap and the match ran before the edge lists were read
+    argv = ["--ref", "unfl-sum", "--other", "rtw"]
+    assert main(["compare", "--config", cfg, *argv]) == 0
+    path = os.path.join(out, "edges_rtw.tsv")
+    line = _edit_edges(path, "weight-nan")
+    return ["characterize", *argv], f"{path}:{line}: weight not finite and positive"
+
+
+@pytest.mark.parametrize("setup", [_stoplist_without_a_host, _bad_url_edge, _multi_against_multi,
+                                   _bad_rtw_edge_after_compare],
+                         ids=["build", "detect-indi", "characterize-multi",
+                              "characterize-edges"])
+def test_a_step_refused_for_an_input_computes_nothing(edited, capsys, monkeypatch, setup):
+    cfg, out = edited
+    (step, *argv), err = setup(cfg, out)
+    _forbid_compute(monkeypatch)
+    assert _refused([step, "--config", cfg, *argv], out, capsys) == f"data error: {err}"
 
 
 def _edit_records(path, edit):
