@@ -54,5 +54,9 @@ multicoord compare --config "$OUT/run.json" --ref unfl-sum --other rtw
 echo; echo "== 5. structural characterization of that comparison =="
 multicoord characterize --config "$OUT/run.json" --ref unfl-sum --other rtw
 
+echo; echo "== 5b. characterize with no compare before it: it writes the comparison too =="
+multicoord characterize --config "$OUT/run.json" --ref multi:hst --other hst
+test -s "$OUT/labels_multi-hst_vs_hst.jsonl"
+
 echo; echo "== 6. digest of everything the run produced =="
 multicoord report --out "$OUT"

@@ -319,18 +319,17 @@ def _pagerank(csr: CSR, damping: float) -> np.ndarray:
     return x / x.sum()
 
 
-def node_metrics(csr: GraphCSR, damping: float = 0.85) -> dict:
-    """All four node descriptors for every node of the graph of csr."""
+def node_metrics(csr: GraphCSR) -> dict:
+    """All four node descriptors for every node of the graph of csr; PageRank
+    uses the damping factor 0.85."""
     n = len(csr.order)
     if not n:
         raise ValueError("empty graph")
-    if not (0.0 < damping < 1.0):
-        raise ValueError(f"damping must be in (0, 1), got {damping}")
     degc = (csr.degree / (n - 1)).tolist() if n > 1 else [0.0] * n
     clus = _local_clustering(csr).tolist()
     if csr.n_edges:
         eig = csr.eigen.vector
-        pr = _pagerank(csr, damping)
+        pr = _pagerank(csr, 0.85)
     else:
         eig = np.ones(n) / math.sqrt(n)
         pr = np.full(n, 1.0 / n)

@@ -7,6 +7,12 @@ stages restartable and the whole pipeline a plain function of (config,
 seed): two runs with the same effective config produce byte-identical
 artifacts.
 
+One comparison is computed in one place, _compare. compare runs it and
+writes its overlap and labels files; characterize runs it too, writes the
+same two files under its own config and profiles those labels. So compare
+is characterize's first half, not its prerequisite, and no step reads a
+labels file back.
+
 Each step has one shape: it reads every input, then computes on objects,
 then writes all its files together at its end through _write. A step
 refused for an input or an approach token computes nothing, and a step
@@ -436,26 +442,16 @@ def comparison_id(ref: str, other: str) -> str:
     return f"{ref}_vs_{other}".replace(":", "-")
 
 
-def _compare(det: DetectionSettings, A, B) -> tuple:
-    """The overlap -> match -> labels chain of the baseline communities A
-    against the reference B: (O, M, labels_a, labels_b, node_labels)."""
+def _compare(det: DetectionSettings, ref: str, other: str, A, a_token: str, B,
+             b_token: str) -> tuple:
+    """The comparison of the baseline communities A against the reference B:
+    overlap -> match -> community and node labels -> NMI. Returns (O, M,
+    labels_a, labels_b, node_labels, files), files being compare's
+    overlap_<cid>.tsv and labels_<cid>.jsonl."""
     O = overlap_matrix(A, B, min_size=det.min_size)
     M = hungarian_match(O)
-    return (O, M, *label_communities(O, M, theta=det.theta), label_nodes(O, M))
-
-
-def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
-    """Overlap matrix, optimal matching, labels, and NMI for one pair.
-
-    ref is the reference approach (side B); other is the baseline (side A).
-    """
-    det = cfg.detection
-    (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
-    B, b_token, _ = _load_approach(cfg.out, rb, rl)
-    A, a_token, _ = _load_approach(cfg.out, ob, ol)
-    O, M, labels_a, labels_b, node_labels = _compare(det, A, B)
-    cid = comparison_id(ref, other)
-    nmi_value = nmi(O)
+    labels_a, labels_b = label_communities(O, M, theta=det.theta)
+    node_labels = label_nodes(O, M)
     n_a, n_b = Counter(labels_a.values()), Counter(labels_b.values())
     n_nodes = Counter(node_labels.values())
     records = [{
@@ -464,7 +460,7 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
         "theta": det.theta, "min_size": det.min_size,
         "k_a": O.k_a, "k_b": O.k_b,
         "n_matched": len(M.pairs), "total_overlap": M.total,
-        "nmi": nmi_value,
+        "nmi": nmi(O),
         "communities": {"lost": n_a[LOST], "common": n_a[COMMON], "gained": n_b[GAINED]},
         "nodes": {label: n_nodes[label] for label in (LOST, COMMON, GAINED)},
     }]
@@ -480,11 +476,26 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
     for node in sorted(node_labels, key=str):
         records.append({"record": "node_label", "node": str(node),
                         "label": node_labels[node]})
-    _write(cfg, (f"overlap_{cid}.tsv", reports.write_overlap_tsv, O),
-           (f"labels_{cid}.jsonl", reports.write_records, records))
-    logger.info("compare %s: k_a=%d k_b=%d matched=%d nmi=%.4f",
-                cid, O.k_a, O.k_b, len(M.pairs), nmi_value)
-    return records[0]
+    cid = comparison_id(ref, other)
+    return (O, M, labels_a, labels_b, node_labels,
+            ((f"overlap_{cid}.tsv", reports.write_overlap_tsv, O),
+             (f"labels_{cid}.jsonl", reports.write_records, records)))
+
+
+def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
+    """Overlap matrix, optimal matching, labels, and NMI for one pair.
+
+    ref is the reference approach (side B); other is the baseline (side A).
+    """
+    (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
+    B, b_token, _ = _load_approach(cfg.out, rb, rl)
+    A, a_token, _ = _load_approach(cfg.out, ob, ol)
+    *_, files = _compare(cfg.detection, ref, other, A, a_token, B, b_token)
+    _write(cfg, *files)
+    summary = files[1][2][0]  # the comparison_summary, first in labels_<cid>.jsonl
+    logger.info("compare %s: k_a=%d k_b=%d matched=%d nmi=%.4f", comparison_id(ref, other),
+                summary["k_a"], summary["k_b"], summary["n_matched"], summary["nmi"])
+    return summary
 
 
 # ---------------------------------------------------------------- characterize
@@ -500,10 +511,12 @@ def _minmax_normalize(X: np.ndarray) -> np.ndarray:
 
 
 def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
-    """Structural characterization of one finished comparison: community
-    metric vectors (raw + min-max normalized), matched-pair cosine table,
-    PCA coordinates, node metric records, and Brunner-Munzel tests between
-    lost / common / gained node groups.
+    """Structural characterization of one comparison: community metric
+    vectors (raw + min-max normalized), matched-pair cosine table, PCA
+    coordinates, node metric records, and Brunner-Munzel tests between
+    lost / common / gained node groups. The comparison is computed here by
+    _compare, as compare computes it, and its two files are written beside
+    these, so the labels profiled are the labels written, under one config.
     """
     cid = comparison_id(ref, other)
     (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
@@ -512,16 +525,14 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     if "multi" in (a_scope, b_scope):
         raise DataError("characterize needs a concrete graph per side; "
                         "restrict multiplex partitions to a layer (multi:<layer>)")
-    B, _, b_partition = _load_approach(cfg.out, rb, rl)
-    A, _, a_partition = _load_approach(cfg.out, ob, ol)
-    labels_path = os.path.join(cfg.out, f"labels_{cid}.jsonl")
-    if not os.path.exists(labels_path):
-        raise DataError(f"missing comparison output {labels_path}; run compare first")
+    B, b_token, b_partition = _load_approach(cfg.out, rb, rl)
+    A, a_token, a_partition = _load_approach(cfg.out, ob, ol)
     # one graph and one node profile per distinct scope: multi:hst against
     # hst reads and profiles edges_hst.tsv once
     graphs = {s: GraphCSR.of(_load_layer_graph(cfg.out, s))
               for s in dict.fromkeys((a_scope, b_scope))}
-    O, M, labels_a, labels_b, node_labels = _compare(cfg.detection, A, B)
+    O, M, labels_a, labels_b, node_labels, compared = _compare(
+        cfg.detection, ref, other, A, a_token, B, b_token)
 
     # (side, community id, label, CommunityMetrics), the k_a A rows first
     comm_rows = []
@@ -602,7 +613,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
                 except DegenerateSampleError as exc:
                     rec["degenerate"] = str(exc)
             bm_records.append(rec)
-    _write(cfg, (f"community_metrics_{cid}.jsonl", reports.write_records, comm_records),
+    _write(cfg, *compared, (f"community_metrics_{cid}.jsonl", reports.write_records, comm_records),
            (f"cosine_{cid}.tsv", reports.write_table,
             ("a_community", "b_community", "overlap", "cosine"), cosine_rows),
            (f"pca_{cid}.jsonl", reports.write_records, pca_records),

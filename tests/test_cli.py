@@ -450,9 +450,19 @@ def test_data_errors_exit_2(workdir, tmp_path, capsys):
     # scope mismatch: bare multi against a user-level flattened scope
     assert main(["compare", "--config", workdir["run_cfg"],
                  "--ref", "multi", "--other", "unfl-sum"]) == 2
-    # characterize before its compare step
-    assert main(["characterize", "--config", workdir["run_cfg"],
-                 "--ref", "rtw", "--other", "rpl"]) == 2
+    # characterize with no compare before it exits 0: it computes the
+    # comparison and writes compare's two files, byte for byte as compare
+    # then writes them
+    fresh = str(tmp_path / "fresh")
+    shutil.copytree(workdir["out"], fresh)
+    argv = ["--config", workdir["run_cfg"], "--out", fresh, "--ref", "rtw", "--other", "rpl"]
+    paths = [os.path.join(fresh, name)
+             for name in ("overlap_rtw_vs_rpl.tsv", "labels_rtw_vs_rpl.jsonl")]
+    assert not any(os.path.exists(path) for path in paths)
+    assert main(["characterize", *argv]) == 0
+    written = [_bytes(path) for path in paths]
+    assert main(["compare", *argv]) == 0
+    assert [_bytes(path) for path in paths] == written
     # report on a missing directory
     assert main(["report", "--out", str(tmp_path / "void")]) == 2
     capsys.readouterr()
@@ -719,8 +729,8 @@ def recipe_detected(tmp_path_factory):
                        "partitions to a layer (multi:<layer>)"),
 ], ids=["intfl-rtw", "multi-intfl", "multi-multi"])
 def test_characterize_names_why_compare_cannot_run(recipe_detected, capsys, ref, other, err):
-    # each said "run compare first": compare refuses the first two pairs, and
-    # on the last one it ran only for characterize to refuse the pair then
+    # characterize refuses these pairs for compare's own reasons, or for
+    # multi facing multi, which has no single graph, before it computes
     cfg, out = recipe_detected
     argv = ["--config", cfg, "--ref", ref, "--other", other]
     capsys.readouterr()

@@ -21,7 +21,9 @@ A step refused at a write, by a directory at one of its outputs or by the
 one write point refusing, leaves the output directory as it found it too.
 A step reads every input before it computes: refused for a bad edge row, a
 stoplist entry or a pair of tokens, it calls none of pipeline's compute
-functions.
+functions. compare and then characterize under other detection settings:
+the labels characterize profiles are the labels in the file beside them,
+and the pair's seven files carry characterize's config hash.
 """
 
 import contextlib
@@ -43,7 +45,7 @@ from multicoord.cli import main  # noqa: E402
 from multicoord.ingest import ACTIONS  # noqa: E402
 from multicoord.netbuild import MAX_WEIGHT  # noqa: E402
 from multicoord.pipeline import DETECT_MODES, FLAT_SCOPES  # noqa: E402
-from multicoord.reports import EDGE_HEADER  # noqa: E402
+from multicoord.reports import EDGE_HEADER, read_records  # noqa: E402
 from readme_recipe import COMPARISONS, write_configs  # noqa: E402
 
 
@@ -417,6 +419,54 @@ def test_a_partition_may_cover_part_of_its_graph(edited):
     argv = ["--config", cfg, "--ref", "unfl-sum", "--other", "rtw"]
     assert main(["compare", *argv]) == 0
     assert main(["characterize", *argv]) == 0
+
+
+def _stamp(path):
+    """The config hash on an artifact's meta line or meta record."""
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+    return json.loads(first)["config_sha256"] if path.endswith(".jsonl") else first.split()[-1]
+
+
+# (theta, min_size) of one step: the recipe's rtw communities have 12 to 15
+# members, so from 12 on some are dropped, and from 15 on none is left
+DETECTION = st.tuples(st.floats(0.0, 1.0), st.integers(0, 14))
+
+
+@settings(max_examples=25, deadline=None)
+@given(DETECTION, DETECTION)
+# characterize at theta 0.95 after compare at 0.5 labelled a0 lost and b0
+# gained, while the labels file beside it said common for both
+@example((0.5, 0), (0.95, 0))
+def test_characterize_profiles_the_labels_it_writes(recipe, compared, characterized):
+    cid = "unfl-sum_vs_rtw"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        shutil.copytree(recipe, out)
+        with open(write_configs(tmp)[1], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for step, (theta, min_size) in (("compare", compared), ("characterize", characterized)):
+            cfg = os.path.join(tmp, f"{step}.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump({**doc, "detection": {**doc["detection"], "theta": theta,
+                                                "min_size": min_size}}, fh)
+            assert main([step, "--config", cfg, "--ref", "unfl-sum", "--other", "rtw"]) == 0
+
+        def labels(stem, kind, *key):
+            return {tuple(r[k] for k in key): r["label"]
+                    for r in read_records(os.path.join(out, f"{stem}_{cid}.jsonl"))
+                    if r["record"] == kind}
+
+        assert (labels("community_metrics", "community_metrics", "side", "community")
+                == labels("labels", "community_label", "side", "community"))
+        assert (labels("node_metrics", "node_metrics", "node")
+                == labels("labels", "node_label", "node"))
+        # compare's two files and characterize's five, under characterize's config
+        names = [f"{stem}_{cid}.tsv" for stem in ("overlap", "cosine")]
+        names += [f"{stem}_{cid}.jsonl"
+                  for stem in ("labels", "community_metrics", "pca", "node_metrics", "bm")]
+        assert ({_stamp(os.path.join(out, name)) for name in names}
+                == {pipeline.RunConfig.from_file(cfg).context().cfg_hash})
 
 
 def _stoplist_without_a_host(cfg, out):
