@@ -20,9 +20,11 @@ holds about the layer's edges and one window's pairs, never every window's
 rows. The mean weight is the weight sum over the window count. Only then
 are the names of the used codes attached, in one LayerGraph per action
 type.
-build_multiplex marks the actor rows of the log once, then takes these
-steps one layer at a time on the rows of that layer's action, so only that
-layer's entries and pair keys are alive. tfidf_windows and
+build_multiplex marks the actor rows of the log once per call, then takes
+these steps one layer at a time on the rows of that layer's action, so only
+that layer's entries and pair keys are alive. It builds the layers it is
+given, so a caller that builds one layer per call can drop each layer
+before it builds the next. tfidf_windows and
 layer_window_graph are the same steps for one window, over names. The five
 LayerGraphs form the MultiplexNetwork that all downstream detection and
 comparison operates on: the layers in ACTIONS order and nothing else, so a
@@ -561,25 +563,29 @@ def layer_window_graph(m: WindowTfidf) -> LayerGraph:
     return _merged_layer(m.layer, m.users, [replace(m, users=np.arange(len(m.users)))])
 
 
-def build_multiplex(log: EventLog, actors: ActorSet, width: float,
-                    shift: float) -> MultiplexNetwork:
-    """Full network construction: per-window TF-IDF matrices, their cosine
-    similarities, and window merging for each of the five layers, one layer
-    at a time, so that only its TF-IDF entries and pair keys are alive.
-    Every layer shares the log's window grid and one mask of the actor rows,
-    and stays on the log's user codes until it is merged.
+def build_multiplex(log: EventLog, actors: ActorSet, width: float, shift: float,
+                    layers: Sequence[str] = ACTIONS) -> MultiplexNetwork:
+    """Full network construction of the named layers (all five by default):
+    per-window TF-IDF matrices, their cosine similarities, and window
+    merging, one layer at a time, so that only its TF-IDF entries and pair
+    keys are alive. Every layer shares the log's window grid and the mask of
+    the actor rows, both made once per call, and stays on the log's user
+    codes until it is merged. A name outside ACTIONS is a ValueError.
     """
-    layers = {a: LayerGraph(a) for a in ACTIONS}
+    unknown = [a for a in layers if a not in ACTIONS]
+    if unknown:
+        raise ValueError(f"unknown layers {unknown}; expected names from {ACTIONS}")
+    net = {a: LayerGraph(a) for a in layers}
     if not len(log):
-        return MultiplexNetwork(layers)
+        return MultiplexNetwork(net)
     n_windows = len(window_slices(log.time_span, width, shift))
     actor_rows = _actor_rows(log, actors)
-    for k, a in enumerate(ACTIONS):
-        in_layer = actor_rows & (log.action == k)
+    for a in net:
+        in_layer = actor_rows & (log.action == ACTIONS.index(a))
         if not in_layer.any():
             continue
         windows = _tfidf_windows(log, in_layer, width, shift, n_windows)
-        layers[a] = _merged_layer(a, log.users, windows)
+        net[a] = _merged_layer(a, log.users, windows)
         logger.info("build_multiplex: layer %s -> %d nodes, %d edges from %d windows",
-                    a, layers[a].n_nodes, layers[a].n_edges, len(windows))
-    return MultiplexNetwork(layers)
+                    a, net[a].n_nodes, net[a].n_edges, len(windows))
+    return MultiplexNetwork(net)

@@ -256,8 +256,14 @@ def run_synth(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------- build
 
 def run_build(cfg: RunConfig) -> dict:
-    """Ingest, select actors, build the multiplex network, filter it, and
-    write per-layer edge lists plus the filter / stats / coverage reports.
+    """Ingest, select actors, build and filter the multiplex network one
+    layer at a time, and write per-layer edge lists plus the filter / stats
+    / coverage reports.
+
+    Each raw layer is summarized and filtered before the next is built, so
+    one raw layer is alive at a time, and the event log is dropped once the
+    last layer is built: the coverage records and the writes hold only the
+    filtered network.
     """
     if cfg.input is None:
         raise ConfigError("config has no 'input' path")
@@ -275,11 +281,17 @@ def run_build(cfg: RunConfig) -> dict:
     if not len(log):
         logger.warning("build: empty event log; writing empty network")
     actors = select_users(log, cfg.fraction)
-    net = build_multiplex(log, actors, width=cfg.width_hours * 3600.0,
-                          shift=cfg.shift_hours * 3600.0)
-    records = [{**reports.layer_stats(net.layers[layer]), "record": "layer_stats_raw"}
-               for layer in ACTIONS]
-    net, filter_reports = filter_multiplex(net, cfg.filter)
+    records, filter_reports, layers = [], [], {}
+    for layer in ACTIONS:
+        raw = build_multiplex(log, actors, width=cfg.width_hours * 3600.0,
+                              shift=cfg.shift_hours * 3600.0, layers=(layer,))
+        records.append({**reports.layer_stats(raw.layers[layer]), "record": "layer_stats_raw"})
+        filtered, (rep,) = filter_multiplex(raw, cfg.filter)
+        layers[layer] = filtered.layers[layer]
+        filter_reports.append(rep)
+        del raw
+    del log
+    net = MultiplexNetwork(layers)
     records.extend({"record": "filter_report", **asdict(rep)} for rep in filter_reports)
     records.extend(reports.layer_stats(net.layers[layer]) for layer in ACTIONS)
 

@@ -11,12 +11,13 @@ import logging
 import math
 import os
 import shutil
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from multicoord import pipeline
+from multicoord import netbuild, pipeline
 from multicoord.cli import main
 from multicoord.errors import ConfigError
 from multicoord.filternet import FilterConfig, filter_multiplex
@@ -757,11 +758,45 @@ def test_loaded_network_is_the_built_one(tmp_path, monkeypatch):
                                                 {"out": out, "synth": SYNTH})]) == 0
     assert main(["build", "--config", write_cfg(tmp_path / "run.json", {
         "input": os.path.join(out, "events.tsv"), "schema": "tsv", "out": out})]) == 0
-    (net, _), = built
+    # build filters one layer per call: five one-layer networks, in order
+    layers = [g for net, _ in built for g in net.layers.values()]
     loaded = pipeline._load_network(out)
-    assert list(loaded.layers) == list(net.layers) == list(ACTIONS)
-    for got, want in zip(loaded.layers.values(), net.layers.values()):
+    assert list(loaded.layers) == [g.layer for g in layers] == list(ACTIONS)
+    for got, want in zip(loaded.layers.values(), layers):
         assert got.nodes == want.nodes and want.n_edges
         for col in ("u", "v", "weight", "co_actions", "window_count"):
             a, b = getattr(got, col), getattr(want, col)
             assert a.dtype == b.dtype and np.array_equal(a, b), (got.layer, col)
+
+
+def test_build_holds_one_raw_layer_and_drops_the_log(tmp_path, monkeypatch):
+    # build summarizes and filters each raw layer before it builds the next,
+    # so no raw layer outlives its filtering, and it drops the event log
+    # before its writes
+    out = str(tmp_path / "out")
+    assert main(["synth", "--config", write_cfg(tmp_path / "synth.json",
+                                                {"out": out, "synth": SYNTH})]) == 0
+    raw, logs = [], []
+    merged_layer, parse_events, write = netbuild._merged_layer, pipeline.parse_events, pipeline._write
+
+    def merged(*args):
+        assert all(ref() is None for ref in raw), f"raw {len(raw)} layer(s) built, one alive"
+        g = merged_layer(*args)
+        raw.append(weakref.ref(g))
+        return g
+
+    def parse(*args, **kwargs):
+        log = parse_events(*args, **kwargs)
+        logs.append(weakref.ref(log))
+        return log
+
+    def checked_write(*args):
+        assert logs and logs[0]() is None, "the event log is alive at the writes"
+        write(*args)
+
+    monkeypatch.setattr(netbuild, "_merged_layer", merged)
+    monkeypatch.setattr(pipeline, "parse_events", parse)
+    monkeypatch.setattr(pipeline, "_write", checked_write)
+    assert main(["build", "--config", write_cfg(tmp_path / "run.json", {
+        "input": os.path.join(out, "events.tsv"), "schema": "tsv", "out": out})]) == 0
+    assert len(raw) == len(ACTIONS) and len(logs) == 1

@@ -349,6 +349,12 @@ def _check_manual_composition(rng, n_users, n_items, n_events, span, n_windows):
         assert net.layers[layer].n_edges == 0
 
 
+def test_build_multiplex_refuses_an_unknown_layer():
+    log = EventLog.from_events([ActionEvent("u1", "rtw", "A", 1.0)], time_span=(0.0, 20.0))
+    with pytest.raises(ValueError, match="unknown layers \\['unfl-sum'\\]"):
+        build_multiplex(log, actors_of("u1"), 10.0, 10.0, layers=("rtw", "unfl-sum"))
+
+
 def test_build_multiplex_boundary_event_exclusive():
     # an event exactly at a window end belongs to the next window only
     rows = [ActionEvent("u1", "rtw", "A", 10.0), ActionEvent("u2", "rtw", "A", 10.0),

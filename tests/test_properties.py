@@ -360,10 +360,10 @@ EVERY_WINDOW = _pinned_log(
 
 
 @settings(max_examples=200, deadline=None)
-@given(event_logs())
-@example(LONE_ACTORS)
-@example(EVERY_WINDOW)
-def test_build_multiplex_matches_dict_oracle(case):
+@given(event_logs(), st.lists(st.sampled_from(ACTIONS), unique=True))
+@example(LONE_ACTORS, ["rpl", "rtw"])
+@example(EVERY_WINDOW, ["rtw"])
+def test_build_multiplex_matches_dict_oracle(case, subset):
     log, actors, width, shift = case
     windows = oracle_windows(log.time_span, width, shift)
     records = tfidf_windows(log, actors, width, shift)
@@ -382,6 +382,11 @@ def test_build_multiplex_matches_dict_oracle(case):
     net = build_multiplex(log, actors, width, shift)
     for layer, g in build_multiplex_oracle(log, actors, width, shift).items():
         assert_same_graph(net.layers[layer], g)
+    # a build of some layers is the full build on those layers, in ACTIONS order
+    part = build_multiplex(log, actors, width, shift, layers=subset)
+    assert list(part.layers) == [layer for layer in ACTIONS if layer in subset]
+    for layer, g in part.layers.items():
+        assert_same_graph(g, net.layers[layer])
 
 
 @settings(max_examples=100, deadline=None)
