@@ -1,17 +1,18 @@
 """Coordination-network construction.
 
 The build runs on the user, action and item codes of the EventLog (ingest
-encodes every id) and turns codes into names once per layer. A few array
-sorts bucket the actor events into the TF-IDF entries of each action layer
-and sliding time window, as CSR-ordered (row, col, weight) arrays: a row
-per active user, a column per item, with the users' and items' log codes
-alongside. The window grid is the list of window starts that
-window_slices returns; _window_ranges computes the windows of every stamp
-with the same arithmetic. Each window pairs the users of each item (its
-wedges, which characterize's triangle count enumerates with the same
-helper) and groups the pairs with one sort: their product sums are the
-cosine similarities and their sizes the co-action counts, keyed on the
-pair's user codes.
+encodes every id) and turns codes into names once per layer. The actor
+events of one action layer, sorted by stamp, are sliced into its sliding
+time windows: window k is the rows between two binary searches, for its
+start and for its end (_window_bounds), on the starts that window_slices
+returns, so the half-open rule start <= ts < start + width needs no
+arithmetic of its own. A few sorts of a window's rows give its TF-IDF
+entries, as CSR-ordered (row, col, weight) arrays: a row per active user,
+a column per item, with the users' and items' log codes alongside. Each
+window pairs the users of each item (its wedges, which characterize's
+triangle count enumerates with the same helper) and groups the pairs with
+one sort: their product sums are the cosine similarities and their sizes
+the co-action counts, keyed on the pair's user codes.
 _merged_layer folds each window's pairs, as they are made, into running
 sums kept in key order: a binary search finds the pairs seen before, which
 gain one addition each, and the rows of new pairs are summed and inserted
@@ -21,16 +22,17 @@ rows. The mean weight is the weight sum over the window count. Only then
 are the names of the used codes attached, in one LayerGraph per action
 type.
 build_multiplex marks the actor rows of the log once per call, then takes
-these steps one layer at a time on the rows of that layer's action, so only
-that layer's entries and pair keys are alive. It builds the layers it is
-given, so a caller that builds one layer per call can drop each layer
-before it builds the next. tfidf_windows and
-layer_window_graph are the same steps for one window, over names. The five
-LayerGraphs form the MultiplexNetwork that all downstream detection and
-comparison operates on: the layers in ACTIONS order and nothing else, so a
-network that build makes and one that detect loads from edge lists are the
-same object. The actor universe is the ActorSet of ingest, stored once
-there. All of it runs on numpy alone.
+these steps one layer at a time on the rows of that layer's action, and
+the merge takes the layer's windows one at a time as they are made: only
+that layer's sorted rows, one window's entries and pairs, and the running
+sums are alive. It builds the layers it is given, so a caller that builds
+one layer per call can drop each layer before it builds the next.
+tfidf_windows and layer_window_graph are the same steps for one window,
+over names. The five LayerGraphs form the MultiplexNetwork that all
+downstream detection and comparison operates on: the layers in ACTIONS
+order and nothing else, so a network that build makes and one that detect
+loads from edge lists are the same object. The actor universe is the
+ActorSet of ingest, stored once there. All of it runs on numpy alone.
 
 A LayerGraph is a sorted node tuple plus COO edge arrays sorted by
 (u, v), which every later stage reads. One stable key grouping
@@ -52,7 +54,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -309,24 +311,12 @@ def window_slices(span: tuple[float, float], width: float, shift: float) -> list
     return [t_min + k * shift for k in range(n)]
 
 
-def _window_ranges(ts: np.ndarray, t_min: float, width: float, shift: float,
-                   n_windows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per timestamp, the first and last index of the windows whose half-open
-    interval [start, start + width) contains it (lo > hi: none), with start
-    = t_min + k * shift computed as window_slices computes it.
-    """
-    rel = ts - t_min
-    # one window wider than the arithmetic on each side, then shrink until
-    # the end windows contain ts: start = t_min + k*shift rounds either way
-    lo = np.maximum(np.floor((rel - width) / shift).astype(np.int64), 0)
-    hi = np.minimum(np.floor(rel / shift).astype(np.int64) + 1, n_windows - 1)
-    for end, step in ((lo, 1), (hi, -1)):
-        off = lo <= hi
-        while off.any():
-            start = t_min + end * shift
-            off &= (lo <= hi) & ~((start <= ts) & (ts < start + width))
-            end[off] += step
-    return lo, hi
+def _window_bounds(ts: np.ndarray, starts: Sequence[float],
+                   width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per window start, the rows lo:hi of the sorted stamps ``ts`` that the
+    half-open window [start, start + width) holds."""
+    starts = np.asarray(starts, dtype=float)
+    return np.searchsorted(ts, starts), np.searchsorted(ts, starts + width)
 
 
 def _run_starts(*cols: np.ndarray) -> np.ndarray:
@@ -365,11 +355,12 @@ def tfidf_windows(log: EventLog, actors: ActorSet, width: float,
     """
     if log.time_span is None:
         return []
-    windows = _tfidf_windows(log, _actor_rows(log, actors), width, shift,
-                             len(window_slices(log.time_span, width, shift)))
+    starts = window_slices(log.time_span, width, shift)
+    actor_rows = _actor_rows(log, actors)
     return [replace(m, users=tuple(map(log.users.__getitem__, m.users.tolist())),
                     items=tuple(map(log.items.__getitem__, m.items.tolist())))
-            for m in windows]
+            for a, layer in enumerate(ACTIONS)
+            for m in _tfidf_windows(log, actor_rows & (log.action == a), layer, starts, width)]
 
 
 def _actor_rows(log: EventLog, actors: ActorSet) -> np.ndarray:
@@ -378,54 +369,37 @@ def _actor_rows(log: EventLog, actors: ActorSet) -> np.ndarray:
     return np.array([u in members for u in log.users], dtype=bool)[log.user]
 
 
-def _tfidf_windows(log: EventLog, keep: np.ndarray, width: float, shift: float,
-                   n_windows: int) -> list[WindowTfidf]:
-    """tfidf_windows of the rows where ``keep`` is true, over the grid of
-    n_windows windows that starts at the non-empty log's t_min, with the
-    users and items of each window as the log's codes."""
-    user, item, layer = log.user[keep], log.item[keep], log.action[keep]
-    lo, hi = _window_ranges(log.ts[keep], log.time_span[0], width, shift, n_windows)
-    # one row per (event, window); lw numbers layer-windows in ACTIONS order
-    count = np.maximum(hi - lo + 1, 0)
-    ev = np.repeat(np.arange(len(count)), count)
-    lw = (layer[ev] * n_windows + lo[ev] + np.arange(len(ev))
-          - np.repeat(np.cumsum(count) - count, count))
-    user, item = user[ev], item[ev]
-    # one group per (layer-window, user, item), tf its size
-    order = np.lexsort((item, user, lw))
-    first = _run_starts(lw[order], user[order], item[order])
-    tf = np.diff(np.append(np.flatnonzero(first), len(order)))
-    lw, user, item = lw[order][first], user[order][first], item[order][first]
-    # N_w: distinct users per layer-window; df: groups per (layer-window, item)
-    window_id = np.cumsum(_run_starts(lw)) - 1
-    n_active = np.bincount(window_id[_run_starts(lw, user)])[window_id]
-    by_item = np.lexsort((item, lw))
-    pair_id = np.cumsum(_run_starts(lw[by_item], item[by_item])) - 1
-    df = np.empty_like(tf)
-    df[by_item] = np.bincount(pair_id)[pair_id]
-    # math.log, not np.log: the two differ in the last bit for some ratios
-    key, pair = np.unique(n_active * (len(log.users) + 1) + df, return_inverse=True)
-    n_w, df_w = np.divmod(key, len(log.users) + 1)
-    idf = np.array([math.log(n / d) for n, d in zip(n_w.tolist(), df_w.tolist())], dtype=float)
-    weight = tf * idf[pair]
-    keep = weight > 0.0
-    lw, user, item, weight = lw[keep], user[keep], item[keep], weight[keep]
-    # local rows and columns: ranks of the users and items within the window;
-    # rows sorted by (lw, user, item) are in each window's CSR order
-    new_user = _run_starts(lw, user)
-    row = np.cumsum(new_user) - 1
-    by_item = np.lexsort((item, lw))
-    new_item = _run_starts(lw[by_item], item[by_item])
-    col = np.empty_like(row)
-    col[by_item] = np.cumsum(new_item) - 1
-    bounds = np.append(np.flatnonzero(_run_starts(lw)), len(lw))
-    records = []
-    for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        a, k = divmod(int(lw[s]), n_windows)
-        records.append(WindowTfidf(ACTIONS[a], k, user[s:e][new_user[s:e]],
-                                   item[by_item[s:e]][new_item[s:e]], row[s:e] - row[s],
-                                   col[s:e] - col[by_item[s]], weight[s:e]))
-    return records
+def _tfidf_windows(log: EventLog, keep: np.ndarray, layer: str, starts: Sequence[float],
+                   width: float) -> Iterator[WindowTfidf]:
+    """The WindowTfidf of each window of ``layer`` that holds a positive
+    entry, in window order: the rows where ``keep`` is true, all of that
+    action, over the windows that begin at ``starts``, with the users and
+    items of each window as the log's codes. Window k is a slice of the
+    rows sorted by stamp."""
+    order = np.argsort(log.ts[keep], kind="stable")  # from_events keeps any order
+    ts, user, item = (c[keep][order] for c in (log.ts, log.user, log.item))
+    for k, (lo, hi) in enumerate(zip(*(b.tolist() for b in _window_bounds(ts, starts, width)))):
+        if lo == hi:
+            continue
+        # one group per (user, item), tf its size, in CSR order
+        by_pair = np.lexsort((item[lo:hi], user[lo:hi]))
+        u, i = user[lo:hi][by_pair], item[lo:hi][by_pair]
+        first = _run_starts(u, i)
+        tf = np.diff(np.append(np.flatnonzero(first), hi - lo))
+        u, i = u[first], i[first]
+        # N_w: the window's distinct users; df: each item's users
+        n_active = int(_run_starts(u).sum())
+        _, of_item, df = np.unique(i, return_inverse=True, return_counts=True)
+        df, of_df = np.unique(df[of_item], return_inverse=True)
+        # math.log, not np.log: the two differ in the last bit for some ratios
+        weight = tf * np.array([math.log(n_active / d) for d in df.tolist()])[of_df]
+        positive = weight > 0.0
+        if not positive.any():
+            continue
+        u, i, weight = u[positive], i[positive], weight[positive]
+        users, row = np.unique(u, return_inverse=True)
+        items, col = np.unique(i, return_inverse=True)
+        yield WindowTfidf(layer, k, users, items, row, col, weight)
 
 
 def _wedge_opens(group: np.ndarray, n: int) -> np.ndarray:
@@ -508,7 +482,7 @@ def _insert_pending(merged: list, pending: list) -> None:
         merged[k] = np.insert(merged[k], at, x)
 
 
-def _merged_layer(layer: str, users: Sequence, windows: list[WindowTfidf]) -> LayerGraph:
+def _merged_layer(layer: str, users: Sequence, windows: Iterable[WindowTfidf]) -> LayerGraph:
     """The LayerGraph of one layer from its windows in window order, whose
     users are codes into ``users``. An edge's weight is the mean of its
     window cosines, co_actions their summed shared items and window_count
@@ -567,10 +541,11 @@ def build_multiplex(log: EventLog, actors: ActorSet, width: float, shift: float,
                     layers: Sequence[str] = ACTIONS) -> MultiplexNetwork:
     """Full network construction of the named layers (all five by default):
     per-window TF-IDF matrices, their cosine similarities, and window
-    merging, one layer at a time, so that only its TF-IDF entries and pair
-    keys are alive. Every layer shares the log's window grid and the mask of
-    the actor rows, both made once per call, and stays on the log's user
-    codes until it is merged. A name outside ACTIONS is a ValueError.
+    merging, one layer at a time and, within it, one window at a time, so
+    that only one window's TF-IDF entries and pair keys are alive. Every
+    layer shares the log's window grid and the mask of the actor rows, both
+    made once per call, and stays on the log's user codes until it is
+    merged. A name outside ACTIONS is a ValueError.
     """
     unknown = [a for a in layers if a not in ACTIONS]
     if unknown:
@@ -578,14 +553,13 @@ def build_multiplex(log: EventLog, actors: ActorSet, width: float, shift: float,
     net = {a: LayerGraph(a) for a in layers}
     if not len(log):
         return MultiplexNetwork(net)
-    n_windows = len(window_slices(log.time_span, width, shift))
+    starts = window_slices(log.time_span, width, shift)
     actor_rows = _actor_rows(log, actors)
     for a in net:
         in_layer = actor_rows & (log.action == ACTIONS.index(a))
         if not in_layer.any():
             continue
-        windows = _tfidf_windows(log, in_layer, width, shift, n_windows)
-        net[a] = _merged_layer(a, log.users, windows)
-        logger.info("build_multiplex: layer %s -> %d nodes, %d edges from %d windows",
-                    a, net[a].n_nodes, net[a].n_edges, len(windows))
+        net[a] = _merged_layer(a, log.users, _tfidf_windows(log, in_layer, a, starts, width))
+        logger.info("build_multiplex: layer %s -> %d nodes, %d edges",
+                    a, net[a].n_nodes, net[a].n_edges)
     return MultiplexNetwork(net)

@@ -16,8 +16,8 @@ labels file back.
 Each step has one shape: it reads every input, then computes on objects,
 then writes all its files together at its end through _write. A step
 refused for an input or an approach token computes nothing, and a step
-that is refused, with a data error or an output place that does not work,
-leaves the directory as it found it.
+that is refused, with a data error, an output place that does not work or
+a write that fails, leaves the directory as it found it.
 
 Approach tokens name community structures when comparing:
 
@@ -34,6 +34,7 @@ are new in the reference.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -208,13 +209,27 @@ def _write(cfg: RunConfig, *files) -> None:
     """Write a step's files into cfg.out under the run's stamp; each file is
     (name, writer, *contents) and is written as writer(path, *contents,
     ctx). Every target is checked before the first write, so a directory
-    at any one of them leaves cfg.out as it was."""
+    at any one of them leaves cfg.out as it was. Each writer writes
+    <name>.tmp, and the temporaries replace their targets only once every
+    writer has returned: a write that fails, say on a full disk, removes
+    them and is a ConfigError, and cfg.out keeps its old files."""
     paths = [os.path.join(cfg.out, name) for name, *_ in files]
     for path in paths:
         reports._open_out(path, check_only=True)
     ctx = cfg.context()
-    for path, (_, writer, *contents) in zip(paths, files):
-        writer(path, *contents, ctx)
+    temps = []
+    try:
+        for path, (_, writer, *contents) in zip(paths, files):
+            temps.append(path + ".tmp")
+            writer(temps[-1], *contents, ctx)
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        for tmp in temps:  # after the renames, none is left
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def _load_layer_graph(out: str, scope: str) -> LayerGraph:

@@ -17,8 +17,9 @@ or inf, a repeated pair, a `# layer` of another scope), edge weights that
 are finite but huge, layer weights whose flattened sum no later step could
 read, detection settings that overflow the multislice quality, and record
 files that report cannot print.
-A step refused at a write, by a directory at one of its outputs or by the
-one write point refusing, leaves the output directory as it found it too.
+A step refused at a write, by a directory at one of its outputs, by a write
+that fails part way or by the one write point refusing, leaves the output
+directory as it found it too.
 A step reads every input before it computes: refused for a bad edge row, a
 stoplist entry or a pair of tokens, it calls none of pipeline's compute
 functions. compare and then characterize under other detection settings:
@@ -27,6 +28,7 @@ and the pair's seven files carry characterize's config hash.
 """
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -581,6 +583,37 @@ def test_a_step_refused_at_its_last_output_writes_nothing(tmp_path, capsys, k, l
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith(f"config error: cannot write {os.path.join(out, last)}: "), err
+    assert _digests(out) == before
+
+
+@pytest.mark.parametrize("k", [1, 2, 5], ids=["build", "detect", "characterize"])
+def test_a_step_whose_write_fails_writes_nothing(tmp_path, monkeypatch, capsys, k):
+    # a full disk at a step's second file left the files before it and that
+    # one truncated in out, and escaped the CLI as a traceback
+    synth_cfg, run_cfg = write_configs(tmp_path)
+    argv = [[step[0], "--config", synth_cfg if step == ("synth",) else run_cfg, *step[1:]]
+            for step in RECIPE_STEPS]
+    for earlier in argv[:k]:
+        assert main(earlier) == 0, earlier
+    out = os.path.join(str(tmp_path), "out")
+    write, failed = pipeline._write, []
+
+    def full_disk(path, *contents):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("# multicoord")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def second_write_fails(cfg, first, second, *rest):
+        failed.append(second[0])
+        write(cfg, first, (second[0], full_disk), *rest)
+
+    monkeypatch.setattr(pipeline, "_write", second_write_fails)
+    before = _digests(out)
+    capsys.readouterr()
+    assert main(argv[k]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: cannot write {os.path.join(out, failed[0])}: "
+                   f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"], err
     assert _digests(out) == before
 
 

@@ -1,17 +1,20 @@
 """Window arithmetic, TF-IDF matrices, cosine graphs, and window merging."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import edge_dict, from_pairs, tfidf_entries
+from multicoord import netbuild
 from multicoord.errors import DataError
 from multicoord.ingest import ActionEvent, ActorSet, EventLog
 from multicoord.netbuild import (MAX_WEIGHT, MAX_WINDOWS, EdgeRowError, LayerGraph, WindowTfidf,
-                                 _merged_layer, _window_ranges, build_multiplex,
+                                 _merged_layer, _window_bounds, build_multiplex,
                                  layer_window_graph, tfidf_windows, window_slices)
 
 H = 3600.0
@@ -54,10 +57,9 @@ def test_window_count_formula_cases():
 def test_window_membership_is_half_open():
     starts = window_slices((10.0, 15.0), 5.0, 5.0)
     assert starts == [10.0]
-    ts = np.array([10.0, 14.999, 9.999, 15.0])
-    lo, hi = _window_ranges(ts, starts[0], 5.0, 5.0, len(starts))
-    assert (lo <= hi).tolist() == [True, True, False, False]
-    assert lo[:2].tolist() == hi[:2].tolist() == [0, 0]
+    ts = np.array([9.999, 10.0, 14.999, 15.0])  # sorted
+    lo, hi = _window_bounds(ts, starts, 5.0)
+    assert ts[lo[0]:hi[0]].tolist() == [10.0, 14.999]
 
 
 def test_window_slices_validation():
@@ -353,6 +355,27 @@ def test_build_multiplex_refuses_an_unknown_layer():
     log = EventLog.from_events([ActionEvent("u1", "rtw", "A", 1.0)], time_span=(0.0, 20.0))
     with pytest.raises(ValueError, match="unknown layers \\['unfl-sum'\\]"):
         build_multiplex(log, actors_of("u1"), 10.0, 10.0, layers=("rtw", "unfl-sum"))
+
+
+def test_build_merges_one_window_of_tfidf_at_a_time(rng, monkeypatch):
+    # each window's TF-IDF entries are made as the merge reaches it, so an
+    # earlier window is dead by the time the next one is paired; the rows
+    # are not in time order
+    users, items = [f"u{k}" for k in range(8)], [f"i{k}" for k in range(40)]
+    log = EventLog.from_events([ActionEvent(users[rng.integers(8)], "rtw", items[rng.integers(40)],
+                                            float(t)) for t in rng.uniform(0.0, 60.0, 200)],
+                               time_span=(0.0, 60.0))
+    paired, cosine_pairs = [], netbuild._cosine_pairs
+
+    def tracked(m, n):
+        gc.collect()
+        assert all(ref() is None for ref in paired), f"{len(paired)} windows paired, one alive"
+        paired.append(weakref.ref(m))
+        return cosine_pairs(m, n)
+
+    monkeypatch.setattr(netbuild, "_cosine_pairs", tracked)
+    net = build_multiplex(log, actors_of(*users), 10.0, 5.0)
+    assert len(paired) >= 5 and net.layers["rtw"].n_edges
 
 
 def test_build_multiplex_boundary_event_exclusive():

@@ -37,7 +37,7 @@ from multicoord.ingest import (_CONTROL_CHARS, ACTIONS, HST, MEN, URL,  # noqa: 
 from multicoord.errors import reading  # noqa: E402
 from multicoord.netbuild import (CSR, MAX_WEIGHT, EdgeRowError, LayerGraph,  # noqa: E402
                                  MultiplexNetwork, WindowTfidf, _component_labels, _group_pairs,
-                                 _wedge_opens, _wedges, _window_ranges, build_multiplex,
+                                 _wedge_opens, _wedges, _window_bounds, build_multiplex,
                                  layer_window_graph, tfidf_windows, window_slices)
 from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER,  # noqa: E402
                                 PARTITION_HEADER, _n_components, _number, read_edges_tsv,
@@ -47,9 +47,9 @@ from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER,  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # network construction against the dict code it replaced: a Window.contains
-# scan of every event per layer-window (the oracle of _window_ranges, which
-# computes the same half-open rule on window_slices' starts), dict TF-IDF
-# vectors, and a CSR built from them
+# scan of every event per layer-window (the oracle of _window_bounds, which
+# slices the sorted stamps by the same half-open rule on window_slices'
+# starts), dict TF-IDF vectors, and a CSR built from them
 
 Vector = namedtuple("Vector", "user_id layer window_index entries")
 
@@ -301,20 +301,20 @@ def grids(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(grids(), st.data())
-def test_window_ranges_match_contains_scan(grid, data):
+def test_window_bounds_match_contains_scan(grid, data):
     t_min, t_max, width, shift, times = grid
     windows = oracle_windows((t_min, t_max), width, shift)
-    ts = data.draw(st.lists(times, min_size=1, max_size=20))
-    lo, hi = _window_ranges(np.array(ts), t_min, width, shift, len(windows))
-    for t, a, b in zip(ts, lo.tolist(), hi.tolist()):
-        assert [w.index for w in windows if w.contains(t)] == list(range(a, b + 1))
+    ts = sorted(data.draw(st.lists(times, min_size=1, max_size=20)))
+    lo, hi = _window_bounds(np.array(ts), [w.start for w in windows], width)
+    for w, a, b in zip(windows, lo.tolist(), hi.tolist()):
+        assert ts[a:b] == [t for t in ts if w.contains(t)]
 
 
 @st.composite
 def event_logs(draw):
     """(log, actors, width, shift): 1-5 layers, repeated events, items that
-    every active user of a window shares, users outside the actor set and
-    events on window edges."""
+    every active user of a window shares, users outside the actor set,
+    events on window edges, and rows in time order or not."""
     t_min, t_max, width, shift, times = draw(grids())
     layers = draw(st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=5, unique=True))
     users = [f"u{k}" for k in range(draw(st.integers(2, 7)))]
@@ -326,8 +326,9 @@ def event_logs(draw):
     for layer, t in draw(st.lists(st.tuples(st.sampled_from(layers), times), max_size=2)):
         events += [ActionEvent(u, layer, "viral", t) for u in users]
     actors = frozenset(draw(st.lists(st.sampled_from(users), min_size=1, unique=True)))
-    log = EventLog.from_events(sorted(events, key=lambda e: e.timestamp),
-                               time_span=(t_min, t_max))
+    if draw(st.booleans()):
+        events.sort(key=lambda e: e.timestamp)
+    log = EventLog.from_events(events, time_span=(t_min, t_max))
     return log, ActorSet({"rtw": actors}), width, shift
 
 
