@@ -297,8 +297,9 @@ def _degree_assortativity(sub: CSR) -> tuple[float, bool]:
 
 def _pagerank(csr: CSR, damping: float) -> np.ndarray:
     """Weighted PageRank on the CSR adjacency, uniform teleport, L1
-    stopping rule. The strength sums each row in order, and the transition
-    product accumulates row by row."""
+    stopping rule. The strength is each row's np.add.reduceat sum, which
+    adds a row of more than eight entries pairwise, not left to right; the
+    transition product accumulates row by row."""
     n = csr.degree.size
     strength = np.zeros(n)
     full = csr.degree > 0

@@ -15,10 +15,13 @@ as UTF-8 text is a DataError naming it.
 Events are code columns from the parse on, and ingest is the one place
 that encodes ids. An EventLog holds integer user and item codes that index
 sorted vocabularies, so code order is id order, an action code that indexes
-ACTIONS, and the timestamps as a float64 array. Stoplist filtering is a mask
-over the columns, actor selection a bincount, and the TF-IDF bucketing in
-netbuild starts from the codes. ActionEvent is only a row view, built on
-demand by EventLog.events for tests and demos.
+ACTIONS, and the timestamps as a float64 array. The rows are in time order
+by construction: EventLog sorts them once, stably by stamp, so no producer
+sorts its rows and the window slices in netbuild need no sort of their own.
+Stoplist filtering is a mask over the columns, actor selection a
+bincount, and the TF-IDF bucketing in netbuild starts from the codes.
+ActionEvent is only a row view, built on demand by EventLog.events for
+tests and demos.
 """
 
 from __future__ import annotations
@@ -98,11 +101,12 @@ class EventLog:
     read-only arrays, int32 codes and float64 timestamps. ``users`` and
     ``items`` are sorted tuples of distinct ids, so code order is id order;
     they hold every id of the rows and, after a mask, possibly more.
-    parse_events and synth.generate give the rows in time order; from_events
-    keeps the order it is given. Every stamp must be finite: a ValueError
-    names the first row that is not. ``time_span`` is (t_min, t_max). It
-    defaults to the observed event range but may be wider (e.g. the nominal
-    span of a generated log) so that window grids are stable under filtering.
+    The rows are in time order, whatever order they are given in: a stable
+    sort by stamp, so equal stamps keep the given order. Every stamp must be
+    finite: a ValueError names the first given row that is not.
+    ``time_span`` is (t_min, t_max). It defaults to the observed event
+    range but may be wider (e.g. the nominal span of a generated log) so
+    that window grids are stable under filtering.
     """
 
     user: np.ndarray = ()
@@ -115,18 +119,25 @@ class EventLog:
     rejects: tuple[RecordError, ...] = ()
 
     def __post_init__(self):
+        ts = np.asarray(self.ts, dtype=np.float64)
+        if not len(self.user) == len(self.action) == len(self.item) == len(ts):
+            raise ValueError("event columns differ in length")
+        finite = np.isfinite(ts)
+        if not finite.all():
+            row = int(finite.argmin())
+            raise ValueError(f"event row {row}: timestamp {ts[row].item()} is not finite")
+        # rows in time order are copied; any others are gathered through one
+        # stable argsort, which keeps the given order of equal stamps, -0.0
+        # and 0.0 included, and is the copy
+        order = None if (ts[1:] >= ts[:-1]).all() else np.argsort(ts, kind="stable")
         columns = (("user", np.int32), ("action", np.int32), ("item", np.int32),
                    ("ts", np.float64))
         for name, dtype in columns:
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
-        if not len(self.user) == len(self.action) == len(self.item) == len(self.ts):
-            raise ValueError("event columns differ in length")
+            col = ts if name == "ts" else getattr(self, name)
+            object.__setattr__(self, name, np.array(col, dtype=dtype) if order is None
+                               else np.asarray(col, dtype=dtype)[order])
         ts = self.ts
         if len(ts):
-            finite = np.isfinite(ts)
-            if not finite.all():
-                row = int(finite.argmin())
-                raise ValueError(f"event row {row}: timestamp {ts[row].item()} is not finite")
             # argmin and argmax keep the first of equal stamps, -0.0 or 0.0,
             # as Python's min and max do; ndarray.min and max need not. Both
             # copy a read-only array, so the columns are frozen after them
@@ -144,7 +155,8 @@ class EventLog:
 
     @classmethod
     def from_events(cls, events, time_span=None) -> "EventLog":
-        """A log of (user, action, item, timestamp) rows, in the order given."""
+        """A log of (user, action, item, timestamp) rows, in time order
+        whatever order they come in."""
         user, action, item, ts = tuple(zip(*events)) or ((), (), (), ())
         users, items = {}, {}  # id -> first-sight code, then the sorted vocabulary
         user, users = _sorted_codes(users, [users.setdefault(u, len(users)) for u in user])
@@ -274,7 +286,7 @@ def _json_ids(*values) -> list[str]:
 
 
 def parse_events(path, schema: str = "jsonl") -> EventLog:
-    """Parse an event file into a timestamp-sorted EventLog.
+    """Parse an event file into an EventLog.
 
     Supported schemas: "jsonl" (one JSON object per line with keys user,
     action, item, ts) and "tsv" (4 tab-separated columns in that order).
@@ -283,7 +295,8 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
     RecordError entries on the returned log instead of being silently
     dropped. The file is read line by line into four columns, ids as codes
     in order of first sight, which are renumbered in id order at the end;
-    rows with equal timestamps keep their file order. A file that cannot be
+    the columns go to EventLog as read, which puts them in time order (rows
+    with equal timestamps keep their file order). A file that cannot be
     read as UTF-8 text is a DataError naming it.
     """
     if schema not in EVENT_SCHEMAS:
@@ -360,15 +373,12 @@ def parse_events(path, schema: str = "jsonl") -> EventLog:
             actions.append(_ACTION_CODE[action])
             items.append(item_code.setdefault(item, len(item_code)))
             stamps.append(ts)
-    ts = np.array(stamps, dtype=float)
-    order = np.argsort(ts, kind="stable")  # stable: file order kept for ties
     if rejects:
         logger.warning("parse_events: rejected %d of %d lines from %s",
                        len(rejects), len(rejects) + len(stamps), path)
     user, users = _sorted_codes(user_code, users)
     item, items = _sorted_codes(item_code, items)
-    return EventLog(user[order], np.asarray(actions)[order], item[order], ts[order],
-                    users, items, rejects=tuple(rejects))
+    return EventLog(user, actions, item, stamps, users, items, rejects=tuple(rejects))
 
 
 def apply_stoplists(log: EventLog, stop: StopLists) -> EventLog:

@@ -2,11 +2,11 @@
 
 The build runs on the user, action and item codes of the EventLog (ingest
 encodes every id) and turns codes into names once per layer. The actor
-events of one action layer, sorted by stamp, are sliced into its sliding
-time windows: window k is the rows between two binary searches, for its
-start and for its end (_window_bounds), on the starts that window_slices
-returns, so the half-open rule start <= ts < start + width needs no
-arithmetic of its own. A few sorts of a window's rows give its TF-IDF
+events of one action layer, in time order as every EventLog is, are
+sliced into its sliding time windows: window k is the rows between two
+binary searches, for its start and for its end (_window_bounds), on the
+starts that window_slices returns, so the half-open rule
+start <= ts < start + width needs no arithmetic of its own. A few sorts of a window's rows give its TF-IDF
 entries, as CSR-ordered (row, col, weight) arrays: a row per active user,
 a column per item, with the users' and items' log codes alongside. Each
 window pairs the users of each item (its wedges, which characterize's
@@ -24,7 +24,7 @@ type.
 build_multiplex marks the actor rows of the log once per call, then takes
 these steps one layer at a time on the rows of that layer's action, and
 the merge takes the layer's windows one at a time as they are made: only
-that layer's sorted rows, one window's entries and pairs, and the running
+that layer's rows, one window's entries and pairs, and the running
 sums are alive. It builds the layers it is given, so a caller that builds
 one layer per call can drop each layer before it builds the next.
 tfidf_windows and layer_window_graph are the same steps for one window,
@@ -374,10 +374,9 @@ def _tfidf_windows(log: EventLog, keep: np.ndarray, layer: str, starts: Sequence
     """The WindowTfidf of each window of ``layer`` that holds a positive
     entry, in window order: the rows where ``keep`` is true, all of that
     action, over the windows that begin at ``starts``, with the users and
-    items of each window as the log's codes. Window k is a slice of the
-    rows sorted by stamp."""
-    order = np.argsort(log.ts[keep], kind="stable")  # from_events keeps any order
-    ts, user, item = (c[keep][order] for c in (log.ts, log.user, log.item))
+    items of each window as the log's codes. Window k is a slice of these
+    rows, which are in time order as the log's are."""
+    ts, user, item = (c[keep] for c in (log.ts, log.user, log.item))
     for k, (lo, hi) in enumerate(zip(*(b.tolist() for b in _window_bounds(ts, starts, width)))):
         if lo == hi:
             continue

@@ -215,7 +215,7 @@ def _write(cfg: RunConfig, *files) -> None:
     them and is a ConfigError, and cfg.out keeps its old files."""
     paths = [os.path.join(cfg.out, name) for name, *_ in files]
     for path in paths:
-        reports._open_out(path, check_only=True)
+        reports._check_out(path)
     ctx = cfg.context()
     temps = []
     try:
@@ -252,7 +252,7 @@ def run_synth(cfg: RunConfig) -> dict:
     if cfg.synth is None:
         raise ConfigError("config has no 'synth' section")
     events_path = os.path.join(cfg.out, "events.tsv")
-    reports._open_out(events_path, check_only=True)  # make out before the work
+    reports._check_out(events_path)  # make out before the work
     log, truth = generate(cfg.synth)
     records = [{
         "record": "synth_summary",
@@ -283,7 +283,7 @@ def run_build(cfg: RunConfig) -> dict:
     if cfg.input is None:
         raise ConfigError("config has no 'input' path")
     # make out before the parse, so that a place that cannot be written costs no work
-    reports._open_out(_edges_path(cfg.out, ACTIONS[0]), check_only=True)
+    reports._check_out(_edges_path(cfg.out, ACTIONS[0]))
     entries = {key: load_stoplist(path) for key, path in cfg.stoplists.items()}
     try:
         stop = StopLists.from_sets(**entries)

@@ -75,16 +75,13 @@ PARTITION_HEADER = ("user_id", "community_id")  # ground truth too
 MULTIPLEX_HEADER = ("user_id", "layer", "community_id")
 
 
-def _open_out(path: str, check_only: bool = False):
-    """``path`` opened for writing, its directory made first; with
-    check_only, the directory made and the path checked, but nothing opened.
-    A path that cannot be written, say under a file or at a directory, is a
-    ConfigError naming it: the run asked for an output place that does not
-    work."""
+def _check_out(path: str) -> None:
+    """Make the directory of ``path`` and check that no directory is at
+    ``path``. A path that cannot be written, say under a file or at a
+    directory, is a ConfigError naming it: the run asked for an output
+    place that does not work."""
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        if not check_only:
-            return open(path, "w", encoding="utf-8", newline="\n")
         if os.path.isdir(path):  # what open() would raise there
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     except OSError as exc:
@@ -107,7 +104,7 @@ def write_table(path: str, header, rows, ctx: ReportContext = UNSTAMPED, *,
     `# key value` line per directive, the header if there is one, then the
     rows. Header and rows are sequences of formatted fields, joined by tabs.
     """
-    with _open_out(path) as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# multicoord {ctx.version} config {ctx.cfg_hash}\n")
         fh.writelines(f"# {key} {value}\n" for key, value in directives)
         if header:
@@ -264,7 +261,7 @@ def write_overlap_tsv(path: str, O, ctx: ReportContext = UNSTAMPED) -> None:
 
 def write_records(path: str, records, ctx: ReportContext = UNSTAMPED) -> None:
     """JSON-lines file; first record is the meta record."""
-    with _open_out(path) as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(canonical_json({"record": "meta", "version": ctx.version,
                                  "config_sha256": ctx.cfg_hash}) + "\n")
         for rec in records:

@@ -26,7 +26,6 @@ import logging
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
-from operator import itemgetter
 
 import numpy as np
 
@@ -194,7 +193,6 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
                 rows += _window_events(rng, users, cfg.noise_rate, cfg.noise_pool_size,
                                        f"n.{layer}.", layer, start, width_s)
 
-    rows.sort(key=itemgetter(3, 0, 1, 2))
     log = EventLog.from_events(rows, time_span=(0.0, span_s))
     truth = GroundTruth(assignment=assignment, active_layers=active,
                         noise_users=noise_users)

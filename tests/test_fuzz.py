@@ -617,6 +617,23 @@ def test_a_step_whose_write_fails_writes_nothing(tmp_path, monkeypatch, capsys, 
     assert _digests(out) == before
 
 
+@pytest.mark.parametrize("name", ["edges_hst.tsv", "build_report.jsonl"])
+def test_a_directory_at_a_temporary_names_its_target(tmp_path, capsys, name):
+    # a directory at <target>.tmp gave "cannot write <target>.tmp", while a
+    # writer that failed later named <target>
+    synth_cfg, run_cfg = write_configs(tmp_path)
+    assert main(["synth", "--config", synth_cfg]) == 0
+    out = os.path.join(str(tmp_path), "out")
+    os.makedirs(os.path.join(out, name + ".tmp"))
+    before, listed = _digests(out), sorted(os.listdir(out))
+    capsys.readouterr()
+    assert main(["build", "--config", run_cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"config error: cannot write {os.path.join(out, name)}: "), err
+    assert _digests(out) == before and sorted(os.listdir(out)) == listed
+
+
 class _Refusal(Exception):
     pass
 

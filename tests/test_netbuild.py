@@ -360,7 +360,7 @@ def test_build_multiplex_refuses_an_unknown_layer():
 def test_build_merges_one_window_of_tfidf_at_a_time(rng, monkeypatch):
     # each window's TF-IDF entries are made as the merge reaches it, so an
     # earlier window is dead by the time the next one is paired; the rows
-    # are not in time order
+    # are given out of time order, which EventLog sorts
     users, items = [f"u{k}" for k in range(8)], [f"i{k}" for k in range(40)]
     log = EventLog.from_events([ActionEvent(users[rng.integers(8)], "rtw", items[rng.integers(40)],
                                             float(t)) for t in rng.uniform(0.0, 60.0, 200)],

@@ -314,7 +314,8 @@ def test_window_bounds_match_contains_scan(grid, data):
 def event_logs(draw):
     """(log, actors, width, shift): 1-5 layers, repeated events, items that
     every active user of a window shares, users outside the actor set,
-    events on window edges, and rows in time order or not."""
+    events on window edges, and rows given in time order or not, which
+    EventLog sorts."""
     t_min, t_max, width, shift, times = draw(grids())
     layers = draw(st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=5, unique=True))
     users = [f"u{k}" for k in range(draw(st.integers(2, 7)))]
@@ -1575,6 +1576,26 @@ def test_time_span_is_the_first_min_and_max(stamps):
         [(t, math.copysign(1.0, t)) for t in want]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3"]), st.sampled_from(ACTIONS),
+                          st.sampled_from(["a", "b"]),
+                          repeated_times | st.floats(allow_nan=False, allow_infinity=False)),
+                max_size=40))
+@example([("u1", "rtw", "a", 1.5), ("u2", "rtw", "a", 0.0), ("u3", "rtw", "a", -0.0),
+          ("u1", "hst", "b", 0.0)])
+def test_event_log_is_in_stable_time_order(rows):
+    # built from rows or from code columns, a log holds the rows sorted
+    # stably by stamp: equal stamps, -0.0 and 0.0 among them, keep the
+    # given order
+    want = _exact(ActionEvent(*r) for r in sorted(rows, key=lambda r: r[3]))
+    assert _exact(EventLog.from_events(rows).events) == want
+    users, items = sorted({r[0] for r in rows}), sorted({r[2] for r in rows})
+    log = EventLog([users.index(r[0]) for r in rows], [ACTIONS.index(r[1]) for r in rows],
+                   [items.index(r[2]) for r in rows], [r[3] for r in rows],
+                   tuple(users), tuple(items))
+    assert _exact(log.events) == want
+
+
 @pytest.mark.parametrize("cache_size", [1, 2, 4096])
 def test_parse_events_domain_cache_keeps_rejects(cache_size):
     # repeated good and bad URLs, with the cache emptied every few rows
@@ -1604,7 +1625,7 @@ def test_stoplists_and_selection_match_object_loops(rows, tags, mentions, domain
     log = EventLog.from_events(events)
     stop = StopLists.from_sets(hashtags=tags, mentions=mentions, url_domains=domains)
     out = apply_stoplists(log, stop)
-    kept = apply_stoplists_oracle(events, stop)
+    kept = sorted(apply_stoplists_oracle(events, stop), key=lambda e: e.timestamp)
     assert _exact(out.events) == _exact(kept)
     assert out.time_span == (log.time_span if kept else None)
     assert out.rejects == log.rejects
