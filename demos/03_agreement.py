@@ -52,8 +52,11 @@ print(f"\nmatching: total overlap {M.total:.3f}")
 for a_idx, b_idx in M.pairs:
     print(f"  a{O.a_ids[a_idx]} <-> b{O.b_ids[b_idx]}  "
           f"o = {O.overlap(a_idx, b_idx):.3f}")
-print(f"  unmatched on A side: {[O.a_ids[i] for i in M.unmatched_a]}")
-print(f"  unmatched on B side: {[O.b_ids[i] for i in M.unmatched_b]}")
+# every index of the larger side that no pair holds is unmatched
+matched_a = {a for a, _ in M.pairs}
+matched_b = {b for _, b in M.pairs}
+print(f"  unmatched on A side: {[c for i, c in enumerate(O.a_ids) if i not in matched_a]}")
+print(f"  unmatched on B side: {[c for i, c in enumerate(O.b_ids) if i not in matched_b]}")
 
 labels_a, labels_b = label_communities(O, M, theta=0.5)
 print("\ncommunity labels at theta = 0.5:")

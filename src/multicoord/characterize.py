@@ -89,13 +89,12 @@ NODE_METRIC_NAMES = _metric_names(NodeMetrics)
 
 @dataclass(frozen=True)
 class TestResult:
-    """Two-sided Brunner-Munzel outcome."""
+    """Two-sided Brunner-Munzel outcome with Satterthwaite degrees of
+    freedom; the sample sizes are the lengths of the caller's samples."""
 
     statistic: float
     p_value: float
     df: float
-    n_x: int
-    n_y: int
 
 
 class Eigen(NamedTuple):
@@ -497,8 +496,7 @@ def brunner_munzel(x, y) -> TestResult:
     statistic = nx * ny * (ry_mean - rx_mean) / ((nx + ny) * math.sqrt(pooled))
     df = pooled ** 2 / ((nx * sx) ** 2 / (nx - 1) + (ny * sy) ** 2 / (ny - 1))
     p_value = 2.0 * _t_tail(float(df), -abs(float(statistic)))  # two-sided t tail
-    return TestResult(statistic=float(statistic), p_value=min(1.0, p_value),
-                      df=float(df), n_x=nx, n_y=ny)
+    return TestResult(statistic=float(statistic), p_value=min(1.0, p_value), df=float(df))
 
 
 def significance_band(p: float) -> str:

@@ -97,13 +97,13 @@ class OverlapMatrix:
 class MatchResult:
     """Optimal one-to-one matching over an OverlapMatrix.
 
-    pairs holds (a_idx, b_idx) index pairs into the matrix registries;
-    exactly min(k_a, k_b) pairs, the rest of the larger side is unmatched.
+    pairs holds (a_idx, b_idx) index pairs into the matrix registries,
+    sorted; exactly min(k_a, k_b) pairs, and an index of the larger side
+    that no pair holds is unmatched. total is the sum of the matched
+    overlaps.
     """
 
     pairs: tuple[tuple[int, int], ...]
-    unmatched_a: tuple[int, ...]
-    unmatched_b: tuple[int, ...]
     total: float
 
 
@@ -198,21 +198,13 @@ def hungarian_match(O: OverlapMatrix) -> MatchResult:
         raise ValueError("overlap matrix contains non-finite values")
     k_b, k_a = O.values.shape
     if min(k_a, k_b) == 0:
-        return MatchResult(pairs=(), unmatched_a=tuple(range(k_a)),
-                           unmatched_b=tuple(range(k_b)), total=0.0)
+        return MatchResult(pairs=(), total=0.0)
     n = max(k_a, k_b)
     cost = np.zeros((n, n))
     cost[:k_b, :k_a] = -O.values
     row_to_col = _solve_min_assignment(cost)
     pairs = tuple(sorted((c, r) for r, c in enumerate(row_to_col[:k_b]) if c < k_a))
-    total = math.fsum(O.values[b, a] for a, b in pairs)
-    matched_a = {a for a, _ in pairs}
-    matched_b = {b for _, b in pairs}
-    return MatchResult(
-        pairs=pairs,
-        unmatched_a=tuple(i for i in range(k_a) if i not in matched_a),
-        unmatched_b=tuple(i for i in range(k_b) if i not in matched_b),
-        total=total)
+    return MatchResult(pairs=pairs, total=math.fsum(O.values[b, a] for a, b in pairs))
 
 
 def label_communities(O: OverlapMatrix, M: MatchResult, theta: float = 0.5) -> tuple[dict, dict]:

@@ -4,8 +4,10 @@ Stage one keeps edges backed by at least th_a shared distinct items
 (co_actions), where th_a is either fixed or auto-selected as the smallest
 integer whose surviving node count fits a node budget. Stage two keeps
 edges with weight at or above a threshold, by default the median weight of
-the stage-one graph. Each stage is a boolean mask over the graph's edge
-rows; nodes left without an edge are pruned after each stage.
+the stage-one graph. filter_layer runs both stages, each a boolean mask
+over the graph's edge rows; nodes left without an edge are pruned after
+each stage. FilterConfig is the one place that checks th_a and the weight
+rule.
 
 The median is the lower median: element (n - 1) // 2 of the sorted
 weights, so it is always an actual edge weight and the kept set is never
@@ -64,13 +66,6 @@ class FilterReport:
     edges_final: int = 0
 
 
-def filter_by_actions(g: LayerGraph, th_a: int) -> LayerGraph:
-    """Keep edges with co_actions >= th_a and drop isolated nodes."""
-    if th_a < 1:
-        raise ValueError(f"th_a must be >= 1, got {th_a}")
-    return g.edge_subgraph(g.co_actions >= th_a)
-
-
 def auto_threshold(g: LayerGraph, max_nodes: int) -> int:
     """Smallest th_a whose filtered graph has at most max_nodes nodes.
 
@@ -92,36 +87,25 @@ def auto_threshold(g: LayerGraph, max_nodes: int) -> int:
     return int(best[max_nodes]) + 1
 
 
-def filter_by_weight(g: LayerGraph, rule: str = "median",
-                     value: float | None = None) -> tuple[LayerGraph, float]:
-    """Keep edges with weight >= threshold; returns (graph, threshold used).
-
-    rule 'median' uses the lower median of the current edge weights, rule
-    'fixed' uses the provided value. An empty input graph passes through
-    (threshold 0.0).
-    """
-    if rule not in WEIGHT_RULES:
-        raise ValueError(f"rule must be one of {WEIGHT_RULES}, got {rule!r}")
-    if not g.n_edges:
-        return LayerGraph(layer=g.layer), 0.0
-    if rule == "median":
-        threshold = float(np.sort(g.weight)[(g.n_edges - 1) // 2])
-    else:
-        if value is None:
-            raise ValueError("rule 'fixed' needs a value")
-        threshold = float(value)
-    return g.edge_subgraph(g.weight >= threshold), threshold
-
-
 def filter_layer(g: LayerGraph, cfg: FilterConfig) -> tuple[LayerGraph, FilterReport]:
-    """Run both stages on one layer and report before/after sizes."""
+    """Run both stages on one layer and report before/after sizes.
+
+    cfg has checked th_a and the weight rule. Stage two runs only when
+    stage one kept an edge; otherwise the threshold is None and the empty
+    stage-one graph is the result.
+    """
     auto = cfg.th_a is None
     th_a = auto_threshold(g, cfg.max_nodes) if auto else cfg.th_a
-    stage1 = filter_by_actions(g, th_a)
-    stage2, threshold = filter_by_weight(stage1, cfg.weight_rule, cfg.weight_value)
+    stage1 = stage2 = g.edge_subgraph(g.co_actions >= th_a)
+    threshold = None
+    if stage1.n_edges:
+        if cfg.weight_rule == "median":
+            threshold = float(np.sort(stage1.weight)[(stage1.n_edges - 1) // 2])
+        else:
+            threshold = float(cfg.weight_value)
+        stage2 = stage1.edge_subgraph(stage1.weight >= threshold)
     report = FilterReport(layer=g.layer, th_a=th_a, th_a_auto=auto,
-                          weight_rule=cfg.weight_rule,
-                          weight_threshold=threshold if stage1.n_edges else None,
+                          weight_rule=cfg.weight_rule, weight_threshold=threshold,
                           nodes_raw=g.n_nodes, edges_raw=g.n_edges,
                           nodes_actions=stage1.n_nodes, edges_actions=stage1.n_edges,
                           nodes_final=stage2.n_nodes, edges_final=stage2.n_edges)
@@ -130,7 +114,7 @@ def filter_layer(g: LayerGraph, cfg: FilterConfig) -> tuple[LayerGraph, FilterRe
     logger.info("layer %s: %d/%d -> th_a=%d -> %d/%d -> w>=%s -> %d/%d",
                 g.layer, g.n_nodes, g.n_edges, th_a,
                 stage1.n_nodes, stage1.n_edges,
-                f"{threshold:g}" if stage1.n_edges else "-",
+                "-" if threshold is None else f"{threshold:g}",
                 stage2.n_nodes, stage2.n_edges)
     return stage2, report
 

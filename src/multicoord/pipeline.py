@@ -153,8 +153,6 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 < self.fraction <= 1.0):
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.width_hours <= 0 or self.shift_hours <= 0:
-            raise ValueError("width_hours and shift_hours must be positive")
         check_hours(width_hours=self.width_hours, shift_hours=self.shift_hours)
         if self.schema not in EVENT_SCHEMAS:
             raise ValueError(f"schema must be tsv or jsonl, got {self.schema!r}")
@@ -270,7 +268,7 @@ def run_synth(cfg: RunConfig) -> dict:
 
 # ---------------------------------------------------------------- build
 
-def run_build(cfg: RunConfig) -> dict:
+def run_build(cfg: RunConfig) -> None:
     """Ingest, select actors, build and filter the multiplex network one
     layer at a time, and write per-layer edge lists plus the filter / stats
     / coverage reports.
@@ -329,7 +327,6 @@ def run_build(cfg: RunConfig) -> dict:
            ("actors.tsv", reports.write_table, ("user_id",), ((u,) for u in sorted(actors.actors))),
            ("build_report.jsonl", reports.write_records, records))
     logger.info("build: wrote %d layers to %s", len(ACTIONS), cfg.out)
-    return {"out": cfg.out, "n_layers": len(ACTIONS)}
 
 
 # ---------------------------------------------------------------- detect

@@ -49,9 +49,11 @@ def check_seed(seed: int) -> int:
 
 
 def check_hours(**hours: float) -> None:
-    """The one rule for a time span given in hours: it must still be finite
-    once in seconds (x 3600), the unit of every timestamp."""
+    """The one rule for a time span given in hours: it must be positive, and
+    still finite once in seconds (x 3600), the unit of every timestamp."""
     for name, h in hours.items():
+        if h <= 0:
+            raise ValueError(f"{name} must be positive, got {h!r} hours")
         if not math.isfinite(h * 3600.0):
             raise ValueError(f"{name} must be finite in seconds, got {h!r} hours")
 
@@ -112,8 +114,6 @@ class SynthConfig:
                             "shared by every active user is nulled by TF-IDF")
         if self.noise_rate > 0 and self.noise_pool_size < 1:
             raise DataError("noise_pool_size must be >= 1 when noise_rate > 0")
-        if self.width_hours <= 0 or self.shift_hours <= 0:
-            raise ValueError("width_hours and shift_hours must be positive")
         check_hours(width_hours=self.width_hours, shift_hours=self.shift_hours,
                     span_hours=self.span_hours)
         if self.span_hours < self.width_hours:

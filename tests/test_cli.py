@@ -314,7 +314,7 @@ def test_config_errors_exit_1(workdir, tmp_path, capsys):
             ({"detection": {"min_size": -1}}, "detection: min_size must be >= 0, got -1"),
             ({"filter": {"max_nodes": 0}}, "filter: max_nodes must be >= 1, got 0"),
             ({"fraction": 2}, "config: fraction must be in (0, 1], got 2.0"),
-            ({"shift_hours": 0}, "config: width_hours and shift_hours must be positive"),
+            ({"shift_hours": 0}, "config: shift_hours must be positive, got 0.0 hours"),
             # finite hours whose seconds are not: build and synth ended in a
             # ValueError traceback from window_slices, or in a data error
             # blaming the timestamps

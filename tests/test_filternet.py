@@ -3,9 +3,8 @@
 import pytest
 
 from conftest import edge_dict, from_pairs
-from multicoord.filternet import (FilterConfig, auto_threshold,
-                                  filter_by_actions, filter_by_weight,
-                                  filter_layer, filter_multiplex)
+from multicoord.filternet import (FilterConfig, auto_threshold, filter_layer,
+                                  filter_multiplex)
 from multicoord.netbuild import LayerGraph, MultiplexNetwork
 
 
@@ -19,12 +18,19 @@ def co_graph():
 # co-action stage
 
 
-def test_filter_by_actions_keeps_at_threshold():
-    g = filter_by_actions(co_graph(), 3)
+def test_actions_stage_keeps_at_threshold():
+    # a fixed weight below every weight keeps all of stage one's edges
+    def stage1(th_a):
+        return filter_layer(co_graph(), FilterConfig(th_a=th_a, weight_rule="fixed",
+                                                     weight_value=0.0))
+    g, rep = stage1(3)
+    assert (rep.nodes_actions, rep.edges_actions) == (4, 2)
     assert set(edge_dict(g)) == {("a", "b"), ("c", "d")}
     assert g.nodes == ("a", "b", "c", "d")   # e, f pruned as isolates
-    assert filter_by_actions(co_graph(), 2).n_edges == 3
-    assert filter_by_actions(co_graph(), 4).n_edges == 0
+    assert stage1(2)[1].edges_actions == 3
+    g4, rep4 = stage1(4)
+    assert (rep4.nodes_actions, rep4.edges_actions) == (0, 0)
+    assert g4.n_edges == 0 and rep4.weight_threshold is None
 
 
 def test_auto_threshold_smallest_integer_within_budget():
@@ -37,7 +43,7 @@ def test_auto_threshold_smallest_integer_within_budget():
     assert auto_threshold(g, max_nodes=100) == 1
     # nothing fits: returns a threshold above the largest co count
     assert auto_threshold(g, max_nodes=3) == 4
-    assert filter_by_actions(g, 4).n_nodes == 0
+    assert filter_layer(g, FilterConfig(th_a=4))[1].nodes_actions == 0
     assert auto_threshold(LayerGraph("rtw"), max_nodes=1) == 1
     with pytest.raises(ValueError):
         auto_threshold(g, max_nodes=0)
@@ -59,46 +65,43 @@ def test_auto_threshold_agrees_with_direct_scan(rng):
         budget = int(rng.integers(1, n + 3))
         got = auto_threshold(g, budget)
         feasible = [th for th in range(1, int(g.co_actions.max()) + 2)
-                    if filter_by_actions(g, th).n_nodes <= budget]
+                    if g.edge_subgraph(g.co_actions >= th).n_nodes <= budget]
         assert got == min(feasible)
 
 
 # ---------------------------------------------------------------------------
-# weight stage
+# weight stage: th_a=1 keeps every edge in stage one, as every co_actions
+# is >= 1
 
 
 def test_weight_median_is_lower_median():
     g = from_pairs("rtw", [
         ("a", "b", 1.0), ("c", "d", 2.0), ("e", "f", 3.0), ("g", "h", 4.0)])
-    out, th = filter_by_weight(g, "median")
-    assert th == 2.0                       # lower median of [1,2,3,4]
+    out, rep = filter_layer(g, FilterConfig(th_a=1))
+    assert rep.weight_threshold == 2.0     # lower median of [1,2,3,4]
     assert out.weight.tolist() == [2.0, 3.0, 4.0]
     assert out.nodes == ("c", "d", "e", "f", "g", "h")
 
     g3 = from_pairs("rtw", [("a", "b", 1.0), ("c", "d", 2.0),
                                        ("e", "f", 3.0)])
-    _, th3 = filter_by_weight(g3, "median")
-    assert th3 == 2.0                      # middle of an odd count
+    _, rep3 = filter_layer(g3, FilterConfig(th_a=1))
+    assert rep3.weight_threshold == 2.0    # middle of an odd count
 
     g1 = from_pairs("rtw", [("a", "b", 0.5)])
-    out1, th1 = filter_by_weight(g1, "median")
-    assert th1 == 0.5 and out1.n_edges == 1
+    out1, rep1 = filter_layer(g1, FilterConfig(th_a=1))
+    assert rep1.weight_threshold == 0.5 and out1.n_edges == 1
 
 
 def test_weight_fixed_rule():
-    g = co_graph()
-    out, th = filter_by_weight(g, "fixed", 0.85)
-    assert th == 0.85
+    cfg = FilterConfig(th_a=1, weight_rule="fixed", weight_value=0.85)
+    out, rep = filter_layer(co_graph(), cfg)
+    assert rep.weight_threshold == 0.85
     assert list(edge_dict(out)) == [("a", "b")]
-    with pytest.raises(ValueError):
-        filter_by_weight(g, "fixed", None)
-    with pytest.raises(ValueError):
-        filter_by_weight(g, "quantile")
 
 
 def test_weight_filter_empty_graph_passes_through():
-    out, th = filter_by_weight(LayerGraph("rtw"), "median")
-    assert out.n_edges == 0 and th == 0.0
+    out, rep = filter_layer(LayerGraph("rtw"), FilterConfig(th_a=1))
+    assert out.n_edges == 0 and out.nodes == () and rep.weight_threshold is None
 
 
 # ---------------------------------------------------------------------------
