@@ -13,17 +13,26 @@ synth seed for the synth command); --out overrides the output directory.
 Both overrides are part of the effective config, so they change the config
 hash embedded in the reports. Only detect and synth read a seed, so only
 they take --seed; --layer goes with --mode mono alone.
+
+A CLI process runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
+says otherwise: the LAPACK calls here are small (the Lanczos steps' eigh
+of a tridiagonal matrix of at most 128 rows), and on more threads they
+wait on thread hand-offs. The variable is set before numpy loads, so a
+caller's own setting wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import replace
 
 from .errors import ConfigError, DataError, InvariantError
-from .pipeline import (DETECT_MODES, RunConfig, run_build, run_characterize,
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before .pipeline loads numpy
+from .pipeline import (DETECT_MODES, RunConfig, run_build, run_characterize,  # noqa: E402
                        run_compare, run_detect, run_report, run_synth)
 
 logger = logging.getLogger(__name__)

@@ -62,6 +62,8 @@ GAIN_TOLERANCE = 1e-10
 
 UNION_STRATEGIES = ("nw", "ec", "sum")
 
+_FSUM_BLOCK = 1 << 12  # flattened pairs whose weights are summed per block
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -296,9 +298,16 @@ def _aggregate(csr: CSR, strength: np.ndarray,
     """
     live, new = np.unique(comm, return_inverse=True)
     k = len(live)
-    cu, cv = new[csr.rows()], new[csr.indices]
-    between = cu != cv
-    keys, weight, *_ = _sum_by_key(cu[between] * k + cv[between], csr.weight[between])
+    # each entry's (row, neighbour) super-node pair as one key, made in
+    # place, and each per-entry array dropped once the next is made from it
+    key, cv = new[csr.rows()], new[csr.indices]
+    between = key != cv
+    key *= k
+    key += cv
+    del cv
+    key, weight = key[between], csr.weight[between]
+    del between
+    keys, weight, *_ = _sum_by_key(key, weight)
     strength = np.column_stack([np.bincount(new, weights=col, minlength=k) for col in strength.T])
     return CSR(_row_pointer(keys // k, k), keys % k, weight), strength, new
 
@@ -374,27 +383,53 @@ def louvain(g: LayerGraph, gamma: float = 1.0, seed: int = 42) -> Partition:
 def _supra_graph(net: MultiplexNetwork, omega: float) -> tuple[
         list[tuple[str, str]], CSR, np.ndarray, list[float], float]:
     """The level 0 of the (actor, layer) supra-graph: its node names, its
-    CSR and strength table, each layer's 2m and the total coupling weight."""
+    CSR and strength table, each layer's 2m and the total coupling weight.
+
+    Supra-node r's neighbours, in increasing order, are its actor's copies
+    in earlier layers, its lower then its upper neighbours in its layer,
+    and its actor's copies in later layers. So the CSR is stacked from four
+    halves in that order (CSR.stacked): the coupling pairs as (b, a), the
+    layers' (v, u) and (u, v) rows, layer by layer as CSR.symmetric takes
+    them, and the coupling pairs as (a, b), sorted by (a, b) once. Each
+    part is made only once the one before it is written.
+    """
     names, a, b = _supra_nodes(net)
     if not names:
         raise DataError("cannot run generalized_louvain on an empty network")
     graphs = list(net.layers.values())
     # supra-node offset + i is (g.nodes[i], layer)
     offsets = np.cumsum([0] + [g.n_nodes for g in graphs]).tolist()
-    strength = np.zeros((len(names), len(graphs)))
+    n = len(names)
+    strength = np.zeros((n, len(graphs)))
     two_m = [0.0] * len(graphs)
+    coupling_total = omega * 2.0 * len(a)
+    if omega == 0.0:  # no coupling entries
+        a = b = a[:0]
+    # an actor's pairs are one run, in b order for each a
+    by_a = np.argsort(a, kind="stable")
+    a, b = a[by_a], b[by_a]
+    del by_a
+    # per supra-node: coupling below, each layer's lower and upper rows, coupling above
+    counts = np.zeros((n, 2 * len(graphs) + 2), dtype=np.int64)
+    counts[:, 0] = np.bincount(b, minlength=n)
+    counts[:, -1] = np.bincount(a, minlength=n)
     for s, (off, g) in enumerate(zip(offsets, graphs)):
         strength[off:off + g.n_nodes, s] = _strengths(g)
         if g.n_edges:
             two_m[s] = float(np.cumsum(2.0 * g.weight)[-1])  # left to right
-    u, v, w = ([off + g.u for off, g in zip(offsets, graphs)],
-               [off + g.v for off, g in zip(offsets, graphs)], [g.weight for g in graphs])
-    if omega != 0.0:
-        u.append(a)
-        v.append(b)
-        w.append(np.full(len(a), omega))
-    csr = CSR.symmetric(len(names), *map(np.concatenate, (u, v, w)))
-    return names, csr, strength, two_m, omega * 2.0 * len(a)
+        counts[off:off + g.n_nodes, 2 * s + 1] = np.bincount(g.v, minlength=g.n_nodes)
+        counts[off:off + g.n_nodes, 2 * s + 2] = np.bincount(g.u, minlength=g.n_nodes)
+
+    def parts():
+        yield a[np.argsort(b, kind="stable")], omega
+        for off, g in zip(offsets, graphs):
+            lower = np.argsort(g.v, kind="stable")
+            yield off + g.u[lower], g.weight[lower]
+            del lower
+            yield off + g.v, g.weight
+        yield b, omega
+
+    return names, CSR.stacked(counts, parts()), strength, two_m, coupling_total
 
 
 def generalized_louvain(net: MultiplexNetwork, gamma: float = 1.0,
@@ -423,8 +458,13 @@ def _flatten(graphs: list[LayerGraph], scope: str) -> tuple[LayerGraph, np.ndarr
     def stacked(column, dtype):
         return np.concatenate([np.zeros(0, dtype), *(getattr(g, column) for g in graphs)])[order]
 
-    w, b = stacked("weight", float).tolist(), bounds.tolist()
-    weight = np.array([math.fsum(w[lo:hi]) for lo, hi in zip(b, b[1:])], dtype=float)
+    w, weight = stacked("weight", float), np.empty(len(u))
+    # the fsums of a block of pairs at a time, so one block's weights are Python floats
+    for lo in range(0, len(u), _FSUM_BLOCK):
+        b = bounds[lo:lo + _FSUM_BLOCK + 1]
+        block, b = w[b[0]:b[-1]].tolist(), (b - b[0]).tolist()
+        weight[lo:lo + len(b) - 1] = [math.fsum(block[i:j]) for i, j in zip(b, b[1:])]
+    del w
     co, wc = (np.add.reduceat(stacked(c, np.int64), bounds[:-1])
               for c in ("co_actions", "window_count"))
     return LayerGraph(scope, nodes, u, v, weight, co, wc), np.diff(bounds)

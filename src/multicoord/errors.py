@@ -32,6 +32,18 @@ class DegenerateSampleError(MulticoordError):
     """A statistical test cannot be computed (zero variance estimate)."""
 
 
+class RowError(ValueError):
+    """Row ``row`` (0-based, in input order) of a table that its reader
+    cannot take, and why; a reader turns it into a DataError naming the
+    row's line."""
+
+    what = "row"
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"{self.what} {row}: {reason}")
+        self.row, self.reason = row, reason
+
+
 def _first_bad_line(path) -> str | None:
     """Where the first byte of ``path`` that is not UTF-8 lies, as "line
     <n>, byte <k>: not UTF-8 (<reason>)" counted from 1; None if every

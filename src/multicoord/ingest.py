@@ -83,12 +83,20 @@ class RecordError:
     reason: str
 
 
+def _sorted_vocab(first_seen: dict[str, int], dtype=np.int32) -> tuple[tuple[str, ...],
+                                                                      np.ndarray]:
+    """The sorted vocabulary of ``first_seen`` (id -> code in order of first
+    sight), and per first-sight code the id's position in it."""
+    vocab = tuple(sorted(first_seen))
+    rank = np.empty(len(vocab), dtype=dtype)
+    rank[list(map(first_seen.__getitem__, vocab))] = np.arange(len(vocab))
+    return vocab, rank
+
+
 def _sorted_codes(first_seen: dict[str, int], codes) -> tuple[np.ndarray, tuple[str, ...]]:
     """Codes numbered in order of first sight, renumbered into the sorted
     vocabulary of ``first_seen`` (id -> first-sight code), and that vocabulary."""
-    vocab = tuple(sorted(first_seen))
-    rank = np.empty(len(vocab), dtype=np.int32)
-    rank[list(map(first_seen.__getitem__, vocab))] = np.arange(len(vocab))
+    vocab, rank = _sorted_vocab(first_seen)
     return rank[np.asarray(codes, dtype=np.int32)], vocab
 
 

@@ -40,8 +40,11 @@ A LayerGraph is a sorted node tuple plus COO edge arrays sorted by
 batch of a layer's new pairs, sums each Louvain level into the next, and
 serves _group_pairs, which re-keys graphs onto their node union for the
 flattenings and edge coverage. CSR is the one symmetric adjacency type, of
-every Louvain level and every characterized graph, and every component
-labelling comes from here too.
+every Louvain level and every characterized graph. A level-0 CSR is
+stacked from parts whose entries are already in row order, each written
+in place (CSR.stacked): a LayerGraph's (u, v) rows are one half as they
+are, and one stable sort by row makes its (v, u) rows the other, so no
+lexsort runs. Every component labelling comes from here too.
 
 IDF is computed within each layer-window (idf = ln(N_w / df)), so items
 used by every active user in a window are nulled: window-local virality
@@ -58,7 +61,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, RowError
 from .ingest import ACTIONS, ActorSet, EventLog
 
 logger = logging.getLogger(__name__)
@@ -72,12 +75,10 @@ logger = logging.getLogger(__name__)
 MAX_WEIGHT = 1e100
 
 
-class EdgeRowError(ValueError):
+class EdgeRowError(RowError):
     """Edge row ``row`` (0-based, in input order) that no LayerGraph holds."""
 
-    def __init__(self, row: int, reason: str):
-        super().__init__(f"edge row {row}: {reason}")
-        self.row, self.reason = row, reason
+    what = "edge row"
 
 
 def _ints(values=()) -> np.ndarray:
@@ -131,43 +132,66 @@ class LayerGraph:
         """Build a graph from row-aligned columns of edges in any order:
         endpoint names, then weights and counts, as numbers or as text that
         float and int take. ``nodes`` adds isolated nodes. Raises
-        EdgeRowError for the first row that is not numeric, holds a number
-        beyond float or int, or has a count outside int64, and then for the
-        first that is a self-loop or a pair already seen, or has a non-finite
-        or non-positive weight, a weight above MAX_WEIGHT or a count below 1.
+        EdgeRowError as _edge_numbers and then as from_codes do.
         """
-        n = len(weight)
-        try:
-            w = np.fromiter(map(float, weight), float, n)
-            co = np.fromiter(map(int, co_actions), np.int64, n)
-            wc = np.fromiter(map(int, window_count), np.int64, n)
-        except (ValueError, OverflowError):
-            for k, r in enumerate(zip(weight, co_actions, window_count)):
-                try:
-                    counts = float(r[0]), int(r[1]), int(r[2])
-                except ValueError:
-                    raise EdgeRowError(k, f"not a number in {r!r}") from None
-                except OverflowError:  # an int weight beyond float, an infinite count
-                    raise EdgeRowError(k, f"number out of range in {r!r}") from None
-                if not all(-2**63 <= c < 2**63 for c in counts[1:]):
-                    raise EdgeRowError(k, f"count outside int64 in {r!r}")
-            raise
+        w, co, wc = _edge_numbers(weight, co_actions, window_count)
         names = tuple(sorted(set(a).union(b, nodes)))
         index = {x: k for k, x in enumerate(names)}
-        ia = np.fromiter(map(index.__getitem__, a), np.int64, n)
-        ib = np.fromiter(map(index.__getitem__, b), np.int64, n)
-        u, v = np.minimum(ia, ib), np.maximum(ia, ib)
-        order = np.lexsort((v, u))
-        repeat = np.zeros(n, dtype=bool)
-        repeat[order[1:]] = (u[order[1:]] == u[order[:-1]]) & (v[order[1:]] == v[order[:-1]])
-        problems = (("self-loop", ia == ib), ("pair already seen", repeat),
+        ia = np.fromiter(map(index.__getitem__, a), np.int64, len(w))
+        ib = np.fromiter(map(index.__getitem__, b), np.int64, len(w))
+        return cls.from_codes(layer, names, ia, ib, w, co, wc)
+
+    @classmethod
+    def from_codes(cls, layer: str, nodes: tuple, a: np.ndarray, b: np.ndarray,
+                   w: np.ndarray, co: np.ndarray, wc: np.ndarray) -> "LayerGraph":
+        """Build a graph from row-aligned arrays of edges in any order: the
+        endpoints as int64 positions in the sorted tuple ``nodes``, float
+        weights, and int64 co_actions and window counts. Raises EdgeRowError
+        for the first row that is a self-loop or a pair already seen, or has
+        a non-finite or non-positive weight, a weight above MAX_WEIGHT or a
+        count below 1.
+        """
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        loop, repeat = u == v, np.zeros(len(u), dtype=bool)
+        # rows in (u, v) order, as every written edge list's are, stay in place
+        if ((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (v[1:] > v[:-1])).all():
+            order = slice(None)
+        else:
+            order = np.lexsort((v, u))
+            u, v = u[order], v[order]
+            repeat[order[1:]] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+        problems = (("self-loop", loop), ("pair already seen", repeat),
                     ("weight not finite and positive", ~(np.isfinite(w) & (w > 0))),
                     (f"weight above {MAX_WEIGHT:g}", w > MAX_WEIGHT),
                     ("co_actions or window_count below 1", (co < 1) | (wc < 1)))
         bad = [(int(np.argmax(mask)), reason) for reason, mask in problems if mask.any()]
         if bad:
             raise EdgeRowError(*min(bad, key=lambda kr: kr[0]))
-        return cls(layer, names, u[order], v[order], w[order], co[order], wc[order])
+        return cls(layer, nodes, u, v, w[order], co[order], wc[order])
+
+
+def _edge_numbers(weight: Sequence, co_actions: Sequence,
+                  window_count: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-aligned weights as floats and counts as int64, from numbers or
+    from text that float and int take. Raises EdgeRowError for the first
+    row that is not numeric, holds a number beyond float or int, or has a
+    count outside int64."""
+    n = len(weight)
+    try:
+        return (np.fromiter(map(float, weight), float, n),
+                np.fromiter(map(int, co_actions), np.int64, n),
+                np.fromiter(map(int, window_count), np.int64, n))
+    except (ValueError, OverflowError):
+        for k, r in enumerate(zip(weight, co_actions, window_count)):
+            try:
+                counts = float(r[0]), int(r[1]), int(r[2])
+            except ValueError:
+                raise EdgeRowError(k, f"not a number in {r!r}") from None
+            except OverflowError:  # an int weight beyond float, an infinite count
+                raise EdgeRowError(k, f"number out of range in {r!r}") from None
+            if not all(-2**63 <= c < 2**63 for c in counts[1:]):
+                raise EdgeRowError(k, f"count outside int64 in {r!r}")
+        raise
 
 
 def _endpoints(nodes: Sequence, u: np.ndarray, v: np.ndarray) -> tuple:
@@ -218,11 +242,38 @@ class CSR:
 
     @staticmethod
     def symmetric(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> "CSR":
-        """The rows (u, v, w) and (v, u, w) over n nodes, sorted by (row,
-        neighbour) with one lexsort."""
-        rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
-        order = np.lexsort((cols, rows))
-        return CSR(_row_pointer(rows, n), cols[order], np.concatenate((w, w))[order])
+        """The rows (u, v, w) and (v, u, w) over n nodes, where the (u, v)
+        are sorted with u < v, as a LayerGraph's rows are. So row r lists
+        its (r, v) rows' neighbours after its (u, r) rows' neighbours, each
+        in row order: one stable sort by row puts the (v, u) half in order,
+        and the (u, v) half is in order as it is (CSR.stacked)."""
+        order = np.argsort(v, kind="stable")
+        lower = u[order], w[order]  # the (v, u) half in row order
+        del order  # before the CSR's arrays are allocated
+        counts = np.column_stack((np.bincount(v, minlength=n), np.bincount(u, minlength=n)))
+        return CSR.stacked(counts, (lower, (v, w)))
+
+    @staticmethod
+    def stacked(counts: np.ndarray, parts: Iterable) -> "CSR":
+        """The CSR whose row r lists counts[r, k] entries of part k, for
+        each part k in turn: a stable sort by row of the parts stacked.
+        Part k is a (neighbours, weights) pair of entries sorted by row, a
+        row's in increasing neighbour order, and its weights may be one
+        number for all. In every row, a part's neighbours must be below
+        those of the parts after it. Each part is written into the arrays
+        in place before the next is taken, so an iterator of parts can make
+        each one as it is needed.
+        """
+        n, n_parts = counts.shape
+        part = np.repeat(np.tile(np.arange(n_parts, dtype=np.min_scalar_type(n_parts)), n),
+                         counts.ravel())
+        indices, weight = np.empty(part.size, dtype=np.int64), np.empty(part.size)
+        for k, (cols, w) in enumerate(parts):
+            at = part == k
+            indices[at] = cols
+            weight[at] = w
+            del cols, w
+        return CSR(np.concatenate(([0], np.cumsum(counts.sum(axis=1)))), indices, weight)
 
     @property
     def degree(self) -> np.ndarray:

@@ -10,10 +10,14 @@ produce byte-identical files. One writer, write_table, lays out every
 table: the meta line, `# key value` directives, the header and the rows.
 Floats are written with repr (shortest round-trip form), after one
 finiteness check per array; no timestamps appear in report bodies. One
-reader, _tsv_columns, reads every table back as one list of text fields
-per column. It checks that the header is the writer's, so a file without
-one loses no row, and the readers name the `path:line` of the first row
-or directive they cannot take.
+reader, _tsv_columns, reads every table back in blocks of _BLOCK_LINES
+lines and hands each block's rows to its caller as one list of text fields
+per column, so a read holds one block of text at a time. The edge reader
+turns each block's numbers into arrays and its endpoint names into codes
+in order of first sight, which are renumbered to the sorted names once the
+file is read. The reader checks that the header is the writer's, so a file
+without one loses no row, and the readers name the `path:line` of the
+first row or directive they cannot take, whichever block holds it.
 
 The config hash is CPython's builtin SHA-256 (_sha2 from 3.12, _sha256
 before), as the stdlib's random does for SHA-512: hashlib would load
@@ -29,14 +33,16 @@ import json
 import logging
 import os
 from dataclasses import dataclass
-from itertools import compress, repeat
+from bisect import bisect_right
+from itertools import compress, count, filterfalse, islice, repeat
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, reading
+from .errors import ConfigError, DataError, RowError, reading
 from .community import Partition
-from .netbuild import EdgeRowError, LayerGraph, _component_labels
+from .ingest import _sorted_vocab
+from .netbuild import EdgeRowError, LayerGraph, _component_labels, _edge_numbers
 
 try:
     from _sha2 import sha256 as _sha256
@@ -73,6 +79,8 @@ UNSTAMPED = ReportContext("0", "unhashed")
 EDGE_HEADER = ("user_a", "user_b", "weight", "co_actions", "window_count")
 PARTITION_HEADER = ("user_id", "community_id")  # ground truth too
 MULTIPLEX_HEADER = ("user_id", "layer", "community_id")
+
+_BLOCK_LINES = 1 << 10  # lines a table reader holds at a time
 
 
 def _check_out(path: str) -> None:
@@ -120,52 +128,69 @@ def write_edges_tsv(path: str, g: LayerGraph, ctx: ReportContext = UNSTAMPED) ->
     write_table(path, EDGE_HEADER, rows, ctx, directives=[("layer", g.layer)])
 
 
-def _tsv_columns(path: str, what: str,
-                 header: tuple) -> tuple[dict, list[list[str]], Callable[[int], int]]:
-    """(directives, columns, line) of a written table: the body as one list
-    of text fields per header column, and line(k), the line number of body
-    row k, to name a row once a check has failed.
+def _tsv_columns(path: str, what: str, header: tuple,
+                 take: Callable[[list, int], None]) -> tuple[dict, Callable[[int], int],
+                                                            DataError | None]:
+    """Read a written table in blocks of _BLOCK_LINES lines, handing each
+    block's rows to take(columns, row): one list of text fields per header
+    column, and the index of the block's first row. Returns (directives,
+    line, error): line(k) is the line number of row k, to name a row once
+    a check has failed, and error the DataError for the first row that take
+    refused with a RowError, or None. take sees no row after that one.
 
-    Blank lines are skipped. Before the column header, lines starting with
-    '#' are comments; a `# key value` comment is stored as directives[key] =
-    (line number, value). The first other line must be ``header``. From
-    there on, every line is a row, so ids that start with '#' read back
-    intact, and each row has one field per header column.
+    Lines split at '\n' after open's newline translation, never at U+2028
+    and the like. Blank lines are skipped. Before the column header, lines
+    starting with '#' are comments; a `# key value` comment is stored as
+    directives[key] = (line number, value). The first other line must be
+    ``header``. From there on, every line is a row, so ids that start with
+    '#' read back intact, and each row has one field per header column: the
+    first that has not is a DataError raised once it is read, before any
+    refused row is named.
     """
-    with reading(path, what) as fh:
-        text = fh.read()
-    # split on newlines only: str.splitlines also breaks ids at U+2028 and the like
-    lines = text.split("\n")
-    del text
-    expected = "\t".join(header)
+    expected, n_cols = "\t".join(header), len(header)
     directives = {}
-    for head, line in enumerate(lines):
-        if not line.strip():
-            continue
-        if not line.startswith("#"):
-            break
-        key, _, value = line[1:].strip().partition(" ")
-        directives[key] = (head + 1, value.strip())
-    else:
-        raise DataError(f"{path}: missing the header {expected!r}")
-    if lines[head] != expected:
-        raise DataError(f"{path}:{head + 1}: expected the header {expected!r}, "
-                        f"got {lines[head]!r}")
-    body = lines[head + 1:]
-    del lines
-    n_cols = len(header)
-    kept = np.fromiter(map(bool, map(str.strip, body)), bool, len(body))
-    tabs = np.fromiter(map(str.count, body, repeat("\t")), np.int64, len(body))
-    wrong = kept & (tabs != n_cols - 1)
-    if wrong.any():
-        k = int(np.argmax(wrong))
-        raise DataError(f"{path}:{head + 2 + k}: expected {n_cols} columns, got {tabs[k] + 1}")
-    joined = "\t".join(compress(body, kept.tolist()))
-    del body  # the fields hold the text from here on
-    fields = joined.split("\t") if kept.any() else []
-    del joined
-    return (directives, [fields[c::n_cols] for c in range(n_cols)],
-            lambda k: head + 2 + int(np.flatnonzero(kept)[k]))
+    blanks = []  # per blank line among the rows, the number of rows before it
+    refused, row = None, 0  # (row, reason) of the first row that take refused
+    with reading(path, what) as fh:
+        for head, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            if not line.startswith("#"):
+                break
+            key, _, value = line[1:].strip().partition(" ")
+            directives[key] = (head, value.strip())
+        else:
+            raise DataError(f"{path}: missing the header {expected!r}")
+        if line != expected:
+            raise DataError(f"{path}:{head}: expected the header {expected!r}, got {line!r}")
+        first = head + 1  # the line number of row 0
+        start = first  # the line number of the block's first line
+        while lines := list(map(str.rstrip, islice(fh, _BLOCK_LINES), repeat("\n"))):
+            n = len(lines)
+            kept = np.fromiter(map(bool, map(str.strip, lines)), bool, n)
+            tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, n)
+            wrong = kept & (tabs != n_cols - 1)
+            if wrong.any():
+                k = int(np.argmax(wrong))
+                raise DataError(f"{path}:{start + k}: expected {n_cols} columns, "
+                                f"got {tabs[k] + 1}")
+            blank = np.flatnonzero(~kept)
+            blanks += (row + blank - np.arange(blank.size)).tolist()
+            if refused is None and blank.size < n:
+                fields = "\t".join(compress(lines, kept.tolist())).split("\t")
+                try:
+                    take([fields[c::n_cols] for c in range(n_cols)], row)
+                except RowError as exc:
+                    refused = row + exc.row, exc.reason
+            row += n - blank.size
+            start += n
+
+    def line(k: int) -> int:
+        return first + k + bisect_right(blanks, k)
+
+    error = None if refused is None else DataError(f"{path}:{line(refused[0])}: {refused[1]}")
+    return directives, line, error
 
 
 def _number(path: str, directives: dict, key: str, default: float) -> float:
@@ -178,21 +203,28 @@ def _number(path: str, directives: dict, key: str, default: float) -> float:
         raise DataError(f"{path}:{line}: {key} {value!r} is not a number") from None
 
 
-def _assignment(path: str, columns: list, line: Callable[[int], int], what: str) -> dict:
-    """key -> community id from key columns and a community id column; a
-    repeated key or an id that is not an integer is a DataError naming its
-    line. A key of one field is that field, else the tuple of them."""
-    *key_columns, comms = columns
-    keys = key_columns[0] if len(key_columns) == 1 else zip(*key_columns)
+def _assignment(path: str, what: str, header: tuple, key_what: str) -> tuple[dict, dict]:
+    """(directives, assignment) of a table of key columns and a community
+    id column: key -> community id, in row order. A repeated key or an id
+    that is not an integer is a DataError naming its line. A key of one
+    field is that field, else the tuple of them."""
     out = {}
-    for k, (key, comm) in enumerate(zip(keys, comms)):
-        if key in out:
-            raise DataError(f"{path}:{line(k)}: {what} {key!r} repeated")
-        try:
-            out[key] = int(comm)
-        except ValueError:
-            raise DataError(f"{path}:{line(k)}: community id {comm!r} is not an integer") from None
-    return out
+
+    def take(columns, row):
+        *key_columns, comms = columns
+        keys = key_columns[0] if len(key_columns) == 1 else zip(*key_columns)
+        for k, (key, comm) in enumerate(zip(keys, comms)):
+            if key in out:
+                raise RowError(k, f"{key_what} {key!r} repeated")
+            try:
+                out[key] = int(comm)
+            except ValueError:
+                raise RowError(k, f"community id {comm!r} is not an integer") from None
+
+    directives, _, error = _tsv_columns(path, what, header, take)
+    if error is not None:
+        raise error
+    return directives, out
 
 
 def _scope_name(path: str, directives: dict, key: str, scope: str | None) -> str:
@@ -210,11 +242,41 @@ def _scope_name(path: str, directives: dict, key: str, scope: str | None) -> str
 def read_edges_tsv(path: str, layer: str | None = None) -> LayerGraph:
     """Read an edge list; a row no LayerGraph holds (see from_columns) is a
     DataError naming its line, and so is a `# layer` line that does not
-    name ``layer`` when one is given."""
-    directives, columns, line_of = _tsv_columns(path, "edge list", EDGE_HEADER)
+    name ``layer`` when one is given.
+
+    Each block's numbers become arrays through the float and int of
+    _edge_numbers, and its endpoint names codes in order of first sight;
+    the codes are renumbered to the sorted names once the file is read."""
+    code: dict[str, int] = {}  # endpoint name -> code in order of first sight
+    blocks = []  # per block: endpoint codes, weights, co_actions, window counts
+
+    def codes(names: list) -> np.ndarray:
+        # the block's names in order of first sight, those not yet coded
+        # numbered on from the codes given so far
+        code.update(zip(filterfalse(code.__contains__, dict.fromkeys(names)), count(len(code))))
+        return np.fromiter(map(code.__getitem__, names), np.int64, len(names))
+
+    def take(columns, row):
+        a, b, *numbers = columns
+        blocks.append([*_edge_numbers(*numbers), codes(a), codes(b)])
+
+    directives, line_of, error = _tsv_columns(path, "edge list", EDGE_HEADER, take)
     name = _scope_name(path, directives, "layer", layer)
+    if error is not None:
+        raise error
+    # one column at a time, each block's part dropped once it is copied
+    columns = []
+    for c, dtype in enumerate((float, np.int64, np.int64, np.int64, np.int64)):
+        columns.append(np.concatenate([np.zeros(0, dtype), *(blk[c] for blk in blocks)]))
+        for blk in blocks:
+            blk[c] = None
+    del blocks
+    w, co, wc, a, b = columns
+    del columns
+    nodes, rank = _sorted_vocab(code, np.int64)
+    a, b = rank[a], rank[b]
     try:
-        return LayerGraph.from_columns(name, *columns)
+        return LayerGraph.from_codes(name, nodes, a, b, w, co, wc)
     except EdgeRowError as exc:
         raise DataError(f"{path}:{line_of(exc.row)}: {exc.reason}") from exc
 
@@ -228,8 +290,7 @@ def write_partition_tsv(path: str, p: Partition, ctx: ReportContext = UNSTAMPED)
 def read_partition_tsv(path: str, scope: str | None = None) -> Partition:
     """Read a partition; a `# scope` line that does not name ``scope``
     when one is given is a DataError naming its line, as for edge lists."""
-    directives, columns, line = _tsv_columns(path, "partition", PARTITION_HEADER)
-    assignment = _assignment(path, columns, line, "user")
+    directives, assignment = _assignment(path, "partition", PARTITION_HEADER, "user")
     name = _scope_name(path, directives, "scope", scope)
     if not assignment:
         raise DataError(f"{path}: empty partition")
@@ -245,8 +306,8 @@ def write_multiplex_partition_tsv(path: str, p: Partition, ctx: ReportContext = 
 
 
 def read_multiplex_partition_tsv(path: str) -> Partition:
-    directives, columns, line = _tsv_columns(path, "multiplex partition", MULTIPLEX_HEADER)
-    assignment = _assignment(path, columns, line, "(user, layer)")
+    directives, assignment = _assignment(path, "multiplex partition", MULTIPLEX_HEADER,
+                                         "(user, layer)")
     if not assignment:
         raise DataError(f"{path}: empty multiplex partition")
     return Partition("multi", assignment, gamma=_number(path, directives, "gamma", 1.0),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from multicoord.netbuild import LayerGraph, MultiplexNetwork
-from multicoord.reports import PARTITION_HEADER, _assignment, _tsv_columns
+from multicoord.reports import PARTITION_HEADER, _assignment
 
 try:
     from hypothesis import settings
@@ -43,7 +43,7 @@ def from_pairs(layer, pairs, nodes=()):
 
 def read_ground_truth(path):
     """{user: community id} of a ground-truth file that synth wrote."""
-    return _assignment(path, *_tsv_columns(path, "ground truth", PARTITION_HEADER)[1:], "user")
+    return _assignment(path, "ground truth", PARTITION_HEADER, "user")[1]
 
 
 def tfidf_entries(m):

@@ -1,19 +1,33 @@
-"""Peak RSS of the build's stages, in process.
+"""Peak RSS of a step's stages, in process.
 
     python tests/stage_rss.py SRC CONFIG
+    python tests/stage_rss.py SRC CONFIG detect --mode M
+    python tests/stage_rss.py SRC CONFIG characterize --ref B --other A
 
-Runs ``pipeline.run_build`` of the checkout root SRC, with SRC's ``src/``
-first on ``sys.path``, on the run config CONFIG, into a temporary ``out``
-that is removed afterwards. It wraps ``pipeline.parse_events`` and
-``pipeline.build_multiplex``, the module-level names that
-``pipebench/spans.py`` wraps for those stages, and prints ``ru_maxrss``, the
-process's peak RSS so far, when each call returns: once after the parse,
-and once per ``build_multiplex`` call with the layers that call built. The
-last line is the peak of the whole step, writes included.
+Runs one step of the checkout root SRC, with SRC's ``src/`` first on
+``sys.path``, on the run config CONFIG, and prints ``ru_maxrss``, the
+process's peak RSS so far, when each wrapped call returns. The last line is
+the peak of the whole step, writes included.
 
-``ru_maxrss`` never falls, so a stage that reads the same as the one before
-did not raise the peak. Compare two trees in two processes, one per tree;
-``tests/step_rss.py`` times the CLI process itself.
+- ``build`` (the default) runs ``pipeline.run_build`` into a temporary
+  ``out`` that is removed afterwards. It reports after the parse
+  (``pipeline.parse_events``) and after each ``pipeline.build_multiplex``
+  call, with the layers that call built.
+- ``detect`` and ``characterize`` run ``pipeline.run_detect`` and
+  ``pipeline.run_characterize`` on the config's ``out``, as the CLI steps
+  do, so the build (and for characterize, the two detects) must have run
+  there. They report after each edge list read (``reports.read_edges_tsv``,
+  with its file name), after ``pipeline.flatten_union``,
+  ``pipeline.flatten_intersection`` and ``community._supra_graph``, after
+  Louvain (``pipeline.louvain`` and ``pipeline.generalized_louvain``), and
+  after ``pipeline.node_metrics``.
+
+These are the module-level names that ``pipebench/spans.py`` wraps for
+those stages, and ``community._supra_graph``, which
+``generalized_louvain`` calls. ``ru_maxrss`` never falls, so a stage that
+reads the same as the one before did not raise the peak. Compare two trees
+in two processes, one per tree; ``tests/step_rss.py`` times the CLI process
+itself.
 """
 
 import argparse
@@ -28,33 +42,59 @@ def peak_mb() -> float:
 
 
 def reporting(fn, label):
-    """fn, printing the peak RSS under label(kwargs) when a call returns."""
+    """fn, printing the peak RSS under label(args, kwargs) when a call returns."""
     def wrapped(*args, **kwargs):
         result = fn(*args, **kwargs)
-        print(f"{label(kwargs)}: {peak_mb():.2f} MB", flush=True)
+        print(f"{label(args, kwargs)}: {peak_mb():.2f} MB", flush=True)
         return result
     return wrapped
+
+
+def wrap(module, name, label=None):
+    """Replace module.name by its reporting wrapper, labelled with the name
+    unless label(args, kwargs) gives another."""
+    setattr(module, name, reporting(getattr(module, name), label or (lambda a, kw: name)))
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src", help="checkout root whose src/ is imported")
-    ap.add_argument("config", help="run config of the build")
+    ap.add_argument("config", help="run config of the step")
+    ap.add_argument("step", nargs="?", default="build", choices=("build", "detect", "characterize"))
+    ap.add_argument("--mode", help="detect mode")
+    ap.add_argument("--layer", help="layer of detect --mode mono")
+    ap.add_argument("--ref", help="characterize reference approach (side B)")
+    ap.add_argument("--other", help="characterize baseline approach (side A)")
     args = ap.parse_args(argv)
+    if args.step == "detect" and not args.mode:
+        ap.error("detect needs --mode")
+    if args.step == "characterize" and not (args.ref and args.other):
+        ap.error("characterize needs --ref and --other")
     sys.dont_write_bytecode = True  # leave SRC as it is
     sys.path.insert(0, os.path.join(os.path.abspath(args.src), "src"))
-    from multicoord import pipeline
+    from multicoord import community, pipeline, reports
 
-    pipeline.parse_events = reporting(pipeline.parse_events, lambda kw: "parse_events")
-    pipeline.build_multiplex = reporting(
-        pipeline.build_multiplex,
-        lambda kw: "build_multiplex " + ",".join(kw.get("layers") or ["all"]))
     cfg = pipeline.RunConfig.from_file(args.config)
+    if args.step == "build":
+        wrap(pipeline, "parse_events")
+        wrap(pipeline, "build_multiplex",
+             lambda a, kw: "build_multiplex " + ",".join(kw.get("layers") or ["all"]))
+    else:
+        wrap(reports, "read_edges_tsv", lambda a, kw: "read_edges_tsv " + os.path.basename(a[0]))
+        for module, name in ((pipeline, "flatten_union"), (pipeline, "flatten_intersection"),
+                             (community, "_supra_graph"), (pipeline, "louvain"),
+                             (pipeline, "generalized_louvain"), (pipeline, "node_metrics")):
+            wrap(module, name)
     print(f"start: {peak_mb():.2f} MB", flush=True)
-    with tempfile.TemporaryDirectory() as out:
-        cfg.out = out
-        pipeline.run_build(cfg)
-    print(f"run_build: {peak_mb():.2f} MB")
+    if args.step == "build":
+        with tempfile.TemporaryDirectory() as out:
+            cfg.out = out
+            pipeline.run_build(cfg)
+    elif args.step == "detect":
+        pipeline.run_detect(cfg, args.mode, layer=args.layer)
+    else:
+        pipeline.run_characterize(cfg, args.ref, args.other)
+    print(f"run_{args.step}: {peak_mb():.2f} MB")
     return 0
 
 

@@ -11,6 +11,8 @@ import logging
 import math
 import os
 import shutil
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
@@ -800,3 +802,24 @@ def test_build_holds_one_raw_layer_and_drops_the_log(tmp_path, monkeypatch):
     assert main(["build", "--config", write_cfg(tmp_path / "run.json", {
         "input": os.path.join(out, "events.tsv"), "schema": "tsv", "out": out})]) == 0
     assert len(raw) == len(ACTIONS) and len(logs) == 1
+
+
+def test_stage_rss_reports_each_stage_of_a_characterize(tmp_path):
+    # tests/stage_rss.py on the README recipe: one line per edge list read,
+    # per node profile and for the whole step, with a peak that never falls
+    synth_cfg, run_cfg = write_configs(tmp_path)
+    assert main(["synth", "--config", synth_cfg]) == 0
+    assert main(["build", "--config", run_cfg]) == 0
+    for mode in ("indi", "unfl-sum"):
+        assert main(["detect", "--config", run_cfg, "--mode", mode]) == 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "tests", "stage_rss.py"), root, run_cfg,
+         "characterize", "--ref", "unfl-sum", "--other", "rtw"],
+        capture_output=True, text=True, check=True)
+    lines = [line.rsplit(": ", 1) for line in done.stdout.splitlines()]
+    assert [label for label, _ in lines] == [
+        "start", "read_edges_tsv edges_rtw.tsv", "read_edges_tsv edges_unfl-sum.tsv",
+        "node_metrics", "node_metrics", "run_characterize"]
+    peaks = [float(value.removesuffix(" MB")) for _, value in lines]
+    assert 0 < peaks[0] and peaks == sorted(peaks)

@@ -13,12 +13,42 @@ import numpy as np
 import pytest
 
 from conftest import edge_dict, from_pairs, random_layer, two_clique_bridge
-from multicoord.community import (GAIN_TOLERANCE, Partition, _local_moving, communities,
+from multicoord.community import (GAIN_TOLERANCE, Partition, _aggregate, _flatten,
+                                  _local_moving, _supra_graph, communities,
                                   flatten_intersection, flatten_union,
                                   generalized_louvain, louvain, modularity,
                                   multislice_modularity, restrict_to_layer)
 from multicoord.errors import DataError
-from multicoord.netbuild import CSR, MultiplexNetwork
+from multicoord.netbuild import CSR, LayerGraph, MultiplexNetwork
+
+
+def five_random_layers(n_actors=2000, n_edges=20_000, seed=5):
+    """A network of five random layers, each over a random three quarters
+    of n_actors actors with about n_edges rows."""
+    rng = np.random.default_rng(seed)
+    actors = [f"u{k:05d}" for k in range(n_actors)]
+    layers = {}
+    for layer in ("rtw", "rpl", "men", "hst", "url"):
+        nodes = sorted(rng.choice(actors, 3 * n_actors // 4, replace=False).tolist())
+        n = len(nodes)
+        key = np.unique(rng.integers(0, n * n, 2 * n_edges))
+        u, v = np.divmod(key, n)
+        keep = np.flatnonzero(u < v)[:n_edges]
+        layers[layer] = LayerGraph(layer, tuple(nodes), u[keep], v[keep],
+                                   rng.random(keep.size) + 1e-3,
+                                   rng.integers(1, 60, keep.size), rng.integers(1, 14, keep.size))
+    return MultiplexNetwork(layers)
+
+
+def traced(fn):
+    """(fn(), bytes still traced with the result alive, peak bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 def path3():
@@ -340,3 +370,41 @@ def test_restrict_to_layer():
 
 def test_gain_tolerance_is_tight():
     assert 0 < GAIN_TOLERANCE <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# level-0 graph memory
+
+
+def test_supra_graph_peak_is_under_twice_what_it_keeps():
+    # the CSR's halves are written in place one at a time, each layer's as
+    # it is made; the lexsort of the stacked rows peaked at ~3.7x here
+    net = five_random_layers()
+    (names, csr, *_), kept, peak = traced(lambda: _supra_graph(net, 0.1))
+    assert csr.indices.size > 200_000 and len(names) == 7500
+    assert peak <= 2 * kept, f"_supra_graph peaked at {peak / kept:.2f}x the {kept} bytes it keeps"
+
+
+def test_aggregate_peak_is_under_three_times_the_level_csr():
+    # the first aggregation of a supra-graph, where most entries join two
+    # communities: the keys are made in place and each per-entry array is
+    # dropped once the next is made from it; holding them all peaked at
+    # ~3.3x the level's CSR here
+    net = five_random_layers()
+    names, csr, strength, two_m, coupling_total = _supra_graph(net, 0.1)
+    two_mu = math.fsum(two_m) + coupling_total
+    comm, *_ = _local_moving(csr, strength, np.array([1.0 / m for m in two_m]), 1.0,
+                             0.5 * GAIN_TOLERANCE * two_mu, random.Random(1))
+    size = csr.indptr.nbytes + csr.indices.nbytes + csr.weight.nbytes
+    (level, _, _), _, peak = traced(lambda: _aggregate(csr, strength, np.array(comm)))
+    assert level.degree.size < len(names) and level.indices.size > 50_000
+    assert peak <= 3 * size, f"_aggregate peaked at {peak / size:.2f}x the level's {size} bytes"
+
+
+def test_flatten_peak_is_under_twice_what_it_keeps():
+    # one block of pairs' weights at a time is a list of Python floats; all
+    # of them at once peaked at ~3.0x here
+    graphs = list(five_random_layers().layers.values())
+    (flat, carried), kept, peak = traced(lambda: _flatten(graphs, "unfl-sum"))
+    assert flat.n_edges > 50_000 and carried.max() > 1
+    assert peak <= 2 * kept, f"_flatten peaked at {peak / kept:.2f}x the {kept} bytes it keeps"

@@ -12,7 +12,8 @@ imported scipy and hashlib already.
 
 Each name has one import path, its module's: ``import multicoord`` binds
 only ``__version__``, so importing one module loads that module and what it
-imports, not the whole package.
+imports, not the whole package. Importing the CLI sets OpenBLAS to one
+thread before numpy loads, unless the caller chose a thread count.
 """
 
 import json
@@ -124,3 +125,16 @@ def test_the_package_loads_none_of_its_modules():
          "sorted(m for m in sys.modules if m.startswith('multicoord.')))"],
         env=ENV, capture_output=True, text=True, check=True)
     assert done.stdout == f"{multicoord.__version__} []\n"
+
+
+def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
+    # the Lanczos steps' small eigh calls wait on thread hand-offs when
+    # OpenBLAS runs several threads; a caller's own setting still wins
+    child = "import os, multicoord.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    env = {k: v for k, v in ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    for setting, expected in ((None, "1"), ("3", "3")):
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == expected + "\n"

@@ -100,6 +100,31 @@ def test_edge_weight_above_the_cap_is_named():
         from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1e101), ("c", "d", 1e308)])
 
 
+def random_graph(rng, layer, nodes, n_edges):
+    """A LayerGraph of about n_edges distinct random rows over ``nodes``."""
+    n = len(nodes)
+    key = np.unique(rng.integers(0, n * n, 2 * n_edges))
+    u, v = np.divmod(key, n)
+    keep = np.flatnonzero(u < v)[:n_edges]
+    return LayerGraph(layer, tuple(nodes), u[keep], v[keep], rng.random(keep.size) + 1e-3,
+                      rng.integers(1, 60, keep.size), rng.integers(1, 14, keep.size))
+
+
+def test_symmetric_csr_peak_is_under_twice_what_it_keeps():
+    # 2,000 nodes of mean degree ~60, as a 6k unfl-sum graph has: the CSR
+    # and, beside it, the lower half's sort and two gathers; the lexsort of
+    # both halves that this replaced peaked at ~3x
+    g = random_graph(np.random.default_rng(5), "unfl-sum", range(2000), 60_000)
+    tracemalloc.start()
+    try:
+        csr = netbuild.CSR.symmetric(g.n_nodes, g.u, g.v, g.weight)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert csr.indices.size == 2 * g.n_edges
+    assert peak <= 2 * kept, f"CSR.symmetric peaked at {peak / kept:.2f}x the {kept} bytes it keeps"
+
+
 def test_total_weight_allocates_no_list_of_the_weights():
     # the sum used to copy the weights into a list of Python floats: 32 B a row
     n = 100_000

@@ -17,7 +17,7 @@ from conftest import edge_dict, from_pairs, read_ground_truth, tfidf_entries
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from multicoord import characterize, ingest  # noqa: E402
+from multicoord import characterize, ingest, reports  # noqa: E402
 from multicoord.characterize import (CommunityMetrics, GraphCSR,  # noqa: E402
                                      _pagerank, _t_tail, _triangles,
                                      community_metrics, node_metrics)
@@ -1828,13 +1828,18 @@ def _table_file(text):
                    st.tuples(table_ids, table_ids, table_weights, table_counts, table_counts),
                    st.tuples(table_ids, table_ids, table_weights | bad_weights,
                              table_counts | bad_counts, table_counts | bad_counts),
-                   ["# layer rtw"]))
+                   ["# layer rtw"]), st.integers(1, 3))
 @example("# layer rtw\nuser_a\tuser_b\tweight\tco_actions\twindow_count\r\n"
-         "u1\tu2\t 2.0\t+1\t1_0\r\n\r\n \t \n#u4\ta\u2028b\t0.5\t1\t1\n")
-def test_edge_reader_matches_row_oracle(text):
+         "u1\tu2\t 2.0\t+1\t1_0\r\n\r\n \t \n#u4\ta\u2028b\t0.5\t1\t1\n", 2)
+@example("# layer rtw\nuser_a\tuser_b\tweight\tco_actions\twindow_count\n"
+         "u1\tu1\t1.0\t1\t1\nu1\t#u4\t1.0\t1\t1\n", 3)
+def test_edge_reader_matches_row_oracle(text, block):
+    # blocks of 1-3 lines, so errors, blank lines and first-seen names
+    # fall on both sides of block boundaries
     path = _table_file(text)
     try:
-        kind, got = _read_outcome(read_edges_tsv, path)
+        with mock.patch.object(reports, "_BLOCK_LINES", block):
+            kind, got = _read_outcome(read_edges_tsv, path)
         want = _read_outcome(_read_edges_oracle, path)
     finally:
         os.unlink(path)
@@ -1869,7 +1874,9 @@ def test_assignment_readers_match_row_oracle(case, data):
                                  directives))
     path = _table_file(text)
     try:
-        got, want = _read_outcome(read, path), _read_outcome(oracle, path)
+        with mock.patch.object(reports, "_BLOCK_LINES", data.draw(st.integers(1, 3))):
+            got = _read_outcome(read, path)
+        want = _read_outcome(oracle, path)
     finally:
         os.unlink(path)
     assert got == want
