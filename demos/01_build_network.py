@@ -6,6 +6,7 @@ sliding windows, one layer-window's TF-IDF matrix, its cosine graph,
 and finally the merged + filtered multiplex network.
 """
 
+from multicoord.community import communities
 from multicoord.filternet import FilterConfig, filter_multiplex
 from multicoord.ingest import ACTIONS, select_users
 from multicoord.netbuild import (build_multiplex, layer_window_graph,
@@ -24,8 +25,9 @@ cfg = SynthConfig(
 )
 log, truth = generate(cfg)
 print(f"synthetic log: {len(log)} events, {len(log.users)} active users")
-print(f"planted: {truth.communities().keys()} with sizes "
-      f"{[len(m) for m in truth.communities().values()]}, "
+planted = communities(truth.assignment)
+print(f"planted: {planted.keys()} with sizes "
+      f"{[len(m) for m in planted.values()]}, "
       f"{len(truth.noise_users)} noise-only users")
 
 # 1. sliding windows over the observed span

@@ -41,6 +41,7 @@ net = build_multiplex(log, select_users(log, 1.0), width=6 * H, shift=5 * H)
 net, _ = filter_multiplex(net, FilterConfig())
 print("layers:", {a: f"{net.layers[a].n_nodes}n/{net.layers[a].n_edges}e"
                   for a in ACTIONS})
+planted_sets = communities(truth.assignment)
 
 
 def describe(assignment):
@@ -52,13 +53,12 @@ def describe(assignment):
     nodes = set(assignment)
     parts = [f"{len(det):2d} communities"]
     visible = 0
-    for ci in sorted(truth.communities()):
-        planted = truth.members(ci)
+    for ci, planted in sorted(planted_sets.items()):
         if not planted & nodes:
             parts.append(f"c{ci} absent")
             continue
         visible += 1
-        O = overlap_matrix({0: planted}, det)
+        O = overlap_matrix(dict.fromkeys(planted, 0), assignment)
         best = max(O.overlap(0, bi) for bi in range(O.k_b))
         parts.append(f"c{ci} best overlap {best:.2f}")
     if visible == 2:

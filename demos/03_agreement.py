@@ -40,7 +40,7 @@ print(f"B (unfl-sum): {len(sets_b)} communities, sizes "
       f"{sorted((len(m) for m in sets_b.values()), reverse=True)}")
 
 # harmonic-mean overlap of every pair; rows = B, columns = A
-O = overlap_matrix(p_a, p_b)
+O = overlap_matrix(p_a.assignment, p_b.assignment)
 print("\noverlap matrix (rows B, cols A):")
 print("        " + "".join(f"  a{aid:<4}" for aid in O.a_ids))
 for bi, bid in enumerate(O.b_ids):

@@ -63,7 +63,7 @@ for name, (x, y) in zip(row_names, coords):
     print(f"  {name:12s} ({x:+.2f}, {y:+.2f})")
 
 # 3. node labels from the matching, then rank tests between the groups
-O = overlap_matrix(p_a, p_b)
+O = overlap_matrix(p_a.assignment, p_b.assignment)
 M = hungarian_match(O)
 labels = label_nodes(O, M)
 nm = node_metrics(GraphCSR.of(flat))

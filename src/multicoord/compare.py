@@ -1,7 +1,8 @@
 """Agreement between two community structures.
 
-Given community sets from two approaches A and B (Partitions of any scope,
-or plain maps), this module computes the harmonic-mean overlap matrix
+Given the community structures of two approaches A and B, each a node ->
+community-id map (a Partition's assignment, of any scope), this module
+computes the harmonic-mean overlap matrix
 
     r_ij = |C_i^A n C_j^B| / |C_i^A|,   r_ji = |C_i^A n C_j^B| / |C_j^B|,
     o_ij = 2 r_ij r_ji / (r_ij + r_ji)   (0 when the intersection is empty)
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UndefinedMetricError
-from .community import Partition, communities
+from .community import communities
 from .netbuild import _group_pairs
 
 logger = logging.getLogger(__name__)
@@ -33,34 +34,6 @@ logger = logging.getLogger(__name__)
 COMMON = "common"
 LOST = "lost"
 GAINED = "gained"
-
-
-def community_sets(source, min_size: int = 0) -> dict:
-    """Normalize a community-set source into {community_id: frozenset}.
-
-    Accepts a Partition of any scope ("multi" included), a node ->
-    community-id assignment map, or a community-id -> member-set map, whose
-    communities must be disjoint. Communities with size <= min_size are dropped.
-    """
-    if isinstance(source, Partition):
-        sets = communities(source.assignment)
-    elif isinstance(source, dict):
-        if source and all(isinstance(v, (set, frozenset, list, tuple)) for v in source.values()):
-            sets = {cid: frozenset(members) for cid, members in source.items()}
-            owner: dict = {}
-            for cid, members in sets.items():
-                for node in members:
-                    if owner.setdefault(node, cid) != cid:
-                        raise DataError(f"node {node!r} is in communities {owner[node]!r} "
-                                        f"and {cid!r}; communities must be disjoint")
-        else:
-            sets = communities(source)
-    else:
-        raise TypeError(f"cannot interpret {type(source).__name__} as a community set")
-    for cid, members in sets.items():
-        if not members:
-            raise ValueError(f"community {cid!r} is empty")
-    return {cid: members for cid, members in sets.items() if len(members) > min_size}
 
 
 @dataclass
@@ -111,14 +84,15 @@ def _sort_key(cid):
     return (str(type(cid).__name__), cid)
 
 
-def overlap_matrix(C_A, C_B, min_size: int = 0) -> OverlapMatrix:
-    """Pairwise harmonic-mean overlap of two community sets, after dropping
-    communities with size <= min_size on both sides.
+def overlap_matrix(a: dict, b: dict, min_size: int = 0) -> OverlapMatrix:
+    """Pairwise harmonic-mean overlap of the communities of two node ->
+    community-id maps, after dropping communities with size <= min_size on
+    both sides.
     """
     if min_size < 0:
         raise ValueError(f"min_size must be >= 0, got {min_size}")
-    a_sets = community_sets(C_A, min_size)
-    b_sets = community_sets(C_B, min_size)
+    a_sets, b_sets = ({cid: members for cid, members in communities(x).items()
+                       if len(members) > min_size} for x in (a, b))
     a_ids = tuple(sorted(a_sets, key=_sort_key))
     b_ids = tuple(sorted(b_sets, key=_sort_key))
     a_members = tuple(a_sets[i] for i in a_ids)

@@ -126,22 +126,6 @@ class LayerGraph:
         return LayerGraph(self.layer, *_endpoints(self.nodes, cols[0], cols[1]), *cols[2:])
 
     @classmethod
-    def from_columns(cls, layer: str, a: Sequence, b: Sequence, weight: Sequence,
-                     co_actions: Sequence, window_count: Sequence,
-                     nodes: Iterable[str] = ()) -> "LayerGraph":
-        """Build a graph from row-aligned columns of edges in any order:
-        endpoint names, then weights and counts, as numbers or as text that
-        float and int take. ``nodes`` adds isolated nodes. Raises
-        EdgeRowError as _edge_numbers and then as from_codes do.
-        """
-        w, co, wc = _edge_numbers(weight, co_actions, window_count)
-        names = tuple(sorted(set(a).union(b, nodes)))
-        index = {x: k for k, x in enumerate(names)}
-        ia = np.fromiter(map(index.__getitem__, a), np.int64, len(w))
-        ib = np.fromiter(map(index.__getitem__, b), np.int64, len(w))
-        return cls.from_codes(layer, names, ia, ib, w, co, wc)
-
-    @classmethod
     def from_codes(cls, layer: str, nodes: tuple, a: np.ndarray, b: np.ndarray,
                    w: np.ndarray, co: np.ndarray, wc: np.ndarray) -> "LayerGraph":
         """Build a graph from row-aligned arrays of edges in any order: the

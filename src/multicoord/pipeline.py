@@ -472,7 +472,7 @@ def _compare(det: DetectionSettings, ref: str, other: str, A, a_token: str, B,
     overlap -> match -> community and node labels -> NMI. Returns (O, M,
     labels_a, labels_b, node_labels, files), files being compare's
     overlap_<cid>.tsv and labels_<cid>.jsonl."""
-    O = overlap_matrix(A, B, min_size=det.min_size)
+    O = overlap_matrix(A.assignment, B.assignment, min_size=det.min_size)
     M = hungarian_match(O)
     labels_a, labels_b = label_communities(O, M, theta=det.theta)
     node_labels = label_nodes(O, M)

@@ -9,15 +9,18 @@ argument (UNSTAMPED by default). Writers sort rows, so identical inputs
 produce byte-identical files. One writer, write_table, lays out every
 table: the meta line, `# key value` directives, the header and the rows.
 Floats are written with repr (shortest round-trip form), after one
-finiteness check per array; no timestamps appear in report bodies. One
-reader, _tsv_columns, reads every table back in blocks of _BLOCK_LINES
-lines and hands each block's rows to its caller as one list of text fields
-per column, so a read holds one block of text at a time. The edge reader
-turns each block's numbers into arrays and its endpoint names into codes
-in order of first sight, which are renumbered to the sorted names once the
-file is read. The reader checks that the header is the writer's, so a file
-without one loses no row, and the readers name the `path:line` of the
-first row or directive they cannot take, whichever block holds it.
+finiteness check per array; no timestamps appear in report bodies. The
+edge writer formats and writes _BLOCK_LINES rows at a time, so a write
+holds one block of text at a time. One reader, _tsv_columns, reads every
+table back in blocks of _BLOCK_LINES lines and hands each block's rows to
+its caller as one list of text fields per column, so a read holds one
+block of text at a time too. The edge reader turns each block's numbers
+into arrays and its endpoint names into codes in order of first sight,
+which are renumbered to the sorted names once the file is read; the graph
+is built from those arrays by LayerGraph.from_codes. The reader checks
+that the header is the writer's, so a file without one loses no row, and
+the readers name the `path:line` of the first row or directive they
+cannot take, whichever block holds it.
 
 The config hash is CPython's builtin SHA-256 (_sha2 from 3.12, _sha256
 before), as the stdlib's random does for SHA-512: hashlib would load
@@ -80,7 +83,7 @@ EDGE_HEADER = ("user_a", "user_b", "weight", "co_actions", "window_count")
 PARTITION_HEADER = ("user_id", "community_id")  # ground truth too
 MULTIPLEX_HEADER = ("user_id", "layer", "community_id")
 
-_BLOCK_LINES = 1 << 10  # lines a table reader holds at a time
+_BLOCK_LINES = 1 << 10  # lines a table reader or the edge writer holds at a time
 
 
 def _check_out(path: str) -> None:
@@ -96,14 +99,18 @@ def _check_out(path: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _finite(values) -> list:
-    """The numbers of an array (or a number) as Python values, after one
-    check that every one is finite: no report holds NaN or infinity."""
+def _check_finite(values) -> np.ndarray:
+    """An array (or a number) as an array, after one check that every value
+    is finite: no report holds NaN or infinity."""
     values = np.asarray(values)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ValueError(f"non-finite value in report: {values[bad][0]}")
-    return values.tolist()
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite value in report: {values[~np.isfinite(values)][0]}")
+    return values
+
+
+def _finite(values) -> list:
+    """The values of _check_finite as Python numbers."""
+    return _check_finite(values).tolist()
 
 
 def write_table(path: str, header, rows, ctx: ReportContext = UNSTAMPED, *,
@@ -121,11 +128,20 @@ def write_table(path: str, header, rows, ctx: ReportContext = UNSTAMPED, *,
 
 
 def write_edges_tsv(path: str, g: LayerGraph, ctx: ReportContext = UNSTAMPED) -> None:
-    """`user_a  user_b  weight  co_actions  window_count`, sorted rows."""
+    """`user_a  user_b  weight  co_actions  window_count`, sorted rows,
+    formatted _BLOCK_LINES rows at a time once every weight is finite."""
+    _check_finite(g.weight)
     name = g.nodes.__getitem__
-    rows = zip(map(name, g.u.tolist()), map(name, g.v.tolist()), map(repr, _finite(g.weight)),
-               map(str, g.co_actions.tolist()), map(str, g.window_count.tolist()))
-    write_table(path, EDGE_HEADER, rows, ctx, directives=[("layer", g.layer)])
+
+    def rows():
+        for at in range(0, g.n_edges, _BLOCK_LINES):
+            block = slice(at, at + _BLOCK_LINES)
+            yield from zip(map(name, g.u[block].tolist()), map(name, g.v[block].tolist()),
+                           map(repr, g.weight[block].tolist()),
+                           map(str, g.co_actions[block].tolist()),
+                           map(str, g.window_count[block].tolist()))
+
+    write_table(path, EDGE_HEADER, rows(), ctx, directives=[("layer", g.layer)])
 
 
 def _tsv_columns(path: str, what: str, header: tuple,
@@ -240,7 +256,7 @@ def _scope_name(path: str, directives: dict, key: str, scope: str | None) -> str
 
 
 def read_edges_tsv(path: str, layer: str | None = None) -> LayerGraph:
-    """Read an edge list; a row no LayerGraph holds (see from_columns) is a
+    """Read an edge list; a row no LayerGraph holds (see from_codes) is a
     DataError naming its line, and so is a `# layer` line that does not
     name ``layer`` when one is given.
 

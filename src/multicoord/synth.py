@@ -29,7 +29,6 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .community import communities
 from .errors import DataError
 from .ingest import ACTIONS, EventLog
 from .netbuild import window_slices
@@ -135,12 +134,6 @@ class GroundTruth:
     assignment: dict
     active_layers: dict  # community id -> frozenset of layer names
     noise_users: frozenset
-
-    def communities(self) -> dict:
-        return communities(self.assignment)
-
-    def members(self, cid) -> frozenset:
-        return self.communities().get(cid, frozenset())
 
 
 def _window_events(rng, users, rate, pool_size, prefix, layer, start, width_s) -> list:

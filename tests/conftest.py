@@ -11,7 +11,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from multicoord.netbuild import LayerGraph, MultiplexNetwork
+from multicoord.netbuild import LayerGraph, MultiplexNetwork, _edge_numbers
 from multicoord.reports import PARTITION_HEADER, _assignment
 
 try:
@@ -35,10 +35,17 @@ def edge_dict(g):
 
 
 def from_pairs(layer, pairs, nodes=()):
-    """LayerGraph.from_columns over (u, v, weight[, co_actions[,
-    window_count]]) rows; the counts default to 1."""
+    """A LayerGraph of (u, v, weight[, co_actions[, window_count]]) rows in
+    any order, as numbers or as text that float and int take; the counts
+    default to 1 and ``nodes`` adds isolated nodes. Raises EdgeRowError as
+    _edge_numbers and then as LayerGraph.from_codes do."""
     rows = [tuple(p) + (1,) * (5 - len(p)) for p in pairs]
-    return LayerGraph.from_columns(layer, *(zip(*rows) if rows else ((),) * 5), nodes=nodes)
+    a, b, *numbers = zip(*rows) if rows else ((),) * 5
+    w, co, wc = _edge_numbers(*numbers)
+    names = tuple(sorted(set(a).union(b, nodes)))
+    index = {x: k for k, x in enumerate(names)}
+    ia, ib = (np.fromiter(map(index.__getitem__, ends), np.int64, len(w)) for ends in (a, b))
+    return LayerGraph.from_codes(layer, names, ia, ib, w, co, wc)
 
 
 def read_ground_truth(path):

@@ -19,15 +19,20 @@ the peak of the whole step, writes included.
   there. They report after each edge list read (``reports.read_edges_tsv``,
   with its file name), after ``pipeline.flatten_union``,
   ``pipeline.flatten_intersection`` and ``community._supra_graph``, after
-  Louvain (``pipeline.louvain`` and ``pipeline.generalized_louvain``), and
-  after ``pipeline.node_metrics``.
+  Louvain (``pipeline.louvain`` and ``pipeline.generalized_louvain``),
+  after each edge list write (``reports.write_edges_tsv``, with its file
+  name) and after ``pipeline.node_metrics``. Inside each node profile they
+  also report after ``characterize._local_clustering`` on the whole graph,
+  after ``GraphCSR.eigen`` (its ``_lanczos`` solves, one per component)
+  and after ``characterize._pagerank``; the per-community calls of
+  ``community_metrics`` print nothing.
 
 These are the module-level names that ``pipebench/spans.py`` wraps for
-those stages, and ``community._supra_graph``, which
-``generalized_louvain`` calls. ``ru_maxrss`` never falls, so a stage that
-reads the same as the one before did not raise the peak. Compare two trees
-in two processes, one per tree; ``tests/step_rss.py`` times the CLI process
-itself.
+those stages, ``community._supra_graph``, which ``generalized_louvain``
+calls, and the three node profile kernels. ``ru_maxrss`` never falls, so a
+stage that reads the same as the one before did not raise the peak.
+Compare two trees in two processes, one per tree; ``tests/step_rss.py``
+times the CLI process itself.
 """
 
 import argparse
@@ -35,6 +40,7 @@ import os
 import resource
 import sys
 import tempfile
+from functools import cached_property
 
 
 def peak_mb() -> float:
@@ -42,10 +48,12 @@ def peak_mb() -> float:
 
 
 def reporting(fn, label):
-    """fn, printing the peak RSS under label(args, kwargs) when a call returns."""
+    """fn, printing the peak RSS under label(args, kwargs) when a call
+    returns, unless the label is None."""
     def wrapped(*args, **kwargs):
         result = fn(*args, **kwargs)
-        print(f"{label(args, kwargs)}: {peak_mb():.2f} MB", flush=True)
+        if (text := label(args, kwargs)) is not None:
+            print(f"{text}: {peak_mb():.2f} MB", flush=True)
         return result
     return wrapped
 
@@ -72,7 +80,7 @@ def main(argv=None) -> int:
         ap.error("characterize needs --ref and --other")
     sys.dont_write_bytecode = True  # leave SRC as it is
     sys.path.insert(0, os.path.join(os.path.abspath(args.src), "src"))
-    from multicoord import community, pipeline, reports
+    from multicoord import characterize, community, pipeline, reports
 
     cfg = pipeline.RunConfig.from_file(args.config)
     if args.step == "build":
@@ -80,11 +88,21 @@ def main(argv=None) -> int:
         wrap(pipeline, "build_multiplex",
              lambda a, kw: "build_multiplex " + ",".join(kw.get("layers") or ["all"]))
     else:
-        wrap(reports, "read_edges_tsv", lambda a, kw: "read_edges_tsv " + os.path.basename(a[0]))
+        for name in ("read_edges_tsv", "write_edges_tsv"):  # _write writes <name>.tmp
+            wrap(reports, name, lambda a, kw, name=name:
+                 f"{name} {os.path.basename(a[0]).removesuffix('.tmp')}")
         for module, name in ((pipeline, "flatten_union"), (pipeline, "flatten_intersection"),
                              (community, "_supra_graph"), (pipeline, "louvain"),
-                             (pipeline, "generalized_louvain"), (pipeline, "node_metrics")):
+                             (pipeline, "generalized_louvain"), (pipeline, "node_metrics"),
+                             (characterize, "_pagerank")):
             wrap(module, name)
+        # a whole graph's profile, not a community's induced subgraph
+        whole = characterize.GraphCSR
+        wrap(characterize, "_local_clustering",
+             lambda a, kw: "_local_clustering" if isinstance(a[0], whole) else None)
+        eigen = cached_property(reporting(characterize.GraphCSR.eigen.func, lambda a, kw: "eigen"))
+        eigen.__set_name__(characterize.GraphCSR, "eigen")
+        characterize.GraphCSR.eigen = eigen
     print(f"start: {peak_mb():.2f} MB", flush=True)
     if args.step == "build":
         with tempfile.TemporaryDirectory() as out:

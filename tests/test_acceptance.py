@@ -79,7 +79,7 @@ def test_criterion_02_modality_divergence():
         strengths=({"rtw": 4.0, "men": 4.0, "rpl": 4.0}, {"rpl": 4.0}),
         seed=99, noise_rate=0.0, span_hours=24.0)
     net, truth = _built_network(cfg)
-    c1 = truth.members(1)
+    c1 = communities(truth.assignment)[1]
     failures = []
 
     p_rpl = louvain(net.layers["rpl"], seed=42)
@@ -104,8 +104,8 @@ def test_criterion_03_hungarian_optimality():
     for trial in range(200):
         k_a = int(rng.integers(1, 8))
         k_b = int(rng.integers(1, 8))
-        O = overlap_matrix({i: {f"a{i}"} for i in range(k_a)},
-                           {j: {f"b{j}"} for j in range(k_b)})
+        O = overlap_matrix({f"a{i}": i for i in range(k_a)},
+                           {f"b{j}": j for j in range(k_b)})
         object.__setattr__(O, "values", rng.random((k_b, k_a)))
         M = hungarian_match(O)
         n = max(k_a, k_b)
@@ -129,8 +129,8 @@ def test_criterion_04_overlap_algebra():
         b = {int(x) for x in rng.choice(list(universe),
                                         size=int(rng.integers(1, len(universe) + 1)),
                                         replace=False)}
-        o = overlap_matrix({0: a}, {0: b}).overlap(0, 0)
-        o_swapped = overlap_matrix({0: b}, {0: a}).overlap(0, 0)
+        o = overlap_matrix(dict.fromkeys(a, 0), dict.fromkeys(b, 0)).overlap(0, 0)
+        o_swapped = overlap_matrix(dict.fromkeys(b, 0), dict.fromkeys(a, 0)).overlap(0, 0)
         if not (0.0 <= o <= 1.0):
             failures.append(f"trial {trial}: o={o} out of range")
         if (o == 1.0) != (a == b):

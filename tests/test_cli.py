@@ -806,7 +806,8 @@ def test_build_holds_one_raw_layer_and_drops_the_log(tmp_path, monkeypatch):
 
 def test_stage_rss_reports_each_stage_of_a_characterize(tmp_path):
     # tests/stage_rss.py on the README recipe: one line per edge list read,
-    # per node profile and for the whole step, with a peak that never falls
+    # per node profile kernel on a whole graph, per node profile and for the
+    # whole step, with a peak that never falls
     synth_cfg, run_cfg = write_configs(tmp_path)
     assert main(["synth", "--config", synth_cfg]) == 0
     assert main(["build", "--config", run_cfg]) == 0
@@ -820,6 +821,6 @@ def test_stage_rss_reports_each_stage_of_a_characterize(tmp_path):
     lines = [line.rsplit(": ", 1) for line in done.stdout.splitlines()]
     assert [label for label, _ in lines] == [
         "start", "read_edges_tsv edges_rtw.tsv", "read_edges_tsv edges_unfl-sum.tsv",
-        "node_metrics", "node_metrics", "run_characterize"]
+        *["_local_clustering", "eigen", "_pagerank", "node_metrics"] * 2, "run_characterize"]
     peaks = [float(value.removesuffix(" MB")) for _, value in lines]
     assert 0 < peaks[0] and peaks == sorted(peaks)

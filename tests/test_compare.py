@@ -8,8 +8,7 @@ import pytest
 
 from conftest import from_pairs
 from multicoord.community import Partition
-from multicoord.compare import (COMMON, GAINED, LOST, community_sets,
-                                actor_coverage, edge_coverage,
+from multicoord.compare import (COMMON, GAINED, LOST, actor_coverage, edge_coverage,
                                 hungarian_match, label_communities,
                                 label_nodes, nmi, overlap_matrix,
                                 pearson_degree_correlation)
@@ -18,42 +17,42 @@ from multicoord.netbuild import LayerGraph, MultiplexNetwork
 
 
 # ---------------------------------------------------------------------------
-# community set normalization
-
-
-def test_community_sets_accepts_all_shapes():
-    want = {0: frozenset({"a", "b"}), 1: frozenset({"c"})}
-    assert community_sets(Partition("rtw", {"a": 0, "b": 0, "c": 1})) == want
-    assert community_sets({"a": 0, "b": 0, "c": 1}) == want
-    assert community_sets({0: {"a", "b"}, 1: {"c"}}) == want
-    mp = Partition("multi", {("a", "rtw"): 0, ("b", "rtw"): 0, ("c", "rpl"): 1})
-    got = community_sets(mp)
-    assert got == {0: frozenset({("a", "rtw"), ("b", "rtw")}),
-                   1: frozenset({("c", "rpl")})}
-
-
-def test_community_sets_min_size_is_strict():
-    src = {0: {"a", "b", "c"}, 1: {"d", "e"}, 2: {"f"}}
-    assert set(community_sets(src, min_size=2)) == {0}
-    assert set(community_sets(src, min_size=1)) == {0, 1}
-    assert set(community_sets(src, min_size=0)) == {0, 1, 2}
-    with pytest.raises(ValueError):
-        community_sets({0: set()})
-
-
-# ---------------------------------------------------------------------------
 # overlap
+
+
+def overlap_of(C_A, C_B, min_size=0):
+    """overlap_matrix of two disjoint member-set maps {community id: members}."""
+    a, b = ({node: cid for cid, members in C.items() for node in members} for C in (C_A, C_B))
+    return overlap_matrix(a, b, min_size)
+
+
+def test_overlap_matrix_reads_a_multiplex_assignment():
+    # a "multi" Partition's assignment keys (node, layer) supra-nodes
+    mp = Partition("multi", {("a", "rtw"): 0, ("b", "rtw"): 0, ("c", "rpl"): 1})
+    O = overlap_matrix(mp.assignment, {("a", "rtw"): 5, ("c", "rpl"): 5})
+    assert O.a_members == (frozenset({("a", "rtw"), ("b", "rtw")}), frozenset({("c", "rpl")}))
+    assert O.b_members == (frozenset({("a", "rtw"), ("c", "rpl")}),)
+    assert O.counts.tolist() == [[1, 1]]
+
+
+def test_overlap_min_size_is_strict():
+    src = {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1, "f": 2}
+    assert overlap_matrix(src, src, min_size=2).a_ids == (0,)
+    assert overlap_matrix(src, src, min_size=1).a_ids == (0, 1)
+    assert overlap_matrix(src, src, min_size=0).b_ids == (0, 1, 2)
+    with pytest.raises(ValueError):
+        overlap_matrix(src, src, min_size=-1)
 
 
 def test_overlap_harmonic_mean_hand_case():
     # |A| = 4, |B| = 3, |A n B| = 2: directional 1/2 and 2/3, harmonic 4/7
-    O = overlap_matrix({0: {1, 2, 3, 4}}, {0: {3, 4, 5}})
+    O = overlap_of({0: {1, 2, 3, 4}}, {0: {3, 4, 5}})
     assert O.values.shape == (1, 1)
     assert O.overlap(0, 0) == pytest.approx(4 / 7, abs=1e-15)
 
 
 def test_overlap_extremes_and_shape():
-    O = overlap_matrix({0: {"a", "b"}, 1: {"c"}},
+    O = overlap_of({0: {"a", "b"}, 1: {"c"}},
                        {0: {"a", "b"}, 1: {"x"}, 2: {"c"}})
     assert O.values.shape == (3, 2)          # rows = B, cols = A
     assert O.k_a == 2 and O.k_b == 3
@@ -68,8 +67,8 @@ def test_overlap_algebra_random(rng):
         universe = list(range(int(rng.integers(2, 30))))
         a = set(int(x) for x in rng.choice(universe, size=rng.integers(1, len(universe) + 1), replace=False))
         b = set(int(x) for x in rng.choice(universe, size=rng.integers(1, len(universe) + 1), replace=False))
-        O_ab = overlap_matrix({0: a}, {0: b})
-        O_ba = overlap_matrix({0: b}, {0: a})
+        O_ab = overlap_of({0: a}, {0: b})
+        O_ba = overlap_of({0: b}, {0: a})
         o = O_ab.overlap(0, 0)
         assert 0.0 <= o <= 1.0
         assert (o == 1.0) == (a == b)
@@ -78,7 +77,7 @@ def test_overlap_algebra_random(rng):
 
 
 def test_overlap_min_size_filter():
-    O = overlap_matrix({0: {"a", "b", "c"}, 1: {"d"}},
+    O = overlap_of({0: {"a", "b", "c"}, 1: {"d"}},
                        {0: {"a", "b", "c"}, 1: {"d"}}, min_size=1)
     assert O.k_a == 1 and O.k_b == 1
     assert O.a_ids == (0,) and O.b_ids == (0,)
@@ -91,7 +90,7 @@ def test_overlap_min_size_filter():
 def test_hungarian_3x3_frozen():
     # brute force over the 6 permutations puts the optimum on the diagonal
     # with total 0.9 + 0.9 + 0.1
-    O = overlap_matrix({0: set("ab"), 1: set("cd"), 2: set("ef")},
+    O = overlap_of({0: set("ab"), 1: set("cd"), 2: set("ef")},
                        {0: set("ab"), 1: set("cd"), 2: set("ef")})
     vals = np.array([[0.9, 0.8, 0.0], [0.8, 0.9, 0.0], [0.0, 0.0, 0.1]])
     object.__setattr__(O, "values", vals)
@@ -103,7 +102,7 @@ def test_hungarian_3x3_frozen():
 def test_hungarian_prefers_total_over_greedy():
     # greedy on the largest entry (0.9) would force a total of 0.9 + 0.1;
     # the optimum pairs off-diagonal for 0.8 + 0.7
-    O = overlap_matrix({0: set("ab"), 1: set("cd")}, {0: set("ab"), 1: set("cd")})
+    O = overlap_of({0: set("ab"), 1: set("cd")}, {0: set("ab"), 1: set("cd")})
     object.__setattr__(O, "values", np.array([[0.9, 0.7], [0.8, 0.1]]))
     M = hungarian_match(O)
     # values[b, a]: pairs (a=0, b=1) -> 0.8 and (a=1, b=0) -> 0.7
@@ -112,7 +111,7 @@ def test_hungarian_prefers_total_over_greedy():
 
 
 def test_hungarian_rectangular_and_unmatched():
-    O = overlap_matrix({0: {"a"}, 1: {"b"}, 2: {"c"}},
+    O = overlap_of({0: {"a"}, 1: {"b"}, 2: {"c"}},
                        {0: {"a"}, 1: {"z"}})
     M = hungarian_match(O)
     assert len(M.pairs) == 2                  # min(k_a, k_b)
@@ -128,7 +127,7 @@ def test_hungarian_matches_brute_force(rng):
     for _ in range(200):
         k_a = int(rng.integers(1, 8))
         k_b = int(rng.integers(1, 8))
-        O = overlap_matrix({i: {f"a{i}"} for i in range(k_a)},
+        O = overlap_of({i: {f"a{i}"} for i in range(k_a)},
                            {j: {f"b{j}"} for j in range(k_b)})
         vals = np.round(rng.random((k_b, k_a)), 3)
         object.__setattr__(O, "values", vals)
@@ -145,7 +144,7 @@ def test_hungarian_matches_brute_force(rng):
 
 
 def test_hungarian_rejects_non_finite():
-    O = overlap_matrix({0: {"a"}}, {0: {"a"}})
+    O = overlap_of({0: {"a"}}, {0: {"a"}})
     object.__setattr__(O, "values", np.array([[np.nan]]))
     with pytest.raises(ValueError):
         hungarian_match(O)
@@ -158,7 +157,7 @@ def test_hungarian_rejects_non_finite():
 def _two_sided():
     C_A = {10: {"a", "b", "c", "d"}, 20: {"e", "f"}}
     C_B = {1: {"a", "b", "c", "x"}, 2: {"q", "r"}}
-    O = overlap_matrix(C_A, C_B)
+    O = overlap_of(C_A, C_B)
     return O, hungarian_match(O)
 
 
@@ -225,7 +224,7 @@ def test_label_nodes_cross_pair_membership_is_not_common():
     # (0, 0) and (1, 1): z is lost, not common
     C_A = {0: {"z", "a"}, 1: {"b", "c", "d"}}
     C_B = {0: {"a", "p"}, 1: {"b", "c", "z"}}
-    O = overlap_matrix(C_A, C_B)
+    O = overlap_of(C_A, C_B)
     M = hungarian_match(O)
     assert set(M.pairs) == {(0, 0), (1, 1)}
     labels = label_nodes(O, M)
@@ -233,22 +232,12 @@ def test_label_nodes_cross_pair_membership_is_not_common():
     assert labels["a"] == COMMON and labels["b"] == COMMON
 
 
-def test_label_nodes_requires_disjoint_sides():
-    # the registry that node labels read is refused when it is built
-    C_A = {0: {"a", "b"}, 1: {"b", "c"}}      # overlapping communities
-    C_B = {0: {"a"}}
-    with pytest.raises(DataError, match="'b'"):
-        overlap_matrix(C_A, C_B)
-    with pytest.raises(DataError):
-        overlap_matrix(C_B, C_A)
-
-
 def test_overlap_counts_are_intersection_sizes():
-    O = overlap_matrix({0: {"a", "b", "c"}, 1: {"d"}},
+    O = overlap_of({0: {"a", "b", "c"}, 1: {"d"}},
                        {0: {"a", "b", "x"}, 1: {"c", "d"}, 2: {"y"}})
     assert O.counts.tolist() == [[2, 0], [1, 1], [0, 0]]
     assert O.values[1, 0] == 2.0 * (1 / 3) * (1 / 2) / (1 / 3 + 1 / 2)
-    empty = overlap_matrix({0: {"a"}, 1: {"b"}}, {0: {"c"}}, min_size=1)
+    empty = overlap_of({0: {"a"}, 1: {"b"}}, {0: {"c"}}, min_size=1)
     assert empty.counts.shape == empty.values.shape == (0, 0)
 
 
@@ -281,16 +270,6 @@ def test_nmi_matches_reference_implementation(rng):
         want = sklearn_metrics.normalized_mutual_info_score(
             labels1, labels2, average_method="arithmetic")
         assert nmi(overlap_matrix(p1, p2)) == pytest.approx(want, abs=1e-10)
-
-
-def test_nmi_rejects_overlapping_communities():
-    # the last community a shared node was seen in used to win, so the
-    # score depended on the dict order: 0.344 one way, 1.0 the other
-    p1 = {0: {"a", "b", "x"}, 1: {"b", "c", "y"}}
-    p2 = {0: {"a", "b"}, 1: {"c", "y"}}
-    for first, second in ((p1, p2), (p2, p1), (dict(reversed(p1.items())), p2)):
-        with pytest.raises(DataError, match="disjoint"):
-            nmi(overlap_matrix(first, second))
 
 
 def test_nmi_common_universe_and_min_size():

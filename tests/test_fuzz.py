@@ -3,7 +3,9 @@
 Each log, TSV or JSONL, goes through build, every detect mode, compare +
 characterize on two pairs, one of them multi against a layer, and report.
 The JSONL logs mix in a line of every class that ingest rejects, and at
-times a stoplist that empties a layer. The oracle: every
+times a stoplist that empties a layer. Between two steps a study may edit
+one artifact of the output directory: a row deleted or repeated, a field
+or a directive line changed. The oracle: every
 step exits 0, or 2 with a ``data error:`` line; none raises, so none would
 end a CLI process with a traceback. Pinned examples add crash cases the generator
 does not draw: a log that is not UTF-8 and a stoplist that is a directory. Once every detect mode has run, no message
@@ -57,11 +59,20 @@ def _config(width_hours, shift_hours, fraction, max_nodes, seed):
             "detection": {"seed": seed}}
 
 
+# the CLI steps of a study (see _steps), and the edits of an artifact
+# between two of them, with the text an edited field or directive takes
+N_STEPS = 1 + len(DETECT_MODES) + 2 * 2 + 1
+EDITS = ("delete a row", "repeat a row", "change a field", "change a directive")
+FIELDS = ("", "x", "0", "-1", "1.5", "nan", "inf", "1e400", "9" * 30, "u0", "rtw", "multi",
+          "#", "{}", "[1]")
+
+
 @st.composite
 def studies(draw):
-    """(TSV event lines, run config, (ref, other) pairs) of a tiny study:
-    1-12 users, 1-6 items, 1-5 action types and 1-80 events over up to two
-    days."""
+    """(TSV event lines, run config, (ref, other) pairs, edit) of a tiny
+    study: 1-12 users, 1-6 items, 1-5 action types and 1-80 events over up
+    to two days. The edit is None or (after step, file, kind, line, field,
+    text); see _edit_artifact."""
     n_users, n_items = draw(st.integers(1, 12)), draw(st.integers(1, 6))
     actions = draw(st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=5, unique=True))
     n_events, span = draw(st.integers(1, 80)), draw(st.sampled_from([3600, 6 * 3600, 48 * 3600]))
@@ -74,7 +85,10 @@ def studies(draw):
                   draw(st.integers(0, 3)))
     pairs = [("multi", draw(st.sampled_from(ACTIONS))),
              (draw(st.sampled_from(FLAT_SCOPES)), draw(st.sampled_from(actions)))]
-    return [f"u{u}\t{a}\ti{i}\t{t}\n" for u, a, i, t in rows], cfg, pairs
+    edit = draw(st.none() | st.tuples(st.integers(0, N_STEPS - 2), st.integers(0, 99),
+                                      st.sampled_from(EDITS), st.integers(0, 999),
+                                      st.integers(0, 9), st.sampled_from(FIELDS)))
+    return [f"u{u}\t{a}\ti{i}\t{t}\n" for u, a, i, t in rows], cfg, pairs, edit
 
 
 # JSONL studies draw from these: every kind of value that is no id, how the
@@ -104,11 +118,11 @@ BAD_LINES = (
 
 @st.composite
 def jsonl_studies(draw):
-    """(JSONL event lines, run config, (ref, other) pairs, extra files): a
-    study of studies() in the JSONL schema, with malformed lines of every
-    class parse_events rejects among its rows, and at times a stoplist that
-    lists every item of a layer."""
-    tsv, cfg, pairs = draw(studies())
+    """(JSONL event lines, run config, (ref, other) pairs, edit, extra
+    files): a study of studies() in the JSONL schema, with malformed lines
+    of every class parse_events rejects among its rows, and at times a
+    stoplist that lists every item of a layer."""
+    tsv, cfg, pairs, edit = draw(studies())
     lines = [_jsonl(u, a, ITEMS.get(a, "{}").format(i), int(t))
              for u, a, i, t in (line.rstrip("\n").split("\t") for line in tsv)]
     lines += draw(st.lists(st.sampled_from(BAD_LINES), max_size=4))
@@ -122,7 +136,7 @@ def jsonl_studies(draw):
         # studies() draws the items i0 to i5
         files["stop.txt"] = [entry.format(f"i{k}") + "\n" for k in range(6)]
         cfg["stoplists"] = {key: "stop.txt"}
-    return draw(st.permutations(lines)), cfg, pairs, files
+    return draw(st.permutations(lines)), cfg, pairs, edit, files
 
 
 def _digests(out):
@@ -148,9 +162,44 @@ def _steps(pairs):
     yield ("report",)
 
 
-def _run_study(lines, cfg, pairs, files=None):
-    """Run every step of _steps on one study; files maps a name beside the
-    config to its lines."""
+def _edit_artifact(out, edit):
+    """Apply a drawn edit to the file of out that ``file`` picks, in name
+    order: delete or repeat the row that ``line`` picks, set the field of
+    it that ``field`` picks to ``text``, or set the value of the comment
+    line that ``line`` picks to ``text``. Lines starting with '#' are
+    comments, the others rows, a table's header among them; a JSON line is
+    a row of one field. A file without such a line is left as it is."""
+    _, file, kind, line, field, text = edit
+    names = sorted(_digests(out))
+    if not names:
+        return
+    path = os.path.join(out, names[file % len(names)])
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        lines = fh.readlines()
+    comment = kind == "change a directive"
+    at = [k for k, t in enumerate(lines) if t.startswith("#") == comment]
+    if not at:
+        return
+    k = at[line % len(at)]
+    if kind == "delete a row":
+        del lines[k]
+    elif kind == "repeat a row":
+        lines.insert(k, lines[k])
+    elif kind == "change a field":
+        fields = lines[k].rstrip("\n").split("\t")
+        fields[field % len(fields)] = text
+        lines[k] = "\t".join(fields) + "\n"
+    else:
+        key = lines[k][1:].split(maxsplit=1)[:1]
+        lines[k] = " ".join(["#", *key, text]) + "\n"
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        fh.writelines(lines)
+
+
+def _run_study(lines, cfg, pairs, edit=None, files=None):
+    """Run every step of _steps on one study, editing an artifact after the
+    step that the edit names; files maps a name beside the config to its
+    lines."""
     with tempfile.TemporaryDirectory() as tmp:
         events, path = os.path.join(tmp, "events"), os.path.join(tmp, "run.json")
         out = os.path.join(tmp, "out")
@@ -162,7 +211,7 @@ def _run_study(lines, cfg, pairs, files=None):
                 fh.writelines(content)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({**cfg, "input": events, "out": out}, fh)
-        for argv in _steps(pairs):
+        for k, argv in enumerate(_steps(pairs)):
             before = _digests(out)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -172,6 +221,8 @@ def _run_study(lines, cfg, pairs, files=None):
             assert "run detect" not in err.getvalue(), (argv, err.getvalue())
             if code == 2:
                 assert _digests(out) == before, argv
+            if edit is not None and k == edit[0]:
+                _edit_artifact(out, edit)
 
 
 @settings(max_examples=25, deadline=None)
@@ -209,7 +260,7 @@ def test_every_cli_step_exits_0_or_2_on_tiny_logs(study):
              _jsonl("u0", "rtw", ["u0"], 1), _jsonl({"id": 1}, "rtw", "i0", 1)],
           {**_config(6.0, 5.0, 1.0, 12, 0), "schema": "jsonl",
            "stoplists": {"hashtags": "stop.txt"}},
-          [("multi", "hst"), ("unfl-sum", "rtw")], {"stop.txt": ["#hi0\n", "hi1\n"]}))
+          [("multi", "hst"), ("unfl-sum", "rtw")], None, {"stop.txt": ["#hi0\n", "hi1\n"]}))
 def test_every_cli_step_exits_0_or_2_on_tiny_jsonl_logs(study):
     _run_study(*study)
 

@@ -26,8 +26,8 @@ from multicoord.community import (GAIN_TOLERANCE, Partition,  # noqa: E402
                                   flatten_intersection,
                                   flatten_union, generalized_louvain, louvain,
                                   modularity, multislice_modularity)
-from multicoord.compare import (community_sets, hungarian_match,  # noqa: E402
-                                label_nodes, nmi, overlap_matrix)
+from multicoord.compare import (hungarian_match, label_nodes, nmi,  # noqa: E402
+                                overlap_matrix)
 from multicoord.filternet import FilterConfig, filter_layer  # noqa: E402
 from multicoord.errors import DataError, InvariantError  # noqa: E402
 from multicoord.ingest import (_CONTROL_CHARS, ACTIONS, HST, MEN, URL,  # noqa: E402
@@ -1273,8 +1273,16 @@ node_pool = st.sampled_from([f"v{k}" for k in range(15)])
 assignments = st.dictionaries(node_pool, st.integers(0, 4), min_size=1)
 
 
-def _sorted_sets(source, min_size=0):
-    sets = community_sets(source, min_size)
+def _sets(assignment, min_size):
+    """{community id: members} of the communities with more than min_size."""
+    groups = defaultdict(set)
+    for node, cid in assignment.items():
+        groups[cid].add(node)
+    return {cid: frozenset(m) for cid, m in groups.items() if len(m) > min_size}
+
+
+def _sorted_sets(assignment, min_size):
+    sets = _sets(assignment, min_size)
     ids = tuple(sorted(sets, key=lambda c: (type(c).__name__, c)))
     return ids, tuple(sets[i] for i in ids)
 
@@ -1295,9 +1303,9 @@ def _overlap_oracle(C_A, C_B, min_size):
     return (a_ids, b_ids, a_members, b_members), counts, values
 
 
-def _label_nodes_oracle(C_A, C_B, M):
-    a_of = {node: idx for idx, m in enumerate(_sorted_sets(C_A)[1]) for node in m}
-    b_of = {node: idx for idx, m in enumerate(_sorted_sets(C_B)[1]) for node in m}
+def _label_nodes_oracle(a_members, b_members, M):
+    a_of = {node: idx for idx, m in enumerate(a_members) for node in m}
+    b_of = {node: idx for idx, m in enumerate(b_members) for node in m}
     matched = set(M.pairs)
     labels = {}
     for node in set(a_of) | set(b_of):
@@ -1313,8 +1321,8 @@ def _label_nodes_oracle(C_A, C_B, M):
 
 
 def _nmi_oracle(p1, p2, min_size):
-    of1 = {node: cid for cid, m in community_sets(p1, min_size).items() for node in m}
-    of2 = {node: cid for cid, m in community_sets(p2, min_size).items() for node in m}
+    of1 = {node: cid for cid, m in _sets(p1, min_size).items() for node in m}
+    of2 = {node: cid for cid, m in _sets(p2, min_size).items() for node in m}
     universe = set(of1) & set(of2)
     if not universe:
         raise DataError("no common nodes")
@@ -1350,8 +1358,7 @@ def test_overlap_labels_and_nmi_match_dict_oracles(a, b, min_size):
     assert O.counts.tolist() == counts.tolist()
     assert O.values.tolist() == values.tolist()
     M = hungarian_match(O)
-    assert label_nodes(O, M) == _label_nodes_oracle(dict(zip(O.a_ids, O.a_members)),
-                                                    dict(zip(O.b_ids, O.b_members)), M)
+    assert label_nodes(O, M) == _label_nodes_oracle(O.a_members, O.b_members, M)
     assert _outcome(nmi, O) == _outcome(_nmi_oracle, a, b, min_size)
 
 

@@ -85,7 +85,7 @@ def test_every_file_starts_with_meta_line(tmp_path):
                                   Partition("multi", {("u1", "rtw"): 0}, omega=0.1), ctx)
     paths["overlap"] = tmp_path / "o.tsv"
     write_overlap_tsv(str(paths["overlap"]),
-                      overlap_matrix({0: {"u1"}, 1: {"u2"}}, {5: {"u1", "u2"}}), ctx)
+                      overlap_matrix({"u1": 0, "u2": 1}, {"u1": 5, "u2": 5}), ctx)
     paths["truth"] = tmp_path / "gt.tsv"
     write_ground_truth(str(paths["truth"]), Partition("rtw", {"u1": 0}), ctx)
     paths["events"] = tmp_path / "events.tsv"
@@ -176,7 +176,7 @@ def test_ground_truth_round_trip(tmp_path):
 
 
 def test_overlap_tsv_layout(tmp_path):
-    O = overlap_matrix({0: {"a", "b"}, 1: {"c"}}, {5: {"a", "b"}, 7: {"c"}})
+    O = overlap_matrix({"a": 0, "b": 0, "c": 1}, {"a": 5, "b": 5, "c": 7})
     p = tmp_path / "o.tsv"
     write_overlap_tsv(str(p), O)
     lines = p.read_text().splitlines()
@@ -333,12 +333,10 @@ def test_headerless_tables_are_refused(tmp_path, reader, header, text):
         reader(str(p))
 
 
-def test_edge_read_allocates_a_bounded_multiple_of_the_file(tmp_path):
-    # ~20k rows shaped like a 1.2k-user unfl-sum edge list; the row reader
-    # peaked at ~18x the file's size, the column reader ~11x, and the block
-    # reader, whose rows are in place once read, ~2.3x
+def _unfl_sum_like(n_nodes, n_rows):
+    """A graph of n_rows random edges over n_nodes, with weights and counts
+    shaped like an unfl-sum edge list's."""
     rng = np.random.default_rng(7)
-    n_nodes, n_rows = 1500, 20_000
     key = np.unique(rng.integers(0, n_nodes * n_nodes, 3 * n_rows))
     u, v = np.divmod(key, n_nodes)
     keep = np.flatnonzero(u < v)[:n_rows]
@@ -346,6 +344,14 @@ def test_edge_read_allocates_a_bounded_multiple_of_the_file(tmp_path):
                    rng.random(len(keep)) + 1e-3, rng.integers(1, 60, len(keep)),
                    rng.integers(1, 14, len(keep)))
     assert g.n_edges == n_rows
+    return g
+
+
+def test_edge_read_allocates_a_bounded_multiple_of_the_file(tmp_path):
+    # ~20k rows shaped like a 1.2k-user unfl-sum edge list; the row reader
+    # peaked at ~18x the file's size, the column reader ~11x, and the block
+    # reader, whose rows are in place once read, ~2.3x
+    g = _unfl_sum_like(1500, 20_000)
     p = tmp_path / "edges_unfl-sum.tsv"
     write_edges_tsv(str(p), g)
     size = p.stat().st_size
@@ -357,6 +363,22 @@ def test_edge_read_allocates_a_bounded_multiple_of_the_file(tmp_path):
         tracemalloc.stop()
     assert edge_dict(back) == edge_dict(g)
     assert peak < 3 * size, f"read peaked at {peak / size:.1f}x the file's {size} bytes"
+
+
+def test_edge_write_allocates_a_fraction_of_the_file(tmp_path):
+    # 60k rows over 3k nodes; writing every column as a Python list first
+    # peaked at ~3.3x the file's size, and a block of rows at a time ~0.08x
+    g = _unfl_sum_like(3000, 60_000)
+    p = tmp_path / "edges_unfl-sum.tsv"
+    tracemalloc.start()
+    try:
+        write_edges_tsv(str(p), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = p.stat().st_size
+    assert edge_dict(read_edges_tsv(str(p))) == edge_dict(g)
+    assert peak <= 0.25 * size, f"write peaked at {peak / size:.2f}x the file's {size} bytes"
 
 
 def test_non_finite_values_refused(tmp_path):

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from multicoord.community import communities
 from multicoord.errors import DataError
 from multicoord.ingest import ACTIONS, parse_events
 from multicoord.reports import write_events_tsv
@@ -74,14 +75,14 @@ def test_ground_truth_shape():
     cfg = small_cfg()
     _, truth = generate(cfg)
     assert isinstance(truth, GroundTruth)
-    comms = truth.communities()
+    comms = communities(truth.assignment)
     assert {len(comms[i]) for i in comms} == {10, 8}
     assert len(truth.assignment) == 18
     assert len(truth.noise_users) == 12
     assert not set(truth.assignment) & truth.noise_users
     assert truth.active_layers[0] == frozenset({"rtw", "hst"})
     assert truth.active_layers[1] == frozenset({"rpl"})
-    assert truth.members(0) <= set(truth.assignment)
+    assert comms[0] <= set(truth.assignment)
 
 
 def test_items_are_traceable():
@@ -106,7 +107,7 @@ def test_single_layer_community_stays_single_layer():
     # the rpl-only community emits nothing outside rpl when noise is off
     cfg = small_cfg(noise_rate=0.0)
     log, truth = generate(cfg)
-    c1 = truth.members(1)
+    c1 = communities(truth.assignment)[1]
     actions_of_c1 = {e.action for e in log.events if e.user_id in c1}
     assert actions_of_c1 == {"rpl"}
     # and nobody outside c1 touches its pools
