@@ -17,7 +17,7 @@ from multicoord.characterize import (COMMUNITY_METRIC_NAMES, GraphCSR,
                                      significance_band)
 from multicoord.community import communities, flatten_union, louvain
 from multicoord.compare import hungarian_match, label_nodes, overlap_matrix
-from multicoord.errors import DegenerateSampleError
+from multicoord.errors import UndefinedMetricError
 from multicoord.filternet import FilterConfig, filter_multiplex
 from multicoord.ingest import select_users
 from multicoord.netbuild import build_multiplex
@@ -79,5 +79,5 @@ try:
     r = brunner_munzel(groups["lost"], groups["gained"])
     print(f"  statistic={r.statistic:+.3f} p={r.p_value:.4f} "
           f"[{significance_band(r.p_value)}]")
-except DegenerateSampleError as e:
+except UndefinedMetricError as e:
     print(f"  degenerate samples: {e}")

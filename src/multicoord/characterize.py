@@ -7,9 +7,15 @@ groups of communities. Node descriptors (degree centrality, eigenvector
 centrality, local clustering, PageRank) profile lost / common / gained
 node groups.
 
-Undefined structural values (assortativity with zero degree variance,
-conductance when the member set is the whole graph) are reported as 0.0
-with an explicit defined flag, so downstream vectors keep a fixed length.
+Each descriptor is a NamedTuple, and its field names are the metric
+names: NODE_METRIC_NAMES are NodeMetrics' fields, and
+COMMUNITY_METRIC_NAMES are CommunityMetrics' fields before its two
+defined flags. Undefined structural values (assortativity with zero degree
+variance, conductance when the member set is the whole graph) are reported
+as 0.0 with an explicit defined flag, so downstream vectors keep a fixed
+length. A value that cannot be reported so, a cosine of a zero vector, a
+PCA of too few rows or a rank test of samples with no rank variance,
+raises UndefinedMetricError.
 
 Both descriptor sets work on one GraphCSR per graph, in numpy alone, so
 that a characterize process loads no scipy module. A GraphCSR is
@@ -27,13 +33,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSampleError, UndefinedMetricError
+from .errors import UndefinedMetricError
 from .netbuild import CSR, LayerGraph, _component_labels, _wedge_opens, _wedges
 
 logger = logging.getLogger(__name__)
@@ -47,9 +53,9 @@ _BETA_CF_MAX_TERMS = 10000
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class CommunityMetrics:
-    """Fixed-order structural descriptor of one community."""
+class CommunityMetrics(NamedTuple):
+    """Fixed-order structural descriptor of one community: its metrics,
+    then the defined flags of the two that can be undefined."""
 
     size: int
     density: float
@@ -62,11 +68,10 @@ class CommunityMetrics:
     assortativity_defined: bool = True
 
     def vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in COMMUNITY_METRIC_NAMES], dtype=float)
+        return np.array(self[:len(COMMUNITY_METRIC_NAMES)], dtype=float)
 
 
-@dataclass(frozen=True)
-class NodeMetrics:
+class NodeMetrics(NamedTuple):
     """Fixed-order centrality descriptor of one node."""
 
     degree_centrality: float
@@ -74,17 +79,9 @@ class NodeMetrics:
     local_clustering: float
     pagerank: float
 
-    def vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in NODE_METRIC_NAMES], dtype=float)
 
-
-def _metric_names(cls) -> tuple:
-    """A descriptor's metrics in field order; its *_defined flags are not metrics."""
-    return tuple(f.name for f in fields(cls) if not f.name.endswith("_defined"))
-
-
-COMMUNITY_METRIC_NAMES = _metric_names(CommunityMetrics)
-NODE_METRIC_NAMES = _metric_names(NodeMetrics)
+COMMUNITY_METRIC_NAMES = CommunityMetrics._fields[:-2]
+NODE_METRIC_NAMES = NodeMetrics._fields
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,10 @@ class GraphCSR(CSR):
         1e-12 of the best eigenvalue do not replace it: the first one, in
         order of smallest node, wins.
         """
-        labels = _component_labels(self.degree.size, self.rows(), self.indices)
+        rows = self.rows()
+        upper = rows < self.indices  # each edge once
+        labels = _component_labels(self.degree.size, rows[upper], self.indices[upper])
+        del rows, upper  # before the Lanczos bases are allocated
         members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
         best_val, best_idx, best_vec, best_ritz2 = -np.inf, None, None, None
         solved = steps = 0
@@ -474,7 +474,7 @@ def brunner_munzel(x, y) -> TestResult:
     Satterthwaite degrees of freedom; midranks handle ties.
 
     Fully separated samples have zero rank variance and no finite
-    statistic; that raises DegenerateSampleError.
+    statistic; that raises UndefinedMetricError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -492,7 +492,7 @@ def brunner_munzel(x, y) -> TestResult:
     sy = np.square(ry - ry_within - ry_mean + ry_within.mean()).sum() / (ny - 1)
     pooled = nx * sx + ny * sy
     if pooled <= 0.0:
-        raise DegenerateSampleError("zero rank variance (fully separated or constant samples)")
+        raise UndefinedMetricError("zero rank variance (fully separated or constant samples)")
     statistic = nx * ny * (ry_mean - rx_mean) / ((nx + ny) * math.sqrt(pooled))
     df = pooled ** 2 / ((nx * sx) ** 2 / (nx - 1) + (ny * sy) ** 2 / (ny - 1))
     p_value = 2.0 * _t_tail(float(df), -abs(float(statistic)))  # two-sided t tail

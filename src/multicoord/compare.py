@@ -39,7 +39,8 @@ GAINED = "gained"
 @dataclass
 class OverlapMatrix:
     """One comparison's registry: the two filtered community sets in sorted
-    id order, their intersection sizes and harmonic-mean overlaps.
+    id order, their intersection sizes and harmonic-mean overlaps. Every
+    partition's ids are ints, so a side's ids sort as numbers.
 
     values and counts have one row per B community and one column per A
     community; counts[bi, aj] = |b_members[bi] n a_members[aj]| and
@@ -80,10 +81,6 @@ class MatchResult:
     total: float
 
 
-def _sort_key(cid):
-    return (str(type(cid).__name__), cid)
-
-
 def overlap_matrix(a: dict, b: dict, min_size: int = 0) -> OverlapMatrix:
     """Pairwise harmonic-mean overlap of the communities of two node ->
     community-id maps, after dropping communities with size <= min_size on
@@ -93,8 +90,8 @@ def overlap_matrix(a: dict, b: dict, min_size: int = 0) -> OverlapMatrix:
         raise ValueError(f"min_size must be >= 0, got {min_size}")
     a_sets, b_sets = ({cid: members for cid, members in communities(x).items()
                        if len(members) > min_size} for x in (a, b))
-    a_ids = tuple(sorted(a_sets, key=_sort_key))
-    b_ids = tuple(sorted(b_sets, key=_sort_key))
+    a_ids = tuple(sorted(a_sets))
+    b_ids = tuple(sorted(b_sets))
     a_members = tuple(a_sets[i] for i in a_ids)
     b_members = tuple(b_sets[i] for i in b_ids)
     a_of = {node: aj for aj, members in enumerate(a_members) for node in members}

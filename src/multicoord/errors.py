@@ -25,11 +25,9 @@ class InvariantError(MulticoordError):
 
 
 class UndefinedMetricError(MulticoordError):
-    """A metric has no defined value on this input (e.g. constant degree vector)."""
-
-
-class DegenerateSampleError(MulticoordError):
-    """A statistical test cannot be computed (zero variance estimate)."""
+    """No value is defined on this input: for a metric (a constant degree
+    vector, a zero descriptor vector) or for a statistical test (a zero
+    rank variance estimate)."""
 
 
 class RowError(ValueError):

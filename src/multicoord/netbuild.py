@@ -273,7 +273,10 @@ class CSR:
 
     def induced(self, idx: np.ndarray) -> "CSR":
         """Subgraph on the increasing node positions ``idx``, renumbered in
-        that order; rows and columns stay sorted."""
+        that order; rows and columns stay sorted. Every node's subgraph is
+        this CSR itself, not a copy."""
+        if idx.size == self.degree.size:
+            return self
         pos = np.full(self.degree.size, -1)
         pos[idx] = np.arange(idx.size)
         deg = self.degree[idx]

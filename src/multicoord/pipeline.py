@@ -27,6 +27,11 @@ Approach tokens name community structures when comparing:
              side is a single layer or multi:<layer>)
     multi:<layer>    explicit restriction
 
+_sides resolves both tokens of a pair in one place, for compare and
+characterize alike: it parses them, applies the restrict-first rule and
+only then reads a partition, and it gives each side's graph scope, the
+graph characterize reads that side's metrics from.
+
 The reference side of a comparison is the B side: lost communities are
 those of the baseline A that the reference no longer detects, gained ones
 are new in the reference.
@@ -59,7 +64,7 @@ from .compare import (hungarian_match, label_communities, label_nodes, nmi,
 from .characterize import (COMMUNITY_METRIC_NAMES, NODE_METRIC_NAMES, GraphCSR,
                            brunner_munzel, community_metrics, metric_cosine,
                            node_metrics, pca_project, significance_band)
-from .errors import DegenerateSampleError, UndefinedMetricError
+from .errors import UndefinedMetricError
 from .synth import SynthConfig, check_hours, check_seed, generate
 from . import reports
 
@@ -410,56 +415,54 @@ def run_detect(cfg: RunConfig, mode: str, layer: str | None = None) -> list:
 
 # ---------------------------------------------------------------- compare
 
-def _parse_token(token: str) -> tuple[str, str | None]:
-    """Split an approach token into (base, restriction layer or None)."""
-    if token.startswith("multi:"):
-        layer = token.split(":", 1)[1]
-        if layer not in ACTIONS:
-            raise ConfigError(f"unknown layer in token {token!r}")
-        return "multi", layer
-    if token in ACTIONS or token in FLAT_SCOPES or token == "multi":
-        return token, None
-    raise ConfigError(f"unknown approach token {token!r}")
+def _sides(out: str, ref: str, other: str) -> tuple[tuple, tuple]:
+    """The two sides of a comparison, side B (ref) then side A (other), each
+    as (communities, display token, partition path, graph scope).
 
-
-def _resolve_tokens(ref: str, other: str) -> tuple[tuple, tuple]:
-    """Apply the restrict-first rule: a bare 'multi' facing a single layer,
-    on its own or as 'multi:<layer>', is restricted to that layer; facing a
+    Both tokens are parsed, then the restrict-first rule applies, and only
+    then is a file read. The rule: a bare 'multi' facing a single layer, on
+    its own or as 'multi:<layer>', is restricted to that layer; facing a
     user-level scope it is a scope mismatch unless an explicit
-    'multi:<layer>' is given.
-    """
-    sides = [_parse_token(ref), _parse_token(other)]
-    for k, (token, facing) in enumerate(((ref, other), (other, ref))):
-        base, layer = sides[k]
-        facing_scope = sides[1 - k][1] or sides[1 - k][0]  # multi:<layer> faces as <layer>
-        if base == "multi" and layer is None and facing_scope != "multi":
-            if facing_scope not in ACTIONS:
-                raise DataError(f"scope mismatch: '{token}' is a multiplex partition and "
-                                f"'{facing}' is user-level; use multi:<layer>")
-            sides[k] = (base, facing_scope)
-    return sides[0], sides[1]
-
-
-def _load_approach(out: str, base: str, restriction: str | None):
-    """The communities of one resolved side, its display token and its
-    partition path.
+    'multi:<layer>' is given. A side's graph scope is the graph its metrics
+    are read from: a restricted multi reads its layer, and only a bare
+    'multi' facing a bare 'multi' keeps the scope 'multi'.
 
     Detect writes no partition for a scope without a node, so a missing
     partition file names its scope when that scope's graphs are empty.
     """
-    path = os.path.join(out, f"partition_{base}.tsv")
-    if not os.path.exists(path):
-        graphs = (_load_network(out).layers.values() if base == "multi"
-                  else [_load_layer_graph(out, base)])
-        if not any(g.nodes for g in graphs):
-            raise DataError(f"scope {base!r} has no edge, so detect wrote no partition for it")
-        raise DataError(f"missing partition {path}; run detect first")
-    if base != "multi":
-        return reports.read_partition_tsv(path, base), base, path
-    p = reports.read_multiplex_partition_tsv(path)
-    if restriction is not None:
-        return restrict_to_layer(p, restriction), f"multi-{restriction}", path
-    return p, "multi", path
+    sides = []  # [base, scope]
+    for token in (ref, other):
+        base, colon, layer = token.partition(":")
+        if base == "multi" and colon:
+            if layer not in ACTIONS:
+                raise ConfigError(f"unknown layer in token {token!r}")
+            sides.append([base, layer])
+        elif token in ACTIONS or token in FLAT_SCOPES or token == "multi":
+            sides.append([token, token])
+        else:
+            raise ConfigError(f"unknown approach token {token!r}")
+    for k, (token, facing) in enumerate(((ref, other), (other, ref))):
+        facing_scope = sides[1 - k][1]  # multi:<layer> faces as <layer>
+        if sides[k][1] == "multi" and facing_scope != "multi":
+            if facing_scope not in ACTIONS:
+                raise DataError(f"scope mismatch: '{token}' is a multiplex partition and "
+                                f"'{facing}' is user-level; use multi:<layer>")
+            sides[k][1] = facing_scope
+    loaded = []
+    for base, scope in sides:
+        path = os.path.join(out, f"partition_{base}.tsv")
+        if not os.path.exists(path):
+            graphs = (_load_network(out).layers.values() if base == "multi"
+                      else [_load_layer_graph(out, base)])
+            if not any(g.nodes for g in graphs):
+                raise DataError(f"scope {base!r} has no edge, so detect wrote no partition for it")
+            raise DataError(f"missing partition {path}; run detect first")
+        p = (reports.read_partition_tsv(path, base) if base != "multi"
+             else reports.read_multiplex_partition_tsv(path))
+        if scope != base:  # a restricted multi
+            p = restrict_to_layer(p, scope)
+        loaded.append((p, base if scope == base else f"multi-{scope}", path, scope))
+    return loaded[0], loaded[1]
 
 
 def comparison_id(ref: str, other: str) -> str:
@@ -511,9 +514,7 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
 
     ref is the reference approach (side B); other is the baseline (side A).
     """
-    (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
-    B, b_token, _ = _load_approach(cfg.out, rb, rl)
-    A, a_token, _ = _load_approach(cfg.out, ob, ol)
+    (B, b_token, _, _), (A, a_token, _, _) = _sides(cfg.out, ref, other)
     *_, files = _compare(cfg.detection, ref, other, A, a_token, B, b_token)
     _write(cfg, *files)
     summary = files[1][2][0]  # the comparison_summary, first in labels_<cid>.jsonl
@@ -526,8 +527,6 @@ def run_compare(cfg: RunConfig, ref: str, other: str) -> dict:
 
 def _minmax_normalize(X: np.ndarray) -> np.ndarray:
     """Each column of X scaled onto [0, 1]; a constant column maps to 0."""
-    if not len(X):
-        return X
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
@@ -543,14 +542,12 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
     these, so the labels profiled are the labels written, under one config.
     """
     cid = comparison_id(ref, other)
-    (rb, rl), (ob, ol) = _resolve_tokens(ref, other)
-    # the graph a side's metrics are read from: a restricted multi reads its layer
-    a_scope, b_scope = ol or ob, rl or rb
-    if "multi" in (a_scope, b_scope):
+    # the restrict-first rule leaves only this pair without a graph per side
+    if ref == other == "multi":
         raise DataError("characterize needs a concrete graph per side; "
                         "restrict multiplex partitions to a layer (multi:<layer>)")
-    B, b_token, b_partition = _load_approach(cfg.out, rb, rl)
-    A, a_token, a_partition = _load_approach(cfg.out, ob, ol)
+    (B, b_token, b_partition, b_scope), (A, a_token, a_partition, a_scope) = _sides(
+        cfg.out, ref, other)
     # one graph and one node profile per distinct scope: multi:hst against
     # hst reads and profiles edges_hst.tsv once
     graphs = {s: GraphCSR.of(_load_layer_graph(cfg.out, s))
@@ -570,8 +567,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
             raise DataError(f"partition {partition} does not fit edge list "
                             f"{_edges_path(cfg.out, scope)}: {exc}") from exc
 
-    vectors = np.array([m.vector() for _, _, _, m in comm_rows]).reshape(
-        len(comm_rows), len(COMMUNITY_METRIC_NAMES))
+    vectors = np.array([m.vector() for _, _, _, m in comm_rows])
     comm_records = [{"record": "community_metrics", "side": side, "community": str(comm_id),
                      "label": label,
                      "metrics": dict(zip(COMMUNITY_METRIC_NAMES, vec.tolist())),
@@ -602,14 +598,13 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
                          "label": label, "x": float(xy[0]), "y": float(xy[1])}
                         for (side, comm_id, label, _), xy in zip(comm_rows, coords)]
 
-    profiles = {s: node_metrics(csr) if csr.order else {} for s, csr in graphs.items()}
+    profiles = {s: node_metrics(csr) for s, csr in graphs.items()}
     # the Lanczos facts behind each eigenvector centrality: a small gap
     # between lambda1 and the second Ritz value marks an ill-conditioned one
     eigen_records = [{"record": "eigen_summary", "graph": graph_id,
                       "components": csr.eigen.components, "lambda1": csr.eigen.lambda1,
                       "ritz2": csr.eigen.ritz2, "lanczos_steps": csr.eigen.steps}
-                     for graph_id, csr in (("a", graphs[a_scope]), ("b", graphs[b_scope]))
-                     if csr.n_edges]
+                     for graph_id, csr in (("a", graphs[a_scope]), ("b", graphs[b_scope]))]
     # lost and common nodes live in the baseline graph A, gained nodes only
     # exist in the reference graph B
     node_records = []
@@ -618,8 +613,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
         graph_id, scope = ("a", a_scope) if label in (LOST, COMMON) else ("b", b_scope)
         nm = profiles[scope][node]
         node_records.append({"record": "node_metrics", "node": str(node), "label": label,
-                             "graph": graph_id,
-                             **dict(zip(NODE_METRIC_NAMES, nm.vector().tolist()))})
+                             "graph": graph_id, **nm._asdict()})
 
     bm_records = []
     for metric in NODE_METRIC_NAMES:
@@ -634,7 +628,7 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
                     res = brunner_munzel(x, y)
                     rec.update(statistic=res.statistic, p_value=res.p_value,
                                df=res.df, band=significance_band(res.p_value))
-                except DegenerateSampleError as exc:
+                except UndefinedMetricError as exc:
                     rec["degenerate"] = str(exc)
             bm_records.append(rec)
     _write(cfg, *compared, (f"community_metrics_{cid}.jsonl", reports.write_records, comm_records),

@@ -106,3 +106,17 @@ def multiplex_from(layer_pairs):
     layers = {name: from_pairs(name, pairs)
               for name, pairs in layer_pairs.items()}
     return MultiplexNetwork(layers)
+
+
+def unfl_sum_like(n_nodes, n_rows):
+    """A graph of n_rows random edges over n_nodes, with weights and counts
+    shaped like an unfl-sum edge list's."""
+    rng = np.random.default_rng(7)
+    key = np.unique(rng.integers(0, n_nodes * n_nodes, 3 * n_rows))
+    u, v = np.divmod(key, n_nodes)
+    keep = np.flatnonzero(u < v)[:n_rows]
+    g = LayerGraph("unfl-sum", tuple(f"u{k:04d}" for k in range(n_nodes)), u[keep], v[keep],
+                   rng.random(len(keep)) + 1e-3, rng.integers(1, 60, len(keep)),
+                   rng.integers(1, 14, len(keep)))
+    assert g.n_edges == n_rows
+    return g

@@ -23,13 +23,15 @@ the peak of the whole step, writes included.
   after each edge list write (``reports.write_edges_tsv``, with its file
   name) and after ``pipeline.node_metrics``. Inside each node profile they
   also report after ``characterize._local_clustering`` on the whole graph,
-  after ``GraphCSR.eigen`` (its ``_lanczos`` solves, one per component)
-  and after ``characterize._pagerank``; the per-community calls of
-  ``community_metrics`` print nothing.
+  after ``netbuild._component_labels`` as ``GraphCSR.eigen`` calls it on
+  the whole graph, after ``GraphCSR.eigen`` (its ``_lanczos`` solves, one
+  per component) and after ``characterize._pagerank``; the per-community
+  calls of ``community_metrics`` print nothing, except for a community of
+  every node, whose subgraph is the whole graph.
 
 These are the module-level names that ``pipebench/spans.py`` wraps for
 those stages, ``community._supra_graph``, which ``generalized_louvain``
-calls, and the three node profile kernels. ``ru_maxrss`` never falls, so a
+calls, and the node profile kernels. ``ru_maxrss`` never falls, so a
 stage that reads the same as the one before did not raise the peak.
 Compare two trees in two processes, one per tree; ``tests/step_rss.py``
 times the CLI process itself.
@@ -94,7 +96,7 @@ def main(argv=None) -> int:
         for module, name in ((pipeline, "flatten_union"), (pipeline, "flatten_intersection"),
                              (community, "_supra_graph"), (pipeline, "louvain"),
                              (pipeline, "generalized_louvain"), (pipeline, "node_metrics"),
-                             (characterize, "_pagerank")):
+                             (characterize, "_component_labels"), (characterize, "_pagerank")):
             wrap(module, name)
         # a whole graph's profile, not a community's induced subgraph
         whole = characterize.GraphCSR

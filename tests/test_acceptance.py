@@ -22,7 +22,7 @@ from multicoord.community import (Partition, communities,
                                   multislice_modularity, restrict_to_layer)
 from multicoord.compare import (COMMON, GAINED, LOST, hungarian_match,
                                 label_communities, nmi, overlap_matrix)
-from multicoord.errors import DegenerateSampleError
+from multicoord.errors import UndefinedMetricError
 from multicoord.filternet import FilterConfig, filter_multiplex
 from multicoord.ingest import ACTIONS, select_users
 from multicoord.netbuild import MultiplexNetwork, build_multiplex, window_slices
@@ -337,7 +337,7 @@ def test_criterion_10_brunner_munzel_oracle():
     try:
         brunner_munzel([2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
         failures.append("degenerate input did not raise")
-    except DegenerateSampleError:
+    except UndefinedMetricError:
         pass
     _verdict(10, "statistic and p match the reference on 20 pairs", failures)
 

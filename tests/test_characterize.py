@@ -12,14 +12,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import clique, edge_dict, from_pairs, random_layer
+from conftest import clique, edge_dict, from_pairs, random_layer, unfl_sum_like
 from multicoord.characterize import (COMMUNITY_METRIC_NAMES,
                                      NODE_METRIC_NAMES, GraphCSR, _midranks,
                                      _triangles,
                                      brunner_munzel, community_metrics,
                                      metric_cosine, node_metrics,
                                      pca_project, significance_band)
-from multicoord.errors import DegenerateSampleError, UndefinedMetricError
+from multicoord.errors import UndefinedMetricError
 from multicoord.netbuild import LayerGraph
 
 
@@ -108,6 +108,29 @@ def test_triangle_pass_allocates_a_bounded_block():
     assert tri.tolist() == [math.comb(k - 1, 2)] * k
     bound = 32 * csr.indices.size + 64 * (1 << 14)
     assert peak < bound, f"triangle pass peaked at {peak} bytes, bound {bound}"
+
+
+def test_induced_on_every_node_is_the_csr_itself():
+    csr = GraphCSR.of(k4())
+    assert csr.induced(np.arange(4)) is csr
+    sub = csr.induced(np.array([0, 2, 3]))
+    assert sub is not csr and sub.n_edges == 3
+
+
+def test_eigen_allocates_a_bounded_multiple_of_its_csr():
+    # one component of 3k nodes and 60k edges: labelling components over
+    # both directions of every entry and copying the component before
+    # Lanczos peaked at ~3.7x the CSR's bytes, one direction and no copy ~2.7x
+    csr = GraphCSR.of(unfl_sum_like(3000, 60_000))
+    size = csr.indptr.nbytes + csr.indices.nbytes + csr.weight.nbytes
+    tracemalloc.start()
+    try:
+        eigen = csr.eigen
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eigen.components == 1
+    assert peak < 3 * size, f"eigen peaked at {peak / size:.2f}x the CSR's {size} bytes"
 
 
 def test_node_metrics_invariants_random(rng):
@@ -423,9 +446,9 @@ def test_midranks_match_rankdata_random(rng):
 
 
 def test_brunner_munzel_degenerate_raises():
-    with pytest.raises(DegenerateSampleError):
+    with pytest.raises(UndefinedMetricError):
         brunner_munzel([3.0, 3.0, 3.0], [3.0, 3.0, 3.0])
-    with pytest.raises(DegenerateSampleError):
+    with pytest.raises(UndefinedMetricError):
         brunner_munzel([1.0, 1.0], [9.0, 9.0])   # full separation, zero variance
     with pytest.raises(ValueError):
         brunner_munzel([1.0], [1.0, 2.0])

@@ -21,11 +21,13 @@ import pytest
 
 from multicoord import netbuild, pipeline
 from multicoord.cli import main
-from multicoord.errors import ConfigError
+from multicoord.community import restrict_to_layer
+from multicoord.errors import ConfigError, DataError
 from multicoord.filternet import FilterConfig, filter_multiplex
 from multicoord.ingest import ACTIONS
 from multicoord.pipeline import DETECT_MODES, DetectionSettings, RunConfig
-from multicoord.reports import config_hash, read_edges_tsv, read_partition_tsv, read_records
+from multicoord.reports import (config_hash, read_edges_tsv, read_multiplex_partition_tsv,
+                               read_partition_tsv, read_records)
 from multicoord.synth import SynthConfig
 from readme_recipe import write_configs
 
@@ -745,6 +747,92 @@ def test_characterize_names_why_compare_cannot_run(recipe_detected, capsys, ref,
         assert capsys.readouterr().err == f"data error: {err}\n"
 
 
+def _parse_token(token):
+    """(base, restriction layer or None) of an approach token: the grammar
+    as three helpers held it before one resolver did."""
+    if token.startswith("multi:"):
+        layer = token.split(":", 1)[1]
+        if layer not in ACTIONS:
+            raise ConfigError(f"unknown layer in token {token!r}")
+        return "multi", layer
+    if token in ACTIONS or token in pipeline.FLAT_SCOPES or token == "multi":
+        return token, None
+    raise ConfigError(f"unknown approach token {token!r}")
+
+
+def _resolve_tokens(ref, other):
+    """The restrict-first rule over two parsed tokens, as it stood beside
+    _parse_token."""
+    sides = [_parse_token(ref), _parse_token(other)]
+    for k, (token, facing) in enumerate(((ref, other), (other, ref))):
+        base, layer = sides[k]
+        facing_scope = sides[1 - k][1] or sides[1 - k][0]
+        if base == "multi" and layer is None and facing_scope != "multi":
+            if facing_scope not in ACTIONS:
+                raise DataError(f"scope mismatch: '{token}' is a multiplex partition and "
+                                f"'{facing}' is user-level; use multi:<layer>")
+            sides[k] = (base, facing_scope)
+    return sides[0], sides[1]
+
+
+def _load_approach(out, base, restriction):
+    """One resolved side's communities and display token, read as they were
+    read beside _resolve_tokens."""
+    path = os.path.join(out, f"partition_{base}.tsv")
+    if not os.path.exists(path):
+        graphs = (pipeline._load_network(out).layers.values() if base == "multi"
+                  else [pipeline._load_layer_graph(out, base)])
+        if not any(g.nodes for g in graphs):
+            raise DataError(f"scope {base!r} has no edge, so detect wrote no partition for it")
+        raise DataError(f"missing partition {path}; run detect first")
+    if base != "multi":
+        return read_partition_tsv(path, base), base
+    p = read_multiplex_partition_tsv(path)
+    if restriction is not None:
+        return restrict_to_layer(p, restriction), f"multi-{restriction}"
+    return p, "multi"
+
+
+def test_sides_resolve_every_token_pair_as_the_old_helpers_did(recipe_detected):
+    # each side's communities, display token and graph scope, or the error,
+    # for every pair of tokens, good and bad, on an out without a url or
+    # intfl partition
+    _, out = recipe_detected
+    tokens = [*ACTIONS, *pipeline.FLAT_SCOPES, "multi", *(f"multi:{a}" for a in ACTIONS),
+              "dms", "rtw:hst", "multi:", "multi:xyz"]
+    for ref in tokens:
+        for other in tokens:
+            try:
+                want = [(*_load_approach(out, base, layer), layer or base)
+                        for base, layer in _resolve_tokens(ref, other)]
+            except (ConfigError, DataError) as exc:
+                want = (type(exc), str(exc))
+            try:
+                got = [(p, token, scope) for p, token, _, scope in pipeline._sides(out, ref, other)]
+            except (ConfigError, DataError) as exc:
+                got = (type(exc), str(exc))
+            assert got == want, (ref, other)
+
+
+def test_characterize_refuses_a_min_size_that_drops_every_community(recipe_detected, tmp_path,
+                                                                    capsys):
+    # the comparison refuses sides without a community before any metric runs
+    cfg, out = recipe_detected
+    with open(cfg, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    largest = max(Counter(read_partition_tsv(os.path.join(out, f"partition_{scope}.tsv"),
+                                             scope).assignment.values()).most_common(1)[0][1]
+                  for scope in ("unfl-sum", "rtw"))
+    doc["detection"]["min_size"] = largest
+    before = _contents(out)
+    capsys.readouterr()
+    assert main(["characterize", "--config", write_cfg(tmp_path / "run.json", doc),
+                 "--ref", "unfl-sum", "--other", "rtw"]) == 2
+    assert capsys.readouterr().err == (
+        "data error: no common nodes between the two partitions after filtering\n")
+    assert _contents(out) == before
+
+
 def test_loaded_network_is_the_built_one(tmp_path, monkeypatch):
     # build and detect hold the same kind of network: what detect loads from
     # the edge lists is, layer by layer, the filtered network build wrote
@@ -821,6 +909,7 @@ def test_stage_rss_reports_each_stage_of_a_characterize(tmp_path):
     lines = [line.rsplit(": ", 1) for line in done.stdout.splitlines()]
     assert [label for label, _ in lines] == [
         "start", "read_edges_tsv edges_rtw.tsv", "read_edges_tsv edges_unfl-sum.tsv",
-        *["_local_clustering", "eigen", "_pagerank", "node_metrics"] * 2, "run_characterize"]
+        *["_local_clustering", "_component_labels", "eigen", "_pagerank", "node_metrics"] * 2,
+        "run_characterize"]
     peaks = [float(value.removesuffix(" MB")) for _, value in lines]
     assert 0 < peaks[0] and peaks == sorted(peaks)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import edge_dict, from_pairs, read_ground_truth
+from conftest import edge_dict, from_pairs, read_ground_truth, unfl_sum_like
 from multicoord import reports
 from multicoord.community import Partition
 from multicoord.compare import overlap_matrix
@@ -333,25 +333,11 @@ def test_headerless_tables_are_refused(tmp_path, reader, header, text):
         reader(str(p))
 
 
-def _unfl_sum_like(n_nodes, n_rows):
-    """A graph of n_rows random edges over n_nodes, with weights and counts
-    shaped like an unfl-sum edge list's."""
-    rng = np.random.default_rng(7)
-    key = np.unique(rng.integers(0, n_nodes * n_nodes, 3 * n_rows))
-    u, v = np.divmod(key, n_nodes)
-    keep = np.flatnonzero(u < v)[:n_rows]
-    g = LayerGraph("unfl-sum", tuple(f"u{k:04d}" for k in range(n_nodes)), u[keep], v[keep],
-                   rng.random(len(keep)) + 1e-3, rng.integers(1, 60, len(keep)),
-                   rng.integers(1, 14, len(keep)))
-    assert g.n_edges == n_rows
-    return g
-
-
 def test_edge_read_allocates_a_bounded_multiple_of_the_file(tmp_path):
     # ~20k rows shaped like a 1.2k-user unfl-sum edge list; the row reader
     # peaked at ~18x the file's size, the column reader ~11x, and the block
     # reader, whose rows are in place once read, ~2.3x
-    g = _unfl_sum_like(1500, 20_000)
+    g = unfl_sum_like(1500, 20_000)
     p = tmp_path / "edges_unfl-sum.tsv"
     write_edges_tsv(str(p), g)
     size = p.stat().st_size
@@ -368,7 +354,7 @@ def test_edge_read_allocates_a_bounded_multiple_of_the_file(tmp_path):
 def test_edge_write_allocates_a_fraction_of_the_file(tmp_path):
     # 60k rows over 3k nodes; writing every column as a Python list first
     # peaked at ~3.3x the file's size, and a block of rows at a time ~0.08x
-    g = _unfl_sum_like(3000, 60_000)
+    g = unfl_sum_like(3000, 60_000)
     p = tmp_path / "edges_unfl-sum.tsv"
     tracemalloc.start()
     try:
