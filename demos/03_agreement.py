@@ -52,7 +52,7 @@ print(f"\nmatching: total overlap {M.total:.3f}")
 for a_idx, b_idx in M.pairs:
     print(f"  a{O.a_ids[a_idx]} <-> b{O.b_ids[b_idx]}  "
           f"o = {O.overlap(a_idx, b_idx):.3f}")
-# every index of the larger side that no pair holds is unmatched
+# an index that no pair holds is unmatched: a pair must share a node
 matched_a = {a for a, _ in M.pairs}
 matched_b = {b for _, b in M.pairs}
 print(f"  unmatched on A side: {[c for i, c in enumerate(O.a_ids) if i not in matched_a]}")

@@ -7,11 +7,17 @@ computes the harmonic-mean overlap matrix
     r_ij = |C_i^A n C_j^B| / |C_i^A|,   r_ji = |C_i^A n C_j^B| / |C_j^B|,
     o_ij = 2 r_ij r_ji / (r_ij + r_ji)   (0 when the intersection is empty)
 
-an optimal one-to-one matching maximizing the total overlap (Hungarian
-algorithm, O(n^3) augmenting-path form on the negated matrix), lost /
+an optimal one-to-one matching maximizing the total overlap, lost /
 common / gained labels for communities (threshold theta on matched
 overlap) and for nodes (threshold-free set algebra inside matched pairs),
 NMI over the common node universe, and layer-level coverage metrics.
+
+A matched pair shares a node: a pair of zero overlap is never matched,
+and a community that overlaps nothing stays unmatched. The matching is a
+rectangular min-cost assignment on the negated overlaps, solved by
+shortest augmenting paths with potentials (Jonker & Volgenant 1987) whose
+steps are array operations over the columns: O(k_b^2 (k_a + k_b)) at
+worst.
 
 Size filtering keeps communities with strictly more than ``min_size``
 members, applied to both sides before anything else.
@@ -72,9 +78,8 @@ class MatchResult:
     """Optimal one-to-one matching over an OverlapMatrix.
 
     pairs holds (a_idx, b_idx) index pairs into the matrix registries,
-    sorted; exactly min(k_a, k_b) pairs, and an index of the larger side
-    that no pair holds is unmatched. total is the sum of the matched
-    overlaps.
+    sorted; every pair has a positive overlap, and an index that no pair
+    holds is unmatched. total is the sum of the matched overlaps.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -107,74 +112,59 @@ def overlap_matrix(a: dict, b: dict, min_size: int = 0) -> OverlapMatrix:
                          b_members=b_members, values=values, counts=counts)
 
 
-def _solve_min_assignment(cost: np.ndarray) -> list[int]:
-    """Square min-cost assignment; returns the column chosen for each row.
+def _solve_min_assignment(cost: np.ndarray) -> np.ndarray:
+    """Min-cost assignment of every row of an n x m cost matrix, n <= m, in
+    which each row has a finite column; returns the row matched to each
+    column, -1 for a column left free.
 
-    Augmenting-path algorithm with potentials (O(n^3)); deterministic.
+    Shortest augmenting paths with potentials, one row at a time; each path
+    step is array work over the columns, O(n^2 m) at worst; deterministic.
     """
-    n = cost.shape[0]
-    INF = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)    # p[j]: row matched to column j, 1-based, 0 = free
-    way = [0] * (n + 1)
+    n, m = cost.shape
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    p = np.zeros(m + 1, dtype=np.int64)  # p[j]: row matched to column j, 1-based, 0 = free
+    way = np.zeros(m + 1, dtype=np.int64)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
+        minv = np.full(m + 1, np.inf)
+        free = np.ones(m + 1, dtype=bool)
+        while p[j0]:
+            free[j0] = False
             i0 = p[j0]
-            delta = INF
-            j1 = 0
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
+            cur = cost[i0 - 1] - u[i0] - v[1:]
+            better = free[1:] & (cur < minv[1:])
+            minv[1:][better] = cur[better]
+            way[1:][better] = j0
+            j0 = int(np.argmin(np.where(free, minv, np.inf)))
+            delta = minv[j0]
+            u[p[~free]] += delta
+            v[~free] -= delta
+            minv[free] -= delta
         while j0:  # augment along the alternating path
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    row_to_col = [0] * n
-    for j in range(1, n + 1):
-        if p[j]:
-            row_to_col[p[j] - 1] = j - 1
-    return row_to_col
+    return p[1:] - 1
 
 
 def hungarian_match(O: OverlapMatrix) -> MatchResult:
     """Assignment maximizing the total overlap; optimal, not greedy.
 
-    Rectangular matrices are padded with zero rows/columns, so exactly
-    min(k_a, k_b) real pairs come back and the remainder is unmatched.
+    Only pairs that share a node can match: a zero cell is forbidden, and
+    each B community has its own zero-cost column for staying unmatched.
     """
     if not np.all(np.isfinite(O.values)):
         raise ValueError("overlap matrix contains non-finite values")
     k_b, k_a = O.values.shape
-    if min(k_a, k_b) == 0:
-        return MatchResult(pairs=(), total=0.0)
-    n = max(k_a, k_b)
-    cost = np.zeros((n, n))
-    cost[:k_b, :k_a] = -O.values
-    row_to_col = _solve_min_assignment(cost)
-    pairs = tuple(sorted((c, r) for r, c in enumerate(row_to_col[:k_b]) if c < k_a))
+    cost = np.full((k_b, k_a + k_b), np.inf)
+    np.negative(O.values, out=cost[:, :k_a])
+    cost[:, :k_a][O.values == 0] = np.inf
+    np.fill_diagonal(cost[:, k_a:], 0.0)
+    b_of = _solve_min_assignment(cost)[:k_a]
+    a_idx = np.flatnonzero(b_of >= 0)
+    pairs = tuple(zip(a_idx.tolist(), b_of[a_idx].tolist()))
     return MatchResult(pairs=pairs, total=math.fsum(O.values[b, a] for a, b in pairs))
 
 

@@ -29,7 +29,7 @@ from multicoord.pipeline import DETECT_MODES, DetectionSettings, RunConfig
 from multicoord.reports import (config_hash, read_edges_tsv, read_multiplex_partition_tsv,
                                read_partition_tsv, read_records)
 from multicoord.synth import SynthConfig
-from readme_recipe import write_configs
+from readme_recipe import COMPARISONS, write_configs
 
 SYNTH = {
     "n_users": 40,
@@ -831,6 +831,31 @@ def test_characterize_refuses_a_min_size_that_drops_every_community(recipe_detec
     assert capsys.readouterr().err == (
         "data error: no common nodes between the two partitions after filtering\n")
     assert _contents(out) == before
+
+
+def test_theta_zero_matches_no_pair_without_a_shared_node(recipe_detected, tmp_path):
+    # at theta 0 every matched pair is common, so a pair that shares no node
+    # must not be matched: unfl-sum community 1 overlaps no rtw community and
+    # stays gained
+    cfg, out = recipe_detected
+    with open(cfg, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["out"] = str(tmp_path / "out")
+    shutil.copytree(out, doc["out"])
+    doc["detection"]["theta"] = 0.0
+    cfg = write_cfg(tmp_path / "run.json", doc)
+    for ref, other in COMPARISONS:
+        assert main(["compare", "--config", cfg, "--ref", ref, "--other", other]) == 0
+        path = os.path.join(doc["out"], f"labels_{pipeline.comparison_id(ref, other)}.jsonl")
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        pairs = [r for r in records if r["record"] == "matched_pair"]
+        assert pairs and all(r["overlap"] > 0.0 for r in pairs)
+        common_b = {r["community"] for r in records if r["record"] == "community_label"
+                    and r["side"] == "b" and r["label"] == "common"}
+        assert common_b == {r["b_community"] for r in pairs}
+        if (ref, other) == ("unfl-sum", "rtw"):
+            assert "1" not in common_b
 
 
 def test_loaded_network_is_the_built_one(tmp_path, monkeypatch):

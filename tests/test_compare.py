@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -114,22 +115,22 @@ def test_hungarian_rectangular_and_unmatched():
     O = overlap_of({0: {"a"}, 1: {"b"}, 2: {"c"}},
                        {0: {"a"}, 1: {"z"}})
     M = hungarian_match(O)
-    assert len(M.pairs) == 2                  # min(k_a, k_b)
-    assert (0, 0) in M.pairs                  # the only positive overlap
-    # two distinct A indices of three are matched, so one is left unmatched
-    matched_a = {a for a, _ in M.pairs}
-    assert len(matched_a) == 2 and matched_a <= {0, 1, 2}
-    assert {b for _, b in M.pairs} == {0, 1}
+    # B community 1 shares no node with any A community, so it stays
+    # unmatched, as do A communities 1 and 2
+    assert M.pairs == ((0, 0),)
+    assert M.total == 1.0
 
 
 def test_hungarian_matches_brute_force(rng):
-    # exhaustive permutation maximum on random matrices, exact equality
+    # exhaustive permutation maximum on random matrices with a random share
+    # of zero cells, exact equality: a zero cell adds nothing to a total,
+    # so forbidding it leaves the maximum as it is
     for _ in range(200):
         k_a = int(rng.integers(1, 8))
         k_b = int(rng.integers(1, 8))
         O = overlap_of({i: {f"a{i}"} for i in range(k_a)},
                            {j: {f"b{j}"} for j in range(k_b)})
-        vals = np.round(rng.random((k_b, k_a)), 3)
+        vals = np.round(rng.random((k_b, k_a)), 3) * (rng.random((k_b, k_a)) >= rng.random())
         object.__setattr__(O, "values", vals)
         M = hungarian_match(O)
         n = max(k_a, k_b)
@@ -138,9 +139,27 @@ def test_hungarian_matches_brute_force(rng):
         best = max(math.fsum(padded[r, c] for r, c in enumerate(perm))
                    for perm in itertools.permutations(range(n)))
         assert M.total == pytest.approx(best, abs=1e-12)
-        assert len(M.pairs) == min(k_a, k_b)
+        assert all(vals[b, a] > 0 for a, b in M.pairs)
+        assert len({a for a, _ in M.pairs}) == len({b for _, b in M.pairs}) == len(M.pairs)
         got = math.fsum(vals[b, a] for a, b in M.pairs)
         assert got == pytest.approx(M.total, abs=1e-12)
+
+
+def test_hungarian_at_two_thousand_communities(rng):
+    # k = 2,000 with 3 positive cells per row: the scipy total, in seconds
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    k = 2000
+    vals = np.zeros((k, k))
+    for b in range(k):
+        vals[b, rng.choice(k, 3, replace=False)] = rng.random(3)
+    O = overlap_of({i: {f"a{i}"} for i in range(k)}, {j: {f"b{j}"} for j in range(k)})
+    object.__setattr__(O, "values", vals)
+    start = time.perf_counter()
+    M = hungarian_match(O)
+    assert time.perf_counter() - start < 5.0
+    rows, cols = linear_sum_assignment(vals, maximize=True)
+    assert M.total == pytest.approx(math.fsum(vals[rows, cols]), abs=1e-9)
+    assert all(vals[b, a] > 0 for a, b in M.pairs)
 
 
 def test_hungarian_rejects_non_finite():
@@ -172,9 +191,11 @@ def test_label_communities_threshold():
     assert hi_b[1] == GAINED
     # theta exactly at the overlap keeps the pair common
     assert label_communities(O, M, theta=0.75)[0][10] == COMMON
-    # the zero-overlap matched pair is never common above theta 0
+    # {e,f} and {q,r} share no node, so they are not matched at all
+    assert M.pairs == ((0, 0),)
     assert labels_a[20] == LOST
     assert labels_b[2] == GAINED
+    assert label_communities(O, M, theta=0.0)[1][2] == GAINED
     # both dicts follow the registry order
     assert tuple(labels_a) == O.a_ids and tuple(labels_b) == O.b_ids
     with pytest.raises(ValueError):
@@ -213,8 +234,8 @@ def test_label_nodes_set_algebra():
     assert all(labels[u] == COMMON for u in "abc")
     assert labels["d"] == LOST                 # dropped from the matched pair
     assert labels["x"] == GAINED               # new in the matched pair
-    # {e,f} and {q,r} are disjoint: even though matched to each other, no
-    # node sits in the intersection, so A-side members are lost, B-side gained
+    # {e,f} and {q,r} are disjoint and so unmatched: A-side members are
+    # lost, B-side gained
     assert labels["e"] == labels["f"] == LOST
     assert labels["q"] == labels["r"] == GAINED
 
