@@ -67,21 +67,20 @@ _FSUM_BLOCK = 1 << 12  # flattened pairs whose weights are summed per block
 
 @dataclass(frozen=True)
 class Partition:
-    """Node -> community assignment for one scope, with the resolution used,
-    the per-pass modularity trace of the optimization that produced it, and
-    the node visits and moves of each pass (all empty for derived
+    """Node -> community assignment for one scope, with the per-pass
+    modularity trace of the optimization that produced it and the node
+    visits and moves of each pass (all empty for derived and read-back
     partitions). A layer or flattened scope maps actors; scope "multi" maps
-    (actor, layer) supra-nodes, its communities may span layers, and omega
-    is the coupling it was detected with (None for every other scope).
+    (actor, layer) supra-nodes, and its communities may span layers. The
+    settings a partition was detected with are not part of it: detect
+    records them in its partition_summary and in the config hash.
     """
 
     scope: str
     assignment: dict
-    gamma: float = 1.0
     trace: tuple[float, ...] = ()
     visits: tuple[int, ...] = ()
     moves: tuple[int, ...] = ()
-    omega: float | None = None
 
     def n_communities(self) -> int:
         return len(set(self.assignment.values()))
@@ -365,7 +364,7 @@ def _detect(scope: str, names: tuple | list, csr: CSR, strength: np.ndarray,
     logger.info("louvain[%s]: %d nodes -> %d communities, Q=%.6f (%d passes)",
                 scope, len(names), len(set(assignment.values())), trace[-1], len(trace))
     visits, moves = zip(*passes)
-    return Partition(scope, assignment, gamma, tuple(trace), visits, moves, omega)
+    return Partition(scope, assignment, tuple(trace), visits, moves)
 
 
 def louvain(g: LayerGraph, gamma: float = 1.0, seed: int = 42) -> Partition:
@@ -506,4 +505,4 @@ def restrict_to_layer(p: Partition, layer: str) -> Partition:
     if not restricted:
         raise DataError(f"layer {layer!r} has no node in the multiplex partition: "
                         "the network has no edge in that layer")
-    return Partition(scope=layer, assignment=_canonical_ids(restricted), gamma=p.gamma)
+    return Partition(scope=layer, assignment=_canonical_ids(restricted))

@@ -5,12 +5,16 @@ community-id map (a Partition's assignment, of any scope), this module
 computes the harmonic-mean overlap matrix
 
     r_ij = |C_i^A n C_j^B| / |C_i^A|,   r_ji = |C_i^A n C_j^B| / |C_j^B|,
-    o_ij = 2 r_ij r_ji / (r_ij + r_ji)   (0 when the intersection is empty)
+    o_ij = 2 r_ij r_ji / (r_ij + r_ji) = 2 |C_i^A n C_j^B| / (|C_i^A| + |C_j^B|),
 
 an optimal one-to-one matching maximizing the total overlap, lost /
 common / gained labels for communities (threshold theta on matched
 overlap) and for nodes (threshold-free set algebra inside matched pairs),
 NMI over the common node universe, and layer-level coverage metrics.
+
+Each overlap is the closed form on the right, one correctly rounded
+division: an overlap of exactly 1/2 is 0.5, so it meets theta 0.5, and an
+empty intersection gives 0.
 
 A matched pair shares a node: a pair of zero overlap is never matched,
 and a community that overlaps nothing stays unmatched. The matching is a
@@ -50,8 +54,9 @@ class OverlapMatrix:
 
     values and counts have one row per B community and one column per A
     community; counts[bi, aj] = |b_members[bi] n a_members[aj]| and
-    values[bi, aj] is the overlap between B community b_ids[bi] and A
-    community a_ids[aj] (the harmonic mean is direction-symmetric).
+    values[bi, aj] = 2 counts[bi, aj] / (|b_members[bi]| + |a_members[aj]|)
+    is the harmonic-mean overlap between B community b_ids[bi] and A
+    community a_ids[aj], direction-symmetric.
     """
 
     a_ids: tuple
@@ -104,10 +109,7 @@ def overlap_matrix(a: dict, b: dict, min_size: int = 0) -> OverlapMatrix:
              for node in members if node in a_of]
     counts = np.bincount(np.array(cells, dtype=np.int64),
                          minlength=len(b_ids) * len(a_ids)).reshape(len(b_ids), len(a_ids))
-    r_ab = counts / np.array([len(m) for m in a_members], dtype=float)
-    r_ba = counts / np.array([len(m) for m in b_members], dtype=float)[:, None]
-    with np.errstate(invalid="ignore"):
-        values = np.where(counts > 0, 2.0 * r_ab * r_ba / (r_ab + r_ba), 0.0)
+    values = 2.0 * counts / np.add.outer(list(map(len, b_members)), list(map(len, a_members)))
     return OverlapMatrix(a_ids=a_ids, b_ids=b_ids, a_members=a_members,
                          b_members=b_members, values=values, counts=counts)
 

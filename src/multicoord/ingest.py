@@ -405,10 +405,16 @@ def apply_stoplists(log: EventLog, stop: StopLists) -> EventLog:
 def select_users(log: EventLog, fraction: float) -> ActorSet:
     """Select, per action type, the top ``ceil(fraction * n_active)`` users
     by event count (ties broken toward lexicographically smaller ids), and
-    return them as the analysis universe; an empty log has none.
+    return them as the analysis universe; an empty log has none. The
+    product is exact, of the fraction as written (its repr) and the count,
+    so 0.55 of 100 users is 55, not the 56 of the binary 0.55 * 100.
     """
     if not (0.0 < fraction <= 1.0):
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    # imported here, so that only build loads fractions and the decimal
+    # module it imports (~0.25 MB of peak RSS in every CLI process)
+    from fractions import Fraction
+
     n = len(log.users)
     counts = np.bincount(log.action.astype(np.int64) * n + log.user,
                          minlength=len(ACTIONS) * n).reshape(len(ACTIONS), n)
@@ -416,7 +422,7 @@ def select_users(log: EventLog, fraction: float) -> ActorSet:
     for a, c in zip(ACTIONS, counts):
         active = np.flatnonzero(c)
         ranked = active[np.lexsort((active, -c[active]))]  # equal counts: smaller id first
-        top = ranked[:math.ceil(fraction * len(active))].tolist()
+        top = ranked[:math.ceil(Fraction(repr(float(fraction))) * len(active))].tolist()
         per_action_top[a] = frozenset(map(log.users.__getitem__, top))
     actors = ActorSet(per_action_top)
     logger.info("select_users: fraction=%.4g -> %d actors (%s)", fraction, len(actors.actors),

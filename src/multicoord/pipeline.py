@@ -266,7 +266,7 @@ def run_synth(cfg: RunConfig) -> dict:
         "active_layers": {str(c): sorted(ls) for c, ls in truth.active_layers.items()},
     }]
     _write(cfg, ("events.tsv", reports.write_events_tsv, log),
-           ("ground_truth.tsv", reports.write_ground_truth, truth),
+           ("ground_truth.tsv", reports.write_partition_tsv, Partition("truth", truth.assignment)),
            ("synth_report.jsonl", reports.write_records, records))
     return {"events": events_path, "ground_truth": os.path.join(cfg.out, "ground_truth.tsv")}
 

@@ -22,6 +22,13 @@ that the header is the writer's, so a file without one loses no row, and
 the readers name the `path:line` of the first row or directive they
 cannot take, whichever block holds it.
 
+A partition file is its scope and its assignment: a `# scope` line (none
+for "multi") and one row per node. synth's planted truth is written as
+the partition of scope "truth". The settings a partition was detected
+with live in detect's partition_summary records and the config hash; a
+`# key value` line that no reader takes, such as the `# gamma` and
+`# omega` lines of older partition files, is ignored.
+
 The config hash is CPython's builtin SHA-256 (_sha2 from 3.12, _sha256
 before), as the stdlib's random does for SHA-512: hashlib would load
 OpenSSL's _hashlib, about 3.6 MB in every CLI process, for one digest of
@@ -80,7 +87,7 @@ class ReportContext:
 UNSTAMPED = ReportContext("0", "unhashed")
 
 EDGE_HEADER = ("user_a", "user_b", "weight", "co_actions", "window_count")
-PARTITION_HEADER = ("user_id", "community_id")  # ground truth too
+PARTITION_HEADER = ("user_id", "community_id")  # the planted truth too, as scope "truth"
 MULTIPLEX_HEADER = ("user_id", "layer", "community_id")
 
 _BLOCK_LINES = 1 << 10  # lines a table reader or the edge writer holds at a time
@@ -209,16 +216,6 @@ def _tsv_columns(path: str, what: str, header: tuple,
     return directives, line, error
 
 
-def _number(path: str, directives: dict, key: str, default: float) -> float:
-    """The `# key value` directive as a float, default if absent; a value
-    that is not a number is a DataError naming its line."""
-    line, value = directives.get(key, (None, default))
-    try:
-        return float(value)
-    except ValueError:
-        raise DataError(f"{path}:{line}: {key} {value!r} is not a number") from None
-
-
 def _assignment(path: str, what: str, header: tuple, key_what: str) -> tuple[dict, dict]:
     """(directives, assignment) of a table of key columns and a community
     id column: key -> community id, in row order. A repeated key or an id
@@ -298,9 +295,11 @@ def read_edges_tsv(path: str, layer: str | None = None) -> LayerGraph:
 
 
 def write_partition_tsv(path: str, p: Partition, ctx: ReportContext = UNSTAMPED) -> None:
+    """`user_id  community_id` under a `# scope` line, sorted: a scope's
+    partition, or synth's planted truth as scope "truth"."""
     write_table(path, PARTITION_HEADER,
                 ((user, str(p.assignment[user])) for user in sorted(p.assignment)), ctx,
-                directives=[("scope", p.scope), ("gamma", repr(_finite(float(p.gamma))))])
+                directives=[("scope", p.scope)])
 
 
 def read_partition_tsv(path: str, scope: str | None = None) -> Partition:
@@ -310,24 +309,19 @@ def read_partition_tsv(path: str, scope: str | None = None) -> Partition:
     name = _scope_name(path, directives, "scope", scope)
     if not assignment:
         raise DataError(f"{path}: empty partition")
-    return Partition(scope=name, assignment=assignment,
-                     gamma=_number(path, directives, "gamma", 1.0))
+    return Partition(scope=name, assignment=assignment)
 
 
 def write_multiplex_partition_tsv(path: str, p: Partition, ctx: ReportContext = UNSTAMPED) -> None:
     write_table(path, MULTIPLEX_HEADER,
-                ((*key, str(p.assignment[key])) for key in sorted(p.assignment)), ctx,
-                directives=[("gamma", repr(_finite(float(p.gamma)))),
-                            ("omega", repr(_finite(float(p.omega))))])
+                ((*key, str(p.assignment[key])) for key in sorted(p.assignment)), ctx)
 
 
 def read_multiplex_partition_tsv(path: str) -> Partition:
-    directives, assignment = _assignment(path, "multiplex partition", MULTIPLEX_HEADER,
-                                         "(user, layer)")
+    _, assignment = _assignment(path, "multiplex partition", MULTIPLEX_HEADER, "(user, layer)")
     if not assignment:
         raise DataError(f"{path}: empty multiplex partition")
-    return Partition("multi", assignment, gamma=_number(path, directives, "gamma", 1.0),
-                     omega=_number(path, directives, "omega", 0.1))
+    return Partition("multi", assignment)
 
 
 def write_overlap_tsv(path: str, O, ctx: ReportContext = UNSTAMPED) -> None:
@@ -364,12 +358,6 @@ def read_records(path: str) -> list[dict]:
                 raise DataError(f"{path}:{line_no}: not a JSON object")
             out.append(rec)
         return out
-
-
-def write_ground_truth(path: str, truth, ctx: ReportContext = UNSTAMPED) -> None:
-    """`user_id  community_id`, planted users only, sorted."""
-    write_table(path, PARTITION_HEADER,
-                ((user, str(truth.assignment[user])) for user in sorted(truth.assignment)), ctx)
 
 
 def write_events_tsv(path: str, log, ctx: ReportContext = UNSTAMPED) -> None:

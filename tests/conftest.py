@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from multicoord.netbuild import LayerGraph, MultiplexNetwork, _edge_numbers
-from multicoord.reports import PARTITION_HEADER, _assignment
+from multicoord.reports import read_partition_tsv
 
 try:
     from hypothesis import settings
@@ -49,8 +49,9 @@ def from_pairs(layer, pairs, nodes=()):
 
 
 def read_ground_truth(path):
-    """{user: community id} of a ground-truth file that synth wrote."""
-    return _assignment(path, "ground truth", PARTITION_HEADER, "user")[1]
+    """{user: community id} of a ground-truth file that synth wrote: a
+    partition file of scope "truth"."""
+    return read_partition_tsv(path, "truth").assignment
 
 
 def tfidf_entries(m):

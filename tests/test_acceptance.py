@@ -179,7 +179,7 @@ def test_criterion_06_multislice_reduction():
             continue
         net = MultiplexNetwork({"rtw": g})
         assign = louvain(g, seed=int(rng.integers(1000))).assignment
-        mp = Partition("multi", {(n, "rtw"): c for n, c in assign.items()}, omega=0.0)
+        mp = Partition("multi", {(n, "rtw"): c for n, c in assign.items()})
         q_multi = multislice_modularity(net, mp, gamma=1.0, omega=0.0)
         q_std = modularity(g, Partition("rtw", assign))
         if abs(q_multi - q_std) > 1e-12:

@@ -492,14 +492,14 @@ def test_bad_partition_row_exits_2(tmp_path, capsys):
     # ValueError traceback and exit code 1
     out = tmp_path / "out"
     out.mkdir()
-    head = "# multicoord 0 config x\n# scope {}\n# gamma 1.0\nuser_id\tcommunity_id\n"
+    head = "# multicoord 0 config x\n# scope {}\nuser_id\tcommunity_id\n"
     (out / "partition_rtw.tsv").write_text(head.format("rtw") + "a\t0\nb\tone\n")
     (out / "partition_rpl.tsv").write_text(head.format("rpl") + "a\t0\nb\t1\n")
     cfg = write_cfg(tmp_path / "run.json", {"out": str(out)})
     assert main(["compare", "--config", cfg, "--ref", "rtw", "--other", "rpl"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:"), err
-    assert "partition_rtw.tsv:6: community id 'one' is not an integer" in err, err
+    assert "partition_rtw.tsv:5: community id 'one' is not an integer" in err, err
 
 
 def test_runaway_window_grid_exits_2(tmp_path, capsys):
@@ -603,7 +603,7 @@ def test_characterize_skips_pca_when_fewer_than_two_descriptors_vary(tmp_path, c
         (out / f"edges_{layer}.tsv").write_text(
             f"{head}# layer {layer}\nuser_a\tuser_b\tweight\tco_actions\twindow_count\n" + rows)
         (out / f"partition_{layer}.tsv").write_text(
-            f"{head}# scope {layer}\n# gamma 1.0\nuser_id\tcommunity_id\n"
+            f"{head}# scope {layer}\nuser_id\tcommunity_id\n"
             + "".join(f"n{c}{i}\t{c}\n" for c in range(3) for i in range(3)))
     cfg = write_cfg(tmp_path / "run.json", {"out": str(out)})
     assert main(["compare", "--config", cfg, "--ref", "rtw", "--other", "rpl"]) == 0

@@ -187,7 +187,7 @@ def test_multislice_hand_fixture():
         "rpl": from_pairs("rpl", [("u", "v", 1.0)]),
     })
     p = Partition("multi", {("u", "rtw"): 0, ("v", "rtw"): 0,
-                            ("u", "rpl"): 0, ("v", "rpl"): 0}, omega=0.5)
+                            ("u", "rpl"): 0, ("v", "rpl"): 0})
     q = multislice_modularity(net, p, gamma=1.0, omega=0.5)
     assert q == pytest.approx(1 / 3, abs=1e-15)
 
@@ -200,7 +200,7 @@ def test_quality_refuses_a_partition_that_misses_a_node():
     supra = {(n, layer): 0 for layer, h in net.layers.items() for n in h.nodes}
     del supra[("b", "rpl")]
     with pytest.raises(DataError, match=r"does not cover 1 .*e\.g\. \('b', 'rpl'\)"):
-        multislice_modularity(net, Partition("multi", supra, omega=0.1))
+        multislice_modularity(net, Partition("multi", supra))
 
 
 def test_multislice_omega_zero_reduces_to_weighted_layer_mean(rng):
@@ -216,7 +216,7 @@ def test_multislice_omega_zero_reduces_to_weighted_layer_mean(rng):
         assign2 = louvain(g2, seed=1).assignment
         joint = {(n, "rtw"): ("rtw", c) for n, c in assign1.items()}
         joint.update({(n, "rpl"): ("rpl", c) for n, c in assign2.items()})
-        mp = Partition("multi", joint, omega=0.0)
+        mp = Partition("multi", joint)
         q = multislice_modularity(net, mp, gamma=1.0, omega=0.0)
         m1, m2 = 2 * g1.total_weight(), 2 * g2.total_weight()
         q1 = modularity(g1, Partition("rtw", assign1))
@@ -357,9 +357,9 @@ def test_flattened_graph_feeds_louvain():
 
 def test_restrict_to_layer():
     mp = Partition("multi", {("u1", "rtw"): 5, ("u2", "rtw"): 5,
-                             ("u3", "rtw"): 9, ("u1", "rpl"): 9}, gamma=1.3)
+                             ("u3", "rtw"): 9, ("u1", "rpl"): 9})
     r = restrict_to_layer(mp, "rtw")
-    assert r.scope == "rtw" and r.gamma == 1.3
+    assert r.scope == "rtw"
     # canonical ids: {u1, u2} is larger -> 0, {u3} -> 1
     assert r.assignment == {"u1": 0, "u2": 0, "u3": 1}
     r2 = restrict_to_layer(mp, "rpl")

@@ -52,6 +52,16 @@ def test_overlap_harmonic_mean_hand_case():
     assert O.overlap(0, 0) == pytest.approx(4 / 7, abs=1e-15)
 
 
+def test_an_overlap_of_one_half_is_common_at_the_default_theta():
+    # |A| = 11, |B| = 13, |A n B| = 6: the harmonic mean of 6/11 and 6/13 is
+    # exactly 1/2, which the product-over-sum of the two rounded ratios gave
+    # as 0.4999999999999999, labelling the pair lost and gained
+    O = overlap_of({0: set(range(11))}, {0: set(range(5, 18))})
+    assert O.overlap(0, 0) == 0.5
+    labels_a, labels_b = label_communities(O, hungarian_match(O))
+    assert labels_a == {0: COMMON} and labels_b == {0: COMMON}
+
+
 def test_overlap_extremes_and_shape():
     O = overlap_of({0: {"a", "b"}, 1: {"c"}},
                        {0: {"a", "b"}, 1: {"x"}, 2: {"c"}})

@@ -7,14 +7,19 @@ its first line, because the meta line's config hash covers absolute paths
 (input and output directories) and so differs between checkouts; the
 version on that line is asserted separately.
 
-`golden_manifest.json` was generated with `readme_recipe.run_recipe` and
-this module's `artifact_digests`. A change that moves an artifact byte
-must regenerate it and say why in CHANGES.md.
+`golden_manifest.json` holds the digests of `readme_recipe.run_recipe`'s
+artifacts, from this module's `artifact_digests`. A change that moves an
+artifact byte regenerates it, from the repository root, with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says why in CHANGES.md.
 """
 
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -64,3 +69,18 @@ def test_golden_artifact_bytes(digests, expected):
 def test_golden_meta_version(digests):
     for name, (first, _) in digests.items():
         assert _meta_version(first) == __version__, name
+
+
+def write_manifest(path: str = MANIFEST) -> None:
+    """Run the recipe in a temporary directory and write the digests of its
+    artifacts to ``path``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = artifact_digests(run_recipe(tmp))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump({name: sha for name, (_, sha) in digests.items()}, fh, indent=1,
+                  sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    write_manifest()

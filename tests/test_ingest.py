@@ -333,6 +333,13 @@ def test_select_users_tie_break_is_lexicographic():
     assert actors.per_action_top["rtw"] == {"ua"}
 
 
+def test_select_users_takes_the_fraction_as_written():
+    # 0.55 of 100 users is 55; the binary product 0.55 * 100 is
+    # 55.00000000000001, whose ceiling kept 56
+    rows = [(f"u{i:03d}", "rtw", f"t{i}", float(i)) for i in range(100)]
+    assert len(select_users(_log(*rows), 0.55).per_action_top["rtw"]) == 55
+
+
 def test_select_users_validates_fraction():
     log = _log(("u1", "rtw", "t", 1.0))
     for bad in (0.0, -0.1, 1.5):

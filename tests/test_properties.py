@@ -7,6 +7,7 @@ import os
 import random
 import tempfile
 from collections import Counter, defaultdict, deque, namedtuple
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -40,7 +41,7 @@ from multicoord.netbuild import (CSR, MAX_WEIGHT, EdgeRowError, LayerGraph,  # n
                                  _wedge_opens, _wedges, _window_bounds, build_multiplex,
                                  layer_window_graph, tfidf_windows, window_slices)
 from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER,  # noqa: E402
-                                PARTITION_HEADER, _n_components, _number, read_edges_tsv,
+                                PARTITION_HEADER, _n_components, read_edges_tsv,
                                 read_multiplex_partition_tsv, read_partition_tsv,
                                 write_edges_tsv, write_multiplex_partition_tsv,
                                 write_partition_tsv)
@@ -1259,7 +1260,7 @@ def test_modularity_matches_dict_oracle(net, data, gamma, omega):
             assert modularity(net.layers[form[0]], p, gamma) == \
                 _modularity_oracle(form, assignment, gamma)
     supra = {(n, layer): data.draw(labels) for layer, nodes, _ in forms for n in sorted(nodes)}
-    p = Partition("multi", supra, gamma=gamma, omega=omega)
+    p = Partition("multi", supra)
     assert multislice_modularity(net, p, gamma, omega) == \
         _multislice_oracle(forms, supra, gamma, omega)
 
@@ -1294,12 +1295,9 @@ def _overlap_oracle(C_A, C_B, min_size):
     values = np.zeros((len(b_ids), len(a_ids)))
     for bi, bm in enumerate(b_members):
         for aj, am in enumerate(a_members):
+            # the harmonic mean of |A n B|/|A| and |A n B|/|B|, rounded once
             inter = counts[bi, aj] = len(am & bm)
-            if inter == 0:
-                continue
-            r_ab = inter / len(am)
-            r_ba = inter / len(bm)
-            values[bi, aj] = 2.0 * r_ab * r_ba / (r_ab + r_ba)
+            values[bi, aj] = float(Fraction(2 * inter, len(am) + len(bm)))
     return (a_ids, b_ids, a_members, b_members), counts, values
 
 
@@ -1461,7 +1459,7 @@ def select_users_oracle(events, fraction):
     top = {}
     for a, c in counts.items():
         ranked = sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))
-        top[a] = frozenset(u for u, _ in ranked[:math.ceil(fraction * len(c))])
+        top[a] = frozenset(u for u, _ in ranked[:math.ceil(Fraction(repr(fraction)) * len(c))])
     return top
 
 
@@ -1678,7 +1676,7 @@ def test_tsv_round_trips(rows, assignment, supra):
         write_partition_tsv(path, Partition("hst", assignment))
         assert read_partition_tsv(path).assignment == assignment
 
-        write_multiplex_partition_tsv(path, Partition("multi", supra, omega=0.1))
+        write_multiplex_partition_tsv(path, Partition("multi", supra))
         assert read_multiplex_partition_tsv(path).assignment == supra
 
 
@@ -1769,16 +1767,14 @@ def _read_partition_oracle(path):
         raise DataError(f"{path}: missing '# scope' line")
     if not assignment:
         raise DataError(f"{path}: empty partition")
-    return Partition(directives["scope"][1], assignment,
-                     gamma=_number(path, directives, "gamma", 1.0))
+    return Partition(directives["scope"][1], assignment)
 
 
 def _read_multiplex_oracle(path):
-    directives, assignment = _assignment_oracle(path, 3, "(user, layer)")
+    _, assignment = _assignment_oracle(path, 3, "(user, layer)")
     if not assignment:
         raise DataError(f"{path}: empty multiplex partition")
-    return Partition("multi", assignment, gamma=_number(path, directives, "gamma", 1.0),
-                     omega=_number(path, directives, "omega", 0.1))
+    return Partition("multi", assignment)
 
 
 def _read_outcome(read, path):
@@ -1860,6 +1856,8 @@ def test_edge_reader_matches_row_oracle(text, block):
             assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
 
 
+# the `# gamma` and `# omega` lines of older partition files, numbers or
+# not, are directives no reader takes, so they are ignored
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([
     (read_partition_tsv, _read_partition_oracle, PARTITION_HEADER, 1,
@@ -1870,8 +1868,8 @@ def test_edge_reader_matches_row_oracle(text, block):
      ["# gamma 1.5", "# omega 0.25"]),
     (read_multiplex_partition_tsv, _read_multiplex_oracle, MULTIPLEX_HEADER, 2,
      ["# omega"]),
-    (read_ground_truth, lambda path: _assignment_oracle(path, 2, "user")[1],
-     PARTITION_HEADER, 1, []),
+    (read_ground_truth, lambda path: _read_partition_oracle(path).assignment,
+     PARTITION_HEADER, 1, ["# scope truth"]),
 ]), st.data())
 def test_assignment_readers_match_row_oracle(case, data):
     read, oracle, header, n_keys, directives = case

@@ -34,4 +34,7 @@ def test_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     # every community of both sides has a label, and the matching is a matching
     O, M = scope["O"], scope["M"]
     assert list(scope["labels_a"]) == list(O.a_ids) and list(scope["labels_b"]) == list(O.b_ids)
-    assert len(M.pairs) == min(O.k_a, O.k_b) > 0
+    assert M.pairs  # the two sides share communities
+    a_side, b_side = zip(*M.pairs)
+    assert len(set(a_side)) == len(a_side) and len(set(b_side)) == len(b_side)
+    assert all(O.values[bi, ai] > 0 for ai, bi in M.pairs)

@@ -21,7 +21,6 @@ from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER, PARTITION_HEADER,
                                 read_multiplex_partition_tsv,
                                 read_partition_tsv, read_records,
                                 write_edges_tsv, write_events_tsv,
-                                write_ground_truth,
                                 write_multiplex_partition_tsv,
                                 write_overlap_tsv, write_partition_tsv,
                                 write_records, write_table)
@@ -82,12 +81,12 @@ def test_every_file_starts_with_meta_line(tmp_path):
     write_partition_tsv(str(paths["part"]), Partition("rtw", {"u1": 0}), ctx)
     paths["mp"] = tmp_path / "mp.tsv"
     write_multiplex_partition_tsv(str(paths["mp"]),
-                                  Partition("multi", {("u1", "rtw"): 0}, omega=0.1), ctx)
+                                  Partition("multi", {("u1", "rtw"): 0}), ctx)
     paths["overlap"] = tmp_path / "o.tsv"
     write_overlap_tsv(str(paths["overlap"]),
                       overlap_matrix({"u1": 0, "u2": 1}, {"u1": 5, "u2": 5}), ctx)
     paths["truth"] = tmp_path / "gt.tsv"
-    write_ground_truth(str(paths["truth"]), Partition("rtw", {"u1": 0}), ctx)
+    write_partition_tsv(str(paths["truth"]), Partition("truth", {"u1": 0}), ctx)
     paths["events"] = tmp_path / "events.tsv"
     write_events_tsv(str(paths["events"]), EventLog.from_events(
         [("u1", "rtw", "t1", 1.0)], time_span=(1.0, 1.0)), ctx)
@@ -128,22 +127,37 @@ def test_edges_rows_are_sorted(tmp_path):
 
 def test_partition_round_trip(tmp_path):
     p = tmp_path / "part.tsv"
-    part = Partition("unfl-sum", {"u1": 0, "u2": 0, "u3": 1}, gamma=1.4)
+    part = Partition("unfl-sum", {"u1": 0, "u2": 0, "u3": 1})
     write_partition_tsv(str(p), part)
+    assert p.read_text().splitlines()[1:3] == ["# scope unfl-sum", "user_id\tcommunity_id"]
     back = read_partition_tsv(str(p))
     assert back.scope == "unfl-sum"
-    assert back.gamma == 1.4
     assert back.assignment == part.assignment
 
 
 def test_multiplex_partition_round_trip(tmp_path):
     p = tmp_path / "mp.tsv"
     mp = Partition("multi", {("u1", "rtw"): 0, ("u1", "rpl"): 0,
-                             ("u2", "rtw"): 1}, gamma=0.9, omega=0.25)
+                             ("u2", "rtw"): 1})
     write_multiplex_partition_tsv(str(p), mp)
+    assert p.read_text().splitlines()[1] == "user_id\tlayer\tcommunity_id"
     back = read_multiplex_partition_tsv(str(p))
-    assert back.assignment == mp.assignment
-    assert back.gamma == 0.9 and back.omega == 0.25
+    assert back.scope == "multi" and back.assignment == mp.assignment
+
+
+@pytest.mark.parametrize("reader, text, want", [
+    (read_partition_tsv, "# scope rtw\n# gamma 1.0\nuser_id\tcommunity_id\nu1\t0\nu2\t1\n",
+     Partition("rtw", {"u1": 0, "u2": 1})),
+    (read_multiplex_partition_tsv,
+     "# gamma 1.0\n# omega 0.1\nuser_id\tlayer\tcommunity_id\nu1\trtw\t0\nu1\thst\t1\n",
+     Partition("multi", {("u1", "rtw"): 0, ("u1", "hst"): 1})),
+], ids=["partition", "multiplex-partition"])
+def test_older_partition_files_read_to_the_same_assignment(tmp_path, reader, text, want):
+    # partition files once carried `# gamma` and `# omega` lines; they are
+    # directives no reader takes now, so they are ignored
+    p = tmp_path / "p.tsv"
+    p.write_text("# multicoord 0.1.0 config " + "0" * 64 + "\n" + text)
+    assert reader(str(p)) == want
 
 
 def test_records_round_trip(tmp_path):
@@ -168,11 +182,12 @@ def test_records_refuse_non_finite_floats(tmp_path):
 
 
 def test_ground_truth_round_trip(tmp_path):
-    class Truth:
-        assignment = {"u3": 1, "u1": 0, "u2": 0}
+    # synth writes the planted truth as a partition of scope "truth"
+    truth = {"u3": 1, "u1": 0, "u2": 0}
     p = tmp_path / "gt.tsv"
-    write_ground_truth(str(p), Truth())
-    assert read_ground_truth(str(p)) == Truth.assignment
+    write_partition_tsv(str(p), Partition("truth", truth))
+    assert p.read_text().splitlines()[1] == "# scope truth"
+    assert read_ground_truth(str(p)) == truth
 
 
 def test_overlap_tsv_layout(tmp_path):
@@ -194,23 +209,20 @@ def test_hash_prefixed_ids_round_trip(tmp_path):
     assert got.layer == "rtw"
     assert edge_dict(got) == edge_dict(g) and got.nodes == ("#alice", "bob", "carol")
 
-    p = Partition(scope="rtw", assignment={"#alice": 0, "bob": 0, "carol": 1},
-                  gamma=0.75)
+    p = Partition(scope="rtw", assignment={"#alice": 0, "bob": 0, "carol": 1})
     write_partition_tsv(str(tmp_path / "p.tsv"), p)
     got_p = read_partition_tsv(str(tmp_path / "p.tsv"))
     assert got_p.assignment == p.assignment
-    assert got_p.scope == "rtw" and got_p.gamma == 0.75
+    assert got_p.scope == "rtw"
 
-    mp = Partition("multi", {("#alice", "rtw"): 0, ("bob", "hst"): 1}, gamma=1.5, omega=0.25)
+    mp = Partition("multi", {("#alice", "rtw"): 0, ("bob", "hst"): 1})
     write_multiplex_partition_tsv(str(tmp_path / "m.tsv"), mp)
     got_mp = read_multiplex_partition_tsv(str(tmp_path / "m.tsv"))
     assert got_mp.assignment == mp.assignment
-    assert (got_mp.gamma, got_mp.omega) == (1.5, 0.25)
 
-    class Truth:
-        assignment = {"#alice": 0, "bob": 1}
-    write_ground_truth(str(tmp_path / "t.tsv"), Truth)
-    assert read_ground_truth(str(tmp_path / "t.tsv")) == Truth.assignment
+    truth = {"#alice": 0, "bob": 1}
+    write_partition_tsv(str(tmp_path / "t.tsv"), Partition("truth", truth))
+    assert read_ground_truth(str(tmp_path / "t.tsv")) == truth
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +237,7 @@ def test_read_errors_are_data_errors(tmp_path):
     with pytest.raises(DataError):
         read_edges_tsv(str(bad))
     empty_part = tmp_path / "p.tsv"
-    empty_part.write_text("# multicoord 0 config x\n# scope rtw\n# gamma 1.0\nuser_id\tcommunity_id\n")
+    empty_part.write_text("# multicoord 0 config x\n# scope rtw\nuser_id\tcommunity_id\n")
     with pytest.raises(DataError):
         read_partition_tsv(str(empty_part))
     badjson = tmp_path / "r.jsonl"
@@ -274,34 +286,27 @@ def test_a_bad_row_opening_a_block_names_its_own_line(tmp_path, monkeypatch, row
         read_edges_tsv(str(p))
 
 
-PARTITION_HEAD = "# multicoord 0 config x\n# scope rtw\n# gamma 1.0\nuser_id\tcommunity_id\n"
-MULTI_HEAD = "# multicoord 0 config x\n# gamma 1.0\n# omega 0.1\nuser_id\tlayer\tcommunity_id\n"
-TRUTH_HEAD = "# multicoord 0 config x\nuser_id\tcommunity_id\n"
+PARTITION_HEAD = "# multicoord 0 config x\n# scope rtw\nuser_id\tcommunity_id\n"
+MULTI_HEAD = "# multicoord 0 config x\nuser_id\tlayer\tcommunity_id\n"
+TRUTH_HEAD = "# multicoord 0 config x\n# scope truth\nuser_id\tcommunity_id\n"
 
 
 @pytest.mark.parametrize("reader, text, message", [
     (read_partition_tsv, PARTITION_HEAD + "u1\t0\n\nu2\tone\n",
-     "p.tsv:7: community id 'one' is not an integer"),
+     "p.tsv:6: community id 'one' is not an integer"),
     (read_partition_tsv, PARTITION_HEAD + "u1\t0\nu2\t1.5\n",
-     "p.tsv:6: community id '1.5' is not an integer"),
+     "p.tsv:5: community id '1.5' is not an integer"),
     (read_partition_tsv, PARTITION_HEAD + "u1\t0\nu2\t1\nu1\t1\n",
-     "p.tsv:7: user 'u1' repeated"),
-    (read_partition_tsv, PARTITION_HEAD.replace("gamma 1.0", "gamma high") + "u1\t0\n",
-     "p.tsv:3: gamma 'high' is not a number"),
+     "p.tsv:6: user 'u1' repeated"),
     (read_multiplex_partition_tsv, MULTI_HEAD + "u1\trtw\t0\nu1\trpl\tx\n",
-     "p.tsv:6: community id 'x' is not an integer"),
+     "p.tsv:4: community id 'x' is not an integer"),
     (read_multiplex_partition_tsv, MULTI_HEAD + "u1\trtw\t0\nu1\trpl\t0\nu1\trtw\t1\n",
-     "p.tsv:7: \\(user, layer\\) \\('u1', 'rtw'\\) repeated"),
-    (read_multiplex_partition_tsv, MULTI_HEAD.replace("gamma 1.0", "gamma 1,5") + "u1\trtw\t0\n",
-     "p.tsv:2: gamma '1,5' is not a number"),
-    (read_multiplex_partition_tsv, MULTI_HEAD.replace("omega 0.1", "omega") + "u1\trtw\t0\n",
-     "p.tsv:3: omega '' is not a number"),
+     "p.tsv:5: \\(user, layer\\) \\('u1', 'rtw'\\) repeated"),
     (read_ground_truth, TRUTH_HEAD + "u1\t0\nu2\tc7\n",
-     "p.tsv:4: community id 'c7' is not an integer"),
-    (read_ground_truth, TRUTH_HEAD + "u1\t0\nu1\t0\n", "p.tsv:4: user 'u1' repeated"),
-], ids=["word-id", "float-id", "repeated-user", "bad-gamma", "multi-word-id",
-        "multi-repeated-key", "multi-bad-gamma", "multi-empty-omega", "truth-word-id",
-        "truth-repeated-user"])
+     "p.tsv:5: community id 'c7' is not an integer"),
+    (read_ground_truth, TRUTH_HEAD + "u1\t0\nu1\t0\n", "p.tsv:5: user 'u1' repeated"),
+], ids=["word-id", "float-id", "repeated-user", "multi-word-id", "multi-repeated-key",
+        "truth-word-id", "truth-repeated-user"])
 def test_bad_partition_rows_name_their_line(tmp_path, reader, text, message):
     # a bad id used to escape as a bare ValueError, and a repeated key
     # silently kept its last row
@@ -313,9 +318,9 @@ def test_bad_partition_rows_name_their_line(tmp_path, reader, text, message):
 
 @pytest.mark.parametrize("reader, header, text", [
     (read_edges_tsv, EDGE_HEADER, "# layer rtw\nu1\tu2\t0.5\t1\t1\nu2\tu3\t0.5\t1\t1\n"),
-    (read_partition_tsv, PARTITION_HEADER, "# scope rtw\n# gamma 1.0\nu1\t0\nu2\t1\n"),
-    (read_multiplex_partition_tsv, MULTIPLEX_HEADER, "# gamma 1.0\nu1\trtw\t0\nu2\trtw\t1\n"),
-    (read_ground_truth, PARTITION_HEADER, "u1\t0\nu2\t1\n"),
+    (read_partition_tsv, PARTITION_HEADER, "# scope rtw\nu1\t0\nu2\t1\n"),
+    (read_multiplex_partition_tsv, MULTIPLEX_HEADER, "u1\trtw\t0\nu2\trtw\t1\n"),
+    (read_ground_truth, PARTITION_HEADER, "# scope truth\nu1\t0\nu2\t1\n"),
 ], ids=["edges", "partition", "multiplex-partition", "ground-truth"])
 def test_headerless_tables_are_refused(tmp_path, reader, header, text):
     # the first row used to be taken for the header and dropped without a word
