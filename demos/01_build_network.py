@@ -28,9 +28,12 @@ print(f"synthetic log: {len(log)} events, {len(log.users)} active users")
 planted = communities(truth.assignment)
 print(f"planted: {planted.keys()} with sizes "
       f"{[len(m) for m in planted.values()]}, "
-      f"{len(truth.noise_users)} noise-only users")
+      f"{cfg.n_users - len(truth.assignment)} noise-only users")
 
-# 1. sliding windows over the observed span
+# 1. sliding windows over the log's time span: generate gives the log its
+#    planted span (0, 24 h), while a log read from a file, as the CLI's build
+#    reads events.tsv, spans its first to its last stamp and may hold one
+#    whole window fewer
 windows = window_slices(log.time_span, width=6 * H, shift=5 * H)
 print(f"\n{len(windows)} windows of 6h shifted by 5h over "
       f"{(log.time_span[1] - log.time_span[0]) / H:.0f}h")

@@ -233,7 +233,7 @@ def _lanczos(csr: CSR) -> tuple[float, float | None, np.ndarray, int]:
             q = w / beta
         y = vecs[:, -1] @ Q
         q = y / np.linalg.norm(y)
-    raise ArithmeticError(f"Lanczos did not converge in {steps} steps on {n} nodes")
+    raise ArithmeticError(f"Lanczos did not converge in {steps} steps on a {n}-node component")
 
 
 def community_metrics(csr: GraphCSR, members) -> CommunityMetrics:

@@ -7,9 +7,9 @@
     multicoord synth        --config run.json [--seed N]
     multicoord report       [--out DIR | --config run.json]
 
-Exit codes: 0 success, 1 usage or config error, 2 data error, 3 internal
-invariant violation. --seed overrides the config's detection seed (and the
-synth seed for the synth command); --out overrides the output directory.
+Exit codes: 0 success, 1 usage or config error, 2 data error. --seed
+overrides the config's detection seed for detect and the synth seed for
+synth; --out overrides the output directory.
 Both overrides are part of the effective config, so they change the config
 hash embedded in the reports. Only detect and synth read a seed, so only
 they take --seed; --layer goes with --mode mono alone.
@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, DataError, InvariantError
+from .errors import ConfigError, DataError
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before .pipeline loads numpy
 from .pipeline import (DETECT_MODES, RunConfig, run_build, run_characterize,  # noqa: E402
@@ -98,8 +98,9 @@ def _load_config(args) -> RunConfig:
         cfg.out = args.out
     if getattr(args, "seed", None) is not None:  # only detect and synth take one
         try:  # replace checks the seed as the config's own is checked
-            cfg.detection = replace(cfg.detection, seed=args.seed)
-            if cfg.synth is not None:
+            if args.command == "detect":
+                cfg.detection = replace(cfg.detection, seed=args.seed)
+            elif cfg.synth is not None:  # synth, which refuses a config without one
                 cfg.synth = replace(cfg.synth, seed=args.seed)
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from None
@@ -147,9 +148,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except InvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto process exit codes: ConfigError -> 1,
-DataError -> 2, InvariantError -> 3. reading() is the one rule for an
-input file that cannot be read.
+The CLI maps these onto process exit codes: ConfigError -> 1 and
+DataError -> 2. reading() is the one rule for an input file that cannot
+be read.
 """
 
 from contextlib import contextmanager
@@ -20,10 +20,6 @@ class DataError(MulticoordError):
     """Unusable input data (unreadable files, empty inputs, scope mismatches)."""
 
 
-class InvariantError(MulticoordError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
-
-
 class UndefinedMetricError(MulticoordError):
     """No value is defined on this input: for a metric (a constant degree
     vector, a zero descriptor vector) or for a statistical test (a zero
@@ -35,10 +31,8 @@ class RowError(ValueError):
     cannot take, and why; a reader turns it into a DataError naming the
     row's line."""
 
-    what = "row"
-
     def __init__(self, row: int, reason: str):
-        super().__init__(f"{self.what} {row}: {reason}")
+        super().__init__(f"row {row}: {reason}")
         self.row, self.reason = row, reason
 
 

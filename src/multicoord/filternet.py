@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError
 from .netbuild import LayerGraph, MultiplexNetwork
 
 logger = logging.getLogger(__name__)
@@ -109,8 +108,6 @@ def filter_layer(g: LayerGraph, cfg: FilterConfig) -> tuple[LayerGraph, FilterRe
                           nodes_raw=g.n_nodes, edges_raw=g.n_edges,
                           nodes_actions=stage1.n_nodes, edges_actions=stage1.n_edges,
                           nodes_final=stage2.n_nodes, edges_final=stage2.n_edges)
-    if stage2.n_nodes > g.n_nodes or stage2.n_edges > g.n_edges:
-        raise InvariantError(f"layer {g.layer}: filtering grew the graph")
     logger.info("layer %s: %d/%d -> th_a=%d -> %d/%d -> w>=%s -> %d/%d",
                 g.layer, g.n_nodes, g.n_edges, th_a,
                 stage1.n_nodes, stage1.n_edges,

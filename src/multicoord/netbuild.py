@@ -27,6 +27,8 @@ the merge takes the layer's windows one at a time as they are made: only
 that layer's rows, one window's entries and pairs, and the running
 sums are alive. It builds the layers it is given, so a caller that builds
 one layer per call can drop each layer before it builds the next.
+window_coverage counts, once per build, the actor events of each layer
+that fall outside every window of the same grid.
 tfidf_windows and layer_window_graph are the same steps for one window,
 over names. The five LayerGraphs form the MultiplexNetwork that all
 downstream detection and comparison operates on: the layers in ACTIONS
@@ -73,12 +75,6 @@ logger = logging.getLogger(__name__)
 # flattened, so only an edited edge list comes near it; detect refuses a
 # flattened sum of such weights above it rather than write it.
 MAX_WEIGHT = 1e100
-
-
-class EdgeRowError(RowError):
-    """Edge row ``row`` (0-based, in input order) that no LayerGraph holds."""
-
-    what = "edge row"
 
 
 def _ints(values=()) -> np.ndarray:
@@ -130,7 +126,7 @@ class LayerGraph:
                    w: np.ndarray, co: np.ndarray, wc: np.ndarray) -> "LayerGraph":
         """Build a graph from row-aligned arrays of edges in any order: the
         endpoints as int64 positions in the sorted tuple ``nodes``, float
-        weights, and int64 co_actions and window counts. Raises EdgeRowError
+        weights, and int64 co_actions and window counts. Raises RowError
         for the first row that is a self-loop or a pair already seen, or has
         a non-finite or non-positive weight, a weight above MAX_WEIGHT or a
         count below 1.
@@ -150,14 +146,14 @@ class LayerGraph:
                     ("co_actions or window_count below 1", (co < 1) | (wc < 1)))
         bad = [(int(np.argmax(mask)), reason) for reason, mask in problems if mask.any()]
         if bad:
-            raise EdgeRowError(*min(bad, key=lambda kr: kr[0]))
+            raise RowError(*min(bad, key=lambda kr: kr[0]))
         return cls(layer, nodes, u, v, w[order], co[order], wc[order])
 
 
 def _edge_numbers(weight: Sequence, co_actions: Sequence,
                   window_count: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-aligned weights as floats and counts as int64, from numbers or
-    from text that float and int take. Raises EdgeRowError for the first
+    from text that float and int take. Raises RowError for the first
     row that is not numeric, holds a number beyond float or int, or has a
     count outside int64."""
     n = len(weight)
@@ -170,11 +166,11 @@ def _edge_numbers(weight: Sequence, co_actions: Sequence,
             try:
                 counts = float(r[0]), int(r[1]), int(r[2])
             except ValueError:
-                raise EdgeRowError(k, f"not a number in {r!r}") from None
+                raise RowError(k, f"not a number in {r!r}") from None
             except OverflowError:  # an int weight beyond float, an infinite count
-                raise EdgeRowError(k, f"number out of range in {r!r}") from None
+                raise RowError(k, f"number out of range in {r!r}") from None
             if not all(-2**63 <= c < 2**63 for c in counts[1:]):
-                raise EdgeRowError(k, f"count outside int64 in {r!r}")
+                raise RowError(k, f"count outside int64 in {r!r}")
         raise
 
 
@@ -349,6 +345,11 @@ def window_slices(span: tuple[float, float], width: float, shift: float) -> list
     return [t_min + k * shift for k in range(n)]
 
 
+# window_coverage takes the grid under a second name: the benchmark trace
+# wraps window_slices to count the grids that build_multiplex makes
+_window_starts = window_slices
+
+
 def _window_bounds(ts: np.ndarray, starts: Sequence[float],
                    width: float) -> tuple[np.ndarray, np.ndarray]:
     """Per window start, the rows lo:hi of the sorted stamps ``ts`` that the
@@ -399,6 +400,21 @@ def tfidf_windows(log: EventLog, actors: ActorSet, width: float,
                     items=tuple(map(log.items.__getitem__, m.items.tolist())))
             for a, layer in enumerate(ACTIONS)
             for m in _tfidf_windows(log, actor_rows & (log.action == a), layer, starts, width)]
+
+
+def window_coverage(log: EventLog, actors: ActorSet, width: float,
+                    shift: float) -> tuple[int, dict]:
+    """(n, outside): the n windows of build_multiplex's grid over the log,
+    and per layer, in ACTIONS order, the actor events that no window holds,
+    such as those after the last whole window. One mask of the actor rows,
+    a byte per event, is cleared window by window. An empty log has no
+    grid, as build_multiplex makes none for it."""
+    starts = _window_starts(log.time_span, width, shift) if len(log) else []
+    outside = _actor_rows(log, actors)
+    for lo, hi in zip(*(b.tolist() for b in _window_bounds(log.ts, starts, width))):
+        outside[lo:hi] = False
+    counts = np.bincount(log.action[outside], minlength=len(ACTIONS)).tolist()
+    return len(starts), dict(zip(ACTIONS, counts))
 
 
 def _actor_rows(log: EventLog, actors: ActorSet) -> np.ndarray:

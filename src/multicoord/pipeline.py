@@ -53,7 +53,7 @@ from . import __version__
 from .errors import ConfigError, DataError, reading
 from .ingest import (ACTIONS, EVENT_SCHEMAS, StopLists, apply_stoplists,
                      load_stoplist, parse_events, select_users)
-from .netbuild import MAX_WEIGHT, LayerGraph, MultiplexNetwork, build_multiplex
+from .netbuild import MAX_WEIGHT, LayerGraph, MultiplexNetwork, build_multiplex, window_coverage
 from .filternet import FilterConfig, filter_multiplex
 from .community import (UNION_STRATEGIES, Partition, flatten_intersection,
                         flatten_union, generalized_louvain, louvain, modularity,
@@ -118,7 +118,7 @@ def _section(sec, where: str, cls, default: dict, **build):
         kwargs[key] = build[key](v) if v is not None and key in build else v
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError, DataError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -262,11 +262,11 @@ def run_synth(cfg: RunConfig) -> dict:
         "n_events": len(log),
         "n_users": cfg.synth.n_users,
         "n_communities": cfg.synth.n_communities,
-        "n_noise_users": len(truth.noise_users),
-        "active_layers": {str(c): sorted(ls) for c, ls in truth.active_layers.items()},
+        "n_noise_users": cfg.synth.n_users - len(truth.assignment),
+        "active_layers": {str(c): sorted(ls) for c, ls in cfg.synth.active_layers.items()},
     }]
     _write(cfg, ("events.tsv", reports.write_events_tsv, log),
-           ("ground_truth.tsv", reports.write_partition_tsv, Partition("truth", truth.assignment)),
+           ("ground_truth.tsv", reports.write_partition_tsv, truth),
            ("synth_report.jsonl", reports.write_records, records))
     return {"events": events_path, "ground_truth": os.path.join(cfg.out, "ground_truth.tsv")}
 
@@ -275,8 +275,8 @@ def run_synth(cfg: RunConfig) -> dict:
 
 def run_build(cfg: RunConfig) -> None:
     """Ingest, select actors, build and filter the multiplex network one
-    layer at a time, and write per-layer edge lists plus the filter / stats
-    / coverage reports.
+    layer at a time, and write per-layer edge lists plus the window
+    coverage and the filter / stats / layer coverage reports.
 
     Each raw layer is summarized and filtered before the next is built, so
     one raw layer is alive at a time, and the event log is dropped once the
@@ -299,10 +299,12 @@ def run_build(cfg: RunConfig) -> None:
     if not len(log):
         logger.warning("build: empty event log; writing empty network")
     actors = select_users(log, cfg.fraction)
-    records, filter_reports, layers = [], [], {}
+    width, shift = cfg.width_hours * 3600.0, cfg.shift_hours * 3600.0
+    n_windows, outside = window_coverage(log, actors, width, shift)
+    records = [{"record": "window_coverage", "n_windows": n_windows, "events_outside": outside}]
+    filter_reports, layers = [], {}
     for layer in ACTIONS:
-        raw = build_multiplex(log, actors, width=cfg.width_hours * 3600.0,
-                              shift=cfg.shift_hours * 3600.0, layers=(layer,))
+        raw = build_multiplex(log, actors, width=width, shift=shift, layers=(layer,))
         records.append({**reports.layer_stats(raw.layers[layer]), "record": "layer_stats_raw"})
         filtered, (rep,) = filter_multiplex(raw, cfg.filter)
         layers[layer] = filtered.layers[layer]
@@ -598,7 +600,10 @@ def run_characterize(cfg: RunConfig, ref: str, other: str) -> dict:
                          "label": label, "x": float(xy[0]), "y": float(xy[1])}
                         for (side, comm_id, label, _), xy in zip(comm_rows, coords)]
 
-    profiles = {s: node_metrics(csr) for s, csr in graphs.items()}
+    try:  # Lanczos can spend its step budget, as on a long chain, in the graph of `profiled`
+        profiles = {(profiled := s): node_metrics(csr) for s, csr in graphs.items()}
+    except ArithmeticError as exc:
+        raise DataError(f"edge list {_edges_path(cfg.out, profiled)}: {exc}") from exc
     # the Lanczos facts behind each eigenvector centrality: a small gap
     # between lambda1 and the second Ritz value marks an ill-conditioned one
     eigen_records = [{"record": "eigen_summary", "graph": graph_id,
@@ -686,6 +691,9 @@ def run_report(out: str) -> str:
                                  f"lambda1={r['lambda1']:.6g}, second Ritz value {ritz2}, "
                                  f"{r['components']} components, "
                                  f"{r['lanczos_steps']} Lanczos steps")
+                elif kind == "window_coverage":
+                    lines.append(f"    {r['n_windows']} windows; actor events outside every window: "
+                                 + ", ".join(f"{a} {r['events_outside'][a]:,}" for a in ACTIONS))
                 elif kind == "synth_summary":
                     lines.append(f"    {r['n_events']} events, {r['n_users']} users, "
                                  f"{r['n_communities']} planted communities")

@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ConfigError, DataError, RowError, reading
 from .community import Partition
 from .ingest import _sorted_vocab
-from .netbuild import EdgeRowError, LayerGraph, _component_labels, _edge_numbers
+from .netbuild import LayerGraph, _component_labels, _edge_numbers
 
 try:
     from _sha2 import sha256 as _sha256
@@ -290,7 +290,7 @@ def read_edges_tsv(path: str, layer: str | None = None) -> LayerGraph:
     a, b = rank[a], rank[b]
     try:
         return LayerGraph.from_codes(name, nodes, a, b, w, co, wc)
-    except EdgeRowError as exc:
+    except RowError as exc:
         raise DataError(f"{path}:{line_of(exc.row)}: {exc.reason}") from exc
 
 

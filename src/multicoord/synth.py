@@ -29,7 +29,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DataError
+from .community import Partition
 from .ingest import ACTIONS, EventLog
 from .netbuild import window_slices
 
@@ -109,10 +109,10 @@ class SynthConfig:
         if self.noise_rate < 0:
             raise ValueError(f"noise_rate must be >= 0, got {self.noise_rate}")
         if self.community_pool_size < 2:
-            raise DataError("community_pool_size must be >= 2: a single-item pool "
-                            "shared by every active user is nulled by TF-IDF")
+            raise ValueError("community_pool_size must be >= 2: a single-item pool "
+                             "shared by every active user is nulled by TF-IDF")
         if self.noise_rate > 0 and self.noise_pool_size < 1:
-            raise DataError("noise_pool_size must be >= 1 when noise_rate > 0")
+            raise ValueError("noise_pool_size must be >= 1 when noise_rate > 0")
         check_hours(width_hours=self.width_hours, shift_hours=self.shift_hours,
                     span_hours=self.span_hours)
         if self.span_hours < self.width_hours:
@@ -123,17 +123,12 @@ class SynthConfig:
     def n_communities(self) -> int:
         return len(self.community_sizes)
 
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Planted assignment: user -> community id for members; noise users
-    are absent from the map. active_layers marks where each community
-    coordinates.
-    """
-
-    assignment: dict
-    active_layers: dict  # community id -> frozenset of layer names
-    noise_users: frozenset
+    @property
+    def active_layers(self) -> dict:
+        """Community id -> the frozenset of layers where it coordinates: those
+        of strength > 0."""
+        return {ci: frozenset(layer for layer, s in smap.items() if s > 0)
+                for ci, smap in enumerate(self.strengths)}
 
 
 def _window_events(rng, users, rate, pool_size, prefix, layer, start, width_s) -> list:
@@ -151,8 +146,10 @@ def _window_events(rng, users, rate, pool_size, prefix, layer, start, width_s) -
     return [(u, layer, f"{prefix}{k}", t) for u, k, t in zip(owners, items, times)]
 
 
-def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
-    """Build the planted log and its ground truth; deterministic per seed."""
+def generate(cfg: SynthConfig) -> tuple[EventLog, Partition]:
+    """Build the planted log and its ground truth, the Partition of scope
+    "truth" that maps each planted member to its community id; the noise
+    users are the users it lacks. Deterministic per seed."""
     rng = np.random.default_rng(cfg.seed)
     digits = max(4, len(str(cfg.n_users - 1)))
     users = [f"u{i:0{digits}d}" for i in range(cfg.n_users)]
@@ -166,9 +163,6 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
         for u in block:
             assignment[u] = ci
         cursor += size
-    noise_users = frozenset(users[cursor:])
-    active = {ci: frozenset(layer for layer, s in cfg.strengths[ci].items() if s > 0)
-              for ci in range(cfg.n_communities)}
 
     span_s = cfg.span_hours * 3600.0
     width_s = cfg.width_hours * 3600.0
@@ -187,9 +181,7 @@ def generate(cfg: SynthConfig) -> tuple[EventLog, GroundTruth]:
                                        f"n.{layer}.", layer, start, width_s)
 
     log = EventLog.from_events(rows, time_span=(0.0, span_s))
-    truth = GroundTruth(assignment=assignment, active_layers=active,
-                        noise_users=noise_users)
     planted = sum(1 for r in rows if r[2].startswith("c"))
     logger.info("synth: %d events (%d planted, %d noise) over %d windows, %d users",
                 len(log), planted, len(log) - planted, len(starts), cfg.n_users)
-    return log, truth
+    return log, Partition("truth", assignment)

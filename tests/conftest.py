@@ -37,7 +37,7 @@ def edge_dict(g):
 def from_pairs(layer, pairs, nodes=()):
     """A LayerGraph of (u, v, weight[, co_actions[, window_count]]) rows in
     any order, as numbers or as text that float and int take; the counts
-    default to 1 and ``nodes`` adds isolated nodes. Raises EdgeRowError as
+    default to 1 and ``nodes`` adds isolated nodes. Raises RowError as
     _edge_numbers and then as LayerGraph.from_codes do."""
     rows = [tuple(p) + (1,) * (5 - len(p)) for p in pairs]
     a, b, *numbers = zip(*rows) if rows else ((),) * 5

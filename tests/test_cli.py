@@ -19,16 +19,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from multicoord import netbuild, pipeline
-from multicoord.cli import main
+from multicoord import characterize, netbuild, pipeline
+from multicoord.cli import _build_parser, _load_config, main
 from multicoord.community import restrict_to_layer
 from multicoord.errors import ConfigError, DataError
 from multicoord.filternet import FilterConfig, filter_multiplex
 from multicoord.ingest import ACTIONS
 from multicoord.pipeline import DETECT_MODES, DetectionSettings, RunConfig
 from multicoord.reports import (config_hash, read_edges_tsv, read_multiplex_partition_tsv,
-                               read_partition_tsv, read_records)
-from multicoord.synth import SynthConfig
+                               read_partition_tsv, read_records, write_edges_tsv)
+from multicoord.synth import SynthConfig, generate
+from conftest import from_pairs
 from readme_recipe import COMPARISONS, write_configs
 
 SYNTH = {
@@ -110,6 +111,27 @@ def test_a_log_without_a_good_line_builds_the_usual_files(tmp_path):
     assert (out / "actors.tsv").read_text(encoding="utf-8").split("\n")[1:] == ["user_id", ""]
     kinds = Counter(r["record"] for r in read_records(str(out / "build_report.jsonl")))
     assert kinds["layer_stats_raw"] == kinds["filter_report"] == kinds["layer_stats"] == 5
+    assert kinds["window_coverage"] == 1
+
+
+def test_build_reports_the_events_outside_every_window(tmp_path, capsys):
+    # a span of 4,000 s holds one whole window of an hour, from the first
+    # stamp: the events at 3,600 s and after fell into no window unreported
+    events = tmp_path / "events.tsv"
+    events.write_text("u0\trtw\ti0\t0\nu1\trtw\ti0\t3600\nu0\thst\th0\t1800\n"
+                      "u1\thst\th0\t4000\nu1\turl\ta.org\t100\n", encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "run.json", {"input": str(events), "schema": "tsv", "out": str(out),
+                                            "width_hours": 1.0, "shift_hours": 1.0})
+    assert main(["build", "--config", cfg]) == 0
+    coverage = [r for r in read_records(str(out / "build_report.jsonl"))
+                if r["record"] == "window_coverage"]
+    assert coverage == [{"record": "window_coverage", "n_windows": 1, "events_outside": {
+        "rtw": 1, "rpl": 0, "men": 0, "hst": 1, "url": 0}}]
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    assert ("    1 windows; actor events outside every window: rtw 1, rpl 0, men 0, hst 1, url 0\n"
+            in capsys.readouterr().out)
 
 
 def test_an_empty_log_builds_with_one_warning(tmp_path, caplog):
@@ -562,6 +584,54 @@ def test_config_hash_is_pinned():
                           span_hours=24.0, width_hours=4.0, shift_hours=3.0))
     assert config_hash(cfg.to_dict()) == (
         "b21055c08995fad14d606635986a9b9bf2f7a44c2e15bbe142d8b398c9e7a6a3")
+
+
+def test_synth_writes_the_truth_that_generate_returns(workdir):
+    cfg = RunConfig.from_file(workdir["synth_cfg"])
+    _, truth = generate(cfg.synth)
+    written = read_partition_tsv(os.path.join(workdir["out"], "ground_truth.tsv"), "truth")
+    assert truth.scope == "truth"
+    assert (written.scope, written.assignment) == (truth.scope, truth.assignment)
+    (summary,) = [r for r in read_records(os.path.join(workdir["out"], "synth_report.jsonl"))
+                  if r["record"] == "synth_summary"]
+    assert summary["n_noise_users"] == cfg.synth.n_users - len(truth.assignment) == 10
+    assert summary["active_layers"] == {str(c): sorted(layers)
+                                        for c, layers in cfg.synth.active_layers.items()}
+    assert summary["active_layers"] == {"0": sorted(ACTIONS), "1": sorted(ACTIONS)}
+
+
+def test_seed_overrides_only_the_seed_its_step_reads(tmp_path):
+    # detect --seed 7 set the synth seed to 7 too, so detect's config hash
+    # covered a seed that detect never reads; synth --seed set the detection seed
+    cfg = write_cfg(tmp_path / "both.json", {"out": str(tmp_path / "out"),
+                                             "detection": {"seed": 1},
+                                             "synth": {**SYNTH, "seed": 2}})
+    for argv, seeds in ((["detect", "--mode", "indi"], (7, 2)), (["synth"], (1, 7))):
+        got = _load_config(_build_parser().parse_args([*argv, "--config", cfg, "--seed", "7"]))
+        assert (got.detection.seed, got.synth.seed) == seeds, argv
+
+
+def test_characterize_refuses_a_graph_lanczos_does_not_solve(tmp_path, monkeypatch, capsys):
+    # a path of 2,000 nodes spent Lanczos' 12,800 steps and ended in an
+    # ArithmeticError traceback, exit code 1; a 60-node path under a budget
+    # of 16 steps, 4 per restart, is the same case in small
+    out = tmp_path / "out"
+    out.mkdir()
+    names = [f"n{k:02d}" for k in range(60)]
+    write_edges_tsv(str(out / "edges_rtw.tsv"), from_pairs("rtw", zip(names, names[1:],
+                                                                     [1.0] * 59)))
+    cfg = write_cfg(tmp_path / "run.json", {"out": str(out)})
+    assert main(["detect", "--config", cfg, "--mode", "mono", "--layer", "rtw"]) == 0
+    monkeypatch.setattr(characterize, "_LANCZOS_MAX_STEPS", 4)
+    monkeypatch.setattr(characterize, "_LANCZOS_STEP_BUDGET", 16)
+    before = _contents(str(out))
+    capsys.readouterr()
+    argv = ["characterize", "--config", cfg, "--ref", "rtw", "--other", "rtw"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"data error: edge list {out / 'edges_rtw.tsv'}: Lanczos did not converge in 16 steps "
+        f"on a 60-node component\n")
+    assert _contents(str(out)) == before
 
 
 def test_synth_section_defaults_to_no_planted_communities(tmp_path):

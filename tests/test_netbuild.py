@@ -11,9 +11,9 @@ import pytest
 
 from conftest import edge_dict, from_pairs, tfidf_entries
 from multicoord import netbuild
-from multicoord.errors import DataError
+from multicoord.errors import DataError, RowError
 from multicoord.ingest import ActionEvent, ActorSet, EventLog
-from multicoord.netbuild import (MAX_WEIGHT, MAX_WINDOWS, EdgeRowError, LayerGraph, WindowTfidf,
+from multicoord.netbuild import (MAX_WEIGHT, MAX_WINDOWS, LayerGraph, WindowTfidf,
                                  _merged_layer, _window_bounds, build_multiplex,
                                  layer_window_graph, tfidf_windows, window_slices)
 
@@ -88,15 +88,15 @@ def test_window_slices_refuses_non_finite_width_and_shift():
 
 
 def test_edge_row_beyond_float_or_int_is_named():
-    with pytest.raises(EdgeRowError, match="edge row 1: number out of range"):
+    with pytest.raises(RowError, match="row 1: number out of range"):
         from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 10**400)])
-    with pytest.raises(EdgeRowError, match="edge row 0: number out of range"):
+    with pytest.raises(RowError, match="row 0: number out of range"):
         from_pairs("rtw", [("a", "b", 1.0, math.inf)])
 
 
 def test_edge_weight_above_the_cap_is_named():
     assert from_pairs("rtw", [("a", "b", MAX_WEIGHT)]).weight.tolist() == [MAX_WEIGHT]
-    with pytest.raises(EdgeRowError, match="edge row 1: weight above 1e[+]100"):
+    with pytest.raises(RowError, match="row 1: weight above 1e[+]100"):
         from_pairs("rtw", [("a", "b", 1.0), ("b", "c", 1e101), ("c", "d", 1e308)])
 
 

@@ -30,16 +30,17 @@ from multicoord.community import (GAIN_TOLERANCE, Partition,  # noqa: E402
 from multicoord.compare import (hungarian_match, label_nodes, nmi,  # noqa: E402
                                 overlap_matrix)
 from multicoord.filternet import FilterConfig, filter_layer  # noqa: E402
-from multicoord.errors import DataError, InvariantError  # noqa: E402
+from multicoord.errors import DataError, RowError  # noqa: E402
 from multicoord.ingest import (_CONTROL_CHARS, ACTIONS, HST, MEN, URL,  # noqa: E402
                                ActionEvent, ActorSet, EventLog, RecordError,
                                StopLists, _parse_timestamp, apply_stoplists,
                                extract_domain, parse_events, select_users)
 from multicoord.errors import reading  # noqa: E402
-from multicoord.netbuild import (CSR, MAX_WEIGHT, EdgeRowError, LayerGraph,  # noqa: E402
+from multicoord.netbuild import (CSR, MAX_WEIGHT, LayerGraph,  # noqa: E402
                                  MultiplexNetwork, WindowTfidf, _component_labels, _group_pairs,
                                  _wedge_opens, _wedges, _window_bounds, build_multiplex,
-                                 layer_window_graph, tfidf_windows, window_slices)
+                                 layer_window_graph, tfidf_windows, window_coverage,
+                                 window_slices)
 from multicoord.reports import (EDGE_HEADER, MULTIPLEX_HEADER,  # noqa: E402
                                 PARTITION_HEADER, _n_components, read_edges_tsv,
                                 read_multiplex_partition_tsv, read_partition_tsv,
@@ -130,7 +131,7 @@ def scipy_window_graph(m):
     C = sp.triu(B @ B.T, k=1).tocsr()
     C.sort_indices()
     if not (np.array_equal(S.indptr, C.indptr) and np.array_equal(S.indices, C.indices)):
-        raise InvariantError("similarity and co-action supports diverge")
+        raise AssertionError("similarity and co-action supports diverge")
     Scoo = S.tocoo()
     keep = Scoo.data > 0.0
     return LayerGraph(m.layer, m.users, Scoo.row[keep].astype(np.int64),
@@ -390,6 +391,11 @@ def test_build_multiplex_matches_dict_oracle(case, subset):
     assert list(part.layers) == [layer for layer in ACTIONS if layer in subset]
     for layer, g in part.layers.items():
         assert_same_graph(g, net.layers[layer])
+    # the build report's count of the actor events that no window holds
+    lost = Counter(e.action for e in log.events if e.user_id in actors.actors
+                   and not any(w.contains(e.timestamp) for w in windows))
+    assert window_coverage(log, actors, width, shift) == (
+        len(windows), {layer: lost[layer] for layer in ACTIONS})
 
 
 @settings(max_examples=100, deadline=None)
@@ -1715,9 +1721,9 @@ def _from_pairs_oracle(layer, pairs):
             try:
                 float(r[2]), int(r[3]), int(r[4])
             except ValueError:
-                raise EdgeRowError(k, f"not a number in {r[2:]!r}") from None
+                raise RowError(k, f"not a number in {r[2:]!r}") from None
             if not all(int64.min <= int(c) <= int64.max for c in r[3:]):
-                raise EdgeRowError(k, f"count outside int64 in {r[2:]!r}")
+                raise RowError(k, f"count outside int64 in {r[2:]!r}")
         raise
     names = tuple(sorted(set(a).union(b)))
     index = {x: k for k, x in enumerate(names)}
@@ -1733,7 +1739,7 @@ def _from_pairs_oracle(layer, pairs):
                 ("co_actions or window_count below 1", (co < 1) | (wc < 1)))
     bad = [(int(np.argmax(mask)), reason) for reason, mask in problems if mask.any()]
     if bad:
-        raise EdgeRowError(*min(bad, key=lambda kr: kr[0]))
+        raise RowError(*min(bad, key=lambda kr: kr[0]))
     return LayerGraph(layer, names, u[order], v[order], weight[order], co[order], wc[order])
 
 
@@ -1743,7 +1749,7 @@ def _read_edges_oracle(path):
         raise DataError(f"{path}: missing '# layer' line")
     try:
         return _from_pairs_oracle(directives["layer"][1], rows)
-    except EdgeRowError as exc:
+    except RowError as exc:
         raise DataError(f"{path}:{line_nos[exc.row]}: {exc.reason}") from exc
 
 

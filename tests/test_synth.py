@@ -4,11 +4,10 @@ import re
 
 import pytest
 
-from multicoord.community import communities
-from multicoord.errors import DataError
+from multicoord.community import Partition, communities
 from multicoord.ingest import ACTIONS, parse_events
 from multicoord.reports import write_events_tsv
-from multicoord.synth import GroundTruth, SynthConfig, generate
+from multicoord.synth import SynthConfig, generate
 
 PLANTED = re.compile(r"^c(\d+)\.(rtw|rpl|men|hst|url)\.(\d+)$")
 NOISE = re.compile(r"^n\.(rtw|rpl|men|hst|url)\.(\d+)$")
@@ -39,9 +38,9 @@ def test_config_validation():
         small_cfg(strengths=({"rtw": -1.0}, {"rpl": 1.0}))
     with pytest.raises(ValueError):
         small_cfg(noise_rate=-0.1)
-    with pytest.raises(DataError):
+    with pytest.raises(ValueError):
         small_cfg(community_pool_size=1)              # nulled by TF-IDF
-    with pytest.raises(DataError):
+    with pytest.raises(ValueError):
         small_cfg(noise_pool_size=0)
     with pytest.raises(ValueError):
         small_cfg(span_hours=2.0, width_hours=6.0)
@@ -58,7 +57,6 @@ def test_same_seed_same_log():
     log2, truth2 = generate(small_cfg())
     assert log1.events == log2.events
     assert truth1.assignment == truth2.assignment
-    assert truth1.noise_users == truth2.noise_users
 
 
 def test_different_seed_different_log():
@@ -73,15 +71,15 @@ def test_different_seed_different_log():
 
 def test_ground_truth_shape():
     cfg = small_cfg()
-    _, truth = generate(cfg)
-    assert isinstance(truth, GroundTruth)
+    log, truth = generate(cfg)
+    assert isinstance(truth, Partition) and truth.scope == "truth"
     comms = communities(truth.assignment)
     assert {len(comms[i]) for i in comms} == {10, 8}
     assert len(truth.assignment) == 18
-    assert len(truth.noise_users) == 12
-    assert not set(truth.assignment) & truth.noise_users
-    assert truth.active_layers[0] == frozenset({"rtw", "hst"})
-    assert truth.active_layers[1] == frozenset({"rpl"})
+    # the noise users are the users the truth lacks, and they act too
+    assert len(set(log.users) - set(truth.assignment)) == cfg.n_users - 18 == 12
+    assert cfg.active_layers[0] == frozenset({"rtw", "hst"})
+    assert cfg.active_layers[1] == frozenset({"rpl"})
     assert comms[0] <= set(truth.assignment)
 
 
@@ -94,7 +92,7 @@ def test_items_are_traceable():
         if m:
             ci, layer, idx = int(m.group(1)), m.group(2), int(m.group(3))
             assert e.action == layer
-            assert layer in truth.active_layers[ci]
+            assert layer in cfg.active_layers[ci]
             assert truth.assignment[e.user_id] == ci
             assert idx < cfg.community_pool_size
         else:
@@ -123,7 +121,7 @@ def test_noise_reaches_everyone():
     assert len(noise_emitters) == 30
     # noise users emit nothing but noise
     for e in log.events:
-        if e.user_id in truth.noise_users:
+        if e.user_id not in truth.assignment:
             assert NOISE.match(e.item_id)
 
 
@@ -160,8 +158,8 @@ def test_strength_zero_is_inactive():
     cfg = SynthConfig(n_users=12, community_sizes=(6, 6),
                       strengths=({"rtw": 3.0}, {"rtw": 3.0, "rpl": 0.0}),
                       seed=3, span_hours=24.0)
-    log, truth = generate(cfg)
-    assert truth.active_layers[1] == frozenset({"rtw"})
+    log, _ = generate(cfg)
+    assert cfg.active_layers[1] == frozenset({"rtw"})
     assert all(e.action == "rtw" for e in log.events)
 
 
