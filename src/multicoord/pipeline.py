@@ -278,10 +278,12 @@ def run_build(cfg: RunConfig) -> None:
     layer at a time, and write per-layer edge lists plus the window
     coverage and the filter / stats / layer coverage reports.
 
-    Each raw layer is summarized and filtered before the next is built, so
-    one raw layer is alive at a time, and the event log is dropped once the
-    last layer is built: the coverage records and the writes hold only the
-    filtered network.
+    Once the actors and the window coverage are read from it, the event
+    log is split into one log per layer, each with the whole log's
+    time_span and so its window grid, and dropped. Each layer's log is
+    dropped as that layer is built, and each raw layer is summarized and
+    filtered before the next is built, so one raw layer is alive at a time
+    and the coverage records and the writes hold only the filtered network.
     """
     if cfg.input is None:
         raise ConfigError("config has no 'input' path")
@@ -302,15 +304,17 @@ def run_build(cfg: RunConfig) -> None:
     width, shift = cfg.width_hours * 3600.0, cfg.shift_hours * 3600.0
     n_windows, outside = window_coverage(log, actors, width, shift)
     records = [{"record": "window_coverage", "n_windows": n_windows, "events_outside": outside}]
+    # one log per layer, each keeping the whole log's time_span and so its grid
+    logs = {layer: log.masked(log.action == k) for k, layer in enumerate(ACTIONS)}
+    del log
     filter_reports, layers = [], {}
     for layer in ACTIONS:
-        raw = build_multiplex(log, actors, width=width, shift=shift, layers=(layer,))
+        raw = build_multiplex(logs.pop(layer), actors, width=width, shift=shift, layers=(layer,))
         records.append({**reports.layer_stats(raw.layers[layer]), "record": "layer_stats_raw"})
         filtered, (rep,) = filter_multiplex(raw, cfg.filter)
         layers[layer] = filtered.layers[layer]
         filter_reports.append(rep)
         del raw
-    del log
     net = MultiplexNetwork(layers)
     records.extend({"record": "filter_report", **asdict(rep)} for rep in filter_reports)
     records.extend(reports.layer_stats(net.layers[layer]) for layer in ACTIONS)

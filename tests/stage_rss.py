@@ -11,8 +11,10 @@ the peak of the whole step, writes included.
 
 - ``build`` (the default) runs ``pipeline.run_build`` into a temporary
   ``out`` that is removed afterwards. It reports after the parse
-  (``pipeline.parse_events``) and after each ``pipeline.build_multiplex``
-  call, with the layers that call built.
+  (``pipeline.parse_events``), after the stoplist pass
+  (``pipeline.apply_stoplists``, which runs only when the config names a
+  stoplist), after actor selection (``pipeline.select_users``) and after
+  each ``pipeline.build_multiplex`` call, with the layers that call built.
 - ``detect`` and ``characterize`` run ``pipeline.run_detect`` and
   ``pipeline.run_characterize`` on the config's ``out``, as the CLI steps
   do, so the build (and for characterize, the two detects) must have run
@@ -86,7 +88,8 @@ def main(argv=None) -> int:
 
     cfg = pipeline.RunConfig.from_file(args.config)
     if args.step == "build":
-        wrap(pipeline, "parse_events")
+        for name in ("parse_events", "apply_stoplists", "select_users"):
+            wrap(pipeline, name)
         wrap(pipeline, "build_multiplex",
              lambda a, kw: "build_multiplex " + ",".join(kw.get("layers") or ["all"]))
     else:

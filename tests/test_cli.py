@@ -956,13 +956,16 @@ def test_loaded_network_is_the_built_one(tmp_path, monkeypatch):
 
 def test_build_holds_one_raw_layer_and_drops_the_log(tmp_path, monkeypatch):
     # build summarizes and filters each raw layer before it builds the next,
-    # so no raw layer outlives its filtering, and it drops the event log
-    # before its writes
+    # so no raw layer outlives its filtering; it builds each layer from a log
+    # of that layer's events, drops the parsed log before the first layer
+    # and each layer's log once that layer is built, and so holds no log at
+    # its writes
     out = str(tmp_path / "out")
     assert main(["synth", "--config", write_cfg(tmp_path / "synth.json",
                                                 {"out": out, "synth": SYNTH})]) == 0
-    raw, logs = [], []
+    raw, logs, built = [], [], []
     merged_layer, parse_events, write = netbuild._merged_layer, pipeline.parse_events, pipeline._write
+    build_multiplex = pipeline.build_multiplex
 
     def merged(*args):
         assert all(ref() is None for ref in raw), f"raw {len(raw)} layer(s) built, one alive"
@@ -975,16 +978,45 @@ def test_build_holds_one_raw_layer_and_drops_the_log(tmp_path, monkeypatch):
         logs.append(weakref.ref(log))
         return log
 
+    def build(log, *args, **kwargs):
+        assert logs and logs[0]() is None, "the parsed log is alive at a layer's build"
+        assert all(ref() is None for ref in built), f"{len(built)} layer log(s) built, one alive"
+        assert set(ACTIONS[k] for k in log.action.tolist()) <= set(kwargs["layers"])
+        built.append(weakref.ref(log))
+        return build_multiplex(log, *args, **kwargs)
+
     def checked_write(*args):
         assert logs and logs[0]() is None, "the event log is alive at the writes"
         write(*args)
 
     monkeypatch.setattr(netbuild, "_merged_layer", merged)
     monkeypatch.setattr(pipeline, "parse_events", parse)
+    monkeypatch.setattr(pipeline, "build_multiplex", build)
     monkeypatch.setattr(pipeline, "_write", checked_write)
     assert main(["build", "--config", write_cfg(tmp_path / "run.json", {
         "input": os.path.join(out, "events.tsv"), "schema": "tsv", "out": out})]) == 0
-    assert len(raw) == len(ACTIONS) and len(logs) == 1
+    assert len(raw) == len(ACTIONS) == len(built) and len(logs) == 1
+
+
+def test_stage_rss_reports_each_stage_of_a_build(tmp_path):
+    # tests/stage_rss.py build on the README recipe with a hashtag stoplist:
+    # one line per stage before the layers, one per layer and one for the
+    # whole step, with a peak that never falls
+    synth_cfg, run_cfg = write_configs(tmp_path)
+    assert main(["synth", "--config", synth_cfg]) == 0
+    (tmp_path / "hashtags.txt").write_text("#h0\n", encoding="utf-8")
+    with open(run_cfg, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    write_cfg(run_cfg, {**doc, "stoplists": {"hashtags": str(tmp_path / "hashtags.txt")}})
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run([sys.executable, os.path.join(root, "tests", "stage_rss.py"), root,
+                           run_cfg], capture_output=True, text=True, check=True)
+    lines = [line.rsplit(": ", 1) for line in done.stdout.splitlines()]
+    assert [label for label, _ in lines] == [
+        "start", "parse_events", "apply_stoplists", "select_users",
+        *[f"build_multiplex {layer}" for layer in ACTIONS], "run_build"]
+    peaks = [float(value.removesuffix(" MB")) for _, value in lines]
+    assert 0 < peaks[0] and peaks == sorted(peaks)
 
 
 def test_stage_rss_reports_each_stage_of_a_characterize(tmp_path):

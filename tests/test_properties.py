@@ -285,7 +285,8 @@ def test_wedges_are_the_pairs_within_each_group(groups, start, stop):
 
 
 H = 3600.0
-GRIDS = [(6 * H, 5 * H), (0.3, 0.1), (10.0, 4.0), (10.0, 10.0)]
+# (width, shift): overlapping, abutting and gapped windows
+GRIDS = [(6 * H, 5 * H), (0.3, 0.1), (10.0, 4.0), (10.0, 10.0), (4.0, 10.0), (0.1, 0.3)]
 
 
 @st.composite
@@ -396,6 +397,40 @@ def test_build_multiplex_matches_dict_oracle(case, subset):
                    and not any(w.contains(e.timestamp) for w in windows))
     assert window_coverage(log, actors, width, shift) == (
         len(windows), {layer: lost[layer] for layer in ACTIONS})
+
+
+def _two_layer_log(rows, time_span=None):
+    """(log, actors, 10, 10) of (user, layer, item, t) rows, every user an
+    actor; men, hst and url have no event."""
+    log = EventLog.from_events([ActionEvent(*r) for r in rows], time_span=time_span)
+    return log, ActorSet({"rtw": frozenset(r[0] for r in rows)}), 10.0, 10.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_logs(), st.booleans())
+# in both, a grid over the rtw stamps alone would hold u0 and u1 on i0 in
+# one window, and the log's grid holds them in none: the observed span
+# (1, 15) has one whole window, which ends before the rtw stamps; the
+# nominal span (0, 20) has two, the second of which holds the last stamp
+@example(_two_layer_log([("u0", "rpl", "i0", 1.0), ("u1", "rpl", "i0", 2.0),
+                         ("u0", "rtw", "i0", 12.0), ("u1", "rtw", "i0", 13.0),
+                         ("u2", "rtw", "i1", 15.0)]), False)
+@example(_two_layer_log([("u0", "rpl", "i0", 1.0), ("u1", "rpl", "i0", 2.0),
+                         ("u0", "rtw", "i0", 8.0), ("u2", "rtw", "i1", 9.0),
+                         ("u1", "rtw", "i0", 12.0)], time_span=(0.0, 20.0)), False)
+def test_build_of_a_layer_log_is_the_build_of_that_layer(case, observed):
+    # run_build builds each layer from the log masked to its action: the
+    # mask keeps the log's time_span and so its window grid, and a layer
+    # with no event gives an empty log and an empty layer
+    log, actors, width, shift = case
+    if observed:  # the span of the stamps, not a wider nominal one
+        log = EventLog(log.user, log.action, log.item, log.ts, log.users, log.items)
+    for k, layer in enumerate(ACTIONS):
+        sub = log.masked(log.action == k)
+        assert (sub.time_span is None) == (not (log.action == k).any())
+        got = build_multiplex(sub, actors, width, shift, layers=(layer,))
+        want = build_multiplex(log, actors, width, shift, layers=(layer,))
+        assert_same_graph(got.layers[layer], want.layers[layer])
 
 
 @settings(max_examples=100, deadline=None)
